@@ -16,11 +16,23 @@ B(X, Y) = g(nabla_X xi, Y) must be symmetric with trace 2, and
 phi h := (I - nabla xi)|_{xi-perp} symmetric trace free.  The "3-h" class
 additionally requires nabla_xi h = 0.
 
-Detection searches the unit sphere for such a Reeb direction.  The skew
-part of B and its trace are linear in the candidate, so the search reduces
-to an affine least-squares system; a 162-vertex geodesic sphere grid with
-local refinement backs up the algebraic path in degenerate cases.  Every
-candidate is verified against the full invariant list before acceptance.
+Detection solves for the Reeb direction exactly.  The skew part of B and
+its trace are linear in the candidate u, giving the affine system
+Sk u = 0, tau u = 2.  In an orthonormal frame B_u is symmetric exactly
+when d eta = 0, i.e. u is orthogonal to [g, g], and tau u = div u =
+-tr ad_u.  The null space of the system is therefore
+[g, g]^perp  intersected with  ker(tr o ad):
+
+* on a non-unimodular algebra ker(tr o ad) is a 2-dimensional ideal that
+  contains [g, g] != 0, so the null space has dimension at most one and
+  the unit solutions are at most two points on a line, plus the normalised
+  minimum-norm solution as a best fit: at most three candidates;
+* on a unimodular algebra tau = 0, the system has no solution and there is
+  no structure (Milnor, "Curvatures of left invariant metrics on Lie
+  groups", Adv. Math. 21, 1976).
+
+Every candidate is verified against the full invariant list before
+acceptance.
 """
 
 from __future__ import annotations
@@ -113,49 +125,6 @@ def _fix_sign(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return v
 
 
-_ICOSPHERE_CACHE: dict[int, np.ndarray] = {}
-
-
-def geodesic_grid(subdivisions: int = 2) -> np.ndarray:
-    """Unit-sphere sample from a subdivided icosahedron (162 points at 2)."""
-    if subdivisions in _ICOSPHERE_CACHE:
-        return _ICOSPHERE_CACHE[subdivisions]
-    t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
-        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
-        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
-        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    verts = [np.array(v, dtype=float) for v in verts]
-    verts = [v / np.linalg.norm(v) for v in verts]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    for _ in range(subdivisions):
-        midpoint: dict[tuple, int] = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    arr = np.array(sorted(tuple(v) for v in verts))
-    arr.setflags(write=False)
-    _ICOSPHERE_CACHE[subdivisions] = arr
-    return arr
-
-
 def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     """Unit eigenvector of symmetric M for a known eigenvalue mu."""
     K = M - mu * np.eye(3)
@@ -195,50 +164,24 @@ def _reeb_shape_system(conn: ConnectionTable):
 
 
 def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
-    """Deterministic list of unit Reeb candidates, best-fitting first."""
+    """Unit solutions of the affine Reeb-shape system, best-fitting first.
+
+    Every solution is u0 + w with u0 the minimum-norm solution and w in the
+    null space, which has at most one dimension (see the module docstring).
+    The unit ones are u0 +- r w for a unit null vector w and
+    r = sqrt(1 - |u0|^2); u0/|u0| is listed too, as the best fit when the
+    null space is trivial.  An inconsistent system (u0 = 0) gives none.
+    """
     Sk, tau = _reeb_shape_system(conn)
     A_sys = np.vstack([Sk, tau])
-    rhs = np.array([0.0, 0.0, 0.0, 2.0])
-    raw: list[np.ndarray] = []
-
-    u0, *_ = np.linalg.lstsq(A_sys, rhs, rcond=None)
+    u0, *_ = np.linalg.lstsq(A_sys, np.array([0.0, 0.0, 0.0, 2.0]), rcond=None)
     n0 = float(np.linalg.norm(u0))
-    if n0 > 1e-12:
-        raw.append(u0 / n0)
+    if n0 <= 1e-12:
+        return []
     _, s, Vt = np.linalg.svd(A_sys)
-    null = Vt[np.concatenate([s, np.zeros(3 - len(s))]) <= 1e-10 * max(s[0], 1.0)]
-    if null.shape[0] and n0 > 1e-12:
-        # unit solutions of the affine system form a sphere slice around u0
-        r = math.sqrt(max(1.0 - n0 * n0, 0.0))
-        if r > 1e-12:
-            if null.shape[0] == 1:
-                raw += [u0 + r * null[0], u0 - r * null[0]]
-            elif null.shape[0] == 2:
-                for th in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-                    w = math.cos(th) * null[0] + math.sin(th) * null[1]
-                    raw.append(u0 + r * w)
-    for w in null:
-        raw += [w, -w]
-
-    # geodesic sphere sweep with a few Gauss-Newton refinements each
-    def refine(u):
-        for _ in range(6):
-            Pt = np.eye(3) - np.outer(u, u)
-            F = np.concatenate([Sk @ u, [tau @ u - 2.0]])
-            step, *_ = np.linalg.lstsq(A_sys @ Pt, -F, rcond=None)
-            u = u + Pt @ step
-            n = np.linalg.norm(u)
-            if n < 1e-12:
-                return None
-            u = u / n
-        return u
-
-    grid = geodesic_grid(2)
-    scores = np.einsum("ni->n", (grid @ Sk.T) ** 2) + (grid @ tau - 2.0) ** 2
-    for idx in np.argsort(scores, kind="stable")[:8]:
-        u = refine(grid[idx].copy())
-        if u is not None:
-            raw.append(u)
+    null = Vt[s <= 1e-10 * max(s[0], 1.0)]
+    r = math.sqrt(max(1.0 - n0 * n0, 0.0))
+    raw = [u0 / n0] + [u0 + sign * r * w for w in null for sign in (1.0, -1.0)]
 
     out: list[np.ndarray] = []
     for u in raw:
@@ -329,6 +272,16 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
     return float(np.max(np.abs(dphi - 2.0 * wedge)))
 
 
+def _h_transport_sides(ak: AKStructure, gamma: np.ndarray, riemann: np.ndarray):
+    """nabla_xi h from the connection, and the curvature expression
+    -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
+    equals on an almost Kenmotsu structure."""
+    xi, h, phi = ak.xi.components, ak.h_op, ak.phi
+    n_xi = np.einsum("a,ajk->kj", xi, gamma)
+    l = np.einsum("ijkl,j,k->li", riemann, xi, xi)
+    return n_xi @ h - h @ n_xi, -phi - 2.0 * h - phi @ h @ h - phi @ l
+
+
 def structure_residuals(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
@@ -364,13 +317,9 @@ def structure_residuals(
     shape = A - (ident - np.outer(xi, eta) - phi @ h)
     res["reeb_gradient"] = float(np.max(np.abs(shape)))
 
-    n_xi = np.einsum("a,ajk->kj", xi, gamma)
-    res["h_transport"] = float(np.max(np.abs(n_xi @ h - h @ n_xi)))
-
-    l = np.einsum("ijkl,j,k->li", pack.riemann, xi, xi)
-    res["curvature_identity"] = float(
-        np.max(np.abs(-phi - 2.0 * h - phi @ h @ h - phi @ l))
-    )
+    transport_mat, curv_mat = _h_transport_sides(ak, gamma, pack.riemann)
+    res["h_transport"] = float(np.max(np.abs(transport_mat)))
+    res["curvature_identity"] = float(np.max(np.abs(curv_mat)))
 
     adxi = np.einsum("a,ajk->kj", xi, c)
     res["h_lie_oracle"] = float(np.max(np.abs(h - 0.5 * (adxi @ phi - phi @ adxi))))
@@ -448,13 +397,9 @@ def check_h_parallel(
     tol: float = DEFAULT_TOL,
 ) -> HParallelCheck:
     """Verify nabla_xi h = 0 along two independent routes."""
-    xi = ak.xi.components
-    h, phi = ak.h_op, ak.phi
-    n_xi = np.einsum("a,ajk->kj", xi, conn.gamma)
-    transport_mat = n_xi @ h - h @ n_xi
-    pack = curvature(L, conn, reeb=ak.xi)
-    l = pack.jacobi_operator
-    curv_mat = -phi - 2.0 * h - phi @ h @ h - phi @ l
+    transport_mat, curv_mat = _h_transport_sides(
+        ak, conn.gamma, curvature(L, conn).riemann
+    )
     transport = float(np.max(np.abs(transport_mat)))
     curv = float(np.max(np.abs(curv_mat)))
     gap = float(np.max(np.abs(transport_mat - curv_mat)))

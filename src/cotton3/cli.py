@@ -11,7 +11,8 @@ with 1-indexed frame labels in the bracket form, plus an optional
 a human-readable report by default or, with --format machine, a single
 deterministic JSON document carrying all computed values and the tool
 version.  The default tolerance is 1e-8, overridable by the COTTON3_TOL
-environment variable and then by --tolerance.
+environment variable and then by --tolerance; it must be positive and
+finite, as must every number in the geometry file.
 
 Exit codes: 0 on success, 1 on input or structure errors, 2 when
 verify-paper finds a reference value that does not reproduce.
@@ -43,7 +44,7 @@ from .connection_curvature import (
     ricci_spectrum,
 )
 from .cotton import cotton2_closed_form, cotton_pack
-from .cotton_flow import export_trajectory, flow_run
+from .cotton_flow import export_trajectory, flow_run, write_trajectory
 from .errors import AssertionFailure, Cotton3Error, DegenerateMetric, NoStructure
 from .frame_algebra import (
     MetricLieAlgebra3,
@@ -76,6 +77,8 @@ def _require_number(obj, field, context):
     val = obj[field]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise CLIError(f"{context}: field '{field}' must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise CLIError(f"{context}: field '{field}' must be finite, got {val!r}")
     return float(val)
 
 
@@ -95,6 +98,8 @@ def _parse_metric(data, context):
         raise CLIError(f"{context}: 'metric' must be a 3x3 array of numbers")
     if arr.shape != (3, 3):
         raise CLIError(f"{context}: 'metric' must be 3x3, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise CLIError(f"{context}: 'metric' entries must be finite")
     return arr
 
 
@@ -127,6 +132,8 @@ def _parse_brackets(items, context):
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in coeffs)
         ):
             raise CLIError(f"{where}: 'coeffs' must be a list of three numbers")
+        if not all(math.isfinite(x) for x in coeffs):
+            raise CLIError(f"{where}: 'coeffs' must be finite")
         c[i - 1, j - 1] = coeffs
         c[j - 1, i - 1] = [-x for x in coeffs]
     return c
@@ -191,14 +198,18 @@ def load_geometry(path: str) -> MetricLieAlgebra3:
 
 def _tolerance(args) -> float:
     if args.tolerance is not None:
-        return args.tolerance
-    raw = os.environ.get("COTTON3_TOL")
-    if raw is not None:
+        tol, source = args.tolerance, "--tolerance"
+    else:
+        raw = os.environ.get("COTTON3_TOL")
+        if raw is None:
+            return 1e-8
         try:
-            return float(raw)
+            tol, source = float(raw), "COTTON3_TOL"
         except ValueError:
             raise CLIError(f"COTTON3_TOL is not a number: {raw!r}")
-    return 1e-8
+    if not (math.isfinite(tol) and tol > 0):
+        raise CLIError(f"{source} must be a positive finite number, got {tol!r}")
+    return tol
 
 
 def _emit(payload: dict, args, human) -> None:
@@ -451,13 +462,7 @@ def cmd_flow(args) -> int:
 
         _emit(payload, args, human)
     else:
-        out = sys.stdout
-        out.write("time,g11,g12,g13,g22,g23,g33,cotton_norm\n")
-        for st in result.trajectory:
-            m = st.metric
-            vals = (st.time, m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2],
-                    m[2, 2], st.cotton_norm)
-            out.write(",".join(repr(float(v)) for v in vals) + "\n")
+        write_trajectory(result, sys.stdout)
     return 0
 
 

@@ -152,16 +152,22 @@ def flow_run(
     return FlowResult(tuple(states), fixed)
 
 
-def export_trajectory(result, path: str) -> None:
-    """Write a trajectory as CSV with round-tripping float reprs."""
+def write_trajectory(result, fh) -> None:
+    """Write a trajectory to a text stream as CSV with round-tripping float
+    reprs."""
     rows = result.trajectory if isinstance(result, FlowResult) else result
+    fh.write("time,g11,g12,g13,g22,g23,g33,cotton_norm\n")
+    for st in rows:
+        m = st.metric
+        vals = (
+            st.time,
+            m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2],
+            st.cotton_norm,
+        )
+        fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+
+
+def export_trajectory(result, path: str) -> None:
+    """Write a trajectory CSV file (the format of ``write_trajectory``)."""
     with open(path, "w") as fh:
-        fh.write("time,g11,g12,g13,g22,g23,g33,cotton_norm\n")
-        for st in rows:
-            m = st.metric
-            vals = (
-                st.time,
-                m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2],
-                st.cotton_norm,
-            )
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+        write_trajectory(result, fh)

@@ -8,12 +8,15 @@ import pytest
 from conftest import (
     abelian,
     heisenberg,
+    milnor,
+    random_kenmotsu,
     random_rotation,
     rotate_algebra,
     su2_round,
 )
 from cotton3 import (
     InconsistentStructure,
+    MetricLieAlgebra3,
     NoStructure,
     adapted_connection_table,
     check_h_parallel,
@@ -21,13 +24,13 @@ from cotton3 import (
     detect_structure,
     from_kenmotsu_params,
     from_nonunimodular,
-    geodesic_grid,
     levi_civita,
     ricci_closed_form,
     structure_residuals,
     validate,
     xi_eigenvector_analysis,
 )
+from cotton3.almost_kenmotsu import _candidate_reebs, _reeb_shape_system
 
 
 def detect(L, tol=1e-8):
@@ -36,18 +39,50 @@ def detect(L, tol=1e-8):
     return conn, pack, detect_structure(L, conn, pack, tol=tol)
 
 
-class TestGeodesicGrid:
-    def test_vertex_counts(self):
-        assert geodesic_grid(0).shape == (12, 3)
-        assert geodesic_grid(1).shape == (42, 3)
-        assert geodesic_grid(2).shape == (162, 3)
+def semidirect(D):
+    """R acting on R^2 by D: [e1, e2] = D11 e2 + D21 e3, [e1, e3] = D12 e2 + D22 e3."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1:] = D[:, 0]
+    c[0, 2, 1:] = D[:, 1]
+    c[1, 0] = -c[0, 1]
+    c[2, 0] = -c[0, 2]
+    return MetricLieAlgebra3(c)
 
-    def test_unit_and_distinct(self):
-        pts = geodesic_grid(2)
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-        gram = pts @ pts.T
-        np.fill_diagonal(gram, 0.0)
-        assert np.max(gram) < 1.0 - 1e-6
+
+class TestReebShapeSystem:
+    """The affine system behind detection: null space [g,g]^perp meet
+    ker(tr o ad), of dimension at most one off the unimodular case, where
+    the trace row tau vanishes instead."""
+
+    def test_null_space_at_most_one_dimensional(self):
+        rng = np.random.default_rng(34)
+        algebras = []
+        for _ in range(20):
+            algebras.append(random_kenmotsu(rng))
+            algebras.append(from_nonunimodular(*map(float, rng.uniform(-3.0, 3.0, 2))))
+            # aff(R) + R: [e1, e2] = a e2, e3 central
+            algebras.append(semidirect(np.diag([rng.uniform(0.2, 3.0), 0.0])))
+            algebras.append(semidirect(rng.normal(size=(2, 2))))
+        for L in algebras:
+            Lr = rotate_algebra(L, random_rotation(rng))
+            assert validate(Lr).is_valid
+            conn = levi_civita(Lr)
+            Sk, tau = _reeb_shape_system(conn)
+            s = np.linalg.svd(np.vstack([Sk, tau]), compute_uv=False)
+            assert int(np.sum(s <= 1e-10 * max(s[0], 1.0))) <= 1
+            assert np.linalg.norm(tau) > 1e-6
+            assert 1 <= len(_candidate_reebs(conn)) <= 3
+
+    def test_trace_row_vanishes_on_unimodular(self):
+        rng = np.random.default_rng(35)
+        algebras = [su2_round(), heisenberg()]
+        algebras += [milnor(*rng.uniform(-3.0, 3.0, 3)) for _ in range(20)]
+        for L in algebras:
+            Lr = rotate_algebra(L, random_rotation(rng))
+            conn = levi_civita(Lr)
+            _, tau = _reeb_shape_system(conn)
+            assert np.max(np.abs(tau)) <= 1e-12
+            assert _candidate_reebs(conn) == []
 
 
 class TestDetection:

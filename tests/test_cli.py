@@ -369,6 +369,21 @@ class TestInputErrors:
         assert rc == 1
         assert "unknown fields" in captured.err
 
+    @pytest.mark.parametrize("data", [
+        {"nonunimodular": {"alpha": float("nan"), "beta": 0.0}},
+        {"kenmotsu": {"lambda": float("inf")}},
+        {"brackets": [{"i": 1, "j": 2, "coeffs": [0.0, 0.0, float("nan")]}]},
+        kenmotsu(1.0, metric=[[1, 0, 0], [0, 1, 0], [0, 0, float("-inf")]]),
+    ])
+    def test_non_finite_numbers(self, geom, capsys, data):
+        rc = main(["structure", geom(data), "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTolerances:
     def test_env_variable_respected(self, geom, capsys, monkeypatch):
@@ -389,6 +404,20 @@ class TestTolerances:
         captured = capsys.readouterr()
         assert rc == 1
         assert "COTTON3_TOL is not a number" in captured.err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_non_positive_or_non_finite_tolerance(self, geom, capsys, monkeypatch, value):
+        path = geom(kenmotsu(2.0))
+        rc = main(["structure", path, "--tolerance", value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: --tolerance must be a positive")
+        monkeypatch.setenv("COTTON3_TOL", value)
+        rc = main(["verify-paper"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: COTTON3_TOL must be a positive")
 
 
 class TestVerifyPaper:
