@@ -42,12 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection_curvature import (
-    ConnectionTable,
-    CurvaturePack,
-    curvature,
-    levi_civita,
-)
+from .connection_curvature import ConnectionTable, CurvaturePack
 from .errors import InconsistentStructure, NoStructure
 from .frame_algebra import (
     DEFAULT_TOL,
@@ -67,7 +62,8 @@ class AKStructure:
     orthogonal to xi when h = 0).  ``b`` and ``c`` are the two remaining
     connection constants of the adapted frame:
     nabla_e e = -xi - b phi_e and nabla_{phi_e} e = lam xi + c phi_e.
-    ``f`` abbreviates b^2 + c^2 + 2.
+    ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
+    the layers of ``algebra`` the structure was verified against.
     """
 
     algebra: MetricLieAlgebra3
@@ -81,6 +77,8 @@ class AKStructure:
     f: float
     adapted_frame: tuple
     kenmotsu: bool
+    connection: ConnectionTable
+    curvature: CurvaturePack
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):
@@ -204,10 +202,14 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
 def _build_structure(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
+    pack: CurvaturePack,
     u: np.ndarray,
     tol: float,
 ) -> AKStructure:
-    """Assemble the structure tensors for a given unit Reeb candidate."""
+    """Assemble the structure tensors for a given unit Reeb candidate.
+
+    phi = u x (.) needs no sign check: d Phi - 2 eta ^ Phi is linear in phi.
+    """
     gamma = conn.gamma
     A = np.einsum("a,iak->ki", u, gamma)
     P = np.eye(3) - np.outer(u, u)
@@ -216,35 +218,24 @@ def _build_structure(
     lam = math.sqrt(max(float(np.sum(Msym * Msym)) / 2.0, 0.0))
     kenmotsu = lam <= tol
 
-    def assemble(phi):
-        h = -phi @ Msym
-        h = 0.5 * (h + h.T)
-        if kenmotsu:
-            norms = [np.linalg.norm(P[:, k]) for k in range(3)]
-            e = P[:, int(np.argmax(norms))]
-            e = _fix_sign(e / np.linalg.norm(e))
-        else:
-            e = _fix_sign(_sym_eigvec(h, lam))
-        phi_e = phi @ e
-        nab_ee = np.einsum("i,j,ijk->k", e, e, gamma)
-        nab_pe = np.einsum("i,j,ijk->k", phi_e, e, gamma)
-        b = -float(nab_ee @ phi_e)
-        c = float(nab_pe @ phi_e)
-        return h, e, phi_e, b, c
-
     phi = _hat(u)
-    h, e, phi_e, b, c = assemble(phi)
-    # The defining axioms are insensitive to the sign of phi; keep the
-    # positively oriented choice unless the normalization check prefers the
-    # flip (a safety net, not an expected branch).
-    if _dphi_residual(L, u, phi) > tol and _dphi_residual(L, u, -phi) <= tol:
-        phi = -phi
-        h, e, phi_e, b, c = assemble(phi)
-    eta = L.metric @ u
+    h = -phi @ Msym
+    h = 0.5 * (h + h.T)
+    if kenmotsu:
+        norms = [np.linalg.norm(P[:, k]) for k in range(3)]
+        e = P[:, int(np.argmax(norms))]
+        e = _fix_sign(e / np.linalg.norm(e))
+    else:
+        e = _fix_sign(_sym_eigvec(h, lam))
+    phi_e = phi @ e
+    nab_ee = np.einsum("i,j,ijk->k", e, e, gamma)
+    nab_pe = np.einsum("i,j,ijk->k", phi_e, e, gamma)
+    b = -float(nab_ee @ phi_e)
+    c = float(nab_pe @ phi_e)
     return AKStructure(
         algebra=L,
         xi=FrameVector(u),
-        eta=eta,
+        eta=L.metric @ u,
         phi=phi,
         h_op=h,
         lam=lam,
@@ -253,6 +244,8 @@ def _build_structure(
         f=b * b + c * c + 2.0,
         adapted_frame=(FrameVector(u), FrameVector(e), FrameVector(phi_e)),
         kenmotsu=kenmotsu,
+        connection=conn,
+        curvature=pack,
     )
 
 
@@ -361,7 +354,7 @@ def detect_structure(
     best = None
     best_res = math.inf
     for u in _candidate_reebs(conn):
-        ak = _build_structure(L, conn, u, tol)
+        ak = _build_structure(L, conn, pack, u, tol)
         res = max(structure_residuals(L, conn, pack, ak).values())
         if res < best_res:
             best, best_res = ak, res
@@ -396,10 +389,9 @@ def check_h_parallel(
     ak: AKStructure,
     tol: float = DEFAULT_TOL,
 ) -> HParallelCheck:
-    """Verify nabla_xi h = 0 along two independent routes."""
-    transport_mat, curv_mat = _h_transport_sides(
-        ak, conn.gamma, curvature(L, conn).riemann
-    )
+    """Verify nabla_xi h = 0 along two independent routes; the curvature
+    route reads ``ak.curvature``, which detection computed from ``conn``."""
+    transport_mat, curv_mat = _h_transport_sides(ak, conn.gamma, ak.curvature.riemann)
     transport = float(np.max(np.abs(transport_mat)))
     curv = float(np.max(np.abs(curv_mat)))
     gap = float(np.max(np.abs(transport_mat - curv_mat)))
@@ -442,7 +434,7 @@ class XiEigenReport:
 
 
 def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEigenReport:
-    """Test S(xi, e) = S(xi, phi_e) = 0 using the curvature Ricci tensor.
+    """Test S(xi, e) = S(xi, phi_e) = 0 with the Ricci form of ``ak.curvature``.
 
     Requires a non-Kenmotsu structure (lam > 0).  Raises
     ``InconsistentStructure`` if the eigenvector condition holds but the
@@ -451,12 +443,11 @@ def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEige
     if ak.kenmotsu:
         raise ValueError("analysis applies to non-Kenmotsu structures (lam > 0)")
     L = ak.algebra
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
+    ricci = ak.curvature.ricci
     xi, e, phi_e = ak.adapted_frame
-    s_xi_e = pack.ricci.evaluate(xi, e)
-    s_xi_pe = pack.ricci.evaluate(xi, phi_e)
-    scale = 1.0 + float(np.max(np.abs(pack.ricci.components)))
+    s_xi_e = ricci.evaluate(xi, e)
+    s_xi_pe = ricci.evaluate(xi, phi_e)
+    scale = 1.0 + float(np.max(np.abs(ricci.components)))
     is_eigen = abs(s_xi_e) <= tol * scale and abs(s_xi_pe) <= tol * scale
     if not is_eigen:
         return XiEigenReport(False, s_xi_e, s_xi_pe, None, None)

@@ -490,7 +490,8 @@ def _verify_checks(tol: float) -> list:
 
     # ricci values of the lambda=1, b=c=3 family
     L133 = from_kenmotsu_params(1.0, 3.0, 3.0)
-    p133 = curvature(L133, levi_civita(L133))
+    c133 = levi_civita(L133)
+    p133 = curvature(L133, c133)
     S = p133.ricci.components
     ok = (
         close(S[0, 0], -4.0)
@@ -534,7 +535,7 @@ def _verify_checks(tol: float) -> list:
     add("cotton components, lambda=2", ok, f"C(e,e) {c2[1, 1]:.6g}")
 
     # the lambda=1, b=c=3 family is conformally flat
-    norm = cotton_pack(L133).norm2
+    norm = cotton_pack(L133, c133, p133).norm2
     add("cotton vanishes, lambda=1 b=c=3", norm <= tol, f"norm {norm:.3e}")
 
     # conformal flatness happens exactly at lambda=1 in the diagonal family
@@ -637,8 +638,7 @@ def _verify_checks(tol: float) -> list:
     )
     add("reeb ricci-eigenvector analysis, lambda=2", ok,
         f"eigenvector {rep.is_eigenvector}")
-    rep133 = xi_eigenvector_analysis(detect_structure(L133, levi_civita(L133),
-                                                      curvature(L133, levi_civita(L133))))
+    rep133 = xi_eigenvector_analysis(detect_structure(L133, c133, p133))
     add("reeb not an eigenvector when b=c=3", not rep133.is_eigenvector,
         f"S(xi,e) {rep133.s_xi_e:.6g}")
 

@@ -82,10 +82,6 @@ def cotton_pack(
     pack: CurvaturePack | None = None,
 ) -> CottonPack:
     """Compute the (0,3) tensor, its (0,2) dual, and the Frobenius norm."""
-    if conn is None:
-        conn = levi_civita(L)
-    if pack is None:
-        pack = curvature(L, conn)
     c3 = cotton3_oracle(L, conn, pack)
     c2 = cotton2_from_cotton3(L, c3)
     return CottonPack(c3, c2, float(np.linalg.norm(c2.components)))

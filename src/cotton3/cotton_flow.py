@@ -70,14 +70,13 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     return FlowState(float(time), g, cp.cotton2, cp.norm2)
 
 
-def flow_step(L: MetricLieAlgebra3, state: FlowState, dt: float) -> FlowState:
-    """One classical Runge-Kutta step of dg/dt = C(g).
+def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
+    """Metric after one classical Runge-Kutta step of dg/dt = C(g).
 
     The state's ``cotton2`` is the right-hand side at the step's start, so
     it serves as the first stage; ``state`` must therefore carry the
-    Cotton tensor of its own metric (as ``make_state`` and ``flow_run``
-    arrange).  Every intermediate stage metric is required to stay
-    positive definite.
+    Cotton tensor of its own metric (as ``make_state`` arranges).  Every
+    intermediate stage metric is required to stay positive definite.
     """
     g = state.metric
     k1 = state.cotton2.components
@@ -96,7 +95,13 @@ def flow_step(L: MetricLieAlgebra3, state: FlowState, dt: float) -> FlowState:
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = 0.5 * (out + out.T)
     _require_spd(out, "after the step")
-    return make_state(L, state.time + dt, out)
+    return out
+
+
+def flow_step(L: MetricLieAlgebra3, state: FlowState, dt: float) -> FlowState:
+    """One classical Runge-Kutta step of dg/dt = C(g); ``state`` must carry
+    the Cotton tensor of its own metric, as ``make_state`` arranges."""
+    return make_state(L, state.time + dt, _rk4(L, state, dt))
 
 
 def flow_run(
@@ -133,16 +138,14 @@ def flow_run(
     states = [state]
     for n in range(1, steps + 1):
         try:
-            state = flow_step(L, state, dt)
+            g = _rk4(L, state, dt)
         except DegenerateMetric as exc:
             raise DegenerateMetric(
                 f"step {n} (t={n * dt:g}): {exc}", trajectory=states
             ) from exc
         if normalize:
-            gm = state.metric * (
-                det0 / float(np.linalg.det(state.metric))
-            ) ** (1.0 / 3.0)
-            state = make_state(L, state.time, gm)
+            g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
+        state = make_state(L, state.time + dt, g)
         if n % stride == 0 or n == steps:
             states.append(state)
     fixed = (

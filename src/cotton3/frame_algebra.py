@@ -16,6 +16,7 @@ a pure function of its inputs, so values can be shared across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,14 +137,27 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
     The Jacobi tolerance defaults to ``1e-12 * (1 + max|c|)**3``, which
-    covers the float error of the cyclic double contraction.
+    covers the float error of the cyclic double contraction.  Inputs the
+    checks cannot evaluate are reported alone: non-finite entries, and
+    constants whose cube overflows (below that bound every product in the
+    Jacobi residual is finite).
     """
     c = L.structure_constants
     g = L.metric
     scale = 1.0 + float(np.max(np.abs(c)))
+    gscale = 1.0 + float(np.max(np.abs(g)))
+    if not (math.isfinite(scale) and math.isfinite(gscale)):
+        return ValidityReport(tuple(
+            Violation("non_finite", (name, *map(int, idx)), float(arr[tuple(idx)]))
+            for name, arr in (("structure_constants", c), ("metric", g))
+            for idx in np.argwhere(~np.isfinite(arr))
+        ))
+    cube = scale * scale * scale  # saturates at inf where ** would raise
+    if not math.isfinite(cube):
+        return ValidityReport((Violation("overflow", (), scale),))
     if tol is None:
         anti_tol = 1e-12 * scale
-        jac_tol = 1e-12 * scale**3
+        jac_tol = 1e-12 * cube
     else:
         anti_tol = jac_tol = tol
     violations = []
@@ -164,7 +178,7 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
                 if mag > jac_tol:
                     violations.append(Violation("jacobi", (i, j, k), mag))
 
-    gsym_tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
+    gsym_tol = 1e-12 * gscale
     for i in range(3):
         for j in range(i + 1, 3):
             mag = abs(g[i, j] - g[j, i])

@@ -85,8 +85,6 @@ class SolitonProblem:
     def build(cls, L, basis=None, conn=None, pack=None):
         if conn is None:
             conn = levi_civita(L)
-        if pack is None:
-            pack = curvature(L, conn)
         if basis is None:
             basis = tuple(FrameVector(np.eye(3)[a]) for a in range(3))
         else:
@@ -206,33 +204,27 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     )
 
 
-def soliton_existence_survey(ak, tol: float = 1e-8, raise_on_failure: bool = False):
+def soliton_existence_survey(ak, tol: float = 1e-8):
     """Solve the standard ansatz spaces of an adapted structure.
 
     Runs the potential collinear with the Reeb field, orthogonal to it
     (span of e and phi_e), and the general three-dimensional span,
-    returning a dict of ``SolitonSolution`` keyed by ansatz name.  With
-    ``raise_on_failure`` an ``AssertionFailure`` carrying the survey is
-    raised when every ansatz is infeasible.
+    returning a dict of ``SolitonSolution`` keyed by ansatz name.  The
+    Cotton tensor is evaluated once, from the structure's connection and
+    curvature.
     """
-    L = ak.algebra
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
+    L, conn = ak.algebra, ak.connection
+    cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
     xi, e, phi_e = ak.adapted_frame
     spaces = {
         "collinear": (xi,),
         "orthogonal": (e, phi_e),
         "general": (xi, e, phi_e),
     }
-    out = {
-        name: solve(SolitonProblem.build(L, basis=basis, conn=conn, pack=pack), tol)
+    return {
+        name: solve(SolitonProblem(L, conn, cotton2, basis), tol)
         for name, basis in spaces.items()
     }
-    if raise_on_failure and all(not sol.feasible for sol in out.values()):
-        raise AssertionFailure(
-            "no ansatz space admits a Cotton soliton", report=out
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -282,11 +274,10 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
         L = from_kenmotsu_params(lam, 0.0, 0.0)
         conn = levi_civita(L)
         pack = curvature(L, conn)
+        cotton2 = cotton_pack(L, conn, pack).cotton2
         frame = tuple(FrameVector(np.eye(3)[a]) for a in range(3))
 
-        coll = solve(
-            SolitonProblem.build(L, basis=frame[:1], conn=conn, pack=pack), tol
-        )
+        coll = solve(SolitonProblem(L, conn, cotton2, frame[:1]), tol)
         coll_ok = coll.classification in (INFEASIBLE, TRIVIAL_ONLY)
         checks.append(
             TheoremCheck(
@@ -298,9 +289,7 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
             )
         )
 
-        orth = solve(
-            SolitonProblem.build(L, basis=frame[1:], conn=conn, pack=pack), tol
-        )
+        orth = solve(SolitonProblem(L, conn, cotton2, frame[1:]), tol)
         at_one = abs(lam - 1.0) <= tol
         checks.append(
             TheoremCheck(

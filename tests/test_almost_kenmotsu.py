@@ -11,6 +11,7 @@ from conftest import (
     milnor,
     random_kenmotsu,
     random_rotation,
+    random_valid_algebra,
     rotate_algebra,
     su2_round,
 )
@@ -30,7 +31,12 @@ from cotton3 import (
     validate,
     xi_eigenvector_analysis,
 )
-from cotton3.almost_kenmotsu import _candidate_reebs, _reeb_shape_system
+from cotton3.almost_kenmotsu import (
+    _candidate_reebs,
+    _dphi_residual,
+    _hat,
+    _reeb_shape_system,
+)
 
 
 def detect(L, tol=1e-8):
@@ -305,3 +311,55 @@ class TestXiEigenvector:
         bad = dataclasses.replace(ak, b=1.0, c=1.0)
         with pytest.raises(InconsistentStructure):
             xi_eigenvector_analysis(bad)
+
+
+class TestPhiOrientation:
+    def test_dphi_residual_is_blind_to_the_sign_of_phi(self):
+        # d Phi - 2 eta ^ Phi is linear in phi and float negation is exact,
+        # so detection never needs to try the flipped phi
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            L = random_valid_algebra(rng, rotated=True)
+            units = [u / np.linalg.norm(u) for u in rng.normal(size=(3, 3))]
+            for u in units + _candidate_reebs(levi_civita(L)):
+                phi = _hat(u)
+                assert _dphi_residual(L, u, -phi) == _dphi_residual(L, u, phi)
+
+
+class TestLayerReuse:
+    """Detection hands its connection and curvature downstream; what reads
+    them matches, bit for bit, freshly computed layers."""
+
+    @staticmethod
+    def algebras(rng):
+        out = [random_kenmotsu(rng) for _ in range(6)]
+        out += [from_nonunimodular(*rng.uniform(-3.0, 3.0, size=2)) for _ in range(6)]
+        return [rotate_algebra(L, random_rotation(rng)) for L in out]
+
+    def test_structure_carries_its_layers(self):
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        conn = levi_civita(L)
+        pack = curvature(L, conn)
+        ak = detect_structure(L, conn, pack)
+        assert ak.connection is conn
+        assert ak.curvature is pack
+
+    def test_h_parallel_matches_fresh_layers(self):
+        for L in self.algebras(np.random.default_rng(71)):
+            conn, _, ak = detect(L)
+            fresh = levi_civita(L)
+            res = structure_residuals(L, fresh, curvature(L, fresh), ak)
+            chk = check_h_parallel(L, conn, ak)
+            assert chk.transport == res["h_transport"]
+            assert chk.curvature_side == res["curvature_identity"]
+
+    def test_xi_eigenvector_matches_fresh_layers(self):
+        for L in self.algebras(np.random.default_rng(72)):
+            _, _, ak = detect(L)
+            if ak.kenmotsu:
+                continue
+            ricci = curvature(L, levi_civita(L)).ricci
+            xi, e, phi_e = ak.adapted_frame
+            rep = xi_eigenvector_analysis(ak)
+            assert rep.s_xi_e == ricci.evaluate(xi, e)
+            assert rep.s_xi_phi_e == ricci.evaluate(xi, phi_e)

@@ -384,6 +384,15 @@ class TestInputErrors:
         assert "finite" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_overflowing_constants(self, geom, capsys):
+        rc = main(["curvature", geom(kenmotsu(1e200)), "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "overflow" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTolerances:
     def test_env_variable_respected(self, geom, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import su2_round
+from conftest import random_spd, random_valid_algebra, su2_round
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
@@ -147,6 +147,43 @@ class TestEvolution:
         result = flow_run(L, dt=1e-3, steps=30, normalize=True)
         dets = [float(np.linalg.det(st.metric)) for st in result.trajectory]
         assert max(abs(d - 1.0) for d in dets) <= 1e-12
+
+    def test_normalized_run_matches_manual_steps(self):
+        # flow_run rescales the RK4 metric before attaching its Cotton
+        # tensor; that equals stepping, rescaling and re-packaging by hand
+        rng = np.random.default_rng(81)
+        for L in (random_valid_algebra(rng, rotated=True) for _ in range(4)):
+            g0 = random_spd(rng)
+            result = flow_run(L, dt=1e-4, steps=10, g0=g0, normalize=True)
+            det0 = float(np.linalg.det(g0))
+            state = make_state(L, 0.0, g0)
+            manual = [state]
+            for _ in range(10):
+                state = flow_step(L, state, 1e-4)
+                g = state.metric * (det0 / float(np.linalg.det(state.metric))) ** (1.0 / 3.0)
+                state = make_state(L, state.time, g)
+                manual.append(state)
+            assert len(result.trajectory) == len(manual)
+            for got, want in zip(result.trajectory, manual):
+                assert got.time == want.time
+                assert np.array_equal(got.metric, want.metric)
+                assert np.array_equal(got.cotton2.components, want.cotton2.components)
+                assert got.cotton_norm == want.cotton_norm
+
+    def test_normalized_step_evaluates_cotton_four_times(self, monkeypatch):
+        import cotton3.cotton_flow as cf
+
+        calls = []
+        real = cf.cotton_pack
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cf, "cotton_pack", counting)
+        flow_run(from_kenmotsu_params(2.0, 0.0, 0.0), dt=1e-3, steps=3, normalize=True)
+        # the initial state, then three RK4 stages and one state per step
+        assert len(calls) == 1 + 3 * 4
 
     def test_g0_override(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)

@@ -126,6 +126,43 @@ class TestValidate:
         )
         assert any(v.kind == "metric_not_positive" for v in rep.violations)
 
+    def test_non_finite_entries_reported(self):
+        rep = validate(from_nonunimodular(float("nan"), 0.0))
+        assert not rep.is_valid
+        assert {v.kind for v in rep.violations} == {"non_finite"}
+        # alpha enters [e1, e2] and, as 2 - alpha, [e1, e3]
+        assert {v.indices for v in rep.violations} == {
+            ("structure_constants", 0, 1, 1),
+            ("structure_constants", 1, 0, 1),
+            ("structure_constants", 0, 2, 2),
+            ("structure_constants", 2, 0, 2),
+        }
+        g = np.eye(3)
+        g[2, 2] = np.inf
+        rep = validate(abelian().with_metric(g))
+        assert [v.indices for v in rep.violations] == [("metric", 2, 2)]
+
+    def test_large_constants_reported_not_raised(self):
+        L = from_kenmotsu_params(1e200, 0.0, 0.0)
+        for tol in (None, 1e-8):
+            rep = validate(L, tol=tol)
+            assert [v.kind for v in rep.violations] == ["overflow"]
+
+    def test_non_finite_jacobi_residual_reported(self):
+        # c[0, 1, 1] * c[1, 2, 0] and c[1, 2, 2] * c[2, 0, 0] overflow to
+        # +inf and -inf, so a residual component would be NaN, which a
+        # tolerance comparison lets through; the overflow bound rejects
+        # such constants before the residual is formed
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 1], c[1, 0, 1] = 1e160, -1e160
+        c[1, 2, 0], c[2, 1, 0] = 1e160, -1e160
+        c[1, 2, 2], c[2, 1, 2] = -1e160, 1e160
+        c[2, 0, 0], c[0, 2, 0] = 1e160, -1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(jacobi_residual(c)).any()
+        rep = validate(MetricLieAlgebra3(c), tol=1e300)
+        assert [v.kind for v in rep.violations] == ["overflow"]
+
     def test_explicit_tolerance_used(self):
         c = np.zeros((3, 3, 3))
         c[0, 1, 2] = 1e-6

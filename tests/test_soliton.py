@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_valid_algebra, su2_round
+from conftest import (
+    random_kenmotsu,
+    random_rotation,
+    random_spd,
+    random_valid_algebra,
+    rotate_algebra,
+    su2_round,
+)
 from cotton3 import (
     AssertionFailure,
     FrameVector,
@@ -13,6 +20,7 @@ from cotton3 import (
     curvature,
     detect_structure,
     from_kenmotsu_params,
+    from_nonunimodular,
     levi_civita,
     reproduce_theorems,
     soliton_existence_survey,
@@ -231,20 +239,37 @@ class TestSurvey:
         assert survey["orthogonal"].classification == "steady"
         assert survey["general"].classification == "steady"
 
-    def test_raise_on_failure(self):
-        L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        _, _, ak = detect(L)
-        survey = soliton_existence_survey(ak)
-        assert all(not sol.feasible for sol in survey.values())
-        with pytest.raises(AssertionFailure) as err:
-            soliton_existence_survey(ak, raise_on_failure=True)
-        assert set(err.value.report) == {"collinear", "orthogonal", "general"}
-
     def test_no_raise_when_feasible(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         _, _, ak = detect(L)
-        survey = soliton_existence_survey(ak, raise_on_failure=True)
+        survey = soliton_existence_survey(ak)
         assert survey["orthogonal"].feasible
+
+    def test_matches_fresh_layers(self):
+        # the survey reads the structure's connection and curvature; the
+        # result is exactly that of problems built on freshly computed ones
+        rng = np.random.default_rng(61)
+        algebras = [random_kenmotsu(rng) for _ in range(6)]
+        algebras += [from_nonunimodular(*rng.uniform(-3.0, 3.0, size=2)) for _ in range(6)]
+        for L in algebras:
+            L = rotate_algebra(L, random_rotation(rng))
+            _, _, ak = detect(L)
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            spaces = {
+                "collinear": ak.adapted_frame[:1],
+                "orthogonal": ak.adapted_frame[1:],
+                "general": ak.adapted_frame,
+            }
+            survey = soliton_existence_survey(ak)
+            for name, basis in spaces.items():
+                got = survey[name]
+                want = solve(SolitonProblem.build(L, basis=basis, conn=conn, pack=pack))
+                assert got.classification == want.classification
+                assert np.array_equal(got.coefficients, want.coefficients)
+                assert got.sigma == want.sigma
+                assert got.residual == want.residual
+                assert np.array_equal(got.family_basis, want.family_basis)
 
 
 class TestTheoremReproduction:
