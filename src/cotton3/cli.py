@@ -212,7 +212,20 @@ def _tolerance(args) -> float:
     return tol
 
 
+def _non_finite(obj, key=""):
+    """Keys of the non-finite numbers in a payload."""
+    if isinstance(obj, (dict, list)):
+        pairs = obj.items() if isinstance(obj, dict) else ((key, v) for v in obj)
+        for k, v in pairs:
+            yield from _non_finite(v, k)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield key
+
+
 def _emit(payload: dict, args, human) -> None:
+    bad = next(_non_finite(payload), None)
+    if bad is not None:
+        raise CLIError(f"{bad} is not finite: the geometry exceeds double precision")
     if args.format == "machine":
         payload = dict(payload, version=__version__)
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -760,7 +773,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy overflow shows as a non-finite result, which _emit rejects
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

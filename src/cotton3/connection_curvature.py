@@ -66,39 +66,51 @@ class CurvaturePack:
     jacobi_operator: np.ndarray | None = None
 
 
+def _gamma(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Connection coefficients of constants ``c`` under metric ``g``."""
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+        raise SingularMetric(f"metric is singular (singular values {sv})")
+    cg = (c.reshape(9, 3) @ g).reshape(3, 3, 3)
+    # K[i, j, l] = g(nabla_{e_i} e_j, e_l)
+    #            = (g([e_i, e_j], e_l) - g([e_j, e_l], e_i) + g([e_l, e_i], e_j)) / 2
+    K = 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+    return np.linalg.solve(g, K.reshape(9, 3).T).T.reshape(3, 3, 3)
+
+
+def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    # prod[i, j, k] = nabla_{e_i} nabla_{e_j} e_k = gamma[j, k] @ gamma[i]
+    prod = np.matmul(gamma[None], gamma[:, None])
+    bracket_term = (c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
+    return prod - prod.transpose(1, 0, 2, 3) - bracket_term
+
+
+def _ricci(riemann: np.ndarray) -> np.ndarray:
+    s = np.einsum("ijki->jk", riemann)
+    return 0.5 * (s + s.T)
+
+
+def _cov_deriv(gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(nabla_{e_i} S)(e_j, e_k) of a symmetric frame-constant form ``s``."""
+    p = gamma @ s
+    return -(p + p.transpose(0, 2, 1))
+
+
 def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
     """Unique torsion-free metric connection, computed via Koszul.
 
     Raises ``SingularMetric`` when the metric is not invertible within
     tolerance.
     """
-    g = L.metric
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularMetric(f"metric is singular (singular values {sv})")
-    cg = np.einsum("ijm,ml->ijl", L.structure_constants, g)
-    # K[i, j, l] = g(nabla_{e_i} e_j, e_l)
-    #            = (g([e_i, e_j], e_l) - g([e_j, e_l], e_i) + g([e_l, e_i], e_j)) / 2
-    K = 0.5 * (
-        cg
-        - np.einsum("jli->ijl", cg)
-        + np.einsum("lij->ijl", cg)
-    )
-    gamma = np.linalg.solve(g, K.reshape(9, 3).T).T.reshape(3, 3, 3)
-    return ConnectionTable(gamma)
+    return ConnectionTable(_gamma(L.structure_constants, L.metric))
 
 
 def curvature(
     L: MetricLieAlgebra3, conn: ConnectionTable, reeb: FrameVector | None = None
 ) -> CurvaturePack:
     """Riemann tensor, Ricci form and operator, scalar curvature."""
-    gamma = conn.gamma
-    c = L.structure_constants
-    prod = np.einsum("jkm,iml->ijkl", gamma, gamma)
-    riemann = prod - np.transpose(prod, (1, 0, 2, 3)) - np.einsum(
-        "ijm,mkl->ijkl", c, gamma
-    )
-    ricci = SymBilinear(np.einsum("ijki->jk", riemann))
+    riemann = _riemann(L.structure_constants, conn.gamma)
+    ricci = SymBilinear(_ricci(riemann))
     q = np.linalg.solve(L.metric, ricci.components)
     scalar = float(np.trace(q))
     jac = None
@@ -115,14 +127,12 @@ def cov_deriv_sym2(
 ) -> Tensor3:
     """Covariant derivative (nabla_{e_i} T)(e_j, e_k) of an invariant form.
 
-    ``T`` is a ``SymBilinear`` or a (3, 3) component array.  For
+    ``T`` is a ``SymBilinear`` or a symmetric (3, 3) component array.  For
     frame-constant components the scalar derivative term drops and only
     the two connection contractions remain.
     """
-    gamma = conn.gamma
     t = T.components if isinstance(T, SymBilinear) else np.asarray(T, dtype=float)
-    d = -np.einsum("ijm,mk->ijk", gamma, t) - np.einsum("ikm,jm->ijk", gamma, t)
-    return Tensor3(d)
+    return Tensor3(_cov_deriv(conn.gamma, t))
 
 
 @dataclass(frozen=True)

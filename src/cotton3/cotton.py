@@ -25,19 +25,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection_curvature import (
-    ConnectionTable,
-    CurvaturePack,
-    cov_deriv_sym2,
-    curvature,
-    levi_civita,
-)
+from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
+from .connection_curvature import _cov_deriv, _gamma, _ricci, _riemann
 from .errors import SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3
 
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+
+def _cotton3(gamma: np.ndarray, ricci: np.ndarray) -> np.ndarray:
+    d = _cov_deriv(gamma, ricci)
+    return d - d.transpose(1, 0, 2)
+
+
+def _cotton2(c3: np.ndarray, g: np.ndarray) -> np.ndarray:
+    det = float(np.linalg.det(g))
+    if det <= 1e-300:
+        raise SingularMetric(
+            f"cotton dualization needs a positive metric determinant; det = {det:.6g}"
+        )
+    # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
+    out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ g / np.sqrt(det)
+    return 0.5 * (out + out.T)
+
+
+def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(0,2) Cotton tensor of constants ``c`` under metric ``g``: the chain of
+    ``cotton_pack`` on plain arrays, for the flow's per-stage evaluations."""
+    gamma = _gamma(c, g)
+    return _cotton2(_cotton3(gamma, _ricci(_riemann(c, gamma))), g)
 
 
 def cotton3_oracle(
@@ -50,21 +64,13 @@ def cotton3_oracle(
         conn = levi_civita(L)
     if pack is None:
         pack = curvature(L, conn)
-    D = cov_deriv_sym2(L, conn, pack.ricci).components
-    return Tensor3(D - D.transpose(1, 0, 2))
+    return Tensor3(_cotton3(conn.gamma, pack.ricci.components))
 
 
 def cotton2_from_cotton3(L: MetricLieAlgebra3, c3: Tensor3) -> SymBilinear:
     """Dualize the (0,3) Cotton tensor over its skew pair of slots."""
     comps = c3.components if isinstance(c3, Tensor3) else np.asarray(c3, dtype=float)
-    g = L.metric
-    det = float(np.linalg.det(g))
-    if det <= 1e-300:
-        raise SingularMetric(
-            f"cotton dualization needs a positive metric determinant; det = {det:.6g}"
-        )
-    out = np.einsum("nmi,nml,lj->ij", comps, _EPS, g) / (2.0 * np.sqrt(det))
-    return SymBilinear(out)
+    return SymBilinear(_cotton2(comps, L.metric))
 
 
 @dataclass(frozen=True, eq=False)

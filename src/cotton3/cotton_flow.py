@@ -10,6 +10,10 @@ Integration is classical fourth-order Runge-Kutta with symmetrized
 stages.  The metric must stay positive definite: when a stage or a step
 leaves the positive cone the run aborts with ``DegenerateMetric``
 carrying the trajectory computed so far.
+
+Each stage evaluates C(g) as ``cotton2_array(c, g)``: the chain and
+singularity checks of ``cotton_pack`` on plain arrays, without value types
+or the Ricci operator and scalar the flow never reads.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cotton import cotton_pack
+from .cotton import cotton2_array
 from .errors import DegenerateMetric, SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear
 
@@ -50,11 +54,6 @@ class FlowResult:
         return self.trajectory[-1]
 
 
-def _rhs(L: MetricLieAlgebra3, g: np.ndarray) -> np.ndarray:
-    c2 = cotton_pack(L.with_metric(g)).cotton2.components
-    return 0.5 * (c2 + c2.T)
-
-
 def _require_spd(g: np.ndarray, where: str) -> None:
     try:
         np.linalg.cholesky(g)
@@ -66,8 +65,8 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     """Package a metric as a flow state with its Cotton tensor attached."""
     g = np.asarray(g, dtype=float)
     g = 0.5 * (g + g.T)
-    cp = cotton_pack(L.with_metric(g))
-    return FlowState(float(time), g, cp.cotton2, cp.norm2)
+    c2 = cotton2_array(L.structure_constants, g)
+    return FlowState(float(time), g, SymBilinear(c2), float(np.linalg.norm(c2)))
 
 
 def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
@@ -78,18 +77,18 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
     Cotton tensor of its own metric (as ``make_state`` arranges).  Every
     intermediate stage metric is required to stay positive definite.
     """
-    g = state.metric
+    c, g = L.structure_constants, state.metric
     k1 = state.cotton2.components
     try:
         g2 = g + 0.5 * dt * k1
         _require_spd(g2, "in the second stage")
-        k2 = _rhs(L, g2)
+        k2 = cotton2_array(c, g2)
         g3 = g + 0.5 * dt * k2
         _require_spd(g3, "in the third stage")
-        k3 = _rhs(L, g3)
+        k3 = cotton2_array(c, g3)
         g4 = g + dt * k3
         _require_spd(g4, "in the fourth stage")
-        k4 = _rhs(L, g4)
+        k4 = cotton2_array(c, g4)
     except SingularMetric as exc:
         raise DegenerateMetric(f"stage metric became singular: {exc}") from exc
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

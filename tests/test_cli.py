@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,23 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "overflow" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    @pytest.mark.parametrize("command, lam, key", [
+        ("cotton", 1e60, "cotton2_norm"),
+        ("curvature", 1e100, "ricci_eigenvalues"),
+    ])
+    def test_non_finite_result(self, geom, capsys, command, lam, key, fmt):
+        # valid constants whose derived values overflow: no Infinity or NaN
+        # on stdout and no numpy warning, only the one error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, geom(kenmotsu(lam)), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} is not finite")
         assert len(captured.err.splitlines()) == 1
 
 

@@ -13,6 +13,7 @@ from conftest import (
     su2_round,
 )
 from cotton3 import (
+    DegenerateMetric,
     SingularMetric,
     Tensor3,
     cotton2_closed_form,
@@ -22,9 +23,11 @@ from cotton3 import (
     cov_deriv_sym2,
     curvature,
     detect_structure,
+    flow_run,
     from_kenmotsu_params,
     levi_civita,
 )
+from cotton3.cotton import cotton2_array
 
 
 def raw_dual(L, c3):
@@ -200,3 +203,110 @@ class TestClosedForm:
         assert c3t[2, 0, 1] == pytest.approx(D[2, 0, 1] - D[0, 2, 1], abs=1e-12)
         c2 = cotton2_from_cotton3(L, Tensor3(c3t)).components
         assert c2[1, 1] == pytest.approx(c3t[2, 0, 1], abs=1e-12)
+
+
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
+
+
+def reference_chain(c, g):
+    """The chain as plain einsums: Koszul by index permutation, Ricci as
+    the trace of Riemann, both connection contractions of the Ricci
+    derivative, and the dual against the permutation symbol."""
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        raise SingularMetric("reference: singular metric")
+    cg = np.einsum("ijm,ml->ijl", c, g)
+    K = 0.5 * (cg - np.einsum("jli->ijl", cg) + np.einsum("lij->ijl", cg))
+    gamma = np.linalg.solve(g, K.reshape(9, 3).T).T.reshape(3, 3, 3)
+    prod = np.einsum("jkm,iml->ijkl", gamma, gamma)
+    riemann = (prod - np.transpose(prod, (1, 0, 2, 3))
+               - np.einsum("ijm,mkl->ijkl", c, gamma))
+    ric = np.einsum("ijki->jk", riemann)
+    ricci = 0.5 * (ric + ric.T)
+    D = -np.einsum("ijm,mk->ijk", gamma, ricci) - np.einsum("ikm,jm->ijk", gamma, ricci)
+    c3 = D - D.transpose(1, 0, 2)
+    c2 = np.einsum("nmi,nml,lj->ij", c3, EPS, g) / (2.0 * np.sqrt(np.linalg.det(g)))
+    c2 = 0.5 * (c2 + c2.T)
+    return {"gamma": gamma, "riemann": riemann, "ricci": ricci, "cotton3": c3,
+            "cotton2": c2, "norm2": float(np.linalg.norm(c2))}
+
+
+def reference_flow(c, g0, dt, steps, normalize):
+    """flow_run's RK4 on the reference chain: (metrics, norms, degenerate)."""
+    det0 = float(np.linalg.det(g0))
+    g = 0.5 * (g0 + g0.T)
+    k1 = reference_chain(c, g)["cotton2"]
+    metrics, norms = [g], [float(np.linalg.norm(k1))]
+    for _ in range(steps):
+        try:
+            g2 = g + 0.5 * dt * k1
+            np.linalg.cholesky(g2)
+            k2 = reference_chain(c, g2)["cotton2"]
+            g3 = g + 0.5 * dt * k2
+            np.linalg.cholesky(g3)
+            k3 = reference_chain(c, g3)["cotton2"]
+            g4 = g + dt * k3
+            np.linalg.cholesky(g4)
+            k4 = reference_chain(c, g4)["cotton2"]
+            g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            g = 0.5 * (g + g.T)
+            np.linalg.cholesky(g)
+        except (np.linalg.LinAlgError, SingularMetric):
+            return metrics, norms, True
+        if normalize:
+            g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
+        k1 = reference_chain(c, g)["cotton2"]
+        metrics.append(g)
+        norms.append(float(np.linalg.norm(k1)))
+    return metrics, norms, False
+
+
+def assert_matches_reference(got, ref):
+    # float64 rounding of a few dozen operations, scaled by the reference
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+class TestReferenceEquivalence:
+    def test_layers_match_einsum_reference(self):
+        rng = np.random.default_rng(46)
+        for _ in range(100):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            ref = reference_chain(L.structure_constants, L.metric)
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            cp = cotton_pack(L, conn, pack)
+            assert_matches_reference(conn.gamma, ref["gamma"])
+            assert_matches_reference(pack.riemann, ref["riemann"])
+            assert_matches_reference(pack.ricci.components, ref["ricci"])
+            assert_matches_reference(cp.cotton3.components, ref["cotton3"])
+            assert_matches_reference(cp.cotton2.components, ref["cotton2"])
+            assert_matches_reference(cp.norm2, ref["norm2"])
+            assert_matches_reference(
+                cotton2_array(L.structure_constants, L.metric), ref["cotton2"]
+            )
+
+    def test_flow_matches_einsum_reference(self):
+        rng = np.random.default_rng(47)
+        outcomes = set()
+        for n in range(12):
+            L = random_valid_algebra(rng, rotated=True)
+            g0 = random_spd(rng)
+            normalize = bool(n % 2)
+            metrics, norms, degenerate = reference_flow(
+                L.structure_constants, g0, 2e-3, 25, normalize
+            )
+            try:
+                states = flow_run(L, 2e-3, 25, g0=g0, normalize=normalize).trajectory
+                got_degenerate = False
+            except DegenerateMetric as exc:
+                states, got_degenerate = exc.trajectory, True
+            assert got_degenerate == degenerate
+            assert len(states) == len(metrics)
+            for st, g, norm in zip(states, metrics, norms):
+                assert_matches_reference(st.metric, g)
+                assert_matches_reference(st.cotton_norm, norm)
+            outcomes.add(degenerate)
+        assert outcomes == {False, True}

@@ -174,13 +174,13 @@ class TestEvolution:
         import cotton3.cotton_flow as cf
 
         calls = []
-        real = cf.cotton_pack
+        real = cf.cotton2_array
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(cf, "cotton_pack", counting)
+        monkeypatch.setattr(cf, "cotton2_array", counting)
         flow_run(from_kenmotsu_params(2.0, 0.0, 0.0), dt=1e-3, steps=3, normalize=True)
         # the initial state, then three RK4 stages and one state per step
         assert len(calls) == 1 + 3 * 4
