@@ -25,14 +25,15 @@ when d eta = 0, i.e. u is orthogonal to [g, g], and tau u = div u =
 
 * on a non-unimodular algebra ker(tr o ad) is a 2-dimensional ideal that
   contains [g, g] != 0, so the null space has dimension at most one and
-  the unit solutions are at most two points on a line, plus the normalised
-  minimum-norm solution as a best fit: at most three candidates;
+  the unit solutions are at most two points on a line; with a trivial null
+  space the normalised minimum-norm solution is the one candidate, as a
+  best fit;
 * on a unimodular algebra tau = 0, the system has no solution and there is
   no structure (Milnor, "Curvatures of left invariant metrics on Lie
   groups", Adv. Math. 21, 1976).
 
-Every candidate is verified against the full invariant list before
-acceptance.
+Candidates are verified in that order against the full invariant list,
+and the first that passes is accepted.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .frame_algebra import (
     FrameVector,
     MetricLieAlgebra3,
     SymBilinear,
+    _svd_lstsq,
     bracket,
 )
 
@@ -124,21 +126,19 @@ def _fix_sign(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
-    """Unit eigenvector of symmetric M for a known eigenvalue mu."""
+    """Unit eigenvector of symmetric M for a known eigenvalue mu: the longest
+    cross product of two rows of M - mu I (componentwise, as np.cross)."""
     K = M - mu * np.eye(3)
-    cands = [
-        np.cross(K[0], K[1]),
-        np.cross(K[0], K[2]),
-        np.cross(K[1], K[2]),
-    ]
-    norms = [np.linalg.norm(v) for v in cands]
-    best = int(np.argmax(norms))
-    if norms[best] <= 1e-10 * (1.0 + np.linalg.norm(M)):
+    a, b = K[[0, 0, 1]], K[[1, 2, 2]]
+    cands = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    best = cands[int(np.argmax(np.einsum("ij,ij->i", cands, cands)))]
+    norm = np.linalg.norm(best)
+    if norm <= 1e-10 * (1.0 + np.linalg.norm(M)):
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
         _, _, Vt = np.linalg.svd(K)
         return Vt[-1] / np.linalg.norm(Vt[-1])
-    return cands[best] / norms[best]
+    return best / norm
 
 
 def _reeb_shape_system(conn: ConnectionTable):
@@ -149,14 +149,8 @@ def _reeb_shape_system(conn: ConnectionTable):
     Returns (Sk, tau): Sk @ u = skew components, tau @ u = trace.
     """
     gamma = conn.gamma
-    Sk = np.empty((3, 3))
-    for a in range(3):
-        Ba = gamma[:, a, :]
-        Sk[:, a] = (
-            Ba[0, 1] - Ba[1, 0],
-            Ba[0, 2] - Ba[2, 0],
-            Ba[1, 2] - Ba[2, 1],
-        )
+    i, j = [0, 0, 1], [1, 2, 2]
+    Sk = gamma[i, :, j] - gamma[j, :, i]
     tau = np.einsum("iai->a", gamma)
     return Sk, tau
 
@@ -167,29 +161,22 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
     Every solution is u0 + w with u0 the minimum-norm solution and w in the
     null space, which has at most one dimension (see the module docstring).
     The unit ones are u0 +- r w for a unit null vector w and
-    r = sqrt(1 - |u0|^2); u0/|u0| is listed too, as the best fit when the
-    null space is trivial.  An inconsistent system (u0 = 0) gives none.
+    r = sqrt(1 - |u0|^2).  Without a null vector, or with r <= 1e-7 (r is
+    known only to about sqrt(eps) ~ 1.5e-8, and the two solutions merge into
+    a double root at u0), the one candidate is u0/|u0|, the best fit.
+    Otherwise u0/|u0| is not listed: it misses both solutions by r, yet can
+    pass the tolerance.  An inconsistent system (u0 = 0) gives none.
     """
     Sk, tau = _reeb_shape_system(conn)
     A_sys = np.vstack([Sk, tau])
-    u0, *_ = np.linalg.lstsq(A_sys, np.array([0.0, 0.0, 0.0, 2.0]), rcond=None)
+    u0, s, Vt = _svd_lstsq(A_sys, np.array([0.0, 0.0, 0.0, 2.0]))
     n0 = float(np.linalg.norm(u0))
     if n0 <= 1e-12:
         return []
-    _, s, Vt = np.linalg.svd(A_sys)
     null = Vt[s <= 1e-10 * max(s[0], 1.0)]
     r = math.sqrt(max(1.0 - n0 * n0, 0.0))
-    raw = [u0 / n0] + [u0 + sign * r * w for w in null for sign in (1.0, -1.0)]
-
-    out: list[np.ndarray] = []
-    for u in raw:
-        n = np.linalg.norm(u)
-        if not np.isfinite(n) or n < 1e-12:
-            continue
-        u = u / n
-        if any(float(u @ v) > 1.0 - 1e-9 for v in out):
-            continue
-        out.append(u)
+    raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
+    out = [u / np.linalg.norm(u) for u in raw or [u0]]
 
     def key(u):
         score = float(np.sum((Sk @ u) ** 2) + (tau @ u - 2.0) ** 2)
@@ -211,7 +198,7 @@ def _build_structure(
     phi = u x (.) needs no sign check: d Phi - 2 eta ^ Phi is linear in phi.
     """
     gamma = conn.gamma
-    A = np.einsum("a,iak->ki", u, gamma)
+    A = (u @ gamma).T
     P = np.eye(3) - np.outer(u, u)
     M = P - A  # candidate for phi h; symmetric trace free when u is genuine
     Msym = 0.5 * (M + M.T)
@@ -222,16 +209,14 @@ def _build_structure(
     h = -phi @ Msym
     h = 0.5 * (h + h.T)
     if kenmotsu:
-        norms = [np.linalg.norm(P[:, k]) for k in range(3)]
-        e = P[:, int(np.argmax(norms))]
+        e = P[:, int(np.argmax(np.einsum("ij,ij->j", P, P)))]
         e = _fix_sign(e / np.linalg.norm(e))
     else:
         e = _fix_sign(_sym_eigvec(h, lam))
     phi_e = phi @ e
-    nab_ee = np.einsum("i,j,ijk->k", e, e, gamma)
-    nab_pe = np.einsum("i,j,ijk->k", phi_e, e, gamma)
-    b = -float(nab_ee @ phi_e)
-    c = float(nab_pe @ phi_e)
+    nab_e = e @ gamma  # nab_e[i] = nabla_{E_i} e
+    b = -float(e @ nab_e @ phi_e)
+    c = float(phi_e @ nab_e @ phi_e)
     return AKStructure(
         algebra=L,
         xi=FrameVector(u),
@@ -250,19 +235,15 @@ def _build_structure(
 
 
 def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> float:
-    """Max component of d Phi - 2 eta ^ Phi for invariant fields."""
-    c = L.structure_constants
-    g = L.metric
-    eta = g @ xi
-    Phi = g @ phi
-    term = np.einsum("ijm,mk->ijk", c, Phi)
-    dphi = -(term + np.transpose(term, (1, 2, 0)) + np.transpose(term, (2, 0, 1)))
-    wedge = (
-        np.einsum("i,jk->ijk", eta, Phi)
-        + np.einsum("j,ki->ijk", eta, Phi)
-        + np.einsum("k,ij->ijk", eta, Phi)
-    )
-    return float(np.max(np.abs(dphi - 2.0 * wedge)))
+    """Max component of d Phi - 2 eta ^ Phi for invariant fields.
+
+    Both terms are cyclic sums over the slots (i, j, k): d Phi of
+    -Phi([e_i, e_j], e_k), and 2 eta ^ Phi of 2 eta_i Phi_jk.
+    """
+    Phi = L.metric @ phi
+    eta = L.metric @ xi
+    t = L.structure_constants @ Phi + 2.0 * eta[:, None, None] * Phi
+    return float(np.max(np.abs(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))))
 
 
 def _h_transport_sides(ak: AKStructure, gamma: np.ndarray, riemann: np.ndarray):
@@ -270,8 +251,8 @@ def _h_transport_sides(ak: AKStructure, gamma: np.ndarray, riemann: np.ndarray):
     -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
     equals on an almost Kenmotsu structure."""
     xi, h, phi = ak.xi.components, ak.h_op, ak.phi
-    n_xi = np.einsum("a,ajk->kj", xi, gamma)
-    l = np.einsum("ijkl,j,k->li", riemann, xi, xi)
+    n_xi = (xi @ gamma.reshape(3, 9)).reshape(3, 3).T
+    l = (xi @ (xi @ riemann)).T
     return n_xi @ h - h @ n_xi, -phi - 2.0 * h - phi @ h @ h - phi @ l
 
 
@@ -285,6 +266,7 @@ def structure_residuals(
 
     All entries vanish (to float precision) on a genuine almost Kenmotsu
     3-h algebra; the largest one is the acceptance score for detection.
+    The 3x3 residual matrices are reduced together, in one stack.
     """
     g = L.metric
     c = L.structure_constants
@@ -292,42 +274,49 @@ def structure_residuals(
     xi = ak.xi.components
     eta, phi, h = ak.eta, ak.phi, ak.h_op
     lam = ak.lam
-    e = ak.adapted_frame[1].components
-    phi_e = ak.adapted_frame[2].components
+    E = np.column_stack([v.components for v in ak.adapted_frame])
     ident = np.eye(3)
-
-    res = {}
-    res["xi_unit"] = abs(float(xi @ g @ xi) - 1.0)
-    res["phi_square"] = float(np.max(np.abs(phi @ phi + ident - np.outer(xi, eta))))
-    res["phi_compat"] = float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(eta, eta))))
-    res["h_xi"] = float(np.max(np.abs(h @ xi)))
-    res["h_trace"] = abs(float(np.trace(h)))
-    res["h_symmetric"] = float(np.max(np.abs(h - h.T)))
-    res["h_phi_anticommute"] = float(np.max(np.abs(h @ phi + phi @ h)))
-    res["trace_h_phi"] = abs(float(np.trace(h @ phi)))
-
-    A = np.einsum("a,iak->ki", xi, gamma)
-    shape = A - (ident - np.outer(xi, eta) - phi @ h)
-    res["reeb_gradient"] = float(np.max(np.abs(shape)))
-
+    xi_eta = np.outer(xi, eta)
     transport_mat, curv_mat = _h_transport_sides(ak, gamma, pack.riemann)
-    res["h_transport"] = float(np.max(np.abs(transport_mat)))
-    res["curvature_identity"] = float(np.max(np.abs(curv_mat)))
-
-    adxi = np.einsum("a,ajk->kj", xi, c)
-    res["h_lie_oracle"] = float(np.max(np.abs(h - 0.5 * (adxi @ phi - phi @ adxi))))
-
-    res["h_eigen"] = max(
-        float(np.max(np.abs(h @ e - lam * e))),
-        float(np.max(np.abs(h @ phi_e + lam * phi_e))),
+    adxi = (xi @ c.reshape(3, 9)).reshape(3, 3).T
+    mats = np.array([
+        phi @ phi + ident - xi_eta,
+        phi.T @ g @ phi - g + np.outer(eta, eta),
+        h - h.T,
+        h @ phi + phi @ h,
+        (xi @ gamma).T - (ident - xi_eta - phi @ h),
+        transport_mat,
+        curv_mat,
+        h - 0.5 * (adxi @ phi - phi @ adxi),
+        c @ eta,
+    ])
+    (phi_square, phi_compat, h_symmetric, h_phi_anticommute, reeb_gradient,
+     h_transport, curvature_identity, h_lie_oracle, d_eta) = (
+        np.abs(mats).max(axis=(1, 2)).tolist()
     )
+    # columns: h xi, h e - lam e, h phi_e + lam phi_e
+    h_xi, h_e, h_pe = np.abs(h @ E - E * (0.0, lam, -lam)).max(axis=0).tolist()
 
-    res["d_eta"] = float(np.max(np.abs(np.einsum("ijk,k->ij", c, eta))))
-    res["d_phi"] = _dphi_residual(L, xi, phi)
-
+    res = {
+        "xi_unit": abs(float(xi @ g @ xi) - 1.0),
+        "phi_square": phi_square,
+        "phi_compat": phi_compat,
+        "h_xi": h_xi,
+        "h_trace": abs(float(np.trace(h))),
+        "h_symmetric": h_symmetric,
+        "h_phi_anticommute": h_phi_anticommute,
+        "trace_h_phi": abs(float(np.trace(h @ phi))),
+        "reeb_gradient": reeb_gradient,
+        "h_transport": h_transport,
+        "curvature_identity": curvature_identity,
+        "h_lie_oracle": h_lie_oracle,
+        "h_eigen": max(h_e, h_pe),
+        "d_eta": d_eta,
+        "d_phi": _dphi_residual(L, xi, phi),
+    }
     if not ak.kenmotsu:
-        E = np.column_stack([xi, e, phi_e])
-        ad_gamma = np.einsum("ia,jb,ijk,kc->abc", E, E, gamma, E)
+        # gamma in the adapted frame: sum_ijk E[i, a] E[j, b] gamma[i, j, k] E[k, c]
+        ad_gamma = (E.T @ (E.T @ gamma @ E).reshape(3, 9)).reshape(3, 3, 3)
         res["adapted_connection"] = float(
             np.max(np.abs(ad_gamma - adapted_connection_table(lam, ak.b, ak.c)))
         )
@@ -342,29 +331,29 @@ def detect_structure(
 ) -> AKStructure:
     """Find the almost Kenmotsu 3-h structure of an orthonormal algebra.
 
-    Raises ``NoStructure`` when no unit Reeb candidate satisfies all
-    structure identities within ``tol`` (scaled by the connection size).
-    The search is deterministic; among multiple admissible candidates the
-    one with the smallest total residual (ties broken lexicographically)
-    is returned.
+    Returns the first candidate, in the deterministic order of
+    ``_candidate_reebs``, whose largest structure residual is within ``tol``
+    (scaled by the connection size); later candidates are never built.  Where
+    the Reeb field is not unique, as on (1, b, b) algebras, every admissible
+    candidate is a genuine structure and their residuals differ only by
+    rounding, so the order decides.  Raises ``NoStructure``, reporting the
+    best residual, when no candidate is admissible.
     """
     if float(np.max(np.abs(L.metric - np.eye(3)))) > 1e-9:
         raise ValueError("structure detection requires an orthonormal frame metric")
     scale = 1.0 + float(np.linalg.norm(conn.gamma))
-    best = None
     best_res = math.inf
     for u in _candidate_reebs(conn):
         ak = _build_structure(L, conn, pack, u, tol)
         res = max(structure_residuals(L, conn, pack, ak).values())
-        if res < best_res:
-            best, best_res = ak, res
-    if best is None or best_res > tol * scale:
-        raise NoStructure(
-            "no unit Reeb candidate satisfies the almost Kenmotsu 3-h "
-            f"identities (best residual {best_res:.3e}, tolerance "
-            f"{tol * scale:.3e})"
-        )
-    return best
+        if res <= tol * scale:
+            return ak
+        best_res = min(best_res, res)
+    raise NoStructure(
+        "no unit Reeb candidate satisfies the almost Kenmotsu 3-h "
+        f"identities (best residual {best_res:.3e}, tolerance "
+        f"{tol * scale:.3e})"
+    )
 
 
 @dataclass(frozen=True)

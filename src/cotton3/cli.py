@@ -222,10 +222,14 @@ def _non_finite(obj, key=""):
         yield key
 
 
-def _emit(payload: dict, args, human) -> None:
+def _require_finite(payload) -> None:
     bad = next(_non_finite(payload), None)
     if bad is not None:
         raise CLIError(f"{bad} is not finite: the geometry exceeds double precision")
+
+
+def _emit(payload: dict, args, human) -> None:
+    _require_finite(payload)
     if args.format == "machine":
         payload = dict(payload, version=__version__)
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -432,6 +436,15 @@ def cmd_soliton(args) -> int:
     return 0
 
 
+def _require_finite_states(states) -> None:
+    """Refuse a trajectory holding a non-finite value before any of it is
+    written, naming the CSV field."""
+    _require_finite([
+        {"time": st.time, "metric": _mat(st.metric), "cotton_norm": st.cotton_norm}
+        for st in states
+    ])
+
+
 def cmd_flow(args) -> int:
     L = load_geometry(args.geometry)
     try:
@@ -445,6 +458,7 @@ def cmd_flow(args) -> int:
         )
     except DegenerateMetric as exc:
         if args.output and exc.trajectory:
+            _require_finite_states(exc.trajectory)
             export_trajectory(exc.trajectory, args.output)
             print(
                 f"wrote {len(exc.trajectory)} states to {args.output} before failure",
@@ -452,6 +466,7 @@ def cmd_flow(args) -> int:
             )
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _require_finite_states(result.trajectory)
     if args.output:
         export_trajectory(result, args.output)
         final = result.final

@@ -27,6 +27,19 @@ from .errors import JacobiViolation
 DEFAULT_TOL = 1e-9
 
 
+def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm least-squares solution of A z = rhs from one SVD.
+
+    Singular values at or below eps * max(A.shape) * s[0] count as zero, the
+    cutoff of ``np.linalg.lstsq(..., rcond=None)``.  Returns (z, s, Vt) so
+    the caller can read rank and null space off the same decomposition.
+    """
+    U, s, Vt = np.linalg.svd(A)
+    keep = s > np.finfo(float).eps * max(A.shape) * s[0]
+    z = ((rhs @ U[:, : s.size])[keep] / s[keep]) @ Vt[: s.size][keep]
+    return z, s, Vt
+
+
 def _frozen(a, shape) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != shape:

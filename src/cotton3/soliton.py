@@ -37,6 +37,7 @@ from .frame_algebra import (
     FrameVector,
     MetricLieAlgebra3,
     SymBilinear,
+    _svd_lstsq,
     from_kenmotsu_params,
 )
 
@@ -49,8 +50,7 @@ SHRINKING = "shrinking"
 EXPANDING = "expanding"
 
 
-def _vec_upper(M: np.ndarray) -> np.ndarray:
-    return np.array([M[i, j] for i, j in UPPER])
+_ROWS, _COLS = np.array(UPPER).T
 
 
 def lie_derivative_metric(
@@ -100,16 +100,14 @@ def assemble_system(problem: SolitonProblem):
 
     Columns of A are the upper-triangle Lie derivatives of the metric along
     each basis field followed by -vec(g); k = -vec(C) moves the Cotton term
-    to the right-hand side.
+    to the right-hand side.  All basis fields go through one contraction.
     """
     L, conn = problem.algebra, problem.connection
-    cols = [
-        _vec_upper(lie_derivative_metric(L, conn, b).components)
-        for b in problem.basis
-    ]
-    cols.append(-_vec_upper(L.metric))
-    A = np.column_stack(cols)
-    k = -_vec_upper(problem.cotton2.components)
+    V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
+    B = np.einsum("na,iak->nik", V, conn.gamma) @ L.metric
+    lie = B + B.transpose(0, 2, 1)
+    A = np.column_stack([lie[:, _ROWS, _COLS].T, -L.metric[_ROWS, _COLS]])
+    k = -problem.cotton2.components[_ROWS, _COLS]
     return A, k
 
 
@@ -154,15 +152,16 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     """Solve one ansatz problem and classify the outcome.
 
     Feasibility compares the least-squares residual against
-    tol * (1 + |C|_F).  A feasible problem is ``trivial_only`` when the
+    tol * (1 + |C|_F).  One SVD of the stacked system gives the
+    minimum-norm solution (with ``np.linalg.lstsq``'s default cutoff), the
+    rank and the null space.  A feasible problem is ``trivial_only`` when the
     minimum-norm potential vanishes and no null-space direction moves the
     potential; otherwise the sign of sigma picks steady, shrinking
     (sigma > 0) or expanding (sigma < 0).
     """
     A, k = assemble_system(problem)
-    z, *_ = np.linalg.lstsq(A, k, rcond=None)
+    z, sv, Vt = _svd_lstsq(A, k)
     residual = float(np.linalg.norm(A @ z - k))
-    _, sv, Vt = np.linalg.svd(A)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
     family = Vt[rank:]
     family_dim = family.shape[0]

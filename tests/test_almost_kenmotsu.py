@@ -34,6 +34,7 @@ from cotton3 import (
 from cotton3.almost_kenmotsu import (
     _candidate_reebs,
     _dphi_residual,
+    _fix_sign,
     _hat,
     _reeb_shape_system,
 )
@@ -363,3 +364,214 @@ class TestLayerReuse:
             rep = xi_eigenvector_analysis(ak)
             assert rep.s_xi_e == ricci.evaluate(xi, e)
             assert rep.s_xi_phi_e == ricci.evaluate(xi, phi_e)
+
+
+# --------------------------------------------------------------------------
+# Reference formulas: detection as it was written before the structure layer
+# shared one SVD per system and reduced its residuals in one stack.  They use
+# lstsq then svd, three np.cross calls, per-field einsums and one reduction
+# per residual entry; the candidate list follows the current rule (u0/|u0|
+# only when the two unit solutions are not resolved).
+
+
+def reference_candidates(conn):
+    gamma = conn.gamma
+    Sk = np.empty((3, 3))
+    for a in range(3):
+        Ba = gamma[:, a, :]
+        Sk[:, a] = (Ba[0, 1] - Ba[1, 0], Ba[0, 2] - Ba[2, 0], Ba[1, 2] - Ba[2, 1])
+    tau = np.einsum("iai->a", gamma)
+    A_sys = np.vstack([Sk, tau])
+    u0, *_ = np.linalg.lstsq(A_sys, np.array([0.0, 0.0, 0.0, 2.0]), rcond=None)
+    n0 = float(np.linalg.norm(u0))
+    if n0 <= 1e-12:
+        return []
+    _, s, Vt = np.linalg.svd(A_sys)
+    null = Vt[s <= 1e-10 * max(s[0], 1.0)]
+    r = math.sqrt(max(1.0 - n0 * n0, 0.0))
+    raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
+    out = [u / np.linalg.norm(u) for u in raw or [u0]]
+    out.sort(key=lambda u: (
+        round(float(np.sum((Sk @ u) ** 2) + (tau @ u - 2.0) ** 2), 12),
+        tuple(np.round(u, 12)),
+    ))
+    return out
+
+
+def reference_eigvec(M, mu):
+    K = M - mu * np.eye(3)
+    cands = [np.cross(K[0], K[1]), np.cross(K[0], K[2]), np.cross(K[1], K[2])]
+    norms = [np.linalg.norm(v) for v in cands]
+    best = int(np.argmax(norms))
+    if norms[best] <= 1e-10 * (1.0 + np.linalg.norm(M)):
+        _, _, Vt = np.linalg.svd(K)
+        return Vt[-1] / np.linalg.norm(Vt[-1])
+    return cands[best] / norms[best]
+
+
+def reference_fields(L, conn, u, tol):
+    gamma = conn.gamma
+    A = np.einsum("a,iak->ki", u, gamma)
+    P = np.eye(3) - np.outer(u, u)
+    M = P - A
+    Msym = 0.5 * (M + M.T)
+    lam = math.sqrt(max(float(np.sum(Msym * Msym)) / 2.0, 0.0))
+    phi = _hat(u)
+    h = -phi @ Msym
+    h = 0.5 * (h + h.T)
+    if lam <= tol:
+        norms = [np.linalg.norm(P[:, k]) for k in range(3)]
+        e = P[:, int(np.argmax(norms))]
+        e = e / np.linalg.norm(e)
+    else:
+        e = reference_eigvec(h, lam)
+    e = _fix_sign(e)
+    phi_e = phi @ e
+    b = -float(np.einsum("i,j,ijk->k", e, e, gamma) @ phi_e)
+    c = float(np.einsum("i,j,ijk->k", phi_e, e, gamma) @ phi_e)
+    return {"xi": u, "eta": L.metric @ u, "phi": phi, "h_op": h, "lam": lam,
+            "b": b, "c": c, "f": b * b + c * c + 2.0, "e": e, "phi_e": phi_e,
+            "kenmotsu": lam <= tol}
+
+
+def reference_residuals(L, conn, pack, f):
+    g, c, gamma = L.metric, L.structure_constants, conn.gamma
+    xi, eta, phi, h, lam = f["xi"], f["eta"], f["phi"], f["h_op"], f["lam"]
+    e, phi_e = f["e"], f["phi_e"]
+    ident = np.eye(3)
+
+    def mx(a):
+        return float(np.max(np.abs(a)))
+
+    n_xi = np.einsum("a,ajk->kj", xi, gamma)
+    jac = np.einsum("ijkl,j,k->li", pack.riemann, xi, xi)
+    adxi = np.einsum("a,ajk->kj", xi, c)
+    Phi = g @ phi
+    term = np.einsum("ijm,mk->ijk", c, Phi)
+    dphi = -(term + np.transpose(term, (1, 2, 0)) + np.transpose(term, (2, 0, 1)))
+    wedge = (np.einsum("i,jk->ijk", eta, Phi) + np.einsum("j,ki->ijk", eta, Phi)
+             + np.einsum("k,ij->ijk", eta, Phi))
+    A = np.einsum("a,iak->ki", xi, gamma)
+    res = {
+        "xi_unit": abs(float(xi @ g @ xi) - 1.0),
+        "phi_square": mx(phi @ phi + ident - np.outer(xi, eta)),
+        "phi_compat": mx(phi.T @ g @ phi - g + np.outer(eta, eta)),
+        "h_xi": mx(h @ xi),
+        "h_trace": abs(float(np.trace(h))),
+        "h_symmetric": mx(h - h.T),
+        "h_phi_anticommute": mx(h @ phi + phi @ h),
+        "trace_h_phi": abs(float(np.trace(h @ phi))),
+        "reeb_gradient": mx(A - (ident - np.outer(xi, eta) - phi @ h)),
+        "h_transport": mx(n_xi @ h - h @ n_xi),
+        "curvature_identity": mx(-phi - 2.0 * h - phi @ h @ h - phi @ jac),
+        "h_lie_oracle": mx(h - 0.5 * (adxi @ phi - phi @ adxi)),
+        "h_eigen": max(mx(h @ e - lam * e), mx(h @ phi_e + lam * phi_e)),
+        "d_eta": mx(np.einsum("ijk,k->ij", c, eta)),
+        "d_phi": mx(dphi - 2.0 * wedge),
+    }
+    if not f["kenmotsu"]:
+        E = np.column_stack([xi, e, phi_e])
+        ad_gamma = np.einsum("ia,jb,ijk,kc->abc", E, E, gamma, E)
+        res["adapted_connection"] = mx(
+            ad_gamma - adapted_connection_table(lam, f["b"], f["c"]))
+    return res
+
+
+def reference_detect(L, conn, pack, tol=1e-8):
+    """The reference formulas under the first-admissible selection rule."""
+    scale = 1.0 + float(np.linalg.norm(conn.gamma))
+    for u in reference_candidates(conn):
+        f = reference_fields(L, conn, u, tol)
+        if max(reference_residuals(L, conn, pack, f).values()) <= tol * scale:
+            return f
+    return None
+
+
+def assert_matches_reference(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+class TestReferenceEquivalence:
+    @staticmethod
+    def algebras(rng):
+        out = []
+        for _ in range(40):
+            out.append(random_kenmotsu(rng))
+            out.append(from_nonunimodular(*map(float, rng.uniform(-3.0, 3.0, 2))))
+            out.append(random_valid_algebra(rng))
+        out += [from_nonunimodular(1.0, 0.0), from_kenmotsu_params(1.0, 0.0, 0.0)]
+        return [rotate_algebra(L, random_rotation(rng)) for L in out]
+
+    def test_detection_matches_reference(self):
+        found = 0
+        for L in self.algebras(np.random.default_rng(81)):
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            cands, ref_cands = _candidate_reebs(conn), reference_candidates(conn)
+            assert len(cands) == len(ref_cands)
+            for u, ref_u in zip(cands, ref_cands):
+                assert_matches_reference(u, ref_u)
+            ref = reference_detect(L, conn, pack)
+            try:
+                ak = detect_structure(L, conn, pack)
+            except NoStructure:
+                assert ref is None
+                continue
+            found += 1
+            assert ak.kenmotsu == ref["kenmotsu"]
+            got = {"xi": ak.xi.components, "eta": ak.eta, "phi": ak.phi,
+                   "h_op": ak.h_op, "lam": ak.lam, "b": ak.b, "c": ak.c, "f": ak.f,
+                   "e": ak.adapted_frame[1].components,
+                   "phi_e": ak.adapted_frame[2].components}
+            for name, value in got.items():
+                assert_matches_reference(value, ref[name])
+            res = structure_residuals(L, conn, pack, ak)
+            ref_res = reference_residuals(L, conn, pack, got | {"kenmotsu": ak.kenmotsu})
+            assert list(res) == list(ref_res)
+            for name, value in res.items():
+                assert_matches_reference(value, ref_res[name])
+        assert found >= 80
+
+    def test_first_admissible_candidate_on_lam_one_family(self):
+        # two genuine Reeb fields with rounding-level residuals: detection
+        # returns the first in candidate order, not the smaller residual,
+        # and the normalised minimum-norm point between them is no candidate
+        rng = np.random.default_rng(82)
+        for _ in range(30):
+            b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
+            L = rotate_algebra(from_kenmotsu_params(1.0, b, b), random_rotation(rng))
+            conn, _, ak = detect(L)
+            cands = _candidate_reebs(conn)
+            assert len(cands) == 2
+            assert np.array_equal(ak.xi.components, cands[0])
+
+
+class TestCandidateList:
+    """On a (1, b, b) algebra u0/|u0| lies between the two unit Reeb fields,
+    off each by r ~ b, yet passes the tolerance for small b; it is listed
+    only when the two merge (r <= 1e-7)."""
+
+    def test_small_b_is_resolved(self):
+        rng = np.random.default_rng(83)
+        for b in (1e-6, -1e-5, 1e-4, -1e-3):
+            L = rotate_algebra(from_kenmotsu_params(1.0, b, b), random_rotation(rng))
+            _, _, ak = detect(L)
+            assert abs(abs(ak.b) - abs(b)) <= 1e-8
+            assert abs(abs(ak.c) - abs(b)) <= 1e-8
+
+    def test_frame_where_min_norm_point_would_sort_first(self):
+        # first frame axis along -u0 and the second along the null vector w:
+        # u0/|u0| = (-1, 0, 0) would lead the sort, ahead of the two
+        # solutions (-|u0|, +-r, 0), and pass with a residual about r^2
+        b = 1e-4
+        L = from_kenmotsu_params(1.0, b, b)
+        Sk, tau = _reeb_shape_system(levi_civita(L))
+        A_sys = np.vstack([Sk, tau])
+        u0, *_ = np.linalg.lstsq(A_sys, [0.0, 0.0, 0.0, 2.0], rcond=None)
+        w = np.linalg.svd(A_sys)[2][-1]
+        a = -u0 / np.linalg.norm(u0)
+        Lr = rotate_algebra(L, np.column_stack([a, w, np.cross(a, w)]))
+        conn, _, ak = detect(Lr)
+        assert len(_candidate_reebs(conn)) == 2
+        assert abs(abs(ak.b) - b) <= 1e-8

@@ -1,8 +1,10 @@
 """End-to-end command line checks via cotton3.cli.main."""
 
+import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +413,23 @@ class TestInputErrors:
         assert captured.err.startswith(f"error: {key} is not finite")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("dt, output", [
+        ("1e-200", False),  # finite metric, infinite Cotton norm, CSV on stdout
+        ("1e-200", True),   # the same trajectory into --output
+        ("1e-100", True),   # degenerates at the first step: partial trajectory
+    ])
+    def test_non_finite_trajectory(self, geom, tmp_path, capsys, dt, output):
+        # no CSV row is written, to stdout or to a file, when one is not finite
+        out_file = tmp_path / "traj.csv"
+        argv = ["flow", geom(kenmotsu(1e60)), "--dt", dt, "--steps", "1"]
+        rc = main(argv + (["--output", str(out_file)] if output else []))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cotton_norm is not finite")
+        assert len(captured.err.splitlines()) == 1
+        assert not out_file.exists()
+
 
 class TestTolerances:
     def test_env_variable_respected(self, geom, capsys, monkeypatch):
@@ -467,6 +486,14 @@ class TestVerifyPaper:
         assert len(doc["checks"]) == 26
         assert doc["grid"] == [0.5, 1.0, 2.0]
         assert doc["version"]
+
+    def test_machine_output_matches_recorded_digest(self, capsys):
+        # the benchmark's record of the reproduction output, from the seed engine
+        record = Path(__file__).resolve().parents[1] / "perfbench" / "verify_paper.sha256"
+        rc = main(["verify-paper", "--format", "machine"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == record.read_text().split()[0]
 
     def test_custom_grid(self, capsys):
         rc = main(["verify-paper", "--grid", "2", "--format", "machine"])

@@ -17,6 +17,7 @@ from cotton3 import (
     jacobi_residual,
     validate,
 )
+from cotton3.frame_algebra import _svd_lstsq
 
 
 def brute_jacobi(c):
@@ -248,3 +249,24 @@ class TestBuilders:
 
     def test_default_tol_is_small(self):
         assert 0.0 < DEFAULT_TOL <= 1e-8
+
+
+class TestSvdLstsq:
+    def test_matches_lstsq(self):
+        # the minimum-norm solution of lstsq(rcond=None), and the SVD of A:
+        # full rank, rank deficient, spectra graded across the cutoff, zero
+        rng = np.random.default_rng(12)
+        cases = [np.zeros((6, 3))]
+        for k in range(1, 5):
+            cases.append(rng.normal(size=(6, k)))
+            cases.append(rng.normal(size=(6, 2)) @ rng.normal(size=(2, k)))
+        for exponent in (-8.0, -15.5, -17.0):
+            U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            cases.append(U[:, :3] @ np.diag(np.logspace(0.0, exponent, 3)) @ V.T)
+        for A in cases:
+            b = rng.normal(size=A.shape[0])
+            z, s, Vt = _svd_lstsq(A, b)
+            want, *_ = np.linalg.lstsq(A, b, rcond=None)
+            assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+            assert np.allclose((Vt.T * s * s) @ Vt, A.T @ A, rtol=0, atol=1e-12)

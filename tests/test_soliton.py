@@ -17,6 +17,7 @@ from cotton3 import (
     AssertionFailure,
     FrameVector,
     bracket,
+    cotton_pack,
     curvature,
     detect_structure,
     from_kenmotsu_params,
@@ -309,3 +310,73 @@ class TestTheoremReproduction:
         report = reproduce_theorems([1])
         assert report.all_passed
         assert report.checks[0].lam == 1.0
+
+
+# --------------------------------------------------------------------------
+# Reference formulas: the solve as it was written before it shared one SVD,
+# with one Lie derivative per basis field, lstsq for the minimum-norm point
+# and a second svd for rank and null space.
+
+
+def reference_solve(problem, tol=1e-8):
+    L, conn = problem.algebra, problem.connection
+    cols = [vec_upper(lie_derivative_metric(L, conn, b).components) for b in problem.basis]
+    A = np.column_stack(cols + [-vec_upper(L.metric)])
+    k = -vec_upper(problem.cotton2.components)
+    z, *_ = np.linalg.lstsq(A, k, rcond=None)
+    residual = float(np.linalg.norm(A @ z - k))
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+    family = Vt[rank:]
+    coeffs, sigma = z[:-1], float(z[-1])
+    c_scale = 1.0 + float(np.linalg.norm(problem.cotton2.components))
+    feasible = residual <= tol * c_scale
+    if not feasible:
+        kind = "infeasible"
+    elif float(np.linalg.norm(coeffs)) <= 1e-8 and not (
+        family.shape[0] > 0 and np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10)
+    ):
+        kind = "trivial_only"
+    elif abs(sigma) <= tol * c_scale:
+        kind = "steady"
+    else:
+        kind = "shrinking" if sigma > 0 else "expanding"
+    return {"A": A, "k": k, "coefficients": coeffs, "sigma": sigma,
+            "residual": residual, "rank": rank, "family_dim": family.shape[0],
+            "classification": kind, "feasible": feasible}
+
+
+def assert_close(got, ref, rel):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref), initial=0.0) <= rel * (1.0 + np.max(np.abs(ref), initial=0.0))
+
+
+class TestReferenceEquivalence:
+    def test_solve_matches_reference(self):
+        rng = np.random.default_rng(91)
+        problems = []
+        for _ in range(40):
+            for L in (random_kenmotsu(rng), from_nonunimodular(*rng.uniform(-3.0, 3.0, 2))):
+                _, _, ak = detect(rotate_algebra(L, random_rotation(rng)))
+                cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
+                frame = ak.adapted_frame
+                for basis in (frame[:1], frame[1:], frame):
+                    problems.append(SolitonProblem(ak.algebra, ak.connection, cotton2, basis))
+            L = random_valid_algebra(rng, rotated=True)
+            problems.append(SolitonProblem.build(L.with_metric(random_spd(rng))))
+        kinds = set()
+        for problem in problems:
+            ref = reference_solve(problem)
+            A, k = assemble_system(problem)
+            assert_close(A, ref["A"], 1e-12)
+            assert_close(k, ref["k"], 1e-12)
+            sol = solve(problem)
+            assert sol.classification == ref["classification"]
+            assert sol.feasible == ref["feasible"]
+            assert sol.rank == ref["rank"]
+            assert sol.family_dim == ref["family_dim"]
+            assert_close(sol.coefficients, ref["coefficients"], 1e-10)
+            assert_close(sol.sigma, ref["sigma"], 1e-10)
+            assert_close(sol.residual, ref["residual"], 1e-10)
+            kinds.add(sol.classification)
+        assert {"infeasible", "trivial_only", "steady"} <= kinds
