@@ -446,6 +446,11 @@ def _require_finite_states(states) -> None:
 
 
 def cmd_flow(args) -> int:
+    fp_tol = args.fixed_point_tol
+    if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol >= 0):
+        raise CLIError(
+            f"--fixed-point-tol must be a non-negative finite number, got {fp_tol!r}"
+        )
     L = load_geometry(args.geometry)
     try:
         result = flow_run(
@@ -454,7 +459,7 @@ def cmd_flow(args) -> int:
             steps=args.steps,
             stride=args.stride,
             normalize=args.normalize,
-            fixed_point_tol=args.fixed_point_tol,
+            fixed_point_tol=fp_tol,
         )
     except DegenerateMetric as exc:
         if args.output and exc.trajectory:
@@ -685,8 +690,8 @@ def _parse_grid(raw: str) -> list:
         raise CLIError(f"--grid must be comma-separated numbers, got {raw!r}")
     if not grid:
         raise CLIError("--grid must contain at least one value")
-    if any(lam <= 0 for lam in grid):
-        raise CLIError("--grid values must be positive")
+    if not all(math.isfinite(lam) and lam > 0 for lam in grid):
+        raise CLIError("--grid values must be positive and finite")
     return grid
 
 
@@ -698,6 +703,7 @@ def cmd_verify(args) -> int:
         report = reproduce_theorems(grid, tol=tol)
     except AssertionFailure as exc:
         report = exc.report
+    _require_finite({"residual": [ch.residual for ch in report.checks]})
     for ch in report.checks:
         checks.append({
             "name": f"{ch.name}, lambda={ch.lam:g}",

@@ -66,16 +66,24 @@ class CurvaturePack:
     jacobi_operator: np.ndarray | None = None
 
 
-def _gamma(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Connection coefficients of constants ``c`` under metric ``g``."""
-    sv = np.linalg.svd(g, compute_uv=False)
+def _require_invertible(sv: np.ndarray) -> None:
+    """The conditioning rule for a metric with singular values ``sv``,
+    largest first."""
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
         raise SingularMetric(f"metric is singular (singular values {sv})")
+
+
+def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K[i, j, l] = g(nabla_{e_i} e_j, e_l) of constants ``c`` under metric ``g``."""
     cg = (c.reshape(9, 3) @ g).reshape(3, 3, 3)
-    # K[i, j, l] = g(nabla_{e_i} e_j, e_l)
-    #            = (g([e_i, e_j], e_l) - g([e_j, e_l], e_i) + g([e_l, e_i], e_j)) / 2
-    K = 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
-    return np.linalg.solve(g, K.reshape(9, 3).T).T.reshape(3, 3, 3)
+    # = (g([e_i, e_j], e_l) - g([e_j, e_l], e_i) + g([e_l, e_i], e_j)) / 2
+    return 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+
+
+def _gamma(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Connection coefficients of constants ``c`` under metric ``g``."""
+    _require_invertible(np.linalg.svd(g, compute_uv=False))
+    return np.linalg.solve(g, _koszul(c, g).reshape(9, 3).T).T.reshape(3, 3, 3)
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
-from .connection_curvature import _cov_deriv, _gamma, _ricci, _riemann
-from .errors import SingularMetric
+from .connection_curvature import _cov_deriv, _koszul, _require_invertible, _ricci, _riemann
+from .errors import DegenerateMetric, SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3
 
 
@@ -36,8 +36,8 @@ def _cotton3(gamma: np.ndarray, ricci: np.ndarray) -> np.ndarray:
     return d - d.transpose(1, 0, 2)
 
 
-def _cotton2(c3: np.ndarray, g: np.ndarray) -> np.ndarray:
-    det = float(np.linalg.det(g))
+def _cotton2(c3: np.ndarray, g: np.ndarray, det: float) -> np.ndarray:
+    """Dual of ``c3`` under metric ``g`` whose determinant is ``det``."""
     if det <= 1e-300:
         raise SingularMetric(
             f"cotton dualization needs a positive metric determinant; det = {det:.6g}"
@@ -48,10 +48,26 @@ def _cotton2(c3: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(0,2) Cotton tensor of constants ``c`` under metric ``g``: the chain of
-    ``cotton_pack`` on plain arrays, for the flow's per-stage evaluations."""
-    gamma = _gamma(c, g)
-    return _cotton2(_cotton3(gamma, _ricci(_riemann(c, gamma))), g)
+    """(0,2) Cotton tensor of constants ``c`` under a symmetric positive
+    definite metric ``g``: the chain of ``cotton_pack`` on plain arrays, for
+    the flow's per-stage evaluations.
+
+    One ``eigh`` factorization g = V diag(w) V^T serves every check and the
+    inverse.  ``DegenerateMetric`` is raised unless every eigenvalue w is
+    positive (g outside the positive cone, or not finite); ``SingularMetric``
+    under ``levi_civita``'s conditioning rule and under the dual's
+    determinant rule with det g = w0 w1 w2.  The connection is the Koszul
+    array times g^-1 = (V / w) V^T.
+    """
+    w, V = np.linalg.eigh(g)
+    w0, w1, w2 = w.tolist()
+    # false on nan too: eigh may return a finite w0 beside a nan
+    if not (w0 > 0 and w1 > 0 and w2 > 0):
+        raise DegenerateMetric(f"metric is not positive definite (eigenvalues {w})")
+    _require_invertible(w[::-1])
+    gamma = (_koszul(c, g).reshape(9, 3) @ ((V / w) @ V.T)).reshape(3, 3, 3)
+    c3 = _cotton3(gamma, _ricci(_riemann(c, gamma)))
+    return _cotton2(c3, g, w0 * w1 * w2)
 
 
 def cotton3_oracle(
@@ -70,7 +86,7 @@ def cotton3_oracle(
 def cotton2_from_cotton3(L: MetricLieAlgebra3, c3: Tensor3) -> SymBilinear:
     """Dualize the (0,3) Cotton tensor over its skew pair of slots."""
     comps = c3.components if isinstance(c3, Tensor3) else np.asarray(c3, dtype=float)
-    return SymBilinear(_cotton2(comps, L.metric))
+    return SymBilinear(_cotton2(comps, L.metric, float(np.linalg.det(L.metric))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,16 +8,21 @@ step to hold det g exactly.
 
 Integration is classical fourth-order Runge-Kutta with symmetrized
 stages.  The metric must stay positive definite: when a stage or a step
-leaves the positive cone the run aborts with ``DegenerateMetric``
-carrying the trajectory computed so far.
+leaves the positive cone, or a stage metric becomes singular, the run
+aborts with ``DegenerateMetric`` carrying the trajectory computed so far.
 
-Each stage evaluates C(g) as ``cotton2_array(c, g)``: the chain and
-singularity checks of ``cotton_pack`` on plain arrays, without value types
-or the Ricci operator and scalar the flow never reads.
+Each stage and each recorded state evaluates C(g) as
+``cotton2_array(c, g)``: the chain of ``cotton_pack`` on plain arrays,
+without value types or the Ricci operator and scalar the flow never reads.
+It factors the metric once, with ``eigh``, and reads the positive-cone
+check, the singularity checks, the inverse and the determinant off that
+one factorization.  A Cholesky check of the step's result guards the
+optional rescaling, which takes a real cube root of det g.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +66,22 @@ def _require_spd(g: np.ndarray, where: str) -> None:
         raise DegenerateMetric(f"metric left the positive cone {where}") from exc
 
 
+def _stage(c: np.ndarray, g: np.ndarray, where: str) -> np.ndarray:
+    """C(g) of the RK4 stage metric ``g``, naming the stage when it left the
+    positive cone."""
+    try:
+        return cotton2_array(c, g)
+    except DegenerateMetric as exc:
+        raise DegenerateMetric(f"metric left the positive cone {where}") from exc
+
+
 def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
-    """Package a metric as a flow state with its Cotton tensor attached."""
+    """Package a metric as a flow state with its Cotton tensor attached.
+
+    The symmetrized ``g`` must be positive definite: ``cotton2_array`` raises
+    ``DegenerateMetric`` outside the positive cone and ``SingularMetric`` for
+    a singular metric.
+    """
     g = np.asarray(g, dtype=float)
     g = 0.5 * (g + g.T)
     c2 = cotton2_array(L.structure_constants, g)
@@ -75,20 +94,15 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
     The state's ``cotton2`` is the right-hand side at the step's start, so
     it serves as the first stage; ``state`` must therefore carry the
     Cotton tensor of its own metric (as ``make_state`` arranges).  Every
-    intermediate stage metric is required to stay positive definite.
+    intermediate stage metric is required to stay positive definite and
+    nonsingular, as checked by its own evaluation.
     """
     c, g = L.structure_constants, state.metric
     k1 = state.cotton2.components
     try:
-        g2 = g + 0.5 * dt * k1
-        _require_spd(g2, "in the second stage")
-        k2 = cotton2_array(c, g2)
-        g3 = g + 0.5 * dt * k2
-        _require_spd(g3, "in the third stage")
-        k3 = cotton2_array(c, g3)
-        g4 = g + dt * k3
-        _require_spd(g4, "in the fourth stage")
-        k4 = cotton2_array(c, g4)
+        k2 = _stage(c, g + 0.5 * dt * k1, "in the second stage")
+        k3 = _stage(c, g + 0.5 * dt * k2, "in the third stage")
+        k4 = _stage(c, g + dt * k3, "in the fourth stage")
     except SingularMetric as exc:
         raise DegenerateMetric(f"stage metric became singular: {exc}") from exc
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -123,8 +137,8 @@ def flow_run(
     If the metric degenerates, ``DegenerateMetric`` is raised with the
     states recorded so far attached as ``trajectory``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if stride < 1:

@@ -30,6 +30,7 @@ from .connection_curvature import (
     curvature,
     levi_civita,
     ricci_parallel_check,
+    ricci_spectrum,
 )
 from .cotton import cotton_pack
 from .errors import AssertionFailure
@@ -314,7 +315,11 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
                 pack, ricci_parallel_check(L, conn, pack).is_parallel
             )
             geo_ok = geo.kind == PRODUCT_H2XR and geo.curvature is not None
-            gap = abs(geo.curvature + 4.0) if geo.curvature is not None else float("inf")
+            if geo.curvature is not None:
+                gap = abs(geo.curvature + 4.0)
+            else:
+                # no model matched: how far the Ricci spectrum is from {-4, -4, 0}
+                gap = float(np.max(np.abs(ricci_spectrum(pack) - (-4.0, -4.0, 0.0))))
             checks.append(
                 TheoremCheck(
                     "metric splits as hyperbolic plane (curvature -4) times line",

@@ -271,6 +271,29 @@ class TestFlow:
         assert rc == 1
         assert "dt must be positive" in captured.err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt(self, geom, capsys, dt):
+        rc = main(["flow", geom(kenmotsu(2.0)), "--dt", dt, "--steps", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: dt must be positive and finite")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_fixed_point_tolerance(self, geom, tmp_path, capsys, value):
+        argv = ["flow", geom(kenmotsu(1.0)), "--dt", "1e-3", "--steps", "5"]
+        rc = main(argv + [f"--fixed-point-tol={value}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --fixed-point-tol must be a non-negative")
+        assert len(captured.err.splitlines()) == 1
+        # zero stays valid: only an exactly flat final state is a fixed point
+        rc = main(argv + ["--fixed-point-tol=0", "--output", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert "ended at a fixed point" in capsys.readouterr().out
+
 
 class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -516,6 +539,38 @@ class TestVerifyPaper:
         captured = capsys.readouterr()
         assert rc == 1
         assert "at least one value" in captured.err
+
+    @pytest.mark.parametrize("grid", ["inf", "nan", "1,inf"])
+    def test_non_finite_grid(self, capsys, grid):
+        rc = main(["verify-paper", "--grid", grid])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid values must be positive and finite")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", ["1e200", "1e100"])
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_non_finite_residual(self, capsys, grid, fmt):
+        # finite lam whose soliton residual overflows (inf) or is undefined
+        # (nan): no check passes or fails on it
+        rc = main(["verify-paper", "--grid", grid, "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: residual is not finite")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unmatched_model_reports_finite_residual(self, capsys):
+        # just off lam = 1 the geometry matches no model: the split check
+        # fails with the Ricci spectrum's distance from {-4, -4, 0}
+        rc = main(["verify-paper", "--grid", "1.000000001", "--format", "machine"])
+        assert rc == 2
+        doc = json.loads(capsys.readouterr().out)
+        (split,) = [c for c in doc["checks"] if c["name"].startswith("metric splits")]
+        assert split["ok"] is False
+        residual = float(split["detail"].rsplit("residual ", 1)[1])
+        assert 0.0 < residual < 1e-6
 
     def test_failing_tolerance_marks_failures(self, capsys):
         rc = main(["verify-paper", "--tolerance", "1e-30"])

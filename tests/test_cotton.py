@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     abelian,
     hyperbolic,
+    random_rotation,
     random_spd,
     random_valid_algebra,
     su2_round,
@@ -263,6 +264,23 @@ def reference_flow(c, g0, dt, steps, normalize):
     return metrics, norms, False
 
 
+def reference_stage(c, g):
+    """A flow stage's checks as separate factorizations: Cholesky, the
+    reference chain's conditioning rule, then the dual's determinant rule.
+    Returns the exception class a stage raises, or the (0,2) tensor."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return DegenerateMetric
+    try:
+        ref = reference_chain(c, g)
+    except SingularMetric:
+        return SingularMetric
+    if np.linalg.det(g) <= 1e-300:
+        return SingularMetric
+    return ref["cotton2"]
+
+
 def assert_matches_reference(got, ref):
     # float64 rounding of a few dozen operations, scaled by the reference
     got, ref = np.asarray(got), np.asarray(ref)
@@ -287,6 +305,34 @@ class TestReferenceEquivalence:
             assert_matches_reference(
                 cotton2_array(L.structure_constants, L.metric), ref["cotton2"]
             )
+
+    @pytest.mark.parametrize("eigenvalues", [
+        (-1.0, -2.0, 3.0),        # indefinite with det > 0
+        (-1.0, 2.0, 3.0),         # indefinite with det < 0
+        (1.0, 2.0, 1e-11),        # condition 1e11: computes
+        (1.0, 2.0, 1e-13),        # condition 1e13: singular
+        (1e-101, 2e-101, 3e-101),  # det < 1e-300, well conditioned
+        (1e-100, 1e-100, 1e-99),  # det = 1e-299: computes
+    ])
+    def test_stage_outcome_matches_reference(self, eigenvalues):
+        # the same outcome class on the boundaries of every check; values
+        # past condition 1e10 are rounding noise in both, so only finiteness
+        # is compared there
+        rng = np.random.default_rng(48)
+        for _ in range(25):
+            c = random_valid_algebra(rng, rotated=True).structure_constants
+            R = random_rotation(rng)
+            g = R @ np.diag(eigenvalues) @ R.T
+            g = 0.5 * (g + g.T)
+            ref = reference_stage(c, g)
+            if isinstance(ref, type):
+                with pytest.raises(ref):
+                    cotton2_array(c, g)
+            else:
+                got = cotton2_array(c, g)
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+                if max(eigenvalues) / min(eigenvalues) < 1e10:
+                    assert_matches_reference(got, ref)
 
     def test_flow_matches_einsum_reference(self):
         rng = np.random.default_rng(47)

@@ -10,6 +10,7 @@ from conftest import random_spd, random_valid_algebra, su2_round
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
+    SingularMetric,
     cotton_pack,
     export_trajectory,
     flow_run,
@@ -17,6 +18,7 @@ from cotton3 import (
     from_kenmotsu_params,
     make_state,
 )
+from cotton3.cotton import cotton2_array
 
 
 class TestStateAndStep:
@@ -69,13 +71,63 @@ class TestValidation:
         with pytest.raises(ValueError):
             flow_run(L, dt=1e-3, steps=10, stride=0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            flow_run(L, dt=dt, steps=1)
+
     def test_rejects_indefinite_start(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         with pytest.raises(DegenerateMetric, match="initial metric"):
             flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, -1.0, 1.0]))
 
 
+class TestStageChecks:
+    # From g = I at lam = 2, C = diag(0, 12, -12); dt sets where the step
+    # first leaves the positive cone.
+    L = from_kenmotsu_params(2.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dt, where", [
+        (0.25, "in the second stage"),
+        (0.09, "in the third stage"),
+        (0.055, "in the fourth stage"),
+        (0.042, "after the step"),
+    ])
+    def test_leaving_the_cone_is_named(self, dt, where):
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(self.L, dt=dt, steps=3)
+        assert str(err.value) == (
+            f"step 1 (t={dt:g}): metric left the positive cone {where}"
+        )
+        assert len(err.value.trajectory) == 1
+
+    def test_singular_stage_is_degenerate(self):
+        # the second stage metric is diag(1, 1 + 6 dt, 1 - 6 dt), and
+        # 1 - 6 dt = 3e-14 is positive but past the conditioning rule
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(self.L, dt=(1.0 - 3e-14) / 6.0, steps=3)
+        assert str(err.value).startswith(
+            "step 1 (t=0.166667): stage metric became singular: metric is singular"
+        )
+
+    def test_make_state_requires_positive_definite(self):
+        with pytest.raises(DegenerateMetric, match="not positive definite"):
+            make_state(self.L, 0.0, np.diag([-1.0, -1.0, 1.0]))
+        # eigh returns eigenvalues (1, nan, 2) here: nan fails the check too
+        with pytest.raises(DegenerateMetric, match="not positive definite"):
+            make_state(self.L, 0.0, np.diag([1.0, np.nan, 2.0]))
+        with pytest.raises(SingularMetric, match="metric is singular"):
+            make_state(self.L, 0.0, np.diag([1.0, 1.0, 1e-13]))
+
+
 class TestFixedPoint:
+    def test_cotton_exactly_zero_at_identity(self):
+        # lam = 1 under g = I: every entry of C(g) is exactly 0.0, which is
+        # what keeps the fixed point's drift at exactly zero
+        c = from_kenmotsu_params(1.0, 0.0, 0.0).structure_constants
+        assert np.all(cotton2_array(c, np.eye(3)) == 0.0)
+
     def test_cotton_flat_metric_never_moves(self):
         # lam = 1 is conformally flat, so the flow is stationary: the
         # metric drift over 1000 steps is exactly zero.
