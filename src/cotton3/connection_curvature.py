@@ -12,6 +12,13 @@ Sign conventions, fixed once and validated against closed forms in tests:
 Index conventions: ``gamma[i, j, k]`` is the ``e_k`` component of
 ``nabla_{e_i} e_j``; ``riemann[i, j, k, l]`` is the ``e_l`` component of
 ``R(e_i, e_j) e_k``.
+
+The private helpers work on plain arrays and contract through constant
+index maps built at import: the Koszul array is one product of the flat
+``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
+from the connection, without the Riemann tensor.  ``curvature`` builds the Riemann tensor only for
+``CurvaturePack.riemann``, which the Jacobi operator and the h-parallel
+check read.
 """
 
 from __future__ import annotations
@@ -73,11 +80,16 @@ def _require_invertible(sv: np.ndarray) -> None:
         raise SingularMetric(f"metric is singular (singular values {sv})")
 
 
+# Row a of _KOSZUL is the Koszul array of the flat cg = e_a under the
+# transposition formula K[i, j, l] = (cg[i, j, l] - cg[j, l, i] + cg[l, i, j]) / 2
+_E = np.eye(27).reshape(27, 3, 3, 3)
+_KOSZUL = (0.5 * (_E - _E.transpose(0, 3, 1, 2) + _E.transpose(0, 2, 3, 1))).reshape(27, 27)
+
+
 def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """K[i, j, l] = g(nabla_{e_i} e_j, e_l) of constants ``c`` under metric ``g``."""
-    cg = (c.reshape(9, 3) @ g).reshape(3, 3, 3)
-    # = (g([e_i, e_j], e_l) - g([e_j, e_l], e_i) + g([e_l, e_i], e_j)) / 2
-    return 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+    """K[i, j, l] = g(nabla_{e_i} e_j, e_l) of constants ``c`` under metric ``g``:
+    the Koszul identity on cg[i, j, l] = g([e_i, e_j], e_l)."""
+    return ((c.reshape(9, 3) @ g).reshape(27) @ _KOSZUL).reshape(3, 3, 3)
 
 
 def _gamma(c: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -93,8 +105,24 @@ def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return prod - prod.transpose(1, 0, 2, 3) - bracket_term
 
 
-def _ricci(riemann: np.ndarray) -> np.ndarray:
-    s = np.einsum("ijki->jk", riemann)
+# Maps on flat (27,) arrays: _TRACE takes gamma to t[m] = sum_i gamma[i, m, i];
+# the gather _SWAP puts gamma[j, m, i] at [j, (i, m)], which read as (9, 3)
+# is gamma[i, k, m] at [(i, m), k]; _ROLL puts c[m, j, i] at [j, (i, m)]
+_TRACE = np.eye(9).reshape(27, 3)
+_IDX = np.arange(27).reshape(3, 3, 3)
+_SWAP = _IDX.transpose(0, 2, 1).reshape(3, 9)
+_ROLL = _IDX.transpose(1, 2, 0).reshape(3, 9)
+
+
+def _ricci(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Ricci form of the connection ``gamma`` over constants ``c``: the
+    symmetrized trace sum_i riemann[i, j, k, i], contracted as
+    S_jk = sum_m gamma[j, k, m] t[m]
+           - sum_{i, m} (gamma[j, m, i] + c[m, j, i]) gamma[i, k, m]."""
+    f = gamma.reshape(27)
+    gs = f[_SWAP]
+    s = (gamma.reshape(9, 3) @ (f @ _TRACE)).reshape(3, 3)
+    s -= (gs + c.reshape(27)[_ROLL]) @ gs.reshape(9, 3)
     return 0.5 * (s + s.T)
 
 
@@ -118,7 +146,7 @@ def curvature(
 ) -> CurvaturePack:
     """Riemann tensor, Ricci form and operator, scalar curvature."""
     riemann = _riemann(L.structure_constants, conn.gamma)
-    ricci = SymBilinear(_ricci(riemann))
+    ricci = SymBilinear(_ricci(L.structure_constants, conn.gamma))
     q = np.linalg.solve(L.metric, ricci.components)
     scalar = float(np.trace(q))
     jac = None

@@ -26,9 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
-from .connection_curvature import _cov_deriv, _koszul, _require_invertible, _ricci, _riemann
+from .connection_curvature import _IDX, _cov_deriv, _koszul, _require_invertible, _ricci
 from .errors import DegenerateMetric, SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3
+
+# flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
+_DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
 
 
 def _cotton3(gamma: np.ndarray, ricci: np.ndarray) -> np.ndarray:
@@ -43,7 +46,7 @@ def _cotton2(c3: np.ndarray, g: np.ndarray, det: float) -> np.ndarray:
             f"cotton dualization needs a positive metric determinant; det = {det:.6g}"
         )
     # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
-    out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ g / np.sqrt(det)
+    out = c3.reshape(27)[_DUAL] @ g / np.sqrt(det)
     return 0.5 * (out + out.T)
 
 
@@ -57,7 +60,9 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     positive (g outside the positive cone, or not finite); ``SingularMetric``
     under ``levi_civita``'s conditioning rule and under the dual's
     determinant rule with det g = w0 w1 w2.  The connection is the Koszul
-    array times g^-1 = (V / w) V^T.
+    array times g^-1 = (V / w) V^T; Ricci is contracted from the connection
+    with no Riemann tensor, and the dual reads the skew pairs of the (0,3)
+    tensor through one constant gather.
     """
     w, V = np.linalg.eigh(g)
     w0, w1, w2 = w.tolist()
@@ -66,7 +71,7 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise DegenerateMetric(f"metric is not positive definite (eigenvalues {w})")
     _require_invertible(w[::-1])
     gamma = (_koszul(c, g).reshape(9, 3) @ ((V / w) @ V.T)).reshape(3, 3, 3)
-    c3 = _cotton3(gamma, _ricci(_riemann(c, gamma)))
+    c3 = _cotton3(gamma, _ricci(c, gamma))
     return _cotton2(c3, g, w0 * w1 * w2)
 
 

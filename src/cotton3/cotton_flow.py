@@ -8,16 +8,18 @@ step to hold det g exactly.
 
 Integration is classical fourth-order Runge-Kutta with symmetrized
 stages.  The metric must stay positive definite: when a stage or a step
-leaves the positive cone, or a stage metric becomes singular, the run
-aborts with ``DegenerateMetric`` carrying the trajectory computed so far.
+leaves the positive cone, or a stage metric or the step's result becomes
+singular, the run aborts with ``DegenerateMetric`` carrying the trajectory
+computed so far.
 
 Each stage and each recorded state evaluates C(g) as
 ``cotton2_array(c, g)``: the chain of ``cotton_pack`` on plain arrays,
 without value types or the Ricci operator and scalar the flow never reads.
 It factors the metric once, with ``eigh``, and reads the positive-cone
 check, the singularity checks, the inverse and the determinant off that
-one factorization.  A Cholesky check of the step's result guards the
-optional rescaling, which takes a real cube root of det g.
+one factorization.  Ricci is contracted from the connection; no Riemann
+tensor is built on the Cotton path.  A Cholesky check of the step's result
+guards the optional rescaling, which takes a real cube root of det g.
 """
 
 from __future__ import annotations
@@ -158,7 +160,13 @@ def flow_run(
             ) from exc
         if normalize:
             g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
-        state = make_state(L, state.time + dt, g)
+        try:
+            state = make_state(L, state.time + dt, g)
+        except SingularMetric as exc:
+            raise DegenerateMetric(
+                f"step {n} (t={n * dt:g}): metric became singular after the step: {exc}",
+                trajectory=states,
+            ) from exc
         if n % stride == 0 or n == steps:
             states.append(state)
     fixed = (

@@ -249,6 +249,31 @@ class TestFlow:
         assert "step 35" in captured.err
         assert len(out_file.read_text().splitlines()) == 36  # header + 35 states
 
+    def test_singular_after_the_step_writes_partial_trajectory(
+        self, geom, tmp_path, capsys
+    ):
+        # positive definite after step 1, but past the conditioning rule
+        out_file = tmp_path / "partial.csv"
+        data = {
+            "brackets": [
+                {"i": 2, "j": 3, "coeffs": [-2, 0, 0]},
+                {"i": 3, "j": 1, "coeffs": [0, 3, 0]},
+                {"i": 1, "j": 2, "coeffs": [0, 0, 0.5]},
+            ],
+            "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 3e-12]],
+        }
+        rc = main([
+            "flow", geom(data), "--dt", "1.1e-19", "--steps", "1",
+            "--output", str(out_file),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "wrote 1 states" in captured.err
+        assert "error: step 1 (t=1.1e-19): metric became singular after the step" in (
+            captured.err
+        )
+        assert len(out_file.read_text().splitlines()) == 2  # header + 1 state
+
     def test_normalize_flag(self, geom, capsys):
         rc = main([
             "flow", geom(kenmotsu(2.0)), "--dt", "1e-3", "--steps", "10",

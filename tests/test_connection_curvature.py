@@ -30,6 +30,7 @@ from cotton3 import (
     ricci_spectrum,
     sym3_eigenvalues,
 )
+from cotton3.connection_curvature import _gamma, _koszul, _ricci, _riemann
 
 FAMILY_GRID = ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 3.0, 3.0))
 
@@ -252,3 +253,30 @@ class TestClassification:
         cls = classify_geometry(pack, par.is_parallel)
         assert cls.kind == CONSTANT_CURVATURE
         assert cls.curvature == pytest.approx(0.25, abs=1e-10)
+
+
+def within_rounding(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+class TestConstantMaps:
+    # the private helpers contract through constant maps and gathers; each
+    # must agree with the index formula it replaces
+    def test_koszul_matches_transposition_formula(self):
+        rng = np.random.default_rng(61)
+        for _ in range(120):
+            c = random_valid_algebra(rng, rotated=True).structure_constants
+            g = random_spd(rng)
+            cg = np.einsum("ijm,ml->ijl", c, g)
+            ref = 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+            assert within_rounding(_koszul(c, g), ref)
+
+    def test_ricci_matches_trace_of_riemann(self):
+        rng = np.random.default_rng(62)
+        for _ in range(120):
+            c = random_valid_algebra(rng, rotated=True).structure_constants
+            # the Levi-Civita connection, and any other: curvature() takes
+            # whatever ConnectionTable it is given
+            for gamma in (_gamma(c, random_spd(rng)), rng.normal(size=(3, 3, 3))):
+                s = np.einsum("ijki->jk", _riemann(c, gamma))
+                assert within_rounding(_ricci(c, gamma), 0.5 * (s + s.T))

@@ -28,7 +28,7 @@ from cotton3 import (
     from_kenmotsu_params,
     levi_civita,
 )
-from cotton3.cotton import cotton2_array
+from cotton3.cotton import _cotton2, cotton2_array
 
 
 def raw_dual(L, c3):
@@ -118,6 +118,18 @@ class TestInvariants:
         as_tensor = cotton2_from_cotton3(L, c3t).components
         as_array = cotton2_from_cotton3(L, c3t.components).components
         assert np.array_equal(as_tensor, as_array)
+
+    def test_dual_gather_equals_stacked_rows(self):
+        # the dual reads the skew pairs of c3 through one constant gather,
+        # bitwise the stack of the rows (C_12i, C_20i, C_01i)
+        rng = np.random.default_rng(49)
+        for _ in range(120):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            g = L.metric
+            det = float(np.linalg.det(g))
+            for c3 in (cotton3_oracle(L).components, rng.normal(size=(3, 3, 3))):
+                out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ g / np.sqrt(det)
+                assert np.array_equal(_cotton2(c3, g, det), 0.5 * (out + out.T))
 
     def test_singular_metric_rejected(self):
         L = abelian()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_valid_algebra, su2_round
+from conftest import milnor, random_spd, random_valid_algebra, su2_round
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
@@ -16,6 +16,7 @@ from cotton3 import (
     flow_run,
     flow_step,
     from_kenmotsu_params,
+    from_nonunimodular,
     make_state,
 )
 from cotton3.cotton import cotton2_array
@@ -111,6 +112,22 @@ class TestStageChecks:
             "step 1 (t=0.166667): stage metric became singular: metric is singular"
         )
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_singular_after_the_step_is_degenerate(self, normalize):
+        # g0 = diag(1, 1, 3e-12) passes the conditioning rule; after one step
+        # of 1.1e-19 the metric is still positive definite but past the rule
+        L = milnor(-2.0, 3.0, 0.5)
+        g0 = np.diag([1.0, 1.0, 3e-12])
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(L, 1.1e-19, 1, g0=g0, normalize=normalize)
+        assert str(err.value).startswith(
+            "step 1 (t=1.1e-19): metric became singular after the step: "
+            "metric is singular"
+        )
+        assert isinstance(err.value.__cause__, SingularMetric)
+        assert len(err.value.trajectory) == 1
+        assert len(flow_run(L, 1e-19, 1, g0=g0, normalize=normalize).trajectory) == 2
+
     def test_make_state_requires_positive_definite(self):
         with pytest.raises(DegenerateMetric, match="not positive definite"):
             make_state(self.L, 0.0, np.diag([-1.0, -1.0, 1.0]))
@@ -124,9 +141,14 @@ class TestStageChecks:
 class TestFixedPoint:
     def test_cotton_exactly_zero_at_identity(self):
         # lam = 1 under g = I: every entry of C(g) is exactly 0.0, which is
-        # what keeps the fixed point's drift at exactly zero
+        # what keeps the fixed point's drift at exactly zero (and verify-paper's
+        # "drift 0.000e+00")
         c = from_kenmotsu_params(1.0, 0.0, 0.0).structure_constants
         assert np.all(cotton2_array(c, np.eye(3)) == 0.0)
+        # so for the hyperbolic algebra under every constant multiple of I
+        c = from_nonunimodular(1.0, 0.0).structure_constants
+        for t in (0.25, 0.5, 1.0, 2.0, 3.0, 1e3):
+            assert np.all(cotton2_array(c, t * np.eye(3)) == 0.0)
 
     def test_cotton_flat_metric_never_moves(self):
         # lam = 1 is conformally flat, so the flow is stationary: the

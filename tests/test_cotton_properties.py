@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import milnor, rotate_algebra
 from cotton3 import from_kenmotsu_params, from_nonunimodular
-from cotton3.connection_curvature import _gamma, _ricci, _riemann
+from cotton3.connection_curvature import _gamma, _ricci
 from cotton3.cotton import _cotton3, cotton2_array
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -50,7 +50,7 @@ def tol(c):
 def test_skew_symmetric_and_trace_free(L, vals):
     c, g = L.structure_constants, spd(vals)
     gamma = _gamma(c, g)
-    ricci = _ricci(_riemann(c, gamma))
+    ricci = _ricci(c, gamma)
     c3 = _cotton3(gamma, ricci)
     c2 = cotton2_array(c, g)
     ginv = np.linalg.inv(g)
