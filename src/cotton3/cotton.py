@@ -89,8 +89,11 @@ def cotton3_oracle(
 
 
 def cotton2_from_cotton3(L: MetricLieAlgebra3, c3: Tensor3) -> SymBilinear:
-    """Dualize the (0,3) Cotton tensor over its skew pair of slots."""
-    comps = c3.components if isinstance(c3, Tensor3) else np.asarray(c3, dtype=float)
+    """Dualize the (0,3) Cotton tensor over its skew pair of slots.
+
+    A plain array ``c3`` must have shape (3, 3, 3); ``ValueError`` otherwise.
+    """
+    comps = (c3 if isinstance(c3, Tensor3) else Tensor3(c3)).components
     return SymBilinear(_cotton2(comps, L.metric, float(np.linalg.det(L.metric))))
 
 

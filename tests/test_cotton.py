@@ -118,6 +118,10 @@ class TestInvariants:
         as_tensor = cotton2_from_cotton3(L, c3t).components
         as_array = cotton2_from_cotton3(L, c3t.components).components
         assert np.array_equal(as_tensor, as_array)
+        # the flat dual gather would read any 27 entries: other shapes are refused
+        for shape in ((27,), (9, 3), (3, 9)):
+            with pytest.raises(ValueError, match="expected array of shape"):
+                cotton2_from_cotton3(L, np.ones(shape))
 
     def test_dual_gather_equals_stacked_rows(self):
         # the dual reads the skew pairs of c3 through one constant gather,
