@@ -145,7 +145,7 @@ class TestFixedPoint:
         # "drift 0.000e+00")
         c = from_kenmotsu_params(1.0, 0.0, 0.0).structure_constants
         assert np.all(cotton2_array(c, np.eye(3)) == 0.0)
-        # so for the hyperbolic algebra under every constant multiple of I
+        # and so is the hyperbolic algebra's, under every constant multiple of I
         c = from_nonunimodular(1.0, 0.0).structure_constants
         for t in (0.25, 0.5, 1.0, 2.0, 3.0, 1e3):
             assert np.all(cotton2_array(c, t * np.eye(3)) == 0.0)
