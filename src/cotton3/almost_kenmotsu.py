@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +66,10 @@ class AKStructure:
     connection constants of the adapted frame:
     nabla_e e = -xi - b phi_e and nabla_{phi_e} e = lam xi + c phi_e.
     ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
-    the layers of ``algebra`` the structure was verified against.
+    the layers of ``algebra`` the structure was verified against, and
+    ``residuals`` is the read-only residual dict that ``detect_structure``
+    accepted it under (``None`` on a structure built by hand);
+    ``structure_residuals`` hands out copies of it instead of recomputing.
     """
 
     algebra: MetricLieAlgebra3
@@ -81,6 +85,7 @@ class AKStructure:
     kenmotsu: bool
     connection: ConnectionTable
     curvature: CurvaturePack
+    residuals: MappingProxyType | None = None
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):
@@ -177,6 +182,8 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
     r = math.sqrt(max(1.0 - n0 * n0, 0.0))
     raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
     out = [u / np.linalg.norm(u) for u in raw or [u0]]
+    if len(out) == 1:
+        return out
 
     def key(u):
         score = float(np.sum((Sk @ u) ** 2) + (tau @ u - 2.0) ** 2)
@@ -266,8 +273,15 @@ def structure_residuals(
 
     All entries vanish (to float precision) on a genuine almost Kenmotsu
     3-h algebra; the largest one is the acceptance score for detection.
-    The 3x3 residual matrices are reduced together, in one stack.
+    The 3x3 residual matrices are reduced together, in one stack.  Given
+    the structure's own ``algebra``, ``connection`` and ``curvature`` (the
+    same objects), a detected structure returns a fresh copy of the dict it
+    was accepted under; any other layers are evaluated afresh.
     """
+    if ak.residuals is not None and (
+        L is ak.algebra and conn is ak.connection and pack is ak.curvature
+    ):
+        return dict(ak.residuals)
     g = L.metric
     c = L.structure_constants
     gamma = conn.gamma
@@ -336,8 +350,10 @@ def detect_structure(
     (scaled by the connection size); later candidates are never built.  Where
     the Reeb field is not unique, as on (1, b, b) algebras, every admissible
     candidate is a genuine structure and their residuals differ only by
-    rounding, so the order decides.  Raises ``NoStructure``, reporting the
-    best residual, when no candidate is admissible.
+    rounding, so the order decides.  Each candidate is scored by one
+    ``structure_residuals`` call, and the accepted structure keeps that dict
+    as ``residuals``.  Raises ``NoStructure``, reporting the best residual,
+    when no candidate is admissible.
     """
     if float(np.max(np.abs(L.metric - np.eye(3)))) > 1e-9:
         raise ValueError("structure detection requires an orthonormal frame metric")
@@ -345,8 +361,11 @@ def detect_structure(
     best_res = math.inf
     for u in _candidate_reebs(conn):
         ak = _build_structure(L, conn, pack, u, tol)
-        res = max(structure_residuals(L, conn, pack, ak).values())
+        residuals = structure_residuals(L, conn, pack, ak)
+        res = max(residuals.values())
         if res <= tol * scale:
+            # the structure is frozen once it leaves detection
+            object.__setattr__(ak, "residuals", MappingProxyType(residuals))
             return ak
         best_res = min(best_res, res)
     raise NoStructure(

@@ -19,6 +19,7 @@ solutions are called trivial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ EXPANDING = "expanding"
 
 
 _ROWS, _COLS = np.array(UPPER).T
+
+# the standard frame (e1, e2, e3), the default ansatz basis
+_FRAME = tuple(FrameVector(row) for row in np.eye(3))
 
 
 def lie_derivative_metric(
@@ -87,7 +91,7 @@ class SolitonProblem:
         if conn is None:
             conn = levi_civita(L)
         if basis is None:
-            basis = tuple(FrameVector(np.eye(3)[a]) for a in range(3))
+            basis = _FRAME
         else:
             basis = tuple(
                 b if isinstance(b, FrameVector) else FrameVector(b) for b in basis
@@ -101,11 +105,16 @@ def assemble_system(problem: SolitonProblem):
 
     Columns of A are the upper-triangle Lie derivatives of the metric along
     each basis field followed by -vec(g); k = -vec(C) moves the Cotton term
-    to the right-hand side.  All basis fields go through one contraction.
+    to the right-hand side.  All basis fields go through one stacked
+    product whose rows are computed one field at a time, so a field's column
+    does not depend on which other fields are stacked with it: the columns
+    of a sub-basis are bitwise those of the full system.
     """
     L, conn = problem.algebra, problem.connection
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
-    B = np.einsum("na,iak->nik", V, conn.gamma) @ L.metric
+    # gamma_by_field[a, (i, k)] = gamma[i, a, k]
+    gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
+    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric
     lie = B + B.transpose(0, 2, 1)
     A = np.column_stack([lie[:, _ROWS, _COLS].T, -L.metric[_ROWS, _COLS]])
     k = -problem.cotton2.components[_ROWS, _COLS]
@@ -158,11 +167,29 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     rank and the null space.  A feasible problem is ``trivial_only`` when the
     minimum-norm potential vanishes and no null-space direction moves the
     potential; otherwise the sign of sigma picks steady, shrinking
-    (sigma > 0) or expanding (sigma < 0).
+    (sigma > 0) or expanding (sigma < 0).  ``soliton_existence_survey``
+    shares the solve below, so one problem gives the same solution on
+    either route.
     """
     A, k = assemble_system(problem)
+    return _solve(A, k, problem.basis, _cotton_scale(problem.cotton2), tol)
+
+
+def _cotton_scale(cotton2: SymBilinear) -> float:
+    """1 + |C|_F, the scale of every soliton verdict."""
+    comps = cotton2.components.ravel()
+    return 1.0 + math.sqrt(comps @ comps)
+
+
+def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
+    """Solve and classify the assembled system A z = k (see ``solve``).
+
+    Vector norms are taken as sqrt(r @ r), the computation of
+    ``np.linalg.norm`` for a vector.
+    """
     z, sv, Vt = _svd_lstsq(A, k)
-    residual = float(np.linalg.norm(A @ z - k))
+    r = A @ z - k
+    residual = math.sqrt(r @ r)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
     family = Vt[rank:]
     family_dim = family.shape[0]
@@ -170,12 +197,11 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     coeffs = z[:-1]
     sigma = float(z[-1])
     v_field = FrameVector(
-        sum(c * b.components for c, b in zip(coeffs, problem.basis))
+        sum(c * b.components for c, b in zip(coeffs, basis))
         if len(coeffs)
         else np.zeros(3)
     )
 
-    c_scale = 1.0 + float(np.linalg.norm(problem.cotton2.components))
     feasible = residual <= tol * c_scale
     if not feasible:
         kind = INFEASIBLE
@@ -183,7 +209,7 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
         v_moves = family_dim > 0 and bool(
             np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10)
         )
-        if float(np.linalg.norm(coeffs)) <= 1e-8 and not v_moves:
+        if math.sqrt(coeffs @ coeffs) <= 1e-8 and not v_moves:
             kind = TRIVIAL_ONLY
         elif abs(sigma) <= tol * c_scale:
             kind = STEADY
@@ -204,26 +230,34 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     )
 
 
+# columns of the (xi, e, phi_e) system, with sigma last, used by each ansatz
+_ANSATZ_COLUMNS = {
+    "collinear": [0, 3],
+    "orthogonal": [1, 2, 3],
+    "general": [0, 1, 2, 3],
+}
+
+
 def soliton_existence_survey(ak, tol: float = 1e-8):
     """Solve the standard ansatz spaces of an adapted structure.
 
     Runs the potential collinear with the Reeb field, orthogonal to it
     (span of e and phi_e), and the general three-dimensional span,
     returning a dict of ``SolitonSolution`` keyed by ansatz name.  The
-    Cotton tensor is evaluated once, from the structure's connection and
-    curvature.
+    Cotton tensor and its scale are evaluated once, from the structure's
+    connection and curvature, and the general system is assembled once:
+    the other two ansatz systems are its column subsets, bitwise equal to
+    assembling them on their own, so each solution is exactly that of
+    ``solve`` on the ansatz problem.
     """
     L, conn = ak.algebra, ak.connection
     cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
-    xi, e, phi_e = ak.adapted_frame
-    spaces = {
-        "collinear": (xi,),
-        "orthogonal": (e, phi_e),
-        "general": (xi, e, phi_e),
-    }
+    frame = ak.adapted_frame
+    A, k = assemble_system(SolitonProblem(L, conn, cotton2, frame))
+    c_scale = _cotton_scale(cotton2)
     return {
-        name: solve(SolitonProblem(L, conn, cotton2, basis), tol)
-        for name, basis in spaces.items()
+        name: _solve(A[:, cols], k, tuple(frame[i] for i in cols[:-1]), c_scale, tol)
+        for name, cols in _ANSATZ_COLUMNS.items()
     }
 
 
@@ -275,9 +309,8 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
         conn = levi_civita(L)
         pack = curvature(L, conn)
         cotton2 = cotton_pack(L, conn, pack).cotton2
-        frame = tuple(FrameVector(np.eye(3)[a]) for a in range(3))
 
-        coll = solve(SolitonProblem(L, conn, cotton2, frame[:1]), tol)
+        coll = solve(SolitonProblem(L, conn, cotton2, _FRAME[:1]), tol)
         coll_ok = coll.classification in (INFEASIBLE, TRIVIAL_ONLY)
         checks.append(
             TheoremCheck(
@@ -289,7 +322,7 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
             )
         )
 
-        orth = solve(SolitonProblem(L, conn, cotton2, frame[1:]), tol)
+        orth = solve(SolitonProblem(L, conn, cotton2, _FRAME[1:]), tol)
         at_one = abs(lam - 1.0) <= tol
         checks.append(
             TheoremCheck(

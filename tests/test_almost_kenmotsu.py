@@ -1,6 +1,7 @@
 """Detection and verification of the adapted contact-type structure."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     su2_round,
 )
 from cotton3 import (
+    AKStructure,
     InconsistentStructure,
     MetricLieAlgebra3,
     NoStructure,
@@ -32,6 +34,7 @@ from cotton3 import (
     xi_eigenvector_analysis,
 )
 from cotton3.almost_kenmotsu import (
+    _build_structure,
     _candidate_reebs,
     _dphi_residual,
     _fix_sign,
@@ -575,3 +578,87 @@ class TestCandidateList:
         conn, _, ak = detect(Lr)
         assert len(_candidate_reebs(conn)) == 2
         assert abs(abs(ak.b) - b) <= 1e-8
+
+
+class TestResidualReuse:
+    """A detected structure carries the residual dict it was accepted under;
+    ``structure_residuals`` hands out copies of it on the structure's own
+    layers and recomputes on any others."""
+
+    @staticmethod
+    def algebras(rng):
+        out = [random_kenmotsu(rng) for _ in range(8)]
+        out += [from_nonunimodular(*map(float, rng.uniform(-3.0, 3.0, 2))) for _ in range(8)]
+        out += [from_kenmotsu_params(1.0, b, b) for b in rng.uniform(0.3, 3.0, 4)]
+        out += [from_nonunimodular(1.0, 0.0), from_kenmotsu_params(1.0, 0.0, 0.0)]
+        return [rotate_algebra(L, random_rotation(rng)) for L in out]
+
+    def test_own_layers_equal_fresh_layers(self):
+        for L in self.algebras(np.random.default_rng(101)):
+            conn, pack, ak = detect(L)
+            fresh = levi_civita(L)
+            want = structure_residuals(L, fresh, curvature(L, fresh), ak)
+            got = structure_residuals(L, conn, pack, ak)
+            assert type(got) is dict
+            assert got == want
+            assert list(got) == list(want)
+            assert dict(ak.residuals) == want
+
+    def test_returned_dict_is_a_copy(self):
+        L = rotate_algebra(from_kenmotsu_params(1.0, 0.8, 0.8),
+                           random_rotation(np.random.default_rng(102)))
+        conn, pack, ak = detect(L)
+        first = structure_residuals(L, conn, pack, ak)
+        want = dict(first)
+        first["h_trace"] = 1.0
+        first["extra"] = 2.0
+        del first["d_phi"]
+        assert structure_residuals(L, conn, pack, ak) == want
+        assert structure_residuals(L, conn, pack, ak) is not structure_residuals(L, conn, pack, ak)
+        with pytest.raises(TypeError):
+            ak.residuals["h_trace"] = 1.0
+
+    def test_other_layers_are_evaluated(self):
+        rng = np.random.default_rng(103)
+        L = rotate_algebra(from_kenmotsu_params(2.0, 0.0, 0.0), random_rotation(rng))
+        _, _, ak = detect(L)
+        # the same structure read against another algebra's layers
+        L2 = rotate_algebra(from_nonunimodular(0.5, 1.0), random_rotation(rng))
+        conn2 = levi_civita(L2)
+        other = structure_residuals(L2, conn2, curvature(L2, conn2), ak)
+        assert max(other.values()) > 1e-3
+        assert max(ak.residuals.values()) <= 1e-10
+
+    def test_hand_built_structure_recomputes(self):
+        L = rotate_algebra(from_nonunimodular(1.5, -0.7),
+                           random_rotation(np.random.default_rng(104)))
+        conn, pack, ak = detect(L)
+        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)
+                              if f.name != "residuals"})
+        assert bare.residuals is None
+        assert structure_residuals(L, conn, pack, bare) == dict(ak.residuals)
+
+    def test_accepts_first_admissible_candidate(self):
+        # detection still accepts the first candidate, in candidate order,
+        # whose residuals on freshly computed layers are within tolerance
+        for L in self.algebras(np.random.default_rng(105)):
+            conn, pack, ak = detect(L)
+            fresh = levi_civita(L)
+            fresh_pack = curvature(L, fresh)
+            scale = 1.0 + float(np.linalg.norm(fresh.gamma))
+            for u in _candidate_reebs(fresh):
+                cand = _build_structure(L, fresh, fresh_pack, u, 1e-8)
+                res = structure_residuals(L, fresh, fresh_pack, cand)
+                if max(res.values()) <= 1e-8 * scale:
+                    break
+            else:
+                pytest.fail("no admissible candidate on fresh layers")
+            assert np.array_equal(ak.xi.components, u)
+            assert dict(ak.residuals) == res
+
+    def test_single_candidate_list(self):
+        # a (lam, 0, 0) algebra has one Reeb candidate, returned unsorted
+        conn = levi_civita(from_kenmotsu_params(2.0, 0.0, 0.0))
+        cands = _candidate_reebs(conn)
+        assert len(cands) == 1
+        assert np.array_equal(cands[0], reference_candidates(conn)[0])

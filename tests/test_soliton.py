@@ -380,3 +380,96 @@ class TestReferenceEquivalence:
             assert_close(sol.residual, ref["residual"], 1e-10)
             kinds.add(sol.classification)
         assert {"infeasible", "trivial_only", "steady"} <= kinds
+
+
+# --------------------------------------------------------------------------
+# Reference survey: each ansatz assembled on its own with one einsum over
+# its basis fields, as before the survey shared one assembled system, and
+# solved with lstsq then svd.
+
+
+def reference_assemble(L, conn, cotton2, basis):
+    V = np.array([b.components for b in basis]).reshape(-1, 3)
+    B = np.einsum("na,iak->nik", V, conn.gamma) @ L.metric
+    lie = B + B.transpose(0, 2, 1)
+    A = np.column_stack([np.array([vec_upper(M) for M in lie]).T, -vec_upper(L.metric)])
+    return A, -vec_upper(cotton2.components)
+
+
+def reference_survey(ak, tol=1e-8):
+    L, conn = ak.algebra, ak.connection
+    cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
+    c_scale = 1.0 + float(np.linalg.norm(cotton2.components))
+    xi, e, phi_e = ak.adapted_frame
+    out = {}
+    for name, basis in (("collinear", (xi,)), ("orthogonal", (e, phi_e)),
+                        ("general", (xi, e, phi_e))):
+        A, k = reference_assemble(L, conn, cotton2, basis)
+        z, *_ = np.linalg.lstsq(A, k, rcond=None)
+        _, sv, Vt = np.linalg.svd(A)
+        rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+        family = Vt[rank:]
+        coeffs, sigma = z[:-1], float(z[-1])
+        residual = float(np.linalg.norm(A @ z - k))
+        feasible = residual <= tol * c_scale
+        if not feasible:
+            kind = "infeasible"
+        elif float(np.linalg.norm(coeffs)) <= 1e-8 and not (
+            np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10)
+        ):
+            kind = "trivial_only"
+        elif abs(sigma) <= tol * c_scale:
+            kind = "steady"
+        else:
+            kind = "shrinking" if sigma > 0 else "expanding"
+        out[name] = {"coefficients": coeffs, "sigma": sigma, "residual": residual,
+                     "rank": rank, "family": family, "feasible": feasible,
+                     "classification": kind}
+    return out
+
+
+class TestSurveyReference:
+    def test_matches_per_ansatz_einsum_assembly(self):
+        rng = np.random.default_rng(111)
+        algebras = []
+        for _ in range(20):
+            algebras.append(random_kenmotsu(rng))
+            algebras.append(from_nonunimodular(*rng.uniform(-3.0, 3.0, size=2)))
+        algebras += [from_kenmotsu_params(1.0, b, b) for b in rng.uniform(-3.0, 3.0, 6)]
+        algebras += [from_kenmotsu_params(1.0, 0.0, 0.0), from_nonunimodular(1.0, 0.0),
+                     from_nonunimodular(2.0, 0.0)]
+        kinds = set()
+        for L in algebras:
+            _, _, ak = detect(rotate_algebra(L, random_rotation(rng)))
+            survey = soliton_existence_survey(ak)
+            ref = reference_survey(ak)
+            assert list(survey) == list(ref)
+            for name, sol in survey.items():
+                want = ref[name]
+                assert sol.classification == want["classification"]
+                assert sol.feasible == want["feasible"]
+                assert sol.rank == want["rank"]
+                assert sol.family_dim == want["family"].shape[0]
+                assert_close(sol.coefficients, want["coefficients"], 1e-12)
+                assert_close(sol.sigma, want["sigma"], 1e-12)
+                assert_close(sol.residual, want["residual"], 1e-12)
+                # the null-space basis is fixed only up to sign or rotation
+                F, G = sol.family_basis, want["family"]
+                assert np.max(np.abs(F.T @ F - G.T @ G), initial=0.0) <= 1e-12
+                kinds.add((name, sol.classification))
+        assert {("collinear", "infeasible"), ("collinear", "trivial_only"),
+                ("orthogonal", "infeasible"), ("orthogonal", "steady")} <= kinds
+
+    def test_tolerance_scaled_by_cotton_norm(self):
+        # feasibility flips where the residual crosses tol * (1 + |C|_F)
+        L = rotate_algebra(from_kenmotsu_params(2.0, 0.0, 0.0),
+                           random_rotation(np.random.default_rng(112)))
+        _, _, ak = detect(L)
+        cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
+        c_scale = 1.0 + float(np.linalg.norm(cotton2.components))
+        assert c_scale > 2.0
+        for name, sol in soliton_existence_survey(ak).items():
+            assert not sol.feasible
+            edge = sol.residual / c_scale
+            assert soliton_existence_survey(ak, tol=edge * (1 + 1e-9))[name].feasible
+            assert not soliton_existence_survey(ak, tol=edge * (1 - 1e-9))[name].feasible
