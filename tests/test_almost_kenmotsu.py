@@ -655,10 +655,3 @@ class TestResidualReuse:
                 pytest.fail("no admissible candidate on fresh layers")
             assert np.array_equal(ak.xi.components, u)
             assert dict(ak.residuals) == res
-
-    def test_single_candidate_list(self):
-        # a (lam, 0, 0) algebra has one Reeb candidate, returned unsorted
-        conn = levi_civita(from_kenmotsu_params(2.0, 0.0, 0.0))
-        cands = _candidate_reebs(conn)
-        assert len(cands) == 1
-        assert np.array_equal(cands[0], reference_candidates(conn)[0])
