@@ -39,7 +39,7 @@ and the first that passes is accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -68,8 +68,10 @@ class AKStructure:
     ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
     the layers of ``algebra`` the structure was verified against, and
     ``residuals`` is the read-only residual dict that ``detect_structure``
-    accepted it under (``None`` on a structure built by hand);
-    ``structure_residuals`` hands out copies of it instead of recomputing.
+    accepted it under; ``structure_residuals`` hands out copies of it
+    instead of recomputing.  Only detection sets it: it is not a
+    constructor argument, so a structure built by hand or derived with
+    ``dataclasses.replace`` has ``None`` and is evaluated afresh.
     """
 
     algebra: MetricLieAlgebra3
@@ -85,7 +87,7 @@ class AKStructure:
     kenmotsu: bool
     connection: ConnectionTable
     curvature: CurvaturePack
-    residuals: MappingProxyType | None = None
+    residuals: MappingProxyType | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):

@@ -634,9 +634,24 @@ class TestResidualReuse:
                            random_rotation(np.random.default_rng(104)))
         conn, pack, ak = detect(L)
         bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)
-                              if f.name != "residuals"})
+                              if f.init})
         assert bare.residuals is None
         assert structure_residuals(L, conn, pack, bare) == dict(ak.residuals)
+        with pytest.raises(TypeError):
+            AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
+
+    def test_replaced_structure_recomputes(self):
+        # a structure derived from a detected one does not inherit its
+        # residuals, even on the same layers
+        import dataclasses
+
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        conn, pack, ak = detect(L)
+        bad = dataclasses.replace(ak, b=1.0, c=1.0)
+        assert bad.residuals is None
+        assert structure_residuals(L, conn, pack, bad)["adapted_connection"] > 0.1
+        with pytest.raises(ValueError):
+            dataclasses.replace(ak, residuals=None)
 
     def test_accepts_first_admissible_candidate(self):
         # detection still accepts the first candidate, in candidate order,
