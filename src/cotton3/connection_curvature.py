@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import SingularMetric
 from .frame_algebra import DEFAULT_TOL, FrameVector, MetricLieAlgebra3, SymBilinear, Tensor3
+from .frame_algebra import _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +147,8 @@ def curvature(
 ) -> CurvaturePack:
     """Riemann tensor, Ricci form and operator, scalar curvature."""
     riemann = _riemann(L.structure_constants, conn.gamma)
-    ricci = SymBilinear(_ricci(L.structure_constants, conn.gamma))
-    q = np.linalg.solve(L.metric, ricci.components)
+    ricci = _ricci(L.structure_constants, conn.gamma)
+    q = np.linalg.solve(L.metric, ricci)
     scalar = float(np.trace(q))
     jac = None
     if reeb is not None:
@@ -155,7 +156,7 @@ def curvature(
             reeb, dtype=float
         )
         jac = np.einsum("ijkl,j,k->li", riemann, x, x)
-    return CurvaturePack(riemann, ricci, q, scalar, L.metric, jac)
+    return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric, jac)
 
 
 def cov_deriv_sym2(
@@ -184,8 +185,7 @@ def ricci_parallel_check(
     tol: float = DEFAULT_TOL,
 ) -> ParallelCheck:
     """Whether nabla S vanishes, with the largest component as witness."""
-    d = cov_deriv_sym2(L, conn, pack.ricci)
-    mx = float(np.max(np.abs(d.components)))
+    mx = float(np.abs(_cov_deriv(conn.gamma, pack.ricci.components)).max())
     return ParallelCheck(mx <= tol, mx)
 
 

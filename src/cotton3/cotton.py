@@ -21,6 +21,7 @@ free, and scales as t^(-1/2) C under g -> t g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
 from .connection_curvature import _IDX, _cov_deriv, _koszul, _require_invertible, _ricci
 from .errors import DegenerateMetric, SingularMetric
-from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3
+from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3, _wrap
 
 # flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
 _DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
@@ -111,10 +112,20 @@ def cotton_pack(
     conn: ConnectionTable | None = None,
     pack: CurvaturePack | None = None,
 ) -> CottonPack:
-    """Compute the (0,3) tensor, its (0,2) dual, and the Frobenius norm."""
-    c3 = cotton3_oracle(L, conn, pack)
-    c2 = cotton2_from_cotton3(L, c3)
-    return CottonPack(c3, c2, float(np.linalg.norm(c2.components)))
+    """Compute the (0,3) tensor, its (0,2) dual, and the Frobenius norm.
+
+    The chain of ``cotton3_oracle`` then ``cotton2_from_cotton3``, on the
+    arrays: each tensor is wrapped once, and the norm is sqrt(x @ x) over
+    the raveled (0,2) form, the computation of ``np.linalg.norm``.
+    """
+    if conn is None:
+        conn = levi_civita(L)
+    if pack is None:
+        pack = curvature(L, conn)
+    c3 = _cotton3(conn.gamma, pack.ricci.components)
+    c2 = _cotton2(c3, L.metric, float(np.linalg.det(L.metric)))
+    x = c2.ravel()
+    return CottonPack(_wrap(Tensor3, c3), _wrap(SymBilinear, c2), math.sqrt(x @ x))
 
 
 def cotton2_closed_form(ak) -> SymBilinear:

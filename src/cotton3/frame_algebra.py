@@ -26,6 +26,8 @@ from .errors import JacobiViolation
 # Default absolute tolerance for scalar/component comparisons.
 DEFAULT_TOL = 1e-9
 
+_EPS = np.finfo(float).eps
+
 
 def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
     """Minimum-norm least-squares solution of A z = rhs from one SVD.
@@ -35,7 +37,7 @@ def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
     the caller can read rank and null space off the same decomposition.
     """
     U, s, Vt = np.linalg.svd(A)
-    keep = s > np.finfo(float).eps * max(A.shape) * s[0]
+    keep = s > _EPS * max(A.shape) * s[0]
     z = ((rhs @ U[:, : s.size])[keep] / s[keep]) @ Vt[: s.size][keep]
     return z, s, Vt
 
@@ -46,6 +48,19 @@ def _frozen(a, shape) -> np.ndarray:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _wrap(cls, arr: np.ndarray):
+    """``arr`` itself, frozen, as a ``FrameVector``, ``SymBilinear`` or
+    ``Tensor3``, for an array the engine has just built and holds no other
+    reference to.  It must already have the type's shape and, for
+    ``SymBilinear``, be exactly symmetric: the constructor's copy and
+    re-symmetrization are skipped, not repeated.
+    """
+    arr.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "components", arr)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,15 +165,21 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
     The Jacobi tolerance defaults to ``1e-12 * (1 + max|c|)**3``, which
-    covers the float error of the cyclic double contraction.  Inputs the
-    checks cannot evaluate are reported alone: non-finite entries, and
-    constants whose cube overflows (below that bound every product in the
-    Jacobi residual is finite).
+    covers the float error of the cyclic double contraction.  An explicit
+    ``tol`` must be finite and non-negative (``ValueError`` otherwise: every
+    comparison with nan is false, so a nan tolerance would pass anything).
+    Inputs the checks cannot evaluate are reported alone: non-finite
+    entries, and constants whose cube overflows (below that bound every
+    product in the Jacobi residual is finite).  Each rule is one comparison
+    over its whole array; only a rule that fails walks its entries to
+    report each violation.
     """
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     c = L.structure_constants
     g = L.metric
-    scale = 1.0 + float(np.max(np.abs(c)))
-    gscale = 1.0 + float(np.max(np.abs(g)))
+    scale = 1.0 + float(np.abs(c).max())
+    gscale = 1.0 + float(np.abs(g).max())
     if not (math.isfinite(scale) and math.isfinite(gscale)):
         return ValidityReport(tuple(
             Violation("non_finite", (name, *map(int, idx)), float(arr[tuple(idx)]))
@@ -175,28 +196,29 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
         anti_tol = jac_tol = tol
     violations = []
 
-    anti = c + np.transpose(c, (1, 0, 2))
-    for i in range(3):
-        for j in range(i, 3):
-            for k in range(3):
-                mag = abs(anti[i, j, k])
-                if mag > anti_tol:
-                    violations.append(Violation("antisymmetry", (i, j, k), mag))
+    anti = np.abs(c + c.transpose(1, 0, 2))
+    if anti.max() > anti_tol:
+        # anti is symmetric in its first two slots: report each pair once
+        for i in range(3):
+            for j in range(i, 3):
+                for k in range(3):
+                    mag = anti[i, j, k]
+                    if mag > anti_tol:
+                        violations.append(Violation("antisymmetry", (i, j, k), mag))
 
-    jac = jacobi_residual(c)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(j + 1, 3):
-                mag = float(np.max(np.abs(jac[i, j, k])))
-                if mag > jac_tol:
-                    violations.append(Violation("jacobi", (i, j, k), mag))
+    # in dimension three (0, 1, 2) is the only triple of distinct indices
+    mag = float(np.abs(jacobi_residual(c)[0, 1, 2]).max())
+    if mag > jac_tol:
+        violations.append(Violation("jacobi", (0, 1, 2), mag))
 
     gsym_tol = 1e-12 * gscale
-    for i in range(3):
-        for j in range(i + 1, 3):
-            mag = abs(g[i, j] - g[j, i])
-            if mag > gsym_tol:
-                violations.append(Violation("metric_asymmetric", (i, j), mag))
+    gasym = np.abs(g - g.T)
+    if gasym.max() > gsym_tol:
+        for i in range(3):
+            for j in range(i + 1, 3):
+                mag = gasym[i, j]
+                if mag > gsym_tol:
+                    violations.append(Violation("metric_asymmetric", (i, j), mag))
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     if eigs[0] <= gsym_tol:
         violations.append(Violation("metric_not_positive", (), float(eigs[0])))

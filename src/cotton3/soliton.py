@@ -40,6 +40,7 @@ from .frame_algebra import (
     MetricLieAlgebra3,
     SymBilinear,
     _svd_lstsq,
+    _wrap,
     from_kenmotsu_params,
 )
 
@@ -52,7 +53,10 @@ SHRINKING = "shrinking"
 EXPANDING = "expanding"
 
 
-_ROWS, _COLS = np.array(UPPER).T
+# flat (row-major) indices of the UPPER entries of a 3x3 array and of
+# their mirror images below the diagonal
+_UPPER_FLAT = np.array([3 * i + j for i, j in UPPER])
+_LOWER_FLAT = np.array([3 * j + i for i, j in UPPER])
 
 # the standard frame (e1, e2, e3), the default ansatz basis
 _FRAME = tuple(FrameVector(row) for row in np.eye(3))
@@ -112,12 +116,15 @@ def assemble_system(problem: SolitonProblem):
     """
     L, conn = problem.algebra, problem.connection
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
+    n = V.shape[0]
     # gamma_by_field[a, (i, k)] = gamma[i, a, k]
     gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
-    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric
-    lie = B + B.transpose(0, 2, 1)
-    A = np.column_stack([lie[:, _ROWS, _COLS].T, -L.metric[_ROWS, _COLS]])
-    k = -problem.cotton2.components[_ROWS, _COLS]
+    B = ((V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric).reshape(n, 9)
+    A = np.empty((6, n + 1))
+    # the upper triangle of B + B^T, one column per field
+    A[:, :n] = (B[:, _UPPER_FLAT] + B[:, _LOWER_FLAT]).T
+    A[:, n] = -L.metric.reshape(9)[_UPPER_FLAT]
+    k = -problem.cotton2.components.reshape(9)[_UPPER_FLAT]
     return A, k
 
 
@@ -190,17 +197,19 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     z, sv, Vt = _svd_lstsq(A, k)
     r = A @ z - k
     residual = math.sqrt(r @ r)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+    sv = sv.tolist()
+    cut = 1e-10 * max(sv[0], 1e-300)
+    rank = sum(s > cut for s in sv)
     family = Vt[rank:]
     family_dim = family.shape[0]
 
     coeffs = z[:-1]
     sigma = float(z[-1])
-    v_field = FrameVector(
-        sum(c * b.components for c, b in zip(coeffs, basis))
+    v_field = _wrap(FrameVector, (
+        sum(c * b.components for c, b in zip(coeffs.tolist(), basis))
         if len(coeffs)
         else np.zeros(3)
-    )
+    ))
 
     feasible = residual <= tol * c_scale
     if not feasible:

@@ -8,8 +8,10 @@ from conftest import (
     heisenberg,
     hyperbolic,
     milnor,
+    random_rotation,
     random_spd,
     random_valid_algebra,
+    rotate_algebra,
     su2_round,
 )
 from cotton3 import (
@@ -19,6 +21,7 @@ from cotton3 import (
     FrameVector,
     MetricLieAlgebra3,
     SingularMetric,
+    SymBilinear,
     adapted_connection_table,
     classify_geometry,
     cov_deriv_sym2,
@@ -280,3 +283,44 @@ class TestConstantMaps:
             for gamma in (_gamma(c, random_spd(rng)), rng.normal(size=(3, 3, 3))):
                 s = np.einsum("ijki->jk", _riemann(c, gamma))
                 assert within_rounding(_ricci(c, gamma), 0.5 * (s + s.T))
+
+
+# --------------------------------------------------------------------------
+# Results as they were composed through the public value types, before
+# curvature and ricci_parallel_check used the array helpers directly:
+# equal bit for bit.
+
+
+class TestPublicComposition:
+    def cases(self, rng):
+        for _ in range(60):
+            yield random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+        # Ricci-parallel members, so the verdict is true as well as false
+        for L in (su2_round(), hyperbolic(), from_kenmotsu_params(1.0, 0.0, 0.0)):
+            yield rotate_algebra(L, random_rotation(rng))
+
+    def test_ricci_form_equals_constructor_route(self):
+        for L in self.cases(np.random.default_rng(63)):
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            ricci = SymBilinear(_ricci(L.structure_constants, conn.gamma)).components
+            assert np.array_equal(pack.ricci.components, ricci)
+            assert not pack.ricci.components.flags.writeable
+            q = np.linalg.solve(L.metric, ricci)
+            assert np.array_equal(pack.ricci_operator, q)
+            assert pack.scalar == float(np.trace(q))
+
+    def test_parallel_check_equals_cov_deriv_route(self):
+        default_verdicts = set()
+        for L in self.cases(np.random.default_rng(64)):
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            mx = float(np.max(np.abs(cov_deriv_sym2(L, conn, pack.ricci).components)))
+            check = ricci_parallel_check(L, conn, pack)
+            assert check.max_component == mx
+            assert check.is_parallel == (mx <= 1e-9)
+            default_verdicts.add(check.is_parallel)
+            # either side of the edge
+            assert ricci_parallel_check(L, conn, pack, mx).is_parallel
+            assert not ricci_parallel_check(L, conn, pack, np.nextafter(mx, 0.0)).is_parallel
+        assert default_verdicts == {True, False}

@@ -372,3 +372,30 @@ class TestReferenceEquivalence:
                 assert_matches_reference(st.cotton_norm, norm)
             outcomes.add(degenerate)
         assert outcomes == {False, True}
+
+
+# --------------------------------------------------------------------------
+# cotton_pack as it was composed from the public layers, before it called
+# the array helpers directly and wrapped each tensor once: equal bit for bit.
+
+
+def composed_pack(L, conn, pack):
+    c3 = cotton3_oracle(L, conn, pack)
+    c2 = cotton2_from_cotton3(L, c3)
+    return c3.components, c2.components, float(np.linalg.norm(c2.components))
+
+
+class TestPackComposition:
+    def test_pack_equals_public_composition_bitwise(self):
+        rng = np.random.default_rng(49)
+        for _ in range(60):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            c3, c2, norm2 = composed_pack(L, conn, pack)
+            for cp in (cotton_pack(L, conn, pack), cotton_pack(L)):
+                assert np.array_equal(cp.cotton3.components, c3)
+                assert np.array_equal(cp.cotton2.components, c2)
+                assert cp.norm2 == norm2
+                assert not cp.cotton3.components.flags.writeable
+                assert not cp.cotton2.components.flags.writeable

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import abelian, milnor, random_spd
+from conftest import abelian, milnor, random_spd, random_valid_algebra
 from cotton3 import (
     DEFAULT_TOL,
     FrameVector,
@@ -170,6 +170,93 @@ class TestValidate:
         c[1, 0, 2] = 0.0  # antisymmetry broken at the 1e-6 level
         assert not validate(MetricLieAlgebra3(c)).is_valid
         assert validate(MetricLieAlgebra3(c), tol=1e-3).is_valid
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+    def test_rejects_tolerance_not_finite_or_negative(self, tol):
+        # [e_0, e_1] = e_2 with no antisymmetric partner: a nan tolerance
+        # compares false with every magnitude and would report it valid
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = 1.0
+        with pytest.raises(ValueError, match="tolerance"):
+            validate(MetricLieAlgebra3(c), tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        # the Milnor residual and antisymmetry cancel exactly
+        assert validate(milnor(1.0, -1.0, 2.0), tol=0.0).is_valid
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = 1.0
+        rep = validate(MetricLieAlgebra3(c), tol=0.0)
+        assert [(v.kind, v.indices) for v in rep.violations] == [
+            ("antisymmetry", (0, 1, 2)),
+        ]
+
+
+def reference_violations(L, tol=None):
+    """validate's finite-input rules as loops over every index, the form
+    they had before each rule became one whole-array comparison."""
+    c, g = L.structure_constants, L.metric
+    scale = 1.0 + float(np.max(np.abs(c)))
+    gscale = 1.0 + float(np.max(np.abs(g)))
+    cube = scale * scale * scale
+    anti_tol, jac_tol = (1e-12 * scale, 1e-12 * cube) if tol is None else (tol, tol)
+    out = []
+    anti = c + np.transpose(c, (1, 0, 2))
+    for i in range(3):
+        for j in range(i, 3):
+            for k in range(3):
+                mag = abs(anti[i, j, k])
+                if mag > anti_tol:
+                    out.append(("antisymmetry", (i, j, k), mag))
+    jac = jacobi_residual(c)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for k in range(j + 1, 3):
+                mag = float(np.max(np.abs(jac[i, j, k])))
+                if mag > jac_tol:
+                    out.append(("jacobi", (i, j, k), mag))
+    gsym_tol = 1e-12 * gscale
+    for i in range(3):
+        for j in range(i + 1, 3):
+            mag = abs(g[i, j] - g[j, i])
+            if mag > gsym_tol:
+                out.append(("metric_asymmetric", (i, j), mag))
+    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+    if eigs[0] <= gsym_tol:
+        out.append(("metric_not_positive", (), float(eigs[0])))
+    return out
+
+
+class TestValidateReference:
+    def test_violations_match_loop_form(self):
+        # several rules broken at several indices at once, entries just
+        # above and below each tolerance, and valid algebras
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(40):
+            cases.append(MetricLieAlgebra3(rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3))))
+            L = random_valid_algebra(rng, rotated=True, with_metric=True)
+            c = L.structure_constants.copy()
+            g = L.metric.copy()
+            scale = 1.0 + np.max(np.abs(c))
+            for _ in range(rng.integers(1, 5)):
+                c[tuple(rng.integers(3, size=3))] += rng.choice([1e-3, 3e-12, 0.3e-12]) * scale
+            for _ in range(rng.integers(0, 3)):
+                i, j = rng.choice(3, size=2, replace=False)
+                g[i, j] += rng.choice([1e-6, 0.5e-12])
+            if rng.random() < 0.3:
+                g = g - (np.linalg.eigvalsh(0.5 * (g + g.T))[0] + 0.1) * np.eye(3)
+            cases.append(MetricLieAlgebra3(c, g))
+            cases.append(L)
+        kinds = set()
+        for L in cases:
+            for tol in (None, 1e-3, 0.0):
+                got = [(v.kind, v.indices, v.magnitude) for v in validate(L, tol).violations]
+                want = reference_violations(L, tol)
+                assert got == want
+                assert [type(m) for *_, m in got] == [type(m) for *_, m in want]
+                kinds.update(kind for kind, *_ in got)
+        assert kinds == {"antisymmetry", "jacobi", "metric_asymmetric", "metric_not_positive"}
+        assert max(len(reference_violations(L)) for L in cases) > 10
 
 
 class TestBracket:

@@ -26,6 +26,7 @@ from cotton3 import (
     reproduce_theorems,
     soliton_existence_survey,
 )
+from cotton3.frame_algebra import _svd_lstsq
 from cotton3.soliton import (
     SolitonProblem,
     assemble_system,
@@ -473,3 +474,66 @@ class TestSurveyReference:
             edge = sol.residual / c_scale
             assert soliton_existence_survey(ak, tol=edge * (1 + 1e-9))[name].feasible
             assert not soliton_existence_survey(ak, tol=edge * (1 - 1e-9))[name].feasible
+
+
+# --------------------------------------------------------------------------
+# The assembly and solve as written before the system was filled in place
+# through one flat index: column_stack over 2-D fancy indexing, the rank as
+# np.sum over the singular values, the potential summed over the numpy
+# coefficients.  Equal bit for bit.
+
+
+def column_stack_solve(problem):
+    L, conn = problem.algebra, problem.connection
+    rows, cols = np.array(UPPER).T
+    V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
+    gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
+    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric
+    lie = B + B.transpose(0, 2, 1)
+    A = np.column_stack([lie[:, rows, cols].T, -L.metric[rows, cols]])
+    k = -problem.cotton2.components[rows, cols]
+    z, sv, Vt = _svd_lstsq(A, k)
+    r = A @ z - k
+    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+    coeffs = z[:-1]
+    v = (sum(c * b.components for c, b in zip(coeffs, problem.basis))
+         if len(coeffs) else np.zeros(3))
+    return {"A": A, "k": k, "coefficients": coeffs, "sigma": float(z[-1]),
+            "residual": math.sqrt(r @ r), "rank": rank, "family": Vt[rank:], "v": v}
+
+
+class TestColumnStackReference:
+    def test_solve_equals_column_stack_form_bitwise(self):
+        rng = np.random.default_rng(121)
+        problems = []
+        for _ in range(30):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            problems.append(SolitonProblem.build(L, conn=conn, pack=pack))
+            for m in (1, 2, 4):
+                basis = list(rng.normal(size=(m, 3)))
+                problems.append(SolitonProblem.build(L, basis=basis, conn=conn, pack=pack))
+            _, _, ak = detect(rotate_algebra(random_kenmotsu(rng), random_rotation(rng)))
+            cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
+            frame = ak.adapted_frame
+            for basis in (frame[:1], frame[1:], frame):
+                problems.append(SolitonProblem(ak.algebra, ak.connection, cotton2, basis))
+        kinds = set()
+        for problem in problems:
+            ref = column_stack_solve(problem)
+            A, k = assemble_system(problem)
+            assert np.array_equal(A, ref["A"]) and A.flags.c_contiguous
+            assert np.array_equal(k, ref["k"])
+            sol = solve(problem)
+            assert np.array_equal(sol.coefficients, ref["coefficients"])
+            assert sol.sigma == ref["sigma"]
+            assert sol.residual == ref["residual"]
+            assert sol.rank == ref["rank"] and type(sol.rank) is int
+            assert np.array_equal(sol.family_basis, ref["family"])
+            assert sol.family_dim == ref["family"].shape[0]
+            assert np.array_equal(sol.v.components, ref["v"])
+            for arr in (sol.v.components, sol.coefficients, sol.family_basis):
+                assert not arr.flags.writeable
+            kinds.add(sol.classification)
+        assert {"infeasible", "trivial_only", "steady"} <= kinds
