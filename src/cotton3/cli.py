@@ -797,13 +797,7 @@ def main(argv=None) -> int:
         # numpy overflow shows as a non-finite result, which _emit rejects
         with np.errstate(all="ignore"):
             return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Cotton3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CLIError, Cotton3Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMetric
-from .frame_algebra import DEFAULT_TOL, FrameVector, MetricLieAlgebra3, SymBilinear, Tensor3
+from .frame_algebra import DEFAULT_TOL, FrameVector, MetricLieAlgebra3, SymBilinear
 from .frame_algebra import _wrap
 
 
@@ -45,16 +45,6 @@ class ConnectionTable:
             raise ValueError(f"expected shape (3, 3, 3), got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
-
-    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Covariant derivative nabla_X Y of frame-constant fields."""
-        return FrameVector(
-            np.einsum("i,j,ijk->k", x.components, y.components, self.gamma)
-        )
-
-    def operator_along(self, x: FrameVector) -> np.ndarray:
-        """Matrix N with N @ v = components of nabla_X (sum_j v_j e_j)."""
-        return np.einsum("i,ijk->kj", x.components, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,19 +149,6 @@ def curvature(
     return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric, jac)
 
 
-def cov_deriv_sym2(
-    L: MetricLieAlgebra3, conn: ConnectionTable, T
-) -> Tensor3:
-    """Covariant derivative (nabla_{e_i} T)(e_j, e_k) of an invariant form.
-
-    ``T`` is a ``SymBilinear`` or a symmetric (3, 3) component array.  For
-    frame-constant components the scalar derivative term drops and only
-    the two connection contractions remain.
-    """
-    t = T.components if isinstance(T, SymBilinear) else np.asarray(T, dtype=float)
-    return Tensor3(_cov_deriv(conn.gamma, t))
-
-
 @dataclass(frozen=True)
 class ParallelCheck:
     is_parallel: bool
@@ -189,7 +166,7 @@ def ricci_parallel_check(
     return ParallelCheck(mx <= tol, mx)
 
 
-def sym3_eigenvalues(M: np.ndarray) -> np.ndarray:
+def _sym3_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Closed-form eigenvalues of a symmetric 3x3 matrix, ascending.
 
     Trigonometric solution of the characteristic cubic; no iterative
@@ -222,7 +199,7 @@ def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
     Lc = np.linalg.cholesky(pack.metric)
     Y = np.linalg.solve(Lc, pack.ricci.components)
     W = np.linalg.solve(Lc, Y.T).T
-    return sym3_eigenvalues(0.5 * (W + W.T))
+    return _sym3_eigenvalues(0.5 * (W + W.T))
 
 
 @dataclass(frozen=True)

@@ -76,28 +76,6 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _cotton2(c3, g, w0 * w1 * w2)
 
 
-def cotton3_oracle(
-    L: MetricLieAlgebra3,
-    conn: ConnectionTable | None = None,
-    pack: CurvaturePack | None = None,
-) -> Tensor3:
-    """(0,3) Cotton tensor straight from the covariant Ricci derivative."""
-    if conn is None:
-        conn = levi_civita(L)
-    if pack is None:
-        pack = curvature(L, conn)
-    return Tensor3(_cotton3(conn.gamma, pack.ricci.components))
-
-
-def cotton2_from_cotton3(L: MetricLieAlgebra3, c3: Tensor3) -> SymBilinear:
-    """Dualize the (0,3) Cotton tensor over its skew pair of slots.
-
-    A plain array ``c3`` must have shape (3, 3, 3); ``ValueError`` otherwise.
-    """
-    comps = (c3 if isinstance(c3, Tensor3) else Tensor3(c3)).components
-    return SymBilinear(_cotton2(comps, L.metric, float(np.linalg.det(L.metric))))
-
-
 @dataclass(frozen=True, eq=False)
 class CottonPack:
     """Both Cotton tensors of one algebra, plus the size of the (0,2) form."""
@@ -114,9 +92,11 @@ def cotton_pack(
 ) -> CottonPack:
     """Compute the (0,3) tensor, its (0,2) dual, and the Frobenius norm.
 
-    The chain of ``cotton3_oracle`` then ``cotton2_from_cotton3``, on the
-    arrays: each tensor is wrapped once, and the norm is sqrt(x @ x) over
-    the raveled (0,2) form, the computation of ``np.linalg.norm``.
+    The chain of ``_cotton3``, the skew part of the covariant Ricci
+    derivative, then ``_cotton2``, its dual over the skew pair of slots
+    with det g from ``np.linalg.det``: each tensor is wrapped once, and the
+    norm is sqrt(x @ x) over the raveled (0,2) form, the computation of
+    ``np.linalg.norm``.
     """
     if conn is None:
         conn = levi_civita(L)

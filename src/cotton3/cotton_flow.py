@@ -113,12 +113,6 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
     return out
 
 
-def flow_step(L: MetricLieAlgebra3, state: FlowState, dt: float) -> FlowState:
-    """One classical Runge-Kutta step of dg/dt = C(g); ``state`` must carry
-    the Cotton tensor of its own metric, as ``make_state`` arranges."""
-    return make_state(L, state.time + dt, _rk4(L, state, dt))
-
-
 def flow_run(
     L: MetricLieAlgebra3,
     dt: float,

@@ -83,7 +83,8 @@ class SymBilinear:
         arr = np.array(self.components, dtype=float)
         if arr.shape != (3, 3):
             raise ValueError(f"expected shape (3, 3), got {arr.shape}")
-        arr = 0.5 * (arr + arr.T)
+        # halving before the sum keeps every finite input finite
+        arr = 0.5 * arr + 0.5 * arr.T
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
@@ -99,13 +100,6 @@ class Tensor3:
 
     def __post_init__(self):
         object.__setattr__(self, "components", _frozen(self.components, (3, 3, 3)))
-
-    def evaluate(self, x: FrameVector, y: FrameVector, z: FrameVector) -> float:
-        return float(
-            np.einsum(
-                "ijk,i,j,k->", self.components, x.components, y.components, z.components
-            )
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +144,7 @@ class ValidityReport:
         return max((v.magnitude for v in self.violations), default=0.0)
 
 
-def jacobi_residual(structure_constants: np.ndarray) -> np.ndarray:
+def _jacobi_residual(structure_constants: np.ndarray) -> np.ndarray:
     """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Returns the rank-4 array of its components; it vanishes identically
@@ -207,7 +201,7 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
                         violations.append(Violation("antisymmetry", (i, j, k), mag))
 
     # in dimension three (0, 1, 2) is the only triple of distinct indices
-    mag = float(np.abs(jacobi_residual(c)[0, 1, 2]).max())
+    mag = float(np.abs(_jacobi_residual(c)[0, 1, 2]).max())
     if mag > jac_tol:
         violations.append(Violation("jacobi", (0, 1, 2), mag))
 

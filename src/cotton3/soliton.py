@@ -104,7 +104,7 @@ class SolitonProblem:
         return cls(L, conn, cp.cotton2, basis)
 
 
-def assemble_system(problem: SolitonProblem):
+def _assemble_system(problem: SolitonProblem):
     """Stack the equation into matrix form A z = k with z = (coeffs, sigma).
 
     Columns of A are the upper-triangle Lie derivatives of the metric along
@@ -175,10 +175,10 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     minimum-norm potential vanishes and no null-space direction moves the
     potential; otherwise the sign of sigma picks steady, shrinking
     (sigma > 0) or expanding (sigma < 0).  ``soliton_existence_survey``
-    shares the solve below, so one problem gives the same solution on
-    either route.
+    and ``reproduce_theorems`` share the solve below, so one problem gives
+    the same solution on every route.
     """
-    A, k = assemble_system(problem)
+    A, k = _assemble_system(problem)
     return _solve(A, k, problem.basis, _cotton_scale(problem.cotton2), tol)
 
 
@@ -247,27 +247,39 @@ _ANSATZ_COLUMNS = {
 }
 
 
+def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
+    """Solve the named ansatz spaces of ``_ANSATZ_COLUMNS`` over the
+    three-field basis of ``problem``, keyed by name.
+
+    The full system is assembled once; each ansatz system is a column subset
+    of it, bitwise equal to assembling that sub-basis on its own, so each
+    solution is exactly that of ``solve`` on the ansatz problem.
+    """
+    A, k = _assemble_system(problem)
+    c_scale = _cotton_scale(problem.cotton2)
+    out = {}
+    for name in names:
+        cols = _ANSATZ_COLUMNS[name]
+        basis = tuple(problem.basis[i] for i in cols[:-1])
+        out[name] = _solve(A[:, cols], k, basis, c_scale, tol)
+    return out
+
+
 def soliton_existence_survey(ak, tol: float = 1e-8):
     """Solve the standard ansatz spaces of an adapted structure.
 
     Runs the potential collinear with the Reeb field, orthogonal to it
     (span of e and phi_e), and the general three-dimensional span,
     returning a dict of ``SolitonSolution`` keyed by ansatz name.  The
-    Cotton tensor and its scale are evaluated once, from the structure's
-    connection and curvature, and the general system is assembled once:
-    the other two ansatz systems are its column subsets, bitwise equal to
-    assembling them on their own, so each solution is exactly that of
-    ``solve`` on the ansatz problem.
+    Cotton tensor is evaluated once, from the structure's connection and
+    curvature, and the three ansatz systems are column subsets of one
+    assembled system, so each solution is exactly that of ``solve`` on the
+    ansatz problem.
     """
     L, conn = ak.algebra, ak.connection
     cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
-    frame = ak.adapted_frame
-    A, k = assemble_system(SolitonProblem(L, conn, cotton2, frame))
-    c_scale = _cotton_scale(cotton2)
-    return {
-        name: _solve(A[:, cols], k, tuple(frame[i] for i in cols[:-1]), c_scale, tol)
-        for name, cols in _ANSATZ_COLUMNS.items()
-    }
+    problem = SolitonProblem(L, conn, cotton2, ak.adapted_frame)
+    return _solve_ansatze(problem, _ANSATZ_COLUMNS, tol)
 
 
 @dataclass(frozen=True)
@@ -303,9 +315,10 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
 
     For each lam the canonical frame algebra with b = c = 0 is built and
     both the Reeb-collinear and Reeb-orthogonal ansatz problems are
-    solved.  The checks assert that the collinear ansatz never carries a
-    nontrivial soliton, that the orthogonal ansatz is feasible exactly
-    when |lam - 1| <= tol, and that at lam = 1 the soliton is steady on a
+    solved, as column subsets of one system assembled over the frame.
+    The checks assert that the collinear ansatz never carries a nontrivial
+    soliton, that the orthogonal ansatz is feasible exactly when
+    |lam - 1| <= tol, and that at lam = 1 the soliton is steady on a
     metric splitting as a curvature -4 hyperbolic plane times a line.
 
     Returns the full check list; raises ``AssertionFailure`` carrying it
@@ -318,8 +331,11 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
         conn = levi_civita(L)
         pack = curvature(L, conn)
         cotton2 = cotton_pack(L, conn, pack).cotton2
+        sols = _solve_ansatze(
+            SolitonProblem(L, conn, cotton2, _FRAME), ("collinear", "orthogonal"), tol
+        )
 
-        coll = solve(SolitonProblem(L, conn, cotton2, _FRAME[:1]), tol)
+        coll = sols["collinear"]
         coll_ok = coll.classification in (INFEASIBLE, TRIVIAL_ONLY)
         checks.append(
             TheoremCheck(
@@ -331,7 +347,7 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
             )
         )
 
-        orth = solve(SolitonProblem(L, conn, cotton2, _FRAME[1:]), tol)
+        orth = sols["orthogonal"]
         at_one = abs(lam - 1.0) <= tol
         checks.append(
             TheoremCheck(

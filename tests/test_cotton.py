@@ -16,19 +16,16 @@ from conftest import (
 from cotton3 import (
     DegenerateMetric,
     SingularMetric,
-    Tensor3,
     cotton2_closed_form,
-    cotton2_from_cotton3,
-    cotton3_oracle,
     cotton_pack,
-    cov_deriv_sym2,
     curvature,
     detect_structure,
     flow_run,
     from_kenmotsu_params,
     levi_civita,
 )
-from cotton3.cotton import _cotton2, cotton2_array
+from cotton3.connection_curvature import _cov_deriv
+from cotton3.cotton import _cotton2, _cotton3, cotton2_array
 
 
 def raw_dual(L, c3):
@@ -54,7 +51,7 @@ def raw_dual(L, c3):
 
 
 def metric_divergence(L, conn, c2):
-    D = cov_deriv_sym2(L, conn, c2).components
+    D = _cov_deriv(conn.gamma, c2.components)
     return np.einsum("ij,ijk->k", np.linalg.inv(L.metric), D)
 
 
@@ -65,8 +62,8 @@ class TestInvariants:
             L = random_valid_algebra(rng, with_metric=bool(rng.integers(2)))
             conn = levi_civita(L)
             pack = curvature(L, conn)
-            c3t = cotton3_oracle(L, conn, pack)
-            c2 = cotton2_from_cotton3(L, c3t)
+            cp = cotton_pack(L, conn, pack)
+            c3t, c2 = cp.cotton3, cp.cotton2
             t = c3t.components
             ginv = np.linalg.inv(L.metric)
             # (0,3) form: skew in the first pair, trace free in every pair
@@ -93,8 +90,8 @@ class TestInvariants:
         ]
         for _ in range(50):
             L = random_valid_algebra(rng, with_metric=False)
-            c3t = cotton3_oracle(L)
-            c2 = cotton2_from_cotton3(L, c3t).components
+            cp = cotton_pack(L)
+            c3t, c2 = cp.cotton3, cp.cotton2.components
             for (i, j), (n, m, k) in pairs:
                 assert c2[i, j] == pytest.approx(
                     c3t.components[n, m, k], abs=1e-10
@@ -112,17 +109,6 @@ class TestInvariants:
                     1.0 + np.max(np.abs(base))
                 )
 
-    def test_pack_accepts_ndarray_dual_input(self):
-        L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        c3t = cotton3_oracle(L)
-        as_tensor = cotton2_from_cotton3(L, c3t).components
-        as_array = cotton2_from_cotton3(L, c3t.components).components
-        assert np.array_equal(as_tensor, as_array)
-        # the flat dual gather would read any 27 entries: other shapes are refused
-        for shape in ((27,), (9, 3), (3, 9)):
-            with pytest.raises(ValueError, match="expected array of shape"):
-                cotton2_from_cotton3(L, np.ones(shape))
-
     def test_dual_gather_equals_stacked_rows(self):
         # the dual reads the skew pairs of c3 through one constant gather,
         # bitwise the stack of the rows (C_12i, C_20i, C_01i)
@@ -131,7 +117,7 @@ class TestInvariants:
             L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
             g = L.metric
             det = float(np.linalg.det(g))
-            for c3 in (cotton3_oracle(L).components, rng.normal(size=(3, 3, 3))):
+            for c3 in (cotton_pack(L).cotton3.components, rng.normal(size=(3, 3, 3))):
                 out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ g / np.sqrt(det)
                 assert np.array_equal(_cotton2(c3, g, det), 0.5 * (out + out.T))
 
@@ -139,7 +125,11 @@ class TestInvariants:
         L = abelian()
         degenerate = type(L)(L.structure_constants, np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(SingularMetric):
-            cotton2_from_cotton3(degenerate, Tensor3(np.zeros((3, 3, 3))))
+            cotton_pack(degenerate)
+        # the dual's own determinant rule, which the connection's check precedes
+        g = degenerate.metric
+        with pytest.raises(SingularMetric):
+            _cotton2(np.zeros((3, 3, 3)), g, float(np.linalg.det(g)))
 
     def test_norm_matches_components(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
@@ -215,10 +205,11 @@ class TestClosedForm:
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         conn = levi_civita(L)
         pack = curvature(L, conn)
-        D = cov_deriv_sym2(L, conn, pack.ricci).components
-        c3t = cotton3_oracle(L, conn, pack).components
+        D = _cov_deriv(conn.gamma, pack.ricci.components)
+        cp = cotton_pack(L, conn, pack)
+        c3t = cp.cotton3.components
         assert c3t[2, 0, 1] == pytest.approx(D[2, 0, 1] - D[0, 2, 1], abs=1e-12)
-        c2 = cotton2_from_cotton3(L, Tensor3(c3t)).components
+        c2 = cp.cotton2.components
         assert c2[1, 1] == pytest.approx(c3t[2, 0, 1], abs=1e-12)
 
 
@@ -375,14 +366,14 @@ class TestReferenceEquivalence:
 
 
 # --------------------------------------------------------------------------
-# cotton_pack as it was composed from the public layers, before it called
-# the array helpers directly and wrapped each tensor once: equal bit for bit.
+# cotton_pack as the plain chain of its helpers, with det g and the norm
+# from the library: equal bit for bit.
 
 
 def composed_pack(L, conn, pack):
-    c3 = cotton3_oracle(L, conn, pack)
-    c2 = cotton2_from_cotton3(L, c3)
-    return c3.components, c2.components, float(np.linalg.norm(c2.components))
+    c3 = _cotton3(conn.gamma, pack.ricci.components)
+    c2 = _cotton2(c3, L.metric, np.linalg.det(L.metric))
+    return c3, c2, float(np.linalg.norm(c2))
 
 
 class TestPackComposition:

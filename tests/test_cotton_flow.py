@@ -14,12 +14,12 @@ from cotton3 import (
     cotton_pack,
     export_trajectory,
     flow_run,
-    flow_step,
     from_kenmotsu_params,
     from_nonunimodular,
     make_state,
 )
 from cotton3.cotton import cotton2_array
+from cotton3.cotton_flow import _rk4
 
 
 class TestStateAndStep:
@@ -43,7 +43,7 @@ class TestStateAndStep:
     def test_step_advances_time_and_matches_run(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         st0 = make_state(L, 0.0, L.metric)
-        st1 = flow_step(L, st0, 1e-3)
+        st1 = make_state(L, st0.time + 1e-3, _rk4(L, st0, 1e-3))
         assert st1.time == pytest.approx(1e-3, abs=0.0)
         result = flow_run(L, dt=1e-3, steps=1)
         assert np.array_equal(result.final.metric, st1.metric)
@@ -233,9 +233,9 @@ class TestEvolution:
             state = make_state(L, 0.0, g0)
             manual = [state]
             for _ in range(10):
-                state = flow_step(L, state, 1e-4)
-                g = state.metric * (det0 / float(np.linalg.det(state.metric))) ** (1.0 / 3.0)
-                state = make_state(L, state.time, g)
+                g = _rk4(L, state, 1e-4)
+                g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
+                state = make_state(L, state.time + 1e-4, g)
                 manual.append(state)
             assert len(result.trajectory) == len(manual)
             for got, want in zip(result.trajectory, manual):

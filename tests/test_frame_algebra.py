@@ -14,10 +14,9 @@ from cotton3 import (
     bracket,
     from_kenmotsu_params,
     from_nonunimodular,
-    jacobi_residual,
     validate,
 )
-from cotton3.frame_algebra import _svd_lstsq
+from cotton3.frame_algebra import _jacobi_residual, _svd_lstsq
 
 
 def brute_jacobi(c):
@@ -53,13 +52,30 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             SymBilinear(np.zeros((2, 2)))
 
-    def test_tensor3_evaluate(self):
-        t = np.zeros((3, 3, 3))
-        t[0, 1, 2] = 4.0
-        T = Tensor3(t)
-        assert T.evaluate(
-            FrameVector([1, 0, 0]), FrameVector([0, 1, 0]), FrameVector([0, 0, 1])
-        ) == 4.0
+    def test_sym_bilinear_keeps_finite_input_finite(self):
+        # the sum of a large entry and its mirror overflows before halving
+        s = SymBilinear(np.diag([1e308, 1.0, 1.0]))
+        assert s.components[0, 0] == 1e308
+        a = np.zeros((3, 3))
+        a[0, 1], a[1, 0] = 1.5e308, 1.7e308
+        assert SymBilinear(a).components[0, 1] == 1.6e308
+
+    def test_sym_bilinear_matches_sum_then_halve(self):
+        # bitwise the form 0.5 * (a + a^T) wherever that sum is finite and
+        # every entry is zero or at least 2**-1021 in magnitude
+        rng = np.random.default_rng(5)
+        for lo, hi in ((-3, 3), (-300, 300), (-1021, -1000), (1000, 1023)):
+            for _ in range(200):
+                a = np.ldexp(rng.uniform(-2.0, 2.0, size=(3, 3)),
+                             rng.integers(lo, hi, size=(3, 3)))
+                a[rng.random((3, 3)) < 0.1] = 0.0
+                a[np.abs(a) < 2.0**-1021] = 0.0
+                assert np.array_equal(SymBilinear(a).components, 0.5 * (a + a.T))
+
+    def test_tensor3_shape_and_freeze(self):
+        T = Tensor3(np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError):
+            T.components[0, 1, 2] = 4.0
         with pytest.raises(ValueError):
             Tensor3(np.zeros((3, 3)))
 
@@ -80,13 +96,13 @@ class TestJacobi:
         for _ in range(25):
             c = rng.normal(size=(3, 3, 3))
             c = c - np.transpose(c, (1, 0, 2))
-            assert np.allclose(jacobi_residual(c), brute_jacobi(c), atol=1e-12)
+            assert np.allclose(_jacobi_residual(c), brute_jacobi(c), atol=1e-12)
 
     def test_residual_zero_on_closed_families(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             L = milnor(*rng.uniform(-5.0, 5.0, size=3))
-            assert np.max(np.abs(jacobi_residual(L.structure_constants))) == 0.0
+            assert np.max(np.abs(_jacobi_residual(L.structure_constants))) == 0.0
 
     def test_residual_scale_aware_tolerance(self):
         # Large constants inflate the float error of the double
@@ -160,7 +176,7 @@ class TestValidate:
         c[1, 2, 2], c[2, 1, 2] = -1e160, 1e160
         c[2, 0, 0], c[0, 2, 0] = 1e160, -1e160
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(jacobi_residual(c)).any()
+            assert np.isnan(_jacobi_residual(c)).any()
         rep = validate(MetricLieAlgebra3(c), tol=1e300)
         assert [v.kind for v in rep.violations] == ["overflow"]
 
@@ -207,7 +223,7 @@ def reference_violations(L, tol=None):
                 mag = abs(anti[i, j, k])
                 if mag > anti_tol:
                     out.append(("antisymmetry", (i, j, k), mag))
-    jac = jacobi_residual(c)
+    jac = _jacobi_residual(c)
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(j + 1, 3):

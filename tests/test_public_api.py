@@ -1,0 +1,90 @@
+"""The package's public surface: exactly the names the CLI, the README and
+the benchmark reach, plus the value and result types they return.
+
+Growing or shrinking the surface means changing ``PUBLIC`` here on purpose.
+"""
+
+import cotton3
+
+PUBLIC = [
+    "AKStructure",
+    "AssertionFailure",
+    "CONSTANT_CURVATURE",
+    "ConnectionTable",
+    "Cotton3Error",
+    "CottonPack",
+    "CurvaturePack",
+    "DEFAULT_TOL",
+    "DegenerateMetric",
+    "EXPANDING",
+    "FlowResult",
+    "FlowState",
+    "FrameVector",
+    "GeometryClass",
+    "HParallelCheck",
+    "INFEASIBLE",
+    "InconsistentStructure",
+    "JacobiViolation",
+    "MetricLieAlgebra3",
+    "NOT_SYMMETRIC",
+    "NoStructure",
+    "PRODUCT_H2XR",
+    "ParallelCheck",
+    "SHRINKING",
+    "STEADY",
+    "SYMMETRIC_OTHER",
+    "SingularMetric",
+    "SolitonProblem",
+    "SolitonSolution",
+    "SymBilinear",
+    "TRIVIAL_ONLY",
+    "Tensor3",
+    "TheoremCheck",
+    "TheoremReport",
+    "ValidityReport",
+    "Violation",
+    "XiEigenReport",
+    "adapted_connection_table",
+    "bracket",
+    "check_h_parallel",
+    "classify_geometry",
+    "cotton2_closed_form",
+    "cotton_pack",
+    "curvature",
+    "detect_structure",
+    "export_trajectory",
+    "flow_run",
+    "from_kenmotsu_params",
+    "from_nonunimodular",
+    "levi_civita",
+    "lie_derivative_metric",
+    "make_state",
+    "reproduce_theorems",
+    "ricci_closed_form",
+    "ricci_parallel_check",
+    "ricci_spectrum",
+    "solve",
+    "soliton_existence_survey",
+    "soliton_residual",
+    "structure_residuals",
+    "validate",
+    "xi_eigenvector_analysis",
+]
+
+# wrappers over private helpers that had no caller outside the tests
+REMOVED = ["cotton3_oracle", "cotton2_from_cotton3", "cov_deriv_sym2", "flow_step"]
+
+
+def test_all_is_pinned():
+    assert cotton3.__all__ == PUBLIC
+    assert len(PUBLIC) == 62
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert hasattr(cotton3, name), name
+
+
+def test_removed_wrappers_are_gone():
+    for name in REMOVED:
+        assert not hasattr(cotton3, name), name

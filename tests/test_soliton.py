@@ -29,7 +29,7 @@ from cotton3 import (
 from cotton3.frame_algebra import _svd_lstsq
 from cotton3.soliton import (
     SolitonProblem,
-    assemble_system,
+    _assemble_system,
     lie_derivative_metric,
     solve,
     soliton_residual,
@@ -108,7 +108,7 @@ class TestAssembly:
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         for n in (1, 2, 3):
             basis = tuple(FrameVector(np.eye(3)[a]) for a in range(n))
-            A, k = assemble_system(SolitonProblem.build(L, basis=basis))
+            A, k = _assemble_system(SolitonProblem.build(L, basis=basis))
             assert A.shape == (6, n + 1)
             assert k.shape == (6,)
 
@@ -312,6 +312,24 @@ class TestTheoremReproduction:
         assert report.all_passed
         assert report.checks[0].lam == 1.0
 
+    def test_matches_separately_assembled_ansatze(self):
+        # the two ansatz systems are column subsets of one frame system,
+        # bitwise those assembled and solved on their own
+        frame = tuple(FrameVector(row) for row in np.eye(3))
+        grid = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+        checks = {(ch.name, ch.lam): ch for ch in reproduce_theorems(grid).checks}
+        for lam in grid:
+            L = from_kenmotsu_params(lam, 0.0, 0.0)
+            conn = levi_civita(L)
+            cotton2 = cotton_pack(L, conn).cotton2
+            coll = solve(SolitonProblem(L, conn, cotton2, frame[:1]))
+            orth = solve(SolitonProblem(L, conn, cotton2, frame[1:]))
+            assert checks["collinear potential stays trivial", lam].residual == coll.residual
+            assert (checks["orthogonal ansatz feasible only at lam = 1", lam].residual
+                    == orth.residual)
+            if lam == 1.0:
+                assert checks["orthogonal soliton is steady", lam].residual == abs(orth.sigma)
+
 
 # --------------------------------------------------------------------------
 # Reference formulas: the solve as it was written before it shared one SVD,
@@ -368,7 +386,7 @@ class TestReferenceEquivalence:
         kinds = set()
         for problem in problems:
             ref = reference_solve(problem)
-            A, k = assemble_system(problem)
+            A, k = _assemble_system(problem)
             assert_close(A, ref["A"], 1e-12)
             assert_close(k, ref["k"], 1e-12)
             sol = solve(problem)
@@ -522,7 +540,7 @@ class TestColumnStackReference:
         kinds = set()
         for problem in problems:
             ref = column_stack_solve(problem)
-            A, k = assemble_system(problem)
+            A, k = _assemble_system(problem)
             assert np.array_equal(A, ref["A"]) and A.flags.c_contiguous
             assert np.array_equal(k, ref["k"])
             sol = solve(problem)
