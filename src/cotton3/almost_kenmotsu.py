@@ -339,6 +339,12 @@ def structure_residuals(
     return res
 
 
+def _orthonormal(L: MetricLieAlgebra3) -> bool:
+    """Whether the frame metric is the identity to within 1e-9, as structure
+    detection requires."""
+    return float(np.max(np.abs(L.metric - np.eye(3)))) <= 1e-9
+
+
 def detect_structure(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
@@ -357,7 +363,7 @@ def detect_structure(
     as ``residuals``.  Raises ``NoStructure``, reporting the best residual,
     when no candidate is admissible.
     """
-    if float(np.max(np.abs(L.metric - np.eye(3)))) > 1e-9:
+    if not _orthonormal(L):
         raise ValueError("structure detection requires an orthonormal frame metric")
     scale = 1.0 + float(np.linalg.norm(conn.gamma))
     best_res = math.inf

@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from .almost_kenmotsu import (
+    _orthonormal,
     adapted_connection_table,
     check_h_parallel,
     detect_structure,
@@ -350,7 +351,7 @@ def cmd_cotton(args) -> int:
     pack = curvature(L, conn)
     cp = cotton_pack(L, conn, pack)
     adapted = None
-    if float(np.max(np.abs(L.metric - np.eye(3)))) <= 1e-9:
+    if _orthonormal(L):
         try:
             ak = detect_structure(L, conn, pack, tol=tol)
         except NoStructure:

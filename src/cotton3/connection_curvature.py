@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMetric
+from .errors import DegenerateMetric, SingularMetric
 from .frame_algebra import DEFAULT_TOL, FrameVector, MetricLieAlgebra3, SymBilinear
 from .frame_algebra import _wrap
 
@@ -64,11 +64,25 @@ class CurvaturePack:
     jacobi_operator: np.ndarray | None = None
 
 
-def _require_invertible(sv: np.ndarray) -> None:
-    """The conditioning rule for a metric with singular values ``sv``,
-    largest first."""
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularMetric(f"metric is singular (singular values {sv})")
+def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric rule: factor g = V diag(w) V^T with one ``eigh``, w ascending.
+
+    ``DegenerateMetric`` when an eigenvalue is negative or nan (g outside the
+    positive cone, or not finite); ``SingularMetric`` when one is zero or
+    w_min <= 1e-12 w_max.  Every layer that needs g^-1, det g or positive
+    definiteness reads it off this one factorization.
+    """
+    try:
+        w, V = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:  # no convergence on some nan input
+        raise DegenerateMetric(f"metric is not positive definite ({exc})") from exc
+    w0, w1, w2 = w.tolist()
+    # false on nan too: eigh may return a finite w0 beside a nan
+    if not (w0 >= 0 and w1 >= 0 and w2 >= 0):
+        raise DegenerateMetric(f"metric is not positive definite (eigenvalues {w})")
+    if w0 <= 1e-12 * w2:
+        raise SingularMetric(f"metric is singular (singular values {w[::-1]})")
+    return V, w
 
 
 # Row a of _KOSZUL is the Koszul array of the flat cg = e_a under the
@@ -83,10 +97,12 @@ def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((c.reshape(9, 3) @ g).reshape(27) @ _KOSZUL).reshape(3, 3, 3)
 
 
-def _gamma(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Connection coefficients of constants ``c`` under metric ``g``."""
-    _require_invertible(np.linalg.svd(g, compute_uv=False))
-    return np.linalg.solve(g, _koszul(c, g).reshape(9, 3).T).T.reshape(3, 3, 3)
+def _gamma(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Connection coefficients of constants ``c`` under metric ``g``, and
+    det g, under the metric rule: the Koszul array times g^-1 = (V / w) V^T."""
+    V, w = _metric_frame(g)
+    w0, w1, w2 = w.tolist()
+    return (_koszul(c, g).reshape(9, 3) @ ((V / w) @ V.T)).reshape(3, 3, 3), w0 * w1 * w2
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -126,10 +142,10 @@ def _cov_deriv(gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
 def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
     """Unique torsion-free metric connection, computed via Koszul.
 
-    Raises ``SingularMetric`` when the metric is not invertible within
-    tolerance.
+    Raises ``DegenerateMetric`` or ``SingularMetric`` when the metric fails
+    the metric rule of ``_metric_frame``.
     """
-    return ConnectionTable(_gamma(L.structure_constants, L.metric))
+    return ConnectionTable(_gamma(L.structure_constants, L.metric)[0])
 
 
 def curvature(
@@ -192,13 +208,13 @@ def _sym3_eigenvalues(M: np.ndarray) -> np.ndarray:
 def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
     """Eigenvalues of the Ricci operator, ascending.
 
-    The operator g^-1 S is similar to the symmetric Lc^-1 S Lc^-T with
-    g = Lc Lc^T, so the closed-form symmetric solver applies for any
-    admissible metric.
+    With g = V diag(w) V^T from the metric rule of ``_metric_frame`` (which
+    may raise) and R = V / sqrt(w), the operator g^-1 S is similar to the
+    symmetric R^T S R, so the closed-form symmetric solver applies.
     """
-    Lc = np.linalg.cholesky(pack.metric)
-    Y = np.linalg.solve(Lc, pack.ricci.components)
-    W = np.linalg.solve(Lc, Y.T).T
+    V, w = _metric_frame(pack.metric)
+    R = V / np.sqrt(w)
+    W = R.T @ pack.ricci.components @ R
     return _sym3_eigenvalues(0.5 * (W + W.T))
 
 

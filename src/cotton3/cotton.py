@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
-from .connection_curvature import _IDX, _cov_deriv, _koszul, _require_invertible, _ricci
-from .errors import DegenerateMetric, SingularMetric
+from .connection_curvature import _IDX, _cov_deriv, _gamma, _ricci
+from .errors import SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3, _wrap
 
 # flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
@@ -52,28 +52,16 @@ def _cotton2(c3: np.ndarray, g: np.ndarray, det: float) -> np.ndarray:
 
 
 def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(0,2) Cotton tensor of constants ``c`` under a symmetric positive
-    definite metric ``g``: the chain of ``cotton_pack`` on plain arrays, for
-    the flow's per-stage evaluations.
+    """(0,2) Cotton tensor of constants ``c`` under metric ``g``: the chain
+    of ``cotton_pack`` on plain arrays, for the flow's per-stage evaluations.
 
-    One ``eigh`` factorization g = V diag(w) V^T serves every check and the
-    inverse.  ``DegenerateMetric`` is raised unless every eigenvalue w is
-    positive (g outside the positive cone, or not finite); ``SingularMetric``
-    under ``levi_civita``'s conditioning rule and under the dual's
-    determinant rule with det g = w0 w1 w2.  The connection is the Koszul
-    array times g^-1 = (V / w) V^T; Ricci is contracted from the connection
-    with no Riemann tensor, and the dual reads the skew pairs of the (0,3)
-    tensor through one constant gather.
+    The connection and det g come from ``_gamma`` under the metric rule,
+    which raises ``DegenerateMetric`` outside the positive cone and
+    ``SingularMetric`` for a singular metric; the dual's determinant rule
+    follows.
     """
-    w, V = np.linalg.eigh(g)
-    w0, w1, w2 = w.tolist()
-    # false on nan too: eigh may return a finite w0 beside a nan
-    if not (w0 > 0 and w1 > 0 and w2 > 0):
-        raise DegenerateMetric(f"metric is not positive definite (eigenvalues {w})")
-    _require_invertible(w[::-1])
-    gamma = (_koszul(c, g).reshape(9, 3) @ ((V / w) @ V.T)).reshape(3, 3, 3)
-    c3 = _cotton3(gamma, _ricci(c, gamma))
-    return _cotton2(c3, g, w0 * w1 * w2)
+    gamma, det = _gamma(c, g)
+    return _cotton2(_cotton3(gamma, _ricci(c, gamma)), g, det)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,19 +7,13 @@ leading order; an optional normalization rescales the metric after each
 step to hold det g exactly.
 
 Integration is classical fourth-order Runge-Kutta with symmetrized
-stages.  The metric must stay positive definite: when a stage or a step
-leaves the positive cone, or a stage metric or the step's result becomes
-singular, the run aborts with ``DegenerateMetric`` carrying the trajectory
-computed so far.
-
-Each stage and each recorded state evaluates C(g) as
-``cotton2_array(c, g)``: the chain of ``cotton_pack`` on plain arrays,
-without value types or the Ricci operator and scalar the flow never reads.
-It factors the metric once, with ``eigh``, and reads the positive-cone
-check, the singularity checks, the inverse and the determinant off that
-one factorization.  Ricci is contracted from the connection; no Riemann
-tensor is built on the Cotton path.  A Cholesky check of the step's result
-guards the optional rescaling, which takes a real cube root of det g.
+stages.  Each stage and each recorded state evaluates C(g) as
+``cotton2_array(c, g)``, the chain of ``cotton_pack`` on plain arrays,
+under the library's one metric rule: a single ``eigh`` of g gives the
+positive-cone and singularity checks, g^-1 and det g.  When the initial
+metric, a stage metric or the step's result fails the rule, the run aborts
+with ``DegenerateMetric``, naming where, with the trajectory computed so
+far.  The optional rescaling checks det g > 0 before its real cube root.
 """
 
 from __future__ import annotations
@@ -61,20 +55,18 @@ class FlowResult:
         return self.trajectory[-1]
 
 
-def _require_spd(g: np.ndarray, where: str) -> None:
+def _named(where: str, fn, *args):
+    """``fn(*args)``, with the metric rule's two refusals raised as one
+    ``DegenerateMetric`` that names ``where`` the metric was refused."""
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetric(f"metric left the positive cone {where}") from exc
-
-
-def _stage(c: np.ndarray, g: np.ndarray, where: str) -> np.ndarray:
-    """C(g) of the RK4 stage metric ``g``, naming the stage when it left the
-    positive cone."""
-    try:
-        return cotton2_array(c, g)
+        return fn(*args)
     except DegenerateMetric as exc:
         raise DegenerateMetric(f"metric left the positive cone {where}") from exc
+    except SingularMetric as exc:
+        what = "stage metric became singular" if where.endswith("stage") else (
+            f"metric became singular {where}"
+        )
+        raise DegenerateMetric(f"{what}: {exc}") from exc
 
 
 def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
@@ -95,22 +87,17 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
 
     The state's ``cotton2`` is the right-hand side at the step's start, so
     it serves as the first stage; ``state`` must therefore carry the
-    Cotton tensor of its own metric (as ``make_state`` arranges).  Every
-    intermediate stage metric is required to stay positive definite and
-    nonsingular, as checked by its own evaluation.
+    Cotton tensor of its own metric (as ``make_state`` arranges).  A stage
+    metric that fails the metric rule raises ``DegenerateMetric`` naming
+    the stage.
     """
     c, g = L.structure_constants, state.metric
     k1 = state.cotton2.components
-    try:
-        k2 = _stage(c, g + 0.5 * dt * k1, "in the second stage")
-        k3 = _stage(c, g + 0.5 * dt * k2, "in the third stage")
-        k4 = _stage(c, g + dt * k3, "in the fourth stage")
-    except SingularMetric as exc:
-        raise DegenerateMetric(f"stage metric became singular: {exc}") from exc
+    k2 = _named("in the second stage", cotton2_array, c, g + 0.5 * dt * k1)
+    k3 = _named("in the third stage", cotton2_array, c, g + 0.5 * dt * k2)
+    k4 = _named("in the fourth stage", cotton2_array, c, g + dt * k3)
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = 0.5 * (out + out.T)
-    _require_spd(out, "after the step")
-    return out
+    return 0.5 * (out + out.T)
 
 
 def flow_run(
@@ -130,8 +117,8 @@ def flow_run(
     step to keep its determinant at the initial value.  ``fixed_point`` in
     the result reports whether the final state's Cotton norm is at or
     below ``fixed_point_tol``; it is False when no tolerance is given.
-    If the metric degenerates, ``DegenerateMetric`` is raised with the
-    states recorded so far attached as ``trajectory``.
+    If the initial metric or a later one fails the metric rule,
+    ``DegenerateMetric`` is raised with the states so far as ``trajectory``.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -141,26 +128,24 @@ def flow_run(
         raise ValueError("stride must be at least 1")
     g = np.array(L.metric if g0 is None else g0, dtype=float)
     g = 0.5 * (g + g.T)
-    _require_spd(g, "in the initial metric")
+    state = _named("in the initial metric", make_state, L, 0.0, g)
     det0 = float(np.linalg.det(g))
-    state = make_state(L, 0.0, g)
     states = [state]
     for n in range(1, steps + 1):
         try:
             g = _rk4(L, state, dt)
+            if normalize:
+                det = float(np.linalg.det(g))
+                # the real cube root needs det > 0; false on nan too
+                if not det > 0:
+                    raise DegenerateMetric("metric left the positive cone after the step")
+                g = g * (det0 / det) ** (1.0 / 3.0)
+            state = _named("after the step", make_state, L, state.time + dt, g)
         except DegenerateMetric as exc:
+            # the cause stays the metric rule's own refusal
             raise DegenerateMetric(
                 f"step {n} (t={n * dt:g}): {exc}", trajectory=states
-            ) from exc
-        if normalize:
-            g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
-        try:
-            state = make_state(L, state.time + dt, g)
-        except SingularMetric as exc:
-            raise DegenerateMetric(
-                f"step {n} (t={n * dt:g}): metric became singular after the step: {exc}",
-                trajectory=states,
-            ) from exc
+            ) from exc.__cause__
         if n % stride == 0 or n == steps:
             states.append(state)
     fixed = (

@@ -252,8 +252,10 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
     three-field basis of ``problem``, keyed by name.
 
     The full system is assembled once; each ansatz system is a column subset
-    of it, bitwise equal to assembling that sub-basis on its own, so each
-    solution is exactly that of ``solve`` on the ansatz problem.
+    of it, bitwise equal to assembling that sub-basis on its own.  The subset
+    is copied to C order, the layout of a separately assembled system, so
+    that ``A @ z - k`` rounds the same and each solution, residual included,
+    is exactly that of ``solve`` on the ansatz problem.
     """
     A, k = _assemble_system(problem)
     c_scale = _cotton_scale(problem.cotton2)
@@ -261,7 +263,7 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
     for name in names:
         cols = _ANSATZ_COLUMNS[name]
         basis = tuple(problem.basis[i] for i in cols[:-1])
-        out[name] = _solve(A[:, cols], k, basis, c_scale, tol)
+        out[name] = _solve(np.ascontiguousarray(A[:, cols]), k, basis, c_scale, tol)
     return out
 
 

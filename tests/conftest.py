@@ -101,3 +101,19 @@ def random_valid_algebra(
     if with_metric:
         L = L.with_metric(random_spd(rng))
     return L
+
+
+def near_singular_metric(rng: np.random.Generator) -> np.ndarray:
+    """A rotated diag(1, 2, -1e-17) that Cholesky accepts and ``eigh`` reads
+    as having a negative eigenvalue: two factorizations disagree on it, so
+    every layer must take its verdict from the same one."""
+    while True:
+        R = random_rotation(rng)
+        g = R @ np.diag([1.0, 2.0, -1e-17]) @ R.T
+        g = 0.5 * (g + g.T)
+        if np.linalg.eigh(g)[0][0] < 0:
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                continue
+            return g

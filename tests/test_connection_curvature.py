@@ -276,7 +276,7 @@ class TestConstantMaps:
             c = random_valid_algebra(rng, rotated=True).structure_constants
             # the Levi-Civita connection, and any other: curvature() takes
             # whatever ConnectionTable it is given
-            for gamma in (_gamma(c, random_spd(rng)), rng.normal(size=(3, 3, 3))):
+            for gamma in (_gamma(c, random_spd(rng))[0], rng.normal(size=(3, 3, 3))):
                 s = np.einsum("ijki->jk", _riemann(c, gamma))
                 assert within_rounding(_ricci(c, gamma), 0.5 * (s + s.T))
 

@@ -1,5 +1,6 @@
 """Cotton tensors: invariants, dual identities, and closed-form values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from conftest import (
     abelian,
     hyperbolic,
+    milnor,
+    near_singular_metric,
     random_rotation,
     random_spd,
     random_valid_algebra,
     su2_round,
 )
 from cotton3 import (
+    Cotton3Error,
     DegenerateMetric,
     SingularMetric,
     cotton2_closed_form,
@@ -23,6 +27,8 @@ from cotton3 import (
     flow_run,
     from_kenmotsu_params,
     levi_civita,
+    make_state,
+    ricci_spectrum,
 )
 from cotton3.connection_curvature import _cov_deriv
 from cotton3.cotton import _cotton2, _cotton3, cotton2_array
@@ -390,3 +396,53 @@ class TestPackComposition:
                 assert cp.norm2 == norm2
                 assert not cp.cotton3.components.flags.writeable
                 assert not cp.cotton2.components.flags.writeable
+
+
+# --------------------------------------------------------------------------
+# One metric rule: every entry point that needs g^-1 or det g gives the same
+# verdict on the same metric, and where they compute, the two Cotton routes
+# agree.
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Cotton3Error as exc:
+        return type(exc)
+
+
+# a fixed orthogonal frame change, so the metrics below are not diagonal
+_R = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
+
+
+@pytest.mark.parametrize("metric, expected", [
+    pytest.param(np.diag([-1.0, -1.0, 1.0]), DegenerateMetric, id="indefinite-det-positive"),
+    pytest.param(np.diag([1.0, -1.0, 1.0]), DegenerateMetric, id="indefinite-det-negative"),
+    pytest.param(np.diag([1.0, 1.0, 0.0]), SingularMetric, id="zero-eigenvalue"),
+    pytest.param(np.diag([1.0, np.nan, 2.0]), DegenerateMetric, id="nan-entry"),
+    pytest.param(np.full((3, 3), np.nan), DegenerateMetric, id="eigh-no-convergence"),
+    pytest.param(None, DegenerateMetric, id="near-singular"),
+    pytest.param(_R @ np.diag([1.0, 2.0, 1e-13]) @ _R.T, SingularMetric, id="condition-1e13"),
+    pytest.param(_R @ np.diag([1.0, 2.0, 3.0]) @ _R.T, None, id="positive-definite"),
+])
+def test_metric_rule_is_shared(metric, expected):
+    if metric is None:
+        metric = near_singular_metric(np.random.default_rng(11))
+    g = 0.5 * (metric + metric.T)
+    L0 = milnor(1.0, 2.0, -0.5)
+    L = L0.with_metric(g)
+    c = L.structure_constants
+    # ricci_spectrum reads only the pack's Ricci form and metric
+    pack = dataclasses.replace(curvature(L0, levi_civita(L0)), metric=g)
+    outcomes = {
+        "levi_civita": _outcome(lambda: levi_civita(L)),
+        "cotton_pack": _outcome(lambda: cotton_pack(L)),
+        "cotton2_array": _outcome(lambda: cotton2_array(c, g)),
+        "make_state": _outcome(lambda: make_state(L0, 0.0, g)),
+        "ricci_spectrum": _outcome(lambda: ricci_spectrum(pack)),
+    }
+    verdicts = {k: v if isinstance(v, type) else None for k, v in outcomes.items()}
+    assert verdicts == dict.fromkeys(outcomes, expected)
+    if expected is None:
+        got, ref = outcomes["cotton_pack"].cotton2.components, outcomes["cotton2_array"]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))

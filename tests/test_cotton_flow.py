@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import milnor, random_spd, random_valid_algebra, su2_round
+from conftest import milnor, near_singular_metric, random_spd, random_valid_algebra, su2_round
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
@@ -82,6 +82,25 @@ class TestValidation:
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         with pytest.raises(DegenerateMetric, match="initial metric"):
             flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, -1.0, 1.0]))
+
+    def test_initial_metric_under_the_metric_rule(self):
+        # Cholesky accepts this metric; the rule reads a negative eigenvalue
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        g0 = near_singular_metric(np.random.default_rng(11))
+        for normalize in (False, True):
+            with pytest.raises(DegenerateMetric) as err:
+                flow_run(L, dt=1e-3, steps=1, g0=g0, normalize=normalize)
+            assert str(err.value) == "metric left the positive cone in the initial metric"
+            assert isinstance(err.value.__cause__, DegenerateMetric)
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(L, dt=1e-3, steps=1, g0=np.full((3, 3), np.nan))
+        assert str(err.value) == "metric left the positive cone in the initial metric"
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, 1.0, 1e-13]))
+        assert str(err.value).startswith(
+            "metric became singular in the initial metric: metric is singular"
+        )
+        assert isinstance(err.value.__cause__, SingularMetric)
 
 
 class TestStageChecks:
@@ -215,6 +234,15 @@ class TestEvolution:
         assert times == pytest.approx(
             [0.0, 0.007, 0.014, 0.021, 0.028, 0.03], abs=1e-15
         )
+
+    def test_normalized_step_leaving_the_cone_is_named(self):
+        # from g = I at lam = 2 this step's result has det g < 0: the
+        # rescaling refuses it before taking the cube root
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        with pytest.raises(DegenerateMetric) as err:
+            flow_run(L, dt=0.042, steps=3, normalize=True)
+        assert str(err.value) == "step 1 (t=0.042): metric left the positive cone after the step"
+        assert len(err.value.trajectory) == 1
 
     def test_normalize_holds_determinant(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)

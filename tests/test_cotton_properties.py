@@ -49,7 +49,7 @@ def tol(c):
 @given(algebras, entries)
 def test_skew_symmetric_and_trace_free(L, vals):
     c, g = L.structure_constants, spd(vals)
-    gamma = _gamma(c, g)
+    gamma, _ = _gamma(c, g)
     ricci = _ricci(c, gamma)
     c3 = _cotton3(gamma, ricci)
     c2 = cotton2_array(c, g)
