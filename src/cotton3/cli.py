@@ -58,6 +58,7 @@ from .soliton import (
     STEADY,
     TRIVIAL_ONLY,
     SolitonProblem,
+    _solve_ansatze,
     lie_derivative_metric,
     reproduce_theorems,
     solve as solve_soliton,
@@ -500,8 +501,29 @@ def cmd_flow(args) -> int:
     return 0
 
 
+def _member(L: MetricLieAlgebra3) -> tuple:
+    """``(L, conn, pack, structure, cotton pack)`` of a reference member,
+    each layer built once for every check that reads it."""
+    conn = levi_civita(L)
+    pack = curvature(L, conn)
+    return L, conn, pack, detect_structure(L, conn, pack), cotton_pack(L, conn, pack)
+
+
 def _verify_checks(tol: float) -> list:
     checks = []
+    members = {}
+
+    def kenmotsu(lam, b=0.0, c=0.0):
+        if (lam, b, c) not in members:
+            members[lam, b, c] = _member(from_kenmotsu_params(lam, b, c))
+        return members[lam, b, c]
+
+    def survey(member):
+        # the collinear and orthogonal ansatz solutions, from the member's
+        # own Cotton tensor
+        L, conn, _, ak, cp = member
+        problem = SolitonProblem(L, conn, cp.cotton2, ak.adapted_frame)
+        return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
 
     def add(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -510,9 +532,7 @@ def _verify_checks(tol: float) -> list:
         return abs(x - y) <= (t if t is not None else tol)
 
     # adapted connection table of the lambda=2 diagonal family
-    L2 = from_kenmotsu_params(2.0, 0.0, 0.0)
-    conn2 = levi_civita(L2)
-    pack2 = curvature(L2, conn2)
+    L2, conn2, pack2, ak2, cp2 = kenmotsu(2.0)
     gap = float(np.max(np.abs(conn2.gamma - adapted_connection_table(2.0, 0.0, 0.0))))
     add("connection table, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
@@ -523,9 +543,7 @@ def _verify_checks(tol: float) -> list:
     add("jacobi operator, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # ricci values of the lambda=1, b=c=3 family
-    L133 = from_kenmotsu_params(1.0, 3.0, 3.0)
-    c133 = levi_civita(L133)
-    p133 = curvature(L133, c133)
+    _, _, p133, ak133, cp133 = kenmotsu(1.0, 3.0, 3.0)
     S = p133.ricci.components
     ok = (
         close(S[0, 0], -4.0)
@@ -547,19 +565,16 @@ def _verify_checks(tol: float) -> list:
     worst = 0.0
     for lam, b, c in ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.5, 0.0, 0.0),
                       (3.0, 0.0, 0.0), (1.0, 3.0, 3.0), (1.0, -2.0, -2.0)):
-        Lg = from_kenmotsu_params(lam, b, c)
-        cg = levi_civita(Lg)
-        pg = curvature(Lg, cg)
-        akg = detect_structure(Lg, cg, pg)
+        _, _, _, akg, cpg = kenmotsu(lam, b, c)
         closed = cotton2_closed_form(akg).components
         E = np.column_stack([v.components for v in akg.adapted_frame])
-        oracle = E.T @ cotton_pack(Lg, cg, pg).cotton2.components @ E
+        oracle = E.T @ cpg.cotton2.components @ E
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     add("cotton closed form vs derivative route", worst <= 100 * tol,
         f"max gap {worst:.3e}")
 
     # cotton components of the lambda=2 family
-    c2 = cotton_pack(L2, conn2, pack2).cotton2.components
+    c2 = cp2.cotton2.components
     ok = (
         close(c2[1, 1], 12.0)
         and close(c2[2, 2], -12.0)
@@ -569,23 +584,21 @@ def _verify_checks(tol: float) -> list:
     add("cotton components, lambda=2", ok, f"C(e,e) {c2[1, 1]:.6g}")
 
     # the lambda=1, b=c=3 family is conformally flat
-    norm = cotton_pack(L133, c133, p133).norm2
+    norm = cp133.norm2
     add("cotton vanishes, lambda=1 b=c=3", norm <= tol, f"norm {norm:.3e}")
 
     # conformal flatness happens exactly at lambda=1 in the diagonal family
     ok = True
     detail = []
     for lam in (0.5, 1.0, 2.0, 3.0):
-        Lg = from_kenmotsu_params(lam, 0.0, 0.0)
-        norm = cotton_pack(Lg).norm2
+        norm = kenmotsu(lam)[4].norm2
         expect = math.sqrt(2.0) * abs(2.0 * lam**3 - 2.0 * lam)
         ok = ok and close(norm, expect, 100 * tol)
         detail.append(f"lambda={lam:g}: {norm:.6g}")
     add("cotton norm across the diagonal family", ok, "; ".join(detail))
 
     # reeb-collinear soliton: infeasible at lambda=2 with residual 12*sqrt(2)
-    ak2 = detect_structure(L2, conn2, pack2)
-    survey2 = soliton_existence_survey(ak2, tol=tol)
+    survey2 = survey(kenmotsu(2.0))
     sol = survey2["collinear"]
     ok = sol.classification == INFEASIBLE and close(
         sol.residual, 12.0 * math.sqrt(2.0), 100 * tol
@@ -594,11 +607,8 @@ def _verify_checks(tol: float) -> list:
         f"{sol.classification}, residual {sol.residual:.6g}")
 
     # at lambda=1 the collinear problem admits only the trivial solution
-    L1 = from_kenmotsu_params(1.0, 0.0, 0.0)
-    conn1 = levi_civita(L1)
-    pack1 = curvature(L1, conn1)
-    ak1 = detect_structure(L1, conn1, pack1)
-    survey1 = soliton_existence_survey(ak1, tol=tol)
+    L1, conn1, pack1, ak1, _ = kenmotsu(1.0)
+    survey1 = survey(kenmotsu(1.0))
     sol = survey1["collinear"]
     add("reeb-collinear soliton, lambda=1", sol.classification == TRIVIAL_ONLY,
         sol.classification)
@@ -637,10 +647,7 @@ def _verify_checks(tol: float) -> list:
         f"{cls1.kind}, eigenvalues {[round(float(x), 6) for x in eigs]}")
 
     # detection on the rank-two solvable family, alpha=2 beta=0.5
-    Lnu = from_nonunimodular(2.0, 0.5)
-    cnu = levi_civita(Lnu)
-    pnu = curvature(Lnu, cnu)
-    aknu = detect_structure(Lnu, cnu, pnu)
+    aknu = _member(from_nonunimodular(2.0, 0.5))[3]
     ok = (
         close(aknu.lam, math.sqrt(1.25), 100 * tol)
         and abs(aknu.b) <= 100 * tol
@@ -651,10 +658,7 @@ def _verify_checks(tol: float) -> list:
         f"lambda {aknu.lam:.6g}, reeb ({aknu.xi.components[0]:.3g}, ...)")
 
     # alpha=1 beta=0 is hyperbolic space: h = 0 and S = -2 g
-    Lh = from_nonunimodular(1.0, 0.0)
-    ch = levi_civita(Lh)
-    ph = curvature(Lh, ch)
-    akh = detect_structure(Lh, ch, ph)
+    Lh, _, ph, akh, _ = _member(from_nonunimodular(1.0, 0.0))
     ok = (
         akh.kenmotsu
         and float(np.max(np.abs(akh.h_op))) <= tol
@@ -672,7 +676,7 @@ def _verify_checks(tol: float) -> list:
     )
     add("reeb ricci-eigenvector analysis, lambda=2", ok,
         f"eigenvector {rep.is_eigenvector}")
-    rep133 = xi_eigenvector_analysis(detect_structure(L133, c133, p133))
+    rep133 = xi_eigenvector_analysis(ak133)
     add("reeb not an eigenvector when b=c=3", not rep133.is_eigenvector,
         f"S(xi,e) {rep133.s_xi_e:.6g}")
 

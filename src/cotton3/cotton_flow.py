@@ -14,6 +14,14 @@ positive-cone and singularity checks, g^-1 and det g.  When the initial
 metric, a stage metric or the step's result fails the rule, the run aborts
 with ``DegenerateMetric``, naming where, with the trajectory computed so
 far.  The optional rescaling checks det g > 0 before its real cube root.
+
+A step is a deterministic function of the state's metric alone, so once a
+step returns a metric bytewise equal to its input (an exact fixed point of
+the step, as g = I is for a conformally flat algebra), every later step
+would return it again.  The run then stops evaluating and records the
+remaining states with that metric and its Cotton data, the time still
+advancing by dt per step: the trajectory is bitwise the one that stepping
+on would give.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .cotton import cotton2_array
 from .errors import DegenerateMetric, SingularMetric
-from .frame_algebra import MetricLieAlgebra3, SymBilinear
+from .frame_algebra import MetricLieAlgebra3, SymBilinear, _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +87,9 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     g = np.asarray(g, dtype=float)
     g = 0.5 * (g + g.T)
     c2 = cotton2_array(L.structure_constants, g)
-    return FlowState(float(time), g, SymBilinear(c2), float(np.linalg.norm(c2)))
+    flat = c2.ravel()
+    # the Frobenius norm as np.linalg.norm computes it, bitwise
+    return FlowState(float(time), g, _wrap(SymBilinear, c2), math.sqrt(flat @ flat))
 
 
 def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
@@ -119,6 +129,9 @@ def flow_run(
     below ``fixed_point_tol``; it is False when no tolerance is given.
     If the initial metric or a later one fails the metric rule,
     ``DegenerateMetric`` is raised with the states so far as ``trajectory``.
+    When a step leaves the metric bytewise unchanged, the remaining steps
+    are not evaluated: their states repeat that metric and Cotton data at
+    the times stepping on would give.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -132,6 +145,7 @@ def flow_run(
     det0 = float(np.linalg.det(g))
     states = [state]
     for n in range(1, steps + 1):
+        before = state.metric.tobytes()
         try:
             g = _rk4(L, state, dt)
             if normalize:
@@ -146,6 +160,15 @@ def flow_run(
             raise DegenerateMetric(
                 f"step {n} (t={n * dt:g}): {exc}", trajectory=states
             ) from exc.__cause__
+        if n % stride == 0 or n == steps:
+            states.append(state)
+        # bytes, so that -0.0 and 0.0 count as different inputs
+        if state.metric.tobytes() == before:
+            break
+    for n in range(n + 1, steps + 1):
+        state = FlowState(
+            float(state.time + dt), state.metric, state.cotton2, state.cotton_norm
+        )
         if n % stride == 0 or n == steps:
             states.append(state)
     fixed = (

@@ -543,6 +543,42 @@ class TestVerifyPaper:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == record.read_text().split()[0]
 
+    def test_each_layer_built_once_per_member(self, capsys, monkeypatch):
+        # eight reference members, each connection, curvature, structure and
+        # Cotton tensor built once; three more builds for the default grid;
+        # one curvature along the Reeb field; five Cotton evaluations for the
+        # stationary flow, which stops evaluating after its first step
+        import sys
+
+        counts = dict.fromkeys(
+            ("detect_structure", "levi_civita", "curvature", "cotton_pack",
+             "cotton2_array"), 0
+        )
+        wrapped = {}
+        for modname, mod in sorted(sys.modules.items()):
+            if modname != "cotton3" and not modname.startswith("cotton3."):
+                continue
+            for name in counts:
+                fn = getattr(mod, name, None)
+                if fn is None:
+                    continue
+                if fn not in wrapped:
+                    def counting(*args, _fn=fn, _name=name, **kwargs):
+                        counts[_name] += 1
+                        return _fn(*args, **kwargs)
+                    wrapped[fn] = counting
+                monkeypatch.setattr(mod, name, wrapped[fn])
+        rc = main(["verify-paper", "--format", "machine"])
+        capsys.readouterr()
+        assert rc == 0
+        assert counts == {
+            "detect_structure": 8,
+            "levi_civita": 11,
+            "curvature": 12,
+            "cotton_pack": 11,
+            "cotton2_array": 5,
+        }
+
     def test_custom_grid(self, capsys):
         rc = main(["verify-paper", "--grid", "2", "--format", "machine"])
         out = capsys.readouterr().out

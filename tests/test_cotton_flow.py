@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import milnor, near_singular_metric, random_spd, random_valid_algebra, su2_round
+from conftest import (
+    abelian,
+    hyperbolic,
+    milnor,
+    near_singular_metric,
+    random_spd,
+    random_valid_algebra,
+    su2_round,
+)
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
@@ -19,7 +27,8 @@ from cotton3 import (
     make_state,
 )
 from cotton3.cotton import cotton2_array
-from cotton3.cotton_flow import _rk4
+from cotton3.cotton_flow import FlowState, _named, _rk4
+from cotton3.frame_algebra import SymBilinear
 
 
 class TestStateAndStep:
@@ -322,6 +331,127 @@ class TestEvolution:
         result = flow_run(su2_round(), dt=1e-3, steps=50, fixed_point_tol=1e-12)
         assert result.fixed_point
         assert np.array_equal(result.final.metric, np.eye(3))
+
+
+def _reference_state(L, time, g):
+    """``make_state`` with the constructor's copy and ``np.linalg.norm``."""
+    g = np.asarray(g, dtype=float)
+    g = 0.5 * (g + g.T)
+    c2 = cotton2_array(L.structure_constants, g)
+    return FlowState(float(time), g, SymBilinear(c2), float(np.linalg.norm(c2)))
+
+
+def _reference_flow_run(L, dt, steps, g0=None, stride=1, normalize=False,
+                        fixed_point_tol=None):
+    """``flow_run`` evaluating every step, with no fixed-point exit."""
+    g = np.array(L.metric if g0 is None else g0, dtype=float)
+    g = 0.5 * (g + g.T)
+    state = _named("in the initial metric", _reference_state, L, 0.0, g)
+    det0 = float(np.linalg.det(g))
+    states = [state]
+    for n in range(1, steps + 1):
+        try:
+            g = _rk4(L, state, dt)
+            if normalize:
+                det = float(np.linalg.det(g))
+                if not det > 0:
+                    raise DegenerateMetric("metric left the positive cone after the step")
+                g = g * (det0 / det) ** (1.0 / 3.0)
+            state = _named("after the step", _reference_state, L, state.time + dt, g)
+        except DegenerateMetric as exc:
+            raise DegenerateMetric(
+                f"step {n} (t={n * dt:g}): {exc}", trajectory=states
+            ) from exc.__cause__
+        if n % stride == 0 or n == steps:
+            states.append(state)
+    fixed = fixed_point_tol is not None and states[-1].cotton_norm <= fixed_point_tol
+    return FlowResult(tuple(states), fixed)
+
+
+def _outcome(run, *args, **kwargs):
+    """``(trajectory, fixed_point, error message, cause type)`` of one run."""
+    try:
+        res = run(*args, **kwargs)
+    except DegenerateMetric as exc:
+        return exc.trajectory, None, str(exc), type(exc.__cause__)
+    return res.trajectory, res.fixed_point, None, None
+
+
+def _assert_same_outcome(got, want):
+    assert got[1:] == want[1:]
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert type(a.time) is float and a.time == b.time
+        assert a.metric.tobytes() == b.metric.tobytes()
+        assert a.cotton2.components.tobytes() == b.cotton2.components.tobytes()
+        assert a.cotton_norm == b.cotton_norm
+
+
+def _flow_corpus():
+    """Flows on both sides of the exact-fixed-point exit: conformally flat
+    metrics, steps too small to move the metric, a -0.0 entry, moving
+    random flows and flows that degenerate."""
+    rng = np.random.default_rng(2008)
+    lam1 = from_kenmotsu_params(1.0, 0.0, 0.0)
+    neg_zero = np.eye(3)
+    neg_zero[0, 1] = neg_zero[1, 0] = -0.0
+    one_sided = np.eye(3)
+    one_sided[1, 2] = -0.0
+    cases = []
+    for normalize in (False, True):
+        for stride in (1, 2, 3):
+            for t in (0.5, 1.0, 3.0):
+                cases.append((lam1, 1e-3, 7, t * np.eye(3), stride, normalize))
+                cases.append((hyperbolic(), 1e-2, 7, t * np.eye(3), stride, normalize))
+            cases.append((su2_round(), 1e-3, 6, None, stride, normalize))
+            cases.append((abelian(), 1e-2, 5, random_spd(rng), stride, normalize))
+            cases.append((lam1, 1e-3, 6, neg_zero, stride, normalize))
+            cases.append((lam1, 1e-3, 6, one_sided, stride, normalize))
+            for _ in range(3):
+                L = random_valid_algebra(rng, rotated=True)
+                g0 = random_spd(rng)
+                cases.append((L, 1e-200, 6, g0, stride, normalize))
+                cases.append((L, 1e-4, 5, g0, stride, normalize))
+            lam2 = from_kenmotsu_params(2.0, 0.0, 0.0)
+            cases.append((lam2, 1e-3, 40, None, stride, normalize))
+            cases.append((lam2, 0.09, 3, None, stride, normalize))
+    return cases
+
+
+class TestExactFixedPointExit:
+    def test_bitwise_equal_to_stepping_on(self):
+        exits = moving = degenerate = 0
+        for L, dt, steps, g0, stride, normalize in _flow_corpus():
+            kwargs = dict(g0=g0, stride=stride, normalize=normalize, fixed_point_tol=1e-9)
+            got = _outcome(flow_run, L, dt, steps, **kwargs)
+            want = _outcome(_reference_flow_run, L, dt, steps, **kwargs)
+            _assert_same_outcome(got, want)
+            states = want[0]
+            stationary = any(
+                a.metric.tobytes() == b.metric.tobytes()
+                for a, b in zip(states, states[1:])
+            )
+            exits += stationary
+            moving += not stationary
+            degenerate += want[2] is not None
+        # the corpus has runs on both sides of the exit, and failing runs
+        assert exits >= 30 and moving >= 30 and degenerate >= 6
+
+    def test_stationary_run_evaluates_cotton_five_times(self, monkeypatch):
+        import cotton3.cotton_flow as cf
+
+        calls = []
+        real = cf.cotton2_array
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cf, "cotton2_array", counting)
+        result = flow_run(from_kenmotsu_params(1.0, 0.0, 0.0), dt=1e-3, steps=50)
+        # the initial state and the first step; its result equals its input
+        assert len(calls) == 1 + 4
+        assert len(result.trajectory) == 51
 
 
 class TestExport:
