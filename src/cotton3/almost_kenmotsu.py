@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .connection_curvature import ConnectionTable, CurvaturePack
+from .connection_curvature import ConnectionTable, CurvaturePack, _jacobi
 from .errors import InconsistentStructure, NoStructure
 from .frame_algebra import (
     DEFAULT_TOL,
@@ -261,7 +261,7 @@ def _h_transport_sides(ak: AKStructure, gamma: np.ndarray, riemann: np.ndarray):
     equals on an almost Kenmotsu structure."""
     xi, h, phi = ak.xi.components, ak.h_op, ak.phi
     n_xi = (xi @ gamma.reshape(3, 9)).reshape(3, 3).T
-    l = (xi @ (xi @ riemann)).T
+    l = _jacobi(riemann, xi)
     return n_xi @ h - h @ n_xi, -phi - 2.0 * h - phi @ h @ h - phi @ l
 
 

@@ -38,6 +38,7 @@ from .almost_kenmotsu import (
 )
 from .connection_curvature import (
     PRODUCT_H2XR,
+    _jacobi,
     classify_geometry,
     curvature,
     levi_civita,
@@ -46,7 +47,7 @@ from .connection_curvature import (
 )
 from .cotton import cotton2_closed_form, cotton_pack
 from .cotton_flow import export_trajectory, flow_run, write_trajectory
-from .errors import AssertionFailure, Cotton3Error, DegenerateMetric, NoStructure
+from .errors import Cotton3Error, DegenerateMetric, NoStructure
 from .frame_algebra import (
     MetricLieAlgebra3,
     from_kenmotsu_params,
@@ -59,8 +60,9 @@ from .soliton import (
     TRIVIAL_ONLY,
     SolitonProblem,
     _solve_ansatze,
+    _theorem_checks,
+    _theorem_layers,
     lie_derivative_metric,
-    reproduce_theorems,
     solve as solve_soliton,
     soliton_existence_survey,
 )
@@ -501,6 +503,12 @@ def cmd_flow(args) -> int:
     return 0
 
 
+# the reference members: Kenmotsu (lam, b, c), then the solvable (alpha, beta)
+_KENMOTSU_MEMBERS = ((2.0, 0.0, 0.0), (1.0, 3.0, 3.0), (1.0, 0.0, 0.0), (0.5, 0.0, 0.0),
+                     (3.0, 0.0, 0.0), (1.0, -2.0, -2.0))
+_SOLVABLE_MEMBERS = ((2.0, 0.5), (1.0, 0.0))
+
+
 def _member(L: MetricLieAlgebra3) -> tuple:
     """``(L, conn, pack, structure, cotton pack)`` of a reference member,
     each layer built once for every check that reads it."""
@@ -509,13 +517,16 @@ def _member(L: MetricLieAlgebra3) -> tuple:
     return L, conn, pack, detect_structure(L, conn, pack), cotton_pack(L, conn, pack)
 
 
-def _verify_checks(tol: float) -> list:
+def _verify_checks(tol: float, grid: list) -> list:
+    """The fixed reference checks, then the soliton existence checks at
+    each lam of ``grid``.  A grid lam that is a (lam, 0, 0) member of the
+    table reads that member's layers; any other gets fresh layers, with no
+    structure detection."""
     checks = []
-    members = {}
+    members = {p: _member(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
+    members.update((p, _member(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
 
     def kenmotsu(lam, b=0.0, c=0.0):
-        if (lam, b, c) not in members:
-            members[lam, b, c] = _member(from_kenmotsu_params(lam, b, c))
         return members[lam, b, c]
 
     def survey(member):
@@ -537,7 +548,7 @@ def _verify_checks(tol: float) -> list:
     add("connection table, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # jacobi operator along the reeb direction, lambda=2
-    jac = curvature(L2, conn2, reeb=np.array([1.0, 0.0, 0.0])).jacobi_operator
+    jac = _jacobi(pack2.riemann, np.array([1.0, 0.0, 0.0]))
     expect = np.array([[0.0, 0.0, 0.0], [0.0, -5.0, 4.0], [0.0, 4.0, -5.0]])
     gap = float(np.max(np.abs(jac - expect)))
     add("jacobi operator, lambda=2", gap <= tol, f"max gap {gap:.3e}")
@@ -647,7 +658,7 @@ def _verify_checks(tol: float) -> list:
         f"{cls1.kind}, eigenvalues {[round(float(x), 6) for x in eigs]}")
 
     # detection on the rank-two solvable family, alpha=2 beta=0.5
-    aknu = _member(from_nonunimodular(2.0, 0.5))[3]
+    aknu = members[2.0, 0.5][3]
     ok = (
         close(aknu.lam, math.sqrt(1.25), 100 * tol)
         and abs(aknu.b) <= 100 * tol
@@ -658,7 +669,7 @@ def _verify_checks(tol: float) -> list:
         f"lambda {aknu.lam:.6g}, reeb ({aknu.xi.components[0]:.3g}, ...)")
 
     # alpha=1 beta=0 is hyperbolic space: h = 0 and S = -2 g
-    Lh, _, ph, akh, _ = _member(from_nonunimodular(1.0, 0.0))
+    Lh, _, ph, akh, _ = members[1.0, 0.0]
     ok = (
         akh.kenmotsu
         and float(np.max(np.abs(akh.h_op))) <= tol
@@ -685,6 +696,16 @@ def _verify_checks(tol: float) -> list:
     drift = float(np.max(np.abs(res.final.metric - np.eye(3))))
     add("flow fixed point, lambda=1", drift <= tol, f"drift {drift:.3e}")
 
+    # the soliton existence picture across the grid
+    rows = []
+    for lam in grid:
+        m = members.get((lam, 0.0, 0.0))
+        layers = (*m[:3], m[4].cotton2) if m else _theorem_layers(lam)
+        rows += _theorem_checks(lam, *layers, tol)
+    _require_finite({"residual": [ch.residual for ch in rows]})
+    for ch in rows:
+        add(f"{ch.name}, lambda={ch.lam:g}", ch.passed,
+            f"{ch.detail}; residual {ch.residual:.3e}")
     return checks
 
 
@@ -703,34 +724,18 @@ def _parse_grid(raw: str) -> list:
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     grid = _parse_grid(args.grid)
-    checks = _verify_checks(tol)
-    try:
-        report = reproduce_theorems(grid, tol=tol)
-    except AssertionFailure as exc:
-        report = exc.report
-    _require_finite({"residual": [ch.residual for ch in report.checks]})
-    for ch in report.checks:
-        checks.append({
-            "name": f"{ch.name}, lambda={ch.lam:g}",
-            "ok": ch.passed,
-            "detail": f"{ch.detail}; residual {ch.residual:.3e}",
-        })
+    checks = _verify_checks(tol, grid)
     all_ok = all(c["ok"] for c in checks)
-    if args.format == "machine":
-        doc = {
-            "checks": checks,
-            "all_ok": all_ok,
-            "grid": grid,
-            "version": __version__,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for c in checks:
+
+    def human(p):
+        for c in p["checks"]:
             tag = "ok  " if c["ok"] else "FAIL"
             detail = f"  ({c['detail']})" if c["detail"] else ""
             print(f"{tag}  {c['name']}{detail}")
-        n_ok = sum(1 for c in checks if c["ok"])
-        print(f"{n_ok}/{len(checks)} reference checks passed")
+        n_ok = sum(1 for c in p["checks"] if c["ok"])
+        print(f"{n_ok}/{len(p['checks'])} reference checks passed")
+
+    _emit({"checks": checks, "all_ok": all_ok, "grid": grid}, args, human)
     return 0 if all_ok else 2
 
 

@@ -16,9 +16,9 @@ Index conventions: ``gamma[i, j, k]`` is the ``e_k`` component of
 The private helpers work on plain arrays and contract through constant
 index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
-from the connection, without the Riemann tensor.  ``curvature`` builds the Riemann tensor only for
-``CurvaturePack.riemann``, which the Jacobi operator and the h-parallel
-check read.
+from the connection, without the Riemann tensor.  ``curvature`` builds
+the Riemann tensor only for ``CurvaturePack.riemann``, which the Jacobi
+operator ``_jacobi`` reads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, SingularMetric
-from .frame_algebra import DEFAULT_TOL, FrameVector, MetricLieAlgebra3, SymBilinear
+from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear
 from .frame_algebra import _wrap
 
 
@@ -52,8 +52,6 @@ class CurvaturePack:
     """Curvature data of one metric Lie algebra.
 
     ``metric`` is the inner product the curvature belongs to.
-    ``jacobi_operator`` is the matrix of ``X -> R(X, reeb) reeb`` and is
-    populated only when a Reeb candidate was supplied.
     """
 
     riemann: np.ndarray
@@ -61,7 +59,6 @@ class CurvaturePack:
     ricci_operator: np.ndarray
     scalar: float
     metric: np.ndarray
-    jacobi_operator: np.ndarray | None = None
 
 
 def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,21 +145,24 @@ def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
     return ConnectionTable(_gamma(L.structure_constants, L.metric)[0])
 
 
-def curvature(
-    L: MetricLieAlgebra3, conn: ConnectionTable, reeb: FrameVector | None = None
-) -> CurvaturePack:
-    """Riemann tensor, Ricci form and operator, scalar curvature."""
+def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix of the Jacobi operator X -> R(X, x) x along the vector ``x``."""
+    return (x @ (x @ riemann)).T
+
+
+def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
+    """Riemann tensor, Ricci form and operator, scalar curvature.
+
+    The metric must pass the metric rule of ``_metric_frame``, which raises
+    ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
+    Ricci operator g^-1 S is then solved against it.
+    """
+    _metric_frame(L.metric)
     riemann = _riemann(L.structure_constants, conn.gamma)
     ricci = _ricci(L.structure_constants, conn.gamma)
     q = np.linalg.solve(L.metric, ricci)
     scalar = float(np.trace(q))
-    jac = None
-    if reeb is not None:
-        x = reeb.components if isinstance(reeb, FrameVector) else np.asarray(
-            reeb, dtype=float
-        )
-        jac = np.einsum("ijkl,j,k->li", riemann, x, x)
-    return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric, jac)
+    return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric)
 
 
 @dataclass(frozen=True)

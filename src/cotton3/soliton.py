@@ -324,71 +324,13 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     metric splitting as a curvature -4 hyperbolic plane times a line.
 
     Returns the full check list; raises ``AssertionFailure`` carrying it
-    when any check fails.
+    when any check fails, and ``ValueError`` for a nan, infinite or
+    negative ``tol``.
     """
     checks = []
     for lam in lam_grid:
         lam = float(lam)
-        L = from_kenmotsu_params(lam, 0.0, 0.0)
-        conn = levi_civita(L)
-        pack = curvature(L, conn)
-        cotton2 = cotton_pack(L, conn, pack).cotton2
-        sols = _solve_ansatze(
-            SolitonProblem(L, conn, cotton2, _FRAME), ("collinear", "orthogonal"), tol
-        )
-
-        coll = sols["collinear"]
-        coll_ok = coll.classification in (INFEASIBLE, TRIVIAL_ONLY)
-        checks.append(
-            TheoremCheck(
-                "collinear potential stays trivial",
-                lam,
-                coll_ok,
-                coll.residual,
-                f"classification = {coll.classification}",
-            )
-        )
-
-        orth = sols["orthogonal"]
-        at_one = abs(lam - 1.0) <= tol
-        checks.append(
-            TheoremCheck(
-                "orthogonal ansatz feasible only at lam = 1",
-                lam,
-                orth.feasible == at_one,
-                orth.residual,
-                f"feasible = {orth.feasible}, expected {at_one}",
-            )
-        )
-        if at_one:
-            checks.append(
-                TheoremCheck(
-                    "orthogonal soliton is steady",
-                    lam,
-                    orth.classification == STEADY,
-                    abs(orth.sigma),
-                    f"classification = {orth.classification}, "
-                    f"sigma = {orth.sigma:.3e}",
-                )
-            )
-            geo = classify_geometry(
-                pack, ricci_parallel_check(L, conn, pack).is_parallel
-            )
-            geo_ok = geo.kind == PRODUCT_H2XR and geo.curvature is not None
-            if geo.curvature is not None:
-                gap = abs(geo.curvature + 4.0)
-            else:
-                # no model matched: how far the Ricci spectrum is from {-4, -4, 0}
-                gap = float(np.max(np.abs(ricci_spectrum(pack) - (-4.0, -4.0, 0.0))))
-            checks.append(
-                TheoremCheck(
-                    "metric splits as hyperbolic plane (curvature -4) times line",
-                    lam,
-                    geo_ok and gap <= 1e-6,
-                    gap,
-                    f"kind = {geo.kind}, factor curvature = {geo.curvature}",
-                )
-            )
+        checks += _theorem_checks(lam, *_theorem_layers(lam), tol)
     report = TheoremReport(tuple(checks))
     if not report.all_passed:
         names = ", ".join(
@@ -398,3 +340,48 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
             f"soliton existence checks failed: {names}", report=report
         )
     return report
+
+
+def _theorem_layers(lam: float) -> tuple:
+    """``(L, conn, pack, cotton2)`` of the lam, b = c = 0 member, fresh."""
+    L = from_kenmotsu_params(lam, 0.0, 0.0)
+    conn = levi_civita(L)
+    pack = curvature(L, conn)
+    return L, conn, pack, cotton_pack(L, conn, pack).cotton2
+
+
+def _theorem_checks(lam: float, L, conn, pack, cotton2, tol: float) -> list:
+    """The checks of ``reproduce_theorems`` at one lam, on the member's
+    prebuilt layers ``(L, conn, pack, cotton2)``; ``ValueError`` for a nan,
+    infinite or negative ``tol``, which would skip the lam = 1 checks."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    problem = SolitonProblem(L, conn, cotton2, _FRAME)
+    sols = _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
+    coll, orth = sols["collinear"], sols["orthogonal"]
+    at_one = abs(lam - 1.0) <= tol
+    checks = [
+        TheoremCheck("collinear potential stays trivial", lam,
+                     coll.classification in (INFEASIBLE, TRIVIAL_ONLY), coll.residual,
+                     f"classification = {coll.classification}"),
+        TheoremCheck("orthogonal ansatz feasible only at lam = 1", lam,
+                     orth.feasible == at_one, orth.residual,
+                     f"feasible = {orth.feasible}, expected {at_one}"),
+    ]
+    if not at_one:
+        return checks
+    checks.append(TheoremCheck(
+        "orthogonal soliton is steady", lam, orth.classification == STEADY,
+        abs(orth.sigma),
+        f"classification = {orth.classification}, sigma = {orth.sigma:.3e}"))
+    geo = classify_geometry(pack, ricci_parallel_check(L, conn, pack).is_parallel)
+    if geo.curvature is not None:
+        gap = abs(geo.curvature + 4.0)
+    else:
+        # no model matched: how far the Ricci spectrum is from {-4, -4, 0}
+        gap = float(np.max(np.abs(ricci_spectrum(pack) - (-4.0, -4.0, 0.0))))
+    checks.append(TheoremCheck(
+        "metric splits as hyperbolic plane (curvature -4) times line", lam,
+        geo.kind == PRODUCT_H2XR and geo.curvature is not None and gap <= 1e-6, gap,
+        f"kind = {geo.kind}, factor curvature = {geo.curvature}"))
+    return checks

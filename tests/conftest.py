@@ -29,6 +29,19 @@ def milnor(c1: float, c2: float, c3: float) -> MetricLieAlgebra3:
     return MetricLieAlgebra3(sc)
 
 
+def semidirect(D) -> MetricLieAlgebra3:
+    """R acting on R^2 by the 2x2 matrix D: [e1, e2] = D11 e2 + D21 e3,
+    [e1, e3] = D12 e2 + D22 e3.  Every non-unimodular algebra is one of
+    these (Milnor 1976); the Jacobi identity holds for every D."""
+    D = np.asarray(D, dtype=float)
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1:] = D[:, 0]
+    c[0, 2, 1:] = D[:, 1]
+    c[1, 0] = -c[0, 1]
+    c[2, 0] = -c[0, 2]
+    return MetricLieAlgebra3(c)
+
+
 def abelian() -> MetricLieAlgebra3:
     return MetricLieAlgebra3(np.zeros((3, 3, 3)))
 

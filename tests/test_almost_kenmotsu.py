@@ -14,12 +14,12 @@ from conftest import (
     random_rotation,
     random_valid_algebra,
     rotate_algebra,
+    semidirect,
     su2_round,
 )
 from cotton3 import (
     AKStructure,
     InconsistentStructure,
-    MetricLieAlgebra3,
     NoStructure,
     adapted_connection_table,
     check_h_parallel,
@@ -47,16 +47,6 @@ def detect(L, tol=1e-8):
     conn = levi_civita(L)
     pack = curvature(L, conn)
     return conn, pack, detect_structure(L, conn, pack, tol=tol)
-
-
-def semidirect(D):
-    """R acting on R^2 by D: [e1, e2] = D11 e2 + D21 e3, [e1, e3] = D12 e2 + D22 e3."""
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 1:] = D[:, 0]
-    c[0, 2, 1:] = D[:, 1]
-    c[1, 0] = -c[0, 1]
-    c[2, 0] = -c[0, 2]
-    return MetricLieAlgebra3(c)
 
 
 class TestReebShapeSystem:

@@ -545,9 +545,9 @@ class TestVerifyPaper:
 
     def test_each_layer_built_once_per_member(self, capsys, monkeypatch):
         # eight reference members, each connection, curvature, structure and
-        # Cotton tensor built once; three more builds for the default grid;
-        # one curvature along the Reeb field; five Cotton evaluations for the
-        # stationary flow, which stops evaluating after its first step
+        # Cotton tensor built once; the default grid reads the members at
+        # lambda = 0.5, 1 and 2; five Cotton evaluations for the stationary
+        # flow, which stops evaluating after its first step
         import sys
 
         counts = dict.fromkeys(
@@ -573,9 +573,9 @@ class TestVerifyPaper:
         assert rc == 0
         assert counts == {
             "detect_structure": 8,
-            "levi_civita": 11,
-            "curvature": 12,
-            "cotton_pack": 11,
+            "levi_civita": 8,
+            "curvature": 8,
+            "cotton_pack": 8,
             "cotton2_array": 5,
         }
 

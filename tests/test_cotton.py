@@ -436,6 +436,8 @@ def test_metric_rule_is_shared(metric, expected):
     pack = dataclasses.replace(curvature(L0, levi_civita(L0)), metric=g)
     outcomes = {
         "levi_civita": _outcome(lambda: levi_civita(L)),
+        # a connection built under another metric reaches the rule here
+        "curvature": _outcome(lambda: curvature(L, levi_civita(L0))),
         "cotton_pack": _outcome(lambda: cotton_pack(L)),
         "cotton2_array": _outcome(lambda: cotton2_array(c, g)),
         "make_state": _outcome(lambda: make_state(L0, 0.0, g)),

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import milnor, rotate_algebra
+from conftest import milnor, rotate_algebra, semidirect
 from cotton3 import from_kenmotsu_params, from_nonunimodular
 from cotton3.connection_curvature import _gamma, _ricci
 from cotton3.cotton import _cotton3, cotton2_array
@@ -12,9 +12,17 @@ from cotton3.cotton import _cotton3, cotton2_array
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 coeff = st.floats(-3.0, 3.0)
+# ad(e1) on span(e2, e3): a general D, and the two real normal forms a general
+# draw almost never hits, complex eigenvalues and a Jordan block
+actions = st.one_of(
+    st.lists(coeff, min_size=4, max_size=4).map(lambda d: np.reshape(d, (2, 2))),
+    st.builds(lambda a, b: np.array([[a, -b], [b, a]]), coeff, coeff),
+    st.builds(lambda a: np.array([[a, 1.0], [0.0, a]]), coeff),
+)
 algebras = st.one_of(
     st.builds(milnor, coeff, coeff, coeff),
     st.builds(from_nonunimodular, coeff, coeff),
+    st.builds(semidirect, actions),
     st.builds(lambda lam: from_kenmotsu_params(lam, 0.0, 0.0), st.floats(0.05, 5.0)),
     st.builds(lambda b: from_kenmotsu_params(1.0, b, b), coeff),
 )

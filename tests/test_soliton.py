@@ -309,6 +309,17 @@ class TestTheoremReproduction:
         assert len(report.failures()) == 2
         assert "soliton existence checks failed" in str(err.value)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+    def test_invalid_tolerance_rejected(self, tol):
+        # every comparison with nan is false, so a nan tolerance would skip
+        # the lam = 1 checks and pass on the remaining four
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            reproduce_theorems([1.0, 2.0], tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        report = reproduce_theorems([2.0], tol=0.0)
+        assert len(report.checks) == 2
+
     def test_integer_grid_accepted(self):
         report = reproduce_theorems([1])
         assert report.all_passed
