@@ -39,6 +39,7 @@ from .almost_kenmotsu import (
 from .connection_curvature import (
     PRODUCT_H2XR,
     _jacobi,
+    _metric_frame,
     classify_geometry,
     curvature,
     levi_civita,
@@ -371,7 +372,7 @@ def cmd_cotton(args) -> int:
         "cotton2": _mat(cp.cotton2.components),
         "cotton2_norm": cp.norm2,
         "cotton2_trace": float(
-            np.trace(np.linalg.solve(L.metric, cp.cotton2.components))
+            np.trace(_metric_frame(L.metric)[0] @ cp.cotton2.components)
         ),
         "cotton3": [_mat(cp.cotton3.components[i]) for i in range(3)],
         "conformally_flat": cp.norm2 <= tol,

@@ -61,25 +61,84 @@ class CurvaturePack:
     metric: np.ndarray
 
 
-def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The metric rule: factor g = V diag(w) V^T with one ``eigh``, w ascending.
+def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+    """The metric rule, in one scalar Cholesky pass g = L L^T over the floats
+    of g's lower triangle.  Returns g^-1, det g and L^-1 (rows of floats).
 
-    ``DegenerateMetric`` when an eigenvalue is negative or nan (g outside the
-    positive cone, or not finite); ``SingularMetric`` when one is zero or
-    w_min <= 1e-12 w_max.  Every layer that needs g^-1, det g or positive
-    definiteness reads it off this one factorization.
+    g is first divided by 2^k, k even, so that its largest diagonal entry
+    lies in [1, 4): the scaling and its square root are exact, and g = I is
+    not scaled, so that the pass returns exactly I, 1.0 and I there.
+
+    ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
+    (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
+    (unless the closed-form spectrum shows g indefinite) or when
+    w_min <= 1e-12 w_max.  That condition is read as
+    lambda_max(g) lambda_max(g^-1) from ``_sym3_eigenvalues``, whose largest
+    eigenvalue is accurate where a double smallest one is not, and only
+    when its upper bound tr g tr g^-1 reaches 1e12.  Every layer that needs
+    g^-1, det g or positive definiteness reads it off this one pass.
     """
-    try:
-        w, V = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:  # no convergence on some nan input
-        raise DegenerateMetric(f"metric is not positive definite ({exc})") from exc
-    w0, w1, w2 = w.tolist()
-    # false on nan too: eigh may return a finite w0 beside a nan
-    if not (w0 >= 0 and w1 >= 0 and w2 >= 0):
-        raise DegenerateMetric(f"metric is not positive definite (eigenvalues {w})")
-    if w0 <= 1e-12 * w2:
-        raise SingularMetric(f"metric is singular (singular values {w[::-1]})")
-    return V, w
+    (a, _, _), (b, d, _), (c, e, f) = g.tolist()
+    # on the positive cone the largest diagonal entry bounds every entry;
+    # a nan that max passes over fails a pivot below
+    m = max(a, d, f)
+    k = 0
+    if not 1.0 <= m < 4.0:
+        if not m < math.inf:
+            raise DegenerateMetric("metric is not positive definite (entries not finite)")
+        k = max(-1022, (math.frexp(m)[1] - 1) & -2)
+        s = math.ldexp(1.0, -k)
+        a, b, c, d, e, f = a * s, b * s, c * s, d * s, e * s, f * s
+    rows = ((a, b, c), (b, d, e), (c, e, f))
+    if not a > 0.0:
+        _refuse(a, rows)
+    l00 = math.sqrt(a)
+    l10, l20 = b / l00, c / l00
+    p1 = d - l10 * l10
+    if not p1 > 0.0:
+        _refuse(p1, rows)
+    l11 = math.sqrt(p1)
+    l21 = (e - l20 * l10) / l11
+    p2 = f - l20 * l20 - l21 * l21
+    if not p2 > 0.0:
+        _refuse(p2, rows)
+    # L^-1 by substitution; 0.0 - x keeps the zeros of a diagonal g positive
+    i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(p2)
+    i10 = 0.0 - l10 * i00 * i11
+    i21 = 0.0 - l21 * i11 * i22
+    i20 = 0.0 - (l20 * i00 + l21 * i10) * i22
+    # g^-1 = L^-T L^-1
+    v00 = i00 * i00 + i10 * i10 + i20 * i20
+    v10 = i10 * i11 + i20 * i21
+    v20 = i20 * i22
+    v11 = i11 * i11 + i21 * i21
+    v21 = i21 * i22
+    v22 = i22 * i22
+    # on the positive cone tr g >= lambda_max(g), so this bounds the condition
+    if not (a + d + f) * (v00 + v11 + v22) < 1e12:
+        inv = ((v00, v10, v20), (v10, v11, v21), (v20, v21, v22))
+        cond = _sym3_eigenvalues(rows)[2] * _sym3_eigenvalues(inv)[2]
+        # false on nan too, from an inverse that overflowed
+        if not cond < 1e12:
+            raise SingularMetric(f"metric is singular (condition number {cond:.3g})")
+    det = a * p1 * p2
+    if k:
+        # undo the scaling: g^-1 by 2^-k, L^-1 by 2^(-k/2), det g by 2^(3k)
+        det = det / s / s / s
+        v00, v10, v20, v11, v21, v22 = v00 * s, v10 * s, v20 * s, v11 * s, v21 * s, v22 * s
+        h = math.ldexp(1.0, -k // 2)
+        i00, i10, i20, i11, i21, i22 = i00 * h, i10 * h, i20 * h, i11 * h, i21 * h, i22 * h
+    ginv = np.array(((v00, v10, v20), (v10, v11, v21), (v20, v21, v22)))
+    return ginv, det, ((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))
+
+
+def _refuse(pivot: float, rows: tuple) -> None:
+    """Raise the metric rule's refusal for a Cholesky pivot that is not
+    positive: a zero pivot is a singular metric unless the closed-form
+    spectrum of ``rows`` has a negative eigenvalue."""
+    if pivot == 0.0 and _sym3_eigenvalues(rows)[0] >= 0.0:
+        raise SingularMetric("metric is singular (zero Cholesky pivot)")
+    raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {pivot:.3g})")
 
 
 # Row a of _KOSZUL is the Koszul array of the flat cg = e_a under the
@@ -96,10 +155,9 @@ def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _gamma(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """Connection coefficients of constants ``c`` under metric ``g``, and
-    det g, under the metric rule: the Koszul array times g^-1 = (V / w) V^T."""
-    V, w = _metric_frame(g)
-    w0, w1, w2 = w.tolist()
-    return (_koszul(c, g).reshape(9, 3) @ ((V / w) @ V.T)).reshape(3, 3, 3), w0 * w1 * w2
+    det g, under the metric rule: the Koszul array times g^-1."""
+    ginv, det, _ = _metric_frame(g)
+    return (_koszul(c, g).reshape(9, 3) @ ginv).reshape(3, 3, 3), det
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -155,12 +213,12 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
 
     The metric must pass the metric rule of ``_metric_frame``, which raises
     ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
-    Ricci operator g^-1 S is then solved against it.
+    Ricci operator is g^-1 S with g^-1 from that pass.
     """
-    _metric_frame(L.metric)
+    ginv = _metric_frame(L.metric)[0]
     riemann = _riemann(L.structure_constants, conn.gamma)
     ricci = _ricci(L.structure_constants, conn.gamma)
-    q = np.linalg.solve(L.metric, ricci)
+    q = ginv @ ricci
     scalar = float(np.trace(q))
     return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric)
 
@@ -182,40 +240,41 @@ def ricci_parallel_check(
     return ParallelCheck(mx <= tol, mx)
 
 
-def _sym3_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of a symmetric 3x3 matrix, ascending.
+def _sym3_eigenvalues(M) -> list:
+    """Closed-form eigenvalues of a symmetric 3x3 matrix, ascending, from
+    the upper triangle of its rows (floats, or an array).
 
     Trigonometric solution of the characteristic cubic; no iterative
-    factorization involved.
+    factorization involved.  The largest eigenvalue is accurate to rounding;
+    a double smallest one only to about sqrt(eps) times the largest.
     """
-    M = np.asarray(M, dtype=float)
-    p1 = M[0, 1] ** 2 + M[0, 2] ** 2 + M[1, 2] ** 2
+    (a, b, c), (_, d, e), (_, _, f) = M
+    p1 = b * b + c * c + e * e
     if p1 == 0.0:
-        return np.sort(np.diag(M).copy())
-    q = float(np.trace(M)) / 3.0
-    p2 = (M[0, 0] - q) ** 2 + (M[1, 1] - q) ** 2 + (M[2, 2] - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    B = (M - q * np.eye(3)) / p
-    r = float(np.linalg.det(B)) / 2.0
+        return sorted((a, d, f))
+    q = (a + d + f) / 3.0
+    a, d, f = a - q, d - q, f - q
+    p = math.sqrt((a * a + d * d + f * f + 2.0 * p1) / 6.0)
+    # B = (M - q I) / p, and r = det(B) / 2
+    a, d, f, b, c, e = a / p, d / p, f / p, b / p, c / p, e / p
+    r = (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)) / 2.0
     r = min(1.0, max(-1.0, r))
     phi = math.acos(r) / 3.0
     lam1 = q + 2.0 * p * math.cos(phi)
     lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-    return np.sort(np.array([lam1, lam2, lam3]))
+    return sorted((lam1, 3.0 * q - lam1 - lam3, lam3))
 
 
 def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
     """Eigenvalues of the Ricci operator, ascending.
 
-    With g = V diag(w) V^T from the metric rule of ``_metric_frame`` (which
-    may raise) and R = V / sqrt(w), the operator g^-1 S is similar to the
-    symmetric R^T S R, so the closed-form symmetric solver applies.
+    With g = L L^T from the metric rule of ``_metric_frame`` (which may
+    raise), the operator g^-1 S is similar to the symmetric L^-1 S L^-T, so
+    the closed-form symmetric solver applies.
     """
-    V, w = _metric_frame(pack.metric)
-    R = V / np.sqrt(w)
-    W = R.T @ pack.ricci.components @ R
-    return _sym3_eigenvalues(0.5 * (W + W.T))
+    Li = np.array(_metric_frame(pack.metric)[2])
+    W = Li @ pack.ricci.components @ Li.T
+    return np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
-from .connection_curvature import _IDX, _cov_deriv, _gamma, _ricci
+from .connection_curvature import _IDX, _cov_deriv, _gamma, _metric_frame, _ricci
 from .errors import SingularMetric
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3, _wrap
 
@@ -55,8 +55,9 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(0,2) Cotton tensor of constants ``c`` under metric ``g``: the chain
     of ``cotton_pack`` on plain arrays, for the flow's per-stage evaluations.
 
-    The connection and det g come from ``_gamma`` under the metric rule,
-    which raises ``DegenerateMetric`` outside the positive cone and
+    The connection and det g come from ``_gamma``, which reads g^-1 and
+    det g off the metric rule's one Cholesky pass, ``_metric_frame``: it
+    raises ``DegenerateMetric`` outside the positive cone and
     ``SingularMetric`` for a singular metric; the dual's determinant rule
     follows.
     """
@@ -82,16 +83,16 @@ def cotton_pack(
 
     The chain of ``_cotton3``, the skew part of the covariant Ricci
     derivative, then ``_cotton2``, its dual over the skew pair of slots
-    with det g from ``np.linalg.det``: each tensor is wrapped once, and the
-    norm is sqrt(x @ x) over the raveled (0,2) form, the computation of
-    ``np.linalg.norm``.
+    with det g from the metric rule's pass, ``_metric_frame``: each tensor
+    is wrapped once, and the norm is sqrt(x @ x) over the raveled (0,2)
+    form, the computation of ``np.linalg.norm``.
     """
     if conn is None:
         conn = levi_civita(L)
     if pack is None:
         pack = curvature(L, conn)
     c3 = _cotton3(conn.gamma, pack.ricci.components)
-    c2 = _cotton2(c3, L.metric, float(np.linalg.det(L.metric)))
+    c2 = _cotton2(c3, L.metric, _metric_frame(L.metric)[1])
     x = c2.ravel()
     return CottonPack(_wrap(Tensor3, c3), _wrap(SymBilinear, c2), math.sqrt(x @ x))
 

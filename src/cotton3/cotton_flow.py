@@ -9,11 +9,11 @@ step to hold det g exactly.
 Integration is classical fourth-order Runge-Kutta with symmetrized
 stages.  Each stage and each recorded state evaluates C(g) as
 ``cotton2_array(c, g)``, the chain of ``cotton_pack`` on plain arrays,
-under the library's one metric rule: a single ``eigh`` of g gives the
-positive-cone and singularity checks, g^-1 and det g.  When the initial
-metric, a stage metric or the step's result fails the rule, the run aborts
-with ``DegenerateMetric``, naming where, with the trajectory computed so
-far.  The optional rescaling checks det g > 0 before its real cube root.
+under the library's one metric rule: a single scalar Cholesky pass over g
+gives the positive-cone and singularity checks, g^-1 and det g.  When the
+initial metric, a stage metric or the step's result fails the rule, the run
+aborts with ``DegenerateMetric``, naming where, with the trajectory computed
+so far.  The optional rescaling checks det g > 0 before its real cube root.
 
 A step is a deterministic function of the state's metric alone, so once a
 step returns a metric bytewise equal to its input (an exact fixed point of

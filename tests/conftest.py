@@ -119,7 +119,8 @@ def random_valid_algebra(
 def near_singular_metric(rng: np.random.Generator) -> np.ndarray:
     """A rotated diag(1, 2, -1e-17) that Cholesky accepts and ``eigh`` reads
     as having a negative eigenvalue: two factorizations disagree on it, so
-    every layer must take its verdict from the same one."""
+    every layer must take its verdict from the same one, the metric rule's
+    Cholesky pass, which reads it as singular."""
     while True:
         R = random_rotation(rng)
         g = R @ np.diag([1.0, 2.0, -1e-17]) @ R.T

@@ -18,6 +18,8 @@ from cotton3 import (
     CONSTANT_CURVATURE,
     NOT_SYMMETRIC,
     PRODUCT_H2XR,
+    Cotton3Error,
+    DegenerateMetric,
     MetricLieAlgebra3,
     SingularMetric,
     SymBilinear,
@@ -35,6 +37,7 @@ from cotton3.connection_curvature import (
     _gamma,
     _jacobi,
     _koszul,
+    _metric_frame,
     _ricci,
     _riemann,
     _sym3_eigenvalues,
@@ -171,6 +174,107 @@ class TestCurvature:
             )
 
 
+# --------------------------------------------------------------------------
+# The metric rule's one Cholesky pass: what it returns, and its verdicts on a
+# robustness corpus against np.linalg.cholesky (the cone) and the SVD
+# condition number (the 1e-12 rule).
+
+
+def rule_outcome(g):
+    try:
+        _metric_frame(g)
+    except Cotton3Error as exc:
+        return type(exc)
+    return None
+
+
+def reference_outcome(g):
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return DegenerateMetric
+    sv = np.linalg.svd(g, compute_uv=False)
+    return SingularMetric if sv[-1] <= 1e-12 * sv[0] else None
+
+
+def rotated(rng, eigenvalues):
+    R = random_rotation(rng)
+    g = (R * np.asarray(eigenvalues)) @ R.T
+    return 0.5 * (g + g.T)
+
+
+class TestMetricFrame:
+    def test_identity_is_exact(self):
+        ginv, det, linv = _metric_frame(np.eye(3))
+        assert ginv.tobytes() == np.eye(3).tobytes()
+        assert det == 1.0
+        assert np.array(linv).tobytes() == np.eye(3).tobytes()
+        # -0.0 off the diagonal still gives +0.0 entries
+        g = np.where(np.eye(3) > 0, 1.0, -0.0)
+        assert _metric_frame(g)[0].tobytes() == np.eye(3).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 0.3, 1.0, 3.0, 1e20, 1e100])
+    def test_inverse_determinant_and_frame(self, scale):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            g = scale * random_spd(rng)
+            ginv, det, linv = _metric_frame(g)
+            linv = np.array(linv)
+            ref = np.linalg.inv(g)
+            assert np.max(np.abs(ginv - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert det == pytest.approx(float(np.linalg.det(g)), rel=1e-13)
+            assert np.array_equal(linv, np.tril(linv))
+            assert np.max(np.abs(linv @ g @ linv.T - np.eye(3))) <= 1e-13
+
+    @pytest.mark.parametrize("pattern", [
+        pytest.param(lambda k: (1.0 / k, 1.0 / k, 1.0), id="double-smallest"),
+        pytest.param(lambda k: (1.0, 1.0, 1.0 / k), id="double-largest"),
+        pytest.param(lambda k: (2.0 / k, 1.0, 2.0), id="spread"),
+    ])
+    @pytest.mark.parametrize("cond, expected", [
+        (1e10, None), (1e11, None), (1e13, SingularMetric), (1e15, SingularMetric),
+    ])
+    def test_condition_verdicts_at_every_scale(self, pattern, cond, expected):
+        rng = np.random.default_rng(31)
+        for j in range(-150, 151):
+            g = rotated(rng, np.multiply(10.0**j, pattern(cond)))
+            assert reference_outcome(g) is expected, j
+            assert rule_outcome(g) is expected, j
+
+    @pytest.mark.parametrize("g, expected", [
+        (np.diag([1.0, np.nan, 2.0]), DegenerateMetric),
+        (np.full((3, 3), np.nan), DegenerateMetric),
+        (np.where(np.eye(3) > 0, 1.0, np.nan), DegenerateMetric),
+        (np.diag([np.inf, 1.0, 1.0]), DegenerateMetric),
+        (np.diag([1.0, 1.0, np.inf]), DegenerateMetric),
+        (np.diag([-np.inf, 1.0, 1.0]), DegenerateMetric),
+        (np.where(np.eye(3) > 0, 1.0, np.inf), DegenerateMetric),
+        (np.where(np.eye(3) > 0, 1.0, -np.inf), DegenerateMetric),
+        (np.zeros((3, 3)), SingularMetric),
+        (np.diag([1.0, 1.0, -0.0]), SingularMetric),
+        (np.diag([-0.0, 1.0, 1.0]), SingularMetric),
+        (np.diag([0.0, -1.0, 1.0]), DegenerateMetric),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), DegenerateMetric),
+        (np.where(np.eye(3) > 0, 1.0, 1e300), DegenerateMetric),
+        (np.diag([1e300, 2e300, 3e300]), None),
+        (np.diag([1.7e308, 1.0, 1.0]), SingularMetric),
+    ])
+    def test_special_entries(self, g, expected):
+        assert rule_outcome(g) is expected
+
+    def test_huge_entries(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            g = rotated(rng, (1e300, 2e300, 3e300))
+            assert reference_outcome(g) is None
+            ginv, det, _ = _metric_frame(g)
+            ref = np.linalg.inv(g)
+            assert np.max(np.abs(ginv - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # det g = 6e900 overflows, as np.linalg.det does
+            assert det == np.inf
+            assert rule_outcome(rotated(rng, (1e300, 2e300, 3e287))) is SingularMetric
+
+
 class TestEigenvalues:
     def test_sym3_matches_library_solver(self):
         rng = np.random.default_rng(28)
@@ -295,9 +399,11 @@ class TestPublicComposition:
             ricci = SymBilinear(_ricci(L.structure_constants, conn.gamma)).components
             assert np.array_equal(pack.ricci.components, ricci)
             assert not pack.ricci.components.flags.writeable
-            q = np.linalg.solve(L.metric, ricci)
+            q = _metric_frame(L.metric)[0] @ ricci
             assert np.array_equal(pack.ricci_operator, q)
             assert pack.scalar == float(np.trace(q))
+            solved = np.linalg.solve(L.metric, ricci)
+            assert np.max(np.abs(q - solved)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
 
     def test_parallel_check_equals_cov_deriv_route(self):
         default_verdicts = set()

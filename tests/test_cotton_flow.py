@@ -93,14 +93,16 @@ class TestValidation:
             flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, -1.0, 1.0]))
 
     def test_initial_metric_under_the_metric_rule(self):
-        # Cholesky accepts this metric; the rule reads a negative eigenvalue
+        # Cholesky accepts this metric; the rule reads it as singular
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         g0 = near_singular_metric(np.random.default_rng(11))
         for normalize in (False, True):
             with pytest.raises(DegenerateMetric) as err:
                 flow_run(L, dt=1e-3, steps=1, g0=g0, normalize=normalize)
-            assert str(err.value) == "metric left the positive cone in the initial metric"
-            assert isinstance(err.value.__cause__, DegenerateMetric)
+            assert str(err.value).startswith(
+                "metric became singular in the initial metric: metric is singular"
+            )
+            assert isinstance(err.value.__cause__, SingularMetric)
         with pytest.raises(DegenerateMetric) as err:
             flow_run(L, dt=1e-3, steps=1, g0=np.full((3, 3), np.nan))
         assert str(err.value) == "metric left the positive cone in the initial metric"
@@ -159,7 +161,7 @@ class TestStageChecks:
     def test_make_state_requires_positive_definite(self):
         with pytest.raises(DegenerateMetric, match="not positive definite"):
             make_state(self.L, 0.0, np.diag([-1.0, -1.0, 1.0]))
-        # eigh returns eigenvalues (1, nan, 2) here: nan fails the check too
+        # the second Cholesky pivot is nan here: nan fails the check too
         with pytest.raises(DegenerateMetric, match="not positive definite"):
             make_state(self.L, 0.0, np.diag([1.0, np.nan, 2.0]))
         with pytest.raises(SingularMetric, match="metric is singular"):
