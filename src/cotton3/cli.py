@@ -46,7 +46,7 @@ from .connection_curvature import (
     ricci_parallel_check,
     ricci_spectrum,
 )
-from .cotton import cotton2_closed_form, cotton_pack
+from .cotton import cotton2_closed_form
 from .cotton_flow import export_trajectory, flow_run, write_trajectory
 from .errors import Cotton3Error, DegenerateMetric, NoStructure
 from .frame_algebra import (
@@ -353,7 +353,7 @@ def cmd_cotton(args) -> int:
     tol = _tolerance(args)
     conn = levi_civita(L)
     pack = curvature(L, conn)
-    cp = cotton_pack(L, conn, pack)
+    cp = pack.cotton
     adapted = None
     if _orthonormal(L):
         try:
@@ -511,11 +511,11 @@ _SOLVABLE_MEMBERS = ((2.0, 0.5), (1.0, 0.0))
 
 
 def _member(L: MetricLieAlgebra3) -> tuple:
-    """``(L, conn, pack, structure, cotton pack)`` of a reference member,
-    each layer built once for every check that reads it."""
+    """``(L, conn, pack, structure)`` of a reference member, each layer
+    built once for every check that reads it."""
     conn = levi_civita(L)
     pack = curvature(L, conn)
-    return L, conn, pack, detect_structure(L, conn, pack), cotton_pack(L, conn, pack)
+    return L, conn, pack, detect_structure(L, conn, pack)
 
 
 def _verify_checks(tol: float, grid: list) -> list:
@@ -533,8 +533,8 @@ def _verify_checks(tol: float, grid: list) -> list:
     def survey(member):
         # the collinear and orthogonal ansatz solutions, from the member's
         # own Cotton tensor
-        L, conn, _, ak, cp = member
-        problem = SolitonProblem(L, conn, cp.cotton2, ak.adapted_frame)
+        L, conn, pack, ak = member
+        problem = SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame)
         return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
 
     def add(name, ok, detail=""):
@@ -544,7 +544,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         return abs(x - y) <= (t if t is not None else tol)
 
     # adapted connection table of the lambda=2 diagonal family
-    L2, conn2, pack2, ak2, cp2 = kenmotsu(2.0)
+    L2, conn2, pack2, ak2 = kenmotsu(2.0)
     gap = float(np.max(np.abs(conn2.gamma - adapted_connection_table(2.0, 0.0, 0.0))))
     add("connection table, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
@@ -555,7 +555,7 @@ def _verify_checks(tol: float, grid: list) -> list:
     add("jacobi operator, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # ricci values of the lambda=1, b=c=3 family
-    _, _, p133, ak133, cp133 = kenmotsu(1.0, 3.0, 3.0)
+    _, _, p133, ak133 = kenmotsu(1.0, 3.0, 3.0)
     S = p133.ricci.components
     ok = (
         close(S[0, 0], -4.0)
@@ -577,16 +577,16 @@ def _verify_checks(tol: float, grid: list) -> list:
     worst = 0.0
     for lam, b, c in ((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.5, 0.0, 0.0),
                       (3.0, 0.0, 0.0), (1.0, 3.0, 3.0), (1.0, -2.0, -2.0)):
-        _, _, _, akg, cpg = kenmotsu(lam, b, c)
+        _, _, pg, akg = kenmotsu(lam, b, c)
         closed = cotton2_closed_form(akg).components
         E = np.column_stack([v.components for v in akg.adapted_frame])
-        oracle = E.T @ cpg.cotton2.components @ E
+        oracle = E.T @ pg.cotton.cotton2.components @ E
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     add("cotton closed form vs derivative route", worst <= 100 * tol,
         f"max gap {worst:.3e}")
 
     # cotton components of the lambda=2 family
-    c2 = cp2.cotton2.components
+    c2 = pack2.cotton.cotton2.components
     ok = (
         close(c2[1, 1], 12.0)
         and close(c2[2, 2], -12.0)
@@ -596,14 +596,14 @@ def _verify_checks(tol: float, grid: list) -> list:
     add("cotton components, lambda=2", ok, f"C(e,e) {c2[1, 1]:.6g}")
 
     # the lambda=1, b=c=3 family is conformally flat
-    norm = cp133.norm2
+    norm = p133.cotton.norm2
     add("cotton vanishes, lambda=1 b=c=3", norm <= tol, f"norm {norm:.3e}")
 
     # conformal flatness happens exactly at lambda=1 in the diagonal family
     ok = True
     detail = []
     for lam in (0.5, 1.0, 2.0, 3.0):
-        norm = kenmotsu(lam)[4].norm2
+        norm = kenmotsu(lam)[2].cotton.norm2
         expect = math.sqrt(2.0) * abs(2.0 * lam**3 - 2.0 * lam)
         ok = ok and close(norm, expect, 100 * tol)
         detail.append(f"lambda={lam:g}: {norm:.6g}")
@@ -619,7 +619,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         f"{sol.classification}, residual {sol.residual:.6g}")
 
     # at lambda=1 the collinear problem admits only the trivial solution
-    L1, conn1, pack1, ak1, _ = kenmotsu(1.0)
+    L1, conn1, pack1, ak1 = kenmotsu(1.0)
     survey1 = survey(kenmotsu(1.0))
     sol = survey1["collinear"]
     add("reeb-collinear soliton, lambda=1", sol.classification == TRIVIAL_ONLY,
@@ -670,7 +670,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         f"lambda {aknu.lam:.6g}, reeb ({aknu.xi.components[0]:.3g}, ...)")
 
     # alpha=1 beta=0 is hyperbolic space: h = 0 and S = -2 g
-    Lh, _, ph, akh, _ = members[1.0, 0.0]
+    Lh, _, ph, akh = members[1.0, 0.0]
     ok = (
         akh.kenmotsu
         and float(np.max(np.abs(akh.h_op))) <= tol
@@ -701,8 +701,7 @@ def _verify_checks(tol: float, grid: list) -> list:
     rows = []
     for lam in grid:
         m = members.get((lam, 0.0, 0.0))
-        layers = (*m[:3], m[4].cotton2) if m else _theorem_layers(lam)
-        rows += _theorem_checks(lam, *layers, tol)
+        rows += _theorem_checks(lam, *(m[:3] if m else _theorem_layers(lam)), tol)
     _require_finite({"residual": [ch.residual for ch in rows]})
     for ch in rows:
         add(f"{ch.name}, lambda={ch.lam:g}", ch.passed,

@@ -18,7 +18,8 @@ index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
 from the connection, without the Riemann tensor.  ``curvature`` builds
 the Riemann tensor only for ``CurvaturePack.riemann``, which the Jacobi
-operator ``_jacobi`` reads.
+operator ``_jacobi`` reads, and the Cotton tensors (``_cotton3`` and its
+dual ``_cotton2``) once per geometry, for ``CurvaturePack.cotton``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, SingularMetric
-from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear
+from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear, Tensor3
 from .frame_algebra import _wrap
 
 
@@ -48,10 +49,20 @@ class ConnectionTable:
 
 
 @dataclass(frozen=True, eq=False)
+class CottonPack:
+    """Both Cotton tensors of one algebra, plus the size of the (0,2) form."""
+
+    cotton3: Tensor3
+    cotton2: SymBilinear
+    norm2: float
+
+
+@dataclass(frozen=True, eq=False)
 class CurvaturePack:
     """Curvature data of one metric Lie algebra.
 
-    ``metric`` is the inner product the curvature belongs to.
+    ``metric`` is the inner product the curvature belongs to; ``cotton``
+    holds its Cotton tensors, the one evaluation every reader shares.
     """
 
     riemann: np.ndarray
@@ -59,15 +70,18 @@ class CurvaturePack:
     ricci_operator: np.ndarray
     scalar: float
     metric: np.ndarray
+    cotton: CottonPack
 
 
-def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The metric rule, in one scalar Cholesky pass g = L L^T over the floats
-    of g's lower triangle.  Returns g^-1, det g and L^-1 (rows of floats).
+    of g's lower triangle.  Returns g^-1, u = g / sqrt(det g) and L^-1 (rows
+    of floats).
 
     g is first divided by 2^k, k even, so that its largest diagonal entry
     lies in [1, 4): the scaling and its square root are exact, and g = I is
-    not scaled, so that the pass returns exactly I, 1.0 and I there.
+    not scaled, so that the pass returns exactly I, I and I there.  u is
+    (g 2^-k) / (l00 l11 l22 2^(k/2)), finite even where det g overflows.
 
     ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
     (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
@@ -76,7 +90,7 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, float, tuple]:
     lambda_max(g) lambda_max(g^-1) from ``_sym3_eigenvalues``, whose largest
     eigenvalue is accurate where a double smallest one is not, and only
     when its upper bound tr g tr g^-1 reaches 1e12.  Every layer that needs
-    g^-1, det g or positive definiteness reads it off this one pass.
+    g^-1, g / sqrt(det g) or positive definiteness reads it off this one pass.
     """
     (a, _, _), (b, d, _), (c, e, f) = g.tolist()
     # on the positive cone the largest diagonal entry bounds every entry;
@@ -121,15 +135,19 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         # false on nan too, from an inverse that overflowed
         if not cond < 1e12:
             raise SingularMetric(f"metric is singular (condition number {cond:.3g})")
-    det = a * p1 * p2
+    # 1 / sqrt(det) of the scaled g
+    w = i00 * i11 * i22
     if k:
-        # undo the scaling: g^-1 by 2^-k, L^-1 by 2^(-k/2), det g by 2^(3k)
-        det = det / s / s / s
+        # undo the scaling: g^-1 by 2^-k, L^-1 and 1 / sqrt(det g) by 2^(-k/2)
         v00, v10, v20, v11, v21, v22 = v00 * s, v10 * s, v20 * s, v11 * s, v21 * s, v22 * s
         h = math.ldexp(1.0, -k // 2)
         i00, i10, i20, i11, i21, i22 = i00 * h, i10 * h, i20 * h, i11 * h, i21 * h, i22 * h
-    ginv = np.array(((v00, v10, v20), (v10, v11, v21), (v20, v21, v22)))
-    return ginv, det, ((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))
+        w = w * h
+    a, b, c, d, e, f = a * w, b * w, c * w, d * w, e * w, f * w
+    # g^-1 and u from one array
+    gu = np.array((v00, v10, v20, v10, v11, v21, v20, v21, v22,
+                   a, b, c, b, d, e, c, e, f)).reshape(2, 3, 3)
+    return gu[0], gu[1], ((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))
 
 
 def _refuse(pivot: float, rows: tuple) -> None:
@@ -153,11 +171,11 @@ def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((c.reshape(9, 3) @ g).reshape(27) @ _KOSZUL).reshape(3, 3, 3)
 
 
-def _gamma(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+def _gamma(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Connection coefficients of constants ``c`` under metric ``g``, and
-    det g, under the metric rule: the Koszul array times g^-1."""
-    ginv, det, _ = _metric_frame(g)
-    return (_koszul(c, g).reshape(9, 3) @ ginv).reshape(3, 3, 3), det
+    g / sqrt(det g), under the metric rule: the Koszul array times g^-1."""
+    ginv, u, _ = _metric_frame(g)
+    return (_koszul(c, g).reshape(9, 3) @ ginv).reshape(3, 3, 3), u
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -194,6 +212,23 @@ def _cov_deriv(gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
     return -(p + p.transpose(0, 2, 1))
 
 
+# flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
+_DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
+
+
+def _cotton3(gamma: np.ndarray, ricci: np.ndarray) -> np.ndarray:
+    """(0,3) Cotton tensor: the skew part of the covariant Ricci derivative."""
+    d = _cov_deriv(gamma, ricci)
+    return d - d.transpose(1, 0, 2)
+
+
+def _cotton2(c3: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Dual of ``c3`` under the metric g with u = g / sqrt(det g)."""
+    # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
+    out = c3.reshape(27)[_DUAL] @ u
+    return 0.5 * (out + out.T)
+
+
 def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
     """Unique torsion-free metric connection, computed via Koszul.
 
@@ -209,18 +244,24 @@ def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
-    """Riemann tensor, Ricci form and operator, scalar curvature.
+    """Riemann tensor, Ricci form and operator, scalar curvature, Cotton
+    tensors.
 
     The metric must pass the metric rule of ``_metric_frame``, which raises
     ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
-    Ricci operator is g^-1 S with g^-1 from that pass.
+    Ricci operator g^-1 S and the Cotton dual read that pass.  The Cotton
+    norm is sqrt(x @ x), the computation of ``np.linalg.norm``.
     """
-    ginv = _metric_frame(L.metric)[0]
+    ginv, u, _ = _metric_frame(L.metric)
     riemann = _riemann(L.structure_constants, conn.gamma)
     ricci = _ricci(L.structure_constants, conn.gamma)
     q = ginv @ ricci
     scalar = float(np.trace(q))
-    return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric)
+    c3 = _cotton3(conn.gamma, ricci)
+    c2 = _cotton2(c3, u)
+    x = c2.ravel()
+    cotton = CottonPack(_wrap(Tensor3, c3), _wrap(SymBilinear, c2), math.sqrt(x @ x))
+    return CurvaturePack(riemann, _wrap(SymBilinear, ricci), q, scalar, L.metric, cotton)
 
 
 @dataclass(frozen=True)

@@ -17,61 +17,31 @@ The equivalent (0,2) form is the dual over the first two slots:
 
 with eps the pure permutation symbol; the result is symmetric and trace
 free, and scales as t^(-1/2) C under g -> t g.
+
+``curvature`` evaluates both once per geometry, as ``CurvaturePack.cotton``,
+the dual reading g / sqrt(det g) off the metric rule's pass.  ``cotton_pack``
+returns that evaluation; ``cotton2_array`` runs its chain on plain arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .connection_curvature import ConnectionTable, CurvaturePack, curvature, levi_civita
-from .connection_curvature import _IDX, _cov_deriv, _gamma, _metric_frame, _ricci
-from .errors import SingularMetric
-from .frame_algebra import MetricLieAlgebra3, SymBilinear, Tensor3, _wrap
-
-# flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
-_DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
-
-
-def _cotton3(gamma: np.ndarray, ricci: np.ndarray) -> np.ndarray:
-    d = _cov_deriv(gamma, ricci)
-    return d - d.transpose(1, 0, 2)
-
-
-def _cotton2(c3: np.ndarray, g: np.ndarray, det: float) -> np.ndarray:
-    """Dual of ``c3`` under metric ``g`` whose determinant is ``det``."""
-    if det <= 1e-300:
-        raise SingularMetric(
-            f"cotton dualization needs a positive metric determinant; det = {det:.6g}"
-        )
-    # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
-    out = c3.reshape(27)[_DUAL] @ g / np.sqrt(det)
-    return 0.5 * (out + out.T)
+from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack, curvature
+from .connection_curvature import _cotton2, _cotton3, _gamma, _ricci, levi_civita
+from .frame_algebra import MetricLieAlgebra3, SymBilinear
 
 
 def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(0,2) Cotton tensor of constants ``c`` under metric ``g``: the chain
-    of ``cotton_pack`` on plain arrays, for the flow's per-stage evaluations.
+    """(0,2) Cotton tensor of constants ``c`` under metric ``g``, for the
+    flow's per-stage evaluations: the chain of ``curvature``'s evaluation.
 
-    The connection and det g come from ``_gamma``, which reads g^-1 and
-    det g off the metric rule's one Cholesky pass, ``_metric_frame``: it
-    raises ``DegenerateMetric`` outside the positive cone and
-    ``SingularMetric`` for a singular metric; the dual's determinant rule
-    follows.
+    The connection and g / sqrt(det g) come from ``_gamma``, off the metric
+    rule's pass, ``_metric_frame``: ``DegenerateMetric`` outside the
+    positive cone, ``SingularMetric`` for a singular metric.
     """
-    gamma, det = _gamma(c, g)
-    return _cotton2(_cotton3(gamma, _ricci(c, gamma)), g, det)
-
-
-@dataclass(frozen=True, eq=False)
-class CottonPack:
-    """Both Cotton tensors of one algebra, plus the size of the (0,2) form."""
-
-    cotton3: Tensor3
-    cotton2: SymBilinear
-    norm2: float
+    gamma, u = _gamma(c, g)
+    return _cotton2(_cotton3(gamma, _ricci(c, gamma)), u)
 
 
 def cotton_pack(
@@ -79,22 +49,14 @@ def cotton_pack(
     conn: ConnectionTable | None = None,
     pack: CurvaturePack | None = None,
 ) -> CottonPack:
-    """Compute the (0,3) tensor, its (0,2) dual, and the Frobenius norm.
+    """The (0,3) tensor, its (0,2) dual, and the Frobenius norm of the dual:
+    ``pack.cotton``, the evaluation ``curvature`` made.
 
-    The chain of ``_cotton3``, the skew part of the covariant Ricci
-    derivative, then ``_cotton2``, its dual over the skew pair of slots
-    with det g from the metric rule's pass, ``_metric_frame``: each tensor
-    is wrapped once, and the norm is sqrt(x @ x) over the raveled (0,2)
-    form, the computation of ``np.linalg.norm``.
+    ``conn`` and ``pack`` are built from ``L`` only when they are not given.
     """
-    if conn is None:
-        conn = levi_civita(L)
     if pack is None:
-        pack = curvature(L, conn)
-    c3 = _cotton3(conn.gamma, pack.ricci.components)
-    c2 = _cotton2(c3, L.metric, _metric_frame(L.metric)[1])
-    x = c2.ravel()
-    return CottonPack(_wrap(Tensor3, c3), _wrap(SymBilinear, c2), math.sqrt(x @ x))
+        pack = curvature(L, levi_civita(L) if conn is None else conn)
+    return pack.cotton
 
 
 def cotton2_closed_form(ak) -> SymBilinear:

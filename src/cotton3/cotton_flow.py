@@ -8,12 +8,13 @@ step to hold det g exactly.
 
 Integration is classical fourth-order Runge-Kutta with symmetrized
 stages.  Each stage and each recorded state evaluates C(g) as
-``cotton2_array(c, g)``, the chain of ``cotton_pack`` on plain arrays,
+``cotton2_array(c, g)``, ``curvature``'s Cotton chain on plain arrays,
 under the library's one metric rule: a single scalar Cholesky pass over g
-gives the positive-cone and singularity checks, g^-1 and det g.  When the
-initial metric, a stage metric or the step's result fails the rule, the run
-aborts with ``DegenerateMetric``, naming where, with the trajectory computed
-so far.  The optional rescaling checks det g > 0 before its real cube root.
+gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
+When the initial metric, a stage metric or the step's result fails the
+rule, the run aborts with ``DegenerateMetric``, naming where, with the
+trajectory computed so far.  The optional rescaling checks det g > 0 and
+scales by its cube root from ``np.linalg.slogdet``, which cannot overflow.
 
 A step is a deterministic function of the state's metric alone, so once a
 step returns a metric bytewise equal to its input (an exact fixed point of
@@ -142,18 +143,18 @@ def flow_run(
     g = np.array(L.metric if g0 is None else g0, dtype=float)
     g = 0.5 * (g + g.T)
     state = _named("in the initial metric", make_state, L, 0.0, g)
-    det0 = float(np.linalg.det(g))
+    logdet0 = float(np.linalg.slogdet(g)[1])
     states = [state]
     for n in range(1, steps + 1):
         before = state.metric.tobytes()
         try:
             g = _rk4(L, state, dt)
             if normalize:
-                det = float(np.linalg.det(g))
-                # the real cube root needs det > 0; false on nan too
-                if not det > 0:
+                sign, logdet = np.linalg.slogdet(g)
+                # the real cube root needs det > 0; slogdet of a nan is (1, nan)
+                if not (sign > 0 and math.isfinite(logdet)):
                     raise DegenerateMetric("metric left the positive cone after the step")
-                g = g * (det0 / det) ** (1.0 / 3.0)
+                g = g * math.exp((logdet0 - float(logdet)) / 3.0)
             state = _named("after the step", make_state, L, state.time + dt, g)
         except DegenerateMetric as exc:
             # the cause stays the metric rule's own refusal

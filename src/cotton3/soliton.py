@@ -33,7 +33,6 @@ from .connection_curvature import (
     ricci_parallel_check,
     ricci_spectrum,
 )
-from .cotton import cotton_pack
 from .errors import AssertionFailure
 from .frame_algebra import (
     FrameVector,
@@ -94,14 +93,15 @@ class SolitonProblem:
     def build(cls, L, basis=None, conn=None, pack=None):
         if conn is None:
             conn = levi_civita(L)
+        if pack is None:
+            pack = curvature(L, conn)
         if basis is None:
             basis = _FRAME
         else:
             basis = tuple(
                 b if isinstance(b, FrameVector) else FrameVector(b) for b in basis
             )
-        cp = cotton_pack(L, conn, pack)
-        return cls(L, conn, cp.cotton2, basis)
+        return cls(L, conn, pack.cotton.cotton2, basis)
 
 
 def _assemble_system(problem: SolitonProblem):
@@ -273,14 +273,12 @@ def soliton_existence_survey(ak, tol: float = 1e-8):
     Runs the potential collinear with the Reeb field, orthogonal to it
     (span of e and phi_e), and the general three-dimensional span,
     returning a dict of ``SolitonSolution`` keyed by ansatz name.  The
-    Cotton tensor is evaluated once, from the structure's connection and
-    curvature, and the three ansatz systems are column subsets of one
-    assembled system, so each solution is exactly that of ``solve`` on the
-    ansatz problem.
+    Cotton tensor is the one of the structure's curvature, and the three
+    ansatz systems are column subsets of one assembled system, so each
+    solution is exactly that of ``solve`` on the ansatz problem.
     """
-    L, conn = ak.algebra, ak.connection
-    cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
-    problem = SolitonProblem(L, conn, cotton2, ak.adapted_frame)
+    cotton2 = ak.curvature.cotton.cotton2
+    problem = SolitonProblem(ak.algebra, ak.connection, cotton2, ak.adapted_frame)
     return _solve_ansatze(problem, _ANSATZ_COLUMNS, tol)
 
 
@@ -343,20 +341,19 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
 
 
 def _theorem_layers(lam: float) -> tuple:
-    """``(L, conn, pack, cotton2)`` of the lam, b = c = 0 member, fresh."""
+    """``(L, conn, pack)`` of the lam, b = c = 0 member, fresh."""
     L = from_kenmotsu_params(lam, 0.0, 0.0)
     conn = levi_civita(L)
-    pack = curvature(L, conn)
-    return L, conn, pack, cotton_pack(L, conn, pack).cotton2
+    return L, conn, curvature(L, conn)
 
 
-def _theorem_checks(lam: float, L, conn, pack, cotton2, tol: float) -> list:
+def _theorem_checks(lam: float, L, conn, pack, tol: float) -> list:
     """The checks of ``reproduce_theorems`` at one lam, on the member's
-    prebuilt layers ``(L, conn, pack, cotton2)``; ``ValueError`` for a nan,
+    prebuilt layers ``(L, conn, pack)``; ``ValueError`` for a nan,
     infinite or negative ``tol``, which would skip the lam = 1 checks."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    problem = SolitonProblem(L, conn, cotton2, _FRAME)
+    problem = SolitonProblem(L, conn, pack.cotton.cotton2, _FRAME)
     sols = _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
     coll, orth = sols["collinear"], sols["orthogonal"]
     at_one = abs(lam - 1.0) <= tol

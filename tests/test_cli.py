@@ -146,6 +146,16 @@ class TestCotton:
         assert rc == 0
         assert "conformally flat: yes" in out
 
+    def test_huge_metric(self, geom, capsys):
+        # det g = 1e600 overflows; the dual still follows the scale law,
+        # C(e, e) = 12 / sqrt(1e200)
+        path = geom(kenmotsu(2.0, metric=(1e200 * np.eye(3)).tolist()))
+        rc = main(["cotton", path, "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cotton2"][1][1] == pytest.approx(1.2e-99, rel=1e-12, abs=0.0)
+        assert doc["cotton2"][2][2] == pytest.approx(-1.2e-99, rel=1e-12, abs=0.0)
+
 
 class TestSoliton:
     def test_all_ansatz_spaces(self, geom, capsys):
@@ -544,15 +554,17 @@ class TestVerifyPaper:
         assert hashlib.sha256(out.encode()).hexdigest() == record.read_text().split()[0]
 
     def test_each_layer_built_once_per_member(self, capsys, monkeypatch):
-        # eight reference members, each connection, curvature, structure and
-        # Cotton tensor built once; the default grid reads the members at
-        # lambda = 0.5, 1 and 2; five Cotton evaluations for the stationary
-        # flow, which stops evaluating after its first step
+        # eight reference members, each connection, curvature (with its
+        # Cotton tensor) and structure built once, and no cotton_pack call;
+        # the default grid reads the members at lambda = 0.5, 1 and 2; five
+        # Cotton evaluations for the stationary flow, which stops evaluating
+        # after its first step.  Metric passes: one per connection and per
+        # curvature, one per flow evaluation, and three Ricci spectra
         import sys
 
         counts = dict.fromkeys(
             ("detect_structure", "levi_civita", "curvature", "cotton_pack",
-             "cotton2_array"), 0
+             "cotton2_array", "_metric_frame"), 0
         )
         wrapped = {}
         for modname, mod in sorted(sys.modules.items()):
@@ -575,8 +587,9 @@ class TestVerifyPaper:
             "detect_structure": 8,
             "levi_civita": 8,
             "curvature": 8,
-            "cotton_pack": 8,
+            "cotton_pack": 0,
             "cotton2_array": 5,
+            "_metric_frame": 24,
         }
 
     def test_custom_grid(self, capsys):

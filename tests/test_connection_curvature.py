@@ -205,9 +205,9 @@ def rotated(rng, eigenvalues):
 
 class TestMetricFrame:
     def test_identity_is_exact(self):
-        ginv, det, linv = _metric_frame(np.eye(3))
+        ginv, u, linv = _metric_frame(np.eye(3))
         assert ginv.tobytes() == np.eye(3).tobytes()
-        assert det == 1.0
+        assert u.tobytes() == np.eye(3).tobytes()
         assert np.array(linv).tobytes() == np.eye(3).tobytes()
         # -0.0 off the diagonal still gives +0.0 entries
         g = np.where(np.eye(3) > 0, 1.0, -0.0)
@@ -218,11 +218,12 @@ class TestMetricFrame:
         rng = np.random.default_rng(30)
         for _ in range(40):
             g = scale * random_spd(rng)
-            ginv, det, linv = _metric_frame(g)
+            ginv, u, linv = _metric_frame(g)
             linv = np.array(linv)
             ref = np.linalg.inv(g)
             assert np.max(np.abs(ginv - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert det == pytest.approx(float(np.linalg.det(g)), rel=1e-13)
+            ref = g / np.sqrt(np.linalg.det(g))
+            assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(linv, np.tril(linv))
             assert np.max(np.abs(linv @ g @ linv.T - np.eye(3))) <= 1e-13
 
@@ -267,11 +268,13 @@ class TestMetricFrame:
         for _ in range(20):
             g = rotated(rng, (1e300, 2e300, 3e300))
             assert reference_outcome(g) is None
-            ginv, det, _ = _metric_frame(g)
+            ginv, u, _ = _metric_frame(g)
             ref = np.linalg.inv(g)
             assert np.max(np.abs(ginv - ref)) <= 1e-13 * np.max(np.abs(ref))
-            # det g = 6e900 overflows, as np.linalg.det does
-            assert det == np.inf
+            # det g = 6e900 overflows, but u = g / sqrt(det g) follows the
+            # scale law u(t g) = t^(-1/2) u(g) from g / 1e300
+            ref = 1e-150 * _metric_frame(g / 1e300)[1]
+            assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert rule_outcome(rotated(rng, (1e300, 2e300, 3e287))) is SingularMetric
 
 

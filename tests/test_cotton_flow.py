@@ -268,12 +268,12 @@ class TestEvolution:
         for L in (random_valid_algebra(rng, rotated=True) for _ in range(4)):
             g0 = random_spd(rng)
             result = flow_run(L, dt=1e-4, steps=10, g0=g0, normalize=True)
-            det0 = float(np.linalg.det(g0))
+            logdet0 = float(np.linalg.slogdet(g0)[1])
             state = make_state(L, 0.0, g0)
             manual = [state]
             for _ in range(10):
                 g = _rk4(L, state, 1e-4)
-                g = g * (det0 / float(np.linalg.det(g))) ** (1.0 / 3.0)
+                g = g * math.exp((logdet0 - float(np.linalg.slogdet(g)[1])) / 3.0)
                 state = make_state(L, state.time + 1e-4, g)
                 manual.append(state)
             assert len(result.trajectory) == len(manual)
@@ -282,6 +282,20 @@ class TestEvolution:
                 assert np.array_equal(got.metric, want.metric)
                 assert np.array_equal(got.cotton2.components, want.cotton2.components)
                 assert got.cotton_norm == want.cotton_norm
+
+    def test_normalize_from_a_huge_metric(self):
+        # det g = 1e330 overflows np.linalg.det; the rescaling works on
+        # log det g, so the run completes and holds det g
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        g0 = 1e110 * np.eye(3)
+        result = flow_run(L, dt=1e-3, steps=30, g0=g0, normalize=True)
+        assert len(result.trajectory) == 31
+        logdet0 = np.linalg.slogdet(g0)[1]
+        for st in result.trajectory:
+            sign, logdet = np.linalg.slogdet(st.metric)
+            assert sign == 1.0
+            assert abs(math.expm1(logdet - logdet0)) <= 1e-12
+        assert result.final.cotton_norm > 0.0
 
     def test_normalized_step_evaluates_cotton_four_times(self, monkeypatch):
         import cotton3.cotton_flow as cf
@@ -349,16 +363,16 @@ def _reference_flow_run(L, dt, steps, g0=None, stride=1, normalize=False,
     g = np.array(L.metric if g0 is None else g0, dtype=float)
     g = 0.5 * (g + g.T)
     state = _named("in the initial metric", _reference_state, L, 0.0, g)
-    det0 = float(np.linalg.det(g))
+    logdet0 = float(np.linalg.slogdet(g)[1])
     states = [state]
     for n in range(1, steps + 1):
         try:
             g = _rk4(L, state, dt)
             if normalize:
-                det = float(np.linalg.det(g))
-                if not det > 0:
+                sign, logdet = np.linalg.slogdet(g)
+                if not (sign > 0 and math.isfinite(logdet)):
                     raise DegenerateMetric("metric left the positive cone after the step")
-                g = g * (det0 / det) ** (1.0 / 3.0)
+                g = g * math.exp((logdet0 - float(logdet)) / 3.0)
             state = _named("after the step", _reference_state, L, state.time + dt, g)
         except DegenerateMetric as exc:
             raise DegenerateMetric(

@@ -156,6 +156,36 @@ class TestAssembly:
         stacked = np.column_stack([b.components for b in problem.basis])
         assert np.array_equal(stacked, np.eye(3))
 
+    def test_sweep_chain_evaluates_cotton_once(self, monkeypatch):
+        # connection, curvature, cotton_pack, build and solve, the chain of
+        # one geometry: one Cotton evaluation, in curvature, which build and
+        # cotton_pack read, and one metric pass per connection and curvature
+        import sys
+
+        counts = dict.fromkeys(("_cotton3", "_metric_frame"), 0)
+        for modname, mod in sorted(sys.modules.items()):
+            if modname != "cotton3" and not modname.startswith("cotton3."):
+                continue
+            for name in counts:
+                fn = getattr(mod, name, None)
+                if fn is None:
+                    continue
+
+                def counting(*args, _fn=fn, _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(mod, name, counting)
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            cp = cotton_pack(L, conn, pack)
+            problem = SolitonProblem.build(L, conn=conn, pack=pack)
+            solve(problem)
+            assert cp is pack.cotton and problem.cotton2 is cp.cotton2
+        assert counts == {"_cotton3": 5, "_metric_frame": 10}
+
 
 class TestCollinearAnsatz:
     def test_infeasible_away_from_one(self):
