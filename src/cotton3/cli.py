@@ -39,7 +39,6 @@ from .almost_kenmotsu import (
 from .connection_curvature import (
     PRODUCT_H2XR,
     _jacobi,
-    _metric_frame,
     classify_geometry,
     curvature,
     levi_civita,
@@ -372,7 +371,7 @@ def cmd_cotton(args) -> int:
         "cotton2": _mat(cp.cotton2.components),
         "cotton2_norm": cp.norm2,
         "cotton2_trace": float(
-            np.trace(_metric_frame(L.metric)[0] @ cp.cotton2.components)
+            np.trace(L._frame[0] @ cp.cotton2.components)
         ),
         "cotton3": [_mat(cp.cotton3.components[i]) for i in range(3)],
         "conformally_flat": cp.norm2 <= tol,

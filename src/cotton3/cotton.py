@@ -19,8 +19,8 @@ with eps the pure permutation symbol; the result is symmetric and trace
 free, and scales as t^(-1/2) C under g -> t g.
 
 ``curvature`` evaluates both once per geometry, as ``CurvaturePack.cotton``,
-the dual reading g / sqrt(det g) off the metric rule's pass.  ``cotton_pack``
-returns that evaluation; ``cotton2_array`` runs its chain on plain arrays.
+the dual reading g / sqrt(det g) off the algebra's metric pass; ``cotton_pack``
+returns it, and ``cotton2_array`` runs the same ``_chain`` on plain arrays.
 """
 
 from __future__ import annotations
@@ -28,20 +28,20 @@ from __future__ import annotations
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack, curvature
-from .connection_curvature import _cotton2, _cotton3, _gamma, _ricci, levi_civita
-from .frame_algebra import MetricLieAlgebra3, SymBilinear
+from .connection_curvature import _chain, _gamma, levi_civita
+from .frame_algebra import MetricLieAlgebra3, SymBilinear, _metric_frame
 
 
 def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(0,2) Cotton tensor of constants ``c`` under metric ``g``, for the
-    flow's per-stage evaluations: the chain of ``curvature``'s evaluation.
+    flow's per-stage evaluations: ``_chain``, the sequence of ``curvature``.
 
-    The connection and g / sqrt(det g) come from ``_gamma``, off the metric
-    rule's pass, ``_metric_frame``: ``DegenerateMetric`` outside the
-    positive cone, ``SingularMetric`` for a singular metric.
+    g^-1 and g / sqrt(det g) come from one pass of the metric rule,
+    ``_metric_frame``: ``DegenerateMetric`` outside the positive cone,
+    ``SingularMetric`` for a singular metric.
     """
-    gamma, u = _gamma(c, g)
-    return _cotton2(_cotton3(gamma, _ricci(c, gamma)), u)
+    ginv, u, _ = _metric_frame(g)
+    return _chain(c, _gamma(c, g, ginv), u)[3]
 
 
 def cotton_pack(

@@ -14,7 +14,8 @@ gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
 When the initial metric, a stage metric or the step's result fails the
 rule, the run aborts with ``DegenerateMetric``, naming where, with the
 trajectory computed so far.  The optional rescaling checks det g > 0 and
-scales by its cube root from ``np.linalg.slogdet``, which cannot overflow.
+scales by its cube root from ``np.linalg.slogdet``, which cannot overflow;
+without it the run makes no ``slogdet`` call.
 
 A step is a deterministic function of the state's metric alone, so once a
 step returns a metric bytewise equal to its input (an exact fixed point of
@@ -143,7 +144,7 @@ def flow_run(
     g = np.array(L.metric if g0 is None else g0, dtype=float)
     g = 0.5 * (g + g.T)
     state = _named("in the initial metric", make_state, L, 0.0, g)
-    logdet0 = float(np.linalg.slogdet(g)[1])
+    logdet0 = float(np.linalg.slogdet(g)[1]) if normalize else None
     states = [state]
     for n in range(1, steps + 1):
         before = state.metric.tobytes()

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import JacobiViolation
+from .errors import DegenerateMetric, JacobiViolation, SingularMetric
 
 # Default absolute tolerance for scalar/component comparisons.
 DEFAULT_TOL = 1e-9
@@ -102,6 +103,118 @@ class Tensor3:
         object.__setattr__(self, "components", _frozen(self.components, (3, 3, 3)))
 
 
+def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The metric rule, in one scalar Cholesky pass g = L L^T over the floats
+    of g's lower triangle.  Returns g^-1, u = g / sqrt(det g) and L^-1 (rows
+    of floats).
+
+    g is first divided by 2^k, k even, so that its largest diagonal entry
+    lies in [1, 4): the scaling and its square root are exact, and g = I is
+    not scaled, so that the pass returns exactly I, I and I there.  u is
+    (g 2^-k) / (l00 l11 l22 2^(k/2)), finite even where det g overflows.
+
+    ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
+    (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
+    (unless the closed-form spectrum shows g indefinite) or when
+    w_min <= 1e-12 w_max.  That condition is read as
+    lambda_max(g) lambda_max(g^-1) from ``_sym3_eigenvalues``, whose largest
+    eigenvalue is accurate where a double smallest one is not, and only
+    when its upper bound tr g tr g^-1 reaches 1e12.  Every layer that needs
+    g^-1, g / sqrt(det g) or positive definiteness reads it off this one
+    pass, which ``MetricLieAlgebra3._frame`` makes once per algebra.
+    """
+    (a, _, _), (b, d, _), (c, e, f) = g.tolist()
+    # on the positive cone the largest diagonal entry bounds every entry;
+    # a nan that max passes over fails a pivot below
+    m = max(a, d, f)
+    k = 0
+    if not 1.0 <= m < 4.0:
+        if not m < math.inf:
+            raise DegenerateMetric("metric is not positive definite (entries not finite)")
+        k = max(-1022, (math.frexp(m)[1] - 1) & -2)
+        s = math.ldexp(1.0, -k)
+        a, b, c, d, e, f = a * s, b * s, c * s, d * s, e * s, f * s
+    rows = ((a, b, c), (b, d, e), (c, e, f))
+    if not a > 0.0:
+        _refuse(a, rows)
+    l00 = math.sqrt(a)
+    l10, l20 = b / l00, c / l00
+    p1 = d - l10 * l10
+    if not p1 > 0.0:
+        _refuse(p1, rows)
+    l11 = math.sqrt(p1)
+    l21 = (e - l20 * l10) / l11
+    p2 = f - l20 * l20 - l21 * l21
+    if not p2 > 0.0:
+        _refuse(p2, rows)
+    # L^-1 by substitution; 0.0 - x keeps the zeros of a diagonal g positive
+    i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(p2)
+    i10 = 0.0 - l10 * i00 * i11
+    i21 = 0.0 - l21 * i11 * i22
+    i20 = 0.0 - (l20 * i00 + l21 * i10) * i22
+    # g^-1 = L^-T L^-1
+    v00 = i00 * i00 + i10 * i10 + i20 * i20
+    v10 = i10 * i11 + i20 * i21
+    v20 = i20 * i22
+    v11 = i11 * i11 + i21 * i21
+    v21 = i21 * i22
+    v22 = i22 * i22
+    # on the positive cone tr g >= lambda_max(g), so this bounds the condition
+    if not (a + d + f) * (v00 + v11 + v22) < 1e12:
+        inv = ((v00, v10, v20), (v10, v11, v21), (v20, v21, v22))
+        cond = _sym3_eigenvalues(rows)[2] * _sym3_eigenvalues(inv)[2]
+        # false on nan too, from an inverse that overflowed
+        if not cond < 1e12:
+            raise SingularMetric(f"metric is singular (condition number {cond:.3g})")
+    # 1 / sqrt(det) of the scaled g
+    w = i00 * i11 * i22
+    if k:
+        # undo the scaling: g^-1 by 2^-k, L^-1 and 1 / sqrt(det g) by 2^(-k/2)
+        v00, v10, v20, v11, v21, v22 = v00 * s, v10 * s, v20 * s, v11 * s, v21 * s, v22 * s
+        h = math.ldexp(1.0, -k // 2)
+        i00, i10, i20, i11, i21, i22 = i00 * h, i10 * h, i20 * h, i11 * h, i21 * h, i22 * h
+        w = w * h
+    a, b, c, d, e, f = a * w, b * w, c * w, d * w, e * w, f * w
+    # g^-1 and u from one array
+    gu = np.array((v00, v10, v20, v10, v11, v21, v20, v21, v22,
+                   a, b, c, b, d, e, c, e, f)).reshape(2, 3, 3)
+    return gu[0], gu[1], ((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))
+
+
+def _refuse(pivot: float, rows: tuple) -> None:
+    """Raise the metric rule's refusal for a Cholesky pivot that is not
+    positive: a zero pivot is a singular metric unless the closed-form
+    spectrum of ``rows`` has a negative eigenvalue."""
+    if pivot == 0.0 and _sym3_eigenvalues(rows)[0] >= 0.0:
+        raise SingularMetric("metric is singular (zero Cholesky pivot)")
+    raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {pivot:.3g})")
+
+
+def _sym3_eigenvalues(M) -> list:
+    """Closed-form eigenvalues of a symmetric 3x3 matrix, ascending, from
+    the upper triangle of its rows (floats, or an array).
+
+    Trigonometric solution of the characteristic cubic; no iterative
+    factorization involved.  The largest eigenvalue is accurate to rounding;
+    a double smallest one only to about sqrt(eps) times the largest.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = M
+    p1 = b * b + c * c + e * e
+    if p1 == 0.0:
+        return sorted((a, d, f))
+    q = (a + d + f) / 3.0
+    a, d, f = a - q, d - q, f - q
+    p = math.sqrt((a * a + d * d + f * f + 2.0 * p1) / 6.0)
+    # B = (M - q I) / p, and r = det(B) / 2
+    a, d, f, b, c, e = a / p, d / p, f / p, b / p, c / p, e / p
+    r = (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)) / 2.0
+    r = min(1.0, max(-1.0, r))
+    phi = math.acos(r) / 3.0
+    lam1 = q + 2.0 * p * math.cos(phi)
+    lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    return sorted((lam1, 3.0 * q - lam1 - lam3, lam3))
+
+
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra3:
     """A 3-dimensional Lie algebra with an inner product on the frame.
@@ -123,6 +236,16 @@ class MetricLieAlgebra3:
     def with_metric(self, metric) -> "MetricLieAlgebra3":
         """Same brackets, different inner product."""
         return MetricLieAlgebra3(self.structure_constants, metric)
+
+    @cached_property
+    def _frame(self) -> tuple:
+        """``_metric_frame`` of the read-only metric, made on first access and
+        kept, frozen; a refused metric raises on every access, as a pass
+        that raises keeps nothing."""
+        ginv, u, linv = _metric_frame(self.metric)
+        ginv.setflags(write=False)
+        u.setflags(write=False)
+        return ginv, u, linv
 
 
 @dataclass(frozen=True)

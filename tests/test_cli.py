@@ -146,6 +146,35 @@ class TestCotton:
         assert rc == 0
         assert "conformally flat: yes" in out
 
+    def test_one_metric_pass_and_recorded_output(self, geom, capsys, monkeypatch):
+        # the connection, the curvature and cotton2_trace all read the
+        # algebra's one pass; the document is byte for byte the one recorded
+        # when the trace made a pass of its own (its rounding-level figures
+        # make the digest, like verify-paper's, one of the numpy build)
+        import sys
+
+        from cotton3.frame_algebra import _metric_frame
+
+        passes = []
+
+        def counting(g):
+            passes.append(g)
+            return _metric_frame(g)
+        for modname, mod in sorted(sys.modules.items()):
+            if modname.startswith("cotton3.") and hasattr(mod, "_metric_frame"):
+                monkeypatch.setattr(mod, "_metric_frame", counting)
+        metric = [[2, 0.3, 0], [0.3, 1, 0], [0, 0, 1.5]]
+        rc = main(["cotton", geom(kenmotsu(2.0, metric=metric)), "--format", "machine"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(passes) == 1
+        doc = json.loads(out)
+        c2 = np.array(doc["cotton2"])
+        assert doc["cotton2_trace"] == float(np.trace(_metric_frame(np.array(metric, float))[0] @ c2))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "72b659767c85328ca738124030ec5802ada4c862dd2252ec4656740b684ef8d8"
+        )
+
     def test_huge_metric(self, geom, capsys):
         # det g = 1e600 overflows; the dual still follows the scale law,
         # C(e, e) = 12 / sqrt(1e200)
@@ -558,8 +587,9 @@ class TestVerifyPaper:
         # Cotton tensor) and structure built once, and no cotton_pack call;
         # the default grid reads the members at lambda = 0.5, 1 and 2; five
         # Cotton evaluations for the stationary flow, which stops evaluating
-        # after its first step.  Metric passes: one per connection and per
-        # curvature, one per flow evaluation, and three Ricci spectra
+        # after its first step.  Metric passes: one per member, kept on its
+        # algebra for the connection and the curvature, one per flow
+        # evaluation, and three Ricci spectra
         import sys
 
         counts = dict.fromkeys(
@@ -589,7 +619,7 @@ class TestVerifyPaper:
             "curvature": 8,
             "cotton_pack": 0,
             "cotton2_array": 5,
-            "_metric_frame": 24,
+            "_metric_frame": 16,
         }
 
     def test_custom_grid(self, capsys):

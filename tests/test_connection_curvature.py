@@ -1,5 +1,7 @@
 """Levi-Civita connection, curvature tensors, and geometry classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,11 +39,10 @@ from cotton3.connection_curvature import (
     _gamma,
     _jacobi,
     _koszul,
-    _metric_frame,
     _ricci,
     _riemann,
-    _sym3_eigenvalues,
 )
+from cotton3.frame_algebra import _metric_frame, _sym3_eigenvalues
 
 FAMILY_GRID = ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 3.0, 3.0))
 
@@ -278,6 +279,67 @@ class TestMetricFrame:
             assert rule_outcome(rotated(rng, (1e300, 2e300, 3e287))) is SingularMetric
 
 
+class TestAlgebraPass:
+    """The metric rule's pass is made once per algebra object and kept on it
+    as ``_frame``, which the connection and the curvature both read."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from cotton3 import frame_algebra
+
+        seen = []
+
+        def counting(g):
+            seen.append(g)
+            return _metric_frame(g)
+        monkeypatch.setattr(frame_algebra, "_metric_frame", counting)
+        return seen
+
+    def test_second_call_makes_no_pass(self, passes):
+        rng = np.random.default_rng(70)
+        L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+        conn = levi_civita(L)
+        pack = curvature(L, conn)
+        assert len(passes) == 1
+        again = curvature(L, levi_civita(L))
+        assert len(passes) == 1
+        assert again.cotton.cotton2.components.tobytes() == pack.cotton.cotton2.components.tobytes()
+        # the kept pass is bitwise a fresh one, and read-only
+        for got, ref in zip(L._frame, _metric_frame(L.metric)):
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert not L._frame[0].flags.writeable and not L._frame[1].flags.writeable
+
+    def test_each_algebra_makes_its_own_pass(self, passes):
+        # equal constants and metrics in distinct objects: a pass kept by
+        # value would be made once here, and a pass kept by the constants
+        # alone would be stale after the metric changes
+        rng = np.random.default_rng(71)
+        L = random_valid_algebra(rng, rotated=True)
+        g, h = random_spd(rng), random_spd(rng)
+        for M in (L.with_metric(g), dataclasses.replace(L, metric=g)):
+            curvature(M, levi_civita(M))
+        assert len(passes) == 2
+        M = dataclasses.replace(M, metric=h)
+        conn = levi_civita(M)
+        assert len(passes) == 3
+        assert M._frame[0].tobytes() == _metric_frame(h)[0].tobytes()
+        ref = levi_civita(MetricLieAlgebra3(L.structure_constants, h))
+        assert conn.gamma.tobytes() == ref.gamma.tobytes()
+
+    def test_refused_metric_raises_on_every_access(self, passes):
+        conn = levi_civita(milnor(1.0, 2.0, -0.5))
+        L = milnor(1.0, 2.0, -0.5).with_metric(np.diag([1.0, 1.0, 0.0]))
+        del passes[:]
+        for _ in range(3):
+            with pytest.raises(SingularMetric):
+                levi_civita(L)
+            with pytest.raises(SingularMetric):
+                curvature(L, conn)
+        # a pass that raises keeps nothing, so each access tries again
+        assert len(passes) == 6
+        assert "_frame" not in vars(L)
+
+
 class TestEigenvalues:
     def test_sym3_matches_library_solver(self):
         rng = np.random.default_rng(28)
@@ -376,7 +438,8 @@ class TestConstantMaps:
             c = random_valid_algebra(rng, rotated=True).structure_constants
             # the Levi-Civita connection, and any other: curvature() takes
             # whatever ConnectionTable it is given
-            for gamma in (_gamma(c, random_spd(rng))[0], rng.normal(size=(3, 3, 3))):
+            g = random_spd(rng)
+            for gamma in (_gamma(c, g, _metric_frame(g)[0]), rng.normal(size=(3, 3, 3))):
                 s = np.einsum("ijki->jk", _riemann(c, gamma))
                 assert within_rounding(_ricci(c, gamma), 0.5 * (s + s.T))
 
@@ -413,7 +476,10 @@ class TestPublicComposition:
         for L in self.cases(np.random.default_rng(64)):
             conn = levi_civita(L)
             pack = curvature(L, conn)
-            mx = float(np.max(np.abs(_cov_deriv(conn.gamma, pack.ricci.components))))
+            d = _cov_deriv(conn.gamma, pack.ricci.components)
+            assert pack.ricci_derivative.components.tobytes() == d.tobytes()
+            assert not pack.ricci_derivative.components.flags.writeable
+            mx = float(np.max(np.abs(d)))
             check = ricci_parallel_check(L, conn, pack)
             assert check.max_component == mx
             assert check.is_parallel == (mx <= 1e-9)

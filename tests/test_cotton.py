@@ -30,8 +30,9 @@ from cotton3 import (
     make_state,
     ricci_spectrum,
 )
-from cotton3.connection_curvature import _cov_deriv, _metric_frame
-from cotton3.cotton import _cotton2, _cotton3, cotton2_array
+from cotton3.connection_curvature import _cotton2, _cov_deriv
+from cotton3.cotton import cotton2_array
+from cotton3.frame_algebra import _metric_frame
 
 
 def raw_dual(L, c3):
@@ -375,7 +376,8 @@ class TestReferenceEquivalence:
 
 
 def composed_pack(L, conn, pack):
-    c3 = _cotton3(conn.gamma, pack.ricci.components)
+    d = _cov_deriv(conn.gamma, pack.ricci.components)
+    c3 = d - d.transpose(1, 0, 2)
     c2 = _cotton2(c3, _metric_frame(L.metric)[1])
     return c3, c2, float(np.linalg.norm(c2))
 

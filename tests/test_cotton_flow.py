@@ -312,6 +312,23 @@ class TestEvolution:
         # the initial state, then three RK4 stages and one state per step
         assert len(calls) == 1 + 3 * 4
 
+    def test_slogdet_only_under_normalize(self, monkeypatch):
+        # log det g0 is read only for the rescaling: one call for g0 and one
+        # per step with it, none without it
+        calls = []
+        real = np.linalg.slogdet
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counting)
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        for normalize, expected in ((False, 0), (True, 1 + 3)):
+            del calls[:]
+            flow_run(L, dt=1e-3, steps=3, g0=np.diag([1.0, 2.0, 1.5]), normalize=normalize)
+            assert len(calls) == expected
+
     def test_g0_override(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         g0 = np.diag([1.0, 2.0, 1.5])

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import milnor, rotate_algebra, semidirect
 from cotton3 import from_kenmotsu_params, from_nonunimodular
-from cotton3.connection_curvature import _gamma, _ricci
-from cotton3.cotton import _cotton3, cotton2_array
+from cotton3.connection_curvature import _chain, _gamma
+from cotton3.cotton import cotton2_array
+from cotton3.frame_algebra import _metric_frame
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -57,9 +58,8 @@ def tol(c):
 @given(algebras, entries)
 def test_skew_symmetric_and_trace_free(L, vals):
     c, g = L.structure_constants, spd(vals)
-    gamma, _ = _gamma(c, g)
-    ricci = _ricci(c, gamma)
-    c3 = _cotton3(gamma, ricci)
+    inv, u, _ = _metric_frame(g)
+    c3 = _chain(c, _gamma(c, g, inv), u)[2]
     c2 = cotton2_array(c, g)
     ginv = np.linalg.inv(g)
     t = tol(c)

@@ -158,11 +158,12 @@ class TestAssembly:
 
     def test_sweep_chain_evaluates_cotton_once(self, monkeypatch):
         # connection, curvature, cotton_pack, build and solve, the chain of
-        # one geometry: one Cotton evaluation, in curvature, which build and
-        # cotton_pack read, and one metric pass per connection and curvature
+        # one geometry: one Cotton sequence, in curvature, which build and
+        # cotton_pack read, and one metric pass, kept on the algebra for the
+        # connection and the curvature
         import sys
 
-        counts = dict.fromkeys(("_cotton3", "_metric_frame"), 0)
+        counts = dict.fromkeys(("_chain", "_metric_frame"), 0)
         for modname, mod in sorted(sys.modules.items()):
             if modname != "cotton3" and not modname.startswith("cotton3."):
                 continue
@@ -184,7 +185,7 @@ class TestAssembly:
             problem = SolitonProblem.build(L, conn=conn, pack=pack)
             solve(problem)
             assert cp is pack.cotton and problem.cotton2 is cp.cotton2
-        assert counts == {"_cotton3": 5, "_metric_frame": 10}
+        assert counts == {"_chain": 5, "_metric_frame": 5}
 
 
 class TestCollinearAnsatz:
