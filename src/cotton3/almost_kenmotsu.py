@@ -52,6 +52,7 @@ from .frame_algebra import (
     MetricLieAlgebra3,
     SymBilinear,
     _svd_lstsq,
+    _wrap,
     bracket,
 )
 
@@ -69,9 +70,13 @@ class AKStructure:
     the layers of ``algebra`` the structure was verified against, and
     ``residuals`` is the read-only residual dict that ``detect_structure``
     accepted it under; ``structure_residuals`` hands out copies of it
-    instead of recomputing.  Only detection sets it: it is not a
-    constructor argument, so a structure built by hand or derived with
-    ``dataclasses.replace`` has ``None`` and is evaluated afresh.
+    instead of recomputing.  ``h_sides`` is the read-only pair of 3x3
+    matrices detection scored on those layers: nabla_xi h and the
+    curvature expression it equals; ``structure_residuals`` and
+    ``check_h_parallel`` read it instead of recomputing.  Only detection
+    sets the two: they are not constructor arguments, so a structure built
+    by hand or derived with ``dataclasses.replace`` has ``None`` and is
+    evaluated afresh.
     """
 
     algebra: MetricLieAlgebra3
@@ -88,12 +93,32 @@ class AKStructure:
     connection: ConnectionTable
     curvature: CurvaturePack
     residuals: MappingProxyType | None = field(default=None, init=False, repr=False)
+    h_sides: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+_EYE = np.eye(3)
+_EYE.setflags(write=False)
+_EYE_FLAT = tuple(_EYE.ravel().tolist())
+
+# right-hand side of the Reeb-shape system: no skew part, trace 2
+_REEB_RHS = np.array([0.0, 0.0, 0.0, 2.0])
+_REEB_RHS.setflags(write=False)
+
+# flat indices into gamma.ravel() of the Reeb-shape system, row by row: skew
+# row r holds gamma[i, a, j] - gamma[j, a, i] for the r-th pair (i, j); the
+# trace row holds gamma[0, a, 0] + gamma[1, a, 1] + gamma[2, a, 2]
+_SKEW_FLAT = tuple(
+    (9 * i + 3 * a + j, 9 * j + 3 * a + i)
+    for i, j in ((0, 1), (0, 2), (1, 2))
+    for a in range(3)
+)
+_TRACE_FLAT = tuple((3 * a, 10 + 3 * a, 20 + 3 * a) for a in range(3))
 
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
@@ -103,30 +128,22 @@ def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
     nabla_xi row vanishes identically; the remaining rows are forced by the
     structure equations once (lam, b, c) are constants.
     """
-    gamma = np.zeros((3, 3, 3))
-    gamma[1, 0] = (0.0, 1.0, -lam)
-    gamma[1, 1] = (-1.0, 0.0, -b)
-    gamma[1, 2] = (lam, b, 0.0)
-    gamma[2, 0] = (0.0, -lam, 1.0)
-    gamma[2, 1] = (lam, 0.0, c)
-    gamma[2, 2] = (-1.0, -c, 0.0)
-    return gamma
+    gamma = np.zeros(27)
+    # rows gamma[1, 0], gamma[1, 1], gamma[1, 2], then gamma[2, 0], ...
+    gamma[9:] = (0.0, 1.0, -lam, -1.0, 0.0, -b, lam, b, 0.0,
+                 0.0, -lam, 1.0, lam, 0.0, c, -1.0, -c, 0.0)
+    return gamma.reshape(3, 3, 3)
 
 
 def _hat(u: np.ndarray) -> np.ndarray:
     """Cross-product matrix: _hat(u) @ x = u x x."""
-    return np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
-    )
+    u0, u1, u2 = u.tolist()
+    return np.array([0.0, -u2, u1, u2, 0.0, -u0, -u1, u0, 0.0]).reshape(3, 3)
 
 
 def _fix_sign(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Deterministic sign: first component beyond tol is made positive."""
-    for comp in v:
+    for comp in v.tolist():
         if abs(comp) > tol:
             return v if comp > 0 else -v
     return v
@@ -134,13 +151,24 @@ def _fix_sign(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     """Unit eigenvector of symmetric M for a known eigenvalue mu: the longest
-    cross product of two rows of M - mu I (componentwise, as np.cross)."""
-    K = M - mu * np.eye(3)
-    a, b = K[[0, 0, 1]], K[[1, 2, 2]]
-    cands = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
-    best = cands[int(np.argmax(np.einsum("ij,ij->i", cands, cands)))]
-    norm = np.linalg.norm(best)
-    if norm <= 1e-10 * (1.0 + np.linalg.norm(M)):
+    cross product of two rows of M - mu I.
+
+    The cross products are taken on the floats of M - mu I, the operations
+    of ``np.cross``; their lengths are compared, and the longest one is
+    normalised by sqrt(v @ v), as ``np.linalg.norm`` computes it.
+    """
+    K = M - mu * _EYE
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = K.tolist()
+    # rows: K[0] x K[1], K[0] x K[2], K[1] x K[2]
+    cands = np.array([
+        a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0,
+        a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0,
+        b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0,
+    ]).reshape(3, 3)
+    best = cands[int(np.einsum("ij,ij->i", cands, cands).argmax())]
+    norm = math.sqrt(best @ best)
+    flat = M.ravel()
+    if norm <= 1e-10 * (1.0 + math.sqrt(flat @ flat)):
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
         _, _, Vt = np.linalg.svd(K)
@@ -148,18 +176,19 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     return best / norm
 
 
-def _reeb_shape_system(conn: ConnectionTable):
+def _reeb_shape_system(conn: ConnectionTable) -> np.ndarray:
     """Affine system encoding the linear Reeb-shape conditions.
 
     For a candidate u, the form B_u(X, Y) = g(nabla_X u, Y) is linear in u;
     its three skew components must vanish and trace(nabla u) must equal 2.
-    Returns (Sk, tau): Sk @ u = skew components, tau @ u = trace.
+    Returns the 4x3 system A, filled from the floats of gamma: the rows
+    Sk = A[:3] give the skew components Sk @ u, the row tau = A[3] the trace
+    tau @ u.
     """
-    gamma = conn.gamma
-    i, j = [0, 0, 1], [1, 2, 2]
-    Sk = gamma[i, :, j] - gamma[j, :, i]
-    tau = np.einsum("iai->a", gamma)
-    return Sk, tau
+    f = conn.gamma.ravel().tolist()
+    return np.array(
+        [f[p] - f[m] for p, m in _SKEW_FLAT] + [f[i] + f[j] + f[k] for i, j, k in _TRACE_FLAT]
+    ).reshape(4, 3)
 
 
 def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
@@ -173,23 +202,28 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
     a double root at u0), the one candidate is u0/|u0|, the best fit.
     Otherwise u0/|u0| is not listed: it misses both solutions by r, yet can
     pass the tolerance.  An inconsistent system (u0 = 0) gives none.
+    Several candidates are sorted by their squared residual, then by their
+    components, each rounded to 12 decimals as ``np.round`` rounds.
     """
-    Sk, tau = _reeb_shape_system(conn)
-    A_sys = np.vstack([Sk, tau])
-    u0, s, Vt = _svd_lstsq(A_sys, np.array([0.0, 0.0, 0.0, 2.0]))
-    n0 = float(np.linalg.norm(u0))
+    A = _reeb_shape_system(conn)
+    u0, s, Vt = _svd_lstsq(A, _REEB_RHS)
+    n0 = math.sqrt(u0 @ u0)
     if n0 <= 1e-12:
         return []
-    null = Vt[s <= 1e-10 * max(s[0], 1.0)]
+    sv = s.tolist()
+    cut = 1e-10 * max(sv[0], 1.0)
+    null = [w for w, x in zip(Vt, sv) if x <= cut]
     r = math.sqrt(max(1.0 - n0 * n0, 0.0))
     raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
-    out = [u / np.linalg.norm(u) for u in raw or [u0]]
+    out = [u / math.sqrt(u @ u) for u in raw or [u0]]
     if len(out) == 1:
         return out
+    Sk, tau = A[:3], A[3]
 
     def key(u):
-        score = float(np.sum((Sk @ u) ** 2) + (tau @ u - 2.0) ** 2)
-        return (round(score, 12), tuple(np.round(u, 12)))
+        d0, d1, d2 = (Sk @ u).tolist()
+        score = float(d0 * d0 + d1 * d1 + d2 * d2 + (tau @ u - 2.0) ** 2)
+        return (round(score, 12), [round(x * 1e12) / 1e12 for x in u.tolist()])
 
     out.sort(key=key)
     return out
@@ -205,10 +239,13 @@ def _build_structure(
     """Assemble the structure tensors for a given unit Reeb candidate.
 
     phi = u x (.) needs no sign check: d Phi - 2 eta ^ Phi is linear in phi.
+    The structure holds ``u`` itself and every array built here without a
+    copy, with ``h_sides`` evaluated on ``conn`` and ``pack``.  ``u`` is
+    taken over: it is frozen in place, so pass a copy to keep it writable.
     """
     gamma = conn.gamma
     A = (u @ gamma).T
-    P = np.eye(3) - np.outer(u, u)
+    P = _EYE - u[:, None] * u
     M = P - A  # candidate for phi h; symmetric trace free when u is genuine
     Msym = 0.5 * (M + M.T)
     lam = math.sqrt(max(float(np.sum(Msym * Msym)) / 2.0, 0.0))
@@ -226,9 +263,14 @@ def _build_structure(
     nab_e = e @ gamma  # nab_e[i] = nabla_{E_i} e
     b = -float(e @ nab_e @ phi_e)
     c = float(phi_e @ nab_e @ phi_e)
-    return AKStructure(
+    sides = _h_transport_sides(u, h, phi, gamma, pack.riemann)
+    for mat in sides:
+        mat.setflags(write=False)
+    xi = _wrap(FrameVector, components=u)
+    return _wrap(
+        AKStructure,
         algebra=L,
-        xi=FrameVector(u),
+        xi=xi,
         eta=L.metric @ u,
         phi=phi,
         h_op=h,
@@ -236,10 +278,16 @@ def _build_structure(
         b=b,
         c=c,
         f=b * b + c * c + 2.0,
-        adapted_frame=(FrameVector(u), FrameVector(e), FrameVector(phi_e)),
+        adapted_frame=(
+            xi,
+            _wrap(FrameVector, components=e),
+            _wrap(FrameVector, components=phi_e),
+        ),
         kenmotsu=kenmotsu,
         connection=conn,
         curvature=pack,
+        residuals=None,
+        h_sides=sides,
     )
 
 
@@ -252,17 +300,19 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
     Phi = L.metric @ phi
     eta = L.metric @ xi
     t = L.structure_constants @ Phi + 2.0 * eta[:, None, None] * Phi
-    return float(np.max(np.abs(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))))
+    t = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    return float(np.abs(t).max())
 
 
-def _h_transport_sides(ak: AKStructure, gamma: np.ndarray, riemann: np.ndarray):
+def _h_transport_sides(xi, h, phi, gamma: np.ndarray, riemann: np.ndarray):
     """nabla_xi h from the connection, and the curvature expression
     -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
-    equals on an almost Kenmotsu structure."""
-    xi, h, phi = ak.xi.components, ak.h_op, ak.phi
+    equals on an almost Kenmotsu structure; the four first-level 3x3
+    products are one stacked ``matmul``."""
     n_xi = (xi @ gamma.reshape(3, 9)).reshape(3, 3).T
     l = _jacobi(riemann, xi)
-    return n_xi @ h - h @ n_xi, -phi - 2.0 * h - phi @ h @ h - phi @ l
+    prod = np.array([n_xi, h, phi, phi]) @ np.array([h, n_xi, h, l])
+    return prod[0] - prod[1], -phi - 2.0 * h - prod[2] @ h - prod[3]
 
 
 def structure_residuals(
@@ -275,14 +325,15 @@ def structure_residuals(
 
     All entries vanish (to float precision) on a genuine almost Kenmotsu
     3-h algebra; the largest one is the acceptance score for detection.
-    The 3x3 residual matrices are reduced together, in one stack.  Given
-    the structure's own ``algebra``, ``connection`` and ``curvature`` (the
-    same objects), a detected structure returns a fresh copy of the dict it
-    was accepted under; any other layers are evaluated afresh.
+    The 3x3 products are one stacked ``matmul``, and the residual matrices
+    are reduced together, in one pass.  Given the structure's own
+    ``algebra``, ``connection`` and ``curvature`` (the same objects), a
+    detected structure returns a fresh copy of the dict it was accepted
+    under, and a structure detection has built reads its ``h_sides``; any
+    other layers are evaluated afresh.
     """
-    if ak.residuals is not None and (
-        L is ak.algebra and conn is ak.connection and pack is ak.curvature
-    ):
+    own = conn is ak.connection and pack is ak.curvature
+    if ak.residuals is not None and own and L is ak.algebra:
         return dict(ak.residuals)
     g = L.metric
     c = L.structure_constants
@@ -290,38 +341,54 @@ def structure_residuals(
     xi = ak.xi.components
     eta, phi, h = ak.eta, ak.phi, ak.h_op
     lam = ak.lam
-    E = np.column_stack([v.components for v in ak.adapted_frame])
-    ident = np.eye(3)
-    xi_eta = np.outer(xi, eta)
-    transport_mat, curv_mat = _h_transport_sides(ak, gamma, pack.riemann)
+    # rows xi, e, phi_e; E = F.T has them as columns
+    F = np.array([v.components for v in ak.adapted_frame])
+    if own and ak.h_sides is not None:
+        transport_mat, curv_mat = ak.h_sides
+    else:
+        transport_mat, curv_mat = _h_transport_sides(xi, h, phi, gamma, pack.riemann)
+    xi_eta = xi[:, None] * eta
     adxi = (xi @ c.reshape(3, 9)).reshape(3, 3).T
-    mats = np.array([
-        phi @ phi + ident - xi_eta,
-        phi.T @ g @ phi - g + np.outer(eta, eta),
-        h - h.T,
-        h @ phi + phi @ h,
-        (xi @ gamma).T - (ident - xi_eta - phi @ h),
-        transport_mat,
-        curv_mat,
-        h - 0.5 * (adxi @ phi - phi @ adxi),
-        c @ eta,
-    ])
+    # phi phi, phi^T g, h phi, phi h, adxi phi, phi adxi, h E
+    prod = (np.array([phi, phi.T, h, phi, adxi, phi, h])
+            @ np.array([phi, g, phi, h, phi, adxi, F.T]))
+    # reduced in segments of the flattened stack: the nine matrices 0-8
+    # whole, the three rows of stack[9] one by one, the 27 entries of the
+    # adapted connection (stack[10:], non-Kenmotsu only) as one
+    stack = np.empty((13, 3, 3))
+    segments = [0, 9, 18, 27, 36, 45, 54, 63, 72, 81, 84, 87, 90]
+    stack[0] = prod[0] + _EYE - xi_eta
+    stack[1] = prod[1] @ phi - g + eta[:, None] * eta
+    stack[2] = h - h.T
+    stack[3] = prod[2] + prod[3]
+    stack[4] = (xi @ gamma).T - (_EYE - xi_eta - prod[3])
+    stack[5] = transport_mat
+    stack[6] = curv_mat
+    stack[7] = h - 0.5 * (prod[4] - prod[5])
+    stack[8] = c @ eta
+    # rows: h xi, h e - lam e, h phi_e + lam phi_e
+    stack[9] = prod[6].T - F * np.array([[0.0], [lam], [-lam]])
+    if ak.kenmotsu:
+        stack, segments = stack[:10], segments[:-1]
+    else:
+        # gamma in the adapted frame: sum_ijk E[i, a] E[j, b] gamma[i, j, k] E[k, c]
+        ad_gamma = (F @ (F @ gamma @ F.T).reshape(3, 9)).reshape(3, 3, 3)
+        stack[10:] = ad_gamma - adapted_connection_table(lam, ak.b, ak.c)
     (phi_square, phi_compat, h_symmetric, h_phi_anticommute, reeb_gradient,
-     h_transport, curvature_identity, h_lie_oracle, d_eta) = (
-        np.abs(mats).max(axis=(1, 2)).tolist()
-    )
-    # columns: h xi, h e - lam e, h phi_e + lam phi_e
-    h_xi, h_e, h_pe = np.abs(h @ E - E * (0.0, lam, -lam)).max(axis=0).tolist()
+     h_transport, curvature_identity, h_lie_oracle, d_eta, h_xi, h_e, h_pe,
+     *adapted) = np.maximum.reduceat(np.abs(stack).ravel(), segments).tolist()
+    # diagonals of h and h phi, summed in np.trace's order
+    hd, hpd = h.ravel().tolist()[::4], prod[2].ravel().tolist()[::4]
 
     res = {
         "xi_unit": abs(float(xi @ g @ xi) - 1.0),
         "phi_square": phi_square,
         "phi_compat": phi_compat,
         "h_xi": h_xi,
-        "h_trace": abs(float(np.trace(h))),
+        "h_trace": abs(hd[0] + hd[1] + hd[2]),
         "h_symmetric": h_symmetric,
         "h_phi_anticommute": h_phi_anticommute,
-        "trace_h_phi": abs(float(np.trace(h @ phi))),
+        "trace_h_phi": abs(hpd[0] + hpd[1] + hpd[2]),
         "reeb_gradient": reeb_gradient,
         "h_transport": h_transport,
         "curvature_identity": curvature_identity,
@@ -330,19 +397,15 @@ def structure_residuals(
         "d_eta": d_eta,
         "d_phi": _dphi_residual(L, xi, phi),
     }
-    if not ak.kenmotsu:
-        # gamma in the adapted frame: sum_ijk E[i, a] E[j, b] gamma[i, j, k] E[k, c]
-        ad_gamma = (E.T @ (E.T @ gamma @ E).reshape(3, 9)).reshape(3, 3, 3)
-        res["adapted_connection"] = float(
-            np.max(np.abs(ad_gamma - adapted_connection_table(lam, ak.b, ak.c)))
-        )
+    if adapted:
+        res["adapted_connection"] = adapted[0]
     return res
 
 
 def _orthonormal(L: MetricLieAlgebra3) -> bool:
     """Whether the frame metric is the identity to within 1e-9, as structure
     detection requires."""
-    return float(np.max(np.abs(L.metric - np.eye(3)))) <= 1e-9
+    return all(abs(x - y) <= 1e-9 for x, y in zip(L.metric.ravel().tolist(), _EYE_FLAT))
 
 
 def detect_structure(
@@ -360,12 +423,14 @@ def detect_structure(
     candidate is a genuine structure and their residuals differ only by
     rounding, so the order decides.  Each candidate is scored by one
     ``structure_residuals`` call, and the accepted structure keeps that dict
-    as ``residuals``.  Raises ``NoStructure``, reporting the best residual,
-    when no candidate is admissible.
+    as ``residuals``, next to the ``h_sides`` it was scored with.  Raises
+    ``NoStructure``, reporting the best residual, when no candidate is
+    admissible.
     """
     if not _orthonormal(L):
         raise ValueError("structure detection requires an orthonormal frame metric")
-    scale = 1.0 + float(np.linalg.norm(conn.gamma))
+    flat = conn.gamma.ravel()
+    scale = 1.0 + math.sqrt(flat @ flat)
     best_res = math.inf
     for u in _candidate_reebs(conn):
         ak = _build_structure(L, conn, pack, u, tol)
@@ -406,11 +471,18 @@ def check_h_parallel(
     tol: float = DEFAULT_TOL,
 ) -> HParallelCheck:
     """Verify nabla_xi h = 0 along two independent routes; the curvature
-    route reads ``ak.curvature``, which detection computed from ``conn``."""
-    transport_mat, curv_mat = _h_transport_sides(ak, conn.gamma, ak.curvature.riemann)
-    transport = float(np.max(np.abs(transport_mat)))
-    curv = float(np.max(np.abs(curv_mat)))
-    gap = float(np.max(np.abs(transport_mat - curv_mat)))
+    route reads ``ak.curvature``, which detection computed from ``conn``.
+    On the structure's own ``connection``, a detected structure reads the
+    ``h_sides`` it was scored with; any other connection is evaluated
+    afresh."""
+    if conn is ak.connection and ak.h_sides is not None:
+        transport_mat, curv_mat = ak.h_sides
+    else:
+        transport_mat, curv_mat = _h_transport_sides(
+            ak.xi.components, ak.h_op, ak.phi, conn.gamma, ak.curvature.riemann)
+    transport, curv, gap = np.abs(
+        np.array([transport_mat, curv_mat, transport_mat - curv_mat])
+    ).max(axis=(1, 2)).tolist()
     residual = max(transport, curv, gap)
     return HParallelCheck(residual <= tol, residual, transport, curv)
 

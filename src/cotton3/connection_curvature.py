@@ -176,9 +176,11 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
     ricci, d, c3, c2 = _chain(c, conn.gamma, u)
     q = ginv @ ricci
     x = c2.ravel()
-    cotton = CottonPack(_wrap(Tensor3, c3), _wrap(SymBilinear, c2), math.sqrt(x @ x))
-    return CurvaturePack(_riemann(c, conn.gamma), _wrap(SymBilinear, ricci),
-                         _wrap(Tensor3, d), q, float(np.trace(q)), L.metric, cotton)
+    cotton = CottonPack(_wrap(Tensor3, components=c3),
+                        _wrap(SymBilinear, components=c2), math.sqrt(x @ x))
+    return CurvaturePack(_riemann(c, conn.gamma), _wrap(SymBilinear, components=ricci),
+                         _wrap(Tensor3, components=d), q, float(np.trace(q)),
+                         L.metric, cotton)
 
 
 @dataclass(frozen=True)

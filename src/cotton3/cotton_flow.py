@@ -91,7 +91,7 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     c2 = cotton2_array(L.structure_constants, g)
     flat = c2.ravel()
     # the Frobenius norm as np.linalg.norm computes it, bitwise
-    return FlowState(float(time), g, _wrap(SymBilinear, c2), math.sqrt(flat @ flat))
+    return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat @ flat))
 
 
 def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:

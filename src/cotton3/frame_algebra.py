@@ -34,12 +34,22 @@ def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
     """Minimum-norm least-squares solution of A z = rhs from one SVD.
 
     Singular values at or below eps * max(A.shape) * s[0] count as zero, the
-    cutoff of ``np.linalg.lstsq(..., rcond=None)``.  Returns (z, s, Vt) so
-    the caller can read rank and null space off the same decomposition.
+    cutoff of ``np.linalg.lstsq(..., rcond=None)``.  When none is, the
+    masks that drop them would keep everything and are skipped: the solution
+    is bitwise the masked one.  Returns (z, s, Vt) so the caller can read
+    rank and null space off the same decomposition.
     """
     U, s, Vt = np.linalg.svd(A)
-    keep = s > _EPS * max(A.shape) * s[0]
-    z = ((rhs @ U[:, : s.size])[keep] / s[keep]) @ Vt[: s.size][keep]
+    n = s.size
+    y = rhs @ U[:, :n]
+    sv = s.tolist()
+    cut = _EPS * max(A.shape) * sv[0]
+    if sv[-1] > cut:
+        # every singular value is kept: the masks would select everything
+        z = (y / s) @ Vt[:n]
+    else:
+        keep = s > cut
+        z = (y[keep] / s[keep]) @ Vt[:n][keep]
     return z, s, Vt
 
 
@@ -51,16 +61,22 @@ def _frozen(a, shape) -> np.ndarray:
     return arr
 
 
-def _wrap(cls, arr: np.ndarray):
-    """``arr`` itself, frozen, as a ``FrameVector``, ``SymBilinear`` or
-    ``Tensor3``, for an array the engine has just built and holds no other
-    reference to.  It must already have the type's shape and, for
-    ``SymBilinear``, be exactly symmetric: the constructor's copy and
-    re-symmetrization are skipped, not repeated.
+def _wrap(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` on values the engine has
+    just built, its arrays frozen in place: the constructor's copies and
+    checks are skipped, not repeated.
+
+    Every field is given by keyword, each array already of the float type
+    and shape the constructor would store (for ``SymBilinear``, exactly
+    symmetric).  An array passed here is taken over: nothing else may keep
+    it, and a view is frozen but its base is not, so pass a view only of an
+    array that nothing else keeps.
     """
-    arr.setflags(write=False)
     obj = object.__new__(cls)
-    object.__setattr__(obj, "components", arr)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -122,9 +122,9 @@ def _assemble_system(problem: SolitonProblem):
     B = ((V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric).reshape(n, 9)
     A = np.empty((6, n + 1))
     # the upper triangle of B + B^T, one column per field
-    A[:, :n] = (B[:, _UPPER_FLAT] + B[:, _LOWER_FLAT]).T
-    A[:, n] = -L.metric.reshape(9)[_UPPER_FLAT]
-    k = -problem.cotton2.components.reshape(9)[_UPPER_FLAT]
+    A[:, :n] = (B.take(_UPPER_FLAT, axis=1) + B.take(_LOWER_FLAT, axis=1)).T
+    A[:, n] = -L.metric.take(_UPPER_FLAT)
+    k = -problem.cotton2.components.take(_UPPER_FLAT)
     return A, k
 
 
@@ -192,7 +192,9 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     """Solve and classify the assembled system A z = k (see ``solve``).
 
     Vector norms are taken as sqrt(r @ r), the computation of
-    ``np.linalg.norm`` for a vector.
+    ``np.linalg.norm`` for a vector.  The potential is summed on the floats
+    of the coefficients and the basis, from 0 as ``sum`` starts, and the
+    solution holds the arrays built here without a copy.
     """
     z, sv, Vt = _svd_lstsq(A, k)
     r = A @ z - k
@@ -205,11 +207,9 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
 
     coeffs = z[:-1]
     sigma = float(z[-1])
-    v_field = _wrap(FrameVector, (
-        sum(c * b.components for c, b in zip(coeffs.tolist(), basis))
-        if len(coeffs)
-        else np.zeros(3)
-    ))
+    v = [0.0, 0.0, 0.0]
+    for c, b in zip(coeffs.tolist(), basis):
+        v = [x + c * y for x, y in zip(v, b.components.tolist())]
 
     feasible = residual <= tol * c_scale
     if not feasible:
@@ -226,9 +226,10 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
             kind = SHRINKING
         else:
             kind = EXPANDING
-    return SolitonSolution(
+    return _wrap(
+        SolitonSolution,
         classification=kind,
-        v=v_field,
+        v=_wrap(FrameVector, components=np.array(v)),
         coefficients=coeffs,
         sigma=sigma,
         residual=residual,
@@ -253,7 +254,7 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
 
     The full system is assembled once; each ansatz system is a column subset
     of it, bitwise equal to assembling that sub-basis on its own.  The subset
-    is copied to C order, the layout of a separately assembled system, so
+    is taken in C order, the layout of a separately assembled system, so
     that ``A @ z - k`` rounds the same and each solution, residual included,
     is exactly that of ``solve`` on the ansatz problem.
     """
@@ -263,7 +264,7 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
     for name in names:
         cols = _ANSATZ_COLUMNS[name]
         basis = tuple(problem.basis[i] for i in cols[:-1])
-        out[name] = _solve(np.ascontiguousarray(A[:, cols]), k, basis, c_scale, tol)
+        out[name] = _solve(A.take(cols, axis=1), k, basis, c_scale, tol)
     return out
 
 

@@ -33,13 +33,16 @@ from cotton3 import (
     validate,
     xi_eigenvector_analysis,
 )
+from cotton3 import almost_kenmotsu
 from cotton3.almost_kenmotsu import (
     _build_structure,
     _candidate_reebs,
     _dphi_residual,
     _fix_sign,
+    _h_transport_sides,
     _hat,
     _reeb_shape_system,
+    _sym_eigvec,
 )
 
 
@@ -67,10 +70,10 @@ class TestReebShapeSystem:
             Lr = rotate_algebra(L, random_rotation(rng))
             assert validate(Lr).is_valid
             conn = levi_civita(Lr)
-            Sk, tau = _reeb_shape_system(conn)
-            s = np.linalg.svd(np.vstack([Sk, tau]), compute_uv=False)
+            A_sys = _reeb_shape_system(conn)
+            s = np.linalg.svd(A_sys, compute_uv=False)
             assert int(np.sum(s <= 1e-10 * max(s[0], 1.0))) <= 1
-            assert np.linalg.norm(tau) > 1e-6
+            assert np.linalg.norm(A_sys[3]) > 1e-6
             assert 1 <= len(_candidate_reebs(conn)) <= 3
 
     def test_trace_row_vanishes_on_unimodular(self):
@@ -80,7 +83,7 @@ class TestReebShapeSystem:
         for L in algebras:
             Lr = rotate_algebra(L, random_rotation(rng))
             conn = levi_civita(Lr)
-            _, tau = _reeb_shape_system(conn)
+            tau = _reeb_shape_system(conn)[3]
             assert np.max(np.abs(tau)) <= 1e-12
             assert _candidate_reebs(conn) == []
 
@@ -559,8 +562,7 @@ class TestCandidateList:
         # solutions (-|u0|, +-r, 0), and pass with a residual about r^2
         b = 1e-4
         L = from_kenmotsu_params(1.0, b, b)
-        Sk, tau = _reeb_shape_system(levi_civita(L))
-        A_sys = np.vstack([Sk, tau])
+        A_sys = _reeb_shape_system(levi_civita(L))
         u0, *_ = np.linalg.lstsq(A_sys, [0.0, 0.0, 0.0, 2.0], rcond=None)
         w = np.linalg.svd(A_sys)[2][-1]
         a = -u0 / np.linalg.norm(u0)
@@ -642,6 +644,8 @@ class TestResidualReuse:
         assert structure_residuals(L, conn, pack, bad)["adapted_connection"] > 0.1
         with pytest.raises(ValueError):
             dataclasses.replace(ak, residuals=None)
+        with pytest.raises(ValueError):
+            dataclasses.replace(ak, h_sides=None)
 
     def test_accepts_first_admissible_candidate(self):
         # detection still accepts the first candidate, in candidate order,
@@ -660,3 +664,158 @@ class TestResidualReuse:
                 pytest.fail("no admissible candidate on fresh layers")
             assert np.array_equal(ak.xi.components, u)
             assert dict(ak.residuals) == res
+
+    @staticmethod
+    def fresh_h_parallel(ak):
+        # the two matrices evaluated afresh, as before detection kept them
+        transport, curv = _h_transport_sides(ak.xi.components, ak.h_op, ak.phi,
+                                             ak.connection.gamma, ak.curvature.riemann)
+        gap = transport - curv
+        return (float(np.max(np.abs(transport))), float(np.max(np.abs(curv))),
+                float(np.max(np.abs(gap))))
+
+    def test_h_parallel_reads_the_scored_sides(self):
+        # check_h_parallel on the structure's own connection reads the pair
+        # detection scored; the result is that of a fresh evaluation
+        for L in self.algebras(np.random.default_rng(106)):
+            conn, pack, ak = detect(L)
+            transport, curv = ak.h_sides
+            assert not transport.flags.writeable and not curv.flags.writeable
+            transport_max, curv_max, gap = self.fresh_h_parallel(ak)
+            assert ak.residuals["h_transport"] == transport_max
+            assert ak.residuals["curvature_identity"] == curv_max
+            chk = check_h_parallel(L, conn, ak)
+            assert chk.transport == transport_max
+            assert chk.curvature_side == curv_max
+            assert chk.residual == max(transport_max, curv_max, gap)
+            # another connection object of the same algebra is evaluated afresh
+            assert check_h_parallel(L, levi_civita(L), ak) == chk
+
+    def test_hand_built_and_replaced_structures_recompute_h_sides(self, monkeypatch):
+        import dataclasses
+
+        L = rotate_algebra(from_kenmotsu_params(1.0, 0.6, 0.6),
+                           random_rotation(np.random.default_rng(107)))
+        conn, pack, ak = detect(L)
+        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)
+                              if f.init})
+        replaced = dataclasses.replace(ak)
+        want = check_h_parallel(L, conn, ak)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _h_transport_sides(*args)
+
+        monkeypatch.setattr(almost_kenmotsu, "_h_transport_sides", counting)
+        assert check_h_parallel(L, conn, ak) == want
+        assert structure_residuals(L, conn, pack, ak) == dict(ak.residuals)
+        assert calls == []
+        for other in (bare, replaced):
+            assert other.h_sides is None and other.residuals is None
+            assert check_h_parallel(L, conn, other) == want
+            assert structure_residuals(L, conn, pack, other) == dict(ak.residuals)
+        assert len(calls) == 4
+
+
+class TestScalarEigenvector:
+    """``_sym_eigvec`` takes its cross products on floats and ``_hat`` builds
+    its matrix from floats; both are bit for bit the array forms."""
+
+    @staticmethod
+    def corpus(rng):
+        out = []
+        for _ in range(150):
+            Q = random_rotation(rng)
+            lam = float(rng.uniform(0.01, 5.0))
+            # an h operator: eigenvalues lam, -lam, 0
+            M = Q @ np.diag([lam, -lam, 0.0]) @ Q.T
+            out.append((0.5 * (M + M.T), lam))
+            # a general symmetric matrix and one of its eigenvalues
+            B = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+            M = 0.5 * (B + B.T)
+            out.append((M, float(np.linalg.eigvalsh(M)[rng.integers(3)])))
+            # near-repeated eigenvalues: M - mu I has rank one up to rounding
+            mu = float(rng.uniform(0.1, 3.0))
+            delta = float(rng.choice([0.0, 1e-14, 1e-12])) * mu
+            M = Q @ np.diag([mu, mu + delta, -mu]) @ Q.T
+            out.append((0.5 * (M + M.T), mu))
+        return out
+
+    def test_sym_eigvec_equals_cross_product_form_bitwise(self):
+        fallbacks = 0
+        for M, mu in self.corpus(np.random.default_rng(131)):
+            got, want = _sym_eigvec(M, mu), reference_eigvec(M, mu)
+            assert got.tobytes() == want.tobytes()
+            K = M - mu * np.eye(3)
+            longest = max(np.linalg.norm(np.cross(K[i], K[j]))
+                          for i, j in ((0, 1), (0, 2), (1, 2)))
+            fallbacks += bool(longest <= 1e-10 * (1.0 + np.linalg.norm(M)))
+        assert 50 <= fallbacks < 450
+
+    def test_hat_equals_array_form_bitwise(self):
+        rng = np.random.default_rng(132)
+        units = [np.eye(3)[k] for k in range(3)] + [-np.eye(3)[k] for k in range(3)]
+        for u in units + list(rng.normal(size=(200, 3))):
+            u = np.asarray(u, dtype=float)
+            want = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+            assert _hat(u).tobytes() == want.tobytes()
+            # column k is u x e_k
+            assert np.array_equal(_hat(u), np.column_stack([np.cross(u, e) for e in np.eye(3)]))
+
+
+class TestWrappedFields:
+    """``_build_structure`` builds its structure and frame vectors past the
+    constructors: each carries exactly its class's fields, frozen."""
+
+    @pytest.mark.parametrize("L", [from_nonunimodular(1.0, 0.0),
+                                   from_kenmotsu_params(2.0, 0.0, 0.0),
+                                   from_kenmotsu_params(1.0, 0.7, 0.7)])
+    def test_fields_are_exactly_the_dataclass_fields(self, L):
+        L = rotate_algebra(L, random_rotation(np.random.default_rng(142)))
+        conn, pack, ak = detect(L)
+        u = ak.xi.components.copy()
+        built = _build_structure(L, conn, pack, u, 1e-8)
+        assert built.xi.components is u and not u.flags.writeable
+        assert set(vars(built)) == {f.name for f in fields(AKStructure)}
+        for v in built.adapted_frame:
+            assert set(vars(v)) == {"components"}
+            assert not v.components.flags.writeable
+        for name in ("eta", "phi", "h_op"):
+            assert not getattr(built, name).flags.writeable
+        assert all(not m.flags.writeable for m in built.h_sides)
+
+
+class TestDetectionCallCounts:
+    """One detection makes one ``np.linalg.svd`` call, for the Reeb-shape
+    system, and one public ``structure_residuals`` call per candidate it
+    scores: the counts the benchmark's tracer reports."""
+
+    def counted(self, monkeypatch):
+        counts = {"svd": 0, "structure_residuals": 0}
+        svd, residuals = np.linalg.svd, almost_kenmotsu.structure_residuals
+
+        def counting_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counting_residuals(*args):
+            counts["structure_residuals"] += 1
+            return residuals(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(almost_kenmotsu, "structure_residuals", counting_residuals)
+        return counts
+
+    @pytest.mark.parametrize("params", [(2.0, 0.0, 0.0), (1.0, 0.7, 0.7)])
+    def test_one_svd_and_one_residual_call_per_candidate(self, params, monkeypatch):
+        L = rotate_algebra(from_kenmotsu_params(*params),
+                           random_rotation(np.random.default_rng(141)))
+        conn = levi_civita(L)
+        pack = curvature(L, conn)
+        n_candidates = len(_candidate_reebs(conn))
+        counts = self.counted(monkeypatch)
+        ak = detect_structure(L, conn, pack)
+        assert abs(ak.lam - params[0]) <= 1e-8
+        assert counts == {"svd": 1, "structure_residuals": 1}
+        assert n_candidates == (1 if params[1] == 0.0 else 2)

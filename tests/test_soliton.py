@@ -1,5 +1,6 @@
 """Soliton equation assembly, classification, and the existence survey."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,10 +27,12 @@ from cotton3 import (
     reproduce_theorems,
     soliton_existence_survey,
 )
-from cotton3.frame_algebra import _svd_lstsq
+from cotton3 import soliton
+from cotton3.frame_algebra import _EPS, _svd_lstsq
 from cotton3.soliton import (
     SolitonProblem,
     _assemble_system,
+    _solve,
     lie_derivative_metric,
     solve,
     soliton_residual,
@@ -599,3 +602,90 @@ class TestColumnStackReference:
                 assert not arr.flags.writeable
             kinds.add(sol.classification)
         assert {"infeasible", "trivial_only", "steady"} <= kinds
+
+
+# --------------------------------------------------------------------------
+# The least-squares solve as written with boolean masks on every call, before
+# it skipped them when every singular value is kept.  Equal bit for bit.
+
+
+def masked_svd_lstsq(A, rhs):
+    U, s, Vt = np.linalg.svd(A)
+    keep = s > _EPS * max(A.shape) * s[0]
+    z = ((rhs @ U[:, : s.size])[keep] / s[keep]) @ Vt[: s.size][keep]
+    return z, s, Vt
+
+
+class TestMaskedLstsqReference:
+    @staticmethod
+    def systems(rng):
+        out = []
+        for m, n in ((4, 3), (6, 2), (6, 3), (6, 4)):
+            for _ in range(25):
+                A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+                out.append((A, rng.normal(size=m), True))
+                # integer entries with the last column a sum of the others,
+                # or a zero column: rank n - 1 exactly
+                B = rng.integers(-4, 5, size=(m, n)).astype(float)
+                B[:, -1] = B[:, :-1].sum(axis=1) if rng.integers(2) else 0.0
+                out.append((B, rng.normal(size=m), False))
+        return out
+
+    def test_svd_lstsq_equals_masked_form_bitwise(self):
+        masked_used = 0
+        for A, rhs, _ in self.systems(np.random.default_rng(151)):
+            z, s, Vt = _svd_lstsq(A, rhs)
+            ref = masked_svd_lstsq(A, rhs)
+            assert z.tobytes() == ref[0].tobytes()
+            assert s.tobytes() == ref[1].tobytes() and Vt.tobytes() == ref[2].tobytes()
+            masked_used += bool(s[-1] <= _EPS * max(A.shape) * s[0])
+        assert masked_used >= 80
+
+    def test_solve_equals_masked_form_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(152)
+        systems = self.systems(rng)
+        fields = [FrameVector(v) for v in rng.normal(size=(3, 3))]
+        got = [_solve(A, k, fields[: A.shape[1] - 1], 2.0, 1e-8) for A, k, _ in systems]
+        monkeypatch.setattr(soliton, "_svd_lstsq", masked_svd_lstsq)
+        ranks = set()
+        for sol, (A, k, full) in zip(got, systems):
+            ref = _solve(A, k, fields[: A.shape[1] - 1], 2.0, 1e-8)
+            assert sol.classification == ref.classification
+            assert sol.coefficients.tobytes() == ref.coefficients.tobytes()
+            assert sol.v.components.tobytes() == ref.v.components.tobytes()
+            assert (sol.sigma, sol.residual, sol.rank) == (ref.sigma, ref.residual, ref.rank)
+            assert sol.family_basis.tobytes() == ref.family_basis.tobytes()
+            ranks.add((A.shape, sol.rank == A.shape[1]))
+        # every shape, full rank and rank deficient
+        assert len(ranks) == 8
+
+
+class TestWrappedFields:
+    def test_solution_fields_are_exactly_the_dataclass_fields(self):
+        L = rotate_algebra(from_kenmotsu_params(1.0, 0.4, 0.4),
+                           random_rotation(np.random.default_rng(154)))
+        _, _, ak = detect(L)
+        names = {f.name for f in dataclasses.fields(soliton.SolitonSolution)}
+        for sol in soliton_existence_survey(ak).values():
+            assert set(vars(sol)) == names
+            assert set(vars(sol.v)) == {"components"}
+            for arr in (sol.v.components, sol.coefficients, sol.family_basis):
+                assert not arr.flags.writeable
+
+
+class TestSurveyCallCounts:
+    def test_survey_makes_three_svd_calls(self, monkeypatch):
+        L = rotate_algebra(from_kenmotsu_params(1.0, 0.4, 0.4),
+                           random_rotation(np.random.default_rng(153)))
+        _, _, ak = detect(L)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        survey = soliton_existence_survey(ak)
+        assert list(survey) == ["collinear", "orthogonal", "general"]
+        assert len(calls) == 3
