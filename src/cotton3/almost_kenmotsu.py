@@ -141,10 +141,10 @@ def _hat(u: np.ndarray) -> np.ndarray:
     return np.array([0.0, -u2, u1, u2, 0.0, -u0, -u1, u0, 0.0]).reshape(3, 3)
 
 
-def _fix_sign(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Deterministic sign: first component beyond tol is made positive."""
+def _fix_sign(v: np.ndarray) -> np.ndarray:
+    """Deterministic sign: the first component beyond 1e-10 is made positive."""
     for comp in v.tolist():
-        if abs(comp) > tol:
+        if abs(comp) > 1e-10:
             return v if comp > 0 else -v
     return v
 

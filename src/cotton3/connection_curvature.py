@@ -18,8 +18,9 @@ index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
 from the connection, without the Riemann tensor.  ``_chain`` is the one
 Ricci -> nabla S -> Cotton sequence, run by ``curvature`` once per geometry
-and by ``cotton2_array`` once per flow stage; ``levi_civita`` and
-``curvature`` share the algebra's one metric pass, ``L._frame``.  The
+and by ``cotton2_array`` once per flow stage; ``levi_civita``,
+``curvature`` and ``ricci_spectrum`` (through ``CurvaturePack.algebra``)
+share the algebra's one metric pass, ``L._frame``.  The
 Riemann tensor is built only for ``CurvaturePack.riemann`` (``_jacobi``).
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear, Tensor3
-from .frame_algebra import _metric_frame, _sym3_eigenvalues, _wrap
+from .frame_algebra import _sym3_eigenvalues, _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +62,10 @@ class CottonPack:
 class CurvaturePack:
     """Curvature data of one metric Lie algebra.
 
-    ``metric`` is the inner product the curvature belongs to;
-    ``ricci_derivative`` (nabla S) and ``cotton`` (the Cotton tensors) are
-    the one evaluation of each that every reader shares.
+    ``algebra`` is the algebra ``curvature`` was called with, so readers
+    share its metric pass; ``ricci_derivative`` (nabla S) and ``cotton``
+    (the Cotton tensors) are the one evaluation of each that every reader
+    shares.
     """
 
     riemann: np.ndarray
@@ -71,7 +73,7 @@ class CurvaturePack:
     ricci_derivative: Tensor3
     ricci_operator: np.ndarray
     scalar: float
-    metric: np.ndarray
+    algebra: MetricLieAlgebra3
     cotton: CottonPack
 
 
@@ -180,7 +182,7 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
                         _wrap(SymBilinear, components=c2), math.sqrt(x @ x))
     return CurvaturePack(_riemann(c, conn.gamma), _wrap(SymBilinear, components=ricci),
                          _wrap(Tensor3, components=d), q, float(np.trace(q)),
-                         L.metric, cotton)
+                         L, cotton)
 
 
 @dataclass(frozen=True)
@@ -204,11 +206,11 @@ def ricci_parallel_check(
 def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
     """Eigenvalues of the Ricci operator, ascending.
 
-    With g = L L^T from the metric rule of ``_metric_frame`` (which may
-    raise), the operator g^-1 S is similar to the symmetric L^-1 S L^-T, so
-    the closed-form symmetric solver applies.
+    With g = L L^T from the metric pass of ``pack.algebra`` (the one
+    ``curvature`` read), the operator g^-1 S is similar to the symmetric
+    L^-1 S L^-T, so the closed-form symmetric solver applies.
     """
-    Li = np.array(_metric_frame(pack.metric)[2])
+    Li = np.array(pack.algebra._frame[2])
     W = Li @ pack.ricci.components @ Li.T
     return np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
 
@@ -232,21 +234,23 @@ SYMMETRIC_OTHER = "symmetric_other"
 NOT_SYMMETRIC = "not_symmetric"
 
 
-def classify_geometry(
-    pack: CurvaturePack, ricci_parallel: bool, rel_tol: float = 1e-6
-) -> GeometryClass:
+# relative tolerance of the sorted Ricci eigenvalue comparisons
+_SPECTRUM_REL_TOL = 1e-6
+
+
+def classify_geometry(pack: CurvaturePack, ricci_parallel: bool) -> GeometryClass:
     """Match the Ricci spectrum of a Ricci-parallel metric to a model space.
 
     In dimension 3, constant sectional curvature k has Ricci spectrum
     {2k, 2k, 2k}; a hyperbolic-plane-times-line product with factor
     curvature k < 0 has {k, k, 0}.  Eigenvalues are compared sorted with
-    relative tolerance ``rel_tol``.
+    relative tolerance ``_SPECTRUM_REL_TOL``.
     """
     if not ricci_parallel:
         return GeometryClass(NOT_SYMMETRIC)
     eigs = ricci_spectrum(pack)
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    atol = rel_tol * scale
+    atol = _SPECTRUM_REL_TOL * scale
     lo, mid, hi = (float(v) for v in eigs)
     if hi - lo <= atol:
         return GeometryClass(CONSTANT_CURVATURE, (lo + mid + hi) / 6.0)

@@ -116,13 +116,12 @@ def flow_run(
     L: MetricLieAlgebra3,
     dt: float,
     steps: int,
-    g0: np.ndarray | None = None,
     stride: int = 1,
     normalize: bool = False,
     fixed_point_tol: float | None = None,
 ) -> FlowResult:
-    """Integrate the flow for ``steps`` steps from ``g0`` (default: the
-    algebra's metric).
+    """Integrate the flow for ``steps`` steps from the algebra's metric; to
+    start elsewhere, pass ``L.with_metric(g0)``.
 
     States are recorded every ``stride`` steps (the initial and final
     states always).  With ``normalize`` the metric is rescaled after each
@@ -141,8 +140,7 @@ def flow_run(
         raise ValueError("steps must be at least 1")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    g = np.array(L.metric if g0 is None else g0, dtype=float)
-    g = 0.5 * (g + g.T)
+    g = 0.5 * (L.metric + L.metric.T)
     state = _named("in the initial metric", make_state, L, 0.0, g)
     logdet0 = float(np.linalg.slogdet(g)[1]) if normalize else None
     states = [state]
@@ -180,12 +178,12 @@ def flow_run(
     return FlowResult(tuple(states), fixed)
 
 
-def write_trajectory(result, fh) -> None:
-    """Write a trajectory to a text stream as CSV with round-tripping float
-    reprs."""
-    rows = result.trajectory if isinstance(result, FlowResult) else result
+def write_trajectory(states, fh) -> None:
+    """Write flow states (a ``FlowResult.trajectory``, or the partial one a
+    ``DegenerateMetric`` carries) to a text stream as CSV with
+    round-tripping float reprs."""
     fh.write("time,g11,g12,g13,g22,g23,g33,cotton_norm\n")
-    for st in rows:
+    for st in states:
         m = st.metric
         vals = (
             st.time,
@@ -195,7 +193,7 @@ def write_trajectory(result, fh) -> None:
         fh.write(",".join(repr(float(v)) for v in vals) + "\n")
 
 
-def export_trajectory(result, path: str) -> None:
-    """Write a trajectory CSV file (the format of ``write_trajectory``)."""
+def export_trajectory(states, path: str) -> None:
+    """Write flow states to a CSV file (the format of ``write_trajectory``)."""
     with open(path, "w") as fh:
-        write_trajectory(result, fh)
+        write_trajectory(states, fh)

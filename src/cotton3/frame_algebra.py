@@ -279,9 +279,6 @@ class ValidityReport:
     def is_valid(self) -> bool:
         return not self.violations
 
-    def max_magnitude(self) -> float:
-        return max((v.magnitude for v in self.violations), default=0.0)
-
 
 def _jacobi_residual(structure_constants: np.ndarray) -> np.ndarray:
     """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].

@@ -57,7 +57,7 @@ EXPANDING = "expanding"
 _UPPER_FLAT = np.array([3 * i + j for i, j in UPPER])
 _LOWER_FLAT = np.array([3 * j + i for i, j in UPPER])
 
-# the standard frame (e1, e2, e3), the default ansatz basis
+# the standard frame (e1, e2, e3), the ansatz basis of ``SolitonProblem.build``
 _FRAME = tuple(FrameVector(row) for row in np.eye(3))
 
 
@@ -80,8 +80,9 @@ def lie_derivative_metric(
 class SolitonProblem:
     """The soliton equation restricted to one ansatz space.
 
-    ``basis`` spans the space of candidate potentials V; the unknowns are
-    the coefficients of V in that basis together with sigma.
+    ``basis`` spans the space of candidate potentials V, a tuple of
+    ``FrameVector``; the unknowns are the coefficients of V in that basis
+    together with sigma.
     """
 
     algebra: MetricLieAlgebra3
@@ -90,18 +91,17 @@ class SolitonProblem:
     basis: tuple
 
     @classmethod
-    def build(cls, L, basis=None, conn=None, pack=None):
+    def build(cls, L, conn=None, pack=None):
+        """The problem over the standard frame (e1, e2, e3), with the Cotton
+        tensor of ``pack``; ``conn`` and ``pack`` are built from ``L`` only
+        when they are not given.  For another ansatz basis, call the
+        constructor: ``SolitonProblem(L, conn, pack.cotton.cotton2, basis)``.
+        """
         if conn is None:
             conn = levi_civita(L)
         if pack is None:
             pack = curvature(L, conn)
-        if basis is None:
-            basis = _FRAME
-        else:
-            basis = tuple(
-                b if isinstance(b, FrameVector) else FrameVector(b) for b in basis
-            )
-        return cls(L, conn, pack.cotton.cotton2, basis)
+        return cls(L, conn, pack.cotton.cotton2, _FRAME)
 
 
 def _assemble_system(problem: SolitonProblem):

@@ -519,38 +519,29 @@ class TestInputErrors:
 
 
 class TestTolerances:
-    def test_env_variable_respected(self, geom, capsys, monkeypatch):
+    def test_tolerance_comes_only_from_the_flag(self, capsys, monkeypatch):
+        # the environment is not read: a tolerance that would fail the
+        # reference checks changes nothing unless --tolerance gives it
         monkeypatch.setenv("COTTON3_TOL", "1e-30")
         rc = main(["verify-paper"])
+        assert "26/26 reference checks passed" in capsys.readouterr().out
+        assert rc == 0
+        rc = main(["verify-paper", "--tolerance", "1e-30"])
         capsys.readouterr()
         assert rc == 2
 
-    def test_flag_overrides_env(self, geom, capsys, monkeypatch):
-        monkeypatch.setenv("COTTON3_TOL", "1e-30")
-        rc = main(["verify-paper", "--tolerance", "1e-8"])
-        capsys.readouterr()
-        assert rc == 0
-
-    def test_bad_env_value(self, geom, capsys, monkeypatch):
-        monkeypatch.setenv("COTTON3_TOL", "not-a-number")
-        rc = main(["curvature", geom(kenmotsu(1.0))])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "COTTON3_TOL is not a number" in captured.err
-
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_non_positive_or_non_finite_tolerance(self, geom, capsys, monkeypatch, value):
+    def test_non_positive_or_non_finite_tolerance(self, geom, capsys, value):
         path = geom(kenmotsu(2.0))
         rc = main(["structure", path, "--tolerance", value])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: --tolerance must be a positive")
-        monkeypatch.setenv("COTTON3_TOL", value)
-        rc = main(["verify-paper"])
+        rc = main(["verify-paper", "--tolerance", value])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: COTTON3_TOL must be a positive")
+        assert captured.err.startswith("error: --tolerance must be a positive")
 
 
 class TestVerifyPaper:
@@ -588,8 +579,8 @@ class TestVerifyPaper:
         # the default grid reads the members at lambda = 0.5, 1 and 2; five
         # Cotton evaluations for the stationary flow, which stops evaluating
         # after its first step.  Metric passes: one per member, kept on its
-        # algebra for the connection and the curvature, one per flow
-        # evaluation, and three Ricci spectra
+        # algebra for the connection, the curvature and the Ricci spectra,
+        # and one per flow evaluation
         import sys
 
         counts = dict.fromkeys(
@@ -619,7 +610,7 @@ class TestVerifyPaper:
             "curvature": 8,
             "cotton_pack": 0,
             "cotton2_array": 5,
-            "_metric_frame": 16,
+            "_metric_frame": 13,
         }
 
     def test_custom_grid(self, capsys):

@@ -48,7 +48,7 @@ FAMILY_GRID = ((0.5, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 3.0, 3.0
 
 
 def lower_riemann(pack):
-    return np.einsum("ijkm,ml->ijkl", pack.riemann, pack.metric)
+    return np.einsum("ijkm,ml->ijkl", pack.riemann, pack.algebra.metric)
 
 
 class TestLeviCivita:
@@ -338,6 +338,33 @@ class TestAlgebraPass:
         # a pass that raises keeps nothing, so each access tries again
         assert len(passes) == 6
         assert "_frame" not in vars(L)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 0.3, 1.0, 3.0, 1e20, 1e100])
+    def test_ricci_spectrum_reads_the_pack_algebra(self, monkeypatch, scale):
+        # the spectrum reads L^-1 off the pass the pack's algebra kept, with
+        # no pass of its own, and equals a spectrum from a fresh pass bitwise
+        from cotton3 import connection_curvature, frame_algebra
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return _metric_frame(g)
+        for mod in (frame_algebra, connection_curvature):
+            if hasattr(mod, "_metric_frame"):
+                monkeypatch.setattr(mod, "_metric_frame", counting)
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            L = random_valid_algebra(rng, rotated=True).with_metric(scale * random_spd(rng))
+            pack = curvature(L, levi_civita(L))
+            assert pack.algebra is L
+            del calls[:]
+            got = ricci_spectrum(pack)
+            assert calls == []
+            Li = np.array(_metric_frame(L.metric)[2])
+            W = Li @ pack.ricci.components @ Li.T
+            ref = np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestEigenvalues:

@@ -357,7 +357,7 @@ class TestReferenceEquivalence:
                 L.structure_constants, g0, 2e-3, 25, normalize
             )
             try:
-                states = flow_run(L, 2e-3, 25, g0=g0, normalize=normalize).trajectory
+                states = flow_run(L.with_metric(g0), 2e-3, 25, normalize=normalize).trajectory
                 got_degenerate = False
             except DegenerateMetric as exc:
                 states, got_degenerate = exc.trajectory, True
@@ -432,8 +432,8 @@ def test_metric_rule_is_shared(metric, expected):
     L0 = milnor(1.0, 2.0, -0.5)
     L = L0.with_metric(g)
     c = L.structure_constants
-    # ricci_spectrum reads only the pack's Ricci form and metric
-    pack = dataclasses.replace(curvature(L0, levi_civita(L0)), metric=g)
+    # ricci_spectrum reads only the pack's Ricci form and its algebra's metric pass
+    pack = dataclasses.replace(curvature(L0, levi_civita(L0)), algebra=L)
     outcomes = {
         "levi_civita": _outcome(lambda: levi_civita(L)),
         # a connection built under another metric reaches the rule here

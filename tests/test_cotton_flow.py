@@ -90,7 +90,7 @@ class TestValidation:
     def test_rejects_indefinite_start(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         with pytest.raises(DegenerateMetric, match="initial metric"):
-            flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, -1.0, 1.0]))
+            flow_run(L.with_metric(np.diag([1.0, -1.0, 1.0])), dt=1e-3, steps=1)
 
     def test_initial_metric_under_the_metric_rule(self):
         # Cholesky accepts this metric; the rule reads it as singular
@@ -98,16 +98,16 @@ class TestValidation:
         g0 = near_singular_metric(np.random.default_rng(11))
         for normalize in (False, True):
             with pytest.raises(DegenerateMetric) as err:
-                flow_run(L, dt=1e-3, steps=1, g0=g0, normalize=normalize)
+                flow_run(L.with_metric(g0), dt=1e-3, steps=1, normalize=normalize)
             assert str(err.value).startswith(
                 "metric became singular in the initial metric: metric is singular"
             )
             assert isinstance(err.value.__cause__, SingularMetric)
         with pytest.raises(DegenerateMetric) as err:
-            flow_run(L, dt=1e-3, steps=1, g0=np.full((3, 3), np.nan))
+            flow_run(L.with_metric(np.full((3, 3), np.nan)), dt=1e-3, steps=1)
         assert str(err.value) == "metric left the positive cone in the initial metric"
         with pytest.raises(DegenerateMetric) as err:
-            flow_run(L, dt=1e-3, steps=1, g0=np.diag([1.0, 1.0, 1e-13]))
+            flow_run(L.with_metric(np.diag([1.0, 1.0, 1e-13])), dt=1e-3, steps=1)
         assert str(err.value).startswith(
             "metric became singular in the initial metric: metric is singular"
         )
@@ -149,14 +149,14 @@ class TestStageChecks:
         L = milnor(-2.0, 3.0, 0.5)
         g0 = np.diag([1.0, 1.0, 3e-12])
         with pytest.raises(DegenerateMetric) as err:
-            flow_run(L, 1.1e-19, 1, g0=g0, normalize=normalize)
+            flow_run(L.with_metric(g0), 1.1e-19, 1, normalize=normalize)
         assert str(err.value).startswith(
             "step 1 (t=1.1e-19): metric became singular after the step: "
             "metric is singular"
         )
         assert isinstance(err.value.__cause__, SingularMetric)
         assert len(err.value.trajectory) == 1
-        assert len(flow_run(L, 1e-19, 1, g0=g0, normalize=normalize).trajectory) == 2
+        assert len(flow_run(L.with_metric(g0), 1e-19, 1, normalize=normalize).trajectory) == 2
 
     def test_make_state_requires_positive_definite(self):
         with pytest.raises(DegenerateMetric, match="not positive definite"):
@@ -267,7 +267,7 @@ class TestEvolution:
         rng = np.random.default_rng(81)
         for L in (random_valid_algebra(rng, rotated=True) for _ in range(4)):
             g0 = random_spd(rng)
-            result = flow_run(L, dt=1e-4, steps=10, g0=g0, normalize=True)
+            result = flow_run(L.with_metric(g0), dt=1e-4, steps=10, normalize=True)
             logdet0 = float(np.linalg.slogdet(g0)[1])
             state = make_state(L, 0.0, g0)
             manual = [state]
@@ -288,7 +288,7 @@ class TestEvolution:
         # log det g, so the run completes and holds det g
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         g0 = 1e110 * np.eye(3)
-        result = flow_run(L, dt=1e-3, steps=30, g0=g0, normalize=True)
+        result = flow_run(L.with_metric(g0), dt=1e-3, steps=30, normalize=True)
         assert len(result.trajectory) == 31
         logdet0 = np.linalg.slogdet(g0)[1]
         for st in result.trajectory:
@@ -326,13 +326,14 @@ class TestEvolution:
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         for normalize, expected in ((False, 0), (True, 1 + 3)):
             del calls[:]
-            flow_run(L, dt=1e-3, steps=3, g0=np.diag([1.0, 2.0, 1.5]), normalize=normalize)
+            flow_run(L.with_metric(np.diag([1.0, 2.0, 1.5])), dt=1e-3, steps=3,
+                     normalize=normalize)
             assert len(calls) == expected
 
     def test_g0_override(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         g0 = np.diag([1.0, 2.0, 1.5])
-        result = flow_run(L, dt=1e-4, steps=5, g0=g0)
+        result = flow_run(L.with_metric(g0), dt=1e-4, steps=5)
         assert np.array_equal(result.trajectory[0].metric, g0)
         # The algebra's own metric is untouched.
         assert np.array_equal(L.metric, np.eye(3))
@@ -374,10 +375,9 @@ def _reference_state(L, time, g):
     return FlowState(float(time), g, SymBilinear(c2), float(np.linalg.norm(c2)))
 
 
-def _reference_flow_run(L, dt, steps, g0=None, stride=1, normalize=False,
-                        fixed_point_tol=None):
+def _reference_flow_run(L, dt, steps, stride=1, normalize=False, fixed_point_tol=None):
     """``flow_run`` evaluating every step, with no fixed-point exit."""
-    g = np.array(L.metric if g0 is None else g0, dtype=float)
+    g = np.array(L.metric, dtype=float)
     g = 0.5 * (g + g.T)
     state = _named("in the initial metric", _reference_state, L, 0.0, g)
     logdet0 = float(np.linalg.slogdet(g)[1])
@@ -455,7 +455,9 @@ class TestExactFixedPointExit:
     def test_bitwise_equal_to_stepping_on(self):
         exits = moving = degenerate = 0
         for L, dt, steps, g0, stride, normalize in _flow_corpus():
-            kwargs = dict(g0=g0, stride=stride, normalize=normalize, fixed_point_tol=1e-9)
+            if g0 is not None:
+                L = L.with_metric(g0)
+            kwargs = dict(stride=stride, normalize=normalize, fixed_point_tol=1e-9)
             got = _outcome(flow_run, L, dt, steps, **kwargs)
             want = _outcome(_reference_flow_run, L, dt, steps, **kwargs)
             _assert_same_outcome(got, want)
@@ -492,7 +494,7 @@ class TestExport:
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         result = flow_run(L, dt=1e-3, steps=10, stride=2)
         path = tmp_path / "traj.csv"
-        export_trajectory(result, str(path))
+        export_trajectory(result.trajectory, str(path))
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [

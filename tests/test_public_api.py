@@ -4,6 +4,9 @@ the benchmark reach, plus the value and result types they return.
 Growing or shrinking the surface means changing ``PUBLIC`` here on purpose.
 """
 
+import dataclasses
+import inspect
+
 import cotton3
 
 PUBLIC = [
@@ -88,3 +91,14 @@ def test_every_public_name_resolves():
 def test_removed_wrappers_are_gone():
     for name in REMOVED:
         assert not hasattr(cotton3, name), name
+
+
+def test_second_routes_are_gone():
+    # each input has one way in: the flow starts from the algebra's metric,
+    # an ansatz basis goes to the SolitonProblem constructor, and a pack
+    # carries its algebra rather than a copy of the metric
+    assert "g0" not in inspect.signature(cotton3.flow_run).parameters
+    assert "basis" not in inspect.signature(cotton3.SolitonProblem.build).parameters
+    fields = {f.name for f in dataclasses.fields(cotton3.CurvaturePack)}
+    assert "algebra" in fields and "metric" not in fields
+    assert not hasattr(cotton3.ValidityReport, "max_magnitude")

@@ -109,9 +109,11 @@ class TestLieDerivative:
 class TestAssembly:
     def test_system_shape(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        conn = levi_civita(L)
+        cotton2 = curvature(L, conn).cotton.cotton2
         for n in (1, 2, 3):
             basis = tuple(FrameVector(np.eye(3)[a]) for a in range(n))
-            A, k = _assemble_system(SolitonProblem.build(L, basis=basis))
+            A, k = _assemble_system(SolitonProblem(L, conn, cotton2, basis))
             assert A.shape == (6, n + 1)
             assert k.shape == (6,)
 
@@ -196,8 +198,8 @@ class TestCollinearAnsatz:
         for lam, norm in ((0.5, 0.75 * math.sqrt(2)), (2.0, 12 * math.sqrt(2)),
                           (3.0, 48 * math.sqrt(2))):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
-            _, _, ak = detect(L)
-            sol = solve(SolitonProblem.build(L, basis=ak.adapted_frame[:1]))
+            conn, pack, ak = detect(L)
+            sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[:1]))
             assert sol.classification == "infeasible"
             assert not sol.feasible
             # The Cotton term cannot be matched at all, so the best residual
@@ -206,8 +208,8 @@ class TestCollinearAnsatz:
 
     def test_trivial_only_at_one(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        _, _, ak = detect(L)
-        sol = solve(SolitonProblem.build(L, basis=ak.adapted_frame[:1]))
+        conn, pack, ak = detect(L)
+        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[:1]))
         assert sol.classification == "trivial_only"
         assert sol.feasible
         assert sol.rank == 2
@@ -220,16 +222,16 @@ class TestOrthogonalAnsatz:
     def test_feasible_exactly_at_one(self):
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
-            _, _, ak = detect(L)
-            sol = solve(SolitonProblem.build(L, basis=ak.adapted_frame[1:]))
+            conn, pack, ak = detect(L)
+            sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[1:]))
             assert sol.feasible == (lam == 1.0)
             if lam != 1.0:
                 assert sol.classification == "infeasible"
 
     def test_steady_family_at_one(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        conn, _, ak = detect(L)
-        sol = solve(SolitonProblem.build(L, basis=ak.adapted_frame[1:]))
+        conn, pack, ak = detect(L)
+        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[1:]))
         assert sol.classification == "steady"
         assert abs(sol.sigma) <= 1e-10
         assert sol.family_dim == 1
@@ -302,7 +304,7 @@ class TestSurvey:
             survey = soliton_existence_survey(ak)
             for name, basis in spaces.items():
                 got = survey[name]
-                want = solve(SolitonProblem.build(L, basis=basis, conn=conn, pack=pack))
+                want = solve(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
                 assert got.classification == want.classification
                 assert np.array_equal(got.coefficients, want.coefficients)
                 assert got.sigma == want.sigma
@@ -577,8 +579,8 @@ class TestColumnStackReference:
             pack = curvature(L, conn)
             problems.append(SolitonProblem.build(L, conn=conn, pack=pack))
             for m in (1, 2, 4):
-                basis = list(rng.normal(size=(m, 3)))
-                problems.append(SolitonProblem.build(L, basis=basis, conn=conn, pack=pack))
+                basis = tuple(FrameVector(b) for b in rng.normal(size=(m, 3)))
+                problems.append(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
             _, _, ak = detect(rotate_algebra(random_kenmotsu(rng), random_rotation(rng)))
             cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
             frame = ak.adapted_frame
