@@ -53,7 +53,6 @@ from .frame_algebra import (
     SymBilinear,
     _svd_lstsq,
     _wrap,
-    bracket,
 )
 
 
@@ -545,12 +544,13 @@ def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEige
             f"b={ak.b}, c={ak.c} do not vanish"
         )
     lam = ak.lam
-    ex = bracket(L, e, xi).components - (e.components - lam * phi_e.components)
-    ep = bracket(L, e, phi_e).components
-    px = bracket(L, phi_e, xi).components - (
-        -lam * e.components + phi_e.components
-    )
-    residual = float(max(np.max(np.abs(ex)), np.max(np.abs(ep)), np.max(np.abs(px))))
+    x, e, p = xi.components, e.components, phi_e.components
+    # [e, xi], [e, phi_e] and [phi_e, xi] in one contraction, each row
+    # bitwise the ``bracket`` of its pair, against the reduced brackets
+    got = np.einsum("ijk,ni,nj->nk", L.structure_constants,
+                    np.array((e, e, p)), np.array((x, p, x)))
+    want = np.array((e - lam * p, np.zeros(3), -lam * e + p))
+    residual = float(np.max(np.abs(got - want)))
     return XiEigenReport(
         True,
         s_xi_e,

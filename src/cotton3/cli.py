@@ -15,6 +15,10 @@ be positive and finite, as must every number in the geometry file.
 
 Exit codes: 0 on success, 1 on input or structure errors, 2 when
 verify-paper finds a reference value that does not reproduce.
+
+The argument parser is built once, when this module is imported, and every
+``main`` call parses with it; parsing leaves no state on it, so successive
+in-process calls behave as separate runs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .cotton import cotton2_closed_form
 from .cotton_flow import export_trajectory, flow_run, write_trajectory
 from .errors import Cotton3Error, DegenerateMetric, NoStructure
 from .frame_algebra import (
+    FrameVector,
     MetricLieAlgebra3,
     from_kenmotsu_params,
     from_nonunimodular,
@@ -618,7 +623,8 @@ def _verify_checks(tol: float, grid: list) -> list:
         fam_ok = abs(abs(d[0]) - abs(d[1])) <= tol and np.sign(d[0]) == np.sign(d[1])
     ok = sol.classification == STEADY and fam_ok
     witness = lie_derivative_metric(
-        L1, conn1, ak1.adapted_frame[1].components + ak1.adapted_frame[2].components
+        L1, conn1,
+        FrameVector(ak1.adapted_frame[1].components + ak1.adapted_frame[2].components),
     ).components
     ok = ok and float(np.max(np.abs(witness))) <= tol
     add("orthogonal soliton, lambda=1", ok,
@@ -785,9 +791,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a build (argparse's message lookups, terminal-size queries) costs more than
+# a parse; build_parser() still returns a fresh parser to change
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # numpy overflow shows as a non-finite result, which _emit rejects
         with np.errstate(all="ignore"):

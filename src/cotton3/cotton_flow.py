@@ -7,7 +7,7 @@ leading order; an optional normalization rescales the metric after each
 step to hold det g exactly.
 
 Integration is classical fourth-order Runge-Kutta with symmetrized
-stages.  Each stage and each recorded state evaluates C(g) as
+stages.  Each stage and each new state evaluates C(g) as
 ``cotton2_array(c, g)``, ``curvature``'s Cotton chain on plain arrays,
 under the library's one metric rule: a single scalar Cholesky pass over g
 gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
@@ -17,13 +17,16 @@ trajectory computed so far.  The optional rescaling checks det g > 0 and
 scales by its cube root from ``np.linalg.slogdet``, which cannot overflow;
 without it the run makes no ``slogdet`` call.
 
-A step is a deterministic function of the state's metric alone, so once a
-step returns a metric bytewise equal to its input (an exact fixed point of
-the step, as g = I is for a conformally flat algebra), every later step
-would return it again.  The run then stops evaluating and records the
-remaining states with that metric and its Cotton data, the time still
-advancing by dt per step: the trajectory is bitwise the one that stepping
-on would give.
+C(g) is a deterministic function of the bytes of g, so a stage whose
+metric is bytewise the state's (C = 0, or a dt too small to move any entry)
+takes the state's Cotton tensor instead of evaluating it again.  Likewise a
+step is a function of the state's metric alone, so once a step returns a
+metric bytewise equal to its input (an exact fixed point of the step, as
+g = I is for a conformally flat algebra), every later step would return it
+again.  The run then stops evaluating and records the remaining states with
+that metric and its Cotton data, the time still advancing by dt per step:
+the trajectory is bitwise the one that stepping on would give.  From an
+exact fixed point a run evaluates C once, for its initial state.
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat @ flat))
 
 
+def _repeat(state: FlowState, dt: float) -> FlowState:
+    """``state`` one step later at an exact fixed point of the step: the
+    same metric and Cotton data, shared, at the next time."""
+    return _wrap(FlowState, time=float(state.time + dt), metric=state.metric,
+                 cotton2=state.cotton2, cotton_norm=state.cotton_norm)
+
+
 def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
     """Metric after one classical Runge-Kutta step of dg/dt = C(g).
 
@@ -105,9 +115,15 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
     """
     c, g = L.structure_constants, state.metric
     k1 = state.cotton2.components
-    k2 = _named("in the second stage", cotton2_array, c, g + 0.5 * dt * k1)
-    k3 = _named("in the third stage", cotton2_array, c, g + 0.5 * dt * k2)
-    k4 = _named("in the fourth stage", cotton2_array, c, g + dt * k3)
+    here = g.tobytes()
+
+    def stage(where, h):
+        # a stage at the state's own metric has the state's Cotton tensor
+        return k1 if h.tobytes() == here else _named(where, cotton2_array, c, h)
+
+    k2 = stage("in the second stage", g + 0.5 * dt * k1)
+    k3 = stage("in the third stage", g + 0.5 * dt * k2)
+    k4 = stage("in the fourth stage", g + dt * k3)
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return 0.5 * (out + out.T)
 
@@ -130,9 +146,10 @@ def flow_run(
     below ``fixed_point_tol``; it is False when no tolerance is given.
     If the initial metric or a later one fails the metric rule,
     ``DegenerateMetric`` is raised with the states so far as ``trajectory``.
-    When a step leaves the metric bytewise unchanged, the remaining steps
-    are not evaluated: their states repeat that metric and Cotton data at
-    the times stepping on would give.
+    A stage at the state's own metric reuses the state's Cotton tensor, and
+    when a step leaves the metric bytewise unchanged, it and the remaining
+    steps are not evaluated: their states repeat that metric and Cotton
+    data at the times stepping on would give.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -145,7 +162,6 @@ def flow_run(
     logdet0 = float(np.linalg.slogdet(g)[1]) if normalize else None
     states = [state]
     for n in range(1, steps + 1):
-        before = state.metric.tobytes()
         try:
             g = _rk4(L, state, dt)
             if normalize:
@@ -154,7 +170,13 @@ def flow_run(
                 if not (sign > 0 and math.isfinite(logdet)):
                     raise DegenerateMetric("metric left the positive cone after the step")
                 g = g * math.exp((logdet0 - float(logdet)) / 3.0)
-            state = _named("after the step", make_state, L, state.time + dt, g)
+            # bytes, so that -0.0 and 0.0 count as different metrics; g is
+            # exactly symmetric, so make_state would return the state's data
+            stationary = g.tobytes() == state.metric.tobytes()
+            state = (
+                _repeat(state, dt) if stationary
+                else _named("after the step", make_state, L, state.time + dt, g)
+            )
         except DegenerateMetric as exc:
             # the cause stays the metric rule's own refusal
             raise DegenerateMetric(
@@ -162,13 +184,10 @@ def flow_run(
             ) from exc.__cause__
         if n % stride == 0 or n == steps:
             states.append(state)
-        # bytes, so that -0.0 and 0.0 count as different inputs
-        if state.metric.tobytes() == before:
+        if stationary:
             break
     for n in range(n + 1, steps + 1):
-        state = FlowState(
-            float(state.time + dt), state.metric, state.cotton2, state.cotton_norm
-        )
+        state = _repeat(state, dt)
         if n % stride == 0 or n == steps:
             states.append(state)
     fixed = (

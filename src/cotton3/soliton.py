@@ -62,7 +62,7 @@ _FRAME = tuple(FrameVector(row) for row in np.eye(3))
 
 
 def lie_derivative_metric(
-    L: MetricLieAlgebra3, conn: ConnectionTable, v: FrameVector | np.ndarray
+    L: MetricLieAlgebra3, conn: ConnectionTable, v: FrameVector
 ) -> SymBilinear:
     """Lie derivative of the metric along an invariant field.
 
@@ -70,9 +70,8 @@ def lie_derivative_metric(
     Levi-Civita connection; with constant coefficients v_a the derivative
     of V along e_i is v_a nabla_{e_i} e_a.
     """
-    comps = v.components if isinstance(v, FrameVector) else np.asarray(v, dtype=float)
     g = L.metric
-    B = np.einsum("a,iak,kj->ij", comps, conn.gamma, g)
+    B = np.einsum("a,iak,kj->ij", v.components, conn.gamma, g)
     return SymBilinear(B + B.T)
 
 
@@ -129,7 +128,7 @@ def _assemble_system(problem: SolitonProblem):
 
 
 def soliton_residual(
-    problem: SolitonProblem, v: FrameVector | np.ndarray, sigma: float
+    problem: SolitonProblem, v: FrameVector, sigma: float
 ) -> SymBilinear:
     """Left-hand side Lie_V g + C - sigma g for an explicit candidate."""
     L, conn = problem.algebra, problem.connection

@@ -22,6 +22,7 @@ from cotton3 import (
     InconsistentStructure,
     NoStructure,
     adapted_connection_table,
+    bracket,
     check_h_parallel,
     curvature,
     detect_structure,
@@ -298,6 +299,29 @@ class TestXiEigenvector:
         _, _, ak = detect(from_nonunimodular(1.0, 0.0))
         with pytest.raises(ValueError):
             xi_eigenvector_analysis(ak)
+
+    def test_reduced_residual_equals_bracket_reference(self):
+        # the three brackets in one stacked contraction read, bit for bit,
+        # as three ``bracket`` calls and one reduction per bracket
+        def reference(ak):
+            L, lam = ak.algebra, ak.lam
+            xi, e, phi_e = ak.adapted_frame
+            ex = bracket(L, e, xi).components - (e.components - lam * phi_e.components)
+            ep = bracket(L, e, phi_e).components
+            px = bracket(L, phi_e, xi).components - (-lam * e.components + phi_e.components)
+            return float(max(np.max(np.abs(ex)), np.max(np.abs(ep)), np.max(np.abs(px))))
+
+        rng = np.random.default_rng(74)
+        nonzero = 0
+        for _ in range(150):
+            L = from_kenmotsu_params(float(rng.uniform(0.05, 5.0)), 0.0, 0.0)
+            _, _, ak = detect(rotate_algebra(L, random_rotation(rng)))
+            rep = xi_eigenvector_analysis(ak)
+            assert rep.is_eigenvector
+            assert rep.reduced_bracket_residual == reference(ak)
+            nonzero += rep.reduced_bracket_residual > 0.0
+        # rotation leaves rounding in the brackets, so equality is not 0 == 0
+        assert nonzero >= 100
 
     def test_inconsistent_structure_guard(self):
         # Force the contradiction by doctoring the stored constants: the

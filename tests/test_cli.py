@@ -1,5 +1,6 @@
 """End-to-end command line checks via cotton3.cli.main."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotton3.cli import main
+from cotton3.cli import build_parser, main
 
 SU2_BRACKETS = {
     "brackets": [
@@ -576,11 +577,11 @@ class TestVerifyPaper:
     def test_each_layer_built_once_per_member(self, capsys, monkeypatch):
         # eight reference members, each connection, curvature (with its
         # Cotton tensor) and structure built once, and no cotton_pack call;
-        # the default grid reads the members at lambda = 0.5, 1 and 2; five
-        # Cotton evaluations for the stationary flow, which stops evaluating
-        # after its first step.  Metric passes: one per member, kept on its
+        # the default grid reads the members at lambda = 0.5, 1 and 2; one
+        # Cotton evaluation for the stationary flow, whose initial metric is
+        # an exact fixed point.  Metric passes: one per member, kept on its
         # algebra for the connection, the curvature and the Ricci spectra,
-        # and one per flow evaluation
+        # and one for the flow evaluation
         import sys
 
         counts = dict.fromkeys(
@@ -609,8 +610,8 @@ class TestVerifyPaper:
             "levi_civita": 8,
             "curvature": 8,
             "cotton_pack": 0,
-            "cotton2_array": 5,
-            "_metric_frame": 13,
+            "cotton2_array": 1,
+            "_metric_frame": 9,
         }
 
     def test_custom_grid(self, capsys):
@@ -672,3 +673,67 @@ class TestVerifyPaper:
         out = capsys.readouterr().out
         assert rc == 2
         assert "FAIL" in out
+
+
+class TestSharedParser:
+    """``main`` parses with one parser built at import; successive calls
+    must still behave as separate runs."""
+
+    MACHINE = ["verify-paper", "--format", "machine"]
+    SUBCOMMANDS = ("curvature", "structure", "cotton", "soliton", "flow", "verify-paper")
+
+    @staticmethod
+    def _record():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "verify_paper.sha256"
+        return path.read_text().split()[0]
+
+    @staticmethod
+    def _help(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(self.MACHINE) == 0
+        assert main(["verify-paper", "--grid", "2"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_successive_runs_print_the_record(self, capsys):
+        digests = []
+        for _ in range(2):
+            assert main(self.MACHINE) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == [self._record()] * 2
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify-paper", "--format", "bogus"], 2),
+        (["--help"], 0),
+        (["flow", "--help"], 0),
+    ])
+    def test_exit_leaves_the_next_call_unchanged(self, capsys, argv, code):
+        assert main(self.MACHINE) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert main(self.MACHINE) == 0
+        assert capsys.readouterr().out == before
+
+    @pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+    def test_help_equals_a_fresh_parser(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        shared = self._help(main, argv, capsys)
+        fresh = self._help(build_parser().parse_args, argv, capsys)
+        assert shared == fresh
+        assert shared.startswith("usage: cotton3")

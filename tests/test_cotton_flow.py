@@ -472,7 +472,8 @@ class TestExactFixedPointExit:
         # the corpus has runs on both sides of the exit, and failing runs
         assert exits >= 30 and moving >= 30 and degenerate >= 6
 
-    def test_stationary_run_evaluates_cotton_five_times(self, monkeypatch):
+    @staticmethod
+    def _count_cotton(monkeypatch):
         import cotton3.cotton_flow as cf
 
         calls = []
@@ -483,10 +484,23 @@ class TestExactFixedPointExit:
             return real(*args)
 
         monkeypatch.setattr(cf, "cotton2_array", counting)
+        return calls
+
+    def test_stationary_run_evaluates_cotton_once(self, monkeypatch):
+        calls = self._count_cotton(monkeypatch)
         result = flow_run(from_kenmotsu_params(1.0, 0.0, 0.0), dt=1e-3, steps=50)
-        # the initial state and the first step; its result equals its input
-        assert len(calls) == 1 + 4
+        # the initial state only: C = 0 there, so every stage of the first
+        # step is at the state's own metric, and so is its result
+        assert len(calls) == 1
         assert len(result.trajectory) == 51
+
+    def test_moving_run_evaluates_cotton_four_times_a_step(self, monkeypatch):
+        calls = self._count_cotton(monkeypatch)
+        steps = 10
+        result = flow_run(from_kenmotsu_params(2.0, 0.0, 0.0), dt=1e-3, steps=steps)
+        # the initial state, then three stages and the new state per step
+        assert len(calls) == 1 + 4 * steps
+        assert len(result.trajectory) == steps + 1
 
 
 class TestExport:
