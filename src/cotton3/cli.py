@@ -684,7 +684,8 @@ def _verify_checks(tol: float, grid: list) -> list:
         f"S(xi,e) {rep133.s_xi_e:.6g}")
 
     # conformally flat metrics are flow fixed points
-    res = flow_run(L1, dt=1e-3, steps=50)
+    # only the final state is read: record no other
+    res = flow_run(L1, dt=1e-3, steps=50, stride=50)
     drift = float(np.max(np.abs(res.final.metric - np.eye(3))))
     add("flow fixed point, lambda=1", drift <= tol, f"drift {drift:.3e}")
 

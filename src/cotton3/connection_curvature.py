@@ -18,16 +18,24 @@ index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
 from the connection, without the Riemann tensor.  ``_chain`` is the one
 Ricci -> nabla S -> Cotton sequence, run by ``curvature`` once per geometry
-and by ``cotton2_array`` once per flow stage; ``levi_civita``,
-``curvature`` and ``ricci_spectrum`` (through ``CurvaturePack.algebra``)
-share the algebra's one metric pass, ``L._frame``.  The
-Riemann tensor is built only for ``CurvaturePack.riemann`` (``_jacobi``).
+and by ``cotton2_array`` once per flow stage; ``validate``,
+``levi_civita``, ``curvature`` and ``ricci_spectrum`` (through
+``CurvaturePack.algebra``) share the algebra's one metric pass,
+``L._frame``.  ``validate`` reads that pass for a bound that proves
+positivity, lambda_min(g) >= 1 / tr g^-1 > 2e-12 (1 + max|g|), a factor 2
+over its cutoff for the pass's and ``eigvalsh``'s rounding, and proves the
+Jacobi rule from the three cyclic sums at (0, 1, 2) when they lie below
+the tolerance by more than 1e-13 (1 + max|c|)**2; it runs ``eigvalsh`` or
+the full Jacobi residual only where its bound does not clear.  The
+Riemann tensor is built only when ``CurvaturePack.riemann`` is first read
+(``_jacobi``), from the pack's connection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,19 +70,28 @@ class CottonPack:
 class CurvaturePack:
     """Curvature data of one metric Lie algebra.
 
-    ``algebra`` is the algebra ``curvature`` was called with, so readers
-    share its metric pass; ``ricci_derivative`` (nabla S) and ``cotton``
-    (the Cotton tensors) are the one evaluation of each that every reader
-    shares.
+    ``algebra`` and ``connection`` are the algebra and connection
+    ``curvature`` was called with, so readers share the algebra's metric
+    pass; ``ricci_derivative`` (nabla S) and ``cotton`` (the Cotton
+    tensors) are the one evaluation of each that every reader shares.
+    ``riemann`` is built on first read, from ``connection``, and kept.
     """
 
-    riemann: np.ndarray
     ricci: SymBilinear
     ricci_derivative: Tensor3
     ricci_operator: np.ndarray
     scalar: float
     algebra: MetricLieAlgebra3
+    connection: ConnectionTable
     cotton: CottonPack
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """The Riemann tensor, read-only: ``_riemann`` of the constants and
+        the pack's connection, made on the first read and kept."""
+        r = _riemann(self.algebra.structure_constants, self.connection.gamma)
+        r.setflags(write=False)
+        return r
 
 
 # Row a of _KOSZUL is the Koszul array of the flat cg = e_a under the
@@ -156,7 +173,7 @@ def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
     Raises ``DegenerateMetric`` or ``SingularMetric`` when the metric fails
     the metric rule of ``_metric_frame``, read off the algebra's one pass.
     """
-    return ConnectionTable(_gamma(L.structure_constants, L.metric, L._frame[0]))
+    return _wrap(ConnectionTable, gamma=_gamma(L.structure_constants, L.metric, L._frame[0]))
 
 
 def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -165,8 +182,8 @@ def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
-    """Riemann tensor, Ricci form, its derivative and operator, scalar
-    curvature, Cotton tensors.
+    """Ricci form, its derivative and operator, scalar curvature, Cotton
+    tensors; the Riemann tensor on first read of ``CurvaturePack.riemann``.
 
     The metric must pass the metric rule of ``_metric_frame``, which raises
     ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
@@ -178,11 +195,11 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
     ricci, d, c3, c2 = _chain(c, conn.gamma, u)
     q = ginv @ ricci
     x = c2.ravel()
-    cotton = CottonPack(_wrap(Tensor3, components=c3),
-                        _wrap(SymBilinear, components=c2), math.sqrt(x @ x))
-    return CurvaturePack(_riemann(c, conn.gamma), _wrap(SymBilinear, components=ricci),
-                         _wrap(Tensor3, components=d), q, float(np.trace(q)),
-                         L, cotton)
+    cotton = _wrap(CottonPack, cotton3=_wrap(Tensor3, components=c3),
+                   cotton2=_wrap(SymBilinear, components=c2), norm2=math.sqrt(x @ x))
+    return _wrap(CurvaturePack, ricci=_wrap(SymBilinear, components=ricci),
+                 ricci_derivative=_wrap(Tensor3, components=d), ricci_operator=q,
+                 scalar=float(np.trace(q)), algebra=L, connection=conn, cotton=cotton)
 
 
 @dataclass(frozen=True)

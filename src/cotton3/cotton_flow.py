@@ -24,8 +24,9 @@ step is a function of the state's metric alone, so once a step returns a
 metric bytewise equal to its input (an exact fixed point of the step, as
 g = I is for a conformally flat algebra), every later step would return it
 again.  The run then stops evaluating and records the remaining states with
-that metric and its Cotton data, the time still advancing by dt per step:
-the trajectory is bitwise the one that stepping on would give.  From an
+that metric and its Cotton data, the time still advancing by dt per step,
+building only the states it records: the trajectory is bitwise the one
+that stepping on would give.  From an
 exact fixed point a run evaluates C once, for its initial state.
 """
 
@@ -97,10 +98,10 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat @ flat))
 
 
-def _repeat(state: FlowState, dt: float) -> FlowState:
-    """``state`` one step later at an exact fixed point of the step: the
-    same metric and Cotton data, shared, at the next time."""
-    return _wrap(FlowState, time=float(state.time + dt), metric=state.metric,
+def _repeat(state: FlowState, time: float) -> FlowState:
+    """``state`` at a later ``time``, at an exact fixed point of the step:
+    the same metric and Cotton data, shared."""
+    return _wrap(FlowState, time=time, metric=state.metric,
                  cotton2=state.cotton2, cotton_norm=state.cotton_norm)
 
 
@@ -174,7 +175,7 @@ def flow_run(
             # exactly symmetric, so make_state would return the state's data
             stationary = g.tobytes() == state.metric.tobytes()
             state = (
-                _repeat(state, dt) if stationary
+                _repeat(state, float(state.time + dt)) if stationary
                 else _named("after the step", make_state, L, state.time + dt, g)
             )
         except DegenerateMetric as exc:
@@ -186,10 +187,13 @@ def flow_run(
             states.append(state)
         if stationary:
             break
+    # the time advances as stepping on would advance it; a state is built
+    # only where it is recorded
+    time = state.time
     for n in range(n + 1, steps + 1):
-        state = _repeat(state, dt)
+        time = float(time + dt)
         if n % stride == 0 or n == steps:
-            states.append(state)
+            states.append(_repeat(state, time))
     fixed = (
         fixed_point_tol is not None
         and states[-1].cotton_norm <= fixed_point_tol

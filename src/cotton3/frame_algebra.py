@@ -291,6 +291,56 @@ def _jacobi_residual(structure_constants: np.ndarray) -> np.ndarray:
     return t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
 
 
+def _jacobi_bound_clears(c: np.ndarray, scale: float, tol: float) -> bool:
+    """Whether the three cyclic sums at (0, 1, 2), evaluated on floats,
+    lie below ``tol`` by more than the rounding of this evaluation and of
+    ``_jacobi_residual``'s.
+
+    Each sum has nine products of size at most M**2 <= scale**2 (M = max|c|,
+    scale = 1 + M); either evaluation rounds it by at most
+    gamma_9 * 9 M**2 < 1e-14 scale**2, since no product passes through more
+    than nine roundings in either.  The margin 1e-13 scale**2 covers both
+    with room for the rounding of ``tol`` minus the margin, so a sum that
+    clears has ``_jacobi_residual`` magnitude at most ``tol``.  At tol = 0
+    nothing clears.
+    """
+    x = c.tolist()
+    a, b, d = x[0][1], x[1][2], x[2][0]
+    lim = tol - 1e-13 * scale * scale
+    for k in range(3):
+        s = (a[0] * x[0][2][k] + a[1] * x[1][2][k] + a[2] * x[2][2][k]
+             + b[0] * x[0][0][k] + b[1] * x[1][0][k] + b[2] * x[2][0][k]
+             + d[0] * x[0][1][k] + d[1] * x[1][1][k] + d[2] * x[2][1][k])
+        if not abs(s) <= lim:
+            return False
+    return True
+
+
+def _positive_bound_clears(L: MetricLieAlgebra3, gscale: float, tol: float) -> bool:
+    """Whether the algebra's metric pass proves lambda_min(g) > ``tol`` for
+    an exactly symmetric metric g, with gscale = 1 + max|g|.
+
+    lambda_min(g) >= 1 / lambda_max(g^-1) >= 1 / tr g^-1, and the rule
+    clears when 1 / tr g^-1 > 2 tol.  Applied only where the pass accepts g
+    with tr g tr g^-1 <= 1e8, so that its tr g^-1 is within 1e-6 relative,
+    and where 2 max|g| is finite, so that 0.5 (g + g^T) = g exactly.  The
+    factor 2 covers that rounding and ``eigvalsh``'s backward error,
+    p u |g| <= 3 p u max|g| < 0.4e-12 max|g| for any p <= 1000: a metric
+    that clears has an ``eigvalsh`` smallest eigenvalue above ``tol``.  A
+    refused pass clears nothing; it is made again, and refused again, where
+    a layer reads it.
+    """
+    if not 2.0 * gscale < math.inf:
+        return False
+    try:
+        ginv = L._frame[0]
+    except (DegenerateMetric, SingularMetric):
+        return False
+    trinv = sum(ginv.diagonal().tolist())
+    return (sum(L.metric.diagonal().tolist()) * trinv <= 1e8
+            and 2.0 * tol * trinv < 1.0)
+
+
 def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
@@ -303,6 +353,17 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     product in the Jacobi residual is finite).  Each rule is one comparison
     over its whole array; only a rule that fails walks its entries to
     report each violation.
+
+    Two rules first try a bound that proves them, and run their full check
+    only where it does not: the Jacobi rule clears when the three cyclic
+    sums at (0, 1, 2) on floats lie below the tolerance by more than
+    1e-13 (1 + max|c|)**2, both evaluations' rounding
+    (``_jacobi_bound_clears``); positivity clears for an exactly symmetric
+    g when the algebra's metric pass, which ``levi_civita`` then reuses,
+    gives 1 / tr g^-1 > 2e-12 (1 + max|g|) at tr g tr g^-1 <= 1e8
+    (``_positive_bound_clears``).  A bound clears only what the check would
+    pass, so the report, magnitudes included, is the full checks' for every
+    ``tol``.
     """
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
@@ -337,21 +398,24 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
                         violations.append(Violation("antisymmetry", (i, j, k), mag))
 
     # in dimension three (0, 1, 2) is the only triple of distinct indices
-    mag = float(np.abs(_jacobi_residual(c)[0, 1, 2]).max())
-    if mag > jac_tol:
-        violations.append(Violation("jacobi", (0, 1, 2), mag))
+    if not _jacobi_bound_clears(c, scale, jac_tol):
+        mag = float(np.abs(_jacobi_residual(c)[0, 1, 2]).max())
+        if mag > jac_tol:
+            violations.append(Violation("jacobi", (0, 1, 2), mag))
 
     gsym_tol = 1e-12 * gscale
     gasym = np.abs(g - g.T)
-    if gasym.max() > gsym_tol:
+    asym = gasym.max()
+    if asym > gsym_tol:
         for i in range(3):
             for j in range(i + 1, 3):
                 mag = gasym[i, j]
                 if mag > gsym_tol:
                     violations.append(Violation("metric_asymmetric", (i, j), mag))
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if eigs[0] <= gsym_tol:
-        violations.append(Violation("metric_not_positive", (), float(eigs[0])))
+    if not (asym == 0.0 and _positive_bound_clears(L, gscale, gsym_tol)):
+        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+        if eigs[0] <= gsym_tol:
+            violations.append(Violation("metric_not_positive", (), float(eigs[0])))
 
     return ValidityReport(tuple(violations))
 

@@ -581,12 +581,13 @@ class TestVerifyPaper:
         # Cotton evaluation for the stationary flow, whose initial metric is
         # an exact fixed point.  Metric passes: one per member, kept on its
         # algebra for the connection, the curvature and the Ricci spectra,
-        # and one for the flow evaluation
+        # and one for the flow evaluation.  Each member's Riemann tensor is
+        # built once, on the structure detection's first read
         import sys
 
         counts = dict.fromkeys(
             ("detect_structure", "levi_civita", "curvature", "cotton_pack",
-             "cotton2_array", "_metric_frame"), 0
+             "cotton2_array", "_metric_frame", "_riemann"), 0
         )
         wrapped = {}
         for modname, mod in sorted(sys.modules.items()):
@@ -612,6 +613,7 @@ class TestVerifyPaper:
             "cotton_pack": 0,
             "cotton2_array": 1,
             "_metric_frame": 9,
+            "_riemann": 8,
         }
 
     def test_custom_grid(self, capsys):

@@ -24,15 +24,19 @@ from cotton3 import (
     DegenerateMetric,
     MetricLieAlgebra3,
     SingularMetric,
+    SolitonProblem,
     SymBilinear,
     adapted_connection_table,
     classify_geometry,
+    cotton_pack,
     curvature,
     from_kenmotsu_params,
     from_nonunimodular,
     levi_civita,
     ricci_parallel_check,
     ricci_spectrum,
+    solve,
+    validate,
 )
 from cotton3.connection_curvature import (
     _cov_deriv,
@@ -365,6 +369,87 @@ class TestAlgebraPass:
             W = Li @ pack.ricci.components @ Li.T
             ref = np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
             assert got.tobytes() == ref.tobytes()
+
+
+class TestUnreadWork:
+    """A geometry's chain computes only what its readers read: the Riemann
+    tensor on first read, and validate's eigenvalues and full Jacobi
+    residual only where its bounds do not clear the rule."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import sys
+
+        from cotton3 import connection_curvature, frame_algebra
+
+        seen = dict.fromkeys(("eigvalsh", "_jacobi_residual", "_riemann",
+                              "_metric_frame", "svd"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(frame_algebra, "_jacobi_residual",
+                            counting("_jacobi_residual", frame_algebra._jacobi_residual))
+        monkeypatch.setattr(connection_curvature, "_riemann",
+                            counting("_riemann", connection_curvature._riemann))
+        frame = counting("_metric_frame", frame_algebra._metric_frame)
+        for modname, mod in sorted(sys.modules.items()):
+            if modname.startswith("cotton3.") and hasattr(mod, "_metric_frame"):
+                monkeypatch.setattr(mod, "_metric_frame", frame)
+        return seen
+
+    def test_sweep_op_makes_no_unread_work(self, counts):
+        # one geometry through validate, the connection, the curvature, the
+        # parallel check and classification, the Cotton pack and the general
+        # soliton solve, as the benchmark's sweep runs it
+        rng = np.random.default_rng(72)
+        for n in range(1, 21):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            assert validate(L).is_valid
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            parallel = ricci_parallel_check(L, conn, pack)
+            classify_geometry(pack, parallel.is_parallel)
+            cotton_pack(L, conn, pack)
+            solve(SolitonProblem.build(L, conn=conn, pack=pack))
+            assert counts == {"eigvalsh": 0, "_jacobi_residual": 0, "_riemann": 0,
+                              "_metric_frame": n, "svd": n}
+
+    def test_riemann_built_once_on_first_read(self, counts):
+        rng = np.random.default_rng(73)
+        for n in range(1, 11):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            assert counts["_riemann"] == n - 1
+            R = pack.riemann
+            assert pack.riemann is R and counts["_riemann"] == n
+            ref = _riemann(L.structure_constants, conn.gamma)
+            assert R.tobytes() == ref.tobytes()
+            assert pack.connection is conn
+            assert not R.flags.writeable
+            with pytest.raises(ValueError):
+                R[0, 0, 0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pack.riemann = ref
+            assert pack.riemann is R
+
+    def test_built_arrays_are_frozen(self):
+        rng = np.random.default_rng(74)
+        L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+        conn = levi_civita(L)
+        pack = curvature(L, conn)
+        ref = _gamma(L.structure_constants, L.metric, _metric_frame(L.metric)[0])
+        assert conn.gamma.tobytes() == ref.tobytes() and not conn.gamma.flags.writeable
+        assert not pack.ricci_operator.flags.writeable
+        for arr in (pack.cotton.cotton3.components, pack.cotton.cotton2.components):
+            assert not arr.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pack.cotton.norm2 = 0.0
 
 
 class TestEigenvalues:

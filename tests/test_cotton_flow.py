@@ -494,6 +494,21 @@ class TestExactFixedPointExit:
         assert len(calls) == 1
         assert len(result.trajectory) == 51
 
+    def test_stationary_run_builds_only_recorded_states(self, monkeypatch):
+        import cotton3.cotton_flow as cf
+
+        built = []
+        real = cf._repeat
+        monkeypatch.setattr(cf, "_repeat", lambda *args: built.append(1) or real(*args))
+        result = flow_run(from_kenmotsu_params(1.0, 0.0, 0.0), dt=1e-3, steps=50, stride=50)
+        # the stationary first step, and the final state
+        assert len(built) == 2
+        t = 0.0
+        for _ in range(50):
+            t = float(t + 1e-3)
+        assert [st.time for st in result.trajectory] == [0.0, t]
+        assert np.array_equal(result.final.metric, np.eye(3))
+
     def test_moving_run_evaluates_cotton_four_times_a_step(self, monkeypatch):
         calls = self._count_cotton(monkeypatch)
         steps = 10

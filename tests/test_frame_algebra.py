@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import abelian, milnor, random_spd, random_valid_algebra
+from conftest import abelian, milnor, random_rotation, random_spd, random_valid_algebra
 from cotton3 import (
     DEFAULT_TOL,
     FrameVector,
@@ -16,7 +18,12 @@ from cotton3 import (
     from_nonunimodular,
     validate,
 )
-from cotton3.frame_algebra import _jacobi_residual, _svd_lstsq
+from cotton3.frame_algebra import (
+    _jacobi_bound_clears,
+    _jacobi_residual,
+    _positive_bound_clears,
+    _svd_lstsq,
+)
 
 
 def brute_jacobi(c):
@@ -273,6 +280,134 @@ class TestValidateReference:
                 kinds.update(kind for kind, *_ in got)
         assert kinds == {"antisymmetry", "jacobi", "metric_asymmetric", "metric_not_positive"}
         assert max(len(reference_violations(L)) for L in cases) > 10
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def near_cutoff_metric(seed: int, ratio: float, cond: float) -> np.ndarray:
+    """An exactly symmetric rotated metric with condition ``cond`` whose
+    smallest eigenvalue is ``ratio`` times validate's positivity cutoff
+    1e-12 (1 + lambda_max), an upper bound of 1e-12 (1 + max|g|)."""
+    x = 1e-12 * ratio * cond
+    lam_max = x / (1.0 - x)
+    lam_min = lam_max / cond
+    return spectrum_metric(seed, lam_min, lam_max)
+
+
+def spectrum_metric(seed: int, lam_min: float, lam_max: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    mid = lam_min * (lam_max / lam_min) ** rng.random()
+    R = random_rotation(rng)
+    g = (R * [lam_min, mid, lam_max]) @ R.T
+    return 0.5 * (g + g.T)
+
+
+near_cutoff = st.builds(near_cutoff_metric, st.integers(0, 2**32 - 1),
+                        st.floats(0.5, 4.0), st.floats(0.0, 11.0).map(lambda e: 10.0**e))
+# largest eigenvalue 10^-150 .. 10^150, condition 1 .. 1e11
+scaled = st.builds(
+    lambda seed, e, k: spectrum_metric(seed, 10.0 ** (e - k), 10.0**e),
+    st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0), st.floats(0.0, 11.0),
+)
+
+
+def near_jacobi_tolerance(seed: int, rho: float, tol):
+    """Rotated, rescaled Jacobi-valid constants with one bracket entry moved,
+    antisymmetry kept, so that the cyclic residual is about ``rho`` times
+    the Jacobi tolerance."""
+    rng = np.random.default_rng(seed)
+    c = random_valid_algebra(rng, rotated=True).structure_constants * 10.0 ** rng.uniform(-2, 4)
+    scale = 1.0 + float(np.max(np.abs(c)))
+    # the residual is linear in the move, with coefficients of size scale
+    step = 1e-3 / scale if tol == 1e-3 else 1e-12 * scale * scale
+    i, j = rng.choice(3, size=2, replace=False)
+    k = rng.integers(3)
+    c[i, j, k] += rho * step * rng.choice([-1.0, 1.0])
+    c[j, i, k] = -c[i, j, k]
+    return c
+
+
+class TestValidateBounds:
+    """A bound clears a rule only where the full check passes it."""
+
+    @PROPERTY
+    @given(st.one_of(near_cutoff, scaled))
+    def test_positivity_bound_clears_only_positive_metrics(self, g):
+        gscale = 1.0 + float(np.max(np.abs(g)))
+        L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
+        if _positive_bound_clears(L, gscale, 1e-12 * gscale):
+            assert np.linalg.eigvalsh(0.5 * (g + g.T))[0] > 1e-12 * gscale
+        got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
+        assert got == reference_violations(L)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+           st.sampled_from([None, 1e-3, 0.0]))
+    def test_jacobi_bound_clears_only_valid_constants(self, seed, rho, tol):
+        c = near_jacobi_tolerance(seed, rho, tol)
+        scale = 1.0 + float(np.max(np.abs(c)))
+        jac_tol = 1e-12 * scale**3 if tol is None else tol
+        if _jacobi_bound_clears(c, scale, jac_tol):
+            assert np.abs(_jacobi_residual(c)[0, 1, 2]).max() <= jac_tol
+        L = MetricLieAlgebra3(c)
+        for t in (tol, None):
+            got = [(v.kind, v.indices, v.magnitude) for v in validate(L, t).violations]
+            assert got == reference_violations(L, t)
+
+    def test_each_bound_decides_both_ways(self):
+        # the draws above reach both sides of each bound, and the checks'
+        # own verdicts on both sides
+        rng = np.random.default_rng(15)
+        pos, jac = set(), set()
+        for _ in range(400):
+            g = near_cutoff_metric(int(rng.integers(2**32)), rng.uniform(0.5, 4.0),
+                                   10.0 ** rng.uniform(0.0, 11.0))
+            gscale = 1.0 + float(np.max(np.abs(g)))
+            L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
+            pos.add((_positive_bound_clears(L, gscale, 1e-12 * gscale), validate(L).is_valid))
+            tol = (None, 1e-3)[int(rng.integers(2))]
+            c = near_jacobi_tolerance(int(rng.integers(2**32)), 10.0 ** rng.uniform(-3, 2), tol)
+            scale = 1.0 + float(np.max(np.abs(c)))
+            jac_tol = 1e-12 * scale**3 if tol is None else tol
+            jac.add((_jacobi_bound_clears(c, scale, jac_tol),
+                     validate(MetricLieAlgebra3(c), tol).is_valid))
+        assert pos == jac == {(True, True), (False, True), (False, False)}
+
+    def test_zero_tolerance_clears_nothing(self):
+        c = milnor(1.0, -1.0, 2.0).structure_constants
+        assert _jacobi_bound_clears(c, 3.0, 1e-12 * 27.0)
+        assert not _jacobi_bound_clears(c, 3.0, 0.0)
+
+    @pytest.mark.parametrize("g", [
+        np.diag([1.0, 2.0, 0.0]),  # the pass refuses it as singular
+        np.diag([1.0, -2.0, 3.0]),  # and this one as indefinite
+        np.diag([1e-3, 1.0, 1e6]),  # tr g tr g^-1 above 1e8
+        np.diag([1e308, 1e307, 1e307]),  # 2 max|g| overflows
+    ])
+    def test_positivity_falls_back_to_eigvalsh(self, g, monkeypatch):
+        L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
+        gscale = 1.0 + float(np.max(np.abs(g)))
+        assert not _positive_bound_clears(L, gscale, 1e-12 * gscale)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        try:
+            with np.errstate(over="ignore"):
+                validate(L)
+        except np.linalg.LinAlgError:
+            # eigvalsh cannot read 0.5 (g + g^T) where the sum overflows
+            pass
+        assert calls == [1]
+
+    def test_asymmetric_metric_falls_back_to_eigvalsh(self, monkeypatch):
+        g = np.eye(3)
+        g[0, 1] = 1e-14
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        assert validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g)).is_valid
+        assert calls == [1]
 
 
 class TestBracket:
