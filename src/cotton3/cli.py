@@ -102,6 +102,13 @@ def _parse_metric(data, context):
         raise CLIError(f"{context}: 'metric' must be a 3x3 array of numbers")
     if arr.shape != (3, 3):
         raise CLIError(f"{context}: 'metric' must be 3x3, got shape {arr.shape}")
+    # numpy would read "1" as 1.0 and false as 0.0
+    for i, row in enumerate(raw):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise CLIError(
+                    f"{context}: 'metric' entry [{i}][{j}] must be a number, got {x!r}"
+                )
     if not np.all(np.isfinite(arr)):
         raise CLIError(f"{context}: 'metric' entries must be finite")
     return arr
@@ -338,13 +345,19 @@ def cmd_structure(args) -> int:
     return 0
 
 
-def _closed_form_gap(ak, cotton2) -> tuple:
+def _gap(x, expect) -> float:
+    """The largest |x - expect| over the entries, nan when any entry is
+    nan, so that a nan fails its check as each comparison would."""
+    return float(np.abs(np.subtract(x, expect)).max())
+
+
+def _closed_form_gap(ak) -> tuple:
     """The closed-form (0,2) Cotton tensor of ``ak``'s adapted frame, and
-    its largest gap against ``cotton2`` read in that frame (E^T C E, the
-    derivative route)."""
+    its largest gap against the structure's own Cotton tensor read in that
+    frame (E^T C E, the derivative route)."""
     closed = cotton2_closed_form(ak).components
     E = np.column_stack([v.components for v in ak.adapted_frame])
-    return closed, float(np.max(np.abs(closed - E.T @ cotton2.components @ E)))
+    return closed, _gap(closed, E.T @ ak.curvature.cotton.cotton2.components @ E)
 
 
 def cmd_cotton(args) -> int:
@@ -360,7 +373,7 @@ def cmd_cotton(args) -> int:
         except NoStructure:
             ak = None
         if ak is not None:
-            closed, gap = _closed_form_gap(ak, cp.cotton2)
+            closed, gap = _closed_form_gap(ak)
             adapted = {"closed_form": _mat(closed), "max_gap": gap}
     payload = {
         "cotton2": _mat(cp.cotton2.components),
@@ -502,131 +515,106 @@ def cmd_flow(args) -> int:
 _KENMOTSU_MEMBERS = ((2.0, 0.0, 0.0), (1.0, 3.0, 3.0), (1.0, 0.0, 0.0), (0.5, 0.0, 0.0),
                      (3.0, 0.0, 0.0), (1.0, -2.0, -2.0))
 _SOLVABLE_MEMBERS = ((2.0, 0.5), (1.0, 0.0))
+# the paper's Ricci form at lam=1, b=c=3 and Cotton form at lam=2, adapted frame
+_RICCI_133 = np.array([[-4.0, -6.0, -6.0], [-6.0, -20.0, 2.0], [-6.0, 2.0, -20.0]])
+_COTTON_2 = np.diag([0.0, 12.0, -12.0])
 
 
-def _member(L: MetricLieAlgebra3) -> tuple:
-    """``(L, conn, pack, structure)`` of a reference member, each layer
-    built once for every check that reads it."""
+def _member(L: MetricLieAlgebra3):
+    """The detected structure of a reference member, which keeps its
+    connection and curvature, each built once for every check that reads it."""
     conn = levi_civita(L)
-    pack = curvature(L, conn)
-    return L, conn, pack, detect_structure(L, conn, pack)
+    return detect_structure(L, conn, curvature(L, conn))
 
 
 def _verify_checks(tol: float, grid: list) -> list:
     """The fixed reference checks, then the soliton existence checks at
-    each lam of ``grid``.  A grid lam that is a (lam, 0, 0) member of the
-    table reads that member's layers; any other gets fresh layers, with no
-    structure detection."""
+    each lam of ``grid``.  Each value check compares one gap, the largest
+    |value - reference| over its values, with one tolerance: ``tol``,
+    ``100*tol`` or ``1e-6``.  A grid lam that is a (lam, 0, 0) member of
+    the table reads that member's layers; any other gets fresh layers, with
+    no structure detection."""
     checks = []
     members = {p: _member(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
     members.update((p, _member(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
+    ak2, ak133, ak1 = members[2.0, 0.0, 0.0], members[1.0, 3.0, 3.0], members[1.0, 0.0, 0.0]
+    pack2, p133, pack1 = ak2.curvature, ak133.curvature, ak1.curvature
 
-    def kenmotsu(lam, b=0.0, c=0.0):
-        return members[lam, b, c]
-
-    def survey(member):
+    def survey(ak):
         # the collinear and orthogonal ansatz solutions, from the member's
         # own Cotton tensor
-        L, conn, pack, ak = member
-        problem = SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame)
+        problem = SolitonProblem(ak.algebra, ak.connection, ak.curvature.cotton.cotton2,
+                                 ak.adapted_frame)
         return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
 
     def add(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    def close(x, y, t=None):
-        return abs(x - y) <= (t if t is not None else tol)
-
     # adapted connection table of the lambda=2 diagonal family
-    L2, conn2, pack2, ak2 = kenmotsu(2.0)
-    gap = float(np.max(np.abs(conn2.gamma - adapted_connection_table(2.0, 0.0, 0.0))))
+    gap = _gap(ak2.connection.gamma, adapted_connection_table(2.0, 0.0, 0.0))
     add("connection table, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # jacobi operator along the reeb direction, lambda=2
     jac = _jacobi(pack2.riemann, np.array([1.0, 0.0, 0.0]))
-    expect = np.array([[0.0, 0.0, 0.0], [0.0, -5.0, 4.0], [0.0, 4.0, -5.0]])
-    gap = float(np.max(np.abs(jac - expect)))
+    gap = _gap(jac, [[0.0, 0.0, 0.0], [0.0, -5.0, 4.0], [0.0, 4.0, -5.0]])
     add("jacobi operator, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # ricci values of the lambda=1, b=c=3 family
-    _, _, p133, ak133 = kenmotsu(1.0, 3.0, 3.0)
     S = p133.ricci.components
-    ok = (
-        close(S[0, 0], -4.0)
-        and close(S[0, 1], -6.0)
-        and close(S[0, 2], -6.0)
-        and close(S[1, 1], -20.0)
-        and close(S[2, 2], -20.0)
-        and close(S[1, 2], 2.0)
-        and close(p133.scalar, -44.0)
-    )
-    add("ricci values, lambda=1 b=c=3", ok,
+    gap = _gap(np.append(S, p133.scalar), np.append(_RICCI_133, -44.0))
+    add("ricci values, lambda=1 b=c=3", gap <= tol,
         f"scalar {p133.scalar:.6g}, S(xi,e) {S[0, 1]:.6g}")
 
     # scalar curvature of the lambda=2 family
-    ok = close(pack2.scalar, -14.0) and close(pack2.ricci.components[0, 0], -10.0)
-    add("scalar curvature, lambda=2", ok, f"scalar {pack2.scalar:.6g}")
+    gap = _gap([pack2.scalar, pack2.ricci.components[0, 0]], (-14.0, -10.0))
+    add("scalar curvature, lambda=2", gap <= tol, f"scalar {pack2.scalar:.6g}")
 
     # cotton closed form against the derivative route on the Kenmotsu members
-    worst = max(
-        _closed_form_gap(ak, pack.cotton.cotton2)[1]
-        for _, _, pack, ak in (members[p] for p in _KENMOTSU_MEMBERS)
-    )
+    worst = float(np.max([_closed_form_gap(members[p])[1] for p in _KENMOTSU_MEMBERS]))
     add("cotton closed form vs derivative route", worst <= 100 * tol,
         f"max gap {worst:.3e}")
 
     # cotton components of the lambda=2 family
     c2 = pack2.cotton.cotton2.components
-    ok = (
-        close(c2[1, 1], 12.0)
-        and close(c2[2, 2], -12.0)
-        and float(np.max(np.abs(c2 - np.diag(np.diag(c2))))) <= tol
-        and close(c2[0, 0], 0.0)
-    )
-    add("cotton components, lambda=2", ok, f"C(e,e) {c2[1, 1]:.6g}")
+    add("cotton components, lambda=2", _gap(c2, _COTTON_2) <= tol, f"C(e,e) {c2[1, 1]:.6g}")
 
     # the lambda=1, b=c=3 family is conformally flat
     norm = p133.cotton.norm2
     add("cotton vanishes, lambda=1 b=c=3", norm <= tol, f"norm {norm:.3e}")
 
     # conformal flatness happens exactly at lambda=1 in the diagonal family
-    ok = True
-    detail = []
-    for lam in (0.5, 1.0, 2.0, 3.0):
-        norm = kenmotsu(lam)[2].cotton.norm2
-        expect = math.sqrt(2.0) * abs(2.0 * lam**3 - 2.0 * lam)
-        ok = ok and close(norm, expect, 100 * tol)
-        detail.append(f"lambda={lam:g}: {norm:.6g}")
-    add("cotton norm across the diagonal family", ok, "; ".join(detail))
+    lams = (0.5, 1.0, 2.0, 3.0)
+    norms = [members[lam, 0.0, 0.0].curvature.cotton.norm2 for lam in lams]
+    gap = _gap(norms, [math.sqrt(2.0) * abs(2.0 * lam**3 - 2.0 * lam) for lam in lams])
+    add("cotton norm across the diagonal family", gap <= 100 * tol,
+        "; ".join(f"lambda={lam:g}: {norm:.6g}" for lam, norm in zip(lams, norms)))
 
     # reeb-collinear soliton: infeasible at lambda=2 with residual 12*sqrt(2)
-    survey2 = survey(kenmotsu(2.0))
+    survey2 = survey(ak2)
     sol = survey2["collinear"]
-    ok = sol.classification == INFEASIBLE and close(
-        sol.residual, 12.0 * math.sqrt(2.0), 100 * tol
-    )
+    ok = (sol.classification == INFEASIBLE
+          and abs(sol.residual - 12.0 * math.sqrt(2.0)) <= 100 * tol)
     add("reeb-collinear soliton, lambda=2", ok,
         f"{sol.classification}, residual {sol.residual:.6g}")
 
     # at lambda=1 the collinear problem admits only the trivial solution
-    L1, conn1, pack1, ak1 = kenmotsu(1.0)
-    survey1 = survey(kenmotsu(1.0))
+    survey1 = survey(ak1)
     sol = survey1["collinear"]
     add("reeb-collinear soliton, lambda=1", sol.classification == TRIVIAL_ONLY,
         sol.classification)
 
     # at lambda=1 the orthogonal problem has a steady one-parameter family
+    # along e + phi_e, whose Lie derivative of the metric vanishes
     sol = survey1["orthogonal"]
-    fam_ok = sol.family_dim == 1 and abs(sol.family_basis[0][-1]) <= tol
-    if fam_ok:
-        d = sol.family_basis[0][:2]
-        fam_ok = abs(abs(d[0]) - abs(d[1])) <= tol and np.sign(d[0]) == np.sign(d[1])
-    ok = sol.classification == STEADY and fam_ok
-    witness = lie_derivative_metric(
-        L1, conn1,
-        FrameVector(ak1.adapted_frame[1].components + ak1.adapted_frame[2].components),
-    ).components
-    ok = ok and float(np.max(np.abs(witness))) <= tol
+    ok = sol.classification == STEADY and sol.family_dim == 1
+    if ok:
+        d = sol.family_basis[0]
+        _, e, phi_e = ak1.adapted_frame
+        witness = lie_derivative_metric(
+            ak1.algebra, ak1.connection, FrameVector(e.components + phi_e.components)
+        ).components
+        gap = _gap(np.append(witness, [d[-1], abs(d[0]) - abs(d[1])]), 0.0)
+        ok = gap <= tol and np.sign(d[0]) == np.sign(d[1])
     add("orthogonal soliton, lambda=1", ok,
         f"{sol.classification}, family dim {sol.family_dim}")
 
@@ -636,39 +624,26 @@ def _verify_checks(tol: float, grid: list) -> list:
         sol.classification)
 
     # lambda=1 geometry is the product of the hyperbolic plane and a line
-    par1 = ricci_parallel_check(L1, conn1, pack1)
+    par1 = ricci_parallel_check(ak1.algebra, ak1.connection, pack1)
     cls1 = classify_geometry(pack1, par1.is_parallel)
     eigs = sorted(ricci_spectrum(pack1))
-    ok = (
-        cls1.kind == PRODUCT_H2XR
-        and close(cls1.curvature or 0.0, -4.0, 1e-6)
-        and close(eigs[0], -4.0, 1e-6)
-        and close(eigs[1], -4.0, 1e-6)
-        and close(eigs[2], 0.0, 1e-6)
-    )
-    add("geometry class, lambda=1", ok,
+    gap = _gap([cls1.curvature or 0.0, *eigs], (-4.0, -4.0, -4.0, 0.0))
+    add("geometry class, lambda=1", cls1.kind == PRODUCT_H2XR and gap <= 1e-6,
         f"{cls1.kind}, eigenvalues {[round(float(x), 6) for x in eigs]}")
 
     # detection on the rank-two solvable family, alpha=2 beta=0.5
-    aknu = members[2.0, 0.5][3]
-    ok = (
-        close(aknu.lam, math.sqrt(1.25), 100 * tol)
-        and abs(aknu.b) <= 100 * tol
-        and abs(aknu.c) <= 100 * tol
-        and close(aknu.xi.components[0], -1.0, 100 * tol)
-    )
-    add("detection on the solvable family, alpha=2 beta=1/2", ok,
+    aknu = members[2.0, 0.5]
+    gap = _gap([aknu.lam, aknu.b, aknu.c, aknu.xi.components[0]],
+               (math.sqrt(1.25), 0.0, 0.0, -1.0))
+    add("detection on the solvable family, alpha=2 beta=1/2", gap <= 100 * tol,
         f"lambda {aknu.lam:.6g}, reeb ({aknu.xi.components[0]:.3g}, ...)")
 
     # alpha=1 beta=0 is hyperbolic space: h = 0 and S = -2 g
-    Lh, _, ph, akh = members[1.0, 0.0]
-    ok = (
-        akh.kenmotsu
-        and float(np.max(np.abs(akh.h_op))) <= tol
-        and float(np.max(np.abs(ph.ricci.components + 2.0 * Lh.metric))) <= tol
-    )
-    add("hyperbolic detection, alpha=1 beta=0", ok,
-        f"kenmotsu {akh.kenmotsu}, |S + 2g| {float(np.max(np.abs(ph.ricci.components + 2.0 * Lh.metric))):.3e}")
+    akh = members[1.0, 0.0]
+    ricci_gap = _gap(akh.curvature.ricci.components, -2.0 * akh.algebra.metric)
+    add("hyperbolic detection, alpha=1 beta=0",
+        akh.kenmotsu and _gap(np.append(akh.h_op, ricci_gap), 0.0) <= tol,
+        f"kenmotsu {akh.kenmotsu}, |S + 2g| {ricci_gap:.3e}")
 
     # reeb field is a ricci eigenvector exactly when b = c = 0
     rep = xi_eigenvector_analysis(ak2, tol=tol)
@@ -685,15 +660,15 @@ def _verify_checks(tol: float, grid: list) -> list:
 
     # conformally flat metrics are flow fixed points
     # only the final state is read: record no other
-    res = flow_run(L1, dt=1e-3, steps=50, stride=50)
-    drift = float(np.max(np.abs(res.final.metric - np.eye(3))))
+    res = flow_run(ak1.algebra, dt=1e-3, steps=50, stride=50)
+    drift = _gap(res.final.metric, np.eye(3))
     add("flow fixed point, lambda=1", drift <= tol, f"drift {drift:.3e}")
 
     # the soliton existence picture across the grid
     rows = []
     for lam in grid:
         m = members.get((lam, 0.0, 0.0))
-        rows += _theorem_checks(lam, *(m[:3] if m else _theorem_layers(lam)), tol)
+        rows += _theorem_checks(lam, m.curvature if m else _theorem_layers(lam), tol)
     _require_finite({"residual": [ch.residual for ch in rows]})
     for ch in rows:
         add(f"{ch.name}, lambda={ch.lam:g}", ch.passed,

@@ -352,7 +352,9 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     entries, and constants whose cube overflows (below that bound every
     product in the Jacobi residual is finite).  Each rule is one comparison
     over its whole array; only a rule that fails walks its entries to
-    report each violation.
+    report each violation.  A finite metric always gets a report: a
+    difference g - g^T that overflows is an inf asymmetry, and positivity
+    reads 0.5 g + 0.5 g^T where 0.5 (g + g^T) would overflow.
 
     Two rules first try a bound that proves them, and run their full check
     only where it does not: the Jacobi rule clears when the three cyclic
@@ -413,7 +415,13 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
                 if mag > gsym_tol:
                     violations.append(Violation("metric_asymmetric", (i, j), mag))
     if not (asym == 0.0 and _positive_bound_clears(L, gscale, gsym_tol)):
-        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (g + g.T)
+        if not np.isfinite(sym).all():
+            # the sum overflowed; halving first keeps every finite entry
+            # finite, but rounds subnormals otherwise, so only here
+            sym = 0.5 * g + 0.5 * g.T
+        eigs = np.linalg.eigvalsh(sym)
         if eigs[0] <= gsym_tol:
             violations.append(Violation("metric_not_positive", (), float(eigs[0])))
 

@@ -27,6 +27,7 @@ import numpy as np
 from .connection_curvature import (
     PRODUCT_H2XR,
     ConnectionTable,
+    CurvaturePack,
     classify_geometry,
     curvature,
     levi_civita,
@@ -328,7 +329,7 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     checks = []
     for lam in lam_grid:
         lam = float(lam)
-        checks += _theorem_checks(lam, *_theorem_layers(lam), tol)
+        checks += _theorem_checks(lam, _theorem_layers(lam), tol)
     report = TheoremReport(tuple(checks))
     if not report.all_passed:
         names = ", ".join(
@@ -340,19 +341,21 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     return report
 
 
-def _theorem_layers(lam: float) -> tuple:
-    """``(L, conn, pack)`` of the lam, b = c = 0 member, fresh."""
+def _theorem_layers(lam: float) -> CurvaturePack:
+    """The curvature pack of the lam, b = c = 0 member, fresh; it keeps the
+    member's algebra and connection."""
     L = from_kenmotsu_params(lam, 0.0, 0.0)
-    conn = levi_civita(L)
-    return L, conn, curvature(L, conn)
+    return curvature(L, levi_civita(L))
 
 
-def _theorem_checks(lam: float, L, conn, pack, tol: float) -> list:
+def _theorem_checks(lam: float, pack: CurvaturePack, tol: float) -> list:
     """The checks of ``reproduce_theorems`` at one lam, on the member's
-    prebuilt layers ``(L, conn, pack)``; ``ValueError`` for a nan,
-    infinite or negative ``tol``, which would skip the lam = 1 checks."""
+    prebuilt curvature ``pack`` and the algebra and connection it keeps;
+    ``ValueError`` for a nan, infinite or negative ``tol``, which would
+    skip the lam = 1 checks."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    L, conn = pack.algebra, pack.connection
     problem = SolitonProblem(L, conn, pack.cotton.cotton2, _FRAME)
     sols = _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
     coll, orth = sols["collinear"], sols["orthogonal"]

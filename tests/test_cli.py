@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotton3.cli import build_parser, main
+from cotton3.cli import _gap, build_parser, main
 
 SU2_BRACKETS = {
     "brackets": [
@@ -445,6 +445,44 @@ class TestInputErrors:
         assert rc == 1
         assert "must be 3x3" in captured.err
 
+    @pytest.mark.parametrize("metric, entry", [
+        ([["1", False, 0], [0, True, 0], [0, 0, "1e0"]], "[0][0] must be a number, got '1'"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, True]], "[2][2] must be a number, got True"),
+        ([[1, 0, 0], [0, None, 0], [0, 0, 1]], "[1][1] must be a number, got None"),
+    ])
+    def test_metric_entries_not_numbers(self, geom, capsys, metric, entry):
+        rc = main(["curvature", geom(kenmotsu(1.0, metric=metric))])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.endswith(f"'metric' entry {entry}\n")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["curvature", "structure", "cotton", "soliton", "flow"])
+    @pytest.mark.parametrize("metric, message", [
+        # finite metrics whose g + g^T or g - g^T overflows
+        (np.diag([1e308] * 3).tolist(), None),
+        (np.diag([1.7e308] * 3).tolist(), None),
+        ([[1, 1.7e308, 0], [1.7e308, 1, 0], [0, 0, 1]], "metric_not_positive"),
+        ([[1, 1.7e308, 0], [-1.7e308, 1, 0], [0, 0, 1]], "metric_asymmetric"),
+    ])
+    def test_large_metric_one_line(self, geom, capsys, command, metric, message):
+        argv = [command, geom(kenmotsu(2.0, metric=metric)), "--format", "machine"]
+        if command == "flow":
+            argv += ["--dt", "1e-3", "--steps", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        if message is not None:
+            assert f"invalid geometry: {message}" in captured.err
+        elif command == "curvature":
+            assert captured.err.startswith("error: scalar_curvature is not finite")
+
     def test_two_geometry_forms(self, geom, capsys):
         rc = main(["curvature", geom({
             "kenmotsu": {"lambda": 1.0},
@@ -675,6 +713,36 @@ class TestVerifyPaper:
         out = capsys.readouterr().out
         assert rc == 2
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol, failing", [
+        # rounding-level gaps fail a tolerance below them
+        ("1e-30", [
+            "cotton closed form vs derivative route",
+            "cotton norm across the diagonal family",
+            "reeb-collinear soliton, lambda=2",
+            "orthogonal soliton, lambda=1",
+        ]),
+        ("1e-3", []),
+        # at 0.5 the grid's lam = 0.5 counts as lam = 1
+        ("0.5", [
+            "orthogonal ansatz feasible only at lam = 1, lambda=0.5",
+            "orthogonal soliton is steady, lambda=0.5",
+            "metric splits as hyperbolic plane (curvature -4) times line, lambda=0.5",
+        ]),
+    ])
+    def test_failing_checks_by_tolerance(self, capsys, tol, failing):
+        rc = main(["verify-paper", "--tolerance", tol, "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == (2 if failing else 0)
+        assert [c["name"] for c in doc["checks"] if not c["ok"]] == failing
+        assert len(doc["checks"]) == 26 + (tol == "0.5") * 2
+
+    def test_nan_gap_fails(self):
+        # a nan anywhere makes the gap nan, which no tolerance passes
+        assert math.isnan(_gap([0.0, math.nan, 1.0], 0.0))
+        assert math.isnan(_gap([math.nan, 1.0], [0.0, 0.0]))
+        assert math.isnan(_gap(np.eye(3), [1.0, math.nan, 1.0]))
+        assert _gap([[1.0, -3.0], [2.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]) == 3.0
 
 
 class TestSharedParser:

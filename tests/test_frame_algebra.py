@@ -1,5 +1,7 @@
 """Value types, algebra builders, and validity checking."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,43 @@ class TestValidate:
         for tol in (None, 1e-8):
             rep = validate(L, tol=tol)
             assert [v.kind for v in rep.violations] == ["overflow"]
+
+    @pytest.mark.parametrize("g, kinds", [
+        (1e308 * np.eye(3), []),
+        (1.7e308 * np.eye(3), []),
+        (np.diag([1.7e308, 1e300, 1e300]), []),
+        # indefinite, eigenvalues 1 - 1.7e308, 1, 1 + 1.7e308
+        ([[1.0, 1.7e308, 0.0], [1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         ["metric_not_positive"]),
+        (np.full((3, 3), 1.7e308), ["metric_not_positive"]),
+        # g - g^T overflows: an inf magnitude
+        ([[1.0, 1.7e308, 0.0], [-1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         ["metric_asymmetric", "metric_not_positive"]),
+        ([[1.7e308, 1.7e308, 0.0], [1.6e308, 1.7e308, 0.0], [0.0, 0.0, 1e308]],
+         ["metric_asymmetric"]),
+    ])
+    def test_large_metric_reported_not_raised(self, g, kinds):
+        # g + g^T overflows in every case but the sixth; a report, no
+        # LinAlgError, and no numpy warning but that of an overflowing g - g^T
+        L = abelian().with_metric(np.array(g, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if "metric_asymmetric" in kinds else "error")
+            rep = validate(L)
+        assert [v.kind for v in rep.violations] == kinds
+        assert not any(np.isnan(v.magnitude) for v in rep.violations)
+
+    @pytest.mark.parametrize("g", [
+        [[5e-324, 5e-324, 0.0], [1.5e-323, 5e-324, 0.0], [0.0, 0.0, 5e-324]],
+        [[1.5e-323, 5e-324, 0.0], [5e-324, 1.5e-323, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_subnormal_metric_sums_then_halves(self, g):
+        # halving first would round these entries otherwise
+        g = np.array(g)
+        assert not np.array_equal(0.5 * (g + g.T), 0.5 * g + 0.5 * g.T)
+        L = abelian().with_metric(g)
+        got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
+        assert got == reference_violations(L)
+        assert got[-1][0] == "metric_not_positive"
 
     def test_non_finite_jacobi_residual_reported(self):
         # c[0, 1, 1] * c[1, 2, 0] and c[1, 2, 2] * c[2, 0, 0] overflow to
@@ -392,12 +431,7 @@ class TestValidateBounds:
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
-        try:
-            with np.errstate(over="ignore"):
-                validate(L)
-        except np.linalg.LinAlgError:
-            # eigvalsh cannot read 0.5 (g + g^T) where the sum overflows
-            pass
+        validate(L)
         assert calls == [1]
 
     def test_asymmetric_metric_falls_back_to_eigvalsh(self, monkeypatch):
