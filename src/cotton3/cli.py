@@ -75,14 +75,22 @@ class CLIError(Exception):
     """Input that cannot be turned into a valid geometry."""
 
 
+def _check_double(x, what) -> None:
+    """Refuse a number that is not finite or, for an int (JSON integers have
+    no size limit), too large for a double, naming ``what``."""
+    if not abs(x) <= sys.float_info.max:
+        if isinstance(x, float):
+            raise CLIError(f"{what} must be finite, got {x!r}")
+        raise CLIError(f"{what} is too large for a double")
+
+
 def _require_number(obj, field, context):
     if field not in obj:
         raise CLIError(f"{context}: missing field '{field}'")
     val = obj[field]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise CLIError(f"{context}: field '{field}' must be a number, got {val!r}")
-    if not math.isfinite(val):
-        raise CLIError(f"{context}: field '{field}' must be finite, got {val!r}")
+    _check_double(val, f"{context}: field '{field}'")
     return float(val)
 
 
@@ -100,6 +108,8 @@ def _parse_metric(data, context):
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError):
         raise CLIError(f"{context}: 'metric' must be a 3x3 array of numbers")
+    except OverflowError:
+        raise CLIError(f"{context}: 'metric' has an entry too large for a double")
     if arr.shape != (3, 3):
         raise CLIError(f"{context}: 'metric' must be 3x3, got shape {arr.shape}")
     # numpy would read "1" as 1.0 and false as 0.0
@@ -143,8 +153,8 @@ def _parse_brackets(items, context):
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in coeffs)
         ):
             raise CLIError(f"{where}: 'coeffs' must be a list of three numbers")
-        if not all(math.isfinite(x) for x in coeffs):
-            raise CLIError(f"{where}: 'coeffs' must be finite")
+        for x in coeffs:
+            _check_double(x, f"{where}: 'coeffs'")
         c[i - 1, j - 1] = coeffs
         c[j - 1, i - 1] = [-x for x in coeffs]
     return c
@@ -457,6 +467,13 @@ def _require_finite_states(states) -> None:
     ])
 
 
+def _export(states, path: str) -> None:
+    try:
+        export_trajectory(states, path)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_flow(args) -> int:
     fp_tol = args.fixed_point_tol
     if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol >= 0):
@@ -476,7 +493,7 @@ def cmd_flow(args) -> int:
     except DegenerateMetric as exc:
         if args.output and exc.trajectory:
             _require_finite_states(exc.trajectory)
-            export_trajectory(exc.trajectory, args.output)
+            _export(exc.trajectory, args.output)
             print(
                 f"wrote {len(exc.trajectory)} states to {args.output} before failure",
                 file=sys.stderr,
@@ -485,7 +502,7 @@ def cmd_flow(args) -> int:
         return 1
     _require_finite_states(result.trajectory)
     if args.output:
-        export_trajectory(result.trajectory, args.output)
+        _export(result.trajectory, args.output)
         final = result.final
         payload = {
             "output": args.output,

@@ -21,14 +21,14 @@ Ricci -> nabla S -> Cotton sequence, run by ``curvature`` once per geometry
 and by ``cotton2_array`` once per flow stage; ``validate``,
 ``levi_civita``, ``curvature`` and ``ricci_spectrum`` (through
 ``CurvaturePack.algebra``) share the algebra's one metric pass,
-``L._frame``.  ``validate`` reads that pass for a bound that proves
-positivity, lambda_min(g) >= 1 / tr g^-1 > 2e-12 (1 + max|g|), a factor 2
-over its cutoff for the pass's and ``eigvalsh``'s rounding, and proves the
-Jacobi rule from the three cyclic sums at (0, 1, 2) when they lie below
-the tolerance by more than 1e-13 (1 + max|c|)**2; it runs ``eigvalsh`` or
-the full Jacobi residual only where its bound does not clear.  The
-Riemann tensor is built only when ``CurvaturePack.riemann`` is first read
-(``_jacobi``), from the pack's connection.
+``L._frame``.  That pass is the metric rule: ``validate`` refuses a metric
+exactly where it does, and runs ``eigvalsh`` only for a refused metric's
+magnitude.  ``validate`` proves the Jacobi rule from the three cyclic sums
+at (0, 1, 2) when they lie below the tolerance by more than
+1e-13 (1 + max|c|)**2, and runs the full Jacobi residual only where that
+bound does not clear.  The Riemann tensor is built only when
+``CurvaturePack.riemann`` is first read (``_jacobi``), from the pack's
+connection.
 """
 
 from __future__ import annotations

@@ -137,7 +137,8 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     eigenvalue is accurate where a double smallest one is not, and only
     when its upper bound tr g tr g^-1 reaches 1e12.  Every layer that needs
     g^-1, g / sqrt(det g) or positive definiteness reads it off this one
-    pass, which ``MetricLieAlgebra3._frame`` makes once per algebra.
+    pass, which ``MetricLieAlgebra3._frame`` makes once per algebra, and
+    ``validate`` reports ``metric_not_positive`` exactly where it refuses.
     """
     (a, _, _), (b, d, _), (c, e, f) = g.tolist()
     # on the positive cone the largest diagonal entry bounds every entry;
@@ -212,9 +213,18 @@ def _sym3_eigenvalues(M) -> list:
 
     Trigonometric solution of the characteristic cubic; no iterative
     factorization involved.  The largest eigenvalue is accurate to rounding;
-    a double smallest one only to about sqrt(eps) times the largest.
+    a double smallest one only to about sqrt(eps) times the largest.  The
+    cubic squares the entries, so where the largest is outside
+    [2^-400, 2^400] they are first scaled by an exact power of two.
     """
     (a, b, c), (_, d, e), (_, _, f) = M
+    m = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    if not 2.0**-400 <= m <= 2.0**400 and 0.0 < m < math.inf:
+        # ldexp, as 2.0**-k overflows for subnormal entries
+        k = math.frexp(m)[1] - 1
+        a, b, c, d, e, f = (math.ldexp(v, -k) for v in (a, b, c, d, e, f))
+        h = math.ldexp(1.0, k)
+        return [v * h for v in _sym3_eigenvalues(((a, b, c), (b, d, e), (c, e, f)))]
     p1 = b * b + c * c + e * e
     if p1 == 0.0:
         return sorted((a, d, f))
@@ -316,31 +326,6 @@ def _jacobi_bound_clears(c: np.ndarray, scale: float, tol: float) -> bool:
     return True
 
 
-def _positive_bound_clears(L: MetricLieAlgebra3, gscale: float, tol: float) -> bool:
-    """Whether the algebra's metric pass proves lambda_min(g) > ``tol`` for
-    an exactly symmetric metric g, with gscale = 1 + max|g|.
-
-    lambda_min(g) >= 1 / lambda_max(g^-1) >= 1 / tr g^-1, and the rule
-    clears when 1 / tr g^-1 > 2 tol.  Applied only where the pass accepts g
-    with tr g tr g^-1 <= 1e8, so that its tr g^-1 is within 1e-6 relative,
-    and where 2 max|g| is finite, so that 0.5 (g + g^T) = g exactly.  The
-    factor 2 covers that rounding and ``eigvalsh``'s backward error,
-    p u |g| <= 3 p u max|g| < 0.4e-12 max|g| for any p <= 1000: a metric
-    that clears has an ``eigvalsh`` smallest eigenvalue above ``tol``.  A
-    refused pass clears nothing; it is made again, and refused again, where
-    a layer reads it.
-    """
-    if not 2.0 * gscale < math.inf:
-        return False
-    try:
-        ginv = L._frame[0]
-    except (DegenerateMetric, SingularMetric):
-        return False
-    trinv = sum(ginv.diagonal().tolist())
-    return (sum(L.metric.diagonal().tolist()) * trinv <= 1e8
-            and 2.0 * tol * trinv < 1.0)
-
-
 def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
@@ -352,20 +337,17 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     entries, and constants whose cube overflows (below that bound every
     product in the Jacobi residual is finite).  Each rule is one comparison
     over its whole array; only a rule that fails walks its entries to
-    report each violation.  A finite metric always gets a report: a
-    difference g - g^T that overflows is an inf asymmetry, and positivity
-    reads 0.5 g + 0.5 g^T where 0.5 (g + g^T) would overflow.
+    report each violation.  The metric asymmetry cutoff is
+    ``1e-12 * (1 + max|g|)`` for every ``tol``; a g - g^T that overflows is
+    an inf asymmetry.  The Jacobi residual is built only where
+    ``_jacobi_bound_clears`` does not prove the rule, which leaves every
+    report, magnitudes included, as the full check's.
 
-    Two rules first try a bound that proves them, and run their full check
-    only where it does not: the Jacobi rule clears when the three cyclic
-    sums at (0, 1, 2) on floats lie below the tolerance by more than
-    1e-13 (1 + max|c|)**2, both evaluations' rounding
-    (``_jacobi_bound_clears``); positivity clears for an exactly symmetric
-    g when the algebra's metric pass, which ``levi_civita`` then reuses,
-    gives 1 / tr g^-1 > 2e-12 (1 + max|g|) at tr g tr g^-1 <= 1e8
-    (``_positive_bound_clears``).  A bound clears only what the check would
-    pass, so the report, magnitudes included, is the full checks' for every
-    ``tol``.
+    Positivity is the metric rule: ``metric_not_positive`` exactly when the
+    algebra's metric pass ``L._frame`` (see ``_metric_frame``), which
+    ``levi_civita`` then reuses, refuses g.  Its magnitude, g's smallest
+    ``eigvalsh`` eigenvalue, is computed only then; both read g's lower
+    triangle.
     """
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
@@ -407,23 +389,16 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
 
     gsym_tol = 1e-12 * gscale
     gasym = np.abs(g - g.T)
-    asym = gasym.max()
-    if asym > gsym_tol:
+    if gasym.max() > gsym_tol:
         for i in range(3):
             for j in range(i + 1, 3):
                 mag = gasym[i, j]
                 if mag > gsym_tol:
                     violations.append(Violation("metric_asymmetric", (i, j), mag))
-    if not (asym == 0.0 and _positive_bound_clears(L, gscale, gsym_tol)):
-        with np.errstate(over="ignore"):
-            sym = 0.5 * (g + g.T)
-        if not np.isfinite(sym).all():
-            # the sum overflowed; halving first keeps every finite entry
-            # finite, but rounds subnormals otherwise, so only here
-            sym = 0.5 * g + 0.5 * g.T
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs[0] <= gsym_tol:
-            violations.append(Violation("metric_not_positive", (), float(eigs[0])))
+    try:
+        L._frame
+    except (DegenerateMetric, SingularMetric):
+        violations.append(Violation("metric_not_positive", (), float(np.linalg.eigvalsh(g)[0])))
 
     return ValidityReport(tuple(violations))
 

@@ -186,6 +186,19 @@ class TestCotton:
         assert doc["cotton2"][1][1] == pytest.approx(1.2e-99, rel=1e-12, abs=0.0)
         assert doc["cotton2"][2][2] == pytest.approx(-1.2e-99, rel=1e-12, abs=0.0)
 
+    def test_tiny_metric(self, geom, capsys):
+        # the metric rule is scale-free, so 1e-200 I is valid, and
+        # C(e, e) = 12 / sqrt(1e-200)
+        path = geom(kenmotsu(2.0, metric=(1e-200 * np.eye(3)).tolist()))
+        rc = main(["cotton", path])
+        assert rc == 0
+        assert "conformally flat: no" in capsys.readouterr().out
+        rc = main(["cotton", path, "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cotton2"][1][1] == pytest.approx(1.2e101, rel=1e-12, abs=0.0)
+        assert doc["cotton2"][2][2] == pytest.approx(-1.2e101, rel=1e-12, abs=0.0)
+
 
 class TestSoliton:
     def test_all_ansatz_spaces(self, geom, capsys):
@@ -288,6 +301,18 @@ class TestFlow:
         assert "wrote 35 states" in captured.err
         assert "step 35" in captured.err
         assert len(out_file.read_text().splitlines()) == 36  # header + 35 states
+
+    @pytest.mark.parametrize("steps", ["2", "100"])  # success; degenerates at step 35
+    @pytest.mark.parametrize("target", ["missing/traj.csv", "."])
+    def test_unwritable_output(self, geom, tmp_path, capsys, steps, target):
+        out_file = str(tmp_path / target)
+        rc = main(["flow", geom(kenmotsu(2.0)), "--dt", "1e-3", "--steps", steps,
+                   "--output", out_file])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_file}: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_singular_after_the_step_writes_partial_trajectory(
         self, geom, tmp_path, capsys
@@ -525,7 +550,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     @pytest.mark.parametrize("command, lam, key", [
         ("cotton", 1e60, "cotton2_norm"),
-        ("curvature", 1e100, "ricci_eigenvalues"),
+        ("curvature", 5e102, "ricci_parallel_residual"),
     ])
     def test_non_finite_result(self, geom, capsys, command, lam, key, fmt):
         # valid constants whose derived values overflow: no Infinity or NaN
@@ -537,6 +562,34 @@ class TestInputErrors:
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} is not finite")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_large_ricci_eigenvalues_finite(self, geom, capsys):
+        # entries past 1e154 would overflow the closed form's squares; its
+        # eigenvalues, about -2e200, do not
+        rc = main(["curvature", geom(kenmotsu(1e100)), "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(x) for x in doc["ricci_eigenvalues"])
+        assert doc["ricci_eigenvalues"][0] == pytest.approx(-2e200, rel=1e-12)
+        assert doc["scalar_curvature"] == pytest.approx(-2e200, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["cotton", "flow"])
+    @pytest.mark.parametrize("data, field", [
+        ({"kenmotsu": {"lambda": 10**400}}, "field 'lambda'"),
+        (kenmotsu(2.0, metric=[[1, 0, 0], [0, -10**400, 0], [0, 0, 1]]), "'metric'"),
+        ({"brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 10**400]}]}, "'coeffs'"),
+    ])
+    def test_integer_too_large_for_a_double(self, geom, capsys, command, data, field):
+        argv = [command, geom(data)]
+        if command == "flow":
+            argv += ["--dt", "1e-3", "--steps", "1"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert field in captured.err and "too large for a double" in captured.err
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("dt, output", [

@@ -373,8 +373,9 @@ class TestAlgebraPass:
 
 class TestUnreadWork:
     """A geometry's chain computes only what its readers read: the Riemann
-    tensor on first read, and validate's eigenvalues and full Jacobi
-    residual only where its bounds do not clear the rule."""
+    tensor on first read, validate's eigenvalues only for a refused metric,
+    and its full Jacobi residual only where its bound does not clear the
+    rule."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -461,6 +462,18 @@ class TestEigenvalues:
             got = _sym3_eigenvalues(M)
             want = np.linalg.eigvalsh(M)
             assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+
+    def test_sym3_homogeneous_beyond_the_square_safe_range(self):
+        # entries past 2^400 or below 2^-400 are scaled by a power of two
+        # before the cubic squares them: bitwise the scaled eigenvalues
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            A = rng.normal(size=(3, 3))
+            A = 0.5 * (A + A.T)
+            ref = _sym3_eigenvalues(A.tolist())
+            for k in (-900, -650, -401, 401, 650, 900):
+                got = _sym3_eigenvalues((A * 2.0**k).tolist())
+                assert got == [x * 2.0**k for x in ref]
 
     def test_sym3_diagonal_shortcut(self):
         assert np.allclose(

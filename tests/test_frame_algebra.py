@@ -10,22 +10,20 @@ from hypothesis import strategies as st
 from conftest import abelian, milnor, random_rotation, random_spd, random_valid_algebra
 from cotton3 import (
     DEFAULT_TOL,
+    DegenerateMetric,
     FrameVector,
     JacobiViolation,
     MetricLieAlgebra3,
+    SingularMetric,
     SymBilinear,
     Tensor3,
     bracket,
     from_kenmotsu_params,
     from_nonunimodular,
+    levi_civita,
     validate,
 )
-from cotton3.frame_algebra import (
-    _jacobi_bound_clears,
-    _jacobi_residual,
-    _positive_bound_clears,
-    _svd_lstsq,
-)
+from cotton3.frame_algebra import _jacobi_bound_clears, _jacobi_residual, _svd_lstsq
 
 
 def brute_jacobi(c):
@@ -189,8 +187,8 @@ class TestValidate:
          ["metric_asymmetric"]),
     ])
     def test_large_metric_reported_not_raised(self, g, kinds):
-        # g + g^T overflows in every case but the sixth; a report, no
-        # LinAlgError, and no numpy warning but that of an overflowing g - g^T
+        # a report, no LinAlgError, and no numpy warning but that of an
+        # overflowing g - g^T
         L = abelian().with_metric(np.array(g, dtype=float))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore" if "metric_asymmetric" in kinds else "error")
@@ -202,14 +200,28 @@ class TestValidate:
         [[5e-324, 5e-324, 0.0], [1.5e-323, 5e-324, 0.0], [0.0, 0.0, 5e-324]],
         [[1.5e-323, 5e-324, 0.0], [5e-324, 1.5e-323, 0.0], [0.0, 0.0, 1.0]],
     ])
-    def test_subnormal_metric_sums_then_halves(self, g):
-        # halving first would round these entries otherwise
-        g = np.array(g)
-        assert not np.array_equal(0.5 * (g + g.T), 0.5 * g + 0.5 * g.T)
-        L = abelian().with_metric(g)
+    def test_subnormal_metric_matches_reference(self, g):
+        L = abelian().with_metric(np.array(g))
         got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
         assert got == reference_violations(L)
         assert got[-1][0] == "metric_not_positive"
+
+    @pytest.mark.parametrize("g, valid", [
+        (1e-200 * np.eye(3), True),
+        (1e-13 * np.eye(3), True),
+        (1e300 * np.eye(3), True),
+        # lambda_min 2.5e-12, lambda_max 3 + 2.5e-12: condition above 1e12
+        (np.ones((3, 3)) + 2.5e-12 * np.eye(3), False),
+    ])
+    def test_positivity_is_scale_free(self, g, valid):
+        # the verdict is levi_civita's, whatever the metric's scale
+        L = abelian().with_metric(g)
+        assert validate(L).is_valid is valid
+        if valid:
+            levi_civita(L)
+        else:
+            with pytest.raises(SingularMetric):
+                levi_civita(L)
 
     def test_non_finite_jacobi_residual_reported(self):
         # c[0, 1, 1] * c[1, 2, 0] and c[1, 2, 2] * c[2, 0, 0] overflow to
@@ -282,9 +294,10 @@ def reference_violations(L, tol=None):
             mag = abs(g[i, j] - g[j, i])
             if mag > gsym_tol:
                 out.append(("metric_asymmetric", (i, j), mag))
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if eigs[0] <= gsym_tol:
-        out.append(("metric_not_positive", (), float(eigs[0])))
+    # the metric rule: positive, with condition number below 1e12
+    lo, _, hi = np.linalg.eigvalsh(g).tolist()
+    if not (lo > 0 and hi < 1e12 * lo):
+        out.append(("metric_not_positive", (), lo))
     return out
 
 
@@ -326,8 +339,9 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 def near_cutoff_metric(seed: int, ratio: float, cond: float) -> np.ndarray:
     """An exactly symmetric rotated metric with condition ``cond`` whose
-    smallest eigenvalue is ``ratio`` times validate's positivity cutoff
-    1e-12 (1 + lambda_max), an upper bound of 1e-12 (1 + max|g|)."""
+    smallest eigenvalue is ``ratio`` times 1e-12 (1 + lambda_max), the
+    region where an absolute positivity cutoff and the scale-free metric
+    rule part for small metrics."""
     x = 1e-12 * ratio * cond
     lam_max = x / (1.0 - x)
     lam_min = lam_max / cond
@@ -344,10 +358,12 @@ def spectrum_metric(seed: int, lam_min: float, lam_max: float) -> np.ndarray:
 
 near_cutoff = st.builds(near_cutoff_metric, st.integers(0, 2**32 - 1),
                         st.floats(0.5, 4.0), st.floats(0.0, 11.0).map(lambda e: 10.0**e))
-# largest eigenvalue 10^-150 .. 10^150, condition 1 .. 1e11
+# largest eigenvalue 10^-300 .. 10^300, condition 1 .. 1e14 outside the
+# factor-2 band around the rule's 1e12, where rounding may decide
 scaled = st.builds(
     lambda seed, e, k: spectrum_metric(seed, 10.0 ** (e - k), 10.0**e),
-    st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0), st.floats(0.0, 11.0),
+    st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0),
+    st.one_of(st.floats(0.0, 11.69), st.floats(12.31, 14.0)),
 )
 
 
@@ -367,18 +383,24 @@ def near_jacobi_tolerance(seed: int, rho: float, tol):
     return c
 
 
-class TestValidateBounds:
-    """A bound clears a rule only where the full check passes it."""
+class TestValidateRules:
+    """Positivity is the metric rule, and the Jacobi bound clears the rule
+    only where the full check passes it."""
 
     @PROPERTY
     @given(st.one_of(near_cutoff, scaled))
-    def test_positivity_bound_clears_only_positive_metrics(self, g):
-        gscale = 1.0 + float(np.max(np.abs(g)))
+    def test_positivity_is_the_metric_rule(self, g):
         L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
-        if _positive_bound_clears(L, gscale, 1e-12 * gscale):
-            assert np.linalg.eigvalsh(0.5 * (g + g.T))[0] > 1e-12 * gscale
         got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
         assert got == reference_violations(L)
+        try:
+            # g^-1 overflows for the smallest metrics the rule accepts
+            with np.errstate(over="ignore", invalid="ignore"):
+                levi_civita(L)
+            refused = False
+        except (DegenerateMetric, SingularMetric):
+            refused = True
+        assert refused == ("metric_not_positive" in [kind for kind, *_ in got])
 
     @PROPERTY
     @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
@@ -394,54 +416,47 @@ class TestValidateBounds:
             got = [(v.kind, v.indices, v.magnitude) for v in validate(L, t).violations]
             assert got == reference_violations(L, t)
 
-    def test_each_bound_decides_both_ways(self):
-        # the draws above reach both sides of each bound, and the checks'
-        # own verdicts on both sides
+    def test_draws_decide_both_ways(self):
+        # the metric draws above reach both verdicts, and the constant draws
+        # both sides of the Jacobi bound and the check's own verdicts on both
         rng = np.random.default_rng(15)
         pos, jac = set(), set()
         for _ in range(400):
-            g = near_cutoff_metric(int(rng.integers(2**32)), rng.uniform(0.5, 4.0),
-                                   10.0 ** rng.uniform(0.0, 11.0))
-            gscale = 1.0 + float(np.max(np.abs(g)))
-            L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
-            pos.add((_positive_bound_clears(L, gscale, 1e-12 * gscale), validate(L).is_valid))
+            e = rng.uniform(-300.0, 300.0)
+            k = rng.choice([rng.uniform(0.0, 11.69), rng.uniform(12.31, 14.0)])
+            g = spectrum_metric(int(rng.integers(2**32)), 10.0 ** (e - k), 10.0**e)
+            pos.add(validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g)).is_valid)
             tol = (None, 1e-3)[int(rng.integers(2))]
             c = near_jacobi_tolerance(int(rng.integers(2**32)), 10.0 ** rng.uniform(-3, 2), tol)
             scale = 1.0 + float(np.max(np.abs(c)))
             jac_tol = 1e-12 * scale**3 if tol is None else tol
             jac.add((_jacobi_bound_clears(c, scale, jac_tol),
                      validate(MetricLieAlgebra3(c), tol).is_valid))
-        assert pos == jac == {(True, True), (False, True), (False, False)}
+        assert pos == {True, False}
+        assert jac == {(True, True), (False, True), (False, False)}
 
     def test_zero_tolerance_clears_nothing(self):
         c = milnor(1.0, -1.0, 2.0).structure_constants
         assert _jacobi_bound_clears(c, 3.0, 1e-12 * 27.0)
         assert not _jacobi_bound_clears(c, 3.0, 0.0)
 
-    @pytest.mark.parametrize("g", [
-        np.diag([1.0, 2.0, 0.0]),  # the pass refuses it as singular
-        np.diag([1.0, -2.0, 3.0]),  # and this one as indefinite
-        np.diag([1e-3, 1.0, 1e6]),  # tr g tr g^-1 above 1e8
-        np.diag([1e308, 1e307, 1e307]),  # 2 max|g| overflows
+    @pytest.mark.parametrize("g, refused", [
+        (np.diag([1.0, 2.0, 0.0]), True),  # the pass refuses it as singular
+        (np.diag([1.0, -2.0, 3.0]), True),  # and this one as indefinite
+        (np.ones((3, 3)) + 2.5e-12 * np.eye(3), True),  # condition above 1e12
+        (np.diag([1e-3, 1.0, 1e6]), False),
+        (np.diag([1e308, 1e307, 1e307]), False),
+        (1e-200 * np.eye(3), False),
+        # asymmetric within tolerance: the pass reads the lower triangle
+        (np.eye(3) + np.diag([1e-14, 0.0], 1), False),
     ])
-    def test_positivity_falls_back_to_eigvalsh(self, g, monkeypatch):
-        L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
-        gscale = 1.0 + float(np.max(np.abs(g)))
-        assert not _positive_bound_clears(L, gscale, 1e-12 * gscale)
+    def test_eigvalsh_only_for_refused_metrics(self, g, refused, monkeypatch):
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
-        validate(L)
-        assert calls == [1]
-
-    def test_asymmetric_metric_falls_back_to_eigvalsh(self, monkeypatch):
-        g = np.eye(3)
-        g[0, 1] = 1e-14
-        calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
-        assert validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g)).is_valid
-        assert calls == [1]
+        rep = validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g))
+        assert rep.is_valid is not refused
+        assert calls == [1] * refused
 
 
 class TestBracket:
