@@ -18,15 +18,10 @@ index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
 from the connection, without the Riemann tensor.  ``_chain`` is the one
 Ricci -> nabla S -> Cotton sequence, run by ``curvature`` once per geometry
-and by ``cotton2_array`` once per flow stage; ``validate``,
-``levi_civita``, ``curvature`` and ``ricci_spectrum`` (through
-``CurvaturePack.algebra``) share the algebra's one metric pass,
-``L._frame``.  That pass is the metric rule: ``validate`` refuses a metric
-exactly where it does, and runs ``eigvalsh`` only for a refused metric's
-magnitude.  ``validate`` proves the Jacobi rule from the three cyclic sums
-at (0, 1, 2) when they lie below the tolerance by more than
-1e-13 (1 + max|c|)**2, and runs the full Jacobi residual only where that
-bound does not clear.  The Riemann tensor is built only when
+and by ``cotton2_array`` once per flow stage; ``levi_civita``,
+``curvature`` and ``ricci_spectrum`` (through ``CurvaturePack.algebra``)
+share the algebra's one metric pass, ``L._frame`` (the metric rule of
+``frame_algebra``).  The Riemann tensor is built only when
 ``CurvaturePack.riemann`` is first read (``_jacobi``), from the pack's
 connection.
 """

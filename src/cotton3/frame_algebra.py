@@ -131,13 +131,12 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 
     ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
     (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
-    (unless the closed-form spectrum shows g indefinite) or when
-    w_min <= 1e-12 w_max.  That condition is read as
-    lambda_max(g) lambda_max(g^-1) from ``_sym3_eigenvalues``, whose largest
-    eigenvalue is accurate where a double smallest one is not, and only
-    when its upper bound tr g tr g^-1 reaches 1e12.  Every layer that needs
-    g^-1, g / sqrt(det g) or positive definiteness reads it off this one
-    pass, which ``MetricLieAlgebra3._frame`` makes once per algebra, and
+    (unless the closed-form spectrum shows g indefinite), when
+    w_min <= 1e-12 w_max, or when g^-1 overflows once the scaling is
+    undone.  The condition is read as lambda_max(g) lambda_max(g^-1) from
+    ``_sym3_eigenvalues`` only where its bound tr g tr g^-1 reaches 1e12.
+    Every layer that needs g^-1, u or positive definiteness reads them off
+    this one pass, made once per algebra by ``MetricLieAlgebra3._frame``;
     ``validate`` reports ``metric_not_positive`` exactly where it refuses.
     """
     (a, _, _), (b, d, _), (c, e, f) = g.tolist()
@@ -191,6 +190,9 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         h = math.ldexp(1.0, -k // 2)
         i00, i10, i20, i11, i21, i22 = i00 * h, i10 * h, i20 * h, i11 * h, i21 * h, i22 * h
         w = w * h
+        # on the positive cone |v_ij| <= sqrt(v_ii v_jj): the trace bounds g^-1
+        if not v00 + v11 + v22 < math.inf:
+            raise SingularMetric("metric is singular (inverse overflows)")
     a, b, c, d, e, f = a * w, b * w, c * w, d * w, e * w, f * w
     # g^-1 and u from one array
     gu = np.array((v00, v10, v20, v10, v11, v21, v20, v21, v22,
@@ -290,69 +292,19 @@ class ValidityReport:
         return not self.violations
 
 
-def _jacobi_residual(structure_constants: np.ndarray) -> np.ndarray:
-    """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
-
-    Returns the rank-4 array of its components; it vanishes identically
-    exactly when the constants satisfy the Jacobi identity.
-    """
-    c = np.asarray(structure_constants, dtype=float)
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    return t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
-
-
-def _jacobi_bound_clears(c: np.ndarray, scale: float, tol: float) -> bool:
-    """Whether the three cyclic sums at (0, 1, 2), evaluated on floats,
-    lie below ``tol`` by more than the rounding of this evaluation and of
-    ``_jacobi_residual``'s.
-
-    Each sum has nine products of size at most M**2 <= scale**2 (M = max|c|,
-    scale = 1 + M); either evaluation rounds it by at most
-    gamma_9 * 9 M**2 < 1e-14 scale**2, since no product passes through more
-    than nine roundings in either.  The margin 1e-13 scale**2 covers both
-    with room for the rounding of ``tol`` minus the margin, so a sum that
-    clears has ``_jacobi_residual`` magnitude at most ``tol``.  At tol = 0
-    nothing clears.
-    """
-    x = c.tolist()
-    a, b, d = x[0][1], x[1][2], x[2][0]
-    lim = tol - 1e-13 * scale * scale
-    for k in range(3):
-        s = (a[0] * x[0][2][k] + a[1] * x[1][2][k] + a[2] * x[2][2][k]
-             + b[0] * x[0][0][k] + b[1] * x[1][0][k] + b[2] * x[2][0][k]
-             + d[0] * x[0][1][k] + d[1] * x[1][1][k] + d[2] * x[2][1][k])
-        if not abs(s) <= lim:
-            return False
-    return True
-
-
-def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
+def validate(L: MetricLieAlgebra3) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
-    The Jacobi tolerance defaults to ``1e-12 * (1 + max|c|)**3``, which
-    covers the float error of the cyclic double contraction.  An explicit
-    ``tol`` must be finite and non-negative (``ValueError`` otherwise: every
-    comparison with nan is false, so a nan tolerance would pass anything).
-    Inputs the checks cannot evaluate are reported alone: non-finite
-    entries, and constants whose cube overflows (below that bound every
-    product in the Jacobi residual is finite).  Each rule is one comparison
-    over its whole array; only a rule that fails walks its entries to
-    report each violation.  The metric asymmetry cutoff is
-    ``1e-12 * (1 + max|g|)`` for every ``tol``; a g - g^T that overflows is
-    an inf asymmetry.  The Jacobi residual is built only where
-    ``_jacobi_bound_clears`` does not prove the rule, which leaves every
-    report, magnitudes included, as the full check's.
-
-    Positivity is the metric rule: ``metric_not_positive`` exactly when the
-    algebra's metric pass ``L._frame`` (see ``_metric_frame``), which
-    ``levi_civita`` then reuses, refuses g.  Its magnitude, g's smallest
-    ``eigvalsh`` eigenvalue, is computed only then; both read g's lower
-    triangle.
+    Non-finite entries, and constants whose cube overflows, are reported
+    alone.  With scale = 1 + max|c|, the cutoffs are 1e-12 scale for
+    antisymmetry, 1e-12 scale^3 for the cyclic Jacobi sum at (0, 1, 2) (the
+    one triple of distinct indices, evaluated once on floats) and
+    1e-12 (1 + max|g|) for metric asymmetry.  ``metric_not_positive`` is
+    reported exactly when the metric pass ``L._frame``, which
+    ``levi_civita`` reuses, refuses g; only then is its magnitude, g's
+    smallest ``eigvalsh`` eigenvalue, computed.
     """
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    c = L.structure_constants
-    g = L.metric
+    c, g = L.structure_constants, L.metric
     scale = 1.0 + float(np.abs(c).max())
     gscale = 1.0 + float(np.abs(g).max())
     if not (math.isfinite(scale) and math.isfinite(gscale)):
@@ -364,37 +316,39 @@ def validate(L: MetricLieAlgebra3, tol: float | None = None) -> ValidityReport:
     cube = scale * scale * scale  # saturates at inf where ** would raise
     if not math.isfinite(cube):
         return ValidityReport((Violation("overflow", (), scale),))
-    if tol is None:
-        anti_tol = 1e-12 * scale
-        jac_tol = 1e-12 * cube
-    else:
-        anti_tol = jac_tol = tol
+    anti_tol = 1e-12 * scale
     violations = []
 
     anti = np.abs(c + c.transpose(1, 0, 2))
     if anti.max() > anti_tol:
         # anti is symmetric in its first two slots: report each pair once
-        for i in range(3):
-            for j in range(i, 3):
-                for k in range(3):
-                    mag = anti[i, j, k]
-                    if mag > anti_tol:
-                        violations.append(Violation("antisymmetry", (i, j, k), mag))
+        for i, j, k in np.argwhere(anti > anti_tol).tolist():
+            if i <= j:
+                violations.append(Violation("antisymmetry", (i, j, k), anti[i, j, k]))
 
-    # in dimension three (0, 1, 2) is the only triple of distinct indices
-    if not _jacobi_bound_clears(c, scale, jac_tol):
-        mag = float(np.abs(_jacobi_residual(c)[0, 1, 2]).max())
-        if mag > jac_tol:
-            violations.append(Violation("jacobi", (0, 1, 2), mag))
+    # [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1], summed over m in turn
+    x = c.tolist()
+    s0 = s1 = s2 = 0.0
+    for m, ((v0, v1, v2), (w0, w1, w2), (u0, u1, u2)) in enumerate(x):
+        a, b, d = x[0][1][m], x[1][2][m], x[2][0][m]
+        s0 = s0 + a * u0 + b * v0 + d * w0
+        s1 = s1 + a * u1 + b * v1 + d * w1
+        s2 = s2 + a * u2 + b * v2 + d * w2
+    mag = max(abs(s0), abs(s1), abs(s2))
+    if mag > 1e-12 * cube:
+        violations.append(Violation("jacobi", (0, 1, 2), mag))
 
     gsym_tol = 1e-12 * gscale
-    gasym = np.abs(g - g.T)
+    if gscale > 8.9e307:
+        # g - g^T may overflow past half the largest float: an inf asymmetry
+        with np.errstate(over="ignore"):
+            gasym = np.abs(g - g.T)
+    else:
+        gasym = np.abs(g - g.T)
     if gasym.max() > gsym_tol:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                mag = gasym[i, j]
-                if mag > gsym_tol:
-                    violations.append(Violation("metric_asymmetric", (i, j), mag))
+        for i, j in np.argwhere(gasym > gsym_tol).tolist():
+            if i < j:
+                violations.append(Violation("metric_asymmetric", (i, j), gasym[i, j]))
     try:
         L._frame
     except (DegenerateMetric, SingularMetric):

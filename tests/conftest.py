@@ -1,4 +1,5 @@
-"""Shared corpus generators for the randomized property tests.
+"""Shared corpus generators for the randomized property tests, and the
+Jacobi oracle.
 
 Every generator takes a ``numpy.random.Generator`` so each test controls
 its own seed; nothing here keeps global state.
@@ -11,6 +12,22 @@ from cotton3 import (
     from_kenmotsu_params,
     from_nonunimodular,
 )
+
+
+def brute_jacobi(c) -> np.ndarray:
+    """Independent cyclic-sum oracle, written as explicit loops: the rank-4
+    array [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]."""
+    res = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                term = np.zeros(3)
+                for m in range(3):
+                    term += c[i, j, m] * c[m, k]
+                    term += c[j, k, m] * c[m, i]
+                    term += c[k, i, m] * c[m, j]
+                res[i, j, k] = term
+    return res
 
 
 def milnor(c1: float, c2: float, c3: float) -> MetricLieAlgebra3:

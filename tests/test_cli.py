@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import brute_jacobi
 from cotton3.cli import _gap, build_parser, main
 
 SU2_BRACKETS = {
@@ -444,17 +445,43 @@ class TestInputErrors:
         assert rc == 1
         assert captured.err.startswith("error:")
 
+    # raw brackets whose cyclic sum at (0, 1, 2) is nonzero
+    NON_JACOBI_BRACKETS = [
+        {"i": 1, "j": 2, "coeffs": [0, 0, 1]},
+        {"i": 1, "j": 3, "coeffs": [0, 1, 0]},
+        {"i": 2, "j": 3, "coeffs": [0, 1, 0]},
+    ]
+
+    def jacobi_line(self, path):
+        """The refusal line, sized by the oracle's largest cyclic-sum
+        component at (0, 1, 2)."""
+        c = np.zeros((3, 3, 3))
+        for b in self.NON_JACOBI_BRACKETS:
+            c[b["i"] - 1, b["j"] - 1] = b["coeffs"]
+            c[b["j"] - 1, b["i"] - 1] = -np.array(b["coeffs"], dtype=float)
+        size = float(np.max(np.abs(brute_jacobi(c)[0, 1, 2])))
+        return (f"error: {path}: invalid geometry: jacobi violation of size "
+                f"{size:.3e} at indices (0, 1, 2)\n")
+
     def test_jacobi_violation_in_raw_brackets(self, geom, capsys):
-        rc = main(["curvature", geom({
-            "brackets": [
-                {"i": 1, "j": 2, "coeffs": [0, 0, 1]},
-                {"i": 1, "j": 3, "coeffs": [0, 1, 0]},
-                {"i": 2, "j": 3, "coeffs": [0, 1, 0]},
-            ]
-        })])
+        path = geom({"brackets": self.NON_JACOBI_BRACKETS})
+        rc = main(["curvature", path])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "jacobi" in captured.err
+        assert captured.out == ""
+        assert captured.err == self.jacobi_line(path)
+
+    @pytest.mark.parametrize("command", ["structure", "cotton", "soliton", "flow"])
+    def test_jacobi_violation_every_command(self, geom, capsys, command):
+        path = geom({"brackets": self.NON_JACOBI_BRACKETS})
+        argv = [command, path]
+        if command == "flow":
+            argv += ["--dt", "1e-3", "--steps", "1"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == self.jacobi_line(path)
 
     def test_indefinite_metric(self, geom, capsys):
         path = geom(kenmotsu(1.0, metric=[[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
@@ -490,6 +517,8 @@ class TestInputErrors:
         (np.diag([1.7e308] * 3).tolist(), None),
         ([[1, 1.7e308, 0], [1.7e308, 1, 0], [0, 0, 1]], "metric_not_positive"),
         ([[1, 1.7e308, 0], [-1.7e308, 1, 0], [0, 0, 1]], "metric_asymmetric"),
+        # condition 1e10, but g^-1 overflows
+        (np.diag([1e-300, 1e-300, 1e-310]).tolist(), "metric_not_positive"),
     ])
     def test_large_metric_one_line(self, geom, capsys, command, metric, message):
         argv = [command, geom(kenmotsu(2.0, metric=metric)), "--format", "machine"]

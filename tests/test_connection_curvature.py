@@ -373,9 +373,8 @@ class TestAlgebraPass:
 
 class TestUnreadWork:
     """A geometry's chain computes only what its readers read: the Riemann
-    tensor on first read, validate's eigenvalues only for a refused metric,
-    and its full Jacobi residual only where its bound does not clear the
-    rule."""
+    tensor on first read and validate's eigenvalues only for a refused
+    metric."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -383,8 +382,7 @@ class TestUnreadWork:
 
         from cotton3 import connection_curvature, frame_algebra
 
-        seen = dict.fromkeys(("eigvalsh", "_jacobi_residual", "_riemann",
-                              "_metric_frame", "svd"), 0)
+        seen = dict.fromkeys(("eigvalsh", "_riemann", "_metric_frame", "svd"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -393,8 +391,6 @@ class TestUnreadWork:
             return wrapper
         for name in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(frame_algebra, "_jacobi_residual",
-                            counting("_jacobi_residual", frame_algebra._jacobi_residual))
         monkeypatch.setattr(connection_curvature, "_riemann",
                             counting("_riemann", connection_curvature._riemann))
         frame = counting("_metric_frame", frame_algebra._metric_frame)
@@ -417,8 +413,7 @@ class TestUnreadWork:
             classify_geometry(pack, parallel.is_parallel)
             cotton_pack(L, conn, pack)
             solve(SolitonProblem.build(L, conn=conn, pack=pack))
-            assert counts == {"eigvalsh": 0, "_jacobi_residual": 0, "_riemann": 0,
-                              "_metric_frame": n, "svd": n}
+            assert counts == {"eigvalsh": 0, "_riemann": 0, "_metric_frame": n, "svd": n}
 
     def test_riemann_built_once_on_first_read(self, counts):
         rng = np.random.default_rng(73)

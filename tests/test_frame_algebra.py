@@ -1,5 +1,6 @@
 """Value types, algebra builders, and validity checking."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, milnor, random_rotation, random_spd, random_valid_algebra
+from conftest import (
+    abelian,
+    brute_jacobi,
+    milnor,
+    random_rotation,
+    random_spd,
+    random_valid_algebra,
+)
 from cotton3 import (
     DEFAULT_TOL,
     DegenerateMetric,
@@ -23,22 +31,7 @@ from cotton3 import (
     levi_civita,
     validate,
 )
-from cotton3.frame_algebra import _jacobi_bound_clears, _jacobi_residual, _svd_lstsq
-
-
-def brute_jacobi(c):
-    """Independent cyclic-sum oracle, written as explicit loops."""
-    res = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                term = np.zeros(3)
-                for m in range(3):
-                    term += c[i, j, m] * c[m, k]
-                    term += c[j, k, m] * c[m, i]
-                    term += c[k, i, m] * c[m, j]
-                res[i, j, k] = term
-    return res
+from cotton3.frame_algebra import _svd_lstsq
 
 
 class TestValueTypes:
@@ -98,18 +91,24 @@ class TestValueTypes:
 
 
 class TestJacobi:
-    def test_residual_matches_brute_force(self):
+    def test_magnitude_matches_brute_force(self):
+        # validate sums the cyclic products in the oracle's order: the
+        # reported magnitude is the oracle's, bit for bit, at every scale
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            c = rng.normal(size=(3, 3, 3))
+        for _ in range(200):
+            c = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
             c = c - np.transpose(c, (1, 0, 2))
-            assert np.allclose(_jacobi_residual(c), brute_jacobi(c), atol=1e-12)
+            rep = validate(MetricLieAlgebra3(c))
+            assert [(v.kind, v.indices, v.magnitude) for v in rep.violations] == [
+                ("jacobi", (0, 1, 2), float(np.max(np.abs(brute_jacobi(c)[0, 1, 2])))),
+            ]
 
-    def test_residual_zero_on_closed_families(self):
+    def test_valid_on_closed_families(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             L = milnor(*rng.uniform(-5.0, 5.0, size=3))
-            assert np.max(np.abs(_jacobi_residual(L.structure_constants))) == 0.0
+            assert np.max(np.abs(brute_jacobi(L.structure_constants))) == 0.0
+            assert validate(L).is_valid
 
     def test_residual_scale_aware_tolerance(self):
         # Large constants inflate the float error of the double
@@ -167,10 +166,8 @@ class TestValidate:
         assert [v.indices for v in rep.violations] == [("metric", 2, 2)]
 
     def test_large_constants_reported_not_raised(self):
-        L = from_kenmotsu_params(1e200, 0.0, 0.0)
-        for tol in (None, 1e-8):
-            rep = validate(L, tol=tol)
-            assert [v.kind for v in rep.violations] == ["overflow"]
+        rep = validate(from_kenmotsu_params(1e200, 0.0, 0.0))
+        assert [v.kind for v in rep.violations] == ["overflow"]
 
     @pytest.mark.parametrize("g, kinds", [
         (1e308 * np.eye(3), []),
@@ -187,11 +184,11 @@ class TestValidate:
          ["metric_asymmetric"]),
     ])
     def test_large_metric_reported_not_raised(self, g, kinds):
-        # a report, no LinAlgError, and no numpy warning but that of an
-        # overflowing g - g^T
+        # a report, no LinAlgError and no numpy warning, also where g - g^T
+        # overflows
         L = abelian().with_metric(np.array(g, dtype=float))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore" if "metric_asymmetric" in kinds else "error")
+            warnings.simplefilter("error")
             rep = validate(L)
         assert [v.kind for v in rep.violations] == kinds
         assert not any(np.isnan(v.magnitude) for v in rep.violations)
@@ -212,6 +209,8 @@ class TestValidate:
         (1e300 * np.eye(3), True),
         # lambda_min 2.5e-12, lambda_max 3 + 2.5e-12: condition above 1e12
         (np.ones((3, 3)) + 2.5e-12 * np.eye(3), False),
+        # condition 1e10, but g^-1 = diag(1e300, 1e300, 1e310) overflows
+        (np.diag([1e-300, 1e-300, 1e-310]), False),
     ])
     def test_positivity_is_scale_free(self, g, valid):
         # the verdict is levi_civita's, whatever the metric's scale
@@ -225,54 +224,27 @@ class TestValidate:
 
     def test_non_finite_jacobi_residual_reported(self):
         # c[0, 1, 1] * c[1, 2, 0] and c[1, 2, 2] * c[2, 0, 0] overflow to
-        # +inf and -inf, so a residual component would be NaN, which a
-        # tolerance comparison lets through; the overflow bound rejects
-        # such constants before the residual is formed
+        # +inf and -inf, so a cyclic-sum component would be NaN, which a
+        # cutoff comparison lets through; the overflow bound rejects such
+        # constants before the sum is formed
         c = np.zeros((3, 3, 3))
         c[0, 1, 1], c[1, 0, 1] = 1e160, -1e160
         c[1, 2, 0], c[2, 1, 0] = 1e160, -1e160
         c[1, 2, 2], c[2, 1, 2] = -1e160, 1e160
         c[2, 0, 0], c[0, 2, 0] = 1e160, -1e160
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(_jacobi_residual(c)).any()
-        rep = validate(MetricLieAlgebra3(c), tol=1e300)
+            assert np.isnan(brute_jacobi(c)).any()
+        rep = validate(MetricLieAlgebra3(c))
         assert [v.kind for v in rep.violations] == ["overflow"]
 
-    def test_explicit_tolerance_used(self):
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 2] = 1e-6
-        c[1, 0, 2] = 0.0  # antisymmetry broken at the 1e-6 level
-        assert not validate(MetricLieAlgebra3(c)).is_valid
-        assert validate(MetricLieAlgebra3(c), tol=1e-3).is_valid
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
-    def test_rejects_tolerance_not_finite_or_negative(self, tol):
-        # [e_0, e_1] = e_2 with no antisymmetric partner: a nan tolerance
-        # compares false with every magnitude and would report it valid
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 2] = 1.0
-        with pytest.raises(ValueError, match="tolerance"):
-            validate(MetricLieAlgebra3(c), tol=tol)
-
-    def test_zero_tolerance_allowed(self):
-        # the Milnor residual and antisymmetry cancel exactly
-        assert validate(milnor(1.0, -1.0, 2.0), tol=0.0).is_valid
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 2] = 1.0
-        rep = validate(MetricLieAlgebra3(c), tol=0.0)
-        assert [(v.kind, v.indices) for v in rep.violations] == [
-            ("antisymmetry", (0, 1, 2)),
-        ]
-
-
-def reference_violations(L, tol=None):
+def reference_violations(L):
     """validate's finite-input rules as loops over every index, the form
     they had before each rule became one whole-array comparison."""
     c, g = L.structure_constants, L.metric
     scale = 1.0 + float(np.max(np.abs(c)))
     gscale = 1.0 + float(np.max(np.abs(g)))
-    cube = scale * scale * scale
-    anti_tol, jac_tol = (1e-12 * scale, 1e-12 * cube) if tol is None else (tol, tol)
+    anti_tol, jac_tol = 1e-12 * scale, 1e-12 * scale * scale * scale
     out = []
     anti = c + np.transpose(c, (1, 0, 2))
     for i in range(3):
@@ -281,7 +253,7 @@ def reference_violations(L, tol=None):
                 mag = abs(anti[i, j, k])
                 if mag > anti_tol:
                     out.append(("antisymmetry", (i, j, k), mag))
-    jac = _jacobi_residual(c)
+    jac = brute_jacobi(c)
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(j + 1, 3):
@@ -294,9 +266,10 @@ def reference_violations(L, tol=None):
             mag = abs(g[i, j] - g[j, i])
             if mag > gsym_tol:
                 out.append(("metric_asymmetric", (i, j), mag))
-    # the metric rule: positive, with condition number below 1e12
-    lo, _, hi = np.linalg.eigvalsh(g).tolist()
-    if not (lo > 0 and hi < 1e12 * lo):
+    # the metric rule: positive, with condition number below 1e12 and a
+    # finite inverse (tr g^-1 = sum 1 / lambda_i below the largest float)
+    lo, mid, hi = np.linalg.eigvalsh(g).tolist()
+    if not (lo > 0 and hi < 1e12 * lo and 1.0 / lo + 1.0 / mid + 1.0 / hi < math.inf):
         out.append(("metric_not_positive", (), lo))
     return out
 
@@ -324,12 +297,11 @@ class TestValidateReference:
             cases.append(L)
         kinds = set()
         for L in cases:
-            for tol in (None, 1e-3, 0.0):
-                got = [(v.kind, v.indices, v.magnitude) for v in validate(L, tol).violations]
-                want = reference_violations(L, tol)
-                assert got == want
-                assert [type(m) for *_, m in got] == [type(m) for *_, m in want]
-                kinds.update(kind for kind, *_ in got)
+            got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
+            want = reference_violations(L)
+            assert got == want
+            assert [type(m) for *_, m in got] == [type(m) for *_, m in want]
+            kinds.update(kind for kind, *_ in got)
         assert kinds == {"antisymmetry", "jacobi", "metric_asymmetric", "metric_not_positive"}
         assert max(len(reference_violations(L)) for L in cases) > 10
 
@@ -359,23 +331,34 @@ def spectrum_metric(seed: int, lam_min: float, lam_max: float) -> np.ndarray:
 near_cutoff = st.builds(near_cutoff_metric, st.integers(0, 2**32 - 1),
                         st.floats(0.5, 4.0), st.floats(0.0, 11.0).map(lambda e: 10.0**e))
 # largest eigenvalue 10^-300 .. 10^300, condition 1 .. 1e14 outside the
-# factor-2 band around the rule's 1e12, where rounding may decide
+# factor-2 band around the rule's 1e12, and smallest eigenvalue outside the
+# factor-2 band around [1, 3] / 1.8e308, where tr g^-1 may overflow: in
+# both bands rounding may decide
 scaled = st.builds(
-    lambda seed, e, k: spectrum_metric(seed, 10.0 ** (e - k), 10.0**e),
-    st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0),
-    st.one_of(st.floats(0.0, 11.69), st.floats(12.31, 14.0)),
+    lambda seed, ek: spectrum_metric(seed, 10.0 ** (ek[0] - ek[1]), 10.0 ** ek[0]),
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.floats(-300.0, 300.0),
+              st.one_of(st.floats(0.0, 11.69), st.floats(12.31, 14.0)))
+    .filter(lambda ek: not -308.56 < ek[0] - ek[1] < -307.47),
+)
+# smallest eigenvalue 10^-314 .. 10^-300 outside that band and condition
+# 1 .. 1e11: only the finite inverse decides
+tiny = st.builds(
+    lambda seed, lo, k: spectrum_metric(seed, 10.0**lo, 10.0 ** (lo + k)),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(-314.0, -308.56), st.floats(-307.47, -300.0)), st.floats(0.0, 11.0),
 )
 
 
-def near_jacobi_tolerance(seed: int, rho: float, tol):
+def near_jacobi_cutoff(seed: int, rho: float):
     """Rotated, rescaled Jacobi-valid constants with one bracket entry moved,
-    antisymmetry kept, so that the cyclic residual is about ``rho`` times
-    the Jacobi tolerance."""
+    antisymmetry kept, so that the cyclic sum is about ``rho`` times the
+    Jacobi cutoff."""
     rng = np.random.default_rng(seed)
     c = random_valid_algebra(rng, rotated=True).structure_constants * 10.0 ** rng.uniform(-2, 4)
     scale = 1.0 + float(np.max(np.abs(c)))
-    # the residual is linear in the move, with coefficients of size scale
-    step = 1e-3 / scale if tol == 1e-3 else 1e-12 * scale * scale
+    # the sum is linear in the move, with coefficients of size scale
+    step = 1e-12 * scale * scale
     i, j = rng.choice(3, size=2, replace=False)
     k = rng.integers(3)
     c[i, j, k] += rho * step * rng.choice([-1.0, 1.0])
@@ -384,41 +367,32 @@ def near_jacobi_tolerance(seed: int, rho: float, tol):
 
 
 class TestValidateRules:
-    """Positivity is the metric rule, and the Jacobi bound clears the rule
-    only where the full check passes it."""
+    """Positivity is the metric rule, and the Jacobi rule is the oracle's
+    cyclic sum against its cutoff."""
 
     @PROPERTY
-    @given(st.one_of(near_cutoff, scaled))
+    @given(st.one_of(near_cutoff, scaled, tiny))
     def test_positivity_is_the_metric_rule(self, g):
         L = MetricLieAlgebra3(np.zeros((3, 3, 3)), g)
         got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
         assert got == reference_violations(L)
         try:
-            # g^-1 overflows for the smallest metrics the rule accepts
-            with np.errstate(over="ignore", invalid="ignore"):
-                levi_civita(L)
+            levi_civita(L)
             refused = False
         except (DegenerateMetric, SingularMetric):
             refused = True
         assert refused == ("metric_not_positive" in [kind for kind, *_ in got])
 
     @PROPERTY
-    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
-           st.sampled_from([None, 1e-3, 0.0]))
-    def test_jacobi_bound_clears_only_valid_constants(self, seed, rho, tol):
-        c = near_jacobi_tolerance(seed, rho, tol)
-        scale = 1.0 + float(np.max(np.abs(c)))
-        jac_tol = 1e-12 * scale**3 if tol is None else tol
-        if _jacobi_bound_clears(c, scale, jac_tol):
-            assert np.abs(_jacobi_residual(c)[0, 1, 2]).max() <= jac_tol
-        L = MetricLieAlgebra3(c)
-        for t in (tol, None):
-            got = [(v.kind, v.indices, v.magnitude) for v in validate(L, t).violations]
-            assert got == reference_violations(L, t)
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0).map(lambda e: 10.0**e))
+    def test_jacobi_rule_matches_reference(self, seed, rho):
+        L = MetricLieAlgebra3(near_jacobi_cutoff(seed, rho))
+        got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
+        assert got == reference_violations(L)
 
     def test_draws_decide_both_ways(self):
-        # the metric draws above reach both verdicts, and the constant draws
-        # both sides of the Jacobi bound and the check's own verdicts on both
+        # the metric draws above reach both verdicts, and so do the
+        # constant draws
         rng = np.random.default_rng(15)
         pos, jac = set(), set()
         for _ in range(400):
@@ -426,19 +400,10 @@ class TestValidateRules:
             k = rng.choice([rng.uniform(0.0, 11.69), rng.uniform(12.31, 14.0)])
             g = spectrum_metric(int(rng.integers(2**32)), 10.0 ** (e - k), 10.0**e)
             pos.add(validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g)).is_valid)
-            tol = (None, 1e-3)[int(rng.integers(2))]
-            c = near_jacobi_tolerance(int(rng.integers(2**32)), 10.0 ** rng.uniform(-3, 2), tol)
-            scale = 1.0 + float(np.max(np.abs(c)))
-            jac_tol = 1e-12 * scale**3 if tol is None else tol
-            jac.add((_jacobi_bound_clears(c, scale, jac_tol),
-                     validate(MetricLieAlgebra3(c), tol).is_valid))
+            c = near_jacobi_cutoff(int(rng.integers(2**32)), 10.0 ** rng.uniform(-3, 2))
+            jac.add(validate(MetricLieAlgebra3(c)).is_valid)
         assert pos == {True, False}
-        assert jac == {(True, True), (False, True), (False, False)}
-
-    def test_zero_tolerance_clears_nothing(self):
-        c = milnor(1.0, -1.0, 2.0).structure_constants
-        assert _jacobi_bound_clears(c, 3.0, 1e-12 * 27.0)
-        assert not _jacobi_bound_clears(c, 3.0, 0.0)
+        assert jac == {True, False}
 
     @pytest.mark.parametrize("g, refused", [
         (np.diag([1.0, 2.0, 0.0]), True),  # the pass refuses it as singular

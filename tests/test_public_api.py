@@ -102,3 +102,5 @@ def test_second_routes_are_gone():
     fields = {f.name for f in dataclasses.fields(cotton3.CurvaturePack)}
     assert "algebra" in fields and "metric" not in fields
     assert not hasattr(cotton3.ValidityReport, "max_magnitude")
+    # validate's cutoffs are fixed: no tolerance override
+    assert "tol" not in inspect.signature(cotton3.validate).parameters
