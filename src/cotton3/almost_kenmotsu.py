@@ -135,7 +135,7 @@ def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
 
 
 def _hat(u: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: _hat(u) @ x = u x x."""
+    """Cross-product matrix: _hat(u).dot(x) = u x x."""
     u0, u1, u2 = u.tolist()
     return np.array([0.0, -u2, u1, u2, 0.0, -u0, -u1, u0, 0.0]).reshape(3, 3)
 
@@ -154,7 +154,7 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
 
     The cross products are taken on the floats of M - mu I, the operations
     of ``np.cross``; their lengths are compared, and the longest one is
-    normalised by sqrt(v @ v), as ``np.linalg.norm`` computes it.
+    normalised by sqrt(v.dot(v)), ``np.linalg.norm``'s own vector form.
     """
     K = M - mu * _EYE
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = K.tolist()
@@ -165,9 +165,9 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
         b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0,
     ]).reshape(3, 3)
     best = cands[int(np.einsum("ij,ij->i", cands, cands).argmax())]
-    norm = math.sqrt(best @ best)
+    norm = math.sqrt(best.dot(best))
     flat = M.ravel()
-    if norm <= 1e-10 * (1.0 + math.sqrt(flat @ flat)):
+    if norm <= 1e-10 * (1.0 + math.sqrt(flat.dot(flat))):
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
         _, _, Vt = np.linalg.svd(K)
@@ -181,8 +181,8 @@ def _reeb_shape_system(conn: ConnectionTable) -> np.ndarray:
     For a candidate u, the form B_u(X, Y) = g(nabla_X u, Y) is linear in u;
     its three skew components must vanish and trace(nabla u) must equal 2.
     Returns the 4x3 system A, filled from the floats of gamma: the rows
-    Sk = A[:3] give the skew components Sk @ u, the row tau = A[3] the trace
-    tau @ u.
+    Sk = A[:3] give the skew components Sk.dot(u), the row tau = A[3] the
+    trace tau.dot(u).
     """
     f = conn.gamma.ravel().tolist()
     return np.array(
@@ -206,7 +206,7 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
     """
     A = _reeb_shape_system(conn)
     u0, s, Vt = _svd_lstsq(A, _REEB_RHS)
-    n0 = math.sqrt(u0 @ u0)
+    n0 = math.sqrt(u0.dot(u0))
     if n0 <= 1e-12:
         return []
     sv = s.tolist()
@@ -214,14 +214,14 @@ def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
     null = [w for w, x in zip(Vt, sv) if x <= cut]
     r = math.sqrt(max(1.0 - n0 * n0, 0.0))
     raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
-    out = [u / math.sqrt(u @ u) for u in raw or [u0]]
+    out = [u / math.sqrt(u.dot(u)) for u in raw or [u0]]
     if len(out) == 1:
         return out
     Sk, tau = A[:3], A[3]
 
     def key(u):
-        d0, d1, d2 = (Sk @ u).tolist()
-        score = float(d0 * d0 + d1 * d1 + d2 * d2 + (tau @ u - 2.0) ** 2)
+        d0, d1, d2 = Sk.dot(u).tolist()
+        score = float(d0 * d0 + d1 * d1 + d2 * d2 + (tau.dot(u) - 2.0) ** 2)
         return (round(score, 12), [round(x * 1e12) / 1e12 for x in u.tolist()])
 
     out.sort(key=key)
@@ -243,7 +243,7 @@ def _build_structure(
     taken over: it is frozen in place, so pass a copy to keep it writable.
     """
     gamma = conn.gamma
-    A = (u @ gamma).T
+    A = u.dot(gamma).T
     P = _EYE - u[:, None] * u
     M = P - A  # candidate for phi h; symmetric trace free when u is genuine
     Msym = 0.5 * (M + M.T)
@@ -251,17 +251,17 @@ def _build_structure(
     kenmotsu = lam <= tol
 
     phi = _hat(u)
-    h = -phi @ Msym
+    h = (-phi).dot(Msym)
     h = 0.5 * (h + h.T)
     if kenmotsu:
         e = P[:, int(np.argmax(np.einsum("ij,ij->j", P, P)))]
         e = _fix_sign(e / np.linalg.norm(e))
     else:
         e = _fix_sign(_sym_eigvec(h, lam))
-    phi_e = phi @ e
-    nab_e = e @ gamma  # nab_e[i] = nabla_{E_i} e
-    b = -float(e @ nab_e @ phi_e)
-    c = float(phi_e @ nab_e @ phi_e)
+    phi_e = phi.dot(e)
+    nab_e = e.dot(gamma)  # nab_e[i] = nabla_{E_i} e
+    b = -float(e.dot(nab_e).dot(phi_e))
+    c = float(phi_e.dot(nab_e).dot(phi_e))
     sides = _h_transport_sides(u, h, phi, gamma, pack.riemann)
     for mat in sides:
         mat.setflags(write=False)
@@ -270,7 +270,7 @@ def _build_structure(
         AKStructure,
         algebra=L,
         xi=xi,
-        eta=L.metric @ u,
+        eta=L.metric.dot(u),
         phi=phi,
         h_op=h,
         lam=lam,
@@ -296,9 +296,9 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
     Both terms are cyclic sums over the slots (i, j, k): d Phi of
     -Phi([e_i, e_j], e_k), and 2 eta ^ Phi of 2 eta_i Phi_jk.
     """
-    Phi = L.metric @ phi
-    eta = L.metric @ xi
-    t = L.structure_constants @ Phi + 2.0 * eta[:, None, None] * Phi
+    Phi = L.metric.dot(phi)
+    eta = L.metric.dot(xi)
+    t = L.structure_constants.dot(Phi) + 2.0 * eta[:, None, None] * Phi
     t = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
     return float(np.abs(t).max())
 
@@ -308,10 +308,10 @@ def _h_transport_sides(xi, h, phi, gamma: np.ndarray, riemann: np.ndarray):
     -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
     equals on an almost Kenmotsu structure; the four first-level 3x3
     products are one stacked ``matmul``."""
-    n_xi = (xi @ gamma.reshape(3, 9)).reshape(3, 3).T
+    n_xi = xi.dot(gamma.reshape(3, 9)).reshape(3, 3).T
     l = _jacobi(riemann, xi)
     prod = np.array([n_xi, h, phi, phi]) @ np.array([h, n_xi, h, l])
-    return prod[0] - prod[1], -phi - 2.0 * h - prod[2] @ h - prod[3]
+    return prod[0] - prod[1], -phi - 2.0 * h - prod[2].dot(h) - prod[3]
 
 
 def structure_residuals(
@@ -347,7 +347,7 @@ def structure_residuals(
     else:
         transport_mat, curv_mat = _h_transport_sides(xi, h, phi, gamma, pack.riemann)
     xi_eta = xi[:, None] * eta
-    adxi = (xi @ c.reshape(3, 9)).reshape(3, 3).T
+    adxi = xi.dot(c.reshape(3, 9)).reshape(3, 3).T
     # phi phi, phi^T g, h phi, phi h, adxi phi, phi adxi, h E
     prod = (np.array([phi, phi.T, h, phi, adxi, phi, h])
             @ np.array([phi, g, phi, h, phi, adxi, F.T]))
@@ -357,10 +357,10 @@ def structure_residuals(
     stack = np.empty((13, 3, 3))
     segments = [0, 9, 18, 27, 36, 45, 54, 63, 72, 81, 84, 87, 90]
     stack[0] = prod[0] + _EYE - xi_eta
-    stack[1] = prod[1] @ phi - g + eta[:, None] * eta
+    stack[1] = prod[1].dot(phi) - g + eta[:, None] * eta
     stack[2] = h - h.T
     stack[3] = prod[2] + prod[3]
-    stack[4] = (xi @ gamma).T - (_EYE - xi_eta - prod[3])
+    stack[4] = xi.dot(gamma).T - (_EYE - xi_eta - prod[3])
     stack[5] = transport_mat
     stack[6] = curv_mat
     stack[7] = h - 0.5 * (prod[4] - prod[5])
@@ -371,7 +371,7 @@ def structure_residuals(
         stack, segments = stack[:10], segments[:-1]
     else:
         # gamma in the adapted frame: sum_ijk E[i, a] E[j, b] gamma[i, j, k] E[k, c]
-        ad_gamma = (F @ (F @ gamma @ F.T).reshape(3, 9)).reshape(3, 3, 3)
+        ad_gamma = F.dot((F @ gamma @ F.T).reshape(3, 9)).reshape(3, 3, 3)
         stack[10:] = ad_gamma - adapted_connection_table(lam, ak.b, ak.c)
     (phi_square, phi_compat, h_symmetric, h_phi_anticommute, reeb_gradient,
      h_transport, curvature_identity, h_lie_oracle, d_eta, h_xi, h_e, h_pe,
@@ -380,7 +380,7 @@ def structure_residuals(
     hd, hpd = h.ravel().tolist()[::4], prod[2].ravel().tolist()[::4]
 
     res = {
-        "xi_unit": abs(float(xi @ g @ xi) - 1.0),
+        "xi_unit": abs(float(xi.dot(g).dot(xi)) - 1.0),
         "phi_square": phi_square,
         "phi_compat": phi_compat,
         "h_xi": h_xi,
@@ -429,7 +429,7 @@ def detect_structure(
     if not _orthonormal(L):
         raise ValueError("structure detection requires an orthonormal frame metric")
     flat = conn.gamma.ravel()
-    scale = 1.0 + math.sqrt(flat @ flat)
+    scale = 1.0 + math.sqrt(flat.dot(flat))
     best_res = math.inf
     for u in _candidate_reebs(conn):
         ak = _build_structure(L, conn, pack, u, tol)

@@ -367,7 +367,7 @@ def _closed_form_gap(ak) -> tuple:
     frame (E^T C E, the derivative route)."""
     closed = cotton2_closed_form(ak).components
     E = np.column_stack([v.components for v in ak.adapted_frame])
-    return closed, _gap(closed, E.T @ ak.curvature.cotton.cotton2.components @ E)
+    return closed, _gap(closed, E.T.dot(ak.curvature.cotton.cotton2.components).dot(E))
 
 
 def cmd_cotton(args) -> int:
@@ -389,7 +389,7 @@ def cmd_cotton(args) -> int:
         "cotton2": _mat(cp.cotton2.components),
         "cotton2_norm": cp.norm2,
         "cotton2_trace": float(
-            np.trace(L._frame[0] @ cp.cotton2.components)
+            np.trace(L._frame[0].dot(cp.cotton2.components))
         ),
         "cotton3": [_mat(cp.cotton3.components[i]) for i in range(3)],
         "conformally_flat": cp.norm2 <= tol,

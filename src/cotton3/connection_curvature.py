@@ -24,6 +24,12 @@ share the algebra's one metric pass, ``L._frame`` (the metric rule of
 ``frame_algebra``).  The Riemann tensor is built only when
 ``CurvaturePack.riemann`` is first read (``_jacobi``), from the pack's
 connection.
+
+Products call ``ndarray.dot`` rather than the ``@`` operator: on 1-D and
+2-D operands it hands the pair straight to BLAS, which on 3x3 operands
+costs under half of the matmul ufunc's dispatch, and it rounds the same,
+bitwise (``tests/test_dot_products.py``).  Stacked products, and the few
+whose ``.dot`` form contracts other axes or rounds differently, keep ``@``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear, Tensor3
-from .frame_algebra import _sym3_eigenvalues, _wrap
+from .frame_algebra import _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +104,19 @@ _KOSZUL = (0.5 * (_E - _E.transpose(0, 3, 1, 2) + _E.transpose(0, 2, 3, 1))).res
 def _koszul(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """K[i, j, l] = g(nabla_{e_i} e_j, e_l) of constants ``c`` under metric ``g``:
     the Koszul identity on cg[i, j, l] = g([e_i, e_j], e_l)."""
-    return ((c.reshape(9, 3) @ g).reshape(27) @ _KOSZUL).reshape(3, 3, 3)
+    return c.reshape(9, 3).dot(g).reshape(27).dot(_KOSZUL).reshape(3, 3, 3)
 
 
 def _gamma(c: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Connection coefficients of constants ``c`` under metric ``g``: the
     Koszul array times ``ginv`` = g^-1, read off the metric rule's pass."""
-    return (_koszul(c, g).reshape(9, 3) @ ginv).reshape(3, 3, 3)
+    return _koszul(c, g).reshape(9, 3).dot(ginv).reshape(3, 3, 3)
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     # prod[i, j, k] = nabla_{e_i} nabla_{e_j} e_k = gamma[j, k] @ gamma[i]
     prod = np.matmul(gamma[None], gamma[:, None])
-    bracket_term = (c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
+    bracket_term = c.reshape(9, 3).dot(gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
     return prod - prod.transpose(1, 0, 2, 3) - bracket_term
 
 
@@ -130,14 +136,14 @@ def _ricci(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
            - sum_{i, m} (gamma[j, m, i] + c[m, j, i]) gamma[i, k, m]."""
     f = gamma.reshape(27)
     gs = f[_SWAP]
-    s = (gamma.reshape(9, 3) @ (f @ _TRACE)).reshape(3, 3)
-    s -= (gs + c.reshape(27)[_ROLL]) @ gs.reshape(9, 3)
+    s = gamma.reshape(9, 3).dot(f.dot(_TRACE)).reshape(3, 3)
+    s -= (gs + c.reshape(27)[_ROLL]).dot(gs.reshape(9, 3))
     return 0.5 * (s + s.T)
 
 
 def _cov_deriv(gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
     """(nabla_{e_i} S)(e_j, e_k) of a symmetric frame-constant form ``s``."""
-    p = gamma @ s
+    p = gamma.dot(s)
     return -(p + p.transpose(0, 2, 1))
 
 
@@ -148,7 +154,7 @@ _DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
 def _cotton2(c3: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Dual of ``c3`` under the metric g with u = g / sqrt(det g)."""
     # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
-    out = c3.reshape(27)[_DUAL] @ u
+    out = c3.reshape(27)[_DUAL].dot(u)
     return 0.5 * (out + out.T)
 
 
@@ -173,7 +179,7 @@ def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:
 
 def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix of the Jacobi operator X -> R(X, x) x along the vector ``x``."""
-    return (x @ (x @ riemann)).T
+    return x.dot(x.dot(riemann)).T
 
 
 def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
@@ -183,15 +189,15 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
     The metric must pass the metric rule of ``_metric_frame``, which raises
     ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
     Ricci operator g^-1 S and the Cotton dual read ``L``'s one pass.  The
-    Cotton norm is sqrt(x @ x), the computation of ``np.linalg.norm``.
+    Cotton norm is sqrt(x.dot(x)), ``np.linalg.norm``'s own vector form.
     """
     ginv, u, _ = L._frame
     c = L.structure_constants
     ricci, d, c3, c2 = _chain(c, conn.gamma, u)
-    q = ginv @ ricci
+    q = ginv.dot(ricci)
     x = c2.ravel()
     cotton = _wrap(CottonPack, cotton3=_wrap(Tensor3, components=c3),
-                   cotton2=_wrap(SymBilinear, components=c2), norm2=math.sqrt(x @ x))
+                   cotton2=_wrap(SymBilinear, components=c2), norm2=math.sqrt(x.dot(x)))
     return _wrap(CurvaturePack, ricci=_wrap(SymBilinear, components=ricci),
                  ricci_derivative=_wrap(Tensor3, components=d), ricci_operator=q,
                  scalar=float(np.trace(q)), algebra=L, connection=conn, cotton=cotton)
@@ -216,15 +222,19 @@ def ricci_parallel_check(
 
 
 def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
-    """Eigenvalues of the Ricci operator, ascending.
+    """Eigenvalues of the Ricci operator, ascending; nan where they are not
+    finite.
 
     With g = L L^T from the metric pass of ``pack.algebra`` (the one
     ``curvature`` read), the operator g^-1 S is similar to the symmetric
-    L^-1 S L^-T, so the closed-form symmetric solver applies.
+    W = L^-1 S L^-T, whose ``eigvalsh`` spectrum keeps eigenvalues far
+    below the largest one, which a closed-form cubic rounds away.
     """
     Li = np.array(pack.algebra._frame[2])
-    W = Li @ pack.ricci.components @ Li.T
-    return np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
+    W = Li.dot(pack.ricci.components).dot(Li.T)
+    if not np.isfinite(W).all():
+        return np.full(3, math.nan)
+    return np.linalg.eigvalsh(W)
 
 
 @dataclass(frozen=True)

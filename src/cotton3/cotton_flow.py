@@ -94,8 +94,8 @@ def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
     g = 0.5 * (g + g.T)
     c2 = cotton2_array(L.structure_constants, g)
     flat = c2.ravel()
-    # the Frobenius norm as np.linalg.norm computes it, bitwise
-    return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat @ flat))
+    # the Frobenius norm as sqrt(flat.dot(flat)), np.linalg.norm's own vector form
+    return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat.dot(flat)))
 
 
 def _repeat(state: FlowState, time: float) -> FlowState:

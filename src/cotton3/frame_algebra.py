@@ -106,7 +106,7 @@ class SymBilinear:
         object.__setattr__(self, "components", arr)
 
     def evaluate(self, x: FrameVector, y: FrameVector) -> float:
-        return float(x.components @ self.components @ y.components)
+        return float(x.components.dot(self.components).dot(y.components))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,16 +296,17 @@ def validate(L: MetricLieAlgebra3) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
     Non-finite entries, and constants whose cube overflows, are reported
-    alone.  With scale = 1 + max|c|, the cutoffs are 1e-12 scale for
-    antisymmetry, 1e-12 scale^3 for the cyclic Jacobi sum at (0, 1, 2) (the
-    one triple of distinct indices, evaluated once on floats) and
-    1e-12 (1 + max|g|) for metric asymmetry.  ``metric_not_positive`` is
-    reported exactly when the metric pass ``L._frame``, which
-    ``levi_civita`` reuses, refuses g; only then is its magnitude, g's
-    smallest ``eigvalsh`` eigenvalue, computed.
+    alone.  With m = max|c|, the cutoffs are 1e-12 (1 + m) for
+    antisymmetry, 1e-12 m^2 for the cyclic Jacobi sum at (0, 1, 2) (the one
+    triple of distinct indices, evaluated once on floats; the sum is
+    quadratic in c, so the rule is scale-free) and 1e-12 (1 + max|g|) for
+    metric asymmetry.  ``metric_not_positive`` is reported exactly when the
+    metric pass ``L._frame``, which ``levi_civita`` reuses, refuses g; only
+    then is its magnitude, g's smallest ``eigvalsh`` eigenvalue, computed.
     """
     c, g = L.structure_constants, L.metric
-    scale = 1.0 + float(np.abs(c).max())
+    m = float(np.abs(c).max())
+    scale = 1.0 + m
     gscale = 1.0 + float(np.abs(g).max())
     if not (math.isfinite(scale) and math.isfinite(gscale)):
         return ValidityReport(tuple(
@@ -326,17 +327,21 @@ def validate(L: MetricLieAlgebra3) -> ValidityReport:
             if i <= j:
                 violations.append(Violation("antisymmetry", (i, j, k), anti[i, j, k]))
 
-    # [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1], summed over m in turn
-    x = c.tolist()
+    # [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1], summed over n in
+    # turn.  Below m = 2^-400 its products would underflow, so it is taken on
+    # c scaled exactly by 2^-k into [1, 2), and its magnitude scaled back.
+    k = math.frexp(m)[1] - 1 if 0.0 < m < 2.0**-400 else 0
+    x = (np.ldexp(c, -k) if k else c).tolist()
     s0 = s1 = s2 = 0.0
-    for m, ((v0, v1, v2), (w0, w1, w2), (u0, u1, u2)) in enumerate(x):
-        a, b, d = x[0][1][m], x[1][2][m], x[2][0][m]
+    for n, ((v0, v1, v2), (w0, w1, w2), (u0, u1, u2)) in enumerate(x):
+        a, b, d = x[0][1][n], x[1][2][n], x[2][0][n]
         s0 = s0 + a * u0 + b * v0 + d * w0
         s1 = s1 + a * u1 + b * v1 + d * w1
         s2 = s2 + a * u2 + b * v2 + d * w2
     mag = max(abs(s0), abs(s1), abs(s2))
-    if mag > 1e-12 * cube:
-        violations.append(Violation("jacobi", (0, 1, 2), mag))
+    mk = math.ldexp(m, -k)
+    if mag > 1e-12 * mk * mk:
+        violations.append(Violation("jacobi", (0, 1, 2), math.ldexp(mag, 2 * k)))
 
     gsym_tol = 1e-12 * gscale
     if gscale > 8.9e307:

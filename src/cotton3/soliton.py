@@ -119,7 +119,7 @@ def _assemble_system(problem: SolitonProblem):
     n = V.shape[0]
     # gamma_by_field[a, (i, k)] = gamma[i, a, k]
     gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
-    B = ((V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric).reshape(n, 9)
+    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(L.metric).reshape(n, 9)
     A = np.empty((6, n + 1))
     # the upper triangle of B + B^T, one column per field
     A[:, :n] = (B.take(_UPPER_FLAT, axis=1) + B.take(_LOWER_FLAT, axis=1)).T
@@ -185,20 +185,20 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
 def _cotton_scale(cotton2: SymBilinear) -> float:
     """1 + |C|_F, the scale of every soliton verdict."""
     comps = cotton2.components.ravel()
-    return 1.0 + math.sqrt(comps @ comps)
+    return 1.0 + math.sqrt(comps.dot(comps))
 
 
 def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     """Solve and classify the assembled system A z = k (see ``solve``).
 
-    Vector norms are taken as sqrt(r @ r), the computation of
-    ``np.linalg.norm`` for a vector.  The potential is summed on the floats
-    of the coefficients and the basis, from 0 as ``sum`` starts, and the
-    solution holds the arrays built here without a copy.
+    Vector norms are taken as sqrt(r.dot(r)), ``np.linalg.norm``'s own
+    vector form.  The potential is summed on the floats of the coefficients
+    and the basis, from 0 as ``sum`` starts, and the solution holds the
+    arrays built here without a copy.
     """
     z, sv, Vt = _svd_lstsq(A, k)
-    r = A @ z - k
-    residual = math.sqrt(r @ r)
+    r = A.dot(z) - k
+    residual = math.sqrt(r.dot(r))
     sv = sv.tolist()
     cut = 1e-10 * max(sv[0], 1e-300)
     rank = sum(s > cut for s in sv)
@@ -218,7 +218,7 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
         v_moves = family_dim > 0 and bool(
             np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10)
         )
-        if math.sqrt(coeffs @ coeffs) <= 1e-8 and not v_moves:
+        if math.sqrt(coeffs.dot(coeffs)) <= 1e-8 and not v_moves:
             kind = TRIVIAL_ONLY
         elif abs(sigma) <= tol * c_scale:
             kind = STEADY
@@ -255,7 +255,7 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
     The full system is assembled once; each ansatz system is a column subset
     of it, bitwise equal to assembling that sub-basis on its own.  The subset
     is taken in C order, the layout of a separately assembled system, so
-    that ``A @ z - k`` rounds the same and each solution, residual included,
+    that ``A.dot(z) - k`` rounds the same and each solution, residual included,
     is exactly that of ``solve`` on the ansatz problem.
     """
     A, k = _assemble_system(problem)

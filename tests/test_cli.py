@@ -452,13 +452,13 @@ class TestInputErrors:
         {"i": 2, "j": 3, "coeffs": [0, 1, 0]},
     ]
 
-    def jacobi_line(self, path):
-        """The refusal line, sized by the oracle's largest cyclic-sum
-        component at (0, 1, 2)."""
+    def jacobi_line(self, path, s=1.0):
+        """The refusal line for ``NON_JACOBI_BRACKETS`` scaled by ``s``,
+        sized by the oracle's largest cyclic-sum component at (0, 1, 2)."""
         c = np.zeros((3, 3, 3))
         for b in self.NON_JACOBI_BRACKETS:
-            c[b["i"] - 1, b["j"] - 1] = b["coeffs"]
-            c[b["j"] - 1, b["i"] - 1] = -np.array(b["coeffs"], dtype=float)
+            c[b["i"] - 1, b["j"] - 1] = np.multiply(s, b["coeffs"])
+            c[b["j"] - 1, b["i"] - 1] = -np.multiply(s, b["coeffs"])
         size = float(np.max(np.abs(brute_jacobi(c)[0, 1, 2])))
         return (f"error: {path}: invalid geometry: jacobi violation of size "
                 f"{size:.3e} at indices (0, 1, 2)\n")
@@ -470,6 +470,19 @@ class TestInputErrors:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == self.jacobi_line(path)
+
+    # the cyclic sum is s^2 against the cutoff 1e-12 s^2, so the brackets
+    # are refused at every scale s, also where their products underflow
+    @pytest.mark.parametrize("s", [1e13, 1e-7, 1e-160])
+    def test_jacobi_violation_at_every_scale(self, geom, capsys, s):
+        brackets = [dict(b, coeffs=[s * x for x in b["coeffs"]])
+                    for b in self.NON_JACOBI_BRACKETS]
+        path = geom({"brackets": brackets})
+        rc = main(["curvature", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == self.jacobi_line(path, s)
 
     @pytest.mark.parametrize("command", ["structure", "cotton", "soliton", "flow"])
     def test_jacobi_violation_every_command(self, geom, capsys, command):
@@ -602,6 +615,14 @@ class TestInputErrors:
         assert all(math.isfinite(x) for x in doc["ricci_eigenvalues"])
         assert doc["ricci_eigenvalues"][0] == pytest.approx(-2e200, rel=1e-12)
         assert doc["scalar_curvature"] == pytest.approx(-2e200, rel=1e-12)
+
+    def test_small_ricci_eigenvalues_accurate(self, geom, capsys):
+        # the spectrum {-2 - 2 lam^2, -2 - 2 lam, 2 lam - 2}: at lam = 1e100
+        # two eigenvalues are 1e-100 times the largest, and keep their digits
+        rc = main(["curvature", geom(kenmotsu(1e100)), "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ricci_eigenvalues"] == pytest.approx([-2e200, -2e100, 2e100], rel=1e-12)
 
     @pytest.mark.parametrize("command", ["cotton", "flow"])
     @pytest.mark.parametrize("data, field", [

@@ -367,7 +367,7 @@ class TestAlgebraPass:
             assert calls == []
             Li = np.array(_metric_frame(L.metric)[2])
             W = Li @ pack.ricci.components @ Li.T
-            ref = np.array(_sym3_eigenvalues((0.5 * (W + W.T)).tolist()))
+            ref = np.linalg.eigvalsh(W)
             assert got.tobytes() == ref.tobytes()
 
 
@@ -487,6 +487,13 @@ class TestEigenvalues:
                 ).real
             )
             assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+    def test_ricci_spectrum_of_kenmotsu_members(self, lam):
+        # exactly {-2 - 2 lam^2, -2 - 2 lam, 2 lam - 2}
+        L = from_kenmotsu_params(lam, 0.0, 0.0)
+        got = ricci_spectrum(curvature(L, levi_civita(L)))
+        assert got.tolist() == sorted([-2.0 - 2.0 * lam * lam, -2.0 - 2.0 * lam, 2.0 * lam - 2.0])
 
 
 class TestClassification:

@@ -242,9 +242,9 @@ def reference_violations(L):
     """validate's finite-input rules as loops over every index, the form
     they had before each rule became one whole-array comparison."""
     c, g = L.structure_constants, L.metric
-    scale = 1.0 + float(np.max(np.abs(c)))
+    m = float(np.max(np.abs(c)))
     gscale = 1.0 + float(np.max(np.abs(g)))
-    anti_tol, jac_tol = 1e-12 * scale, 1e-12 * scale * scale * scale
+    anti_tol, jac_tol = 1e-12 * (1.0 + m), 1e-12 * m * m
     out = []
     anti = c + np.transpose(c, (1, 0, 2))
     for i in range(3):
@@ -356,9 +356,9 @@ def near_jacobi_cutoff(seed: int, rho: float):
     Jacobi cutoff."""
     rng = np.random.default_rng(seed)
     c = random_valid_algebra(rng, rotated=True).structure_constants * 10.0 ** rng.uniform(-2, 4)
-    scale = 1.0 + float(np.max(np.abs(c)))
-    # the sum is linear in the move, with coefficients of size scale
-    step = 1e-12 * scale * scale
+    # the cutoff is 1e-12 m^2 (m = max|c|), and the sum is linear in the
+    # move, with coefficients of size m
+    step = 1e-12 * float(np.max(np.abs(c)))
     i, j = rng.choice(3, size=2, replace=False)
     k = rng.integers(3)
     c[i, j, k] += rho * step * rng.choice([-1.0, 1.0])
@@ -389,6 +389,20 @@ class TestValidateRules:
         L = MetricLieAlgebra3(near_jacobi_cutoff(seed, rho))
         got = [(v.kind, v.indices, v.magnitude) for v in validate(L).violations]
         assert got == reference_violations(L)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+           st.integers(-900, 250))
+    def test_rule_is_scale_free(self, seed, rho, j):
+        # the cyclic sum is quadratic in c: under c -> 2^j c the verdict
+        # stays and the magnitude moves by 2^(2j) exactly, also where the
+        # products of the scaled constants would underflow
+        c = near_jacobi_cutoff(seed, rho)
+        want = [(v.kind, v.indices, math.ldexp(v.magnitude, 2 * j))
+                for v in validate(MetricLieAlgebra3(c)).violations]
+        got = [(v.kind, v.indices, v.magnitude)
+               for v in validate(MetricLieAlgebra3(np.ldexp(c, j))).violations]
+        assert got == want
 
     def test_draws_decide_both_ways(self):
         # the metric draws above reach both verdicts, and so do the
