@@ -16,21 +16,22 @@ B(X, Y) = g(nabla_X xi, Y) must be symmetric with trace 2, and
 phi h := (I - nabla xi)|_{xi-perp} symmetric trace free.  The "3-h" class
 additionally requires nabla_xi h = 0.
 
-Detection solves for the Reeb direction exactly.  The skew part of B and
-its trace are linear in the candidate u, giving the affine system
-Sk u = 0, tau u = 2.  In an orthonormal frame B_u is symmetric exactly
-when d eta = 0, i.e. u is orthogonal to [g, g], and tau u = div u =
--tr ad_u.  The null space of the system is therefore
-[g, g]^perp  intersected with  ker(tr o ad):
+Detection reads the Reeb direction off the derived algebra.  In an
+orthonormal frame the skew part of B_xi is d eta, so B_xi is symmetric
+exactly when xi is orthogonal to [g, g], and its trace is
+div xi = -tr ad_xi.  So xi lies in
 
-* on a non-unimodular algebra ker(tr o ad) is a 2-dimensional ideal that
-  contains [g, g] != 0, so the null space has dimension at most one and
-  the unit solutions are at most two points on a line; with a trivial null
-  space the normalised minimum-norm solution is the one candidate, as a
-  best fit;
-* on a unimodular algebra tau = 0, the system has no solution and there is
-  no structure (Milnor, "Curvatures of left invariant metrics on Lie
-  groups", Adv. Math. 21, 1976).
+    [g, g]^perp  intersected with  {u : tr ad_u = -2},
+
+which depends on the structure constants alone:
+
+* where dim [g, g] = 2, [g, g]^perp is a line, and xi is its unit vector
+  with tr ad_xi < 0;
+* where dim [g, g] = 1, the unit xi are the at most two points where the
+  line tr ad_u = -2 meets the unit circle of the plane [g, g]^perp;
+* on a unimodular algebra tr ad = 0, and there is no structure (Milnor,
+  "Curvatures of left invariant metrics on Lie groups", Adv. Math. 21,
+  1976).
 
 Candidates are verified in that order against the full invariant list,
 and the first that passes is accepted.
@@ -51,7 +52,6 @@ from .frame_algebra import (
     FrameVector,
     MetricLieAlgebra3,
     SymBilinear,
-    _svd_lstsq,
     _wrap,
 )
 
@@ -105,20 +105,6 @@ _EYE = np.eye(3)
 _EYE.setflags(write=False)
 _EYE_FLAT = tuple(_EYE.ravel().tolist())
 
-# right-hand side of the Reeb-shape system: no skew part, trace 2
-_REEB_RHS = np.array([0.0, 0.0, 0.0, 2.0])
-_REEB_RHS.setflags(write=False)
-
-# flat indices into gamma.ravel() of the Reeb-shape system, row by row: skew
-# row r holds gamma[i, a, j] - gamma[j, a, i] for the r-th pair (i, j); the
-# trace row holds gamma[0, a, 0] + gamma[1, a, 1] + gamma[2, a, 2]
-_SKEW_FLAT = tuple(
-    (9 * i + 3 * a + j, 9 * j + 3 * a + i)
-    for i, j in ((0, 1), (0, 2), (1, 2))
-    for a in range(3)
-)
-_TRACE_FLAT = tuple((3 * a, 10 + 3 * a, 20 + 3 * a) for a in range(3))
-
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
     """Connection coefficients of the adapted frame (xi, e, phi_e).
@@ -148,24 +134,29 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
-    """Unit eigenvector of symmetric M for a known eigenvalue mu: the longest
-    cross product of two rows of M - mu I.
-
-    The cross products are taken on the floats of M - mu I, the operations
-    of ``np.cross``; their lengths are compared, and the longest one is
-    normalised by sqrt(v.dot(v)), ``np.linalg.norm``'s own vector form.
-    """
-    K = M - mu * _EYE
+def _row_crosses(K: np.ndarray) -> np.ndarray:
+    """Rows K[0] x K[1], K[0] x K[2] and K[1] x K[2], taken on the floats of
+    K with the operations of ``np.cross``."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = K.tolist()
-    # rows: K[0] x K[1], K[0] x K[2], K[1] x K[2]
-    cands = np.array([
+    return np.array([
         a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0,
         a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0,
         b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0,
     ]).reshape(3, 3)
-    best = cands[int(np.einsum("ij,ij->i", cands, cands).argmax())]
-    norm = math.sqrt(best.dot(best))
+
+
+def _longest(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """The longest row and its length sqrt(v.dot(v)), ``np.linalg.norm``'s
+    own vector form."""
+    best = rows[int(np.einsum("ij,ij->i", rows, rows).argmax())]
+    return best, math.sqrt(best.dot(best))
+
+
+def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
+    """Unit eigenvector of symmetric M for a known eigenvalue mu: the longest
+    cross product of two rows of M - mu I."""
+    K = M - mu * _EYE
+    best, norm = _longest(_row_crosses(K))
     flat = M.ravel()
     if norm <= 1e-10 * (1.0 + math.sqrt(flat.dot(flat))):
         # (near) repeated eigenvalue: fall back to the smallest singular
@@ -175,56 +166,52 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     return best / norm
 
 
-def _reeb_shape_system(conn: ConnectionTable) -> np.ndarray:
-    """Affine system encoding the linear Reeb-shape conditions.
+def _candidate_reebs(c: np.ndarray) -> list[np.ndarray]:
+    """Unit Reeb candidates of an orthonormal frame algebra, from its
+    structure constants alone: unit u orthogonal to [g, g] with
+    tr ad_u = sum_a u_a sum_i c[a, i, i] = -2.
 
-    For a candidate u, the form B_u(X, Y) = g(nabla_X u, Y) is linear in u;
-    its three skew components must vanish and trace(nabla u) must equal 2.
-    Returns the 4x3 system A, filled from the floats of gamma: the rows
-    Sk = A[:3] give the skew components Sk.dot(u), the row tau = A[3] the
-    trace tau.dot(u).
+    [g, g] is spanned by the rows c[0, 1], c[0, 2] and c[1, 2]; n, the
+    longest of their cross products, and w, the longest row, tell its
+    dimension:
+
+    * |n| > 1e-10 |w|^2 (dim >= 2): the candidate is n/|n|, signed so that
+      tr ad < 0, and there is none where tr ad_n is exactly 0.0.  The sign
+      takes no cutoff: at large scale -2 is tiny next to |c|.
+    * otherwise (dim 1): the line tr ad_u = -2 of the plane w^perp, nearest
+      0 at u0, meets the unit circle at u0 +- r v, v its unit direction and
+      r = sqrt(1 - |u0|^2).  With r <= 1e-7 (r is known only to about
+      sqrt(eps) ~ 1.5e-8) the two merge into a double root, and the one
+      candidate is u0/|u0|.  Two are sorted by their components, each
+      rounded to 12 decimals as ``np.round`` rounds.
+    * an abelian algebra, or tr ad vanishing exactly on w^perp, gives none.
+
+    The structure residuals decide which candidate, if any, is accepted.
     """
-    f = conn.gamma.ravel().tolist()
-    return np.array(
-        [f[p] - f[m] for p, m in _SKEW_FLAT] + [f[i] + f[j] + f[k] for i, j, k in _TRACE_FLAT]
-    ).reshape(4, 3)
-
-
-def _candidate_reebs(conn: ConnectionTable) -> list[np.ndarray]:
-    """Unit solutions of the affine Reeb-shape system, best-fitting first.
-
-    Every solution is u0 + w with u0 the minimum-norm solution and w in the
-    null space, which has at most one dimension (see the module docstring).
-    The unit ones are u0 +- r w for a unit null vector w and
-    r = sqrt(1 - |u0|^2).  Without a null vector, or with r <= 1e-7 (r is
-    known only to about sqrt(eps) ~ 1.5e-8, and the two solutions merge into
-    a double root at u0), the one candidate is u0/|u0|, the best fit.
-    Otherwise u0/|u0| is not listed: it misses both solutions by r, yet can
-    pass the tolerance.  An inconsistent system (u0 = 0) gives none.
-    Several candidates are sorted by their squared residual, then by their
-    components, each rounded to 12 decimals as ``np.round`` rounds.
-    """
-    A = _reeb_shape_system(conn)
-    u0, s, Vt = _svd_lstsq(A, _REEB_RHS)
-    n0 = math.sqrt(u0.dot(u0))
-    if n0 <= 1e-12:
+    K = c[(0, 0, 1), (1, 2, 2)]
+    n, nn = _longest(_row_crosses(K))
+    w, nw = _longest(K)
+    t = c.trace(axis1=1, axis2=2)  # t[a] = tr ad_{e_a}
+    if nn > 1e-10 * nw * nw:
+        tr = t.dot(n)
+        if tr == 0.0:
+            return []
+        return [n / (nn if tr < 0.0 else -nn)]
+    if nw == 0.0:
         return []
-    sv = s.tolist()
-    cut = 1e-10 * max(sv[0], 1.0)
-    null = [w for w, x in zip(Vt, sv) if x <= cut]
-    r = math.sqrt(max(1.0 - n0 * n0, 0.0))
-    raw = [u0 + sign * r * w for w in null for sign in (1.0, -1.0)] if r > 1e-7 else []
-    out = [u / math.sqrt(u.dot(u)) for u in raw or [u0]]
-    if len(out) == 1:
-        return out
-    Sk, tau = A[:3], A[3]
-
-    def key(u):
-        d0, d1, d2 = Sk.dot(u).tolist()
-        score = float(d0 * d0 + d1 * d1 + d2 * d2 + (tau.dot(u) - 2.0) ** 2)
-        return (round(score, 12), [round(x * 1e12) / 1e12 for x in u.tolist()])
-
-    out.sort(key=key)
+    w = w / nw
+    tp = t - t.dot(w) * w
+    nt = math.sqrt(tp.dot(tp))
+    if nt == 0.0:
+        return []
+    d = 2.0 / nt  # |u0|, with u0 = -d tp/|tp|
+    r = math.sqrt(max(1.0 - d * d, 0.0))
+    if r <= 1e-7:
+        return [tp / -nt]
+    u0 = tp * (-d / nt)
+    v = _hat(w).dot(tp) / nt
+    out = [u / math.sqrt(u.dot(u)) for u in (u0 + r * v, u0 - r * v)]
+    out.sort(key=lambda u: [round(x * 1e12) / 1e12 for x in u.tolist()])
     return out
 
 
@@ -415,23 +402,30 @@ def detect_structure(
 ) -> AKStructure:
     """Find the almost Kenmotsu 3-h structure of an orthonormal algebra.
 
-    Returns the first candidate, in the deterministic order of
-    ``_candidate_reebs``, whose largest structure residual is within ``tol``
-    (scaled by the connection size); later candidates are never built.  Where
-    the Reeb field is not unique, as on (1, b, b) algebras, every admissible
-    candidate is a genuine structure and their residuals differ only by
-    rounding, so the order decides.  Each candidate is scored by one
-    ``structure_residuals`` call, and the accepted structure keeps that dict
-    as ``residuals``, next to the ``h_sides`` it was scored with.  Raises
-    ``NoStructure``, reporting the best residual, when no candidate is
-    admissible.
+    The candidates come from the structure constants (``_candidate_reebs``);
+    this returns the first, in their deterministic order, whose largest
+    structure residual is within ``tol`` (scaled by the connection size);
+    later candidates are never built.  Where the Reeb field is not unique,
+    as on (1, b, b) algebras, every admissible candidate is a genuine
+    structure and their residuals differ only by rounding, so the order
+    decides.  Each candidate is scored by one ``structure_residuals`` call,
+    and the accepted structure keeps that dict as ``residuals``, next to
+    the ``h_sides`` it was scored with.  Raises ``NoStructure`` when no
+    vector orthogonal to [g, g] has nonzero tr ad, so that there is no
+    candidate, and otherwise, reporting the best residual, when no
+    candidate is admissible.
     """
     if not _orthonormal(L):
         raise ValueError("structure detection requires an orthonormal frame metric")
     flat = conn.gamma.ravel()
     scale = 1.0 + math.sqrt(flat.dot(flat))
+    cands = _candidate_reebs(L.structure_constants)
+    if not cands:
+        raise NoStructure(
+            "no vector orthogonal to [g, g] has nonzero tr ad, so there is no "
+            "unit Reeb candidate")
     best_res = math.inf
-    for u in _candidate_reebs(conn):
+    for u in cands:
         ak = _build_structure(L, conn, pack, u, tol)
         residuals = structure_residuals(L, conn, pack, ak)
         res = max(residuals.values())

@@ -105,6 +105,19 @@ class TestStructure:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
+        # su(2) is unimodular: tr ad vanishes, so there is no candidate
+        assert "no vector orthogonal to [g, g] has nonzero tr ad" in captured.err
+
+    @pytest.mark.parametrize("lam", [1e16, 1e30])
+    @pytest.mark.parametrize("command", ["structure", "soliton"])
+    def test_detects_at_large_lambda(self, geom, capsys, command, lam):
+        # tr ad_xi = -2 is tiny next to |c| here, and xi = e1 is still found
+        rc = main([command, geom({"kenmotsu": {"lambda": lam}}), "--format", "machine"])
+        assert rc == 0
+        if command == "structure":
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["lambda"] == lam
+            assert doc["xi"] == [1.0, 0.0, 0.0]
 
     def test_requires_orthonormal_frame(self, geom, capsys):
         path = geom(kenmotsu(2.0, metric=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
