@@ -1,6 +1,6 @@
 """Detection and verification of almost Kenmotsu 3-h structures.
 
-An almost Kenmotsu structure on an orthonormal 3-frame algebra is a tuple
+An almost Kenmotsu structure on a 3-frame algebra with metric g is a tuple
 (phi, xi, eta, g) with
 
     phi^2 = -I + eta (x) xi,      g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),
@@ -16,19 +16,18 @@ B(X, Y) = g(nabla_X xi, Y) must be symmetric with trace 2, and
 phi h := (I - nabla xi)|_{xi-perp} symmetric trace free.  The "3-h" class
 additionally requires nabla_xi h = 0.
 
-Detection reads the Reeb direction off the derived algebra.  In an
-orthonormal frame the skew part of B_xi is d eta, so B_xi is symmetric
-exactly when xi is orthogonal to [g, g], and its trace is
-div xi = -tr ad_xi.  So xi lies in
+Detection reads the Reeb direction off the derived algebra.  The skew
+part of B_xi is d eta, so B_xi is symmetric exactly when xi is
+g-orthogonal to [g, g], and its trace is div xi = -tr ad_xi.  So xi lies in
 
     [g, g]^perp  intersected with  {u : tr ad_u = -2},
 
-which depends on the structure constants alone:
+where [g, g] and tr ad depend on the structure constants alone:
 
 * where dim [g, g] = 2, [g, g]^perp is a line, and xi is its unit vector
   with tr ad_xi < 0;
 * where dim [g, g] = 1, the unit xi are the at most two points where the
-  line tr ad_u = -2 meets the unit circle of the plane [g, g]^perp;
+  line tr ad_u = -2 meets the unit ellipse of the plane [g, g]^perp;
 * on a unimodular algebra tr ad = 0, and there is no structure (Milnor,
   "Curvatures of left invariant metrics on Lie groups", Adv. Math. 21,
   1976).
@@ -60,9 +59,9 @@ from .frame_algebra import (
 class AKStructure:
     """A detected almost Kenmotsu 3-h structure in frame components.
 
-    ``adapted_frame`` is the orthonormal triple (xi, e, phi_e) where e is
+    ``adapted_frame`` is the g-orthonormal triple (xi, e, phi_e) where e is
     the unit +lam eigenvector of h (an arbitrary deterministic unit vector
-    orthogonal to xi when h = 0).  ``b`` and ``c`` are the two remaining
+    g-orthogonal to xi when h = 0).  ``b`` and ``c`` are the two remaining
     connection constants of the adapted frame:
     nabla_e e = -xi - b phi_e and nabla_{phi_e} e = lam xi + c phi_e.
     ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
@@ -103,7 +102,6 @@ class AKStructure:
 
 _EYE = np.eye(3)
 _EYE.setflags(write=False)
-_EYE_FLAT = tuple(_EYE.ravel().tolist())
 
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
@@ -153,8 +151,9 @@ def _longest(rows: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
-    """Unit eigenvector of symmetric M for a known eigenvalue mu: the longest
-    cross product of two rows of M - mu I."""
+    """Eigenvector of M for a known simple eigenvalue mu, not normalised: the
+    longest cross product of two rows of M - mu I, which spans its null
+    space whether or not M is symmetric."""
     K = M - mu * _EYE
     best, norm = _longest(_row_crosses(K))
     flat = M.ravel()
@@ -162,14 +161,16 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
         _, _, Vt = np.linalg.svd(K)
-        return Vt[-1] / np.linalg.norm(Vt[-1])
-    return best / norm
+        return Vt[-1]
+    return best
 
 
-def _candidate_reebs(c: np.ndarray) -> list[np.ndarray]:
-    """Unit Reeb candidates of an orthonormal frame algebra, from its
-    structure constants alone: unit u orthogonal to [g, g] with
-    tr ad_u = sum_a u_a sum_i c[a, i, i] = -2.
+def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
+    """Unit Reeb candidates: unit u orthogonal to [g, g] with
+    tr ad_u = sum_a u_a sum_i c[a, i, i] = -2, found in the orthonormal
+    frame of g = L L^T (L^-1 from the one metric pass ``L._frame``), where
+    a vector x has components L^T x = L^-1 g x and tr ad has L^-1 t; a
+    candidate y there is xi = L^-T y.
 
     [g, g] is spanned by the rows c[0, 1], c[0, 2] and c[1, 2]; n, the
     longest of their cross products, and w, the longest row, tell its
@@ -182,35 +183,37 @@ def _candidate_reebs(c: np.ndarray) -> list[np.ndarray]:
       0 at u0, meets the unit circle at u0 +- r v, v its unit direction and
       r = sqrt(1 - |u0|^2).  With r <= 1e-7 (r is known only to about
       sqrt(eps) ~ 1.5e-8) the two merge into a double root, and the one
-      candidate is u0/|u0|.  Two are sorted by their components, each
+      candidate is u0/|u0|.  Two are sorted by their frame components, each
       rounded to 12 decimals as ``np.round`` rounds.
-    * an abelian algebra, or tr ad vanishing exactly on w^perp, gives none.
+    * an abelian algebra, or |tr ad| on w^perp 0.0 or not finite, gives none.
 
     The structure residuals decide which candidate, if any, is accepted.
     """
-    K = c[(0, 0, 1), (1, 2, 2)]
+    c = L.structure_constants
+    Li = np.array(L._frame[2])
+    K = c[(0, 0, 1), (1, 2, 2)].dot(L.metric).dot(Li.T)
     n, nn = _longest(_row_crosses(K))
     w, nw = _longest(K)
-    t = c.trace(axis1=1, axis2=2)  # t[a] = tr ad_{e_a}
+    t = Li.dot(c.trace(axis1=1, axis2=2))  # t[a] = tr ad of the a-th unit vector
     if nn > 1e-10 * nw * nw:
         tr = t.dot(n)
         if tr == 0.0:
             return []
-        return [n / (nn if tr < 0.0 else -nn)]
+        return [(n / (nn if tr < 0.0 else -nn)).dot(Li)]
     if nw == 0.0:
         return []
     w = w / nw
     tp = t - t.dot(w) * w
     nt = math.sqrt(tp.dot(tp))
-    if nt == 0.0:
+    if not 0.0 < nt < math.inf:
         return []
     d = 2.0 / nt  # |u0|, with u0 = -d tp/|tp|
     r = math.sqrt(max(1.0 - d * d, 0.0))
     if r <= 1e-7:
-        return [tp / -nt]
+        return [(tp / -nt).dot(Li)]
     u0 = tp * (-d / nt)
     v = _hat(w).dot(tp) / nt
-    out = [u / math.sqrt(u.dot(u)) for u in (u0 + r * v, u0 - r * v)]
+    out = [(u / math.sqrt(u.dot(u))).dot(Li) for u in (u0 + r * v, u0 - r * v)]
     out.sort(key=lambda u: [round(x * 1e12) / 1e12 for x in u.tolist()])
     return out
 
@@ -224,29 +227,35 @@ def _build_structure(
 ) -> AKStructure:
     """Assemble the structure tensors for a given unit Reeb candidate.
 
-    phi = u x (.) needs no sign check: d Phi - 2 eta ^ Phi is linear in phi.
-    The structure holds ``u`` itself and every array built here without a
-    copy, with ``h_sides`` evaluated on ``conn`` and ``pack``.  ``u`` is
-    taken over: it is frozen in place, so pass a copy to keep it writable.
+    phi = u x_g (.) = sqrt(det g) g^-1 [u]_x needs no sign check: d Phi -
+    2 eta ^ Phi is linear in phi.  sqrt(det g) = 1 / (i00 i11 i22), L^-1's
+    diagonal, each divided into u in turn to keep it in range.  phi h and h
+    are g-self-adjoint parts (M + g^-1 M^T g) / 2.  The structure holds
+    ``u`` itself and every array built here without a copy, with
+    ``h_sides`` evaluated on ``conn`` and ``pack``.  ``u`` is taken over: it
+    is frozen in place, so pass a copy to keep it writable.
     """
+    g = L.metric
+    ginv, _, ((i00, _, _), (_, i11, _), (_, _, i22)) = L._frame
     gamma = conn.gamma
     A = u.dot(gamma).T
-    P = _EYE - u[:, None] * u
-    M = P - A  # candidate for phi h; symmetric trace free when u is genuine
-    Msym = 0.5 * (M + M.T)
-    lam = math.sqrt(max(float(np.sum(Msym * Msym)) / 2.0, 0.0))
+    eta = g.dot(u)
+    P = _EYE - u[:, None] * eta
+    M = P - A  # candidate for phi h; self-adjoint trace free when u is genuine
+    Msym = 0.5 * (M + ginv.dot(M.T).dot(g))
+    lam = math.sqrt(max(float(np.sum(Msym * Msym.T)) / 2.0, 0.0))
     kenmotsu = lam <= tol
 
-    phi = _hat(u)
+    phi = ginv.dot(_hat(u / i00 / i11 / i22))
     h = (-phi).dot(Msym)
-    h = 0.5 * (h + h.T)
+    h = 0.5 * (h + ginv.dot(h.T).dot(g))
     if kenmotsu:
         e = P[:, int(np.argmax(np.einsum("ij,ij->j", P, P)))]
-        e = _fix_sign(e / np.linalg.norm(e))
     else:
-        e = _fix_sign(_sym_eigvec(h, lam))
+        e = _sym_eigvec(h, lam)
+    e = _fix_sign(e / np.sqrt(e.dot(g).dot(e)))  # out of range: nan, not an error
     phi_e = phi.dot(e)
-    nab_e = e.dot(gamma)  # nab_e[i] = nabla_{E_i} e
+    nab_e = e.dot(gamma).dot(g)  # nab_e[i] = nabla_{E_i} e, lowered by g
     b = -float(e.dot(nab_e).dot(phi_e))
     c = float(phi_e.dot(nab_e).dot(phi_e))
     sides = _h_transport_sides(u, h, phi, gamma, pack.riemann)
@@ -257,7 +266,7 @@ def _build_structure(
         AKStructure,
         algebra=L,
         xi=xi,
-        eta=L.metric.dot(u),
+        eta=eta,
         phi=phi,
         h_op=h,
         lam=lam,
@@ -335,9 +344,9 @@ def structure_residuals(
         transport_mat, curv_mat = _h_transport_sides(xi, h, phi, gamma, pack.riemann)
     xi_eta = xi[:, None] * eta
     adxi = xi.dot(c.reshape(3, 9)).reshape(3, 3).T
-    # phi phi, phi^T g, h phi, phi h, adxi phi, phi adxi, h E
-    prod = (np.array([phi, phi.T, h, phi, adxi, phi, h])
-            @ np.array([phi, g, phi, h, phi, adxi, F.T]))
+    # phi phi, phi^T g, h phi, phi h, adxi phi, phi adxi, h E, g h
+    prod = (np.array([phi, phi.T, h, phi, adxi, phi, h, g])
+            @ np.array([phi, g, phi, h, phi, adxi, F.T, h]))
     # reduced in segments of the flattened stack: the nine matrices 0-8
     # whole, the three rows of stack[9] one by one, the 27 entries of the
     # adapted connection (stack[10:], non-Kenmotsu only) as one
@@ -345,7 +354,7 @@ def structure_residuals(
     segments = [0, 9, 18, 27, 36, 45, 54, 63, 72, 81, 84, 87, 90]
     stack[0] = prod[0] + _EYE - xi_eta
     stack[1] = prod[1].dot(phi) - g + eta[:, None] * eta
-    stack[2] = h - h.T
+    stack[2] = prod[7] - prod[7].T
     stack[3] = prod[2] + prod[3]
     stack[4] = xi.dot(gamma).T - (_EYE - xi_eta - prod[3])
     stack[5] = transport_mat
@@ -357,8 +366,8 @@ def structure_residuals(
     if ak.kenmotsu:
         stack, segments = stack[:10], segments[:-1]
     else:
-        # gamma in the adapted frame: sum_ijk E[i, a] E[j, b] gamma[i, j, k] E[k, c]
-        ad_gamma = F.dot((F @ gamma @ F.T).reshape(3, 9)).reshape(3, 3, 3)
+        # gamma in the adapted frame: E, E, gamma, then E^-1 = E^T g in the last slot
+        ad_gamma = F.dot((F @ gamma @ F.dot(g).T).reshape(3, 9)).reshape(3, 3, 3)
         stack[10:] = ad_gamma - adapted_connection_table(lam, ak.b, ak.c)
     (phi_square, phi_compat, h_symmetric, h_phi_anticommute, reeb_gradient,
      h_transport, curvature_identity, h_lie_oracle, d_eta, h_xi, h_e, h_pe,
@@ -388,38 +397,31 @@ def structure_residuals(
     return res
 
 
-def _orthonormal(L: MetricLieAlgebra3) -> bool:
-    """Whether the frame metric is the identity to within 1e-9, as structure
-    detection requires."""
-    return all(abs(x - y) <= 1e-9 for x, y in zip(L.metric.ravel().tolist(), _EYE_FLAT))
-
-
 def detect_structure(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
     pack: CurvaturePack,
     tol: float = 1e-8,
 ) -> AKStructure:
-    """Find the almost Kenmotsu 3-h structure of an orthonormal algebra.
+    """Find the almost Kenmotsu 3-h structure of an algebra, in any frame.
 
-    The candidates come from the structure constants (``_candidate_reebs``);
-    this returns the first, in their deterministic order, whose largest
-    structure residual is within ``tol`` (scaled by the connection size);
-    later candidates are never built.  Where the Reeb field is not unique,
-    as on (1, b, b) algebras, every admissible candidate is a genuine
-    structure and their residuals differ only by rounding, so the order
-    decides.  Each candidate is scored by one ``structure_residuals`` call,
-    and the accepted structure keeps that dict as ``residuals``, next to
-    the ``h_sides`` it was scored with.  Raises ``NoStructure`` when no
-    vector orthogonal to [g, g] has nonzero tr ad, so that there is no
-    candidate, and otherwise, reporting the best residual, when no
-    candidate is admissible.
+    The candidates come from the structure constants and the algebra's one
+    metric pass (``_candidate_reebs``); this returns the first, in their
+    deterministic order, whose largest structure residual is within ``tol``
+    (scaled by the connection size), and none with a nan residual; later
+    candidates are never built.  Where the Reeb field is not unique, as on
+    (1, b, b) algebras, every admissible candidate is a genuine structure
+    and their residuals differ only by rounding, so the order decides.
+    Each candidate is scored by one ``structure_residuals`` call, and the
+    accepted structure keeps that dict as ``residuals``, next to the
+    ``h_sides`` it was scored with.  Raises ``NoStructure`` when no vector
+    orthogonal to [g, g] has nonzero tr ad, so that there is no candidate,
+    and otherwise, reporting the best residual, when no candidate is
+    admissible.
     """
-    if not _orthonormal(L):
-        raise ValueError("structure detection requires an orthonormal frame metric")
     flat = conn.gamma.ravel()
     scale = 1.0 + math.sqrt(flat.dot(flat))
-    cands = _candidate_reebs(L.structure_constants)
+    cands = _candidate_reebs(L)
     if not cands:
         raise NoStructure(
             "no vector orthogonal to [g, g] has nonzero tr ad, so there is no "
@@ -429,6 +431,8 @@ def detect_structure(
         ak = _build_structure(L, conn, pack, u, tol)
         residuals = structure_residuals(L, conn, pack, ak)
         res = max(residuals.values())
+        if math.isnan(sum(residuals.values())):
+            res = math.nan  # max() passes over a nan that follows a number
         if res <= tol * scale:
             # the structure is frozen once it leaves detection
             object.__setattr__(ak, "residuals", MappingProxyType(residuals))

@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from .almost_kenmotsu import (
-    _orthonormal,
     adapted_connection_table,
     check_h_parallel,
     detect_structure,
@@ -376,15 +375,11 @@ def cmd_cotton(args) -> int:
     conn = levi_civita(L)
     pack = curvature(L, conn)
     cp = pack.cotton
-    adapted = None
-    if _orthonormal(L):
-        try:
-            ak = detect_structure(L, conn, pack, tol=tol)
-        except NoStructure:
-            ak = None
-        if ak is not None:
-            closed, gap = _closed_form_gap(ak)
-            adapted = {"closed_form": _mat(closed), "max_gap": gap}
+    try:
+        closed, gap = _closed_form_gap(detect_structure(L, conn, pack, tol=tol))
+        adapted = {"closed_form": _mat(closed), "max_gap": gap}
+    except NoStructure:
+        adapted = None
     payload = {
         "cotton2": _mat(cp.cotton2.components),
         "cotton2_norm": cp.norm2,

@@ -98,6 +98,25 @@ def rotate_algebra(L: MetricLieAlgebra3, P: np.ndarray) -> MetricLieAlgebra3:
     return MetricLieAlgebra3(c, P.T @ L.metric @ P)
 
 
+def change_basis(L: MetricLieAlgebra3, P: np.ndarray) -> MetricLieAlgebra3:
+    """Express the algebra in the frame e'_i = sum_a P[a, i] e_a, for any
+    invertible P: the lower indices map by P and the upper one by P^-1,
+    c'[i, j, l] = sum P[a, i] P[b, j] c[a, b, k] P^-1[l, k], and the
+    metric becomes P^T g P."""
+    c = np.einsum(
+        "ai,bj,abk,lk->ijl", P, P, L.structure_constants, np.linalg.inv(P)
+    )
+    return MetricLieAlgebra3(c, P.T @ L.metric @ P)
+
+
+def random_basis_change(rng: np.random.Generator, max_cond: float = 1e3) -> np.ndarray:
+    """A Gaussian 3x3 matrix P with cond(P^T P) <= max_cond, by rejection."""
+    while True:
+        P = rng.normal(size=(3, 3))
+        if np.linalg.cond(P.T @ P) <= max_cond:
+            return P
+
+
 def random_spd(rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned random symmetric positive definite 3x3 matrix."""
     B = rng.normal(size=(3, 3))

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import (
     abelian,
+    change_basis,
     heisenberg,
     milnor,
+    random_basis_change,
     random_kenmotsu,
     random_rotation,
     random_valid_algebra,
@@ -21,6 +23,7 @@ from conftest import (
 from cotton3 import (
     AKStructure,
     InconsistentStructure,
+    MetricLieAlgebra3,
     NoStructure,
     adapted_connection_table,
     bracket,
@@ -31,11 +34,13 @@ from cotton3 import (
     from_nonunimodular,
     levi_civita,
     ricci_closed_form,
+    soliton_existence_survey,
     structure_residuals,
     validate,
     xi_eigenvector_analysis,
 )
 from cotton3 import almost_kenmotsu
+from cotton3.cli import _KENMOTSU_MEMBERS, _SOLVABLE_MEMBERS
 from cotton3.almost_kenmotsu import (
     _build_structure,
     _candidate_reebs,
@@ -73,13 +78,22 @@ class TestDerivedAlgebraCandidates:
             c = Lr.structure_constants
             trace = np.einsum("aii->a", c)
             assert np.linalg.norm(trace) > 1e-6
-            cands = _candidate_reebs(c)
+            cands = _candidate_reebs(Lr)
             assert 1 <= len(cands) <= 2
             for u in cands:
                 assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
                 # d eta = 0: u annihilates every bracket
                 assert np.max(np.abs(c @ u)) <= 1e-12 * (1.0 + np.max(np.abs(c)))
                 assert trace @ u < 0.0
+
+    def test_tr_ad_too_large_to_square_gives_none(self):
+        # in the orthonormal frame of 1e-300 I, tr ad of the (1, b, b)
+        # constants times 1e10 is about 1e160, and |tr ad|^2 overflows
+        L = from_kenmotsu_params(1.0, 0.5, 0.5)
+        L = MetricLieAlgebra3(1e10 * L.structure_constants, 1e-300 * np.eye(3))
+        assert validate(L).is_valid
+        with np.errstate(over="ignore"):
+            assert _candidate_reebs(L) == []
 
     def test_unimodular_has_no_structure(self):
         rng = np.random.default_rng(35)
@@ -234,11 +248,22 @@ class TestDetection:
             with pytest.raises(NoStructure):
                 detect_structure(L, conn, pack)
 
-    def test_requires_orthonormal_frame(self):
+    def test_raw_constants_under_a_scaled_metric_have_no_structure(self):
+        # the unit Reeb candidate under 2 I is e1 / sqrt(2), where
+        # tr ad = -sqrt(2), not -2: detection runs and refuses
         L = from_kenmotsu_params(2.0, 0.0, 0.0).with_metric(2.0 * np.eye(3))
         conn = levi_civita(L)
         pack = curvature(L, conn)
-        with pytest.raises(ValueError):
+        with pytest.raises(NoStructure, match="no unit Reeb candidate satisfies"):
+            detect_structure(L, conn, pack)
+
+    def test_nan_residual_refuses_the_candidate(self):
+        # under 1e-238 I the candidate's g^-1 M^T g overflows, and its h and
+        # e are nan; max() over the residuals would pass over those nans
+        L = from_kenmotsu_params(2.0, 0.0, 0.0).with_metric(1e-238 * np.eye(3))
+        conn = levi_civita(L)
+        pack = curvature(L, conn)
+        with np.errstate(all="ignore"), pytest.raises(NoStructure):
             detect_structure(L, conn, pack)
 
     def test_adapted_connection_residual_key(self):
@@ -253,6 +278,38 @@ class TestDetection:
         assert "adapted_connection" not in structure_residuals(
             Lh, connh, packh, akh
         )
+
+
+class TestBasisChange:
+    """Detection is a statement about the metric, not about the frame it is
+    written in: every verify-paper reference member, in 100 seeded frames
+    with cond(P^T P) <= 1e3 and metric P^T P, gives its (lam, |b|, |c|), its
+    Reeb field and its soliton classifications."""
+
+    MEMBERS = ([(p, from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS]
+               + [(p, from_nonunimodular(*p)) for p in _SOLVABLE_MEMBERS])
+
+    def test_reference_members_in_general_frames(self):
+        rng = np.random.default_rng(271)
+        for params, L in self.MEMBERS:
+            _, _, ak0 = detect(L)
+            want = {name: sol.classification
+                    for name, sol in soliton_existence_survey(ak0).items()}
+            scale = ak0.lam + abs(ak0.b) + abs(ak0.c)
+            # lam = 1, b = c = 0 is a double root, resolved to about sqrt(eps)
+            rel = 1e-6 if params == (1.0, 0.0, 0.0) else 1e-9
+            for _ in range(100):
+                P = random_basis_change(rng)
+                _, _, ak = detect(change_basis(L, P))
+                got = np.array([ak.lam, abs(ak.b), abs(ak.c)])
+                ref = np.array([ak0.lam, abs(ak0.b), abs(ak0.c)])
+                assert np.max(np.abs(got - ref)) <= rel * (1.0 + scale)
+                if abs(ak0.lam - 1.0) > 1e-3:
+                    # the Reeb field is unique: its components are P^-1 xi_0
+                    xi = np.linalg.solve(P, ak0.xi.components)
+                    assert np.allclose(ak.xi.components, xi, rtol=0.0, atol=1e-9)
+                survey = soliton_existence_survey(ak)
+                assert {name: sol.classification for name, sol in survey.items()} == want
 
 
 class TestAdaptedTable:
@@ -367,7 +424,7 @@ class TestPhiOrientation:
         for _ in range(200):
             L = random_valid_algebra(rng, rotated=True)
             units = [u / np.linalg.norm(u) for u in rng.normal(size=(3, 3))]
-            for u in units + _candidate_reebs(L.structure_constants):
+            for u in units + _candidate_reebs(L):
                 phi = _hat(u)
                 assert _dphi_residual(L, u, -phi) == _dphi_residual(L, u, phi)
 
@@ -559,7 +616,7 @@ class TestReferenceEquivalence:
             # rotated trace is rounding; there only the verdicts are compared
             ref_cands = reference_candidates(conn)
             if ref_cands:
-                cands = _candidate_reebs(L.structure_constants)
+                cands = _candidate_reebs(L)
                 assert len(cands) == len(ref_cands)
                 for u, ref_u in zip(cands, ref_cands):
                     assert_matches_reference(u, ref_u)
@@ -593,7 +650,7 @@ class TestReferenceEquivalence:
             b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
             L = rotate_algebra(from_kenmotsu_params(1.0, b, b), random_rotation(rng))
             _, _, ak = detect(L)
-            cands = _candidate_reebs(L.structure_constants)
+            cands = _candidate_reebs(L)
             assert len(cands) == 2
             assert np.array_equal(ak.xi.components, cands[0])
 
@@ -627,7 +684,7 @@ class TestCandidateList:
         a = -u0 / np.linalg.norm(u0)
         Lr = rotate_algebra(L, np.column_stack([a, w, np.cross(a, w)]))
         _, _, ak = detect(Lr)
-        assert len(_candidate_reebs(Lr.structure_constants)) == 2
+        assert len(_candidate_reebs(Lr)) == 2
         assert abs(abs(ak.b) - b) <= 1e-8
 
 
@@ -714,7 +771,7 @@ class TestResidualReuse:
             fresh = levi_civita(L)
             fresh_pack = curvature(L, fresh)
             scale = 1.0 + float(np.linalg.norm(fresh.gamma))
-            for u in _candidate_reebs(L.structure_constants):
+            for u in _candidate_reebs(L):
                 cand = _build_structure(L, fresh, fresh_pack, u, 1e-8)
                 res = structure_residuals(L, fresh, fresh_pack, cand)
                 if max(res.values()) <= 1e-8 * scale:
@@ -804,7 +861,9 @@ class TestScalarEigenvector:
     def test_sym_eigvec_equals_cross_product_form_bitwise(self):
         fallbacks = 0
         for M, mu in self.corpus(np.random.default_rng(131)):
-            got, want = _sym_eigvec(M, mu), reference_eigvec(M, mu)
+            # the null vector comes back unnormalised; detection normalises it
+            got = _sym_eigvec(M, mu)
+            got, want = got / np.linalg.norm(got), reference_eigvec(M, mu)
             assert got.tobytes() == want.tobytes()
             K = M - mu * np.eye(3)
             longest = max(np.linalg.norm(np.cross(K[i], K[j]))
@@ -873,7 +932,7 @@ class TestDetectionCallCounts:
                            random_rotation(np.random.default_rng(141)))
         conn = levi_civita(L)
         pack = curvature(L, conn)
-        n_candidates = len(_candidate_reebs(L.structure_constants))
+        n_candidates = len(_candidate_reebs(L))
         counts = self.counted(monkeypatch)
         ak = detect_structure(L, conn, pack)
         assert abs(ak.lam - params[0]) <= 1e-8

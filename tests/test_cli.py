@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_jacobi
+from conftest import brute_jacobi, change_basis
+from cotton3 import from_kenmotsu_params
 from cotton3.cli import _gap, build_parser, main
 
 SU2_BRACKETS = {
@@ -34,6 +35,19 @@ def geom(tmp_path):
 
 def kenmotsu(lam, b=0.0, c=0.0, **extra):
     return {"kenmotsu": {"lambda": lam, "b": b, "c": c}, **extra}
+
+
+SKEW_METRIC = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.5]]
+
+
+def skew_frame_kenmotsu():
+    """The lambda = 2 member in the frame e'_i = sum_a P[a, i] e_a, P the
+    transposed Cholesky factor of SKEW_METRIC: brackets plus that metric."""
+    P = np.linalg.cholesky(np.array(SKEW_METRIC)).T
+    c = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), P).structure_constants
+    brackets = [{"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()}
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+    return {"brackets": brackets, "metric": SKEW_METRIC}
 
 
 class TestCurvature:
@@ -119,12 +133,37 @@ class TestStructure:
             assert doc["lambda"] == lam
             assert doc["xi"] == [1.0, 0.0, 0.0]
 
-    def test_requires_orthonormal_frame(self, geom, capsys):
+    def test_raw_constants_under_a_scaled_metric_have_no_structure(self, geom, capsys):
+        # tr ad of the unit Reeb candidate e1 / sqrt(2) is -sqrt(2), not -2
         path = geom(kenmotsu(2.0, metric=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
         rc = main(["structure", path])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "orthonormal" in captured.err
+        assert captured.err.startswith("error: no unit Reeb candidate satisfies")
+        assert captured.err.count("\n") == 1
+
+
+class TestGeneralFrame:
+    """The lam = 2 member written in a frame with a non-diagonal metric is
+    the same geometry: every command detects its structure."""
+
+    def test_structure(self, geom, capsys):
+        rc = main(["structure", geom(skew_frame_kenmotsu()), "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lambda"] == pytest.approx(2.0, abs=1e-9)
+        assert abs(doc["b"]) <= 1e-9 and abs(doc["c"]) <= 1e-9
+
+    def test_soliton(self, geom):
+        assert main(["soliton", geom(skew_frame_kenmotsu()), "--format", "machine"]) == 0
+
+    def test_cotton_adapted_frame_values(self, geom, capsys):
+        rc = main(["cotton", geom(skew_frame_kenmotsu()), "--format", "machine"])
+        assert rc == 0
+        adapted = json.loads(capsys.readouterr().out)["adapted_frame_values"]
+        assert np.allclose(adapted["closed_form"], np.diag([0.0, 12.0, -12.0]),
+                           rtol=0.0, atol=1e-9)
+        assert adapted["max_gap"] <= 1e-9
 
 
 class TestCotton:
