@@ -243,7 +243,7 @@ def _build_structure(
     P = _EYE - u[:, None] * eta
     M = P - A  # candidate for phi h; self-adjoint trace free when u is genuine
     Msym = 0.5 * (M + ginv.dot(M.T).dot(g))
-    lam = math.sqrt(max(float(np.sum(Msym * Msym.T)) / 2.0, 0.0))
+    lam = math.sqrt(max(float((Msym * Msym.T).sum()) / 2.0, 0.0))
     kenmotsu = lam <= tol
 
     phi = ginv.dot(_hat(u / i00 / i11 / i22))
@@ -302,12 +302,10 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
 def _h_transport_sides(xi, h, phi, gamma: np.ndarray, riemann: np.ndarray):
     """nabla_xi h from the connection, and the curvature expression
     -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
-    equals on an almost Kenmotsu structure; the four first-level 3x3
-    products are one stacked ``matmul``."""
+    equals on an almost Kenmotsu structure."""
     n_xi = xi.dot(gamma.reshape(3, 9)).reshape(3, 3).T
     l = _jacobi(riemann, xi)
-    prod = np.array([n_xi, h, phi, phi]) @ np.array([h, n_xi, h, l])
-    return prod[0] - prod[1], -phi - 2.0 * h - prod[2].dot(h) - prod[3]
+    return n_xi.dot(h) - h.dot(n_xi), -phi - 2.0 * h - phi.dot(h).dot(h) - phi.dot(l)
 
 
 def structure_residuals(
@@ -532,7 +530,7 @@ def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEige
     xi, e, phi_e = ak.adapted_frame
     s_xi_e = ricci.evaluate(xi, e)
     s_xi_pe = ricci.evaluate(xi, phi_e)
-    scale = 1.0 + float(np.max(np.abs(ricci.components)))
+    scale = 1.0 + float(abs(ricci.components).max())
     is_eigen = abs(s_xi_e) <= tol * scale and abs(s_xi_pe) <= tol * scale
     if not is_eigen:
         return XiEigenReport(False, s_xi_e, s_xi_pe, None, None)
@@ -548,7 +546,7 @@ def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEige
     got = np.einsum("ijk,ni,nj->nk", L.structure_constants,
                     np.array((e, e, p)), np.array((x, p, x)))
     want = np.array((e - lam * p, np.zeros(3), -lam * e + p))
-    residual = float(np.max(np.abs(got - want)))
+    residual = float(abs(got - want).max())
     return XiEigenReport(
         True,
         s_xi_e,

@@ -41,12 +41,13 @@ def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
     """
     U, s, Vt = np.linalg.svd(A)
     n = s.size
+    # .dot on this column slice of U rounds differently from @
     y = rhs @ U[:, :n]
     sv = s.tolist()
     cut = _EPS * max(A.shape) * sv[0]
     if sv[-1] > cut:
         # every singular value is kept: the masks would select everything
-        z = (y / s) @ Vt[:n]
+        z = (y / s).dot(Vt[:n])
     else:
         keep = s > cut
         z = (y[keep] / s[keep]) @ Vt[:n][keep]

@@ -192,9 +192,11 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     """Solve and classify the assembled system A z = k (see ``solve``).
 
     Vector norms are taken as sqrt(r.dot(r)), ``np.linalg.norm``'s own
-    vector form.  The potential is summed on the floats of the coefficients
-    and the basis, from 0 as ``sum`` starts, and the solution holds the
-    arrays built here without a copy.
+    vector form; the norms of the family rows' potential parts, read only
+    when the solution is feasible, are summed on floats in
+    ``np.add.reduce``'s order.  The potential is summed on the floats of the
+    coefficients and the basis, from 0 as ``sum`` starts, and the solution
+    holds the arrays built here without a copy.
     """
     z, sv, Vt = _svd_lstsq(A, k)
     r = A.dot(z) - k
@@ -215,9 +217,8 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     if not feasible:
         kind = INFEASIBLE
     else:
-        v_moves = family_dim > 0 and bool(
-            np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10)
-        )
+        v_moves = any(math.sqrt(sum(x * x for x in row[:-1])) > 1e-10
+                      for row in family.tolist())
         if math.sqrt(coeffs.dot(coeffs)) <= 1e-8 and not v_moves:
             kind = TRIVIAL_ONLY
         elif abs(sigma) <= tol * c_scale:
@@ -329,7 +330,7 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     checks = []
     for lam in lam_grid:
         lam = float(lam)
-        checks += _theorem_checks(lam, _theorem_layers(lam), tol)
+        checks += _theorem_checks(lam, *_theorem_layers(lam, tol), tol)
     report = TheoremReport(tuple(checks))
     if not report.all_passed:
         names = ", ".join(
@@ -341,23 +342,26 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     return report
 
 
-def _theorem_layers(lam: float) -> CurvaturePack:
-    """The curvature pack of the lam, b = c = 0 member, fresh; it keeps the
-    member's algebra and connection."""
+def _theorem_layers(lam: float, tol: float):
+    """The curvature pack of the lam, b = c = 0 member, fresh (it keeps the
+    member's algebra and connection), and its collinear and orthogonal
+    ansatz solutions over the frame (e1, e2, e3)."""
     L = from_kenmotsu_params(lam, 0.0, 0.0)
-    return curvature(L, levi_civita(L))
+    pack = curvature(L, levi_civita(L))
+    problem = SolitonProblem.build(L, pack.connection, pack)
+    return pack, _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
 
 
-def _theorem_checks(lam: float, pack: CurvaturePack, tol: float) -> list:
-    """The checks of ``reproduce_theorems`` at one lam, on the member's
-    prebuilt curvature ``pack`` and the algebra and connection it keeps;
-    ``ValueError`` for a nan, infinite or negative ``tol``, which would
-    skip the lam = 1 checks."""
+def _theorem_checks(lam: float, pack: CurvaturePack, sols: dict, tol: float) -> list:
+    """The checks of ``reproduce_theorems`` at one lam, from the member's
+    curvature ``pack`` (with the algebra and connection it keeps) and
+    ``sols``, its "collinear" and "orthogonal" ansatz solutions, solved by
+    the caller over a basis whose fields are e1, e2 and e3; ``ValueError``
+    for a nan, infinite or negative ``tol``, which would skip the lam = 1
+    checks."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     L, conn = pack.algebra, pack.connection
-    problem = SolitonProblem(L, conn, pack.cotton.cotton2, _FRAME)
-    sols = _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
     coll, orth = sols["collinear"], sols["orthogonal"]
     at_one = abs(lam - 1.0) <= tol
     checks = [

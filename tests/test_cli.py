@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_jacobi, change_basis
-from cotton3 import from_kenmotsu_params
-from cotton3.cli import _gap, build_parser, main
+from cotton3 import from_kenmotsu_params, reproduce_theorems
+from cotton3.cli import _KENMOTSU_MEMBERS, _gap, _member, build_parser, main
 
 SU2_BRACKETS = {
     "brackets": [
@@ -711,6 +711,39 @@ class TestInputErrors:
         assert len(captured.err.splitlines()) == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("payload", [
+        # a nested list, after a key json would sort ahead of it
+        {"ricci": [[1.0, 2.0], [3.0, float("nan")]], "a": [0.0]},
+        {"b": float("inf"), "a": [float("-inf")]},
+        {"checks": [{"name": "x", "residual": 0.5}, {"name": "y", "residual": math.inf}]},
+    ])
+    def test_machine_format_names_the_walks_key(self, capsys, payload):
+        from cotton3.cli import CLIError, _emit, _non_finite
+
+        key = next(_non_finite(payload))
+        for fmt in ("machine", "human"):
+            with pytest.raises(CLIError, match=f"^{key} is not finite"):
+                _emit(payload, argparse.Namespace(format=fmt), print)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_non_finite_number_in_a_tuple(self, capsys, monkeypatch, fmt):
+        # a tuple is walked like a list: one error line and exit 1, never
+        # json's own message or a NaN on stdout
+        from cotton3 import cli
+
+        def cmd(args):
+            cli._emit({"spectrum": (1.0, (2.0, float("nan")))}, args, print)
+            return 0
+        # a parser built after the patch dispatches verify-paper to cmd
+        monkeypatch.setattr(cli, "cmd_verify", cmd)
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        rc = main(["verify-paper", "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: spectrum is not finite: the geometry exceeds double precision\n"
+
 
 class TestTolerances:
     def test_tolerance_comes_only_from_the_flag(self, capsys, monkeypatch):
@@ -775,12 +808,16 @@ class TestVerifyPaper:
         # an exact fixed point.  Metric passes: one per member, kept on its
         # algebra for the connection, the curvature and the Ricci spectra,
         # and one for the flow evaluation.  Each member's Riemann tensor is
-        # built once, on the structure detection's first read
+        # built once, on the structure detection's first read.  The members
+        # at lambda = 2, 1 and 0.5 each assemble one soliton system and solve
+        # its collinear and orthogonal ansatz subsets once, for the reference
+        # checks and the grid rows together
         import sys
 
         counts = dict.fromkeys(
             ("detect_structure", "levi_civita", "curvature", "cotton_pack",
-             "cotton2_array", "_metric_frame", "_riemann"), 0
+             "cotton2_array", "_metric_frame", "_riemann", "_solve",
+             "_assemble_system"), 0
         )
         wrapped = {}
         for modname, mod in sorted(sys.modules.items()):
@@ -807,7 +844,51 @@ class TestVerifyPaper:
             "cotton2_array": 1,
             "_metric_frame": 9,
             "_riemann": 8,
+            "_solve": 6,
+            "_assemble_system": 3,
         }
+
+    def test_diagonal_members_have_the_standard_adapted_frame(self):
+        # the grid rows of a (lam, 0, 0) member read the solutions of its
+        # reference checks, solved over its adapted frame: that frame must be
+        # (e1, e2, e3) bit for bit, as reproduce_theorems solves over
+        diagonal = [p for p in _KENMOTSU_MEMBERS if p[1] == p[2] == 0.0]
+        assert len(diagonal) == 4
+        for p in diagonal:
+            frame = _member(from_kenmotsu_params(*p)).adapted_frame
+            got = np.array([v.components for v in frame])
+            assert got.tobytes() == np.eye(3).tobytes(), p
+
+    @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.0), (0.75, 1.5)])
+    def test_grid_rows_equal_reproduce_theorems(self, capsys, monkeypatch, grid):
+        # members (0.5, 1, 2, 3) read their shared solutions; 0.75 and 1.5
+        # get fresh layers.  Either way each row is that of reproduce_theorems,
+        # field by field, residual bits included
+        from cotton3 import cli
+
+        rows = []
+        theorem_checks = cli._theorem_checks
+
+        def recording(*args):
+            out = theorem_checks(*args)
+            rows.extend(out)
+            return out
+        monkeypatch.setattr(cli, "_theorem_checks", recording)
+        rc = main(["verify-paper", "--grid", ",".join(map(str, grid)),
+                   "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        want = reproduce_theorems(grid).checks
+        assert len(rows) == len(want) > len(grid)
+        for got, ref in zip(rows, want):
+            assert (got.name, got.lam, got.passed, got.detail) == (
+                ref.name, ref.lam, ref.passed, ref.detail)
+            assert got.residual.hex() == ref.residual.hex()
+        printed = doc["checks"][-len(want):]
+        assert printed == [
+            {"name": f"{ch.name}, lambda={ch.lam:g}", "ok": ch.passed,
+             "detail": f"{ch.detail}; residual {ch.residual:.3e}"} for ch in want
+        ]
 
     def test_custom_grid(self, capsys):
         rc = main(["verify-paper", "--grid", "2", "--format", "machine"])

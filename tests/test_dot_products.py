@@ -5,13 +5,18 @@ The engine takes its small products with ``a.dot(b)``, which hands 1-D and
 2-D pairs straight to BLAS, where ``@`` first goes through the matmul
 ufunc's dispatch.  The two give the same bits on the numpy and BLAS builds
 this package is tested with; a build where they differ fails here, by
-operand shape, before any output digest moves.
+operand shape, before any output digest moves.  The same holds for the
+float sum that ``_solve`` takes in place of ``np.linalg.norm`` over rows.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_spd, random_valid_algebra
+from cotton3.frame_algebra import FrameVector
+from cotton3.soliton import STEADY, TRIVIAL_ONLY, _solve
 from cotton3.connection_curvature import _DUAL, _KOSZUL, _ROLL, _SWAP, _TRACE
 from cotton3.cotton import cotton2_array
 from cotton3.frame_algebra import _metric_frame
@@ -33,12 +38,17 @@ DOT_SHAPES = [
     ((3,), (3, 9)),  # _h_transport_sides, structure_residuals
     ((3, 3), (3, 9)),  # structure_residuals: the adapted connection
     ((3, 3), (3,)),  # _candidate_reebs (w x t), _build_structure, _dphi_residual
-    ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate
+    ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate, _svd_lstsq
     ((3,), (3,)),  # _longest, _candidate_reebs, _build_structure, structure_residuals
     ((6, 2), (2,)),  # _solve: A z for each ansatz width
     ((6, 3), (3,)),
     ((6, 4), (4,)),
+    ((2,), (2, 2)),  # _svd_lstsq: (y / s) Vt at full rank, for each ansatz width
+    ((4,), (4, 4)),
 ]
+# not listed: _svd_lstsq keeps rhs @ U[:, :n] on @, because on that column
+# slice of U, .dot gave other bits for about 40% of random 6 x n systems
+
 # lengths of the vectors x whose norm the engine takes as sqrt(x.dot(x));
 # for one entry .dot returns the product itself where @ sums it from +0,
 # which tells -0 from +0 for two operands but never for x x
@@ -104,3 +114,64 @@ def test_cotton_chain_matches_matmul_composition():
         c = random_valid_algebra(rng, rotated=True).structure_constants
         g = random_spd(rng)
         assert cotton2_array(c, g).tobytes() == cotton2_matmul(c, g).tobytes()
+
+
+def v_moves_rows(family):
+    """Per family row, whether its potential part moves V: ``_solve``'s
+    float form."""
+    return [math.sqrt(sum(x * x for x in row[:-1])) > 1e-10 for row in family.tolist()]
+
+
+def test_v_moves_float_sum_equals_row_norms():
+    # the float sum rounds as np.linalg.norm(..., axis=1) does, on null-space
+    # rows of rank-deficient systems and on rows whose potential part is
+    # 1e-10 to within a few ulp, on either side
+    rng = np.random.default_rng(2028)
+    families = []
+    for n in (2, 3, 4):
+        for _ in range(200):
+            # the last column a sum of the others, or zero: rank n - 1
+            A = rng.integers(-4, 5, size=(6, n)).astype(float)
+            A[:, -1] = A[:, :-1].sum(axis=1) if rng.integers(2) else 0.0
+            _, sv, Vt = np.linalg.svd(A)
+            family = Vt[int(np.sum(sv > 1e-10 * sv[0])):]
+            assert family.shape[0] >= 1
+            families.append(family)
+        for _ in range(200):
+            row = rng.normal(size=n)
+            row[:-1] *= 1e-10 / np.linalg.norm(row[:-1])
+            steps = rng.integers(-4, 5)
+            for _ in range(abs(steps)):
+                row[0] = np.nextafter(row[0], math.copysign(math.inf, steps * row[0]))
+            families.append(row[None, :])
+    decided = set()
+    for family in families:
+        norms = np.linalg.norm(family[:, :-1], axis=1)
+        floats = [math.sqrt(sum(x * x for x in row[:-1])) for row in family.tolist()]
+        assert [x.hex() for x in floats] == [float(x).hex() for x in norms]
+        assert v_moves_rows(family) == (norms > 1e-10).tolist()
+        decided.update(v_moves_rows(family))
+    assert decided == {True, False}
+
+
+def test_solve_decides_v_moves_as_row_norms():
+    # A z = 0 with a one-dimensional null space along (t w, 1), |w| = 1 and
+    # t near 1e-10: the family row's potential part straddles the cutoff, and
+    # the solution is steady exactly where the row norm moves V
+    rng = np.random.default_rng(2029)
+    seen = set()
+    for n in (2, 3, 4):
+        for _ in range(300):
+            pot = rng.normal(size=(6, n - 1))
+            w = rng.normal(size=n - 1)
+            w /= np.linalg.norm(w)
+            t = 1e-10 * (1.0 + rng.uniform(-1e-5, 1e-5))
+            A = np.column_stack([pot, -t * pot.dot(w)])
+            sol = _solve(A, np.zeros(6), tuple(FrameVector(e) for e in np.eye(3)[: n - 1]),
+                         2.0, 1e-8)
+            assert sol.family_dim == 1
+            family = sol.family_basis
+            moves = bool(np.any(np.linalg.norm(family[:, :-1], axis=1) > 1e-10))
+            assert sol.classification == (STEADY if moves else TRIVIAL_ONLY)
+            seen.add(moves)
+    assert seen == {True, False}
