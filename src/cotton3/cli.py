@@ -10,8 +10,9 @@ with 1-indexed frame labels in the bracket form, plus an optional
 "metric" entry (3x3 nested list, symmetric positive definite).  Output is
 a human-readable report by default or, with --format machine, a single
 deterministic JSON document carrying all computed values and the tool
-version.  The tolerance is 1e-8 unless --tolerance gives another; it must
-be positive and finite, as must every number in the geometry file.
+version.  The tolerance is 1e-8 unless --tolerance gives another (flow has
+no --tolerance: its one verdict takes --fixed-point-tol); it must be
+positive and finite, as must every number in the geometry file.
 
 Exit codes: 0 on success, 1 on input or structure errors, 2 when
 verify-paper finds a reference value that does not reproduce.
@@ -61,9 +62,9 @@ from .soliton import (
     STEADY,
     TRIVIAL_ONLY,
     SolitonProblem,
-    _solve_ansatze,
+    _frame_solutions,
+    _fresh_pack,
     _theorem_checks,
-    _theorem_layers,
     lie_derivative_metric,
     solve as solve_soliton,
     soliton_existence_survey,
@@ -552,28 +553,23 @@ def _verify_checks(tol: float, grid: list) -> list:
     """The fixed reference checks, then the soliton existence checks at
     each lam of ``grid``.  Each value check compares one gap, the largest
     |value - reference| over its values, with one tolerance: ``tol``,
-    ``100*tol`` or ``1e-6``.  A member's collinear and orthogonal ansatz
-    systems are solved once, over its adapted frame, on the first read.  A
-    grid lam that is a (lam, 0, 0) member of the table reads that member's
-    layers and solutions: its adapted frame is exactly (e1, e2, e3), so they
-    are bitwise those of ``reproduce_theorems``.  Any other lam gets fresh
-    layers, solved over (e1, e2, e3), with no structure detection."""
+    ``100*tol`` or ``1e-6``.  Every (lam, 0, 0) geometry the soliton checks
+    read, lam = 2 and 1 and each grid lam, has one record: the curvature
+    pack of its member, or a fresh one when lam is not a member (no
+    structure detection), with its collinear and orthogonal ansatz
+    solutions over (e1, e2, e3), solved once.  The reference checks and the
+    grid rows read that record, so the rows are bitwise those of
+    ``reproduce_theorems``."""
     checks = []
     members = {p: _member(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
     members.update((p, _member(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
     ak2, ak133, ak1 = members[2.0, 0.0, 0.0], members[1.0, 3.0, 3.0], members[1.0, 0.0, 0.0]
     pack2, p133, pack1 = ak2.curvature, ak133.curvature, ak1.curvature
-    solved = {}
-
-    def survey(p):
-        # the member's collinear and orthogonal ansatz solutions, from its
-        # own Cotton tensor, solved on the first read
-        if p not in solved:
-            ak = members[p]
-            problem = SolitonProblem(ak.algebra, ak.connection, ak.curvature.cotton.cotton2,
-                                     ak.adapted_frame)
-            solved[p] = _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
-        return solved[p]
+    records = {}
+    for lam in dict.fromkeys((2.0, 1.0, *grid)):
+        ak = members.get((lam, 0.0, 0.0))
+        pack = _fresh_pack(lam) if ak is None else ak.curvature
+        records[lam] = pack, _frame_solutions(pack, tol)
 
     def add(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -618,28 +614,27 @@ def _verify_checks(tol: float, grid: list) -> list:
         "; ".join(f"lambda={lam:g}: {norm:.6g}" for lam, norm in zip(lams, norms)))
 
     # reeb-collinear soliton: infeasible at lambda=2 with residual 12*sqrt(2)
-    survey2 = survey((2.0, 0.0, 0.0))
-    sol = survey2["collinear"]
+    sols2 = records[2.0][1]
+    sol = sols2["collinear"]
     ok = (sol.classification == INFEASIBLE
           and abs(sol.residual - 12.0 * math.sqrt(2.0)) <= 100 * tol)
     add("reeb-collinear soliton, lambda=2", ok,
         f"{sol.classification}, residual {sol.residual:.6g}")
 
     # at lambda=1 the collinear problem admits only the trivial solution
-    survey1 = survey((1.0, 0.0, 0.0))
-    sol = survey1["collinear"]
+    sols1 = records[1.0][1]
+    sol = sols1["collinear"]
     add("reeb-collinear soliton, lambda=1", sol.classification == TRIVIAL_ONLY,
         sol.classification)
 
     # at lambda=1 the orthogonal problem has a steady one-parameter family
-    # along e + phi_e, whose Lie derivative of the metric vanishes
-    sol = survey1["orthogonal"]
+    # along e2 + e3 (e + phi_e), whose Lie derivative of the metric vanishes
+    sol = sols1["orthogonal"]
     ok = sol.classification == STEADY and sol.family_dim == 1
     if ok:
         d = sol.family_basis[0]
-        _, e, phi_e = ak1.adapted_frame
         witness = lie_derivative_metric(
-            ak1.algebra, ak1.connection, FrameVector(e.components + phi_e.components)
+            pack1.algebra, pack1.connection, FrameVector((0.0, 1.0, 1.0))
         ).components
         gap = _gap(np.append(witness, [d[-1], abs(d[0]) - abs(d[1])]), 0.0)
         ok = gap <= tol and np.sign(d[0]) == np.sign(d[1])
@@ -647,7 +642,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         f"{sol.classification}, family dim {sol.family_dim}")
 
     # at lambda=2 the orthogonal problem is infeasible
-    sol = survey2["orthogonal"]
+    sol = sols2["orthogonal"]
     add("orthogonal soliton, lambda=2", sol.classification == INFEASIBLE,
         sol.classification)
 
@@ -695,11 +690,7 @@ def _verify_checks(tol: float, grid: list) -> list:
     # the soliton existence picture across the grid
     rows = []
     for lam in grid:
-        p = (lam, 0.0, 0.0)
-        if p in members:
-            rows += _theorem_checks(lam, members[p].curvature, survey(p), tol)
-        else:
-            rows += _theorem_checks(lam, *_theorem_layers(lam, tol), tol)
+        rows += _theorem_checks(lam, *records[lam], tol)
     _require_finite({"residual": [ch.residual for ch in rows]})
     for ch in rows:
         add(f"{ch.name}, lambda={ch.lam:g}", ch.passed,
@@ -745,13 +736,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, geometry=True):
+    def common(p, geometry=True, tolerance=True):
         if geometry:
             p.add_argument("geometry", help="path to a geometry description (JSON)")
         p.add_argument("--format", choices=("human", "machine"), default="human",
                        help="output format (default: human)")
-        p.add_argument("--tolerance", type=float, default=1e-8,
-                       help="numerical tolerance (default: 1e-8)")
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=1e-8,
+                           help="numerical tolerance (default: 1e-8)")
 
     p = sub.add_parser("curvature", help="connection, Ricci data, geometry class")
     common(p)
@@ -774,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_soliton)
 
     p = sub.add_parser("flow", help="integrate the Cotton flow of the metric")
-    common(p)
+    # the flow's one verdict has its own --fixed-point-tol
+    common(p, tolerance=False)
     p.add_argument("--dt", type=float, required=True, help="step size")
     p.add_argument("--steps", type=int, required=True, help="number of steps")
     p.add_argument("--stride", type=int, default=1,

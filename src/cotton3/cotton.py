@@ -20,15 +20,15 @@ free, and scales as t^(-1/2) C under g -> t g.
 
 ``curvature`` evaluates both once per geometry, as ``CurvaturePack.cotton``,
 the dual reading g / sqrt(det g) off the algebra's metric pass; ``cotton_pack``
-returns it, and ``cotton2_array`` runs the same ``_chain`` on plain arrays.
+returns the pack's evaluation, built by its caller, and ``cotton2_array`` runs
+the same ``_chain`` on plain arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack, curvature
-from .connection_curvature import _chain, _gamma, levi_civita
+from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack, _chain, _gamma
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, _metric_frame
 
 
@@ -45,17 +45,11 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def cotton_pack(
-    L: MetricLieAlgebra3,
-    conn: ConnectionTable | None = None,
-    pack: CurvaturePack | None = None,
+    L: MetricLieAlgebra3, conn: ConnectionTable, pack: CurvaturePack
 ) -> CottonPack:
     """The (0,3) tensor, its (0,2) dual, and the Frobenius norm of the dual:
-    ``pack.cotton``, the evaluation ``curvature`` made.
-
-    ``conn`` and ``pack`` are built from ``L`` only when they are not given.
-    """
-    if pack is None:
-        pack = curvature(L, levi_civita(L) if conn is None else conn)
+    ``pack.cotton``, the evaluation ``curvature`` made from ``L`` and
+    ``conn``."""
     return pack.cotton
 
 

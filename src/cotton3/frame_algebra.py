@@ -132,10 +132,10 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 
     ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
     (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
-    (unless the closed-form spectrum shows g indefinite), when
+    (unless the ``eigvalsh`` spectrum shows g indefinite), when
     w_min <= 1e-12 w_max, or when g^-1 overflows once the scaling is
     undone.  The condition is read as lambda_max(g) lambda_max(g^-1) from
-    ``_sym3_eigenvalues`` only where its bound tr g tr g^-1 reaches 1e12.
+    ``np.linalg.eigvalsh`` only where its bound tr g tr g^-1 reaches 1e12.
     Every layer that needs g^-1, u or positive definiteness reads them off
     this one pass, made once per algebra by ``MetricLieAlgebra3._frame``;
     ``validate`` reports ``metric_not_positive`` exactly where it refuses.
@@ -179,7 +179,7 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     # on the positive cone tr g >= lambda_max(g), so this bounds the condition
     if not (a + d + f) * (v00 + v11 + v22) < 1e12:
         inv = ((v00, v10, v20), (v10, v11, v21), (v20, v21, v22))
-        cond = _sym3_eigenvalues(rows)[2] * _sym3_eigenvalues(inv)[2]
+        cond = _eigenvalues(rows)[2] * _eigenvalues(inv)[2]
         # false on nan too, from an inverse that overflowed
         if not cond < 1e12:
             raise SingularMetric(f"metric is singular (condition number {cond:.3g})")
@@ -203,45 +203,21 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 def _refuse(pivot: float, rows: tuple) -> None:
     """Raise the metric rule's refusal for a Cholesky pivot that is not
-    positive: a zero pivot is a singular metric unless the closed-form
-    spectrum of ``rows`` has a negative eigenvalue."""
-    if pivot == 0.0 and _sym3_eigenvalues(rows)[0] >= 0.0:
+    positive: a zero pivot is a singular metric unless the spectrum of
+    ``rows`` has a negative eigenvalue."""
+    if pivot == 0.0 and _eigenvalues(rows)[0] >= 0.0:
         raise SingularMetric("metric is singular (zero Cholesky pivot)")
     raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {pivot:.3g})")
 
 
-def _sym3_eigenvalues(M) -> list:
-    """Closed-form eigenvalues of a symmetric 3x3 matrix, ascending, from
-    the upper triangle of its rows (floats, or an array).
-
-    Trigonometric solution of the characteristic cubic; no iterative
-    factorization involved.  The largest eigenvalue is accurate to rounding;
-    a double smallest one only to about sqrt(eps) times the largest.  The
-    cubic squares the entries, so where the largest is outside
-    [2^-400, 2^400] they are first scaled by an exact power of two.
-    """
-    (a, b, c), (_, d, e), (_, _, f) = M
-    m = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
-    if not 2.0**-400 <= m <= 2.0**400 and 0.0 < m < math.inf:
-        # ldexp, as 2.0**-k overflows for subnormal entries
-        k = math.frexp(m)[1] - 1
-        a, b, c, d, e, f = (math.ldexp(v, -k) for v in (a, b, c, d, e, f))
-        h = math.ldexp(1.0, k)
-        return [v * h for v in _sym3_eigenvalues(((a, b, c), (b, d, e), (c, e, f)))]
-    p1 = b * b + c * c + e * e
-    if p1 == 0.0:
-        return sorted((a, d, f))
-    q = (a + d + f) / 3.0
-    a, d, f = a - q, d - q, f - q
-    p = math.sqrt((a * a + d * d + f * f + 2.0 * p1) / 6.0)
-    # B = (M - q I) / p, and r = det(B) / 2
-    a, d, f, b, c, e = a / p, d / p, f / p, b / p, c / p, e / p
-    r = (a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    lam1 = q + 2.0 * p * math.cos(phi)
-    lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return sorted((lam1, 3.0 * q - lam1 - lam3, lam3))
+def _eigenvalues(rows: tuple) -> list:
+    """Ascending eigenvalues of the symmetric rows (floats), from
+    ``np.linalg.eigvalsh``; all nan when an entry is not finite, which each
+    test of the metric rule reads as a refusal."""
+    M = np.array(rows)
+    if not np.isfinite(M).all():
+        return [math.nan] * 3
+    return np.linalg.eigvalsh(M).tolist()
 
 
 @dataclass(frozen=True, eq=False)

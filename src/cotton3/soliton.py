@@ -91,16 +91,12 @@ class SolitonProblem:
     basis: tuple
 
     @classmethod
-    def build(cls, L, conn=None, pack=None):
+    def build(cls, L, conn, pack):
         """The problem over the standard frame (e1, e2, e3), with the Cotton
-        tensor of ``pack``; ``conn`` and ``pack`` are built from ``L`` only
-        when they are not given.  For another ansatz basis, call the
-        constructor: ``SolitonProblem(L, conn, pack.cotton.cotton2, basis)``.
+        tensor of ``pack``, the curvature of ``L`` under ``conn``.  For
+        another ansatz basis, call the constructor:
+        ``SolitonProblem(L, conn, pack.cotton.cotton2, basis)``.
         """
-        if conn is None:
-            conn = levi_civita(L)
-        if pack is None:
-            pack = curvature(L, conn)
         return cls(L, conn, pack.cotton.cotton2, _FRAME)
 
 
@@ -330,7 +326,8 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     checks = []
     for lam in lam_grid:
         lam = float(lam)
-        checks += _theorem_checks(lam, *_theorem_layers(lam, tol), tol)
+        pack = _fresh_pack(lam)
+        checks += _theorem_checks(lam, pack, _frame_solutions(pack, tol), tol)
     report = TheoremReport(tuple(checks))
     if not report.all_passed:
         names = ", ".join(
@@ -342,14 +339,19 @@ def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
     return report
 
 
-def _theorem_layers(lam: float, tol: float):
-    """The curvature pack of the lam, b = c = 0 member, fresh (it keeps the
-    member's algebra and connection), and its collinear and orthogonal
-    ansatz solutions over the frame (e1, e2, e3)."""
+def _fresh_pack(lam: float) -> CurvaturePack:
+    """The curvature pack of the lam, b = c = 0 member, built afresh; it
+    keeps the member's algebra and connection."""
     L = from_kenmotsu_params(lam, 0.0, 0.0)
-    pack = curvature(L, levi_civita(L))
-    problem = SolitonProblem.build(L, pack.connection, pack)
-    return pack, _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
+    return curvature(L, levi_civita(L))
+
+
+def _frame_solutions(pack: CurvaturePack, tol: float) -> dict:
+    """The collinear and orthogonal ansatz solutions of ``pack``'s geometry
+    over the frame (e1, e2, e3), the adapted frame of every (lam, 0, 0)
+    member, as column subsets of one assembled system."""
+    problem = SolitonProblem.build(pack.algebra, pack.connection, pack)
+    return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
 
 
 def _theorem_checks(lam: float, pack: CurvaturePack, sols: dict, tol: float) -> list:

@@ -9,9 +9,18 @@ import numpy as np
 
 from cotton3 import (
     MetricLieAlgebra3,
+    curvature,
     from_kenmotsu_params,
     from_nonunimodular,
+    levi_civita,
 )
+
+
+def layers(L: MetricLieAlgebra3) -> tuple:
+    """(L, conn, pack): the algebra with its connection and curvature,
+    built once, the arguments of ``cotton_pack`` and ``SolitonProblem.build``."""
+    conn = levi_civita(L)
+    return L, conn, curvature(L, conn)
 
 
 def brute_jacobi(c) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import abelian, hyperbolic, random_valid_algebra, su2_round
+from conftest import abelian, hyperbolic, layers, random_valid_algebra, su2_round
 from cotton3 import (
     adapted_connection_table,
     classify_geometry,
@@ -83,8 +83,8 @@ def test_criterion_03_cotton_closed_form():
         oracle = E.T @ cotton_pack(L, conn, pack).cotton2.components @ E
         gap = np.max(np.abs(cotton2_closed_form(ak).components - oracle))
         worst = max(worst, float(gap))
-    c2_two = cotton_pack(from_kenmotsu_params(2.0, 0.0, 0.0)).cotton2.components
-    c2_one = cotton_pack(from_kenmotsu_params(1.0, 0.0, 0.0)).cotton2.components
+    c2_two = cotton_pack(*layers(from_kenmotsu_params(2.0, 0.0, 0.0))).cotton2.components
+    c2_one = cotton_pack(*layers(from_kenmotsu_params(1.0, 0.0, 0.0))).cotton2.components
     values_ok = (
         abs(c2_two[1, 1] - 12.0) <= 1e-8
         and np.max(np.abs(c2_one)) <= 1e-8
@@ -124,7 +124,7 @@ def test_criterion_04_cotton_invariants_random():
 
 def test_criterion_05_conformally_flat_fixtures():
     worst = max(
-        cotton_pack(L).norm2 for L in (abelian(), su2_round(), hyperbolic())
+        cotton_pack(*layers(L)).norm2 for L in (abelian(), su2_round(), hyperbolic())
     )
     report(5, worst <= 1e-9, "Constant-curvature model spaces have zero Cotton tensor",
            f"max norm {worst:.3e}")

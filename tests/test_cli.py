@@ -320,6 +320,19 @@ class TestFlow:
         assert lines[0] == "time,g11,g12,g13,g22,g23,g33,cotton_norm"
         assert len(lines) == 7  # header + 6 recorded states
 
+    def test_no_tolerance_option(self, geom, capsys):
+        # the flow's one verdict takes --fixed-point-tol: --tolerance is an
+        # unknown option, not one that is read and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", geom(kenmotsu(2.0)), "--dt", "1e-3", "--steps", "2",
+                  "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" not in capsys.readouterr().out
+
     def test_fixed_point_report(self, geom, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"
         rc = main([

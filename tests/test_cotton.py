@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     abelian,
     hyperbolic,
+    layers,
     milnor,
     near_singular_metric,
     random_rotation,
@@ -97,7 +98,7 @@ class TestInvariants:
         ]
         for _ in range(50):
             L = random_valid_algebra(rng, with_metric=False)
-            cp = cotton_pack(L)
+            cp = cotton_pack(*layers(L))
             c3t, c2 = cp.cotton3, cp.cotton2.components
             for (i, j), (n, m, k) in pairs:
                 assert c2[i, j] == pytest.approx(
@@ -113,7 +114,7 @@ class TestInvariants:
             t = 10.0**j
             L = random_valid_algebra(rng, with_metric=True)
             c = L.structure_constants
-            for route in (lambda g: cotton_pack(L.with_metric(g)).cotton2.components,
+            for route in (lambda g: cotton_pack(*layers(L.with_metric(g))).cotton2.components,
                           lambda g: cotton2_array(c, g)):
                 base = route(L.metric)
                 scaled = route(t * L.metric)
@@ -129,7 +130,7 @@ class TestInvariants:
         for _ in range(120):
             L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
             u = _metric_frame(L.metric)[1]
-            for c3 in (cotton_pack(L).cotton3.components, rng.normal(size=(3, 3, 3))):
+            for c3 in (cotton_pack(*layers(L)).cotton3.components, rng.normal(size=(3, 3, 3))):
                 out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ u
                 assert np.array_equal(_cotton2(c3, u), 0.5 * (out + out.T))
 
@@ -137,11 +138,11 @@ class TestInvariants:
         L = abelian()
         degenerate = type(L)(L.structure_constants, np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(SingularMetric):
-            cotton_pack(degenerate)
+            cotton_pack(*layers(degenerate))
 
     def test_norm_matches_components(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        cp = cotton_pack(L)
+        cp = cotton_pack(*layers(L))
         assert cp.norm2 == pytest.approx(
             float(np.linalg.norm(cp.cotton2.components)), abs=0.0
         )
@@ -156,7 +157,7 @@ class TestConformallyFlat:
             from_kenmotsu_params(1.0, 0.0, 0.0),
             from_kenmotsu_params(1.0, 3.0, 3.0),
         ):
-            assert cotton_pack(L).norm2 <= 1e-9
+            assert cotton_pack(*layers(L)).norm2 <= 1e-9
 
     def test_flat_with_random_flat_metric(self):
         # Any constant metric on the abelian algebra is flat, hence
@@ -164,7 +165,7 @@ class TestConformallyFlat:
         rng = np.random.default_rng(44)
         for _ in range(10):
             L = abelian().with_metric(random_spd(rng))
-            assert cotton_pack(L).norm2 <= 1e-12
+            assert cotton_pack(*layers(L)).norm2 <= 1e-12
 
 
 class TestClosedForm:
@@ -194,7 +195,7 @@ class TestClosedForm:
     def test_frozen_values_diagonal_family(self):
         for lam, c22 in ((2.0, 12.0), (3.0, 48.0), (1.0, 0.0), (0.5, -0.75)):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
-            c2 = cotton_pack(L).cotton2.components
+            c2 = cotton_pack(*layers(L)).cotton2.components
             assert c2[1, 1] == pytest.approx(c22, abs=1e-9)
             assert c2[2, 2] == pytest.approx(-c22, abs=1e-9)
             off = c2 - np.diag(np.diag(c2))
@@ -205,7 +206,7 @@ class TestClosedForm:
         for lam in (0.5, 1.0, 2.0, 3.0):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
             expected = math.sqrt(2.0) * abs(2.0 * lam**3 - 2.0 * lam)
-            assert cotton_pack(L).norm2 == pytest.approx(expected, abs=1e-8)
+            assert cotton_pack(*layers(L)).norm2 == pytest.approx(expected, abs=1e-8)
 
     def test_derivative_route_entries(self):
         # Each dual entry is a covariant Ricci derivative component; spot
@@ -390,7 +391,7 @@ class TestPackComposition:
             conn = levi_civita(L)
             pack = curvature(L, conn)
             c3, c2, norm2 = composed_pack(L, conn, pack)
-            for cp in (cotton_pack(L, conn, pack), cotton_pack(L)):
+            for cp in (cotton_pack(L, conn, pack), cotton_pack(*layers(L))):
                 assert np.array_equal(cp.cotton3.components, c3)
                 assert np.array_equal(cp.cotton2.components, c2)
                 assert cp.norm2 == norm2
@@ -438,7 +439,7 @@ def test_metric_rule_is_shared(metric, expected):
         "levi_civita": _outcome(lambda: levi_civita(L)),
         # a connection built under another metric reaches the rule here
         "curvature": _outcome(lambda: curvature(L, levi_civita(L0))),
-        "cotton_pack": _outcome(lambda: cotton_pack(L)),
+        "cotton_pack": _outcome(lambda: cotton_pack(*layers(L))),
         "cotton2_array": _outcome(lambda: cotton2_array(c, g)),
         "make_state": _outcome(lambda: make_state(L0, 0.0, g)),
         "ricci_spectrum": _outcome(lambda: ricci_spectrum(pack)),

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     abelian,
     hyperbolic,
+    layers,
     milnor,
     near_singular_metric,
     random_spd,
@@ -35,7 +36,7 @@ class TestStateAndStep:
     def test_make_state_attaches_cotton_data(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         st = make_state(L, 0.25, np.eye(3))
-        cp = cotton_pack(L)
+        cp = cotton_pack(*layers(L))
         assert st.time == 0.25
         assert np.array_equal(st.metric, np.eye(3))
         assert np.array_equal(st.cotton2.components, cp.cotton2.components)

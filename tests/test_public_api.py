@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 
 import cotton3
+from cotton3 import frame_algebra, soliton
 
 PUBLIC = [
     "AKStructure",
@@ -104,3 +105,11 @@ def test_second_routes_are_gone():
     assert not hasattr(cotton3.ValidityReport, "max_magnitude")
     # validate's cutoffs are fixed: no tolerance override
     assert "tol" not in inspect.signature(cotton3.validate).parameters
+    # the layers come from the caller: no fallback builds them
+    for fn in (cotton3.cotton_pack, cotton3.SolitonProblem.build):
+        params = inspect.signature(fn).parameters
+        assert params["conn"].default is params["pack"].default is inspect.Parameter.empty
+    # the metric pass reads eigvalsh, and every (lam, 0, 0) geometry has one
+    # solve route: no closed-form cubic, no layers-and-solutions helper
+    assert not hasattr(frame_algebra, "_sym3_eigenvalues")
+    assert not hasattr(soliton, "_theorem_layers")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    layers,
     random_kenmotsu,
     random_rotation,
     random_spd,
@@ -113,7 +114,7 @@ class TestAssembly:
         rng = np.random.default_rng(52)
         for _ in range(50):
             L = random_valid_algebra(rng, with_metric=bool(rng.integers(2)))
-            problem = SolitonProblem.build(L)
+            problem = SolitonProblem.build(*layers(L))
             sol = solve(problem)
             direct = vec_upper(
                 soliton_residual(problem, sol.v, sol.sigma).components
@@ -127,7 +128,7 @@ class TestAssembly:
         seen_family = 0
         for _ in range(80):
             L = random_valid_algebra(rng, with_metric=bool(rng.integers(2)))
-            problem = SolitonProblem.build(L)
+            problem = SolitonProblem.build(*layers(L))
             sol = solve(problem)
             if sol.family_dim == 0:
                 continue
@@ -148,7 +149,7 @@ class TestAssembly:
 
     def test_default_basis_is_full_frame(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        problem = SolitonProblem.build(L)
+        problem = SolitonProblem.build(*layers(L))
         assert len(problem.basis) == 3
         stacked = np.column_stack([b.components for b in problem.basis])
         assert np.array_equal(stacked, np.eye(3))
@@ -240,7 +241,7 @@ class TestOrthogonalAnsatz:
 class TestGeneralAnsatz:
     def test_bi_invariant_sphere_is_all_killing(self):
         L = su2_round()
-        sol = solve(SolitonProblem.build(L))
+        sol = solve(SolitonProblem.build(*layers(L)))
         assert sol.classification == "steady"
         assert sol.family_dim == 3
         assert np.max(np.abs(sol.v.components)) <= 1e-12
@@ -248,13 +249,13 @@ class TestGeneralAnsatz:
 
     def test_matches_orthogonal_outcome_at_one(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        sol = solve(SolitonProblem.build(L))
+        sol = solve(SolitonProblem.build(*layers(L)))
         assert sol.classification == "steady"
         assert sol.family_dim == 1
 
     def test_infeasible_at_two(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        sol = solve(SolitonProblem.build(L))
+        sol = solve(SolitonProblem.build(*layers(L)))
         assert sol.classification == "infeasible"
         assert sol.residual == pytest.approx(12 * math.sqrt(2), rel=1e-10)
 
@@ -362,7 +363,7 @@ class TestTheoremReproduction:
         for lam in grid:
             L = from_kenmotsu_params(lam, 0.0, 0.0)
             conn = levi_civita(L)
-            cotton2 = cotton_pack(L, conn).cotton2
+            cotton2 = cotton_pack(L, conn, curvature(L, conn)).cotton2
             coll = solve(SolitonProblem(L, conn, cotton2, frame[:1]))
             orth = solve(SolitonProblem(L, conn, cotton2, frame[1:]))
             assert checks["collinear potential stays trivial", lam].residual == coll.residual
@@ -423,7 +424,7 @@ class TestReferenceEquivalence:
                 for basis in (frame[:1], frame[1:], frame):
                     problems.append(SolitonProblem(ak.algebra, ak.connection, cotton2, basis))
             L = random_valid_algebra(rng, rotated=True)
-            problems.append(SolitonProblem.build(L.with_metric(random_spd(rng))))
+            problems.append(SolitonProblem.build(*layers(L.with_metric(random_spd(rng)))))
         kinds = set()
         for problem in problems:
             ref = reference_solve(problem)

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import milnor, random_rotation, rotate_algebra
+from conftest import layers, milnor, random_rotation, rotate_algebra
 from cotton3 import (
     curvature,
     detect_structure,
@@ -76,6 +76,6 @@ def test_general_ansatz_verdicts_are_frame_independent(L, vals, P):
     # the span of the whole frame does not depend on the frame
     B = np.reshape(vals, (3, 3))
     L = L.with_metric(np.eye(3) + 0.4 * (B @ B.T))
-    want = solve(SolitonProblem.build(L))
-    got = solve(SolitonProblem.build(rotate_algebra(L, P)))
+    want = solve(SolitonProblem.build(*layers(L)))
+    got = solve(SolitonProblem.build(*layers(rotate_algebra(L, P))))
     assert verdicts(got) == verdicts(want)

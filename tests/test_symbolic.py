@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from conftest import layers
 from cotton3 import SolitonProblem, from_kenmotsu_params
 from cotton3.soliton import _assemble_system
 
@@ -120,6 +121,6 @@ def test_engine_system_matches(system, lam):
     A, k, _ = system
     lam = sp.Rational(lam)
     L = from_kenmotsu_params(float(lam), 0.0, 0.0)
-    A_num, k_num = _assemble_system(SolitonProblem.build(L))
+    A_num, k_num = _assemble_system(SolitonProblem.build(*layers(L)))
     assert np.array_equal(A_num, np.array(A.subs(LAM, lam), dtype=float))
     assert np.array_equal(k_num, np.array(k.subs(LAM, lam), dtype=float).ravel())
