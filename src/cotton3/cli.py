@@ -63,8 +63,6 @@ from .soliton import (
     TRIVIAL_ONLY,
     SolitonProblem,
     _frame_solutions,
-    _fresh_pack,
-    _theorem_checks,
     lie_derivative_metric,
     solve as solve_soliton,
     soliton_existence_survey,
@@ -75,53 +73,40 @@ class CLIError(Exception):
     """Input that cannot be turned into a valid geometry."""
 
 
-def _check_double(x, what) -> None:
-    """Refuse a number that is not finite or, for an int (JSON integers have
-    no size limit), too large for a double, naming ``what``."""
+def _number(x, what) -> float:
+    """``x`` as a double, naming ``what`` when it is not a JSON number (a
+    bool is not one), not finite or, for an int (JSON integers have no size
+    limit), too large for a double."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise CLIError(f"{what} must be a number, got {x!r}")
     if not abs(x) <= sys.float_info.max:
         if isinstance(x, float):
             raise CLIError(f"{what} must be finite, got {x!r}")
         raise CLIError(f"{what} is too large for a double")
+    return float(x)
 
 
-def _require_number(obj, field, context):
-    if field not in obj:
-        raise CLIError(f"{context}: missing field '{field}'")
-    val = obj[field]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise CLIError(f"{context}: field '{field}' must be a number, got {val!r}")
-    _check_double(val, f"{context}: field '{field}'")
-    return float(val)
-
-
-def _optional_number(obj, field, context, default=0.0):
-    if field not in obj:
-        return default
-    return _require_number(obj, field, context)
+def _params(obj, context, required, optional=()) -> list:
+    """The number fields of a parameter object: each ``required`` one, then
+    each ``optional`` one (0 when absent)."""
+    if not isinstance(obj, dict):
+        raise CLIError(f"{context}: expected an object")
+    for field in required:
+        if field not in obj:
+            raise CLIError(f"{context}: missing field '{field}'")
+    return [_number(obj.get(field, 0.0), f"{context}: field '{field}'")
+            for field in (*required, *optional)]
 
 
 def _parse_metric(data, context):
     if "metric" not in data:
         return None
     raw = data["metric"]
-    try:
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise CLIError(f"{context}: 'metric' must be a 3x3 array of numbers")
-    except OverflowError:
-        raise CLIError(f"{context}: 'metric' has an entry too large for a double")
-    if arr.shape != (3, 3):
-        raise CLIError(f"{context}: 'metric' must be 3x3, got shape {arr.shape}")
-    # numpy would read "1" as 1.0 and false as 0.0
-    for i, row in enumerate(raw):
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise CLIError(
-                    f"{context}: 'metric' entry [{i}][{j}] must be a number, got {x!r}"
-                )
-    if not np.all(np.isfinite(arr)):
-        raise CLIError(f"{context}: 'metric' entries must be finite")
-    return arr
+    if not (isinstance(raw, list) and len(raw) == 3
+            and all(isinstance(row, list) and len(row) == 3 for row in raw)):
+        raise CLIError(f"{context}: 'metric' must be 3x3: three rows of three numbers")
+    return np.array([[_number(x, f"{context}: 'metric' entry [{i}][{j}]")
+                      for j, x in enumerate(row)] for i, row in enumerate(raw)])
 
 
 def _parse_brackets(items, context):
@@ -147,14 +132,9 @@ def _parse_brackets(items, context):
             raise CLIError(f"{where}: duplicate bracket for pair ({key[0]},{key[1]})")
         seen.add(key)
         coeffs = entry.get("coeffs")
-        if (
-            not isinstance(coeffs, list)
-            or len(coeffs) != 3
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in coeffs)
-        ):
+        if not isinstance(coeffs, list) or len(coeffs) != 3:
             raise CLIError(f"{where}: 'coeffs' must be a list of three numbers")
-        for x in coeffs:
-            _check_double(x, f"{where}: 'coeffs'")
+        coeffs = [_number(x, f"{where}: 'coeffs' entry [{k}]") for k, x in enumerate(coeffs)]
         c[i - 1, j - 1] = coeffs
         c[j - 1, i - 1] = [-x for x in coeffs]
     return c
@@ -187,20 +167,9 @@ def load_geometry(path: str) -> MetricLieAlgebra3:
         raise CLIError(f"{path}: unknown fields {sorted(extra)}")
     context = f"{path}: {form}"
     if form == "kenmotsu":
-        params = data[form]
-        if not isinstance(params, dict):
-            raise CLIError(f"{context}: expected an object")
-        lam = _require_number(params, "lambda", context)
-        b = _optional_number(params, "b", context)
-        cc = _optional_number(params, "c", context)
-        L = from_kenmotsu_params(lam, b, cc)
+        L = from_kenmotsu_params(*_params(data[form], context, ("lambda",), ("b", "c")))
     elif form == "nonunimodular":
-        params = data[form]
-        if not isinstance(params, dict):
-            raise CLIError(f"{context}: expected an object")
-        alpha = _require_number(params, "alpha", context)
-        beta = _require_number(params, "beta", context)
-        L = from_nonunimodular(alpha, beta)
+        L = from_nonunimodular(*_params(data[form], context, ("alpha", "beta")))
     else:
         c = _parse_brackets(data[form], path)
         L = MetricLieAlgebra3(c)
@@ -448,7 +417,7 @@ def cmd_soliton(args) -> int:
         problem = SolitonProblem.build(L, conn=conn, pack=pack)
         payload = {"general": _solution_payload(solve_soliton(problem, tol=tol))}
     else:
-        ak = detect_structure(L, conn, pack, tol=max(tol, 1e-8))
+        ak = detect_structure(L, conn, pack, tol=tol)
         survey = soliton_existence_survey(ak, tol=tol)
         if args.ansatz == "all":
             payload = {k: _solution_payload(v) for k, v in survey.items()}
@@ -549,6 +518,58 @@ def _member(L: MetricLieAlgebra3):
     return detect_structure(L, conn, curvature(L, conn))
 
 
+def _fresh_pack(lam: float):
+    """The curvature pack of the lam, b = c = 0 member, built afresh; it
+    keeps the member's algebra and connection."""
+    L = from_kenmotsu_params(lam, 0.0, 0.0)
+    return curvature(L, levi_civita(L))
+
+
+def _geometry_class(pack):
+    """The geometry class of ``pack``'s geometry, Ricci-parallel or not at
+    the default tolerance."""
+    par = ricci_parallel_check(pack.algebra, pack.connection, pack)
+    return classify_geometry(pack, par.is_parallel)
+
+
+def _theorem_checks(lam: float, pack, sols: dict, geo, tol: float) -> list:
+    """The soliton existence rows at one grid lam, from the curvature
+    ``pack`` of its (lam, 0, 0) geometry and ``sols``, its collinear and
+    orthogonal ansatz solutions over (e1, e2, e3).  The collinear potential
+    stays trivial, the orthogonal ansatz is feasible exactly when
+    |lam - 1| <= tol, and there the soliton is steady on a metric splitting
+    as a curvature -4 hyperbolic plane times a line.  ``geo`` is the
+    geometry class of ``pack`` when the caller has it, else None.  Every
+    row's residual is refused when not finite, before any row is written."""
+    coll, orth = sols["collinear"], sols["orthogonal"]
+    at_one = abs(lam - 1.0) <= tol
+    rows = [
+        ("collinear potential stays trivial",
+         coll.classification in (INFEASIBLE, TRIVIAL_ONLY), coll.residual,
+         f"classification = {coll.classification}"),
+        ("orthogonal ansatz feasible only at lam = 1", orth.feasible == at_one,
+         orth.residual, f"feasible = {orth.feasible}, expected {at_one}"),
+    ]
+    if at_one:
+        rows.append(("orthogonal soliton is steady", orth.classification == STEADY,
+                     abs(orth.sigma),
+                     f"classification = {orth.classification}, sigma = {orth.sigma:.3e}"))
+        if geo is None:
+            geo = _geometry_class(pack)
+        if geo.curvature is not None:
+            gap = abs(geo.curvature + 4.0)
+        else:
+            # no model matched: how far the Ricci spectrum is from {-4, -4, 0}
+            gap = _gap(ricci_spectrum(pack), (-4.0, -4.0, 0.0))
+        rows.append(("metric splits as hyperbolic plane (curvature -4) times line",
+                     geo.kind == PRODUCT_H2XR and geo.curvature is not None and gap <= 1e-6,
+                     gap, f"kind = {geo.kind}, factor curvature = {geo.curvature}"))
+    _require_finite({"residual": [row[2] for row in rows]})
+    return [{"name": f"{name}, lambda={lam:g}", "ok": bool(ok),
+             "detail": f"{detail}; residual {residual:.3e}"}
+            for name, ok, residual, detail in rows]
+
+
 def _verify_checks(tol: float, grid: list) -> list:
     """The fixed reference checks, then the soliton existence checks at
     each lam of ``grid``.  Each value check compares one gap, the largest
@@ -558,8 +579,8 @@ def _verify_checks(tol: float, grid: list) -> list:
     pack of its member, or a fresh one when lam is not a member (no
     structure detection), with its collinear and orthogonal ansatz
     solutions over (e1, e2, e3), solved once.  The reference checks and the
-    grid rows read that record, so the rows are bitwise those of
-    ``reproduce_theorems``."""
+    grid rows read that record, and the lam = 1 member is classified once,
+    for its reference check and its grid row."""
     checks = []
     members = {p: _member(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
     members.update((p, _member(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
@@ -647,8 +668,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         sol.classification)
 
     # lambda=1 geometry is the product of the hyperbolic plane and a line
-    par1 = ricci_parallel_check(ak1.algebra, ak1.connection, pack1)
-    cls1 = classify_geometry(pack1, par1.is_parallel)
+    cls1 = _geometry_class(pack1)
     eigs = sorted(ricci_spectrum(pack1))
     gap = _gap([cls1.curvature or 0.0, *eigs], (-4.0, -4.0, -4.0, 0.0))
     add("geometry class, lambda=1", cls1.kind == PRODUCT_H2XR and gap <= 1e-6,
@@ -688,13 +708,8 @@ def _verify_checks(tol: float, grid: list) -> list:
     add("flow fixed point, lambda=1", drift <= tol, f"drift {drift:.3e}")
 
     # the soliton existence picture across the grid
-    rows = []
     for lam in grid:
-        rows += _theorem_checks(lam, *records[lam], tol)
-    _require_finite({"residual": [ch.residual for ch in rows]})
-    for ch in rows:
-        add(f"{ch.name}, lambda={ch.lam:g}", ch.passed,
-            f"{ch.detail}; residual {ch.residual:.3e}")
+        checks += _theorem_checks(lam, *records[lam], cls1 if lam == 1.0 else None, tol)
     return checks
 
 

@@ -31,13 +31,3 @@ class DegenerateMetric(Cotton3Error):
         super().__init__(message)
         self.trajectory = list(trajectory) if trajectory is not None else []
 
-
-class AssertionFailure(Cotton3Error):
-    """One or more verification assertions failed.
-
-    The full report (including the failed rows) is attached as ``report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -24,25 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection_curvature import (
-    PRODUCT_H2XR,
-    ConnectionTable,
-    CurvaturePack,
-    classify_geometry,
-    curvature,
-    levi_civita,
-    ricci_parallel_check,
-    ricci_spectrum,
-)
-from .errors import AssertionFailure
-from .frame_algebra import (
-    FrameVector,
-    MetricLieAlgebra3,
-    SymBilinear,
-    _svd_lstsq,
-    _wrap,
-    from_kenmotsu_params,
-)
+from .connection_curvature import ConnectionTable, CurvaturePack
+from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd_lstsq, _wrap
 
 UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -171,8 +154,8 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     minimum-norm potential vanishes and no null-space direction moves the
     potential; otherwise the sign of sigma picks steady, shrinking
     (sigma > 0) or expanding (sigma < 0).  ``soliton_existence_survey``
-    and ``reproduce_theorems`` share the solve below, so one problem gives
-    the same solution on every route.
+    shares the solve below, so one problem gives the same solution on
+    every route.
     """
     A, k = _assemble_system(problem)
     return _solve(A, k, problem.basis, _cotton_scale(problem.cotton2), tol)
@@ -280,114 +263,9 @@ def soliton_existence_survey(ak, tol: float = 1e-8):
     return _solve_ansatze(problem, _ANSATZ_COLUMNS, tol)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """One verified statement about a canonical family member."""
-
-    name: str
-    lam: float
-    passed: bool
-    residual: float
-    detail: str
-
-
-@dataclass(frozen=True, eq=False)
-class TheoremReport:
-    """Outcome of the soliton existence checks across a parameter grid."""
-
-    checks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ch.passed for ch in self.checks)
-
-    def failures(self) -> tuple:
-        return tuple(ch for ch in self.checks if not ch.passed)
-
-
-def reproduce_theorems(lam_grid, tol: float = 1e-8) -> TheoremReport:
-    """Verify the soliton existence picture across a grid of lam values.
-
-    For each lam the canonical frame algebra with b = c = 0 is built and
-    both the Reeb-collinear and Reeb-orthogonal ansatz problems are
-    solved, as column subsets of one system assembled over the frame.
-    The checks assert that the collinear ansatz never carries a nontrivial
-    soliton, that the orthogonal ansatz is feasible exactly when
-    |lam - 1| <= tol, and that at lam = 1 the soliton is steady on a
-    metric splitting as a curvature -4 hyperbolic plane times a line.
-
-    Returns the full check list; raises ``AssertionFailure`` carrying it
-    when any check fails, and ``ValueError`` for a nan, infinite or
-    negative ``tol``.
-    """
-    checks = []
-    for lam in lam_grid:
-        lam = float(lam)
-        pack = _fresh_pack(lam)
-        checks += _theorem_checks(lam, pack, _frame_solutions(pack, tol), tol)
-    report = TheoremReport(tuple(checks))
-    if not report.all_passed:
-        names = ", ".join(
-            f"{ch.name} (lam = {ch.lam:g})" for ch in report.failures()
-        )
-        raise AssertionFailure(
-            f"soliton existence checks failed: {names}", report=report
-        )
-    return report
-
-
-def _fresh_pack(lam: float) -> CurvaturePack:
-    """The curvature pack of the lam, b = c = 0 member, built afresh; it
-    keeps the member's algebra and connection."""
-    L = from_kenmotsu_params(lam, 0.0, 0.0)
-    return curvature(L, levi_civita(L))
-
-
 def _frame_solutions(pack: CurvaturePack, tol: float) -> dict:
     """The collinear and orthogonal ansatz solutions of ``pack``'s geometry
     over the frame (e1, e2, e3), the adapted frame of every (lam, 0, 0)
     member, as column subsets of one assembled system."""
     problem = SolitonProblem.build(pack.algebra, pack.connection, pack)
     return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)
-
-
-def _theorem_checks(lam: float, pack: CurvaturePack, sols: dict, tol: float) -> list:
-    """The checks of ``reproduce_theorems`` at one lam, from the member's
-    curvature ``pack`` (with the algebra and connection it keeps) and
-    ``sols``, its "collinear" and "orthogonal" ansatz solutions, solved by
-    the caller over a basis whose fields are e1, e2 and e3; ``ValueError``
-    for a nan, infinite or negative ``tol``, which would skip the lam = 1
-    checks."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    L, conn = pack.algebra, pack.connection
-    coll, orth = sols["collinear"], sols["orthogonal"]
-    at_one = abs(lam - 1.0) <= tol
-    checks = [
-        TheoremCheck("collinear potential stays trivial", lam,
-                     coll.classification in (INFEASIBLE, TRIVIAL_ONLY), coll.residual,
-                     f"classification = {coll.classification}"),
-        TheoremCheck("orthogonal ansatz feasible only at lam = 1", lam,
-                     orth.feasible == at_one, orth.residual,
-                     f"feasible = {orth.feasible}, expected {at_one}"),
-    ]
-    if not at_one:
-        return checks
-    checks.append(TheoremCheck(
-        "orthogonal soliton is steady", lam, orth.classification == STEADY,
-        abs(orth.sigma),
-        f"classification = {orth.classification}, sigma = {orth.sigma:.3e}"))
-    geo = classify_geometry(pack, ricci_parallel_check(L, conn, pack).is_parallel)
-    if geo.curvature is not None:
-        gap = abs(geo.curvature + 4.0)
-    else:
-        # no model matched: how far the Ricci spectrum is from {-4, -4, 0}
-        gap = float(np.max(np.abs(ricci_spectrum(pack) - (-4.0, -4.0, 0.0))))
-    checks.append(TheoremCheck(
-        "metric splits as hyperbolic plane (curvature -4) times line", lam,
-        geo.kind == PRODUCT_H2XR and geo.curvature is not None and gap <= 1e-6, gap,
-        f"kind = {geo.kind}, factor curvature = {geo.curvature}"))
-    return checks

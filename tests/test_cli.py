@@ -4,14 +4,15 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import brute_jacobi, change_basis
-from cotton3 import from_kenmotsu_params, reproduce_theorems
+from conftest import brute_jacobi, change_basis, random_rotation, rotate_algebra
+from cotton3 import from_kenmotsu_params
 from cotton3.cli import _KENMOTSU_MEMBERS, _gap, _member, build_parser, main
 
 SU2_BRACKETS = {
@@ -40,14 +41,41 @@ def kenmotsu(lam, b=0.0, c=0.0, **extra):
 SKEW_METRIC = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.5]]
 
 
+def brackets_of(L):
+    """The bracket form of ``L``'s structure constants."""
+    c = L.structure_constants
+    return {"brackets": [{"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()}
+                         for i, j in ((0, 1), (0, 2), (1, 2))]}
+
+
+def count_calls(monkeypatch, names) -> dict:
+    """Count the calls of each cotton3 function in ``names``.  Every
+    cotton3 namespace that binds one gets the same counting wrapper, so a
+    call counts once, whichever binding it goes through."""
+    counts = dict.fromkeys(names, 0)
+    wrapped = {}
+    for modname, mod in sorted(sys.modules.items()):
+        if modname != "cotton3" and not modname.startswith("cotton3."):
+            continue
+        for name in counts:
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+            if fn not in wrapped:
+                def counting(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                wrapped[fn] = counting
+            monkeypatch.setattr(mod, name, wrapped[fn])
+    return counts
+
+
 def skew_frame_kenmotsu():
     """The lambda = 2 member in the frame e'_i = sum_a P[a, i] e_a, P the
     transposed Cholesky factor of SKEW_METRIC: brackets plus that metric."""
     P = np.linalg.cholesky(np.array(SKEW_METRIC)).T
-    c = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), P).structure_constants
-    brackets = [{"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()}
-                for i, j in ((0, 1), (0, 2), (1, 2))]
-    return {"brackets": brackets, "metric": SKEW_METRIC}
+    return dict(brackets_of(change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), P)),
+                metric=SKEW_METRIC)
 
 
 class TestCurvature:
@@ -300,6 +328,23 @@ class TestSoliton:
         assert rc == 0
         assert "collinear: trivial_only" in out
         assert "orthogonal: steady" in out
+
+    def test_detects_at_the_given_tolerance(self, geom, capsys):
+        # the rotated lambda = 2 member's best structure residual is a few
+        # ulps, above 1e-16 times its scale: soliton refuses it as structure
+        # does, with the same line, rather than detecting at a higher floor
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        path = geom(brackets_of(rotate_algebra(L, random_rotation(np.random.default_rng(0)))))
+        errs = []
+        for command in ("structure", "soliton"):
+            rc = main([command, path, "--tolerance", "1e-16"])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err.startswith("error: no unit Reeb candidate")
+            assert len(captured.err.splitlines()) == 1
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
 
 
 class TestFlow:
@@ -568,6 +613,26 @@ class TestInputErrors:
         assert rc == 1
         assert "metric_not_positive" in captured.err
 
+    @pytest.mark.parametrize("data, message", [
+        (kenmotsu(1.0, metric=[[1, math.inf, 0], [math.inf, 1, 0], [0, 0, 1]]),
+         "'metric' entry [0][1] must be finite, got inf"),
+        ({"brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, "1"]}]},
+         "brackets[0]: 'coeffs' entry [2] must be a number, got '1'"),
+        ({"brackets": [{"i": 1, "j": 2, "coeffs": [0, False, 1]}]},
+         "brackets[0]: 'coeffs' entry [1] must be a number, got False"),
+        ({"brackets": [{"i": 1, "j": 2, "coeffs": [None, 0, 1]}]},
+         "brackets[0]: 'coeffs' entry [0] must be a number, got None"),
+    ])
+    def test_entry_refused_by_name(self, geom, capsys, data, message):
+        # a metric entry or a coefficient goes through the number rule of
+        # every parameter field, which names the entry it refuses
+        path = geom(data)
+        rc = main(["curvature", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_wrong_metric_shape(self, geom, capsys):
         path = geom(kenmotsu(1.0, metric=[[1, 0], [0, 1]]))
         rc = main(["curvature", path])
@@ -824,28 +889,14 @@ class TestVerifyPaper:
         # built once, on the structure detection's first read.  The members
         # at lambda = 2, 1 and 0.5 each assemble one soliton system and solve
         # its collinear and orthogonal ansatz subsets once, for the reference
-        # checks and the grid rows together
-        import sys
-
-        counts = dict.fromkeys(
-            ("detect_structure", "levi_civita", "curvature", "cotton_pack",
-             "cotton2_array", "_metric_frame", "_riemann", "_solve",
-             "_assemble_system"), 0
-        )
-        wrapped = {}
-        for modname, mod in sorted(sys.modules.items()):
-            if modname != "cotton3" and not modname.startswith("cotton3."):
-                continue
-            for name in counts:
-                fn = getattr(mod, name, None)
-                if fn is None:
-                    continue
-                if fn not in wrapped:
-                    def counting(*args, _fn=fn, _name=name, **kwargs):
-                        counts[_name] += 1
-                        return _fn(*args, **kwargs)
-                    wrapped[fn] = counting
-                monkeypatch.setattr(mod, name, wrapped[fn])
+        # checks and the grid rows together.  The lambda = 1 member is
+        # classified once, for its reference check and its grid row; the
+        # Ricci spectrum is read by that classification and by the check
+        counts = count_calls(monkeypatch, (
+            "detect_structure", "levi_civita", "curvature", "cotton_pack",
+            "cotton2_array", "_metric_frame", "_riemann", "_solve",
+            "_assemble_system", "ricci_parallel_check", "classify_geometry",
+            "ricci_spectrum"))
         rc = main(["verify-paper", "--format", "machine"])
         capsys.readouterr()
         assert rc == 0
@@ -859,12 +910,24 @@ class TestVerifyPaper:
             "_riemann": 8,
             "_solve": 6,
             "_assemble_system": 3,
+            "ricci_parallel_check": 1,
+            "classify_geometry": 1,
+            "ricci_spectrum": 2,
         }
+
+    @pytest.mark.parametrize("grid, classified", [("1", 1), ("1.000000001", 2)])
+    def test_fresh_pack_classifies_itself(self, capsys, monkeypatch, grid, classified):
+        # a grid row on the lambda = 1 member reads the reference check's
+        # class; a lambda within --tolerance of 1 on a fresh pack has its own
+        counts = count_calls(monkeypatch, ("ricci_parallel_check", "classify_geometry"))
+        main(["verify-paper", "--grid", grid])
+        capsys.readouterr()
+        assert counts == {"ricci_parallel_check": classified, "classify_geometry": classified}
 
     def test_diagonal_members_have_the_standard_adapted_frame(self):
         # the grid rows of a (lam, 0, 0) member read the solutions of its
         # reference checks, solved over its adapted frame: that frame must be
-        # (e1, e2, e3) bit for bit, as reproduce_theorems solves over
+        # (e1, e2, e3) bit for bit, as a fresh pack is solved over
         diagonal = [p for p in _KENMOTSU_MEMBERS if p[1] == p[2] == 0.0]
         assert len(diagonal) == 4
         for p in diagonal:
@@ -873,35 +936,80 @@ class TestVerifyPaper:
             assert got.tobytes() == np.eye(3).tobytes(), p
 
     @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.0), (0.75, 1.5)])
-    def test_grid_rows_equal_reproduce_theorems(self, capsys, monkeypatch, grid):
+    def test_member_pack_rows_equal_fresh_pack_rows(self, capsys, monkeypatch, grid):
         # members (0.5, 1, 2, 3) read their shared solutions; 0.75 and 1.5
-        # get fresh layers.  Either way each row is that of reproduce_theorems,
-        # field by field, residual bits included
+        # get fresh layers.  Either way each solution equals the one of a
+        # fresh pack, residual bits included, and each printed row is the
+        # one the fresh pack gives
         from cotton3 import cli
 
-        rows = []
-        theorem_checks = cli._theorem_checks
+        solved = []
+        frame_solutions = cli._frame_solutions
 
-        def recording(*args):
-            out = theorem_checks(*args)
-            rows.extend(out)
-            return out
-        monkeypatch.setattr(cli, "_theorem_checks", recording)
+        def recording(pack, tol):
+            sols = frame_solutions(pack, tol)
+            solved.append((pack.algebra.structure_constants[0, 1, 2], sols))
+            return sols
+        monkeypatch.setattr(cli, "_frame_solutions", recording)
         rc = main(["verify-paper", "--grid", ",".join(map(str, grid)),
                    "--format", "machine"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        want = reproduce_theorems(grid).checks
-        assert len(rows) == len(want) > len(grid)
-        for got, ref in zip(rows, want):
-            assert (got.name, got.lam, got.passed, got.detail) == (
-                ref.name, ref.lam, ref.passed, ref.detail)
-            assert got.residual.hex() == ref.residual.hex()
-        printed = doc["checks"][-len(want):]
-        assert printed == [
-            {"name": f"{ch.name}, lambda={ch.lam:g}", "ok": ch.passed,
-             "detail": f"{ch.detail}; residual {ch.residual:.3e}"} for ch in want
+        monkeypatch.undo()
+        # the (lam, 0, 0) geometry has lam as the e3 component of [e1, e2]
+        assert [lam for lam, _ in solved] == list(dict.fromkeys((2.0, 1.0, *grid)))
+        fresh = {}
+        for lam, sols in solved:
+            pack = cli._fresh_pack(lam)
+            fresh[lam] = pack, cli._frame_solutions(pack, 1e-8)
+            for name, sol in sols.items():
+                want = fresh[lam][1][name]
+                assert sol.classification == want.classification, (lam, name)
+                assert sol.residual.hex() == want.residual.hex(), (lam, name)
+                assert sol.sigma.hex() == want.sigma.hex(), (lam, name)
+                assert np.array_equal(sol.coefficients, want.coefficients)
+                assert np.array_equal(sol.family_basis, want.family_basis)
+        want = []
+        for lam in grid:
+            want += cli._theorem_checks(lam, *fresh[lam], None, 1e-8)
+        assert len(want) > len(grid)
+        assert doc["checks"][-len(want):] == want
+
+    def test_default_grid_rows(self, capsys):
+        # three rows at lambda = 0.5 and 2, where the orthogonal ansatz is
+        # infeasible, and five at lambda = 1
+        rc = main(["verify-paper", "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        rows = [c["name"].rsplit(", lambda=", 1)[0] for c in doc["checks"][-8:]]
+        assert [rows.count(name) for name in dict.fromkeys(rows)] == [3, 3, 1, 1]
+        assert list(dict.fromkeys(rows)) == [
+            "collinear potential stays trivial",
+            "orthogonal ansatz feasible only at lam = 1",
+            "orthogonal soliton is steady",
+            "metric splits as hyperbolic plane (curvature -4) times line",
         ]
+
+    def test_off_one_within_tolerance_fails(self, capsys):
+        # slightly off lambda = 1 with a loose tolerance: the feasibility
+        # gate then claims the orthogonal ansatz should work, but the
+        # geometry no longer splits and sigma is not numerically zero
+        rc = main(["verify-paper", "--grid", "1.00001", "--tolerance", "1e-3",
+                   "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert len(doc["checks"]) == 22
+        assert [c["name"] for c in doc["checks"] if not c["ok"]] == [
+            "orthogonal soliton is steady, lambda=1.00001",
+            "metric splits as hyperbolic plane (curvature -4) times line, lambda=1.00001",
+        ]
+
+    def test_integer_grid(self, capsys):
+        rc = main(["verify-paper", "--grid", "1", "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert doc["grid"] == [1.0]
+        assert [c["name"].rsplit(", ", 1)[1] for c in doc["checks"][18:]] == ["lambda=1"] * 4
 
     def test_custom_grid(self, capsys):
         rc = main(["verify-paper", "--grid", "2", "--format", "machine"])
@@ -910,6 +1018,8 @@ class TestVerifyPaper:
         doc = json.loads(out)
         assert len(doc["checks"]) == 20  # 18 fixed + 2 grid rows
         assert doc["grid"] == [2.0]
+        rows = doc["checks"][-2:]
+        assert all(c["ok"] and c["name"].endswith(", lambda=2") for c in rows)
 
     def test_bad_grid_values(self, capsys):
         rc = main(["verify-paper", "--grid", "1,zebra"])

@@ -12,7 +12,6 @@ from cotton3 import frame_algebra, soliton
 
 PUBLIC = [
     "AKStructure",
-    "AssertionFailure",
     "CONSTANT_CURVATURE",
     "ConnectionTable",
     "Cotton3Error",
@@ -43,8 +42,6 @@ PUBLIC = [
     "SymBilinear",
     "TRIVIAL_ONLY",
     "Tensor3",
-    "TheoremCheck",
-    "TheoremReport",
     "ValidityReport",
     "Violation",
     "XiEigenReport",
@@ -63,7 +60,6 @@ PUBLIC = [
     "levi_civita",
     "lie_derivative_metric",
     "make_state",
-    "reproduce_theorems",
     "ricci_closed_form",
     "ricci_parallel_check",
     "ricci_spectrum",
@@ -75,13 +71,15 @@ PUBLIC = [
     "xi_eigenvector_analysis",
 ]
 
-# wrappers over private helpers that had no caller outside the tests
-REMOVED = ["cotton3_oracle", "cotton2_from_cotton3", "cov_deriv_sym2", "flow_step"]
+# wrappers over private helpers that had no caller outside the tests, and
+# the library's second reproduction route, which verify-paper replaces
+REMOVED = ["cotton3_oracle", "cotton2_from_cotton3", "cov_deriv_sym2", "flow_step",
+           "reproduce_theorems", "TheoremReport", "TheoremCheck", "AssertionFailure"]
 
 
 def test_all_is_pinned():
     assert cotton3.__all__ == PUBLIC
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 58
 
 
 def test_every_public_name_resolves():
@@ -113,3 +111,6 @@ def test_second_routes_are_gone():
     # solve route: no closed-form cubic, no layers-and-solutions helper
     assert not hasattr(frame_algebra, "_sym3_eigenvalues")
     assert not hasattr(soliton, "_theorem_layers")
+    # soliton holds the solver alone: verify-paper's rows are built in the CLI
+    for name in ("_theorem_checks", "_fresh_pack", "classify_geometry", "curvature"):
+        assert not hasattr(soliton, name), name

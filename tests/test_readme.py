@@ -30,7 +30,6 @@ def test_library_example_runs_as_documented():
     # the standard frame and the adapted frame span the same ansatz space
     assert ns["general"].classification == ns["survey"]["general"].classification
     assert ns["orth"].classification == "infeasible"
-    assert ns["report"].all_passed
     # lam = 1 is conformally flat: a fixed point with the identity metric
     flow = ns["flow"]
     assert flow.fixed_point and len(flow.trajectory) == 1001

@@ -16,7 +16,6 @@ from conftest import (
     su2_round,
 )
 from cotton3 import (
-    AssertionFailure,
     FrameVector,
     bracket,
     cotton_pack,
@@ -25,7 +24,6 @@ from cotton3 import (
     from_kenmotsu_params,
     from_nonunimodular,
     levi_civita,
-    reproduce_theorems,
     soliton_existence_survey,
 )
 from cotton3 import soliton
@@ -33,6 +31,7 @@ from cotton3.frame_algebra import _EPS, _svd_lstsq
 from cotton3.soliton import (
     SolitonProblem,
     _assemble_system,
+    _frame_solutions,
     _solve,
     lie_derivative_metric,
     solve,
@@ -305,72 +304,22 @@ class TestSurvey:
                 assert np.array_equal(got.family_basis, want.family_basis)
 
 
-class TestTheoremReproduction:
-    def test_default_grid_passes(self):
-        report = reproduce_theorems((0.5, 1.0, 2.0))
-        assert report.all_passed
-        assert len(report.checks) == 8
-        assert report.failures() == ()
-        names = [ch.name for ch in report.checks]
-        assert names.count("collinear potential stays trivial") == 3
-        assert names.count("orthogonal ansatz feasible only at lam = 1") == 3
-        assert names.count("orthogonal soliton is steady") == 1
-        assert (
-            names.count("metric splits as hyperbolic plane (curvature -4) times line")
-            == 1
-        )
-
-    def test_checks_carry_parameters(self):
-        report = reproduce_theorems((2.0,))
-        assert all(ch.lam == 2.0 for ch in report.checks)
-        assert all(ch.passed for ch in report.checks)
-        assert len(report.checks) == 2
-
-    def test_failure_raises_with_report(self):
-        # Slightly off lam = 1 with a loose tolerance: the feasibility gate
-        # then claims the orthogonal ansatz should work, but the geometry
-        # no longer splits and sigma is not numerically zero.
-        with pytest.raises(AssertionFailure) as err:
-            reproduce_theorems([1.0 + 1e-5], tol=1e-3)
-        report = err.value.report
-        assert report is not None
-        assert not report.all_passed
-        assert len(report.failures()) == 2
-        assert "soliton existence checks failed" in str(err.value)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
-    def test_invalid_tolerance_rejected(self, tol):
-        # every comparison with nan is false, so a nan tolerance would skip
-        # the lam = 1 checks and pass on the remaining four
-        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-            reproduce_theorems([1.0, 2.0], tol=tol)
-
-    def test_zero_tolerance_accepted(self):
-        report = reproduce_theorems([2.0], tol=0.0)
-        assert len(report.checks) == 2
-
-    def test_integer_grid_accepted(self):
-        report = reproduce_theorems([1])
-        assert report.all_passed
-        assert report.checks[0].lam == 1.0
-
+class TestFrameSolutions:
     def test_matches_separately_assembled_ansatze(self):
-        # the two ansatz systems are column subsets of one frame system,
-        # bitwise those assembled and solved on their own
+        # the two ansatz systems of a (lam, 0, 0) member are column subsets
+        # of one frame system, bitwise those assembled and solved on their own
         frame = tuple(FrameVector(row) for row in np.eye(3))
-        grid = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
-        checks = {(ch.name, ch.lam): ch for ch in reproduce_theorems(grid).checks}
-        for lam in grid:
-            L = from_kenmotsu_params(lam, 0.0, 0.0)
-            conn = levi_civita(L)
-            cotton2 = cotton_pack(L, conn, curvature(L, conn)).cotton2
-            coll = solve(SolitonProblem(L, conn, cotton2, frame[:1]))
-            orth = solve(SolitonProblem(L, conn, cotton2, frame[1:]))
-            assert checks["collinear potential stays trivial", lam].residual == coll.residual
-            assert (checks["orthogonal ansatz feasible only at lam = 1", lam].residual
-                    == orth.residual)
-            if lam == 1.0:
-                assert checks["orthogonal soliton is steady", lam].residual == abs(orth.sigma)
+        for lam in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+            L, conn, pack = layers(from_kenmotsu_params(lam, 0.0, 0.0))
+            sols = _frame_solutions(pack, 1e-8)
+            for name, basis in (("collinear", frame[:1]), ("orthogonal", frame[1:])):
+                got = sols[name]
+                want = solve(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
+                assert got.classification == want.classification
+                assert np.array_equal(got.coefficients, want.coefficients)
+                assert got.sigma == want.sigma
+                assert got.residual.hex() == want.residual.hex()
+                assert np.array_equal(got.family_basis, want.family_basis)
 
 
 # --------------------------------------------------------------------------
