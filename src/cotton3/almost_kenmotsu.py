@@ -6,23 +6,14 @@ An almost Kenmotsu structure on a 3-frame algebra with metric g is a tuple
     phi^2 = -I + eta (x) xi,      g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y),
     d eta = 0,                    d Phi = 2 eta ^ Phi,   Phi(X, Y) = g(X, phi Y),
 
-and h = (1/2) Lie_xi phi symmetric, trace free, anticommuting with phi.  The
-covariant derivative of the Reeb field then has the rigid shape
+and h = (1/2) Lie_xi phi symmetric, trace free, anticommuting with phi;
+then nabla_X xi = X - eta(X) xi - phi h X.  The "3-h" class additionally
+requires nabla_xi h = 0.
 
-    nabla_X xi = X - eta(X) xi - phi h X,
+On invariant fields d eta = 0 says that xi is g-orthogonal to [g, g], and
+d Phi = 2 eta ^ Phi that tr ad_xi = -2, so xi lies in
 
-so xi is recognisable from the connection alone: the bilinear form
-B(X, Y) = g(nabla_X xi, Y) must be symmetric with trace 2, and
-phi h := (I - nabla xi)|_{xi-perp} symmetric trace free.  The "3-h" class
-additionally requires nabla_xi h = 0.
-
-Detection reads the Reeb direction off the derived algebra.  The skew
-part of B_xi is d eta, so B_xi is symmetric exactly when xi is
-g-orthogonal to [g, g], and its trace is div xi = -tr ad_xi.  So xi lies in
-
-    [g, g]^perp  intersected with  {u : tr ad_u = -2},
-
-where [g, g] and tr ad depend on the structure constants alone:
+    [g, g]^perp  intersected with  {u : tr ad_u = -2}:
 
 * where dim [g, g] = 2, [g, g]^perp is a line, and xi is its unit vector
   with tr ad_xi < 0;
@@ -32,15 +23,21 @@ where [g, g] and tr ad depend on the structure constants alone:
   "Curvatures of left invariant metrics on Lie groups", Adv. Math. 21,
   1976).
 
-Candidates are verified in that order against the full invariant list,
-and the first that passes is accepted.
+With phi = xi x_g (.), all else holds by construction but the shape of
+A = ad_xi on xi^perp: A + I = lam S + w J, S symmetric trace free with
+eigenvalues +-1 and J = phi, and 3-h is w = 0 unless lam = 0 (the adapted
+frame of Pastore and Saltarelli, "Generalized nullity distributions on
+almost Kenmotsu manifolds", Int. Electron. J. Geom. 4, 2011).  Detection
+scores the candidates in order by these three conditions and accepts the
+first that passes; ``structure_residuals`` checks the full invariant list
+independently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,16 +62,11 @@ class AKStructure:
     connection constants of the adapted frame:
     nabla_e e = -xi - b phi_e and nabla_{phi_e} e = lam xi + c phi_e.
     ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
-    the layers of ``algebra`` the structure was verified against, and
-    ``residuals`` is the read-only residual dict that ``detect_structure``
-    accepted it under; ``structure_residuals`` hands out copies of it
-    instead of recomputing.  ``h_sides`` is the read-only pair of 3x3
-    matrices detection scored on those layers: nabla_xi h and the
-    curvature expression it equals; ``structure_residuals`` and
-    ``check_h_parallel`` read it instead of recomputing.  Only detection
-    sets the two: they are not constructor arguments, so a structure built
-    by hand or derived with ``dataclasses.replace`` has ``None`` and is
-    evaluated afresh.
+    the layers of ``algebra`` the structure was built on.  ``h_sides`` is
+    the read-only pair of 3x3 matrices nabla_xi h and the curvature
+    expression it equals, made from those layers on first read and kept;
+    ``structure_residuals`` and ``check_h_parallel`` on the structure's own
+    layers share it.
     """
 
     algebra: MetricLieAlgebra3
@@ -90,8 +82,15 @@ class AKStructure:
     kenmotsu: bool
     connection: ConnectionTable
     curvature: CurvaturePack
-    residuals: MappingProxyType | None = field(default=None, init=False, repr=False)
-    h_sides: tuple | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def h_sides(self) -> tuple:
+        """``_h_transport_sides`` on the structure's own layers, read-only."""
+        sides = _h_transport_sides(self.xi.components, self.h_op, self.phi,
+                                   self.connection.gamma, self.curvature.riemann)
+        for mat in sides:
+            mat.setflags(write=False)
+        return sides
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):
@@ -102,6 +101,7 @@ class AKStructure:
 
 _EYE = np.eye(3)
 _EYE.setflags(write=False)
+_CYCLIC = np.array([5, 6, 1])  # rows (1, 2), (2, 0), (0, 1) of c.reshape(9, 3)
 
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
@@ -187,7 +187,7 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
       rounded to 12 decimals as ``np.round`` rounds.
     * an abelian algebra, or |tr ad| on w^perp 0.0 or not finite, gives none.
 
-    The structure residuals decide which candidate, if any, is accepted.
+    The normal-form residual decides which candidate, if any, is accepted.
     """
     c = L.structure_constants
     Li = np.array(L._frame[2])
@@ -231,9 +231,8 @@ def _build_structure(
     2 eta ^ Phi is linear in phi.  sqrt(det g) = 1 / (i00 i11 i22), L^-1's
     diagonal, each divided into u in turn to keep it in range.  phi h and h
     are g-self-adjoint parts (M + g^-1 M^T g) / 2.  The structure holds
-    ``u`` itself and every array built here without a copy, with
-    ``h_sides`` evaluated on ``conn`` and ``pack``.  ``u`` is taken over: it
-    is frozen in place, so pass a copy to keep it writable.
+    ``u`` itself and every array built here without a copy.  ``u`` is taken
+    over: it is frozen in place, so pass a copy to keep it writable.
     """
     g = L.metric
     ginv, _, ((i00, _, _), (_, i11, _), (_, _, i22)) = L._frame
@@ -258,9 +257,6 @@ def _build_structure(
     nab_e = e.dot(gamma).dot(g)  # nab_e[i] = nabla_{E_i} e, lowered by g
     b = -float(e.dot(nab_e).dot(phi_e))
     c = float(phi_e.dot(nab_e).dot(phi_e))
-    sides = _h_transport_sides(u, h, phi, gamma, pack.riemann)
-    for mat in sides:
-        mat.setflags(write=False)
     xi = _wrap(FrameVector, components=u)
     return _wrap(
         AKStructure,
@@ -281,8 +277,6 @@ def _build_structure(
         kenmotsu=kenmotsu,
         connection=conn,
         curvature=pack,
-        residuals=None,
-        h_sides=sides,
     )
 
 
@@ -317,17 +311,13 @@ def structure_residuals(
     """Absolute residuals of every defining identity of the structure.
 
     All entries vanish (to float precision) on a genuine almost Kenmotsu
-    3-h algebra; the largest one is the acceptance score for detection.
-    The 3x3 products are one stacked ``matmul``, and the residual matrices
-    are reduced together, in one pass.  Given the structure's own
-    ``algebra``, ``connection`` and ``curvature`` (the same objects), a
-    detected structure returns a fresh copy of the dict it was accepted
-    under, and a structure detection has built reads its ``h_sides``; any
-    other layers are evaluated afresh.
+    3-h algebra.  This is the full check, independent of detection's
+    normal-form score, and it evaluates every identity on each call.  The
+    3x3 products are one stacked ``matmul``, and the residual matrices are
+    reduced together, in one pass.  Given the structure's own
+    ``connection`` and ``curvature`` (the same objects), it reads the
+    structure's ``h_sides``; any other layers are evaluated afresh.
     """
-    own = conn is ak.connection and pack is ak.curvature
-    if ak.residuals is not None and own and L is ak.algebra:
-        return dict(ak.residuals)
     g = L.metric
     c = L.structure_constants
     gamma = conn.gamma
@@ -336,7 +326,7 @@ def structure_residuals(
     lam = ak.lam
     # rows xi, e, phi_e; E = F.T has them as columns
     F = np.array([v.components for v in ak.adapted_frame])
-    if own and ak.h_sides is not None:
+    if conn is ak.connection and pack is ak.curvature:
         transport_mat, curv_mat = ak.h_sides
     else:
         transport_mat, curv_mat = _h_transport_sides(xi, h, phi, gamma, pack.riemann)
@@ -395,6 +385,30 @@ def structure_residuals(
     return res
 
 
+def _normal_form_residual(B: list, y: list) -> float:
+    """Normal-form score of a unit Reeb candidate y in the orthonormal frame
+    whose brackets are the rows of ``B`` (floats): the largest of
+    |y . [g, g]| (d eta), |tr ad_y + 2| (d Phi = 2 eta ^ Phi) and
+    min(|w|, lam) (nabla_xi h = 0), each of degree one in the constants;
+    nan when one is not finite.  N = ad_y + I - y y^T is lam S + w J on
+    y^perp, J = [y]_x and |S|^2 = 2: lam^2 = |sym N|^2 / 2, and w is the
+    axis of skew N along y."""
+    y0, y1, y2 = y
+    # row k of ad_y = B^T [y]_x is column k of B crossed with y
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = [
+        (q * y2 - r * y1, r * y0 - p * y2, p * y1 - q * y0) for p, q, r in zip(*B)]
+    d0, d1, d2 = a00 + 1.0 - y0 * y0, a11 + 1.0 - y1 * y1, a22 + 1.0 - y2 * y2
+    s01, s02, s12 = a01 + a10 - 2.0 * y0 * y1, a02 + a20 - 2.0 * y0 * y2, a12 + a21 - 2.0 * y1 * y2
+    lam = math.sqrt(0.5 * (d0 * d0 + d1 * d1 + d2 * d2)
+                    + 0.25 * (s01 * s01 + s02 * s02 + s12 * s12))
+    w = 0.5 * ((a21 - a12) * y0 + (a02 - a20) * y1 + (a10 - a01) * y2)
+    d_eta = max(abs(p * y0 + q * y1 + r * y2) for p, q, r in B)
+    d_phi = abs(a00 + a11 + a22 + 2.0)
+    if not math.isfinite(d_eta + d_phi + w + lam):
+        return math.nan
+    return max(d_eta, d_phi, min(abs(w), lam))
+
+
 def detect_structure(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
@@ -403,43 +417,45 @@ def detect_structure(
 ) -> AKStructure:
     """Find the almost Kenmotsu 3-h structure of an algebra, in any frame.
 
-    The candidates come from the structure constants and the algebra's one
-    metric pass (``_candidate_reebs``); this returns the first, in their
-    deterministic order, whose largest structure residual is within ``tol``
-    (scaled by the connection size), and none with a nan residual; later
-    candidates are never built.  Where the Reeb field is not unique, as on
-    (1, b, b) algebras, every admissible candidate is a genuine structure
-    and their residuals differ only by rounding, so the order decides.
-    Each candidate is scored by one ``structure_residuals`` call, and the
-    accepted structure keeps that dict as ``residuals``, next to the
-    ``h_sides`` it was scored with.  Raises ``NoStructure`` when no vector
-    orthogonal to [g, g] has nonzero tr ad, so that there is no candidate,
-    and otherwise, reporting the best residual, when no candidate is
-    admissible.
+    Returns the first of the candidates (``_candidate_reebs``), in their
+    deterministic order, whose ``_normal_form_residual`` is within ``tol``
+    times 1 + |c~|, c~ the constants in the orthonormal frame of the
+    metric pass; nan is never within.  The score reads neither ``conn`` nor
+    ``pack``: only the accepted candidate is built on them, and refused if
+    its structure is not finite.  Where the Reeb field is not unique, as on
+    (1, b, b) algebras, the order decides.  Raises ``NoStructure`` when
+    there is no candidate (no vector orthogonal to [g, g] has nonzero
+    tr ad) or, with the best residual, when none is admissible.
     """
-    flat = conn.gamma.ravel()
-    scale = 1.0 + math.sqrt(flat.dot(flat))
     cands = _candidate_reebs(L)
     if not cands:
         raise NoStructure(
             "no vector orthogonal to [g, g] has nonzero tr ad, so there is no "
             "unit Reeb candidate")
+    # the rows [f_1, f_2], [f_2, f_0] and [f_0, f_1] of the orthonormal frame
+    # f_i = L^-T e_i in f components: f_{i+1} x f_{i+2} = det(L^-1) L e_i, so
+    # [f_{i+1}, f_{i+2}] = det(L^-1) sum_m L[m, i] [e_{m+1}, e_{m+2}]
+    Li = L._frame[2]
+    (i00, _, _), (_, i11, _), (_, _, i22) = Li
+    Lt = np.array(Li).dot(L.metric)  # L^T, from frame to f components
+    K = L.structure_constants.reshape(9, 3)[_CYCLIC].dot(Lt.T)
+    B = (Lt * (i00 * i11 * i22)).dot(K)
+    flat = B.ravel()
+    # |c~| counts each bracket twice
+    limit = tol * (1.0 + math.sqrt(2.0 * flat.dot(flat)))
+    B = B.tolist()
     best_res = math.inf
     for u in cands:
-        ak = _build_structure(L, conn, pack, u, tol)
-        residuals = structure_residuals(L, conn, pack, ak)
-        res = max(residuals.values())
-        if math.isnan(sum(residuals.values())):
-            res = math.nan  # max() passes over a nan that follows a number
-        if res <= tol * scale:
-            # the structure is frozen once it leaves detection
-            object.__setattr__(ak, "residuals", MappingProxyType(residuals))
-            return ak
+        res = _normal_form_residual(B, Lt.dot(u).tolist())
+        if res <= limit:
+            ak = _build_structure(L, conn, pack, u, tol)
+            if math.isfinite(ak.lam + ak.f):
+                return ak
+            res = math.nan
         best_res = min(best_res, res)
     raise NoStructure(
         "no unit Reeb candidate satisfies the almost Kenmotsu 3-h "
-        f"identities (best residual {best_res:.3e}, tolerance "
-        f"{tol * scale:.3e})"
+        f"identities (best residual {best_res:.3e}, tolerance {limit:.3e})"
     )
 
 
@@ -467,10 +483,9 @@ def check_h_parallel(
 ) -> HParallelCheck:
     """Verify nabla_xi h = 0 along two independent routes; the curvature
     route reads ``ak.curvature``, which detection computed from ``conn``.
-    On the structure's own ``connection``, a detected structure reads the
-    ``h_sides`` it was scored with; any other connection is evaluated
-    afresh."""
-    if conn is ak.connection and ak.h_sides is not None:
+    On the structure's own ``connection`` it reads ``ak.h_sides``; any
+    other connection is evaluated afresh."""
+    if conn is ak.connection:
         transport_mat, curv_mat = ak.h_sides
     else:
         transport_mat, curv_mat = _h_transport_sides(

@@ -667,9 +667,10 @@ def _verify_checks(tol: float, grid: list) -> list:
     add("orthogonal soliton, lambda=2", sol.classification == INFEASIBLE,
         sol.classification)
 
-    # lambda=1 geometry is the product of the hyperbolic plane and a line
+    # lambda=1 geometry is the product of the hyperbolic plane and a line;
+    # it is Ricci-parallel, so its class carries the spectrum it was read from
     cls1 = _geometry_class(pack1)
-    eigs = sorted(ricci_spectrum(pack1))
+    eigs = cls1.spectrum
     gap = _gap([cls1.curvature or 0.0, *eigs], (-4.0, -4.0, -4.0, 0.0))
     add("geometry class, lambda=1", cls1.kind == PRODUCT_H2XR and gap <= 1e-6,
         f"{cls1.kind}, eigenvalues {[round(float(x), 6) for x in eigs]}")

@@ -243,11 +243,14 @@ class GeometryClass:
 
     ``kind`` is one of "constant_curvature", "product_h2xr",
     "symmetric_other", "not_symmetric"; ``curvature`` carries the model's
-    sectional curvature when one applies.
+    sectional curvature when one applies, and ``spectrum`` the ascending
+    Ricci eigenvalues the class was read from (None when not
+    Ricci-parallel: the spectrum is not read).
     """
 
     kind: str
     curvature: float | None = None
+    spectrum: tuple | None = None
 
 
 CONSTANT_CURVATURE = "constant_curvature"
@@ -273,10 +276,10 @@ def classify_geometry(pack: CurvaturePack, ricci_parallel: bool) -> GeometryClas
     eigs = ricci_spectrum(pack)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     atol = _SPECTRUM_REL_TOL * scale
-    lo, mid, hi = (float(v) for v in eigs)
+    lo, mid, hi = spectrum = tuple(eigs.tolist())
     if hi - lo <= atol:
-        return GeometryClass(CONSTANT_CURVATURE, (lo + mid + hi) / 6.0)
+        return GeometryClass(CONSTANT_CURVATURE, (lo + mid + hi) / 6.0, spectrum)
     # {k, k, 0} with k < 0: the zero eigenvalue is the largest of the three.
     if abs(hi) <= atol and abs(mid - lo) <= atol and mid < -atol:
-        return GeometryClass(PRODUCT_H2XR, 0.5 * (lo + mid))
-    return GeometryClass(SYMMETRIC_OTHER)
+        return GeometryClass(PRODUCT_H2XR, 0.5 * (lo + mid), spectrum)
+    return GeometryClass(SYMMETRIC_OTHER, None, spectrum)

@@ -39,7 +39,7 @@ from cotton3 import (
     validate,
     xi_eigenvector_analysis,
 )
-from cotton3 import almost_kenmotsu
+from cotton3 import almost_kenmotsu, connection_curvature
 from cotton3.cli import _KENMOTSU_MEMBERS, _SOLVABLE_MEMBERS
 from cotton3.almost_kenmotsu import (
     _build_structure,
@@ -310,6 +310,115 @@ class TestBasisChange:
                     assert np.allclose(ak.xi.components, xi, rtol=0.0, atol=1e-9)
                 survey = soliton_existence_survey(ak)
                 assert {name: sol.classification for name, sol in survey.items()} == want
+
+
+def reference_normal_form(L, u):
+    """The three normal-form terms of the unit Reeb candidate ``u`` (frame
+    components): the constants c~ in the orthonormal frame of numpy's
+    Cholesky factor, and ad_y, y = u there, read on an explicit orthonormal
+    basis (p, q) of y^perp, where A + I = lam S + w J plus a trace part."""
+    M = np.linalg.inv(np.linalg.cholesky(L.metric)).T  # f_i = sum_a M[a, i] e_a
+    ct = np.einsum("ai,bj,abk,lk->ijl", M, M, L.structure_constants, np.linalg.inv(M))
+    y = np.linalg.solve(M, u)
+    A = np.einsum("i,ijk->kj", y, ct)
+    p = np.cross(y, np.eye(3)[np.argmin(np.abs(y))])
+    p /= np.linalg.norm(p)
+    E = np.column_stack([p, np.cross(y, p)])
+    N = E.T @ A @ E + np.eye(2)
+    sym = 0.5 * (N + N.T) - 0.5 * np.trace(N) * np.eye(2)
+    terms = {"d_eta": float(np.abs(np.einsum("ijk,k->ij", ct, y)).max()),
+             "d_phi": abs(float(np.trace(A)) + 2.0),
+             "w": 0.5 * float(N[1, 0] - N[0, 1]),
+             "lam": float(np.linalg.eigvalsh(sym)[1])}
+    return terms, ct
+
+
+class TestNormalForm:
+    """Detection scores each candidate by the bracket normal form in the
+    orthonormal frame of the metric pass, so its verdict does not depend on
+    the scale of the constants or of the frame they are written in."""
+
+    def test_residual_matches_reference(self):
+        rng = np.random.default_rng(151)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        algebras = []
+        for _ in range(30):
+            # 3-h, near 3-h (w = 1e-3), lam < |w| and generic brackets
+            S = np.diag([1.0, -1.0]) * rng.uniform(0.1, 2.0) + np.eye(2)
+            K = np.diag([1.0, -1.0]) * rng.uniform(0.01, 0.4) + np.eye(2)
+            for D in (S, S + 1e-3 * J, K + rng.uniform(0.5, 3.0) * J, rng.normal(size=(2, 2))):
+                algebras.append(change_basis(semidirect(D), random_basis_change(rng)))
+            P = random_basis_change(rng)
+            algebras.append(random_valid_algebra(rng, rotated=True).with_metric(P.T @ P))
+        for L in algebras:
+            units = [u / math.sqrt(u @ L.metric @ u) for u in rng.normal(size=(2, 3))]
+            for u in _candidate_reebs(L) + units:
+                ref, ct = reference_normal_form(L, u)
+                B = ct[(1, 2, 0), (2, 0, 1)].tolist()
+                y = np.linalg.solve(np.linalg.inv(np.linalg.cholesky(L.metric)).T, u)
+                got = almost_kenmotsu._normal_form_residual(B, y.tolist())
+                want = max(ref["d_eta"], ref["d_phi"], min(abs(ref["w"]), ref["lam"]))
+                # the score's lam also holds the trace part and the d eta row
+                slack = ref["d_phi"] + 2.0 * ref["d_eta"]
+                assert abs(got - want) <= slack + 1e-11 * (1.0 + np.linalg.norm(ct))
+
+    @pytest.mark.parametrize("lam", [1e8, 1e10, 1e14])
+    def test_rotated_large_lambda(self, lam):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            L = rotate_algebra(from_kenmotsu_params(lam, 0.0, 0.0), random_rotation(rng))
+            _, _, ak = detect(L)
+            assert abs(ak.lam - lam) <= 1e-12 * lam
+            assert max(abs(ak.b), abs(ak.c)) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("t", [1e30, 1e-30])
+    def test_lambda_two_in_scaled_frames(self, t):
+        # the frame t e_i: constants times t, metric times t^2, xi = e_1 / t
+        _, _, ak = detect(change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3)))
+        assert abs(ak.lam - 2.0) <= 1e-12
+        assert max(abs(ak.b), abs(ak.c)) <= 1e-12
+        assert np.allclose(ak.xi.components * t, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1e50, 1e-50, 1e100])
+    def test_never_accepts_a_wrong_structure(self, t):
+        # at t = 1e50 the candidate search overflows and loses the true Reeb
+        # field: what it returns instead must be refused, not accepted
+        L = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3))
+        try:
+            with np.errstate(all="ignore"):
+                _, _, ak = detect(L)
+        except NoStructure:
+            return
+        assert abs(ak.lam - 2.0) <= 1e-8
+
+    def test_reference_members_in_ill_conditioned_frames(self):
+        # detection only, up to cond(P^T P) = 1e6; TestBasisChange keeps its
+        # soliton classifications at 1e3
+        rng = np.random.default_rng(0)
+        for params, L in TestBasisChange.MEMBERS:
+            _, _, ak0 = detect(L)
+            for _ in range(100):
+                _, _, ak = detect(change_basis(L, random_basis_change(rng, 1e6)))
+                got = np.array([ak.lam, abs(ak.b), abs(ak.c)])
+                ref = np.array([ak0.lam, abs(ak0.b), abs(ak0.c)])
+                assert np.max(np.abs(got - ref)) <= 1e-6 * (1.0 + ref.sum())
+
+    @pytest.mark.parametrize("tol, detected", [(1e-8, False), (1e-4, True)])
+    def test_degree_one_verdict_in_general_frames(self, tol, detected):
+        # w = 1e-6 decides the verdict against tol (1 + |c~|), |c~| = sqrt(5)
+        # in every frame: the scale is that of the orthonormal constants
+        D = np.diag([1.5, 0.5]) + 1e-6 * np.array([[0.0, -1.0], [1.0, 0.0]])
+        rng = np.random.default_rng(152)
+        for _ in range(20):
+            P = random_basis_change(rng, 1e4) * 10.0 ** rng.uniform(-5.0, 5.0)
+            L = change_basis(semidirect(D), P)
+            try:
+                _, _, ak = detect(L, tol)
+            except NoStructure as exc:
+                assert not detected
+                assert f"tolerance {tol * (1.0 + math.sqrt(5.0)):.3e}" in str(exc)
+            else:
+                assert detected and abs(ak.lam - 0.5) <= 1e-6
 
 
 class TestAdaptedTable:
@@ -689,9 +798,11 @@ class TestCandidateList:
 
 
 class TestResidualReuse:
-    """A detected structure carries the residual dict it was accepted under;
-    ``structure_residuals`` hands out copies of it on the structure's own
-    layers and recomputes on any others."""
+    """``structure_residuals`` is the full check, independent of detection:
+    it evaluates on every call, and the structure's ``h_sides`` are made
+    from its own layers on first read and shared by ``structure_residuals``
+    and ``check_h_parallel`` on those layers; other layers are evaluated
+    afresh."""
 
     @staticmethod
     def algebras(rng):
@@ -710,7 +821,6 @@ class TestResidualReuse:
             assert type(got) is dict
             assert got == want
             assert list(got) == list(want)
-            assert dict(ak.residuals) == want
 
     def test_returned_dict_is_a_copy(self):
         L = rotate_algebra(from_kenmotsu_params(1.0, 0.8, 0.8),
@@ -723,49 +833,49 @@ class TestResidualReuse:
         del first["d_phi"]
         assert structure_residuals(L, conn, pack, ak) == want
         assert structure_residuals(L, conn, pack, ak) is not structure_residuals(L, conn, pack, ak)
-        with pytest.raises(TypeError):
-            ak.residuals["h_trace"] = 1.0
+        assert not hasattr(ak, "residuals")
 
     def test_other_layers_are_evaluated(self):
         rng = np.random.default_rng(103)
         L = rotate_algebra(from_kenmotsu_params(2.0, 0.0, 0.0), random_rotation(rng))
-        _, _, ak = detect(L)
+        conn, pack, ak = detect(L)
         # the same structure read against another algebra's layers
         L2 = rotate_algebra(from_nonunimodular(0.5, 1.0), random_rotation(rng))
         conn2 = levi_civita(L2)
         other = structure_residuals(L2, conn2, curvature(L2, conn2), ak)
         assert max(other.values()) > 1e-3
-        assert max(ak.residuals.values()) <= 1e-10
+        assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-10
 
     def test_hand_built_structure_recomputes(self):
         L = rotate_algebra(from_nonunimodular(1.5, -0.7),
                            random_rotation(np.random.default_rng(104)))
         conn, pack, ak = detect(L)
-        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)
-                              if f.init})
-        assert bare.residuals is None
-        assert structure_residuals(L, conn, pack, bare) == dict(ak.residuals)
+        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
+        assert "h_sides" not in vars(bare)
+        assert structure_residuals(L, conn, pack, bare) == structure_residuals(L, conn, pack, ak)
         with pytest.raises(TypeError):
-            AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
+            AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)},
+                        h_sides=ak.h_sides)
 
     def test_replaced_structure_recomputes(self):
-        # a structure derived from a detected one does not inherit its
-        # residuals, even on the same layers
+        # a structure derived from a detected one makes its own h_sides,
+        # even on the same layers
         import dataclasses
 
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         conn, pack, ak = detect(L)
+        ak.h_sides
         bad = dataclasses.replace(ak, b=1.0, c=1.0)
-        assert bad.residuals is None
+        assert "h_sides" not in vars(bad)
         assert structure_residuals(L, conn, pack, bad)["adapted_connection"] > 0.1
-        with pytest.raises(ValueError):
-            dataclasses.replace(ak, residuals=None)
-        with pytest.raises(ValueError):
-            dataclasses.replace(ak, h_sides=None)
+        for name in ("residuals", "h_sides"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(ak, **{name: None})
 
     def test_accepts_first_admissible_candidate(self):
-        # detection still accepts the first candidate, in candidate order,
-        # whose residuals on freshly computed layers are within tolerance
+        # detection accepts the candidate that the full residual list on
+        # freshly computed layers accepts first, in candidate order, and
+        # that list holds on the structure it returns
         for L in self.algebras(np.random.default_rng(105)):
             conn, pack, ak = detect(L)
             fresh = levi_civita(L)
@@ -779,11 +889,13 @@ class TestResidualReuse:
             else:
                 pytest.fail("no admissible candidate on fresh layers")
             assert np.array_equal(ak.xi.components, u)
-            assert dict(ak.residuals) == res
+            got = structure_residuals(L, conn, pack, ak)
+            assert got == res
+            assert max(got.values()) <= 1e-8 * scale
 
     @staticmethod
     def fresh_h_parallel(ak):
-        # the two matrices evaluated afresh, as before detection kept them
+        # the two matrices evaluated afresh, outside the structure
         transport, curv = _h_transport_sides(ak.xi.components, ak.h_op, ak.phi,
                                              ak.connection.gamma, ak.curvature.riemann)
         gap = transport - curv
@@ -791,15 +903,19 @@ class TestResidualReuse:
                 float(np.max(np.abs(gap))))
 
     def test_h_parallel_reads_the_scored_sides(self):
-        # check_h_parallel on the structure's own connection reads the pair
-        # detection scored; the result is that of a fresh evaluation
+        # check_h_parallel and structure_residuals on the structure's own
+        # layers read its h_sides, made once, read-only; the result is that
+        # of a fresh evaluation
         for L in self.algebras(np.random.default_rng(106)):
             conn, pack, ak = detect(L)
-            transport, curv = ak.h_sides
+            assert "h_sides" not in vars(ak)
+            transport, curv = sides = ak.h_sides
+            assert ak.h_sides is sides
             assert not transport.flags.writeable and not curv.flags.writeable
             transport_max, curv_max, gap = self.fresh_h_parallel(ak)
-            assert ak.residuals["h_transport"] == transport_max
-            assert ak.residuals["curvature_identity"] == curv_max
+            res = structure_residuals(L, conn, pack, ak)
+            assert res["h_transport"] == transport_max
+            assert res["curvature_identity"] == curv_max
             chk = check_h_parallel(L, conn, ak)
             assert chk.transport == transport_max
             assert chk.curvature_side == curv_max
@@ -813,10 +929,10 @@ class TestResidualReuse:
         L = rotate_algebra(from_kenmotsu_params(1.0, 0.6, 0.6),
                            random_rotation(np.random.default_rng(107)))
         conn, pack, ak = detect(L)
-        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)
-                              if f.init})
-        replaced = dataclasses.replace(ak)
+        want_res = structure_residuals(L, conn, pack, ak)
         want = check_h_parallel(L, conn, ak)
+        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
+        replaced = dataclasses.replace(ak)
         calls = []
 
         def counting(*args):
@@ -825,13 +941,14 @@ class TestResidualReuse:
 
         monkeypatch.setattr(almost_kenmotsu, "_h_transport_sides", counting)
         assert check_h_parallel(L, conn, ak) == want
-        assert structure_residuals(L, conn, pack, ak) == dict(ak.residuals)
+        assert structure_residuals(L, conn, pack, ak) == want_res
         assert calls == []
+        # each other structure makes its own pair once, for both readers
         for other in (bare, replaced):
-            assert other.h_sides is None and other.residuals is None
+            assert "h_sides" not in vars(other)
             assert check_h_parallel(L, conn, other) == want
-            assert structure_residuals(L, conn, pack, other) == dict(ak.residuals)
-        assert len(calls) == 4
+            assert structure_residuals(L, conn, pack, other) == want_res
+        assert len(calls) == 2
 
 
 class TestScalarEigenvector:
@@ -901,33 +1018,30 @@ class TestWrappedFields:
             assert not v.components.flags.writeable
         for name in ("eta", "phi", "h_op"):
             assert not getattr(built, name).flags.writeable
-        assert all(not m.flags.writeable for m in built.h_sides)
+        # h_sides is made on first read, read-only, and kept
+        sides = built.h_sides
+        assert built.h_sides is sides
+        assert all(not m.flags.writeable for m in sides)
 
 
 class TestDetectionCallCounts:
     """One detection makes no ``np.linalg.svd`` call, since its candidates
-    come from the structure constants in closed form, and one public
-    ``structure_residuals`` call per candidate it scores: the counts the
-    benchmark's tracer reports."""
+    come from the structure constants in closed form, no
+    ``structure_residuals`` call and no Riemann tensor, since it scores
+    each candidate by the bracket normal form."""
 
     def counted(self, monkeypatch):
-        counts = {"svd": 0, "structure_residuals": 0}
-        svd, residuals = np.linalg.svd, almost_kenmotsu.structure_residuals
-
-        def counting_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return svd(*args, **kwargs)
-
-        def counting_residuals(*args):
-            counts["structure_residuals"] += 1
-            return residuals(*args)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(almost_kenmotsu, "structure_residuals", counting_residuals)
+        counts = {"svd": 0, "structure_residuals": 0, "_riemann": 0}
+        for owner, name in ((np.linalg, "svd"), (almost_kenmotsu, "structure_residuals"),
+                            (connection_curvature, "_riemann")):
+            def counting(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
         return counts
 
     @pytest.mark.parametrize("params", [(2.0, 0.0, 0.0), (1.0, 0.7, 0.7)])
-    def test_no_svd_and_one_residual_call_per_candidate(self, params, monkeypatch):
+    def test_no_svd_no_residuals_and_no_riemann(self, params, monkeypatch):
         L = rotate_algebra(from_kenmotsu_params(*params),
                            random_rotation(np.random.default_rng(141)))
         conn = levi_civita(L)
@@ -936,5 +1050,6 @@ class TestDetectionCallCounts:
         counts = self.counted(monkeypatch)
         ak = detect_structure(L, conn, pack)
         assert abs(ak.lam - params[0]) <= 1e-8
-        assert counts == {"svd": 0, "structure_residuals": 1}
+        assert counts == {"svd": 0, "structure_residuals": 0, "_riemann": 0}
+        assert "riemann" not in vars(pack)
         assert n_candidates == (1 if params[1] == 0.0 else 2)

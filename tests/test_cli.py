@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_jacobi, change_basis, random_rotation, rotate_algebra
+from conftest import brute_jacobi, change_basis, random_rotation, rotate_algebra, semidirect
 from cotton3 import from_kenmotsu_params
 from cotton3.cli import _KENMOTSU_MEMBERS, _gap, _member, build_parser, main
 
@@ -185,6 +185,18 @@ class TestGeneralFrame:
     def test_soliton(self, geom):
         assert main(["soliton", geom(skew_frame_kenmotsu()), "--format", "machine"]) == 0
 
+    @pytest.mark.parametrize("t", [1e30, 1e-30])
+    def test_structure_in_scaled_frames(self, geom, capsys, t):
+        # the frame t e_i scales the constants by t and the metric by t^2;
+        # detection scores in the orthonormal frame, where neither shows
+        L = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3))
+        path = geom(dict(brackets_of(L), metric=L.metric.tolist()))
+        rc = main(["structure", path, "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lambda"] == pytest.approx(2.0, abs=1e-12)
+        assert doc["xi"] == pytest.approx([1.0 / t, 0.0, 0.0], rel=1e-12)
+
     def test_cotton_adapted_frame_values(self, geom, capsys):
         rc = main(["cotton", geom(skew_frame_kenmotsu()), "--format", "machine"])
         assert rc == 0
@@ -330,20 +342,22 @@ class TestSoliton:
         assert "orthogonal: steady" in out
 
     def test_detects_at_the_given_tolerance(self, geom, capsys):
-        # the rotated lambda = 2 member's best structure residual is a few
-        # ulps, above 1e-16 times its scale: soliton refuses it as structure
-        # does, with the same line, rather than detecting at a higher floor
-        L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        path = geom(brackets_of(rotate_algebra(L, random_rotation(np.random.default_rng(0)))))
+        # semidirect(diag(1.5, 0.5) + 1e-6 J) is a 3-h structure up to its
+        # w = 1e-6, a degree-one residual: at 1e-8 soliton refuses it as
+        # structure does, with the same line, and at 1e-4 both detect it
+        D = np.diag([1.5, 0.5]) + 1e-6 * np.array([[0.0, -1.0], [1.0, 0.0]])
+        path = geom(brackets_of(semidirect(D)))
         errs = []
         for command in ("structure", "soliton"):
-            rc = main([command, path, "--tolerance", "1e-16"])
+            rc = main([command, path, "--tolerance", "1e-8"])
             captured = capsys.readouterr()
             assert rc == 1
             assert captured.out == ""
             assert captured.err.startswith("error: no unit Reeb candidate")
             assert len(captured.err.splitlines()) == 1
             errs.append(captured.err)
+            assert main([command, path, "--tolerance", "1e-4"]) == 0
+            capsys.readouterr()
         assert errs[0] == errs[1]
 
 
@@ -884,14 +898,14 @@ class TestVerifyPaper:
         # the default grid reads the members at lambda = 0.5, 1 and 2; one
         # Cotton evaluation for the stationary flow, whose initial metric is
         # an exact fixed point.  Metric passes: one per member, kept on its
-        # algebra for the connection, the curvature and the Ricci spectra,
-        # and one for the flow evaluation.  Each member's Riemann tensor is
-        # built once, on the structure detection's first read.  The members
+        # algebra for the connection, the curvature and the Ricci spectrum,
+        # and one for the flow evaluation.  Detection reads no Riemann
+        # tensor: the lambda = 2 Jacobi check builds the only one.  The members
         # at lambda = 2, 1 and 0.5 each assemble one soliton system and solve
         # its collinear and orthogonal ansatz subsets once, for the reference
         # checks and the grid rows together.  The lambda = 1 member is
-        # classified once, for its reference check and its grid row; the
-        # Ricci spectrum is read by that classification and by the check
+        # classified once, for its reference check and its grid row, and
+        # the check reads the Ricci spectrum that classification read
         counts = count_calls(monkeypatch, (
             "detect_structure", "levi_civita", "curvature", "cotton_pack",
             "cotton2_array", "_metric_frame", "_riemann", "_solve",
@@ -907,12 +921,12 @@ class TestVerifyPaper:
             "cotton_pack": 0,
             "cotton2_array": 1,
             "_metric_frame": 9,
-            "_riemann": 8,
+            "_riemann": 1,
             "_solve": 6,
             "_assemble_system": 3,
             "ricci_parallel_check": 1,
             "classify_geometry": 1,
-            "ricci_spectrum": 2,
+            "ricci_spectrum": 1,
         }
 
     @pytest.mark.parametrize("grid, classified", [("1", 1), ("1.000000001", 2)])

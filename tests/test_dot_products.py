@@ -37,7 +37,7 @@ DOT_SHAPES = [
     ((3,), (3, 3, 3)),  # _jacobi, _build_structure, structure_residuals
     ((3,), (3, 9)),  # _h_transport_sides, structure_residuals
     ((3, 3), (3, 9)),  # structure_residuals: the adapted connection
-    ((3, 3), (3,)),  # _candidate_reebs (w x t), _build_structure, _dphi_residual
+    ((3, 3), (3,)),  # _candidate_reebs (w x t), _build_structure, _dphi_residual, detection
     ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate, _svd_lstsq
     ((3,), (3,)),  # _longest, _candidate_reebs, _build_structure, structure_residuals
     ((6, 2), (2,)),  # _solve: A z for each ansatz width
