@@ -192,8 +192,14 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
     c = L.structure_constants
     Li = np.array(L._frame[2])
     K = c[(0, 0, 1), (1, 2, 2)].dot(L.metric).dot(Li.T)
-    n, nn = _longest(_row_crosses(K))
     w, nw = _longest(K)
+    if not 2.0 ** -200 < nw < 2.0 ** 200:
+        # the squared cross products (degree 4 in K) would leave the float
+        # range: scale K by a power of two to max |K| in [1, 2), which is
+        # exact, so in-range frames keep every bit
+        K = np.ldexp(K, 1 - math.frexp(float(abs(K).max()))[1])
+        w, nw = _longest(K)
+    n, nn = _longest(_row_crosses(K))
     t = Li.dot(c.trace(axis1=1, axis2=2))  # t[a] = tr ad of the a-th unit vector
     if nn > 1e-10 * nw * nw:
         tr = t.dot(n)

@@ -249,10 +249,12 @@ def cmd_curvature(args) -> int:
     pack = curvature(L, conn)
     par = ricci_parallel_check(L, conn, pack, tol=tol)
     cls = classify_geometry(pack, par.is_parallel)
+    # a Ricci-parallel class has read the spectrum already
+    eigs = ricci_spectrum(pack) if cls.spectrum is None else cls.spectrum
     payload = {
         "scalar_curvature": pack.scalar,
         "ricci": _mat(pack.ricci.components),
-        "ricci_eigenvalues": [float(x) for x in ricci_spectrum(pack)],
+        "ricci_eigenvalues": [float(x) for x in eigs],
         "ricci_parallel": par.is_parallel,
         "ricci_parallel_residual": par.max_component,
         "geometry_class": {"kind": cls.kind, "curvature": cls.curvature},

@@ -26,14 +26,12 @@ from cotton3 import (
     MetricLieAlgebra3,
     NoStructure,
     adapted_connection_table,
-    bracket,
     check_h_parallel,
     curvature,
     detect_structure,
     from_kenmotsu_params,
     from_nonunimodular,
     levi_civita,
-    ricci_closed_form,
     soliton_existence_survey,
     structure_residuals,
     validate,
@@ -49,7 +47,9 @@ from cotton3.almost_kenmotsu import (
     _h_transport_sides,
     _hat,
     _sym_eigvec,
+    ricci_closed_form,
 )
+from cotton3.frame_algebra import bracket
 
 
 def detect(L, tol=1e-8):
@@ -371,7 +371,7 @@ class TestNormalForm:
             assert abs(ak.lam - lam) <= 1e-12 * lam
             assert max(abs(ak.b), abs(ak.c)) <= 1e-12 * lam
 
-    @pytest.mark.parametrize("t", [1e30, 1e-30])
+    @pytest.mark.parametrize("t", [1e30, 1e-30, 1e40, 1e50])
     def test_lambda_two_in_scaled_frames(self, t):
         # the frame t e_i: constants times t, metric times t^2, xi = e_1 / t
         _, _, ak = detect(change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3)))
@@ -381,8 +381,9 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("t", [1e50, 1e-50, 1e100])
     def test_never_accepts_a_wrong_structure(self, t):
-        # at t = 1e50 the candidate search overflows and loses the true Reeb
-        # field: what it returns instead must be refused, not accepted
+        # at t = 1e100 the products of constants and metric overflow and the
+        # true Reeb field can be lost: what the search returns instead must
+        # be refused, not accepted
         L = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3))
         try:
             with np.errstate(all="ignore"):
@@ -390,6 +391,26 @@ class TestNormalForm:
         except NoStructure:
             return
         assert abs(ak.lam - 2.0) <= 1e-8
+
+    @pytest.mark.parametrize("k", [-150, 150])
+    def test_exact_relabelling_keeps_the_verdict(self, k):
+        # the frame 2^k e_i maps (c, g) to (2^k c, 4^k g) bit for bit: the
+        # same geometry, whose verdict and lam may not move
+        rng = np.random.default_rng(0)
+        s = 2.0 ** k
+        for i in range(300):
+            L = random_valid_algebra(rng, with_metric=i % 3 == 0)
+            scaled = MetricLieAlgebra3(L.structure_constants * s, L.metric * (s * s))
+            lams = []
+            for M in (L, scaled):
+                try:
+                    lams.append(detect(M)[2].lam)
+                except NoStructure:
+                    lams.append(None)
+            if lams[0] is None or lams[1] is None:
+                assert lams[0] is lams[1] is None, i
+            else:
+                assert abs(lams[1] - lams[0]) <= 1e-12 * (1.0 + lams[0]), i
 
     def test_reference_members_in_ill_conditioned_frames(self):
         # detection only, up to cond(P^T P) = 1e6; TestBasisChange keeps its

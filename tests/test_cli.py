@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_jacobi, change_basis, random_rotation, rotate_algebra, semidirect
-from cotton3 import from_kenmotsu_params
+from cotton3 import curvature, from_kenmotsu_params, levi_civita, ricci_spectrum
 from cotton3.cli import _KENMOTSU_MEMBERS, _gap, _member, build_parser, main
 
 SU2_BRACKETS = {
@@ -100,6 +100,18 @@ class TestCurvature:
         assert doc["ricci_parallel"] is True
         assert doc["version"]
         assert len(doc["connection"]) == 3
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_one_spectrum_per_run(self, geom, capsys, monkeypatch, lam):
+        # lam = 1 is Ricci-parallel, and its class has read the spectrum
+        # that the output prints; lam = 2 reads it for the output alone
+        L = from_kenmotsu_params(lam, 0.0, 0.0)
+        expected = ricci_spectrum(curvature(L, levi_civita(L))).tolist()
+        counts = count_calls(monkeypatch, ("ricci_spectrum",))
+        rc = main(["curvature", geom(kenmotsu(lam)), "--format", "machine"])
+        assert rc == 0
+        assert counts == {"ricci_spectrum": 1}
+        assert json.loads(capsys.readouterr().out)["ricci_eigenvalues"] == expected
 
     def test_nonunimodular_constant_curvature(self, geom, capsys):
         rc = main([

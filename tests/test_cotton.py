@@ -28,11 +28,11 @@ from cotton3 import (
     flow_run,
     from_kenmotsu_params,
     levi_civita,
-    make_state,
     ricci_spectrum,
 )
 from cotton3.connection_curvature import _cotton2, _cov_deriv
 from cotton3.cotton import cotton2_array
+from cotton3.cotton_flow import make_state
 from cotton3.frame_algebra import _metric_frame
 
 

@@ -25,10 +25,9 @@ from cotton3 import (
     flow_run,
     from_kenmotsu_params,
     from_nonunimodular,
-    make_state,
 )
 from cotton3.cotton import cotton2_array
-from cotton3.cotton_flow import FlowState, _named, _rk4
+from cotton3.cotton_flow import FlowState, _named, _rk4, make_state
 from cotton3.frame_algebra import SymBilinear
 
 

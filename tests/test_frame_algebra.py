@@ -26,13 +26,12 @@ from cotton3 import (
     SingularMetric,
     SymBilinear,
     Tensor3,
-    bracket,
     from_kenmotsu_params,
     from_nonunimodular,
     levi_civita,
     validate,
 )
-from cotton3.frame_algebra import _svd_lstsq
+from cotton3.frame_algebra import _svd_lstsq, bracket
 
 
 class TestValueTypes:

@@ -5,7 +5,14 @@ Growing or shrinking the surface means changing ``PUBLIC`` here on purpose.
 """
 
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import cotton3
 from cotton3 import frame_algebra, soliton
@@ -46,7 +53,6 @@ PUBLIC = [
     "Violation",
     "XiEigenReport",
     "adapted_connection_table",
-    "bracket",
     "check_h_parallel",
     "classify_geometry",
     "cotton2_closed_form",
@@ -59,8 +65,6 @@ PUBLIC = [
     "from_nonunimodular",
     "levi_civita",
     "lie_derivative_metric",
-    "make_state",
-    "ricci_closed_form",
     "ricci_parallel_check",
     "ricci_spectrum",
     "solve",
@@ -71,15 +75,18 @@ PUBLIC = [
     "xi_eigenvector_analysis",
 ]
 
-# wrappers over private helpers that had no caller outside the tests, and
-# the library's second reproduction route, which verify-paper replaces
+# wrappers over private helpers that had no caller outside the tests, the
+# library's second reproduction route, which verify-paper replaces, and
+# functions that stay in their modules but that no CLI command, README
+# example or benchmark workload calls
 REMOVED = ["cotton3_oracle", "cotton2_from_cotton3", "cov_deriv_sym2", "flow_step",
-           "reproduce_theorems", "TheoremReport", "TheoremCheck", "AssertionFailure"]
+           "reproduce_theorems", "TheoremReport", "TheoremCheck", "AssertionFailure",
+           "bracket", "ricci_closed_form", "make_state"]
 
 
 def test_all_is_pinned():
     assert cotton3.__all__ == PUBLIC
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 55
 
 
 def test_every_public_name_resolves():
@@ -114,3 +121,49 @@ def test_second_routes_are_gone():
     # soliton holds the solver alone: verify-paper's rows are built in the CLI
     for name in ("_theorem_checks", "_fresh_pack", "classify_geometry", "curvature"):
         assert not hasattr(soliton, name), name
+
+
+def test_import_loads_errors_and_frame_algebra_only():
+    # every other module loads on first use of one of its names
+    code = ("import sys, cotton3; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'cotton3'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cotton3.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["cotton3", "cotton3.errors", "cotton3.frame_algebra"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in PUBLIC:
+        home = importlib.import_module(f"cotton3.{cotton3._HOME[name]}")
+        value = getattr(home, name)
+        assert getattr(cotton3, name) is value, name
+        if callable(value):
+            assert value.__module__ == home.__name__, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(cotton3.__all__) <= set(dir(cotton3))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'cotton3' has no attribute 'no_such_name'$"):
+        cotton3.no_such_name
+
+
+def test_a_patched_home_function_is_read_through():
+    from cotton3 import almost_kenmotsu
+
+    original = almost_kenmotsu.detect_structure
+
+    def stand_in(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # as before the package's first read of the name
+        mp.delitem(vars(cotton3), "detect_structure", raising=False)
+        mp.setattr(almost_kenmotsu, "detect_structure", stand_in)
+        assert cotton3.detect_structure is stand_in
+        assert "detect_structure" not in vars(cotton3)
+    assert cotton3.detect_structure is original
+    assert vars(cotton3)["detect_structure"] is original

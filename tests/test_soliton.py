@@ -17,7 +17,6 @@ from conftest import (
 )
 from cotton3 import (
     FrameVector,
-    bracket,
     cotton_pack,
     curvature,
     detect_structure,
@@ -27,7 +26,7 @@ from cotton3 import (
     soliton_existence_survey,
 )
 from cotton3 import soliton
-from cotton3.frame_algebra import _EPS, _svd_lstsq
+from cotton3.frame_algebra import _EPS, _svd_lstsq, bracket
 from cotton3.soliton import (
     SolitonProblem,
     _assemble_system,
