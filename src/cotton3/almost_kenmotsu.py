@@ -172,9 +172,12 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
     a vector x has components L^T x = L^-1 g x and tr ad has L^-1 t; a
     candidate y there is xi = L^-T y.
 
-    [g, g] is spanned by the rows c[0, 1], c[0, 2] and c[1, 2]; n, the
-    longest of their cross products, and w, the longest row, tell its
-    dimension:
+    [g, g] is spanned by the rows c[0, 1], c[0, 2] and c[1, 2], scaled by a
+    power of two to max |entry| in [1, 2): the scaling is exact and every
+    test below is homogeneous in it, so an in-range candidate keeps its
+    bits, and the squared cross products (degree 4 in the rows) stay in the
+    float range in any frame t e_i.  n, the longest of their cross
+    products, and w, the longest row, tell its dimension:
 
     * |n| > 1e-10 |w|^2 (dim >= 2): the candidate is n/|n|, signed so that
       tr ad < 0, and there is none where tr ad_n is exactly 0.0.  The sign
@@ -192,13 +195,8 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
     c = L.structure_constants
     Li = np.array(L._frame[2])
     K = c[(0, 0, 1), (1, 2, 2)].dot(L.metric).dot(Li.T)
+    K = np.ldexp(K, 1 - math.frexp(float(abs(K).max()))[1])
     w, nw = _longest(K)
-    if not 2.0 ** -200 < nw < 2.0 ** 200:
-        # the squared cross products (degree 4 in K) would leave the float
-        # range: scale K by a power of two to max |K| in [1, 2), which is
-        # exact, so in-range frames keep every bit
-        K = np.ldexp(K, 1 - math.frexp(float(abs(K).max()))[1])
-        w, nw = _longest(K)
     n, nn = _longest(_row_crosses(K))
     t = Li.dot(c.trace(axis1=1, axis2=2))  # t[a] = tr ad of the a-th unit vector
     if nn > 1e-10 * nw * nw:
