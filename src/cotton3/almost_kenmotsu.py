@@ -48,6 +48,7 @@ from .frame_algebra import (
     FrameVector,
     MetricLieAlgebra3,
     SymBilinear,
+    _svd,
     _wrap,
 )
 
@@ -160,7 +161,7 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     if norm <= 1e-10 * (1.0 + math.sqrt(flat.dot(flat))):
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
-        _, _, Vt = np.linalg.svd(K)
+        _, _, Vt = _svd(K)
         return Vt[-1]
     return best
 

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear, Tensor3
-from .frame_algebra import _wrap
+from .frame_algebra import _eigvalsh, _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +195,15 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
     c = L.structure_constants
     ricci, d, c3, c2 = _chain(c, conn.gamma, u)
     q = ginv.dot(ricci)
+    # np.trace(q) bit for bit: its float sum from +0.0, so that a diagonal
+    # of -0.0 gives 0.0
+    scalar = 0.0 + q.item(0) + q.item(4) + q.item(8)
     x = c2.ravel()
     cotton = _wrap(CottonPack, cotton3=_wrap(Tensor3, components=c3),
                    cotton2=_wrap(SymBilinear, components=c2), norm2=math.sqrt(x.dot(x)))
     return _wrap(CurvaturePack, ricci=_wrap(SymBilinear, components=ricci),
                  ricci_derivative=_wrap(Tensor3, components=d), ricci_operator=q,
-                 scalar=float(np.trace(q)), algebra=L, connection=conn, cotton=cotton)
+                 scalar=scalar, algebra=L, connection=conn, cotton=cotton)
 
 
 @dataclass(frozen=True)
@@ -227,14 +230,15 @@ def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
 
     With g = L L^T from the metric pass of ``pack.algebra`` (the one
     ``curvature`` read), the operator g^-1 S is similar to the symmetric
-    W = L^-1 S L^-T, whose ``eigvalsh`` spectrum keeps eigenvalues far
-    below the largest one, which a closed-form cubic rounds away.
+    W = L^-1 S L^-T, whose ``_eigvalsh`` spectrum (``np.linalg.eigvalsh``'s,
+    bit for bit) keeps eigenvalues far below the largest one, which a
+    closed-form cubic rounds away.
     """
     Li = np.array(pack.algebra._frame[2])
     W = Li.dot(pack.ricci.components).dot(Li.T)
     if not np.isfinite(W).all():
         return np.full(3, math.nan)
-    return np.linalg.eigvalsh(W)
+    return _eigvalsh(W)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
 When the initial metric, a stage metric or the step's result fails the
 rule, the run aborts with ``DegenerateMetric``, naming where, with the
 trajectory computed so far.  The optional rescaling checks det g > 0 and
-scales by its cube root from ``np.linalg.slogdet``, which cannot overflow;
-without it the run makes no ``slogdet`` call.
+scales by its cube root from ``_slogdet`` (``np.linalg.slogdet``'s gufunc,
+bit for bit), which cannot overflow; without it the run makes no
+``_slogdet`` call.
 
 C(g) is a deterministic function of the bytes of g, so a stage whose
 metric is bytewise the state's (C = 0, or a dt too small to move any entry)
@@ -39,7 +40,7 @@ import numpy as np
 
 from .cotton import cotton2_array
 from .errors import DegenerateMetric, SingularMetric
-from .frame_algebra import MetricLieAlgebra3, SymBilinear, _wrap
+from .frame_algebra import MetricLieAlgebra3, SymBilinear, _slogdet, _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +161,13 @@ def flow_run(
         raise ValueError("stride must be at least 1")
     g = 0.5 * (L.metric + L.metric.T)
     state = _named("in the initial metric", make_state, L, 0.0, g)
-    logdet0 = float(np.linalg.slogdet(g)[1]) if normalize else None
+    logdet0 = float(_slogdet(g)[1]) if normalize else None
     states = [state]
     for n in range(1, steps + 1):
         try:
             g = _rk4(L, state, dt)
             if normalize:
-                sign, logdet = np.linalg.slogdet(g)
+                sign, logdet = _slogdet(g)
                 # the real cube root needs det > 0; slogdet of a nan is (1, nan)
                 if not (sign > 0 and math.isfinite(logdet)):
                     raise DegenerateMetric("metric left the positive cone after the step")

@@ -12,6 +12,9 @@ Component conventions used everywhere in this package:
 
 All value types are immutable (their arrays are frozen); every operation is
 a pure function of its inputs, so values can be shared across threads.
+
+Every LAPACK call of the package goes through ``_svd``, ``_eigvalsh`` and
+``_slogdet``, which call numpy's gufuncs (numpy 2 names) directly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegenerateMetric, JacobiViolation, SingularMetric
 
@@ -30,8 +34,42 @@ DEFAULT_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 
+def _svd(a: np.ndarray):
+    """U, s, Vt of the matrix ``a``, full matrices: ``np.linalg.svd(a)`` bit
+    for bit, from the LAPACK gufunc it calls, without its Python dispatch.
+
+    Where LAPACK fails (a nan entry, no convergence) the gufunc fills its
+    outputs with nan, read here as ``np.linalg.svd``'s ``LinAlgError``.
+    numpy's default error state also warns there (``invalid``), which
+    ``np.linalg.svd`` silences with a per-call ``np.errstate``, the largest
+    part of the dispatch this skips.
+    """
+    U, s, Vt = _umath_linalg.svd_f(a, signature="d->ddd")
+    # nan, the failure fill, is the one value unequal to itself
+    if s[0] != s[0]:
+        raise LinAlgError("SVD did not converge")
+    return U, s, Vt
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose lower triangle is
+    ``a``'s: ``np.linalg.eigvalsh(a)`` bit for bit, from its gufunc, with
+    its ``LinAlgError`` read off the nan fill as in ``_svd``."""
+    w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    if w[0] != w[0]:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _slogdet(a: np.ndarray) -> tuple:
+    """(sign, log |det a|): ``np.linalg.slogdet(a)`` bit for bit, from its
+    gufunc, as a plain pair; a nan entry gives (1, nan) and numpy's warning,
+    as there."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
+
+
 def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
-    """Minimum-norm least-squares solution of A z = rhs from one SVD.
+    """Minimum-norm least-squares solution of A z = rhs from one ``_svd``.
 
     Singular values at or below eps * max(A.shape) * s[0] count as zero, the
     cutoff of ``np.linalg.lstsq(..., rcond=None)``.  When none is, the
@@ -39,7 +77,7 @@ def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
     is bitwise the masked one.  Returns (z, s, Vt) so the caller can read
     rank and null space off the same decomposition.
     """
-    U, s, Vt = np.linalg.svd(A)
+    U, s, Vt = _svd(A)
     n = s.size
     # .dot on this column slice of U rounds differently from @
     y = rhs @ U[:, :n]
@@ -132,10 +170,10 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 
     ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
     (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
-    (unless the ``eigvalsh`` spectrum shows g indefinite), when
+    (unless the ``_eigvalsh`` spectrum shows g indefinite), when
     w_min <= 1e-12 w_max, or when g^-1 overflows once the scaling is
     undone.  The condition is read as lambda_max(g) lambda_max(g^-1) from
-    ``np.linalg.eigvalsh`` only where its bound tr g tr g^-1 reaches 1e12.
+    ``_eigvalsh`` only where its bound tr g tr g^-1 reaches 1e12.
     Every layer that needs g^-1, u or positive definiteness reads them off
     this one pass, made once per algebra by ``MetricLieAlgebra3._frame``;
     ``validate`` reports ``metric_not_positive`` exactly where it refuses.
@@ -212,12 +250,12 @@ def _refuse(pivot: float, rows: tuple) -> None:
 
 def _eigenvalues(rows: tuple) -> list:
     """Ascending eigenvalues of the symmetric rows (floats), from
-    ``np.linalg.eigvalsh``; all nan when an entry is not finite, which each
-    test of the metric rule reads as a refusal."""
+    ``_eigvalsh``; all nan when an entry is not finite, which each test of
+    the metric rule reads as a refusal."""
     M = np.array(rows)
     if not np.isfinite(M).all():
         return [math.nan] * 3
-    return np.linalg.eigvalsh(M).tolist()
+    return _eigvalsh(M).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +317,7 @@ def validate(L: MetricLieAlgebra3) -> ValidityReport:
     quadratic in c, so the rule is scale-free) and 1e-12 (1 + max|g|) for
     metric asymmetry.  ``metric_not_positive`` is reported exactly when the
     metric pass ``L._frame``, which ``levi_civita`` reuses, refuses g; only
-    then is its magnitude, g's smallest ``eigvalsh`` eigenvalue, computed.
+    then is its magnitude, g's smallest ``_eigvalsh`` eigenvalue, computed.
     """
     c, g = L.structure_constants, L.metric
     m = float(np.abs(c).max())
@@ -334,7 +372,7 @@ def validate(L: MetricLieAlgebra3) -> ValidityReport:
     try:
         L._frame
     except (DegenerateMetric, SingularMetric):
-        violations.append(Violation("metric_not_positive", (), float(np.linalg.eigvalsh(g)[0])))
+        violations.append(Violation("metric_not_positive", (), float(_eigvalsh(g)[0])))
 
     return ValidityReport(tuple(violations))
 

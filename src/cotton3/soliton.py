@@ -148,7 +148,8 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     """Solve one ansatz problem and classify the outcome.
 
     Feasibility compares the least-squares residual against
-    tol * (1 + |C|_F).  One SVD of the stacked system gives the
+    tol * (1 + |C|_F).  One SVD of the stacked system (``_svd``, the LAPACK
+    call of ``np.linalg.svd`` without its Python dispatch) gives the
     minimum-norm solution (with ``np.linalg.lstsq``'s default cutoff), the
     rank and the null space.  A feasible problem is ``trivial_only`` when the
     minimum-norm potential vanishes and no null-space direction moves the
@@ -170,12 +171,14 @@ def _cotton_scale(cotton2: SymBilinear) -> float:
 def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     """Solve and classify the assembled system A z = k (see ``solve``).
 
-    Vector norms are taken as sqrt(r.dot(r)), ``np.linalg.norm``'s own
-    vector form; the norms of the family rows' potential parts, read only
-    when the solution is feasible, are summed on floats in
-    ``np.add.reduce``'s order.  The potential is summed on the floats of the
-    coefficients and the basis, from 0 as ``sum`` starts, and the solution
-    holds the arrays built here without a copy.
+    z, the singular values and V^T come from ``_svd_lstsq``'s one ``_svd``,
+    ``np.linalg.svd``'s LAPACK call bit for bit.  Vector norms are taken as
+    sqrt(r.dot(r)), ``np.linalg.norm``'s own vector form; the norms of the
+    family rows' potential parts, read only when the solution is feasible,
+    are summed on floats in ``np.add.reduce``'s order.  The potential is
+    summed on the floats of the coefficients and the basis, from 0 as
+    ``sum`` starts, and the solution holds the arrays built here without a
+    copy.
     """
     z, sv, Vt = _svd_lstsq(A, k)
     r = A.dot(z) - k

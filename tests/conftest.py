@@ -5,6 +5,8 @@ Every generator takes a ``numpy.random.Generator`` so each test controls
 its own seed; nothing here keeps global state.
 """
 
+import sys
+
 import numpy as np
 
 from cotton3 import (
@@ -21,6 +23,16 @@ def layers(L: MetricLieAlgebra3) -> tuple:
     built once, the arguments of ``cotton_pack`` and ``SolitonProblem.build``."""
     conn = levi_civita(L)
     return L, conn, curvature(L, conn)
+
+
+def patch_engine(monkeypatch, name: str, fn) -> None:
+    """Bind ``fn`` over ``name`` in every loaded ``cotton3.*`` module that
+    binds it.  A private helper is called through each importing module's
+    own binding, so a counter set on its home module alone misses the
+    calls made from the others."""
+    for modname, mod in sorted(sys.modules.items()):
+        if modname.startswith("cotton3.") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, fn)
 
 
 def brute_jacobi(c) -> np.ndarray:

@@ -10,6 +10,7 @@ from conftest import (
     heisenberg,
     hyperbolic,
     milnor,
+    patch_engine,
     random_rotation,
     random_spd,
     random_valid_algebra,
@@ -385,25 +386,19 @@ class TestUnreadWork:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        import sys
-
         from cotton3 import connection_curvature, frame_algebra
 
-        seen = dict.fromkeys(("eigvalsh", "_riemann", "_metric_frame", "svd"), 0)
+        seen = dict.fromkeys(("_eigvalsh", "_riemann", "_metric_frame", "_svd"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 seen[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
-        for name in ("eigvalsh", "svd"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("_eigvalsh", "_svd", "_metric_frame"):
+            patch_engine(monkeypatch, name, counting(name, getattr(frame_algebra, name)))
         monkeypatch.setattr(connection_curvature, "_riemann",
                             counting("_riemann", connection_curvature._riemann))
-        frame = counting("_metric_frame", frame_algebra._metric_frame)
-        for modname, mod in sorted(sys.modules.items()):
-            if modname.startswith("cotton3.") and hasattr(mod, "_metric_frame"):
-                monkeypatch.setattr(mod, "_metric_frame", frame)
         return seen
 
     def test_sweep_op_makes_no_unread_work(self, counts):
@@ -420,7 +415,7 @@ class TestUnreadWork:
             classify_geometry(pack, parallel.is_parallel)
             cotton_pack(L, conn, pack)
             solve(SolitonProblem.build(L, conn=conn, pack=pack))
-            assert counts == {"eigvalsh": 0, "_riemann": 0, "_metric_frame": n, "svd": n}
+            assert counts == {"_eigvalsh": 0, "_riemann": 0, "_metric_frame": n, "_svd": n}
 
     def test_riemann_built_once_on_first_read(self, counts):
         rng = np.random.default_rng(73)
@@ -578,6 +573,16 @@ class TestPublicComposition:
             assert pack.scalar == float(np.trace(q))
             solved = np.linalg.solve(L.metric, ricci)
             assert np.max(np.abs(q - solved)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
+
+    def test_scalar_is_np_trace_bitwise(self):
+        # the scalar curvature is summed on floats in np.trace's order from
+        # +0.0: the same bits, the sign of a zero included
+        cases = [*self.cases(np.random.default_rng(65)), abelian(), heisenberg(),
+                 milnor(1.0, 1.0, 0.0), milnor(1.0, 1.0, 0.0).with_metric(np.diag([2.0, 3.0, 5.0]))]
+        for L in cases:
+            pack = curvature(L, levi_civita(L))
+            assert type(pack.scalar) is float
+            assert np.float64(pack.scalar).tobytes() == np.trace(pack.ricci_operator).tobytes()
 
     def test_parallel_check_equals_cov_deriv_route(self):
         default_verdicts = set()

@@ -1,6 +1,8 @@
 """Value types, algebra builders, and validity checking."""
 
+import ast
 import math
+import pathlib
 import sys
 import warnings
 
@@ -13,10 +15,12 @@ from conftest import (
     abelian,
     brute_jacobi,
     milnor,
+    patch_engine,
     random_rotation,
     random_spd,
     random_valid_algebra,
 )
+import cotton3
 from cotton3 import (
     DEFAULT_TOL,
     DegenerateMetric,
@@ -31,6 +35,7 @@ from cotton3 import (
     levi_civita,
     validate,
 )
+from cotton3 import frame_algebra
 from cotton3.frame_algebra import _svd_lstsq, bracket
 
 
@@ -433,12 +438,12 @@ class TestValidateRules:
         # validate's own call, for the magnitude; the metric pass calls
         # eigvalsh too, in its zero-pivot and condition branches
         callers = []
-        real = np.linalg.eigvalsh
+        real = frame_algebra._eigvalsh
 
         def counting(a):
             callers.append(sys._getframe(1).f_code.co_name)
             return real(a)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        patch_engine(monkeypatch, "_eigvalsh", counting)
         rep = validate(MetricLieAlgebra3(np.zeros((3, 3, 3)), g))
         assert rep.is_valid is not refused
         assert callers.count("validate") == refused
@@ -542,3 +547,85 @@ class TestSvdLstsq:
             want, *_ = np.linalg.lstsq(A, b, rcond=None)
             assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
             assert np.allclose((Vt.T * s * s) @ Vt, A.T @ A, rtol=0, atol=1e-12)
+
+
+class TestLinalgGufuncs:
+    """``_svd``, ``_eigvalsh`` and ``_slogdet`` call numpy's LAPACK gufuncs
+    directly: the same results as ``np.linalg``, bit for bit, and its
+    ``LinAlgError`` where it raises one."""
+
+    @staticmethod
+    def same(got, want) -> bool:
+        return all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   and np.asarray(a).shape == np.asarray(b).shape
+                   for a, b in zip(got, want, strict=True))
+
+    def test_svd_equals_numpy_bitwise(self):
+        rng = np.random.default_rng(160)
+        for shape in ((6, 2), (6, 3), (6, 4), (3, 3)):
+            for scale in (1.0, 1e150, 1e-150):
+                for _ in range(20):
+                    A = rng.normal(size=shape) * scale
+                    # integer entries, the last column a sum of the others or
+                    # zero: rank n - 1 exactly
+                    B = rng.integers(-4, 5, size=shape)
+                    B[:, -1] = B[:, :-1].sum(axis=1) if rng.integers(2) else 0
+                    for a in (A, B, B * scale):
+                        assert self.same(frame_algebra._svd(a), np.linalg.svd(a))
+
+    def test_eigvalsh_and_slogdet_equal_numpy_bitwise(self):
+        rng = np.random.default_rng(161)
+        kinds = set()
+        for _ in range(50):
+            Q = random_rotation(rng)
+            for w in (rng.uniform(0.1, 5.0, 3), rng.uniform(-5.0, 5.0, 3),
+                      np.array([0.0, *rng.uniform(-5.0, 5.0, 2)])):
+                M = (Q * w) @ Q.T
+                for a in (M, np.diag(w), M.round(0)):
+                    assert self.same([frame_algebra._eigvalsh(a)], [np.linalg.eigvalsh(a)])
+                    assert self.same(frame_algebra._slogdet(a), np.linalg.slogdet(a))
+                    kinds.add(int(np.linalg.slogdet(a)[0]))
+        # positive definite, indefinite and exactly singular (diag with a 0)
+        assert kinds == {-1, 0, 1}
+
+    def test_nan_input_raises_as_numpy(self):
+        # numpy's error state warns where the gufunc fails (np.linalg
+        # silences that with a per-call errstate); the error is numpy's
+        cases = [(frame_algebra._svd, np.linalg.svd, np.full((6, 4), np.nan)),
+                 (frame_algebra._svd, np.linalg.svd, np.where(np.eye(3) > 0, np.nan, 1.0)),
+                 (frame_algebra._eigvalsh, np.linalg.eigvalsh, np.full((3, 3), np.nan)),
+                 (frame_algebra._eigvalsh, np.linalg.eigvalsh, np.diag([1.0, np.nan, 2.0]))]
+        for helper, ref, a in cases:
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                ref(a)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(np.linalg.LinAlgError) as got:
+                    helper(a)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert {w.category for w in seen} == {RuntimeWarning}
+            # under np.errstate(all="ignore"), as the CLI runs, no warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+                    helper(a)
+
+    def test_no_src_module_calls_np_linalg(self):
+        # every factorization goes through the helpers above: no module calls
+        # an np.linalg function, and numpy.linalg lends only the gufunc
+        # module and the error class
+        modules = sorted(pathlib.Path(cotton3.__file__).parent.glob("*.py"))
+        assert len(modules) >= 9
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = node.func.value
+                    assert not (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                                and isinstance(owner.value, ast.Name)
+                                and owner.value.id in ("np", "numpy")), (path.name, node.lineno)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    names = {alias.name for alias in node.names}
+                    assert names <= {"LinAlgError", "_umath_linalg"}, (path.name, names)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                    assert "linalg" not in {alias.name for alias in node.names}, path.name
