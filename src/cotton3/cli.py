@@ -25,8 +25,10 @@ in-process calls behave as separate runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -153,6 +155,8 @@ def load_geometry(path: str) -> MetricLieAlgebra3:
         raise CLIError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise CLIError(f"{path}: invalid JSON: nested too deeply to parse")
     if not isinstance(data, dict):
         raise CLIError(f"{path}: top level must be an object")
     forms = [k for k in ("kenmotsu", "nonunimodular", "brackets") if k in data]
@@ -179,10 +183,11 @@ def load_geometry(path: str) -> MetricLieAlgebra3:
     report = validate(L)
     if not report.is_valid:
         worst = max(report.violations, key=lambda v: v.magnitude)
-        raise CLIError(
-            f"{path}: invalid geometry: {worst.kind} violation of size "
-            f"{worst.magnitude:.3e} at indices {worst.indices}"
-        )
+        size = f"{worst.magnitude:.3e}"
+        if worst.kind == "jacobi" and not worst.magnitude:
+            size = "below the double range"  # scaled back, the sum underflowed
+        raise CLIError(f"{path}: invalid geometry: {worst.kind} violation of size {size} "
+                       f"at indices {worst.indices}")
     return L
 
 
@@ -434,15 +439,6 @@ def cmd_soliton(args) -> int:
     return 0
 
 
-def _require_finite_states(states) -> None:
-    """Refuse a trajectory holding a non-finite value before any of it is
-    written, naming the CSV field."""
-    _require_finite([
-        {"time": st.time, "metric": _mat(st.metric), "cotton_norm": st.cotton_norm}
-        for st in states
-    ])
-
-
 def _export(states, path: str) -> None:
     try:
         export_trajectory(states, path)
@@ -468,7 +464,6 @@ def cmd_flow(args) -> int:
         )
     except DegenerateMetric as exc:
         if args.output and exc.trajectory:
-            _require_finite_states(exc.trajectory)
             _export(exc.trajectory, args.output)
             print(
                 f"wrote {len(exc.trajectory)} states to {args.output} before failure",
@@ -476,7 +471,6 @@ def cmd_flow(args) -> int:
             )
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _require_finite_states(result.trajectory)
     if args.output:
         _export(result.trajectory, args.output)
         final = result.final
@@ -819,9 +813,21 @@ def main(argv=None) -> int:
     try:
         # numpy overflow shows as a non-finite result, which _emit rejects
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except (CLIError, Cotton3Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot raise again (a stream with no descriptor needs none)
+        with contextlib.suppress(AttributeError, OSError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("error: standard output was closed before all of it was written",
+              file=sys.stderr)
         return 1
 
 

@@ -4,31 +4,27 @@ The bracket structure stays fixed while the frame metric evolves by its
 own (0,2) Cotton tensor.  Fixed points are exactly the conformally flat
 metrics (C = 0).  Since C is trace free the flow preserves volume to
 leading order; an optional normalization rescales the metric after each
-step to hold det g exactly.
+step to hold det g exactly, by the cube root of det g from ``_slogdet``
+(``np.linalg.slogdet``'s gufunc, bit for bit), which cannot overflow.
 
-Integration is classical fourth-order Runge-Kutta with symmetrized
-stages.  Each stage and each new state evaluates C(g) as
+Integration is classical fourth-order Runge-Kutta.  Only the initial
+metric is symmetrized: C(g) is exactly symmetric, and the stage metrics,
+the Runge-Kutta sum and the rescaling act entrywise, so every later metric
+is exactly symmetric too.  Each stage and each new state evaluates C(g) as
 ``cotton2_array(c, g)``, ``curvature``'s Cotton chain on plain arrays,
 under the library's one metric rule: a single scalar Cholesky pass over g
 gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
-When the initial metric, a stage metric or the step's result fails the
-rule, the run aborts with ``DegenerateMetric``, naming where, with the
-trajectory computed so far.  The optional rescaling checks det g > 0 and
-scales by its cube root from ``_slogdet`` (``np.linalg.slogdet``'s gufunc,
-bit for bit), which cannot overflow; without it the run makes no
-``_slogdet`` call.
+A metric that fails the rule ends the run, naming the stage or step.
 
 C(g) is a deterministic function of the bytes of g, so a stage whose
 metric is bytewise the state's (C = 0, or a dt too small to move any entry)
-takes the state's Cotton tensor instead of evaluating it again.  Likewise a
-step is a function of the state's metric alone, so once a step returns a
-metric bytewise equal to its input (an exact fixed point of the step, as
-g = I is for a conformally flat algebra), every later step would return it
-again.  The run then stops evaluating and records the remaining states with
-that metric and its Cotton data, the time still advancing by dt per step,
-building only the states it records: the trajectory is bitwise the one
-that stepping on would give.  From an
-exact fixed point a run evaluates C once, for its initial state.
+takes the state's Cotton tensor instead of evaluating it again.  Likewise,
+once a step returns a metric bytewise equal to its input (an exact fixed
+point of the step, as g = I is for a conformally flat algebra), every later
+step would return it again: the run stops evaluating and records the
+remaining states with that metric and its Cotton data, the time still
+advancing by dt per step.  The trajectory is bitwise the one that stepping
+on would give, and from an exact fixed point a run evaluates C once.
 """
 
 from __future__ import annotations
@@ -51,11 +47,6 @@ class FlowState:
     metric: np.ndarray
     cotton2: SymBilinear
     cotton_norm: float
-
-    def __post_init__(self):
-        arr = np.array(self.metric, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "metric", arr)
 
 
 @dataclass(frozen=True)
@@ -84,19 +75,16 @@ def _named(where: str, fn, *args):
         raise DegenerateMetric(f"{what}: {exc}") from exc
 
 
-def make_state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
-    """Package a metric as a flow state with its Cotton tensor attached.
-
-    The symmetrized ``g`` must be positive definite: ``cotton2_array`` raises
-    ``DegenerateMetric`` outside the positive cone and ``SingularMetric`` for
-    a singular metric.
-    """
-    g = np.asarray(g, dtype=float)
-    g = 0.5 * (g + g.T)
+def _state(L: MetricLieAlgebra3, time: float, g: np.ndarray) -> FlowState:
+    """The flow state at ``time`` on the exactly symmetric metric ``g``, which
+    it takes over: ``DegenerateMetric`` or ``SingularMetric`` where
+    ``cotton2_array`` refuses ``g``."""
     c2 = cotton2_array(L.structure_constants, g)
     flat = c2.ravel()
     # the Frobenius norm as sqrt(flat.dot(flat)), np.linalg.norm's own vector form
-    return FlowState(float(time), g, _wrap(SymBilinear, components=c2), math.sqrt(flat.dot(flat)))
+    return _wrap(FlowState, time=float(time), metric=g,
+                 cotton2=_wrap(SymBilinear, components=c2),
+                 cotton_norm=math.sqrt(flat.dot(flat)))
 
 
 def _repeat(state: FlowState, time: float) -> FlowState:
@@ -111,23 +99,21 @@ def _rk4(L: MetricLieAlgebra3, state: FlowState, dt: float) -> np.ndarray:
 
     The state's ``cotton2`` is the right-hand side at the step's start, so
     it serves as the first stage; ``state`` must therefore carry the
-    Cotton tensor of its own metric (as ``make_state`` arranges).  A stage
+    Cotton tensor of its own metric (as ``_state`` arranges).  A stage
     metric that fails the metric rule raises ``DegenerateMetric`` naming
     the stage.
     """
-    c, g = L.structure_constants, state.metric
-    k1 = state.cotton2.components
+    g = state.metric
     here = g.tobytes()
-
-    def stage(where, h):
+    k = [state.cotton2.components]
+    for where, a in (("in the second stage", 0.5 * dt),
+                     ("in the third stage", 0.5 * dt), ("in the fourth stage", dt)):
+        h = g + a * k[-1]
         # a stage at the state's own metric has the state's Cotton tensor
-        return k1 if h.tobytes() == here else _named(where, cotton2_array, c, h)
-
-    k2 = stage("in the second stage", g + 0.5 * dt * k1)
-    k3 = stage("in the third stage", g + 0.5 * dt * k2)
-    k4 = stage("in the fourth stage", g + dt * k3)
-    out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (out + out.T)
+        k.append(k[0] if h.tobytes() == here
+                 else _named(where, cotton2_array, L.structure_constants, h))
+    k1, k2, k3, k4 = k
+    return g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow_run(
@@ -148,10 +134,6 @@ def flow_run(
     below ``fixed_point_tol``; it is False when no tolerance is given.
     If the initial metric or a later one fails the metric rule,
     ``DegenerateMetric`` is raised with the states so far as ``trajectory``.
-    A stage at the state's own metric reuses the state's Cotton tensor, and
-    when a step leaves the metric bytewise unchanged, it and the remaining
-    steps are not evaluated: their states repeat that metric and Cotton
-    data at the times stepping on would give.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -160,7 +142,7 @@ def flow_run(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     g = 0.5 * (L.metric + L.metric.T)
-    state = _named("in the initial metric", make_state, L, 0.0, g)
+    state = _named("in the initial metric", _state, L, 0.0, g)
     logdet0 = float(_slogdet(g)[1]) if normalize else None
     states = [state]
     for n in range(1, steps + 1):
@@ -172,13 +154,10 @@ def flow_run(
                 if not (sign > 0 and math.isfinite(logdet)):
                     raise DegenerateMetric("metric left the positive cone after the step")
                 g = g * math.exp((logdet0 - float(logdet)) / 3.0)
-            # bytes, so that -0.0 and 0.0 count as different metrics; g is
-            # exactly symmetric, so make_state would return the state's data
+            # bytes, so that -0.0 and 0.0 count as different metrics
             stationary = g.tobytes() == state.metric.tobytes()
-            state = (
-                _repeat(state, float(state.time + dt)) if stationary
-                else _named("after the step", make_state, L, state.time + dt, g)
-            )
+            state = (_repeat(state, float(state.time + dt)) if stationary
+                     else _named("after the step", _state, L, state.time + dt, g))
         except DegenerateMetric as exc:
             # the cause stays the metric rule's own refusal
             raise DegenerateMetric(
@@ -202,22 +181,36 @@ def flow_run(
     return FlowResult(tuple(states), fixed)
 
 
+_FIELDS = ("time", *("metric",) * 6, "cotton_norm")  # the field of each value of a row
+
+
+def _csv_lines(states) -> list:
+    """The CSV lines of ``states``, every row rendered before any is written:
+    ``ValueError`` names the field of the first value that is not finite."""
+    lines = ["time,g11,g12,g13,g22,g23,g33,cotton_norm\n"]
+    for st in states:
+        (g11, g12, g13), (_, g22, g23), (_, _, g33) = st.metric.tolist()
+        row = (float(st.time), g11, g12, g13, g22, g23, g33, float(st.cotton_norm))
+        bad = next((f for f, v in zip(_FIELDS, row) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"{bad} is not finite: the geometry exceeds double precision")
+        lines.append(",".join(map(repr, row)) + "\n")
+    return lines
+
+
 def write_trajectory(states, fh) -> None:
     """Write flow states (a ``FlowResult.trajectory``, or the partial one a
     ``DegenerateMetric`` carries) to a text stream as CSV with
-    round-tripping float reprs."""
-    fh.write("time,g11,g12,g13,g22,g23,g33,cotton_norm\n")
-    for st in states:
-        m = st.metric
-        vals = (
-            st.time,
-            m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2],
-            st.cotton_norm,
-        )
-        fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    round-tripping float reprs; a non-finite value raises ``ValueError``
+    before anything is written."""
+    # line by line: a text stream drops what a short write leaves over, so
+    # one large write would hide a reader that closed the stream
+    fh.writelines(_csv_lines(states))
 
 
 def export_trajectory(states, path: str) -> None:
-    """Write flow states to a CSV file (the format of ``write_trajectory``)."""
+    """Write flow states to a CSV file (the format of ``write_trajectory``);
+    a non-finite value raises ``ValueError`` before the file is opened."""
+    lines = _csv_lines(states)
     with open(path, "w") as fh:
-        write_trajectory(states, fh)
+        fh.writelines(lines)

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -537,6 +538,34 @@ class TestInputErrors:
         assert rc == 1
         assert "invalid JSON at line 1" in captured.err
 
+    def test_json_nested_too_deeply(self, tmp_path, capsys):
+        # json's decoder recurses once per level and runs out of stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        rc = main(["curvature", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: invalid JSON: nested too deeply to parse\n"
+
+    @pytest.mark.parametrize("command", ["verify-paper", "flow"])
+    def test_closed_stdout(self, geom, capsys, monkeypatch, command):
+        # a reader that closed the pipe: one error line and exit 1, no traceback
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        argv = [command]
+        if command == "flow":
+            argv += [geom(kenmotsu(2.0)), "--dt", "1e-5", "--steps", "30"]
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "error: standard output was closed before all of it was written\n"
+        )
+
     def test_non_number_parameter(self, geom, capsys):
         rc = main(["curvature", geom({"kenmotsu": {"lambda": "two"}})])
         captured = capsys.readouterr()
@@ -596,8 +625,10 @@ class TestInputErrors:
             c[b["i"] - 1, b["j"] - 1] = np.multiply(s, b["coeffs"])
             c[b["j"] - 1, b["i"] - 1] = -np.multiply(s, b["coeffs"])
         size = float(np.max(np.abs(brute_jacobi(c)[0, 1, 2])))
+        # a size that underflows to 0 is reported as below the double range
+        size = f"{size:.3e}" if size else "below the double range"
         return (f"error: {path}: invalid geometry: jacobi violation of size "
-                f"{size:.3e} at indices (0, 1, 2)\n")
+                f"{size} at indices (0, 1, 2)\n")
 
     def test_jacobi_violation_in_raw_brackets(self, geom, capsys):
         path = geom({"brackets": self.NON_JACOBI_BRACKETS})
@@ -608,8 +639,9 @@ class TestInputErrors:
         assert captured.err == self.jacobi_line(path)
 
     # the cyclic sum is s^2 against the cutoff 1e-12 s^2, so the brackets
-    # are refused at every scale s, also where their products underflow
-    @pytest.mark.parametrize("s", [1e13, 1e-7, 1e-160])
+    # are refused at every scale s, also where their products underflow and,
+    # at 1e-170, where s^2 lies below the smallest subnormal
+    @pytest.mark.parametrize("s", [1e13, 1e-7, 1e-160, 1e-170])
     def test_jacobi_violation_at_every_scale(self, geom, capsys, s):
         brackets = [dict(b, coeffs=[s * x for x in b["coeffs"]])
                     for b in self.NON_JACOBI_BRACKETS]

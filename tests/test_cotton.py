@@ -32,7 +32,7 @@ from cotton3 import (
 )
 from cotton3.connection_curvature import _cotton2, _cov_deriv
 from cotton3.cotton import cotton2_array
-from cotton3.cotton_flow import make_state
+from cotton3.cotton_flow import _state
 from cotton3.frame_algebra import _metric_frame
 
 
@@ -441,7 +441,8 @@ def test_metric_rule_is_shared(metric, expected):
         "curvature": _outcome(lambda: curvature(L, levi_civita(L0))),
         "cotton_pack": _outcome(lambda: cotton_pack(*layers(L))),
         "cotton2_array": _outcome(lambda: cotton2_array(c, g)),
-        "make_state": _outcome(lambda: make_state(L0, 0.0, g)),
+        # the flow's state builder, which takes its metric over
+        "_state": _outcome(lambda: _state(L0, 0.0, g.copy())),
         "ricci_spectrum": _outcome(lambda: ricci_spectrum(pack)),
     }
     verdicts = {k: v if isinstance(v, type) else None for k, v in outcomes.items()}

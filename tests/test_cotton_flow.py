@@ -1,7 +1,10 @@
 """Runge-Kutta Cotton flow: fixed points, blow-up, order, and export."""
 
 import csv
+import importlib.util
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from conftest import (
 from cotton3 import (
     DegenerateMetric,
     FlowResult,
+    MetricLieAlgebra3,
     SingularMetric,
     cotton_pack,
     export_trajectory,
@@ -29,39 +33,39 @@ from cotton3 import (
 )
 from cotton3 import frame_algebra
 from cotton3.cotton import cotton2_array
-from cotton3.cotton_flow import FlowState, _named, _rk4, make_state
+from cotton3.cotton_flow import FlowState, _named, _rk4, _state, write_trajectory
 from cotton3.frame_algebra import SymBilinear
 
 
 class TestStateAndStep:
-    def test_make_state_attaches_cotton_data(self):
+    def test_state_attaches_cotton_data(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        st = make_state(L, 0.25, np.eye(3))
+        st = _state(L, 0.25, np.eye(3))
         cp = cotton_pack(*layers(L))
         assert st.time == 0.25
         assert np.array_equal(st.metric, np.eye(3))
         assert np.array_equal(st.cotton2.components, cp.cotton2.components)
         assert st.cotton_norm == cp.norm2
 
-    def test_make_state_symmetrizes(self):
+    def test_initial_state_symmetrizes(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         g = np.eye(3)
         g[0, 1] = 1e-3  # one-sided perturbation
-        st = make_state(L, 0.0, g)
+        st = flow_run(L.with_metric(g), dt=1e-3, steps=1).trajectory[0]
         assert np.array_equal(st.metric, st.metric.T)
         assert st.metric[0, 1] == pytest.approx(5e-4, abs=0.0)
 
     def test_step_advances_time_and_matches_run(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        st0 = make_state(L, 0.0, L.metric)
-        st1 = make_state(L, st0.time + 1e-3, _rk4(L, st0, 1e-3))
+        st0 = _state(L, 0.0, np.array(L.metric))
+        st1 = _state(L, st0.time + 1e-3, _rk4(L, st0, 1e-3))
         assert st1.time == pytest.approx(1e-3, abs=0.0)
         result = flow_run(L, dt=1e-3, steps=1)
         assert np.array_equal(result.final.metric, st1.metric)
 
     def test_state_metric_is_frozen(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        st = make_state(L, 0.0, np.eye(3))
+        st = flow_run(L, dt=1e-3, steps=1).trajectory[0]
         with pytest.raises(ValueError):
             st.metric[0, 0] = 2.0
 
@@ -160,14 +164,14 @@ class TestStageChecks:
         assert len(err.value.trajectory) == 1
         assert len(flow_run(L.with_metric(g0), 1e-19, 1, normalize=normalize).trajectory) == 2
 
-    def test_make_state_requires_positive_definite(self):
+    def test_state_requires_positive_definite(self):
         with pytest.raises(DegenerateMetric, match="not positive definite"):
-            make_state(self.L, 0.0, np.diag([-1.0, -1.0, 1.0]))
+            _state(self.L, 0.0, np.diag([-1.0, -1.0, 1.0]))
         # the second Cholesky pivot is nan here: nan fails the check too
         with pytest.raises(DegenerateMetric, match="not positive definite"):
-            make_state(self.L, 0.0, np.diag([1.0, np.nan, 2.0]))
+            _state(self.L, 0.0, np.diag([1.0, np.nan, 2.0]))
         with pytest.raises(SingularMetric, match="metric is singular"):
-            make_state(self.L, 0.0, np.diag([1.0, 1.0, 1e-13]))
+            _state(self.L, 0.0, np.diag([1.0, 1.0, 1e-13]))
 
 
 class TestFixedPoint:
@@ -271,12 +275,12 @@ class TestEvolution:
             g0 = random_spd(rng)
             result = flow_run(L.with_metric(g0), dt=1e-4, steps=10, normalize=True)
             logdet0 = float(np.linalg.slogdet(g0)[1])
-            state = make_state(L, 0.0, g0)
+            state = _state(L, 0.0, 0.5 * (g0 + g0.T))
             manual = [state]
             for _ in range(10):
                 g = _rk4(L, state, 1e-4)
                 g = g * math.exp((logdet0 - float(np.linalg.slogdet(g)[1])) / 3.0)
-                state = make_state(L, state.time + 1e-4, g)
+                state = _state(L, state.time + 1e-4, g)
                 manual.append(state)
             assert len(result.trajectory) == len(manual)
             for got, want in zip(result.trajectory, manual):
@@ -370,7 +374,8 @@ class TestEvolution:
 
 
 def _reference_state(L, time, g):
-    """``make_state`` with the constructor's copy and ``np.linalg.norm``."""
+    """A flow state built the long way: the metric symmetrized again, and
+    ``SymBilinear``'s constructor and ``np.linalg.norm``."""
     g = np.asarray(g, dtype=float)
     g = 0.5 * (g + g.T)
     c2 = cotton2_array(L.structure_constants, g)
@@ -520,6 +525,52 @@ class TestExactFixedPointExit:
         assert len(result.trajectory) == steps + 1
 
 
+def _benchmark_flow_runs():
+    """``(algebra, dt, steps)`` of the benchmark's ``cotton_flow`` inputs on
+    seeds 1 to 3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return [(MetricLieAlgebra3(inp["constants"], inp["metric"]), wl.FLOW_DT, wl.FLOW_STEPS)
+            for seed in (1, 2, 3) for inp in wl._flow_inputs(seed)]
+
+
+class TestSymmetry:
+    def test_every_metric_is_bitwise_symmetric(self, monkeypatch):
+        # only the initial metric is symmetrized: C(g) is exactly symmetric,
+        # and the stages, the RK4 sum and the rescaling act entrywise, so
+        # every stage metric and every recorded metric equals its transpose
+        import cotton3.cotton_flow as cf
+
+        metrics = []
+        real = cf.cotton2_array
+
+        def recording(c, g):
+            metrics.append(g)
+            out = real(c, g)
+            metrics.append(out)
+            return out
+
+        monkeypatch.setattr(cf, "cotton2_array", recording)
+        runs = [(L.with_metric(g0) if g0 is not None else L, dt, steps, stride, normalize)
+                for L, dt, steps, g0, stride, normalize in _flow_corpus()]
+        runs += [(L, dt, steps, 1, normalize) for L, dt, steps in _benchmark_flow_runs()
+                 for normalize in (False, True)]
+        checked = 0
+        for L, dt, steps, stride, normalize in runs:
+            try:
+                states = flow_run(L, dt, steps, stride=stride, normalize=normalize).trajectory
+            except DegenerateMetric as exc:
+                states = exc.trajectory
+            metrics += [st.metric for st in states]
+            for a in metrics:
+                assert a.tobytes() == a.T.tobytes()
+            checked += len(metrics)
+            del metrics[:]
+        assert checked >= 10000
+
+
 class TestExport:
     def test_csv_round_trip(self, tmp_path):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
@@ -543,9 +594,28 @@ class TestExport:
 
     def test_accepts_plain_state_list(self, tmp_path):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        states = [make_state(L, 0.0, np.eye(3))]
+        states = [_state(L, 0.0, np.eye(3))]
         path = tmp_path / "one.csv"
         export_trajectory(states, str(path))
         text = path.read_text().splitlines()
         assert len(text) == 2
         assert text[1].startswith("0.0,1.0,")
+
+    @pytest.mark.parametrize("field", ["time", "metric", "cotton_norm"])
+    def test_non_finite_row_is_refused_before_writing(self, tmp_path, field):
+        good = flow_run(from_kenmotsu_params(2.0, 0.0, 0.0), dt=1e-3, steps=2).trajectory
+        st = good[-1]
+        bad = FlowState(
+            math.inf if field == "time" else st.time,
+            np.where(np.eye(3) == 1, math.nan, st.metric) if field == "metric" else st.metric,
+            st.cotton2,
+            math.nan if field == "cotton_norm" else st.cotton_norm,
+        )
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{field} is not finite"):
+            write_trajectory([*good, bad], fh)
+        assert fh.getvalue() == ""
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match=f"^{field} is not finite"):
+            export_trajectory([*good, bad], str(path))
+        assert not path.exists()
