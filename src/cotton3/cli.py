@@ -460,7 +460,6 @@ def cmd_flow(args) -> int:
             steps=args.steps,
             stride=args.stride,
             normalize=args.normalize,
-            fixed_point_tol=fp_tol,
         )
     except DegenerateMetric as exc:
         if args.output and exc.trajectory:
@@ -480,7 +479,7 @@ def cmd_flow(args) -> int:
             "final_time": final.time,
             "final_cotton_norm": final.cotton_norm,
             "final_metric": _mat(final.metric),
-            "fixed_point": result.fixed_point,
+            "fixed_point": fp_tol is not None and final.cotton_norm <= fp_tol,
         }
 
         def human(p):

@@ -51,10 +51,10 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Recorded trajectory and whether it ended at a fixed point."""
+    """Recorded trajectory; ``final.cotton_norm`` tells how far its last
+    state is from a fixed point."""
 
     trajectory: tuple
-    fixed_point: bool
 
     @property
     def final(self) -> FlowState:
@@ -122,18 +122,19 @@ def flow_run(
     steps: int,
     stride: int = 1,
     normalize: bool = False,
-    fixed_point_tol: float | None = None,
 ) -> FlowResult:
     """Integrate the flow for ``steps`` steps from the algebra's metric; to
     start elsewhere, pass ``L.with_metric(g0)``.
 
     States are recorded every ``stride`` steps (the initial and final
     states always).  With ``normalize`` the metric is rescaled after each
-    step to keep its determinant at the initial value.  ``fixed_point`` in
-    the result reports whether the final state's Cotton norm is at or
-    below ``fixed_point_tol``; it is False when no tolerance is given.
-    If the initial metric or a later one fails the metric rule,
-    ``DegenerateMetric`` is raised with the states so far as ``trajectory``.
+    step to keep its determinant at the initial value.  The final state's
+    ``cotton_norm`` is the distance from a fixed point (C = 0), for the
+    caller to compare with a tolerance of its own.  ``ValueError`` when an
+    entry of the initial Cotton tensor is not finite (constants and metric
+    whose products overflow), before any step.  If the initial metric or a
+    later one fails the metric rule, ``DegenerateMetric`` is raised with
+    the states so far as ``trajectory``.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -143,6 +144,9 @@ def flow_run(
         raise ValueError("stride must be at least 1")
     g = 0.5 * (L.metric + L.metric.T)
     state = _named("in the initial metric", _state, L, 0.0, g)
+    if not np.isfinite(state.cotton2.components).all():
+        raise ValueError(
+            "the initial Cotton tensor is not finite: the geometry exceeds double precision")
     logdet0 = float(_slogdet(g)[1]) if normalize else None
     states = [state]
     for n in range(1, steps + 1):
@@ -174,11 +178,7 @@ def flow_run(
         time = float(time + dt)
         if n % stride == 0 or n == steps:
             states.append(_repeat(state, time))
-    fixed = (
-        fixed_point_tol is not None
-        and states[-1].cotton_norm <= fixed_point_tol
-    )
-    return FlowResult(tuple(states), fixed)
+    return FlowResult(tuple(states))
 
 
 _FIELDS = ("time", *("metric",) * 6, "cotton_norm")  # the field of each value of a row

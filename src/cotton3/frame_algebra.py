@@ -14,7 +14,9 @@ All value types are immutable (their arrays are frozen); every operation is
 a pure function of its inputs, so values can be shared across threads.
 
 Every LAPACK call of the package goes through ``_svd``, ``_eigvalsh`` and
-``_slogdet``, which call numpy's gufuncs (numpy 2 names) directly.
+``_slogdet``, which call numpy's gufuncs (numpy 2 names) directly; the
+soliton solve reads its rank, minimum-norm solution and null space off one
+``_svd``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .errors import DegenerateMetric, JacobiViolation, SingularMetric
 
 # Default absolute tolerance for scalar/component comparisons.
 DEFAULT_TOL = 1e-9
-
-_EPS = np.finfo(float).eps
 
 
 def _svd(a: np.ndarray):
@@ -66,30 +66,6 @@ def _slogdet(a: np.ndarray) -> tuple:
     gufunc, as a plain pair; a nan entry gives (1, nan) and numpy's warning,
     as there."""
     return _umath_linalg.slogdet(a, signature="d->dd")
-
-
-def _svd_lstsq(A: np.ndarray, rhs: np.ndarray):
-    """Minimum-norm least-squares solution of A z = rhs from one ``_svd``.
-
-    Singular values at or below eps * max(A.shape) * s[0] count as zero, the
-    cutoff of ``np.linalg.lstsq(..., rcond=None)``.  When none is, the
-    masks that drop them would keep everything and are skipped: the solution
-    is bitwise the masked one.  Returns (z, s, Vt) so the caller can read
-    rank and null space off the same decomposition.
-    """
-    U, s, Vt = _svd(A)
-    n = s.size
-    # .dot on this column slice of U rounds differently from @
-    y = rhs @ U[:, :n]
-    sv = s.tolist()
-    cut = _EPS * max(A.shape) * sv[0]
-    if sv[-1] > cut:
-        # every singular value is kept: the masks would select everything
-        z = (y / s).dot(Vt[:n])
-    else:
-        keep = s > cut
-        z = (y[keep] / s[keep]) @ Vt[:n][keep]
-    return z, s, Vt
 
 
 def _frozen(a, shape) -> np.ndarray:

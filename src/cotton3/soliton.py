@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack
-from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd_lstsq, _wrap
+from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd, _wrap
 
 UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -61,26 +61,29 @@ def lie_derivative_metric(
 
 @dataclass(frozen=True, eq=False)
 class SolitonProblem:
-    """The soliton equation restricted to one ansatz space.
+    """The soliton equation of one geometry restricted to one ansatz space.
 
-    ``basis`` spans the space of candidate potentials V, a tuple of
-    ``FrameVector``; the unknowns are the coefficients of V in that basis
-    together with sigma.
+    ``curvature`` is the geometry's ``CurvaturePack``, which holds the
+    metric (on its ``algebra``), the connection and the Cotton tensor the
+    equation reads.  ``basis`` spans the space of candidate potentials V, a
+    tuple of ``FrameVector``; the unknowns are the coefficients of V in that
+    basis together with sigma.
     """
 
-    algebra: MetricLieAlgebra3
-    connection: ConnectionTable
-    cotton2: SymBilinear
+    curvature: CurvaturePack
     basis: tuple
 
     @classmethod
     def build(cls, L, conn, pack):
-        """The problem over the standard frame (e1, e2, e3), with the Cotton
-        tensor of ``pack``, the curvature of ``L`` under ``conn``.  For
+        """The problem of ``pack``, the curvature of ``L`` under ``conn``,
+        over the standard frame (e1, e2, e3); ``ValueError`` when ``L`` is
+        not ``pack.algebra`` or ``conn`` is not ``pack.connection``.  For
         another ansatz basis, call the constructor:
-        ``SolitonProblem(L, conn, pack.cotton.cotton2, basis)``.
+        ``SolitonProblem(pack, basis)``.
         """
-        return cls(L, conn, pack.cotton.cotton2, _FRAME)
+        if L is not pack.algebra or conn is not pack.connection:
+            raise ValueError("pack is not the curvature of L under conn")
+        return cls(pack, _FRAME)
 
 
 def _assemble_system(problem: SolitonProblem):
@@ -93,17 +96,18 @@ def _assemble_system(problem: SolitonProblem):
     does not depend on which other fields are stacked with it: the columns
     of a sub-basis are bitwise those of the full system.
     """
-    L, conn = problem.algebra, problem.connection
+    pack = problem.curvature
+    g = pack.algebra.metric
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
     n = V.shape[0]
     # gamma_by_field[a, (i, k)] = gamma[i, a, k]
-    gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
-    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(L.metric).reshape(n, 9)
+    gamma_by_field = pack.connection.gamma.transpose(1, 0, 2).reshape(3, 9)
+    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(g).reshape(n, 9)
     A = np.empty((6, n + 1))
     # the upper triangle of B + B^T, one column per field
     A[:, :n] = (B.take(_UPPER_FLAT, axis=1) + B.take(_LOWER_FLAT, axis=1)).T
-    A[:, n] = -L.metric.take(_UPPER_FLAT)
-    k = -problem.cotton2.components.take(_UPPER_FLAT)
+    A[:, n] = -g.take(_UPPER_FLAT)
+    k = -pack.cotton.cotton2.components.take(_UPPER_FLAT)
     return A, k
 
 
@@ -111,9 +115,9 @@ def soliton_residual(
     problem: SolitonProblem, v: FrameVector, sigma: float
 ) -> SymBilinear:
     """Left-hand side Lie_V g + C - sigma g for an explicit candidate."""
-    L, conn = problem.algebra, problem.connection
-    lie = lie_derivative_metric(L, conn, v).components
-    return SymBilinear(lie + problem.cotton2.components - sigma * L.metric)
+    pack = problem.curvature
+    lie = lie_derivative_metric(pack.algebra, pack.connection, v).components
+    return SymBilinear(lie + pack.cotton.cotton2.components - sigma * pack.algebra.metric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,44 +152,42 @@ def solve(problem: SolitonProblem, tol: float = 1e-8) -> SolitonSolution:
     """Solve one ansatz problem and classify the outcome.
 
     Feasibility compares the least-squares residual against
-    tol * (1 + |C|_F).  One SVD of the stacked system (``_svd``, the LAPACK
-    call of ``np.linalg.svd`` without its Python dispatch) gives the
-    minimum-norm solution (with ``np.linalg.lstsq``'s default cutoff), the
-    rank and the null space.  A feasible problem is ``trivial_only`` when the
-    minimum-norm potential vanishes and no null-space direction moves the
-    potential; otherwise the sign of sigma picks steady, shrinking
-    (sigma > 0) or expanding (sigma < 0).  ``soliton_existence_survey``
-    shares the solve below, so one problem gives the same solution on
-    every route.
+    tol * (1 + |C|_F), |C|_F the pack's ``cotton.norm2``.  One SVD of the
+    stacked system (``_svd``, the LAPACK call of ``np.linalg.svd`` without
+    its Python dispatch) gives the rank, at the one cutoff 1e-10 s_0, and
+    from the same directions the minimum-norm solution and the null space.
+    A feasible problem is ``trivial_only`` when the minimum-norm potential
+    vanishes and no null-space direction moves the potential; otherwise the
+    sign of sigma picks steady, shrinking (sigma > 0) or expanding
+    (sigma < 0).  ``soliton_existence_survey`` shares the solve below, so
+    one problem gives the same solution on every route.
     """
     A, k = _assemble_system(problem)
-    return _solve(A, k, problem.basis, _cotton_scale(problem.cotton2), tol)
-
-
-def _cotton_scale(cotton2: SymBilinear) -> float:
-    """1 + |C|_F, the scale of every soliton verdict."""
-    comps = cotton2.components.ravel()
-    return 1.0 + math.sqrt(comps.dot(comps))
+    return _solve(A, k, problem.basis, 1.0 + problem.curvature.cotton.norm2, tol)
 
 
 def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     """Solve and classify the assembled system A z = k (see ``solve``).
 
-    z, the singular values and V^T come from ``_svd_lstsq``'s one ``_svd``,
-    ``np.linalg.svd``'s LAPACK call bit for bit.  Vector norms are taken as
-    sqrt(r.dot(r)), ``np.linalg.norm``'s own vector form; the norms of the
-    family rows' potential parts, read only when the solution is feasible,
-    are summed on floats in ``np.add.reduce``'s order.  The potential is
-    summed on the floats of the coefficients and the basis, from 0 as
-    ``sum`` starts, and the solution holds the arrays built here without a
-    copy.
+    One ``_svd``, ``np.linalg.svd``'s LAPACK call bit for bit, decides
+    everything: singular values above 1e-10 s_0 give the rank, the
+    minimum-norm solution z runs along exactly those directions of V^T and
+    the remaining rows span the null space, so z has no component along the
+    family the solution reports.  Vector norms are taken as sqrt(r.dot(r)),
+    ``np.linalg.norm``'s own vector form; the norms of the family rows'
+    potential parts, read only when the solution is feasible, are summed on
+    floats in ``np.add.reduce``'s order.  The potential is summed on the
+    floats of the coefficients and the basis, from 0 as ``sum`` starts, and
+    the solution holds the arrays built here without a copy.
     """
-    z, sv, Vt = _svd_lstsq(A, k)
+    U, s, Vt = _svd(A)
+    sv = s.tolist()
+    cut = 1e-10 * max(sv[0], 1e-300)
+    rank = sum(x > cut for x in sv)
+    # .dot on this column slice of U rounds differently from @
+    z = ((k @ U[:, :s.size])[:rank] / s[:rank]).dot(Vt[:rank])
     r = A.dot(z) - k
     residual = math.sqrt(r.dot(r))
-    sv = sv.tolist()
-    cut = 1e-10 * max(sv[0], 1e-300)
-    rank = sum(s > cut for s in sv)
     family = Vt[rank:]
     family_dim = family.shape[0]
 
@@ -242,7 +244,7 @@ def _solve_ansatze(problem: SolitonProblem, names, tol: float) -> dict:
     is exactly that of ``solve`` on the ansatz problem.
     """
     A, k = _assemble_system(problem)
-    c_scale = _cotton_scale(problem.cotton2)
+    c_scale = 1.0 + problem.curvature.cotton.norm2
     out = {}
     for name in names:
         cols = _ANSATZ_COLUMNS[name]
@@ -261,8 +263,7 @@ def soliton_existence_survey(ak, tol: float = 1e-8):
     ansatz systems are column subsets of one assembled system, so each
     solution is exactly that of ``solve`` on the ansatz problem.
     """
-    cotton2 = ak.curvature.cotton.cotton2
-    problem = SolitonProblem(ak.algebra, ak.connection, cotton2, ak.adapted_frame)
+    problem = SolitonProblem(ak.curvature, ak.adapted_frame)
     return _solve_ansatze(problem, _ANSATZ_COLUMNS, tol)
 
 
@@ -270,5 +271,5 @@ def _frame_solutions(pack: CurvaturePack, tol: float) -> dict:
     """The collinear and orthogonal ansatz solutions of ``pack``'s geometry
     over the frame (e1, e2, e3), the adapted frame of every (lam, 0, 0)
     member, as column subsets of one assembled system."""
-    problem = SolitonProblem.build(pack.algebra, pack.connection, pack)
+    problem = SolitonProblem(pack, _FRAME)
     return _solve_ansatze(problem, ("collinear", "orthogonal"), tol)

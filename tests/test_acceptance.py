@@ -137,7 +137,7 @@ def test_criterion_06_collinear_ansatz():
         conn = levi_civita(L)
         pack = curvature(L, conn)
         ak = detect_structure(L, conn, pack)
-        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[:1]))
+        sol = solve(SolitonProblem(pack, ak.adapted_frame[:1]))
         outcomes[lam] = sol.classification
     ok = (
         outcomes[0.5] == outcomes[2.0] == outcomes[3.0] == "infeasible"
@@ -155,7 +155,7 @@ def test_criterion_07_orthogonal_ansatz_and_geometry():
         conn = levi_civita(L)
         pack = curvature(L, conn)
         ak = detect_structure(L, conn, pack)
-        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[1:]))
+        sol = solve(SolitonProblem(pack, ak.adapted_frame[1:]))
         ok = ok and (sol.feasible == (lam == 1.0))
         if lam == 1.0:
             d = sol.family_basis[0]

@@ -217,6 +217,8 @@ class TestGeneralFrame:
         assert np.allclose(adapted["closed_form"], np.diag([0.0, 12.0, -12.0]),
                            rtol=0.0, atol=1e-9)
         assert adapted["max_gap"] <= 1e-9
+        assert main(["cotton", geom(skew_frame_kenmotsu())]) == 0
+        assert "adapted-frame values" in capsys.readouterr().out
 
 
 class TestCotton:
@@ -507,6 +509,24 @@ class TestFlow:
         assert captured.out == ""
         assert captured.err.startswith("error: dt must be positive and finite")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_non_finite_initial_cotton_tensor(self, geom, tmp_path, capsys, output):
+        # valid constants and metric whose connection overflows: the initial
+        # Cotton tensor is nan, refused before any step as cotton refuses it
+        path = geom(kenmotsu(1e100, metric=(4e307 * np.eye(3)).tolist()))
+        out_file = tmp_path / "traj.csv"
+        argv = ["flow", path, "--dt", "1e-3", "--steps", "5"]
+        rc = main(argv + ["--output", str(out_file)] if output else argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: the initial Cotton tensor is not finite: "
+                                "the geometry exceeds double precision\n")
+        assert not out_file.exists()
+        assert main(["cotton", path]) == 1
+        assert capsys.readouterr().err.endswith(
+            "is not finite: the geometry exceeds double precision\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_fixed_point_tolerance(self, geom, tmp_path, capsys, value):
@@ -993,12 +1013,12 @@ class TestVerifyPaper:
             got = np.array([v.components for v in frame])
             assert got.tobytes() == np.eye(3).tobytes(), p
 
-    @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.0), (0.75, 1.5)])
+    @pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0, 3.0), (0.75, 1.5), (0.75, 3.0)])
     def test_member_pack_rows_equal_fresh_pack_rows(self, capsys, monkeypatch, grid):
-        # members (0.5, 1, 2, 3) read their shared solutions; 0.75 and 1.5
-        # get fresh layers.  Either way each solution equals the one of a
-        # fresh pack, residual bits included, and each printed row is the
-        # one the fresh pack gives
+        # members (0.5, 1, 2, 3) read their shared solutions, 3 outside the
+        # default grid; 0.75 and 1.5 get fresh layers.  Either way each
+        # solution equals the one of a fresh pack, residual bits included,
+        # and each printed row is the one the fresh pack gives
         from cotton3 import cli
 
         solved = []

@@ -1,7 +1,9 @@
 """Runge-Kutta Cotton flow: fixed points, blow-up, order, and export."""
 
 import csv
+import dataclasses
 import importlib.util
+import inspect
 import io
 import math
 from pathlib import Path
@@ -92,6 +94,21 @@ class TestValidation:
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             flow_run(L, dt=dt, steps=1)
+
+    def test_rejects_a_non_finite_initial_cotton_tensor(self, monkeypatch):
+        # validate accepts lam = 1e100 under 4e307 I, but the connection's
+        # product c g overflows, so the initial Cotton tensor is nan: the
+        # run is refused before any step, naming the Cotton tensor
+        import cotton3.cotton_flow as cotton_flow
+
+        steps = []
+        monkeypatch.setattr(cotton_flow, "_rk4", lambda *a: steps.append(a))
+        L = from_kenmotsu_params(1e100, 0.0, 0.0).with_metric(4e307 * np.eye(3))
+        with pytest.raises(ValueError) as err, np.errstate(over="ignore", invalid="ignore"):
+            flow_run(L, dt=1e-3, steps=5)
+        assert str(err.value) == (
+            "the initial Cotton tensor is not finite: the geometry exceeds double precision")
+        assert steps == []
 
     def test_rejects_indefinite_start(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
@@ -190,25 +207,30 @@ class TestFixedPoint:
         # lam = 1 is conformally flat, so the flow is stationary: the
         # metric drift over 1000 steps is exactly zero.
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        result = flow_run(L, dt=1e-3, steps=1000, fixed_point_tol=1e-9)
+        result = flow_run(L, dt=1e-3, steps=1000)
         assert len(result.trajectory) == 1001
         drift = max(
             float(np.max(np.abs(st.metric - np.eye(3))))
             for st in result.trajectory
         )
         assert drift == 0.0
-        assert result.fixed_point
+        assert result.final.cotton_norm <= 1e-9
         assert result.final.time == pytest.approx(1.0, rel=1e-12)
 
-    def test_fixed_point_false_without_tolerance(self):
+    def test_no_fixed_point_verdict(self):
+        # the run reports the final Cotton norm; the caller compares it with
+        # a tolerance of its own
+        assert "fixed_point_tol" not in inspect.signature(flow_run).parameters
+        assert [f.name for f in dataclasses.fields(FlowResult)] == ["trajectory"]
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         result = flow_run(L, dt=1e-3, steps=5)
-        assert not result.fixed_point
+        assert not hasattr(result, "fixed_point")
+        assert result.final.cotton_norm == 0.0
 
     def test_fixed_point_false_when_moving(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        result = flow_run(L, dt=1e-3, steps=5, fixed_point_tol=1e-9)
-        assert not result.fixed_point
+        result = flow_run(L, dt=1e-3, steps=5)
+        assert not result.final.cotton_norm <= 1e-9
         assert result.final.cotton_norm > 1.0
 
 
@@ -368,8 +390,8 @@ class TestEvolution:
         assert 3.7 <= order <= 4.3
 
     def test_stationary_on_conformally_flat_sphere(self):
-        result = flow_run(su2_round(), dt=1e-3, steps=50, fixed_point_tol=1e-12)
-        assert result.fixed_point
+        result = flow_run(su2_round(), dt=1e-3, steps=50)
+        assert result.final.cotton_norm <= 1e-12
         assert np.array_equal(result.final.metric, np.eye(3))
 
 
@@ -382,7 +404,7 @@ def _reference_state(L, time, g):
     return FlowState(float(time), g, SymBilinear(c2), float(np.linalg.norm(c2)))
 
 
-def _reference_flow_run(L, dt, steps, stride=1, normalize=False, fixed_point_tol=None):
+def _reference_flow_run(L, dt, steps, stride=1, normalize=False):
     """``flow_run`` evaluating every step, with no fixed-point exit."""
     g = np.array(L.metric, dtype=float)
     g = 0.5 * (g + g.T)
@@ -404,17 +426,17 @@ def _reference_flow_run(L, dt, steps, stride=1, normalize=False, fixed_point_tol
             ) from exc.__cause__
         if n % stride == 0 or n == steps:
             states.append(state)
-    fixed = fixed_point_tol is not None and states[-1].cotton_norm <= fixed_point_tol
-    return FlowResult(tuple(states), fixed)
+    return FlowResult(tuple(states))
 
 
 def _outcome(run, *args, **kwargs):
-    """``(trajectory, fixed_point, error message, cause type)`` of one run."""
+    """``(trajectory, final Cotton norm at most 1e-9, error message, cause
+    type)`` of one run."""
     try:
         res = run(*args, **kwargs)
     except DegenerateMetric as exc:
         return exc.trajectory, None, str(exc), type(exc.__cause__)
-    return res.trajectory, res.fixed_point, None, None
+    return res.trajectory, res.final.cotton_norm <= 1e-9, None, None
 
 
 def _assert_same_outcome(got, want):
@@ -464,7 +486,7 @@ class TestExactFixedPointExit:
         for L, dt, steps, g0, stride, normalize in _flow_corpus():
             if g0 is not None:
                 L = L.with_metric(g0)
-            kwargs = dict(stride=stride, normalize=normalize, fixed_point_tol=1e-9)
+            kwargs = dict(stride=stride, normalize=normalize)
             got = _outcome(flow_run, L, dt, steps, **kwargs)
             want = _outcome(_reference_flow_run, L, dt, steps, **kwargs)
             _assert_same_outcome(got, want)

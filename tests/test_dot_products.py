@@ -38,16 +38,22 @@ DOT_SHAPES = [
     ((3,), (3, 9)),  # _h_transport_sides, structure_residuals
     ((3, 3), (3, 9)),  # structure_residuals: the adapted connection
     ((3, 3), (3,)),  # _candidate_reebs (w x t), _build_structure, _dphi_residual, detection
-    ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate, _svd_lstsq
+    ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate, _solve
     ((3,), (3,)),  # _longest, _candidate_reebs, _build_structure, structure_residuals
     ((6, 2), (2,)),  # _solve: A z for each ansatz width
     ((6, 3), (3,)),
     ((6, 4), (4,)),
-    ((2,), (2, 2)),  # _svd_lstsq: (y / s) Vt at full rank, for each ansatz width
+    ((2,), (2, 2)),  # _solve: (y / s) Vt at full rank, for each ansatz width
     ((4,), (4, 4)),
+    ((1,), (1, 2)),  # _solve: (y / s) Vt over the leading rank rows of Vt
+    ((1,), (1, 3)),
+    ((2,), (2, 3)),
+    ((1,), (1, 4)),
+    ((2,), (2, 4)),
+    ((3,), (3, 4)),
 ]
-# not listed: _svd_lstsq keeps rhs @ U[:, :n] on @, because on that column
-# slice of U, .dot gave other bits for about 40% of random 6 x n systems
+# not listed: _solve keeps k @ U[:, :n] on @, because on that column slice
+# of U, .dot gave other bits for about 40% of random 6 x n systems
 
 # lengths of the vectors x whose norm the engine takes as sqrt(x.dot(x));
 # for one entry .dot returns the product itself where @ sums it from +0,

@@ -36,7 +36,8 @@ from cotton3 import (
     validate,
 )
 from cotton3 import frame_algebra
-from cotton3.frame_algebra import _svd_lstsq, bracket
+from cotton3.frame_algebra import bracket
+from cotton3.soliton import _solve
 
 
 class TestValueTypes:
@@ -530,8 +531,9 @@ class TestBuilders:
 
 class TestSvdLstsq:
     def test_matches_lstsq(self):
-        # the minimum-norm solution of lstsq(rcond=None), and the SVD of A:
-        # full rank, rank deficient, spectra graded across the cutoff, zero
+        # the soliton solve's minimum-norm solution is lstsq(rcond=None)'s,
+        # and its rank and null space are the SVD's: full rank, rank
+        # deficient, spectra graded across the cutoff, zero
         rng = np.random.default_rng(12)
         cases = [np.zeros((6, 3))]
         for k in range(1, 5):
@@ -541,12 +543,18 @@ class TestSvdLstsq:
             U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             cases.append(U[:, :3] @ np.diag(np.logspace(0.0, exponent, 3)) @ V.T)
+        fields = [FrameVector(v) for v in rng.normal(size=(3, 3))]
         for A in cases:
             b = rng.normal(size=A.shape[0])
-            z, s, Vt = _svd_lstsq(A, b)
+            sol = _solve(A, b, fields[: A.shape[1] - 1], 2.0, 1e-8)
+            z = np.append(sol.coefficients, sol.sigma)
             want, *_ = np.linalg.lstsq(A, b, rcond=None)
             assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
-            assert np.allclose((Vt.T * s * s) @ Vt, A.T @ A, rtol=0, atol=1e-12)
+            s = np.linalg.svd(A, compute_uv=False)
+            assert sol.rank == np.sum(s > 1e-10 * max(s[0], 1e-300))
+            F = sol.family_basis
+            assert np.allclose(F @ F.T, np.eye(len(F)), rtol=0, atol=1e-12)
+            assert np.max(np.abs(A @ F.T), initial=0.0) <= 1e-10 * max(s[0], 1e-300)
 
 
 class TestLinalgGufuncs:

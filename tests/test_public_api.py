@@ -123,6 +123,14 @@ def test_second_routes_are_gone():
         assert not hasattr(soliton, name), name
 
 
+def test_one_rank_cutoff_and_one_cotton_scale():
+    # the soliton solve decides at one rank cutoff, and its verdict scale is
+    # the pack's Cotton norm: no lstsq cutoff and no second scale helper
+    for name in ("_svd_lstsq", "_EPS"):
+        assert not hasattr(frame_algebra, name), name
+    assert not hasattr(soliton, "_cotton_scale")
+
+
 def test_import_loads_errors_and_frame_algebra_only():
     # every other module loads on first use of one of its names
     code = ("import sys, cotton3; "

@@ -32,7 +32,8 @@ def test_library_example_runs_as_documented():
     assert ns["orth"].classification == "infeasible"
     # lam = 1 is conformally flat: a fixed point with the identity metric
     flow = ns["flow"]
-    assert flow.fixed_point and len(flow.trajectory) == 1001
+    assert ns["at_fixed_point"] and len(flow.trajectory) == 1001
+    assert flow.final.cotton_norm <= 1e-9
     assert np.array_equal(flow.final.metric, np.eye(3))
     moved = ns["moved"]
     assert np.array_equal(moved.trajectory[0].metric, np.diag([1.0, 2.0, 1.5]))

@@ -27,7 +27,7 @@ from cotton3 import (
     soliton_existence_survey,
 )
 from cotton3 import frame_algebra, soliton
-from cotton3.frame_algebra import _EPS, _svd_lstsq, bracket
+from cotton3.frame_algebra import bracket
 from cotton3.soliton import (
     SolitonProblem,
     _assemble_system,
@@ -101,11 +101,10 @@ class TestLieDerivative:
 class TestAssembly:
     def test_system_shape(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        conn = levi_civita(L)
-        cotton2 = curvature(L, conn).cotton.cotton2
+        pack = curvature(L, levi_civita(L))
         for n in (1, 2, 3):
             basis = tuple(FrameVector(np.eye(3)[a]) for a in range(n))
-            A, k = _assemble_system(SolitonProblem(L, conn, cotton2, basis))
+            A, k = _assemble_system(SolitonProblem(pack, basis))
             assert A.shape == (6, n + 1)
             assert k.shape == (6,)
 
@@ -181,8 +180,63 @@ class TestAssembly:
             cp = cotton_pack(L, conn, pack)
             problem = SolitonProblem.build(L, conn=conn, pack=pack)
             solve(problem)
-            assert cp is pack.cotton and problem.cotton2 is cp.cotton2
+            assert cp is pack.cotton and problem.curvature is pack
         assert counts == {"_chain": 5, "_metric_frame": 5}
+
+
+class TestProblemHoldsItsPack:
+    def test_fields_are_the_pack_and_the_basis(self):
+        L, conn, pack = layers(from_kenmotsu_params(2.0, 0.0, 0.0))
+        problem = SolitonProblem.build(L, conn, pack)
+        assert [f.name for f in dataclasses.fields(SolitonProblem)] == ["curvature", "basis"]
+        assert problem.curvature is pack
+
+    def test_build_refuses_a_mismatched_algebra_or_connection(self):
+        L, conn, pack = layers(from_kenmotsu_params(2.0, 0.0, 0.0))
+        # equal arrays, other objects: the pack is not their curvature
+        other_L = L.with_metric(L.metric)
+        other_conn = levi_civita(L)
+        for args in ((other_L, conn, pack), (L, other_conn, pack),
+                     (other_L, other_conn, pack)):
+            with pytest.raises(ValueError, match="not the curvature"):
+                SolitonProblem.build(*args)
+        # another geometry's pack
+        _, _, pack3 = layers(from_kenmotsu_params(3.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="not the curvature"):
+            SolitonProblem.build(L, conn, pack3)
+
+    def test_survey_problem_holds_the_structures_pack(self, monkeypatch):
+        _, _, ak = detect(rotate_algebra(from_kenmotsu_params(2.0, 0.0, 0.0),
+                                         random_rotation(np.random.default_rng(55))))
+        seen = []
+
+        def recording(problem):
+            seen.append(problem)
+            return _assemble_system(problem)
+        monkeypatch.setattr(soliton, "_assemble_system", recording)
+        soliton_existence_survey(ak)
+        assert len(seen) == 1
+        assert seen[0].curvature is ak.curvature
+        assert seen[0].basis is ak.adapted_frame
+
+
+class TestOneRankCutoff:
+    def test_solution_has_no_component_along_the_family(self):
+        # singular values 1, 1e-12, 1e-13: rank 1 at the cutoff 1e-10 s_0,
+        # with a two-dimensional family that the solution must not run along
+        rng = np.random.default_rng(56)
+        fields = (FrameVector([1.0, 0.0, 0.0]), FrameVector([0.0, 1.0, 0.0]))
+        for _ in range(20):
+            U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+            V = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            A = U[:, :3] @ np.diag([1.0, 1e-12, 1e-13]) @ V.T
+            sol = _solve(A, rng.normal(size=6), fields, 2.0, 1e-8)
+            assert (sol.rank, sol.family_dim) == (1, 2)
+            z = np.append(sol.coefficients, sol.sigma)
+            for f in sol.family_basis:
+                assert abs(z @ f) <= 1e-12 * np.linalg.norm(z)
+            # the minimum-norm point of the rank-1 system is of order 1
+            assert np.linalg.norm(z) <= 10.0
 
 
 class TestCollinearAnsatz:
@@ -191,7 +245,7 @@ class TestCollinearAnsatz:
                           (3.0, 48 * math.sqrt(2))):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
             conn, pack, ak = detect(L)
-            sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[:1]))
+            sol = solve(SolitonProblem(pack, ak.adapted_frame[:1]))
             assert sol.classification == "infeasible"
             assert not sol.feasible
             # The Cotton term cannot be matched at all, so the best residual
@@ -201,7 +255,7 @@ class TestCollinearAnsatz:
     def test_trivial_only_at_one(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         conn, pack, ak = detect(L)
-        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[:1]))
+        sol = solve(SolitonProblem(pack, ak.adapted_frame[:1]))
         assert sol.classification == "trivial_only"
         assert sol.feasible
         assert sol.rank == 2
@@ -215,7 +269,7 @@ class TestOrthogonalAnsatz:
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
             conn, pack, ak = detect(L)
-            sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[1:]))
+            sol = solve(SolitonProblem(pack, ak.adapted_frame[1:]))
             assert sol.feasible == (lam == 1.0)
             if lam != 1.0:
                 assert sol.classification == "infeasible"
@@ -223,7 +277,7 @@ class TestOrthogonalAnsatz:
     def test_steady_family_at_one(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
         conn, pack, ak = detect(L)
-        sol = solve(SolitonProblem(L, conn, pack.cotton.cotton2, ak.adapted_frame[1:]))
+        sol = solve(SolitonProblem(pack, ak.adapted_frame[1:]))
         assert sol.classification == "steady"
         assert abs(sol.sigma) <= 1e-10
         assert sol.family_dim == 1
@@ -296,7 +350,7 @@ class TestSurvey:
             survey = soliton_existence_survey(ak)
             for name, basis in spaces.items():
                 got = survey[name]
-                want = solve(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
+                want = solve(SolitonProblem(pack, basis))
                 assert got.classification == want.classification
                 assert np.array_equal(got.coefficients, want.coefficients)
                 assert got.sigma == want.sigma
@@ -314,7 +368,7 @@ class TestFrameSolutions:
             sols = _frame_solutions(pack, 1e-8)
             for name, basis in (("collinear", frame[:1]), ("orthogonal", frame[1:])):
                 got = sols[name]
-                want = solve(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
+                want = solve(SolitonProblem(pack, basis))
                 assert got.classification == want.classification
                 assert np.array_equal(got.coefficients, want.coefficients)
                 assert got.sigma == want.sigma
@@ -329,17 +383,26 @@ class TestFrameSolutions:
 
 
 def reference_solve(problem, tol=1e-8):
-    L, conn = problem.algebra, problem.connection
+    pack = problem.curvature
+    L, conn = pack.algebra, pack.connection
     cols = [vec_upper(lie_derivative_metric(L, conn, b).components) for b in problem.basis]
     A = np.column_stack(cols + [-vec_upper(L.metric)])
-    k = -vec_upper(problem.cotton2.components)
+    k = -vec_upper(pack.cotton.cotton2.components)
     z, *_ = np.linalg.lstsq(A, k, rcond=None)
     residual = float(np.linalg.norm(A @ z - k))
     _, sv, Vt = np.linalg.svd(A)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
     family = Vt[rank:]
     coeffs, sigma = z[:-1], float(z[-1])
-    c_scale = 1.0 + float(np.linalg.norm(problem.cotton2.components))
+    c_scale = 1.0 + float(np.linalg.norm(pack.cotton.cotton2.components))
+    kind, feasible = reference_kind(residual, coeffs, sigma, family, c_scale, tol)
+    return {"A": A, "k": k, "coefficients": coeffs, "sigma": sigma,
+            "residual": residual, "rank": rank, "family_dim": family.shape[0],
+            "classification": kind, "feasible": feasible}
+
+
+def reference_kind(residual, coeffs, sigma, family, c_scale, tol):
+    """(classification, feasible) of a solution, from numpy norms."""
     feasible = residual <= tol * c_scale
     if not feasible:
         kind = "infeasible"
@@ -351,9 +414,7 @@ def reference_solve(problem, tol=1e-8):
         kind = "steady"
     else:
         kind = "shrinking" if sigma > 0 else "expanding"
-    return {"A": A, "k": k, "coefficients": coeffs, "sigma": sigma,
-            "residual": residual, "rank": rank, "family_dim": family.shape[0],
-            "classification": kind, "feasible": feasible}
+    return kind, feasible
 
 
 def assert_close(got, ref, rel):
@@ -368,10 +429,9 @@ class TestReferenceEquivalence:
         for _ in range(40):
             for L in (random_kenmotsu(rng), from_nonunimodular(*rng.uniform(-3.0, 3.0, 2))):
                 _, _, ak = detect(rotate_algebra(L, random_rotation(rng)))
-                cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
                 frame = ak.adapted_frame
                 for basis in (frame[:1], frame[1:], frame):
-                    problems.append(SolitonProblem(ak.algebra, ak.connection, cotton2, basis))
+                    problems.append(SolitonProblem(ak.curvature, basis))
             L = random_valid_algebra(rng, rotated=True)
             problems.append(SolitonProblem.build(*layers(L.with_metric(random_spd(rng)))))
         kinds = set()
@@ -493,15 +553,16 @@ class TestSurveyReference:
 
 
 def column_stack_solve(problem):
-    L, conn = problem.algebra, problem.connection
+    pack = problem.curvature
+    L, conn = pack.algebra, pack.connection
     rows, cols = np.array(UPPER).T
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
     gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
     B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric
     lie = B + B.transpose(0, 2, 1)
     A = np.column_stack([lie[:, rows, cols].T, -L.metric[rows, cols]])
-    k = -problem.cotton2.components[rows, cols]
-    z, sv, Vt = _svd_lstsq(A, k)
+    k = -pack.cotton.cotton2.components[rows, cols]
+    z, sv, Vt = masked_svd_lstsq(A, k)
     r = A @ z - k
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
     coeffs = z[:-1]
@@ -522,12 +583,11 @@ class TestColumnStackReference:
             problems.append(SolitonProblem.build(L, conn=conn, pack=pack))
             for m in (1, 2, 4):
                 basis = tuple(FrameVector(b) for b in rng.normal(size=(m, 3)))
-                problems.append(SolitonProblem(L, conn, pack.cotton.cotton2, basis))
+                problems.append(SolitonProblem(pack, basis))
             _, _, ak = detect(rotate_algebra(random_kenmotsu(rng), random_rotation(rng)))
-            cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
             frame = ak.adapted_frame
             for basis in (frame[:1], frame[1:], frame):
-                problems.append(SolitonProblem(ak.algebra, ak.connection, cotton2, basis))
+                problems.append(SolitonProblem(ak.curvature, basis))
         kinds = set()
         for problem in problems:
             ref = column_stack_solve(problem)
@@ -549,13 +609,21 @@ class TestColumnStackReference:
 
 
 # --------------------------------------------------------------------------
-# The least-squares solve as written with boolean masks on every call, before
-# it skipped them when every singular value is kept.  Equal bit for bit.
+# The least-squares solve as boolean masks over the singular values, as it
+# was written before it took the leading ``rank`` of them as slices.  At the
+# solve's cutoff 1e-10 s_0 it is equal bit for bit; at the cutoff of
+# ``np.linalg.lstsq(..., rcond=None)``, eps max(A.shape) s_0, which the solve
+# used for its minimum-norm point before, it keeps the same singular values
+# on these systems and so gives the same bits too.
+
+_EPS = np.finfo(float).eps
 
 
-def masked_svd_lstsq(A, rhs):
+def masked_svd_lstsq(A, rhs, rcond=1e-10):
+    """(z, s, Vt): the minimum-norm solution of A z = rhs over the singular
+    values above rcond s_0, selected by boolean masks, and the SVD of A."""
     U, s, Vt = np.linalg.svd(A)
-    keep = s > _EPS * max(A.shape) * s[0]
+    keep = s > rcond * max(s[0], 1e-300)
     z = ((rhs @ U[:, : s.size])[keep] / s[keep]) @ Vt[: s.size][keep]
     return z, s, Vt
 
@@ -575,30 +643,40 @@ class TestMaskedLstsqReference:
                 out.append((B, rng.normal(size=m), False))
         return out
 
-    def test_svd_lstsq_equals_masked_form_bitwise(self):
-        masked_used = 0
-        for A, rhs, _ in self.systems(np.random.default_rng(151)):
-            z, s, Vt = _svd_lstsq(A, rhs)
-            ref = masked_svd_lstsq(A, rhs)
-            assert z.tobytes() == ref[0].tobytes()
-            assert s.tobytes() == ref[1].tobytes() and Vt.tobytes() == ref[2].tobytes()
-            masked_used += bool(s[-1] <= _EPS * max(A.shape) * s[0])
-        assert masked_used >= 80
+    def test_lstsq_cutoff_gives_the_same_z_bitwise(self):
+        rng = np.random.default_rng(151)
+        fields = [FrameVector(v) for v in rng.normal(size=(3, 3))]
+        deficient = 0
+        for A, rhs, _ in self.systems(rng):
+            sol = _solve(A, rhs, fields[: A.shape[1] - 1], 2.0, 1e-8)
+            z = np.append(sol.coefficients, sol.sigma)
+            for rcond in (1e-10, _EPS * max(A.shape)):
+                ref = masked_svd_lstsq(A, rhs, rcond)
+                assert z.tobytes() == ref[0].tobytes()
+            deficient += sol.rank < A.shape[1]
+        assert deficient >= 80
 
-    def test_solve_equals_masked_form_bitwise(self, monkeypatch):
+    def test_solve_equals_masked_form_bitwise(self):
         rng = np.random.default_rng(152)
         systems = self.systems(rng)
         fields = [FrameVector(v) for v in rng.normal(size=(3, 3))]
-        got = [_solve(A, k, fields[: A.shape[1] - 1], 2.0, 1e-8) for A, k, _ in systems]
-        monkeypatch.setattr(soliton, "_svd_lstsq", masked_svd_lstsq)
         ranks = set()
-        for sol, (A, k, full) in zip(got, systems):
-            ref = _solve(A, k, fields[: A.shape[1] - 1], 2.0, 1e-8)
-            assert sol.classification == ref.classification
-            assert sol.coefficients.tobytes() == ref.coefficients.tobytes()
-            assert sol.v.components.tobytes() == ref.v.components.tobytes()
-            assert (sol.sigma, sol.residual, sol.rank) == (ref.sigma, ref.residual, ref.rank)
-            assert sol.family_basis.tobytes() == ref.family_basis.tobytes()
+        for A, k, _ in systems:
+            basis = fields[: A.shape[1] - 1]
+            sol = _solve(A, k, basis, 2.0, 1e-8)
+            z, s, Vt = masked_svd_lstsq(A, k)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            family = Vt[rank:]
+            r = A @ z - k
+            residual = math.sqrt(r @ r)
+            coeffs = z[:-1]
+            v = sum((c * b.components for c, b in zip(coeffs, basis)), np.zeros(3))
+            kind, _ = reference_kind(residual, coeffs, z[-1], family, 2.0, 1e-8)
+            assert sol.classification == kind
+            assert sol.coefficients.tobytes() == coeffs.tobytes()
+            assert sol.v.components.tobytes() == v.tobytes()
+            assert (sol.sigma, sol.residual, sol.rank) == (z[-1], residual, rank)
+            assert sol.family_basis.tobytes() == family.tobytes()
             ranks.add((A.shape, sol.rank == A.shape[1]))
         # every shape, full rank and rank deficient
         assert len(ranks) == 8
