@@ -31,6 +31,17 @@ almost Kenmotsu manifolds", Int. Electron. J. Geom. 4, 2011).  Detection
 scores the candidates in order by these three conditions and accepts the
 first that passes; ``structure_residuals`` checks the full invariant list
 independently.
+
+Every product detection takes stays on ``ndarray.dot``: its result reaches
+the output, and it rounds as BLAS rounds (with fused multiply-adds on most
+builds), which Python floats cannot reproduce.  The scalar steps between
+the products run on Python floats, each with the operations and in the
+summation order of the numpy form it replaced, so the bits do not move:
+the argmax of row and column norms, the power-of-two scalings, the cross
+products, the traces, P and M, the pairwise sum of lam^2, phi's axis and
+the normalisation and sign of e.  Elementwise steps from arrays to arrays
+that feed a product (phi h, h, the dim-1 candidates) stay on numpy, where
+they cost less than a round trip through floats.
 """
 
 from __future__ import annotations
@@ -102,7 +113,9 @@ class AKStructure:
 
 _EYE = np.eye(3)
 _EYE.setflags(write=False)
-_CYCLIC = np.array([5, 6, 1])  # rows (1, 2), (2, 0), (0, 1) of c.reshape(9, 3)
+# rows (0, 1), (0, 2), (1, 2), (2, 0), (0, 1) of c.reshape(9, 3): [0:3] span
+# [g, g] for the candidates, [2:5] are the cyclic rows of the score
+_ROWS = np.array([1, 2, 5, 6, 1])
 
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
@@ -119,35 +132,55 @@ def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
     return gamma.reshape(3, 3, 3)
 
 
-def _hat(u: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: _hat(u).dot(x) = u x x."""
-    u0, u1, u2 = u.tolist()
+def _hat(u) -> np.ndarray:
+    """Cross-product matrix of the three floats u: _hat(u).dot(x) = u x x."""
+    u0, u1, u2 = u
     return np.array([0.0, -u2, u1, u2, 0.0, -u0, -u1, u0, 0.0]).reshape(3, 3)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Deterministic sign: the first component beyond 1e-10 is made positive."""
-    for comp in v.tolist():
+def _fix_sign(v: list) -> list:
+    """Deterministic sign of the floats v: the first component beyond 1e-10
+    is made positive, by returning v or its negation."""
+    for comp in v:
         if abs(comp) > 1e-10:
-            return v if comp > 0 else -v
+            return v if comp > 0 else [-x for x in v]
     return v
 
 
-def _row_crosses(K: np.ndarray) -> np.ndarray:
-    """Rows K[0] x K[1], K[0] x K[2] and K[1] x K[2], taken on the floats of
-    K with the operations of ``np.cross``."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = K.tolist()
-    return np.array([
+def _argmax(a: float, b: float, c: float) -> int:
+    """``np.argmax`` of three floats: the first largest, or the first nan."""
+    k, m = (0, a) if a >= b or a != a else (1, b)
+    return k if m >= c or m != m else 2
+
+
+def _pow2_scaled(v: list) -> list:
+    """The floats v divided by the power of two that brings max |v| into
+    [1, 2): exact, and the identity on every ratio of them, unless an entry
+    leaves the float range (zero, or max |v| not finite: v times 2)."""
+    p = 2.0 ** (math.frexp(max(map(abs, v)))[1] - 1)
+    return [x / p for x in v]
+
+
+def _row_crosses(K: list) -> list:
+    """Rows K[0] x K[1], K[0] x K[2] and K[1] x K[2] of the row-major 3x3
+    floats K, nine floats, with the operations of ``np.cross``."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = K
+    return [
         a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0,
         a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0,
         b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0,
-    ]).reshape(3, 3)
+    ]
 
 
-def _longest(rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """The longest row and its length sqrt(v.dot(v)), ``np.linalg.norm``'s
-    own vector form."""
-    best = rows[int(np.einsum("ij,ij->i", rows, rows).argmax())]
+def _longest(rows: list) -> tuple[np.ndarray, float]:
+    """The longest row of the row-major 3x3 floats ``rows``, as an array, and
+    its length sqrt(v.dot(v)), ``np.linalg.norm``'s own vector form.  The
+    row is the one ``argmax`` picks from einsum's "ij,ij->i" row norms,
+    which sum in the order (x0^2 + x2^2) + x1^2."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = rows
+    k = 3 * _argmax((a0 * a0 + a2 * a2) + a1 * a1, (b0 * b0 + b2 * b2) + b1 * b1,
+                    (c0 * c0 + c2 * c2) + c1 * c1)
+    best = np.array(rows[k:k + 3])
     return best, math.sqrt(best.dot(best))
 
 
@@ -155,30 +188,33 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     """Eigenvector of M for a known simple eigenvalue mu, not normalised: the
     longest cross product of two rows of M - mu I, which spans its null
     space whether or not M is symmetric."""
-    K = M - mu * _EYE
-    best, norm = _longest(_row_crosses(K))
     flat = M.ravel()
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = flat.tolist()
+    z = mu * 0.0  # mu I off its diagonal: -0.0 for mu < 0, nan for mu not finite
+    K = [m00 - mu, m01 - z, m02 - z, m10 - z, m11 - mu, m12 - z, m20 - z, m21 - z, m22 - mu]
+    best, norm = _longest(_row_crosses(K))
     if norm <= 1e-10 * (1.0 + math.sqrt(flat.dot(flat))):
         # (near) repeated eigenvalue: fall back to the smallest singular
         # direction, which is still deterministic
-        _, _, Vt = _svd(K)
+        _, _, Vt = _svd(np.array(K).reshape(3, 3))
         return Vt[-1]
     return best
 
 
-def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
+def _candidate_reebs(L: MetricLieAlgebra3, Li: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     """Unit Reeb candidates: unit u orthogonal to [g, g] with
     tr ad_u = sum_a u_a sum_i c[a, i, i] = -2, found in the orthonormal
-    frame of g = L L^T (L^-1 from the one metric pass ``L._frame``), where
-    a vector x has components L^T x = L^-1 g x and tr ad has L^-1 t; a
-    candidate y there is xi = L^-T y.
+    frame of g = L L^T (``Li`` = L^-1, from the one metric pass
+    ``L._frame``), where a vector x has components L^T x = L^-1 g x and
+    tr ad has L^-1 t; a candidate y there is xi = L^-T y.
 
-    [g, g] is spanned by the rows c[0, 1], c[0, 2] and c[1, 2], scaled by a
-    power of two to max |entry| in [1, 2): the scaling is exact and every
-    test below is homogeneous in it, so an in-range candidate keeps its
-    bits, and the squared cross products (degree 4 in the rows) stay in the
-    float range in any frame t e_i.  n, the longest of their cross
-    products, and w, the longest row, tell its dimension:
+    [g, g] is spanned by ``rows``, the brackets c[0, 1], c[0, 2] and
+    c[1, 2], which in that frame are scaled by a power of two to max
+    |entry| in [1, 2): the scaling is exact and every test below is
+    homogeneous in it, so an in-range candidate keeps its bits, and the
+    squared cross products (degree 4 in the rows) stay in the float range
+    in any frame t e_i.  n, the longest of their cross products, and w, the
+    longest row, tell its dimension:
 
     * |n| > 1e-10 |w|^2 (dim >= 2): the candidate is n/|n|, signed so that
       tr ad < 0, and there is none where tr ad_n is exactly 0.0.  The sign
@@ -193,13 +229,14 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
 
     The normal-form residual decides which candidate, if any, is accepted.
     """
-    c = L.structure_constants
-    Li = np.array(L._frame[2])
-    K = c[(0, 0, 1), (1, 2, 2)].dot(L.metric).dot(Li.T)
-    K = np.ldexp(K, 1 - math.frexp(float(abs(K).max()))[1])
+    K = _pow2_scaled(rows.dot(L.metric).dot(Li.T).ravel().tolist())
     w, nw = _longest(K)
     n, nn = _longest(_row_crosses(K))
-    t = Li.dot(c.trace(axis1=1, axis2=2))  # t[a] = tr ad of the a-th unit vector
+    # t[a] = tr ad of the a-th unit vector, each trace summed as np.trace
+    # sums, in sequence from +0.0
+    c = L.structure_constants.ravel().tolist()
+    t = Li.dot(np.array([0.0 + c[0] + c[4] + c[8], 0.0 + c[9] + c[13] + c[17],
+                         0.0 + c[18] + c[22] + c[26]]))
     if nn > 1e-10 * nw * nw:
         tr = t.dot(n)
         if tr == 0.0:
@@ -217,7 +254,7 @@ def _candidate_reebs(L: MetricLieAlgebra3) -> list[np.ndarray]:
     if r <= 1e-7:
         return [(tp / -nt).dot(Li)]
     u0 = tp * (-d / nt)
-    v = _hat(w).dot(tp) / nt
+    v = _hat(w.tolist()).dot(tp) / nt
     out = [(u / math.sqrt(u.dot(u))).dot(Li) for u in (u0 + r * v, u0 - r * v)]
     out.sort(key=lambda u: [round(x * 1e12) / 1e12 for x in u.tolist()])
     return out
@@ -235,29 +272,52 @@ def _build_structure(
     phi = u x_g (.) = sqrt(det g) g^-1 [u]_x needs no sign check: d Phi -
     2 eta ^ Phi is linear in phi.  sqrt(det g) = 1 / (i00 i11 i22), L^-1's
     diagonal, each divided into u in turn to keep it in range.  phi h and h
-    are g-self-adjoint parts (M + g^-1 M^T g) / 2.  The structure holds
-    ``u`` itself and every array built here without a copy.  ``u`` is taken
-    over: it is frozen in place, so pass a copy to keep it writable.
+    are g-self-adjoint parts (M + g^-1 M^T g) / 2, and lam^2 = |sym|^2 / 2
+    sums its nine terms in ``np.add.reduce``'s pairwise order.  e is
+    normalised after an exact power-of-two scaling, so that e g e stays in
+    range where e is large.  The structure holds ``u`` itself and every
+    array built here without a copy.  ``u`` is taken over: it is frozen in
+    place, so pass a copy to keep it writable.
     """
     g = L.metric
     ginv, _, ((i00, _, _), (_, i11, _), (_, _, i22)) = L._frame
     gamma = conn.gamma
-    A = u.dot(gamma).T
     eta = g.dot(u)
-    P = _EYE - u[:, None] * eta
-    M = P - A  # candidate for phi h; self-adjoint trace free when u is genuine
+    u0, u1, u2 = uf = u.tolist()
+    e0, e1, e2 = eta.tolist()
+    # P = I - u eta^T, and M = P - A with A = (u gamma)^T the candidate for
+    # phi h, self-adjoint trace free when u is genuine
+    P = [1.0 - u0 * e0, 0.0 - u0 * e1, 0.0 - u0 * e2,
+         0.0 - u1 * e0, 1.0 - u1 * e1, 0.0 - u1 * e2,
+         0.0 - u2 * e0, 0.0 - u2 * e1, 1.0 - u2 * e2]
+    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = u.dot(gamma).tolist()
+    M = np.array([P[0] - a00, P[1] - a01, P[2] - a02, P[3] - a10, P[4] - a11,
+                  P[5] - a12, P[6] - a20, P[7] - a21, P[8] - a22]).reshape(3, 3)
     Msym = 0.5 * (M + ginv.dot(M.T).dot(g))
-    lam = math.sqrt(max(float((Msym * Msym.T).sum()) / 2.0, 0.0))
+    # (Msym * Msym.T).sum(): the terms m_k of the flattened product, summed
+    # as np.add.reduce sums nine, ((m0 + m1) + (m2 + m3)) + ((m4 + m5) +
+    # (m6 + m7)) + m8
+    s00, s01, s02, s10, s11, s12, s20, s21, s22 = Msym.ravel().tolist()
+    x01, x02, x12 = s01 * s10, s02 * s20, s12 * s21
+    lam = math.sqrt(max((((s00 * s00 + x01) + (x02 + x01))
+                         + ((s11 * s11 + x12) + (x02 + x12)) + s22 * s22) / 2.0, 0.0))
     kenmotsu = lam <= tol
 
-    phi = ginv.dot(_hat(u / i00 / i11 / i22))
+    phi = ginv.dot(_hat([x / i00 / i11 / i22 for x in uf]))
     h = (-phi).dot(Msym)
     h = 0.5 * (h + ginv.dot(h.T).dot(g))
     if kenmotsu:
-        e = P[:, int(np.argmax(np.einsum("ij,ij->j", P, P)))]
+        # the longest column of P, as argmax reads einsum("ij,ij->j") norms
+        k = _argmax(*[(P[j] * P[j] + P[j + 3] * P[j + 3]) + P[j + 6] * P[j + 6]
+                      for j in range(3)])
+        e = P[k::3]
     else:
-        e = _sym_eigvec(h, lam)
-    e = _fix_sign(e / np.sqrt(e.dot(g).dot(e)))  # out of range: nan, not an error
+        e = _sym_eigvec(h, lam).tolist()
+    e = _pow2_scaled(e)
+    ea = np.array(e)
+    # e g e > 0: the metric pass accepts no g with w_min <= 1e-12 w_max
+    s = math.sqrt(ea.dot(g).dot(ea))
+    e = np.array(_fix_sign([x / s for x in e]))
     phi_e = phi.dot(e)
     nab_e = e.dot(gamma).dot(g)  # nab_e[i] = nabla_{E_i} e, lowered by g
     b = -float(e.dot(nab_e).dot(phi_e))
@@ -432,7 +492,11 @@ def detect_structure(
     there is no candidate (no vector orthogonal to [g, g] has nonzero
     tr ad) or, with the best residual, when none is admissible.
     """
-    cands = _candidate_reebs(L)
+    # L^-1 as an array, and one gather of the bracket rows for both steps
+    r0, r1, r2 = L._frame[2]
+    Li = np.array(r0 + r1 + r2).reshape(3, 3)
+    rows = L.structure_constants.reshape(9, 3).take(_ROWS, axis=0)
+    cands = _candidate_reebs(L, Li, rows[:3])
     if not cands:
         raise NoStructure(
             "no vector orthogonal to [g, g] has nonzero tr ad, so there is no "
@@ -440,10 +504,9 @@ def detect_structure(
     # the rows [f_1, f_2], [f_2, f_0] and [f_0, f_1] of the orthonormal frame
     # f_i = L^-T e_i in f components: f_{i+1} x f_{i+2} = det(L^-1) L e_i, so
     # [f_{i+1}, f_{i+2}] = det(L^-1) sum_m L[m, i] [e_{m+1}, e_{m+2}]
-    Li = L._frame[2]
-    (i00, _, _), (_, i11, _), (_, _, i22) = Li
-    Lt = np.array(Li).dot(L.metric)  # L^T, from frame to f components
-    K = L.structure_constants.reshape(9, 3)[_CYCLIC].dot(Lt.T)
+    Lt = Li.dot(L.metric)  # L^T, from frame to f components
+    i00, i11, i22 = r0[0], r1[1], r2[2]
+    K = rows[2:].dot(Lt.T)
     B = (Lt * (i00 * i11 * i22)).dot(K)
     flat = B.ravel()
     # |c~| counts each bracket twice

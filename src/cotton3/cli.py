@@ -288,11 +288,20 @@ def cmd_curvature(args) -> int:
     return 0
 
 
+def _finite_layers(L: MetricLieAlgebra3) -> tuple:
+    """The connection and curvature of ``L`` for detection or a solve.  A
+    connection that overflowed is refused here: read on, it fails them
+    with errors that do not name the cause."""
+    conn = levi_civita(L)
+    if not np.isfinite(conn.gamma).all():
+        raise CLIError("connection is not finite: the geometry exceeds double precision")
+    return conn, curvature(L, conn)
+
+
 def cmd_structure(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
+    conn, pack = _finite_layers(L)
     ak = detect_structure(L, conn, pack, tol=tol)
     residuals = structure_residuals(L, conn, pack, ak)
     hpar = check_h_parallel(L, conn, ak, tol=tol)
@@ -416,8 +425,7 @@ def _print_solution(name, p):
 def cmd_soliton(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
+    conn, pack = _finite_layers(L)
     if args.ansatz == "general":
         # The general ansatz spans the whole frame, so it needs no
         # adapted structure and applies to any valid algebra.

@@ -53,6 +53,13 @@ from cotton3.almost_kenmotsu import (
 from cotton3.frame_algebra import bracket
 
 
+def candidates(L):
+    """``_candidate_reebs`` on the L^-1 and bracket rows that detection
+    passes it."""
+    return _candidate_reebs(L, np.array(L._frame[2]),
+                            L.structure_constants[(0, 0, 1), (1, 2, 2)])
+
+
 def detect(L, tol=1e-8):
     conn = levi_civita(L)
     pack = curvature(L, conn)
@@ -79,7 +86,7 @@ class TestDerivedAlgebraCandidates:
             c = Lr.structure_constants
             trace = np.einsum("aii->a", c)
             assert np.linalg.norm(trace) > 1e-6
-            cands = _candidate_reebs(Lr)
+            cands = candidates(Lr)
             assert 1 <= len(cands) <= 2
             for u in cands:
                 assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
@@ -94,7 +101,7 @@ class TestDerivedAlgebraCandidates:
         L = MetricLieAlgebra3(1e10 * L.structure_constants, 1e-300 * np.eye(3))
         assert validate(L).is_valid
         with np.errstate(over="ignore"):
-            assert _candidate_reebs(L) == []
+            assert candidates(L) == []
 
     def test_unimodular_has_no_structure(self):
         rng = np.random.default_rng(35)
@@ -353,7 +360,7 @@ class TestNormalForm:
             algebras.append(random_valid_algebra(rng, rotated=True).with_metric(P.T @ P))
         for L in algebras:
             units = [u / math.sqrt(u @ L.metric @ u) for u in rng.normal(size=(2, 3))]
-            for u in _candidate_reebs(L) + units:
+            for u in candidates(L) + units:
                 ref, ct = reference_normal_form(L, u)
                 B = ct[(1, 2, 0), (2, 0, 1)].tolist()
                 y = np.linalg.solve(np.linalg.inv(np.linalg.cholesky(L.metric)).T, u)
@@ -379,6 +386,22 @@ class TestNormalForm:
         assert abs(ak.lam - 2.0) <= 1e-12
         assert max(abs(ak.b), abs(ak.c)) <= 1e-12
         assert np.allclose(ak.xi.components * t, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e77, 1e100])
+    def test_adapted_frame_is_unit_at_huge_lambda(self, lam):
+        # e comes from cross products of h's rows, of order lam^2, and its
+        # e g e overflowed to inf, which normalised e and phi e to zero
+        rng = np.random.default_rng(6)
+        for k in range(10):
+            L = from_kenmotsu_params(lam, 0.0, 0.0)
+            if k:
+                L = rotate_algebra(L, random_rotation(rng))
+            # the Cotton norm and the squared cross products overflow
+            with np.errstate(over="ignore"):
+                _, _, ak = detect(L)
+            for v in ak.adapted_frame[1:]:
+                x = v.components
+                assert abs(x @ L.metric @ x - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("t", [1e50, 1e-50, 1e100])
     def test_never_accepts_a_wrong_structure(self, t):
@@ -555,7 +578,7 @@ class TestPhiOrientation:
         for _ in range(200):
             L = random_valid_algebra(rng, rotated=True)
             units = [u / np.linalg.norm(u) for u in rng.normal(size=(3, 3))]
-            for u in units + _candidate_reebs(L):
+            for u in units + candidates(L):
                 phi = _hat(u)
                 assert _dphi_residual(L, u, -phi) == _dphi_residual(L, u, phi)
 
@@ -659,7 +682,7 @@ def reference_fields(L, conn, u, tol):
         e = e / np.linalg.norm(e)
     else:
         e = reference_eigvec(h, lam)
-    e = _fix_sign(e)
+    e = np.array(_fix_sign(e.tolist()))
     phi_e = phi @ e
     b = -float(np.einsum("i,j,ijk->k", e, e, gamma) @ phi_e)
     c = float(np.einsum("i,j,ijk->k", phi_e, e, gamma) @ phi_e)
@@ -747,7 +770,7 @@ class TestReferenceEquivalence:
             # rotated trace is rounding; there only the verdicts are compared
             ref_cands = reference_candidates(conn)
             if ref_cands:
-                cands = _candidate_reebs(L)
+                cands = candidates(L)
                 assert len(cands) == len(ref_cands)
                 for u, ref_u in zip(cands, ref_cands):
                     assert_matches_reference(u, ref_u)
@@ -781,7 +804,7 @@ class TestReferenceEquivalence:
             b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
             L = rotate_algebra(from_kenmotsu_params(1.0, b, b), random_rotation(rng))
             _, _, ak = detect(L)
-            cands = _candidate_reebs(L)
+            cands = candidates(L)
             assert len(cands) == 2
             assert np.array_equal(ak.xi.components, cands[0])
 
@@ -815,7 +838,7 @@ class TestCandidateList:
         a = -u0 / np.linalg.norm(u0)
         Lr = rotate_algebra(L, np.column_stack([a, w, np.cross(a, w)]))
         _, _, ak = detect(Lr)
-        assert len(_candidate_reebs(Lr)) == 2
+        assert len(candidates(Lr)) == 2
         assert abs(abs(ak.b) - b) <= 1e-8
 
 
@@ -903,7 +926,7 @@ class TestResidualReuse:
             fresh = levi_civita(L)
             fresh_pack = curvature(L, fresh)
             scale = 1.0 + float(np.linalg.norm(fresh.gamma))
-            for u in _candidate_reebs(L):
+            for u in candidates(L):
                 cand = _build_structure(L, fresh, fresh_pack, u, 1e-8)
                 res = structure_residuals(L, fresh, fresh_pack, cand)
                 if max(res.values()) <= 1e-8 * scale:
@@ -1068,7 +1091,7 @@ class TestDetectionCallCounts:
                            random_rotation(np.random.default_rng(141)))
         conn = levi_civita(L)
         pack = curvature(L, conn)
-        n_candidates = len(_candidate_reebs(L))
+        n_candidates = len(candidates(L))
         counts = self.counted(monkeypatch)
         ak = detect_structure(L, conn, pack)
         assert abs(ak.lam - params[0]) <= 1e-8

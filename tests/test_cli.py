@@ -174,6 +174,16 @@ class TestStructure:
             assert doc["lambda"] == lam
             assert doc["xi"] == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("lam", [1e77, 1e100])
+    def test_adapted_frame_is_unit_at_huge_lambda(self, geom, capsys, lam):
+        # e g e of the unnormalised e, of order lam^4, overflowed and gave
+        # e = phi_e = 0
+        rc = main(["structure", geom({"kenmotsu": {"lambda": lam}}), "--format", "machine"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("e", "phi_e"):
+            assert abs(math.fsum(x * x for x in doc[key]) - 1.0) <= 1e-15
+
     def test_raw_constants_under_a_scaled_metric_have_no_structure(self, geom, capsys):
         # tr ad of the unit Reeb candidate e1 / sqrt(2) is -sqrt(2), not -2
         path = geom(kenmotsu(2.0, metric=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
@@ -796,6 +806,22 @@ class TestInputErrors:
         assert captured.err.startswith("error:")
         assert "overflow" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["structure"], ["soliton"],
+                                      ["soliton", "--ansatz", "general"]])
+    def test_overflowing_connection(self, geom, capsys, argv):
+        # c g overflows to nan in the connection of this valid geometry;
+        # detection then found no candidate and the solve's SVD did not
+        # converge, neither naming the cause
+        path = geom(kenmotsu(1e100, metric=(4e307 * np.eye(3)).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([argv[0], path, *argv[1:], "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: connection is not finite: the geometry exceeds "
+                                "double precision\n")
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     @pytest.mark.parametrize("command, lam, key", [

@@ -6,7 +6,10 @@ The engine takes its small products with ``a.dot(b)``, which hands 1-D and
 ufunc's dispatch.  The two give the same bits on the numpy and BLAS builds
 this package is tested with; a build where they differ fails here, by
 operand shape, before any output digest moves.  The same holds for the
-float sum that ``_solve`` takes in place of ``np.linalg.norm`` over rows.
+float sums the engine takes in place of numpy reductions: ``_solve``'s in
+place of ``np.linalg.norm`` over rows, and detection's in place of
+``np.einsum`` row and column norms, ``np.trace`` and the nine-term
+``np.add.reduce`` of lam^2, each summed in the order that reduction takes.
 """
 
 import math
@@ -32,14 +35,19 @@ DOT_SHAPES = [
     ((3, 3, 3), (3, 3)),  # _cov_deriv, _dphi_residual, _assemble_system
     ((2, 3, 3), (3, 3)),  # _assemble_system on smaller bases
     ((1, 3, 3), (3, 3)),
-    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, detection, cli
+    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, cli; detection: the
+    # bracket rows in the frame, L^T and the score's brackets, and in
+    # _build_structure the self-adjoint parts and phi
     ((3,), (3, 3, 3, 3)),  # _jacobi
-    ((3,), (3, 3, 3)),  # _jacobi, _build_structure, structure_residuals
+    ((3,), (3, 3, 3)),  # _jacobi, structure_residuals, _build_structure (u gamma, e gamma)
     ((3,), (3, 9)),  # _h_transport_sides, structure_residuals
     ((3, 3), (3, 9)),  # structure_residuals: the adapted connection
-    ((3, 3), (3,)),  # _candidate_reebs (w x t), _build_structure, _dphi_residual, detection
-    ((3,), (3, 3)),  # _build_structure, structure_residuals, evaluate, _solve
-    ((3,), (3,)),  # _longest, _candidate_reebs, _build_structure, structure_residuals
+    ((3, 3), (3,)),  # _dphi_residual; _candidate_reebs (tr ad, w x t), L^T u in
+    # the score, _build_structure (eta, phi e)
+    ((3,), (3, 3)),  # structure_residuals, evaluate, _solve; _candidate_reebs (a
+    # candidate back to the frame), _build_structure (e g, nabla_e e and phi_e)
+    ((3,), (3,)),  # structure_residuals; _longest, _candidate_reebs (tr ad of n and
+    # w), _build_structure (e g e, b and c)
     ((6, 2), (2,)),  # _solve: A z for each ansatz width
     ((6, 3), (3,)),
     ((6, 4), (4,)),
@@ -94,6 +102,39 @@ def test_norm_dot_rounds_as_matmul(n):
     for _ in range(500):
         x = _operand(rng, (n,), False)
         assert x.dot(x).tobytes() == (x @ x).tobytes()
+
+
+def test_row_slice_operands_round_as_copies():
+    # detection gathers five bracket rows once and multiplies the row
+    # slices [0:3] and [2:5] of that array, each offset into its buffer
+    rng = np.random.default_rng(2030)
+    for _ in range(500):
+        rows = _operand(rng, (5, 3), False)
+        b = _operand(rng, (3, 3), bool(rng.integers(2)))
+        for view in (rows[:3], rows[2:]):
+            assert view.dot(b).tobytes() == np.array(view).dot(b).tobytes()
+
+
+def test_detection_float_sums_round_as_numpy_reductions():
+    # each float sum in the order numpy reduces: einsum row norms as
+    # (x0^2 + x2^2) + x1^2, einsum column norms and np.trace in sequence
+    # (the trace from +0.0), and nine terms pairwise, ((m0 + m1) + (m2 + m3)) + ((m4 + m5) +
+    # (m6 + m7)) + m8
+    rng = np.random.default_rng(2031)
+    for _ in range(500):
+        X = _operand(rng, (3, 3), False)
+        x = X.tolist()
+        rows = [(a * a + c * c) + b * b for a, b, c in x]
+        cols = [(x[0][j] * x[0][j] + x[1][j] * x[1][j]) + x[2][j] * x[2][j] for j in range(3)]
+        assert np.array(rows).tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+        assert np.array(cols).tobytes() == np.einsum("ij,ij->j", X, X).tobytes()
+        C = _operand(rng, (3, 3, 3), False)
+        c = C.ravel().tolist()
+        trace = [0.0 + c[9 * a] + c[9 * a + 4] + c[9 * a + 8] for a in range(3)]
+        assert np.array(trace).tobytes() == C.trace(axis1=1, axis2=2).tobytes()
+        m = (X * X.T).ravel().tolist()
+        pairwise = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7])) + m[8]
+        assert np.float64(pairwise).tobytes() == (X * X.T).sum().tobytes()
 
 
 def cotton2_matmul(c, g):
