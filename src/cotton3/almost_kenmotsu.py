@@ -30,7 +30,9 @@ frame of Pastore and Saltarelli, "Generalized nullity distributions on
 almost Kenmotsu manifolds", Int. Electron. J. Geom. 4, 2011).  Detection
 scores the candidates in order by these three conditions and accepts the
 first that passes; ``structure_residuals`` checks the full invariant list
-independently.
+independently.  Detection makes no LAPACK call: e, the unit lam-eigenvector
+of h, is the longest cross product of the rows of h - lam I, and a
+candidate where that product is zero is refused, as a non-finite lam is.
 
 Every product detection takes stays on ``ndarray.dot``: its result reaches
 the output, and it rounds as BLAS rounds (with fused multiply-adds on most
@@ -59,7 +61,6 @@ from .frame_algebra import (
     FrameVector,
     MetricLieAlgebra3,
     SymBilinear,
-    _svd,
     _wrap,
 )
 
@@ -172,33 +173,26 @@ def _row_crosses(K: list) -> list:
     ]
 
 
-def _longest(rows: list) -> tuple[np.ndarray, float]:
-    """The longest row of the row-major 3x3 floats ``rows``, as an array, and
-    its length sqrt(v.dot(v)), ``np.linalg.norm``'s own vector form.  The
-    row is the one ``argmax`` picks from einsum's "ij,ij->i" row norms,
-    which sum in the order (x0^2 + x2^2) + x1^2."""
+def _longest(rows: list) -> np.ndarray:
+    """The longest row of the row-major 3x3 floats ``rows``, as an array: the
+    one ``argmax`` picks from einsum's "ij,ij->i" row norms, which sum in
+    the order (x0^2 + x2^2) + x1^2."""
     a0, a1, a2, b0, b1, b2, c0, c1, c2 = rows
     k = 3 * _argmax((a0 * a0 + a2 * a2) + a1 * a1, (b0 * b0 + b2 * b2) + b1 * b1,
                     (c0 * c0 + c2 * c2) + c1 * c1)
-    best = np.array(rows[k:k + 3])
-    return best, math.sqrt(best.dot(best))
+    return np.array(rows[k:k + 3])
 
 
 def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
     """Eigenvector of M for a known simple eigenvalue mu, not normalised: the
     longest cross product of two rows of M - mu I, which spans its null
-    space whether or not M is symmetric."""
-    flat = M.ravel()
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = flat.tolist()
+    space whether or not M is symmetric.  It takes no length and applies no
+    cutoff, so it makes no LAPACK call: where the rows are parallel the
+    product is zero, and ``_build_structure`` refuses the candidate."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = M.ravel().tolist()
     z = mu * 0.0  # mu I off its diagonal: -0.0 for mu < 0, nan for mu not finite
-    K = [m00 - mu, m01 - z, m02 - z, m10 - z, m11 - mu, m12 - z, m20 - z, m21 - z, m22 - mu]
-    best, norm = _longest(_row_crosses(K))
-    if norm <= 1e-10 * (1.0 + math.sqrt(flat.dot(flat))):
-        # (near) repeated eigenvalue: fall back to the smallest singular
-        # direction, which is still deterministic
-        _, _, Vt = _svd(np.array(K).reshape(3, 3))
-        return Vt[-1]
-    return best
+    return _longest(_row_crosses([m00 - mu, m01 - z, m02 - z, m10 - z, m11 - mu,
+                                  m12 - z, m20 - z, m21 - z, m22 - mu]))
 
 
 def _candidate_reebs(L: MetricLieAlgebra3, Li: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
@@ -230,8 +224,8 @@ def _candidate_reebs(L: MetricLieAlgebra3, Li: np.ndarray, rows: np.ndarray) -> 
     The normal-form residual decides which candidate, if any, is accepted.
     """
     K = _pow2_scaled(rows.dot(L.metric).dot(Li.T).ravel().tolist())
-    w, nw = _longest(K)
-    n, nn = _longest(_row_crosses(K))
+    w, n = _longest(K), _longest(_row_crosses(K))
+    nw, nn = math.sqrt(w.dot(w)), math.sqrt(n.dot(n))
     # t[a] = tr ad of the a-th unit vector, each trace summed as np.trace
     # sums, in sequence from +0.0
     c = L.structure_constants.ravel().tolist()
@@ -315,8 +309,9 @@ def _build_structure(
         e = _sym_eigvec(h, lam).tolist()
     e = _pow2_scaled(e)
     ea = np.array(e)
-    # e g e > 0: the metric pass accepts no g with w_min <= 1e-12 w_max
-    s = math.sqrt(ea.dot(g).dot(ea))
+    # e g e > 0 for e != 0: the metric pass accepts no g with w_min <= 1e-12
+    # w_max; a zero e (parallel rows of h - lam I) becomes nan, and is refused
+    s = math.sqrt(ea.dot(g).dot(ea)) or math.nan
     e = np.array(_fix_sign([x / s for x in e]))
     phi_e = phi.dot(e)
     nab_e = e.dot(gamma).dot(g)  # nab_e[i] = nabla_{E_i} e, lowered by g

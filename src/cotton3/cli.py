@@ -247,12 +247,23 @@ def _print_matrix(M, indent="  "):
         print(indent + "[" + "  ".join(f"{x: .10g}".rjust(width) for x in row) + "]")
 
 
+def _layers(L: MetricLieAlgebra3):
+    """The curvature pack of ``L``, which keeps ``L`` and its connection:
+    the one builder of every geometry command and reference member.  A
+    connection that overflowed is refused here, with the same line for
+    every command: read on, it fails the later layers with errors that do
+    not name the cause."""
+    conn = levi_civita(L)
+    if not np.isfinite(conn.gamma).all():
+        raise CLIError("connection is not finite: the geometry exceeds double precision")
+    return curvature(L, conn)
+
+
 def cmd_curvature(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
-    par = ricci_parallel_check(L, conn, pack, tol=tol)
+    pack = _layers(L)
+    par = ricci_parallel_check(L, pack.connection, pack, tol=tol)
     cls = classify_geometry(pack, par.is_parallel)
     # a Ricci-parallel class has read the spectrum already
     eigs = ricci_spectrum(pack) if cls.spectrum is None else cls.spectrum
@@ -263,7 +274,7 @@ def cmd_curvature(args) -> int:
         "ricci_parallel": par.is_parallel,
         "ricci_parallel_residual": par.max_component,
         "geometry_class": {"kind": cls.kind, "curvature": cls.curvature},
-        "connection": [_mat(conn.gamma[i]) for i in range(3)],
+        "connection": [_mat(pack.connection.gamma[i]) for i in range(3)],
     }
 
     def human(p):
@@ -288,23 +299,13 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-def _finite_layers(L: MetricLieAlgebra3) -> tuple:
-    """The connection and curvature of ``L`` for detection or a solve.  A
-    connection that overflowed is refused here: read on, it fails them
-    with errors that do not name the cause."""
-    conn = levi_civita(L)
-    if not np.isfinite(conn.gamma).all():
-        raise CLIError("connection is not finite: the geometry exceeds double precision")
-    return conn, curvature(L, conn)
-
-
 def cmd_structure(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn, pack = _finite_layers(L)
-    ak = detect_structure(L, conn, pack, tol=tol)
-    residuals = structure_residuals(L, conn, pack, ak)
-    hpar = check_h_parallel(L, conn, ak, tol=tol)
+    pack = _layers(L)
+    ak = detect_structure(L, pack.connection, pack, tol=tol)
+    residuals = structure_residuals(L, pack.connection, pack, ak)
+    hpar = check_h_parallel(L, pack.connection, ak, tol=tol)
     eig = None
     if not ak.kenmotsu:
         rep = xi_eigenvector_analysis(ak, tol=tol)
@@ -367,11 +368,10 @@ def _closed_form_gap(ak) -> tuple:
 def cmd_cotton(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn = levi_civita(L)
-    pack = curvature(L, conn)
+    pack = _layers(L)
     cp = pack.cotton
     try:
-        closed, gap = _closed_form_gap(detect_structure(L, conn, pack, tol=tol))
+        closed, gap = _closed_form_gap(detect_structure(L, pack.connection, pack, tol=tol))
         adapted = {"closed_form": _mat(closed), "max_gap": gap}
     except NoStructure:
         adapted = None
@@ -425,14 +425,14 @@ def _print_solution(name, p):
 def cmd_soliton(args) -> int:
     L = load_geometry(args.geometry)
     tol = _tolerance(args)
-    conn, pack = _finite_layers(L)
+    pack = _layers(L)
     if args.ansatz == "general":
         # The general ansatz spans the whole frame, so it needs no
         # adapted structure and applies to any valid algebra.
-        problem = SolitonProblem.build(L, conn=conn, pack=pack)
+        problem = SolitonProblem.build(L, conn=pack.connection, pack=pack)
         payload = {"general": _solution_payload(solve_soliton(problem, tol=tol))}
     else:
-        ak = detect_structure(L, conn, pack, tol=tol)
+        ak = detect_structure(L, pack.connection, pack, tol=tol)
         survey = soliton_existence_survey(ak, tol=tol)
         if args.ansatz == "all":
             payload = {k: _solution_payload(v) for k, v in survey.items()}
@@ -514,20 +514,6 @@ _RICCI_133 = np.array([[-4.0, -6.0, -6.0], [-6.0, -20.0, 2.0], [-6.0, 2.0, -20.0
 _COTTON_2 = np.diag([0.0, 12.0, -12.0])
 
 
-def _member(L: MetricLieAlgebra3):
-    """The detected structure of a reference member, which keeps its
-    connection and curvature, each built once for every check that reads it."""
-    conn = levi_civita(L)
-    return detect_structure(L, conn, curvature(L, conn))
-
-
-def _fresh_pack(lam: float):
-    """The curvature pack of the lam, b = c = 0 member, built afresh; it
-    keeps the member's algebra and connection."""
-    L = from_kenmotsu_params(lam, 0.0, 0.0)
-    return curvature(L, levi_civita(L))
-
-
 def _geometry_class(pack):
     """The geometry class of ``pack``'s geometry, Ricci-parallel or not at
     the default tolerance."""
@@ -585,14 +571,15 @@ def _verify_checks(tol: float, grid: list) -> list:
     grid rows read that record, and the lam = 1 member is classified once,
     for its reference check and its grid row."""
     checks = []
-    members = {p: _member(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
-    members.update((p, _member(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
+    packs = {p: _layers(from_kenmotsu_params(*p)) for p in _KENMOTSU_MEMBERS}
+    packs.update((p, _layers(from_nonunimodular(*p))) for p in _SOLVABLE_MEMBERS)
+    members = {p: detect_structure(pk.algebra, pk.connection, pk) for p, pk in packs.items()}
     ak2, ak133, ak1 = members[2.0, 0.0, 0.0], members[1.0, 3.0, 3.0], members[1.0, 0.0, 0.0]
     pack2, p133, pack1 = ak2.curvature, ak133.curvature, ak1.curvature
     records = {}
     for lam in dict.fromkeys((2.0, 1.0, *grid)):
         ak = members.get((lam, 0.0, 0.0))
-        pack = _fresh_pack(lam) if ak is None else ak.curvature
+        pack = _layers(from_kenmotsu_params(lam, 0.0, 0.0)) if ak is None else ak.curvature
         records[lam] = pack, _frame_solutions(pack, tol)
 
     def add(name, ok, detail=""):

@@ -45,6 +45,15 @@ _LOWER_FLAT = np.array([3 * j + i for i, j in UPPER])
 _FRAME = tuple(FrameVector(row) for row in np.eye(3))
 
 
+def _lie_blocks(g: np.ndarray, gamma: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """B_n = (V_n gamma) g, B_n[i, j] = g(nabla_{e_i} V_n, e_j), for each
+    row V_n of ``V``, so that Lie_{V_n} g = B_n + B_n^T; computed one field
+    at a time, so a block does not depend on the fields stacked with it."""
+    # gamma_by_field[a, (i, k)] = gamma[i, a, k]
+    gamma_by_field = gamma.transpose(1, 0, 2).reshape(3, 9)
+    return (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(g)
+
+
 def lie_derivative_metric(
     L: MetricLieAlgebra3, conn: ConnectionTable, v: FrameVector
 ) -> SymBilinear:
@@ -52,10 +61,11 @@ def lie_derivative_metric(
 
     (Lie_V g)(X, Y) = g(nabla_X V, Y) + g(X, nabla_Y V) for the
     Levi-Civita connection; with constant coefficients v_a the derivative
-    of V along e_i is v_a nabla_{e_i} e_a.
+    of V along e_i is v_a nabla_{e_i} e_a.  This is the solve's column
+    formula: its upper triangle is bitwise the column of ``v`` in the
+    stacked system.
     """
-    g = L.metric
-    B = np.einsum("a,iak,kj->ij", v.components, conn.gamma, g)
+    B = _lie_blocks(L.metric, conn.gamma, v.components[None])[0]
     return SymBilinear(B + B.T)
 
 
@@ -91,18 +101,15 @@ def _assemble_system(problem: SolitonProblem):
 
     Columns of A are the upper-triangle Lie derivatives of the metric along
     each basis field followed by -vec(g); k = -vec(C) moves the Cotton term
-    to the right-hand side.  All basis fields go through one stacked
-    product whose rows are computed one field at a time, so a field's column
-    does not depend on which other fields are stacked with it: the columns
-    of a sub-basis are bitwise those of the full system.
+    to the right-hand side.  All basis fields go through one ``_lie_blocks``
+    product, so the columns of a sub-basis are bitwise those of the full
+    system, and each column is ``lie_derivative_metric`` of its field.
     """
     pack = problem.curvature
     g = pack.algebra.metric
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
     n = V.shape[0]
-    # gamma_by_field[a, (i, k)] = gamma[i, a, k]
-    gamma_by_field = pack.connection.gamma.transpose(1, 0, 2).reshape(3, 9)
-    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(g).reshape(n, 9)
+    B = _lie_blocks(g, pack.connection.gamma, V).reshape(n, 9)
     A = np.empty((6, n + 1))
     # the upper triangle of B + B^T, one column per field
     A[:, :n] = (B.take(_UPPER_FLAT, axis=1) + B.take(_LOWER_FLAT, axis=1)).T

@@ -660,9 +660,9 @@ def reference_eigvec(M, mu):
     cands = [np.cross(K[0], K[1]), np.cross(K[0], K[2]), np.cross(K[1], K[2])]
     norms = [np.linalg.norm(v) for v in cands]
     best = int(np.argmax(norms))
-    if norms[best] <= 1e-10 * (1.0 + np.linalg.norm(M)):
-        _, _, Vt = np.linalg.svd(K)
-        return Vt[-1] / np.linalg.norm(Vt[-1])
+    if norms[best] == 0.0:
+        # parallel rows: no direction, and detection refuses the candidate
+        return np.full(3, np.nan)
     return cands[best] / norms[best]
 
 
@@ -1021,17 +1021,19 @@ class TestScalarEigenvector:
         return out
 
     def test_sym_eigvec_equals_cross_product_form_bitwise(self):
-        fallbacks = 0
-        for M, mu in self.corpus(np.random.default_rng(131)):
+        zeros = 0
+        corpus = self.corpus(np.random.default_rng(131))
+        # M - mu I of rank one or zero: every cross product is exactly zero
+        corpus += [(np.diag([mu, mu, -mu]), mu) for mu in (0.5, 1.0, 3.0)]
+        corpus += [(mu * np.eye(3), mu) for mu in (0.0, 2.0)]
+        for M, mu in corpus:
             # the null vector comes back unnormalised; detection normalises it
             got = _sym_eigvec(M, mu)
-            got, want = got / np.linalg.norm(got), reference_eigvec(M, mu)
-            assert got.tobytes() == want.tobytes()
-            K = M - mu * np.eye(3)
-            longest = max(np.linalg.norm(np.cross(K[i], K[j]))
-                          for i, j in ((0, 1), (0, 2), (1, 2)))
-            fallbacks += bool(longest <= 1e-10 * (1.0 + np.linalg.norm(M)))
-        assert 50 <= fallbacks < 450
+            norm = np.linalg.norm(got)
+            got = got / norm if norm else np.full(3, np.nan)
+            assert got.tobytes() == reference_eigvec(M, mu).tobytes()
+            zeros += not norm
+        assert zeros == 5
 
     def test_hat_equals_array_form_bitwise(self):
         rng = np.random.default_rng(132)

@@ -12,12 +12,13 @@ of exactly equal length), the members in the frames t I at t = 2^+-300 and
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import change_basis, random_rotation, random_valid_algebra, rotate_algebra
-from cotton3 import NoStructure, curvature, detect_structure, levi_civita
+from cotton3 import NoStructure, almost_kenmotsu, curvature, detect_structure, levi_civita
 from cotton3.almost_kenmotsu import (
     _argmax,
     _build_structure,
@@ -131,11 +132,7 @@ def numpy_hat(u):
 
 
 def numpy_sym_eigvec(M, mu):
-    K = M - mu * np.eye(3)
-    best, norm = numpy_longest(numpy_crosses(K))
-    if norm <= 1e-10 * (1.0 + math.sqrt(M.ravel().dot(M.ravel()))):
-        return np.linalg.svd(K)[2][-1]
-    return best
+    return numpy_longest(numpy_crosses(M - mu * np.eye(3)))[0]
 
 
 def numpy_fix_sign(v):
@@ -163,7 +160,9 @@ def numpy_fields(L, conn, u, tol=1e-8):
         e = P[:, int(np.argmax(np.einsum("ij,ij->j", P, P)))]
     else:
         e = numpy_sym_eigvec(h, lam)
-    e = numpy_fix_sign(e / np.sqrt(e.dot(g).dot(e)))
+    s = np.sqrt(e.dot(g).dot(e))
+    # a zero e (parallel rows of h - lam I) is refused as non-finite
+    e = numpy_fix_sign(e / s if s else np.full(3, np.nan))
     phi_e = phi.dot(e)
     nab_e = e.dot(gamma).dot(g)
     b = -float(e.dot(nab_e).dot(phi_e))
@@ -241,9 +240,7 @@ def test_row_norm_steps_equal_numpy_forms():
     with np.errstate(over="ignore", invalid="ignore"):
         for K in rows:
             k = K.ravel().tolist()
-            got, want = _longest(k), numpy_longest(K)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            assert _longest(k).tobytes() == numpy_longest(K)[0].tobytes()
             assert np.array(_pow2_scaled(k)).tobytes() == numpy_scaled(K).tobytes()
             assert np.array(_row_crosses(k)).tobytes() == numpy_crosses(K).tobytes()
             norms = np.einsum("ij,ij->i", K, K)
@@ -281,12 +278,17 @@ def test_sym_eigvec_equals_numpy_form():
     assert seen >= 100
     # any mu: off the diagonal, M - mu I subtracts mu * 0.0, which is -0.0
     # for mu < 0 and nan for mu not finite
+    # rows of M - mu I all parallel give the zero vector on both sides
     rng = np.random.default_rng(364)
+    zeros = 0
     with np.errstate(invalid="ignore"):
         for _ in range(200):
             M = rng.choice([0.0, -0.0, 1.0, -2.0, 0.5], size=(3, 3))
             mu = float(rng.choice([-1.0, -0.0, 0.0, 2.0, -0.5, math.inf, math.nan]))
-            assert _sym_eigvec(M, mu).tobytes() == numpy_sym_eigvec(M, mu).tobytes()
+            got = _sym_eigvec(M, mu)
+            assert got.tobytes() == numpy_sym_eigvec(M, mu).tobytes()
+            zeros += not got.any()
+    assert zeros
 
 
 def test_fix_sign_equals_numpy_form():
@@ -338,3 +340,35 @@ def test_normalisation_scale_changes_only_what_overflowed(lam):
     for key in ("xi", "eta", "phi", "h_op", "lam", "kenmotsu"):
         assert got[key] == want[key]
 
+
+
+@pytest.mark.parametrize("lam", [1e77, 1e100, 1e150])
+def test_large_lambda_takes_no_eigenvector_length(lam):
+    # the cross product's squared length overflowed here, with a warning;
+    # no length is taken, and e keeps unit g-length
+    L = from_kenmotsu_params(lam, 0.0, 0.0)
+    with np.errstate(invalid="ignore"):  # the curvature's terms overflow at 1e150
+        conn, pack = layers(L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ak = detect_structure(L, conn, pack)
+    e = ak.adapted_frame[1].components
+    assert e.tolist() == [0.0, 1.0, 0.0]
+    assert e.dot(L.metric).dot(e) == 1.0
+
+
+def test_zero_eigenvector_is_refused(monkeypatch):
+    # parallel rows of h - lam I give a zero cross product: e is nan on both
+    # sides, and detection refuses the candidate instead of dividing by zero
+    def zero(M, mu):
+        return np.zeros(3)
+    monkeypatch.setattr(almost_kenmotsu, "_sym_eigvec", zero)
+    monkeypatch.setitem(globals(), "numpy_sym_eigvec", zero)
+    L = from_kenmotsu_params(2.0, 0.0, 0.0)
+    conn, pack = layers(L)
+    (u,) = numpy_candidate_reebs(L)
+    got = fields(_build_structure(L, conn, pack, u.copy(), 1e-8))
+    assert np.isnan(got["e"]).all() and math.isnan(got["f"])
+    assert bits(got) == bits(numpy_fields(L, conn, u))
+    with pytest.raises(NoStructure, match="no unit Reeb candidate satisfies"):
+        detect_structure(L, conn, pack)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cotton3
-from cotton3 import frame_algebra, soliton
+from cotton3 import almost_kenmotsu, cli, frame_algebra, soliton
 
 PUBLIC = [
     "AKStructure",
@@ -121,6 +121,11 @@ def test_second_routes_are_gone():
     # soliton holds the solver alone: verify-paper's rows are built in the CLI
     for name in ("_theorem_checks", "_fresh_pack", "classify_geometry", "curvature"):
         assert not hasattr(soliton, name), name
+    # the CLI builds a geometry's layers in one place, and detection's
+    # eigenvector has no singular-value fallback
+    for name in ("_finite_layers", "_member", "_fresh_pack"):
+        assert not hasattr(cli, name), name
+    assert not hasattr(almost_kenmotsu, "_svd")
 
 
 def test_one_rank_cutoff_and_one_cotton_scale():

@@ -1,7 +1,9 @@
 """Soliton equation assembly, classification, and the existence survey."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
 )
 from cotton3 import (
     FrameVector,
+    MetricLieAlgebra3,
     cotton_pack,
     curvature,
     detect_structure,
@@ -96,6 +99,23 @@ class TestLieDerivative:
                 assert lie[1, 2] == pytest.approx(-2.0 * lam * v1, abs=1e-12)
                 assert lie[1, 1] == pytest.approx(2.0 * v1, abs=1e-12)
                 assert lie[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_is_the_solve_column_bitwise(self):
+        # one formula: on the benchmark's curvature_sweep inputs of seed 1,
+        # the upper triangle of Lie_{e_i} g is column i of the solve's system
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        wl = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wl)
+        inputs = wl._sweep_inputs(1)
+        assert len(inputs) == 240
+        for inp in inputs:
+            L = MetricLieAlgebra3(inp["constants"], inp["metric"])
+            _, conn, pack = layers(L)
+            A, _ = _assemble_system(SolitonProblem.build(L, conn, pack))
+            for i, e_i in enumerate(np.eye(3)):
+                lie = lie_derivative_metric(L, conn, FrameVector(e_i)).components
+                assert vec_upper(lie).tobytes() == A[:, i].tobytes()
 
 
 class TestAssembly:
