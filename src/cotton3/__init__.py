@@ -32,7 +32,6 @@ _HOME = {
     "HParallelCheck": "almost_kenmotsu",
     "INFEASIBLE": "soliton",
     "InconsistentStructure": "errors",
-    "JacobiViolation": "errors",
     "MetricLieAlgebra3": "frame_algebra",
     "NOT_SYMMETRIC": "connection_curvature",
     "NoStructure": "errors",

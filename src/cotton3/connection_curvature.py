@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .frame_algebra import DEFAULT_TOL, MetricLieAlgebra3, SymBilinear, Tensor3
-from .frame_algebra import _eigvalsh, _wrap
+from .frame_algebra import _eigenvalues, _wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,20 +225,18 @@ def ricci_parallel_check(
 
 
 def ricci_spectrum(pack: CurvaturePack) -> np.ndarray:
-    """Eigenvalues of the Ricci operator, ascending; nan where they are not
-    finite.
+    """Eigenvalues of the Ricci operator, ascending; all nan where they are
+    not finite.
 
     With g = L L^T from the metric pass of ``pack.algebra`` (the one
     ``curvature`` read), the operator g^-1 S is similar to the symmetric
-    W = L^-1 S L^-T, whose ``_eigvalsh`` spectrum (``np.linalg.eigvalsh``'s,
-    bit for bit) keeps eigenvalues far below the largest one, which a
-    closed-form cubic rounds away.
+    W = L^-1 S L^-T, whose spectrum ``_eigenvalues`` reads: ``_eigvalsh``
+    (``np.linalg.eigvalsh``'s, bit for bit) behind its one finiteness guard.
+    It keeps eigenvalues far below the largest one, which a closed-form
+    cubic rounds away.
     """
     Li = np.array(pack.algebra._frame[2])
-    W = Li.dot(pack.ricci.components).dot(Li.T)
-    if not np.isfinite(W).all():
-        return np.full(3, math.nan)
-    return _eigvalsh(W)
+    return _eigenvalues(Li.dot(pack.ricci.components).dot(Li.T))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     flow's per-stage evaluations: ``_chain``, the sequence of ``curvature``.
 
     g^-1 and g / sqrt(det g) come from one pass of the metric rule,
-    ``_metric_frame``: ``DegenerateMetric`` outside the positive cone,
-    ``SingularMetric`` for a singular metric.
+    ``_metric_frame``: ``DegenerateMetric`` at a Cholesky pivot that is not
+    positive, ``SingularMetric`` past its condition or inverse rule.
     """
     ginv, u, _ = _metric_frame(g)
     return _chain(c, _gamma(c, g, ginv), u)[3]

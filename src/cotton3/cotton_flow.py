@@ -128,13 +128,15 @@ def flow_run(
 
     States are recorded every ``stride`` steps (the initial and final
     states always).  With ``normalize`` the metric is rescaled after each
-    step to keep its determinant at the initial value.  The final state's
-    ``cotton_norm`` is the distance from a fixed point (C = 0), for the
-    caller to compare with a tolerance of its own.  ``ValueError`` when an
-    entry of the initial Cotton tensor is not finite (constants and metric
-    whose products overflow), before any step.  If the initial metric or a
-    later one fails the metric rule, ``DegenerateMetric`` is raised with
-    the states so far as ``trajectory``.
+    step to keep its determinant at the initial value; a metric whose
+    determinant is not positive stays unscaled, for the metric rule to
+    refuse "after the step".  The final state's ``cotton_norm`` is the
+    distance from a fixed point (C = 0), for the caller to compare with a
+    tolerance of its own.  ``ValueError`` when an entry of the initial
+    Cotton tensor is not finite (constants and metric whose products
+    overflow), before any step.  If the initial metric or a later one fails
+    the metric rule, ``DegenerateMetric`` is raised with the states so far
+    as ``trajectory``.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -154,10 +156,10 @@ def flow_run(
             g = _rk4(L, state, dt)
             if normalize:
                 sign, logdet = _slogdet(g)
-                # the real cube root needs det > 0; slogdet of a nan is (1, nan)
-                if not (sign > 0 and math.isfinite(logdet)):
-                    raise DegenerateMetric("metric left the positive cone after the step")
-                g = g * math.exp((logdet0 - float(logdet)) / 3.0)
+                # the real cube root needs det > 0 (slogdet of a nan is
+                # (1, nan)); the metric rule refuses any other g, unscaled
+                if sign > 0 and math.isfinite(logdet):
+                    g = g * math.exp((logdet0 - float(logdet)) / 3.0)
             # bytes, so that -0.0 and 0.0 count as different metrics
             stationary = g.tobytes() == state.metric.tobytes()
             state = (_repeat(state, float(state.time + dt)) if stationary

@@ -5,12 +5,9 @@ class Cotton3Error(Exception):
     """Base class for library-specific errors."""
 
 
-class JacobiViolation(Cotton3Error):
-    """Structure constants do not close into a Lie algebra."""
-
-
 class SingularMetric(Cotton3Error):
-    """Metric matrix is not invertible within tolerance."""
+    """The metric passes Cholesky, but its condition number is at least
+    1e12 or its inverse overflows."""
 
 
 class NoStructure(Cotton3Error):
@@ -22,9 +19,11 @@ class InconsistentStructure(Cotton3Error):
 
 
 class DegenerateMetric(Cotton3Error):
-    """The evolving flow metric lost positive-definiteness.
+    """A Cholesky pivot of the metric is not positive, or an entry is not
+    finite: the metric is outside the positive cone.
 
-    The trajectory computed before the failure is attached as ``trajectory``.
+    The flow raises it for every metric it refuses, with the states
+    computed before the failure attached as ``trajectory``.
     """
 
     def __init__(self, message, trajectory=None):

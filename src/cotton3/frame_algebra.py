@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import DegenerateMetric, JacobiViolation, SingularMetric
+from .errors import DegenerateMetric, SingularMetric
 
 # Default absolute tolerance for scalar/component comparisons.
 DEFAULT_TOL = 1e-9
@@ -144,12 +144,13 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     not scaled, so that the pass returns exactly I, I and I there.  u is
     (g 2^-k) / (l00 l11 l22 2^(k/2)), finite even where det g overflows.
 
-    ``DegenerateMetric`` when g is not finite or a pivot is negative or nan
-    (g outside the positive cone).  ``SingularMetric`` when a pivot is zero
-    (unless the ``_eigvalsh`` spectrum shows g indefinite), when
-    w_min <= 1e-12 w_max, or when g^-1 overflows once the scaling is
-    undone.  The condition is read as lambda_max(g) lambda_max(g^-1) from
-    ``_eigvalsh`` only where its bound tr g tr g^-1 reaches 1e12.
+    ``DegenerateMetric`` exactly when g is not finite or a pivot is not
+    positive (negative, zero or nan), the message naming the pivot: the
+    Cholesky pass alone decides the positive cone.  ``SingularMetric``
+    exactly when every pivot is positive and lambda_max(g) lambda_max(g^-1)
+    reaches 1e12, or g^-1 overflows once the scaling is undone.  The
+    condition is read from ``_eigenvalues`` only where its bound
+    tr g tr g^-1 reaches 1e12, the one branch that reads a spectrum.
     Every layer that needs g^-1, u or positive definiteness reads them off
     this one pass, made once per algebra by ``MetricLieAlgebra3._frame``;
     ``validate`` reports ``metric_not_positive`` exactly where it refuses.
@@ -165,19 +166,18 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         k = max(-1022, (math.frexp(m)[1] - 1) & -2)
         s = math.ldexp(1.0, -k)
         a, b, c, d, e, f = a * s, b * s, c * s, d * s, e * s, f * s
-    rows = ((a, b, c), (b, d, e), (c, e, f))
     if not a > 0.0:
-        _refuse(a, rows)
+        raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {a:.3g})")
     l00 = math.sqrt(a)
     l10, l20 = b / l00, c / l00
     p1 = d - l10 * l10
     if not p1 > 0.0:
-        _refuse(p1, rows)
+        raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {p1:.3g})")
     l11 = math.sqrt(p1)
     l21 = (e - l20 * l10) / l11
     p2 = f - l20 * l20 - l21 * l21
     if not p2 > 0.0:
-        _refuse(p2, rows)
+        raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {p2:.3g})")
     # L^-1 by substitution; 0.0 - x keeps the zeros of a diagonal g positive
     i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(p2)
     i10 = 0.0 - l10 * i00 * i11
@@ -192,8 +192,9 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     v22 = i22 * i22
     # on the positive cone tr g >= lambda_max(g), so this bounds the condition
     if not (a + d + f) * (v00 + v11 + v22) < 1e12:
+        rows = ((a, b, c), (b, d, e), (c, e, f))
         inv = ((v00, v10, v20), (v10, v11, v21), (v20, v21, v22))
-        cond = _eigenvalues(rows)[2] * _eigenvalues(inv)[2]
+        cond = _eigenvalues(rows).item(2) * _eigenvalues(inv).item(2)
         # false on nan too, from an inverse that overflowed
         if not cond < 1e12:
             raise SingularMetric(f"metric is singular (condition number {cond:.3g})")
@@ -215,23 +216,15 @@ def _metric_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     return gu[0], gu[1], ((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))
 
 
-def _refuse(pivot: float, rows: tuple) -> None:
-    """Raise the metric rule's refusal for a Cholesky pivot that is not
-    positive: a zero pivot is a singular metric unless the spectrum of
-    ``rows`` has a negative eigenvalue."""
-    if pivot == 0.0 and _eigenvalues(rows)[0] >= 0.0:
-        raise SingularMetric("metric is singular (zero Cholesky pivot)")
-    raise DegenerateMetric(f"metric is not positive definite (Cholesky pivot {pivot:.3g})")
-
-
-def _eigenvalues(rows: tuple) -> list:
-    """Ascending eigenvalues of the symmetric rows (floats), from
-    ``_eigvalsh``; all nan when an entry is not finite, which each test of
-    the metric rule reads as a refusal."""
-    M = np.array(rows)
+def _eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix ``a`` (an array or rows
+    of floats), from ``_eigvalsh``; all nan when an entry is not finite,
+    which the metric rule's condition test reads as a refusal and
+    ``ricci_spectrum`` returns."""
+    M = np.asarray(a, dtype=float)
     if not np.isfinite(M).all():
-        return [math.nan] * 3
-    return _eigvalsh(M).tolist()
+        return np.full(3, math.nan)
+    return _eigvalsh(M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,19 +362,13 @@ def from_kenmotsu_params(lam: float, b: float, c: float) -> MetricLieAlgebra3:
         [e, phi_e]  = b*e - c*phi_e
         [phi_e, xi] = -lam*e + phi_e
 
-    The Jacobi identity for these brackets forces ``b = lam*c`` and
-    ``c = lam*b`` (equivalently b = c = 0, or lam = 1 with b = c); other
-    parameter triples raise ``JacobiViolation``.
+    The Jacobi identity for these brackets holds exactly when ``b = lam*c``
+    and ``c = lam*b`` (b = c = 0, or lam = 1 with b = c).  Like every
+    builder, this one builds the brackets it is given; ``validate`` decides
+    whether they close.  ``ValueError`` unless ``lam > 0``.
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    tol = DEFAULT_TOL * (1.0 + abs(lam)) * (1.0 + abs(b) + abs(c))
-    if abs(b - lam * c) > tol or abs(c - lam * b) > tol:
-        raise JacobiViolation(
-            "brackets close only when b = lam*c and c = lam*b; got "
-            f"lam={lam}, b={b}, c={c} "
-            f"(residuals {b - lam * c:.3g}, {c - lam * b:.3g})"
-        )
     sc = np.zeros((3, 3, 3))
     sc[1, 0] = (0.0, 1.0, -lam)  # [e, xi]
     sc[0, 1] = -sc[1, 0]

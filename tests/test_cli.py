@@ -629,11 +629,18 @@ class TestInputErrors:
         assert "duplicate bracket" in captured.err
 
     def test_non_closing_brackets(self, geom, capsys):
-        # lam != 1 with b != c violates the Jacobi identity.
-        rc = main(["curvature", geom(kenmotsu(2.0, 1.0, 0.0))])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "brackets close only when" in captured.err
+        # lam != 1 with b != c violates the Jacobi identity, and so does
+        # b != c at lam = 1 however close: the builder builds both, and
+        # validate refuses each with its one line
+        for params, size in (((2.0, 1.0, 0.0), "2.000e+00"),
+                             ((1.0, 1.0, 1.0 + 1e-10), "1.000e-10")):
+            path = geom(kenmotsu(*params))
+            rc = main(["curvature", path])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err == (f"error: {path}: invalid geometry: jacobi violation "
+                                    f"of size {size} at indices (0, 1, 2)\n")
 
     def test_nonpositive_lambda(self, geom, capsys):
         rc = main(["curvature", geom(kenmotsu(-1.0))])

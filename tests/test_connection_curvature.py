@@ -84,9 +84,13 @@ class TestLeviCivita:
             assert gap <= 1e-12
 
     def test_singular_metric_rejected(self):
-        L = abelian().with_metric(np.diag([1.0, 1.0, 0.0]))
+        # positive definite, condition 1e13: past the conditioning rule
+        L = abelian().with_metric(np.diag([1.0, 1.0, 1e-13]))
         with pytest.raises(SingularMetric):
             levi_civita(L)
+        # a zero pivot is outside the positive cone
+        with pytest.raises(DegenerateMetric):
+            levi_civita(L.with_metric(np.diag([1.0, 1.0, 0.0])))
 
     def test_metric_is_parallel(self):
         rng = np.random.default_rng(23)
@@ -257,9 +261,9 @@ class TestMetricFrame:
         (np.diag([-np.inf, 1.0, 1.0]), DegenerateMetric),
         (np.where(np.eye(3) > 0, 1.0, np.inf), DegenerateMetric),
         (np.where(np.eye(3) > 0, 1.0, -np.inf), DegenerateMetric),
-        (np.zeros((3, 3)), SingularMetric),
-        (np.diag([1.0, 1.0, -0.0]), SingularMetric),
-        (np.diag([-0.0, 1.0, 1.0]), SingularMetric),
+        (np.zeros((3, 3)), DegenerateMetric),
+        (np.diag([1.0, 1.0, -0.0]), DegenerateMetric),
+        (np.diag([-0.0, 1.0, 1.0]), DegenerateMetric),
         (np.diag([0.0, -1.0, 1.0]), DegenerateMetric),
         (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), DegenerateMetric),
         (np.where(np.eye(3) > 0, 1.0, 1e300), DegenerateMetric),
@@ -269,10 +273,32 @@ class TestMetricFrame:
     def test_special_entries(self, g, expected):
         assert rule_outcome(g) is expected
 
+    @pytest.mark.parametrize("g", [
+        pytest.param(np.zeros((3, 3)), id="zeros"),
+        pytest.param(np.diag([1.0, 1.0, 0.0]), id="diag-1-1-0"),
+        pytest.param(np.diag([1.0, 1.0, -0.0]), id="diag-1-1-negzero"),
+        pytest.param(np.diag([-0.0, 1.0, 1.0]), id="diag-negzero-1-1"),
+        # v v^T with v = (1, 2, 3): the second pivot is 4 - 2 * 2 = 0 exactly
+        pytest.param(np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), id="rank-one"),
+    ])
+    def test_zero_pivot_reads_no_spectrum(self, g, monkeypatch):
+        # the Cholesky pass alone decides the positive cone, as the
+        # reference does: an exact zero pivot is degenerate, with no
+        # eigvalsh call for a second verdict
+        assert reference_outcome(g) is DegenerateMetric
+
+        def refuse(a):
+            raise AssertionError("the metric rule read a spectrum")
+        patch_engine(monkeypatch, "_eigvalsh", refuse)
+        with pytest.raises(DegenerateMetric, match=r"\(Cholesky pivot -?0\)$"):
+            _metric_frame(g)
+        with pytest.raises(DegenerateMetric, match=r"\(Cholesky pivot -?0\)$"):
+            levi_civita(abelian().with_metric(g))
+
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
     def test_non_finite_entry_at_a_zero_pivot(self, x):
-        # the zero first pivot sends the verdict to the spectrum's sign, and
-        # a non-finite entry has no spectrum: degenerate, as everywhere else
+        # the zero first pivot is refused before the entry is read:
+        # degenerate, as a non-finite entry is everywhere else
         g = np.array([[0.0, x, 0.0], [x, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert rule_outcome(g) is DegenerateMetric
 
@@ -343,9 +369,9 @@ class TestAlgebraPass:
         L = milnor(1.0, 2.0, -0.5).with_metric(np.diag([1.0, 1.0, 0.0]))
         del passes[:]
         for _ in range(3):
-            with pytest.raises(SingularMetric):
+            with pytest.raises(DegenerateMetric):
                 levi_civita(L)
-            with pytest.raises(SingularMetric):
+            with pytest.raises(DegenerateMetric):
                 curvature(L, conn)
         # a pass that raises keeps nothing, so each access tries again
         assert len(passes) == 6

@@ -136,8 +136,13 @@ class TestInvariants:
 
     def test_singular_metric_rejected(self):
         L = abelian()
-        degenerate = type(L)(L.structure_constants, np.diag([1.0, 1.0, 0.0]))
+        # positive definite, condition 1e13: past the conditioning rule
+        singular = type(L)(L.structure_constants, np.diag([1.0, 1.0, 1e-13]))
         with pytest.raises(SingularMetric):
+            cotton_pack(*layers(singular))
+        # a zero pivot is outside the positive cone
+        degenerate = type(L)(L.structure_constants, np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(DegenerateMetric):
             cotton_pack(*layers(degenerate))
 
     def test_norm_matches_components(self):
@@ -419,7 +424,7 @@ _R = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
 @pytest.mark.parametrize("metric, expected", [
     pytest.param(np.diag([-1.0, -1.0, 1.0]), DegenerateMetric, id="indefinite-det-positive"),
     pytest.param(np.diag([1.0, -1.0, 1.0]), DegenerateMetric, id="indefinite-det-negative"),
-    pytest.param(np.diag([1.0, 1.0, 0.0]), SingularMetric, id="zero-eigenvalue"),
+    pytest.param(np.diag([1.0, 1.0, 0.0]), DegenerateMetric, id="zero-eigenvalue"),
     pytest.param(np.diag([1.0, np.nan, 2.0]), DegenerateMetric, id="nan-entry"),
     pytest.param(np.full((3, 3), np.nan), DegenerateMetric, id="eigh-no-convergence"),
     pytest.param(None, SingularMetric, id="near-singular"),

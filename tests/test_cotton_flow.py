@@ -275,13 +275,21 @@ class TestEvolution:
         )
 
     def test_normalized_step_leaving_the_cone_is_named(self):
-        # from g = I at lam = 2 this step's result has det g < 0: the
-        # rescaling refuses it before taking the cube root
+        # from g = I at lam = 2 the step's result has one negative
+        # eigenvalue at dt = 0.041 (det g < 0: the rescaling leaves it
+        # unscaled) and two at dt = 0.042 (det g > 0: it is rescaled); the
+        # metric rule refuses both, with one line
         L = from_kenmotsu_params(2.0, 0.0, 0.0)
-        with pytest.raises(DegenerateMetric) as err:
-            flow_run(L, dt=0.042, steps=3, normalize=True)
-        assert str(err.value) == "step 1 (t=0.042): metric left the positive cone after the step"
-        assert len(err.value.trajectory) == 1
+        for dt in (0.041, 0.042):
+            with pytest.raises(DegenerateMetric) as err:
+                flow_run(L, dt=dt, steps=3, normalize=True)
+            assert str(err.value) == (
+                f"step 1 (t={dt:g}): metric left the positive cone after the step")
+            assert len(err.value.trajectory) == 1
+            # the cause is the metric rule's own refusal, naming the pivot
+            cause = err.value.__cause__
+            assert type(cause) is DegenerateMetric
+            assert str(cause).startswith("metric is not positive definite (Cholesky pivot ")
 
     def test_normalize_holds_determinant(self):
         L = from_kenmotsu_params(2.0, 0.0, 0.0)

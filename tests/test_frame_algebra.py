@@ -25,7 +25,6 @@ from cotton3 import (
     DEFAULT_TOL,
     DegenerateMetric,
     FrameVector,
-    JacobiViolation,
     MetricLieAlgebra3,
     SingularMetric,
     SymBilinear,
@@ -437,7 +436,7 @@ class TestValidateRules:
     ])
     def test_eigvalsh_only_for_refused_metrics(self, g, refused, monkeypatch):
         # validate's own call, for the magnitude; the metric pass calls
-        # eigvalsh too, in its zero-pivot and condition branches
+        # eigvalsh too, in its condition branch alone
         callers = []
         real = frame_algebra._eigvalsh
 
@@ -493,10 +492,16 @@ class TestBuilders:
             assert validate(from_kenmotsu_params(1.0, b, b)).is_valid
 
     def test_kenmotsu_rejects_open_brackets(self):
-        with pytest.raises(JacobiViolation):
-            from_kenmotsu_params(2.0, 1.0, 0.0)
-        with pytest.raises(JacobiViolation):
-            from_kenmotsu_params(0.5, 2.0, 2.0)
+        # the builder keeps no closure cutoff of its own: it builds brackets
+        # far from closing and brackets within any affine cutoff alike, and
+        # validate refuses each with its one violation, sized by the oracle
+        for params in ((2.0, 1.0, 0.0), (0.5, 2.0, 2.0), (1.0, 1.0, 1.0 + 1e-10)):
+            L = from_kenmotsu_params(*params)
+            rep = validate(L)
+            assert [(v.kind, v.indices) for v in rep.violations] == [("jacobi", (0, 1, 2))]
+            size = np.max(np.abs(brute_jacobi(L.structure_constants)[0, 1, 2]))
+            assert rep.violations[0].magnitude == pytest.approx(size, rel=1e-12)
+        # lam > 0 is a domain check on the parameter, not a Jacobi rule
         with pytest.raises(ValueError):
             from_kenmotsu_params(-1.0, 0.0, 0.0)
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ PUBLIC = [
     "HParallelCheck",
     "INFEASIBLE",
     "InconsistentStructure",
-    "JacobiViolation",
     "MetricLieAlgebra3",
     "NOT_SYMMETRIC",
     "NoStructure",
@@ -78,15 +77,16 @@ PUBLIC = [
 # wrappers over private helpers that had no caller outside the tests, the
 # library's second reproduction route, which verify-paper replaces, and
 # functions that stay in their modules but that no CLI command, README
-# example or benchmark workload calls
+# example or benchmark workload calls, and the error class of the Kenmotsu
+# builder's own Jacobi rule (validate alone decides Jacobi)
 REMOVED = ["cotton3_oracle", "cotton2_from_cotton3", "cov_deriv_sym2", "flow_step",
            "reproduce_theorems", "TheoremReport", "TheoremCheck", "AssertionFailure",
-           "bracket", "ricci_closed_form", "make_state"]
+           "bracket", "ricci_closed_form", "make_state", "JacobiViolation"]
 
 
 def test_all_is_pinned():
     assert cotton3.__all__ == PUBLIC
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 54
 
 
 def test_every_public_name_resolves():
@@ -117,6 +117,10 @@ def test_second_routes_are_gone():
     # the metric pass reads eigvalsh, and every (lam, 0, 0) geometry has one
     # solve route: no closed-form cubic, no layers-and-solutions helper
     assert not hasattr(frame_algebra, "_sym3_eigenvalues")
+    # the Cholesky pass alone decides the positive cone: no second verdict
+    # on a zero pivot from the spectrum
+    assert not hasattr(frame_algebra, "_refuse")
+    assert not hasattr(cotton3.errors, "JacobiViolation")
     assert not hasattr(soliton, "_theorem_layers")
     # soliton holds the solver alone: verify-paper's rows are built in the CLI
     for name in ("_theorem_checks", "_fresh_pack", "classify_geometry", "curvature"):

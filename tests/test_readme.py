@@ -1,9 +1,12 @@
-"""The README's Library example runs as printed, and its comments hold."""
+"""The README's Library example runs as printed, its comments hold, and
+the public-name count it states is the package's."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+import cotton3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +41,9 @@ def test_library_example_runs_as_documented():
     moved = ns["moved"]
     assert np.array_equal(moved.trajectory[0].metric, np.diag([1.0, 2.0, 1.5]))
     assert len(moved.trajectory) == 11
+
+
+def test_public_name_count_matches():
+    text = re.sub(r"\s+", " ", README.read_text())
+    counts = re.findall(r"`cotton3\.__all__` holds (\d+) names", text)
+    assert counts == [str(len(cotton3.__all__))]
