@@ -28,11 +28,12 @@ A = ad_xi on xi^perp: A + I = lam S + w J, S symmetric trace free with
 eigenvalues +-1 and J = phi, and 3-h is w = 0 unless lam = 0 (the adapted
 frame of Pastore and Saltarelli, "Generalized nullity distributions on
 almost Kenmotsu manifolds", Int. Electron. J. Geom. 4, 2011).  Detection
-scores the candidates in order by these three conditions and accepts the
-first that passes; ``structure_residuals`` checks the full invariant list
-independently.  Detection makes no LAPACK call: e, the unit lam-eigenvector
-of h, is the longest cross product of the rows of h - lam I, and a
-candidate where that product is zero is refused, as a non-finite lam is.
+finds and scores the candidates on the orthonormal brackets B alone, and
+accepts the first that passes these three conditions;
+``structure_residuals`` checks the full invariant list independently.
+Detection makes no LAPACK call: e, the unit lam-eigenvector of h, is the
+longest cross product of the rows of h - lam I, and a candidate where that
+product is zero is refused, as a non-finite lam is.
 
 Every product detection takes stays on ``ndarray.dot``: its result reaches
 the output, and it rounds as BLAS rounds (with fused multiply-adds on most
@@ -40,7 +41,7 @@ builds), which Python floats cannot reproduce.  The scalar steps between
 the products run on Python floats, each with the operations and in the
 summation order of the numpy form it replaced, so the bits do not move:
 the argmax of row and column norms, the power-of-two scalings, the cross
-products, the traces, P and M, the pairwise sum of lam^2, phi's axis and
+products, tr ad off B, P and M, the pairwise sum of lam^2, phi's axis and
 the normalisation and sign of e.  Elementwise steps from arrays to arrays
 that feed a product (phi h, h, the dim-1 candidates) stay on numpy, where
 they cost less than a round trip through floats.
@@ -114,9 +115,8 @@ class AKStructure:
 
 _EYE = np.eye(3)
 _EYE.setflags(write=False)
-# rows (0, 1), (0, 2), (1, 2), (2, 0), (0, 1) of c.reshape(9, 3): [0:3] span
-# [g, g] for the candidates, [2:5] are the cyclic rows of the score
-_ROWS = np.array([1, 2, 5, 6, 1])
+# the cyclic rows (1, 2), (2, 0), (0, 1) of c.reshape(9, 3)
+_ROWS = np.array([5, 6, 1])
 
 
 def adapted_connection_table(lam: float, b: float, c: float) -> np.ndarray:
@@ -195,47 +195,38 @@ def _sym_eigvec(M: np.ndarray, mu: float) -> np.ndarray:
                                   m12 - z, m20 - z, m21 - z, m22 - mu]))
 
 
-def _candidate_reebs(L: MetricLieAlgebra3, Li: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-    """Unit Reeb candidates: unit u orthogonal to [g, g] with
-    tr ad_u = sum_a u_a sum_i c[a, i, i] = -2, found in the orthonormal
-    frame of g = L L^T (``Li`` = L^-1, from the one metric pass
-    ``L._frame``), where a vector x has components L^T x = L^-1 g x and
-    tr ad has L^-1 t; a candidate y there is xi = L^-T y.
+def _candidate_reebs(B: list, t: list) -> list[np.ndarray]:
+    """Unit y orthogonal to [g, g] with tr ad_y = t . y = -2, from nothing but
+    ``B``, the nine floats of the orthonormal brackets [f_1, f_2], [f_2, f_0]
+    and [f_0, f_1], and ``t``, the three floats tr ad_{f_a}.
 
-    [g, g] is spanned by ``rows``, the brackets c[0, 1], c[0, 2] and
-    c[1, 2], which in that frame are scaled by a power of two to max
+    [g, g] is spanned by the rows of B, scaled by a power of two to max
     |entry| in [1, 2): the scaling is exact and every test below is
     homogeneous in it, so an in-range candidate keeps its bits, and the
     squared cross products (degree 4 in the rows) stay in the float range
-    in any frame t e_i.  n, the longest of their cross products, and w, the
-    longest row, tell its dimension:
+    for huge or tiny constants (B is the same in every frame t e_i).  n, the
+    longest of their cross products, and w, the longest row, tell its
+    dimension:
 
     * |n| > 1e-10 |w|^2 (dim >= 2): the candidate is n/|n|, signed so that
       tr ad < 0, and there is none where tr ad_n is exactly 0.0.  The sign
       takes no cutoff: at large scale -2 is tiny next to |c|.
-    * otherwise (dim 1): the line tr ad_u = -2 of the plane w^perp, nearest
-      0 at u0, meets the unit circle at u0 +- r v, v its unit direction and
-      r = sqrt(1 - |u0|^2).  With r <= 1e-7 (r is known only to about
+    * otherwise (dim 1): the line tr ad_y = -2 of the plane w^perp, nearest
+      0 at y0, meets the unit circle at y0 +- r v, v its unit direction and
+      r = sqrt(1 - |y0|^2).  With r <= 1e-7 (r is known only to about
       sqrt(eps) ~ 1.5e-8) the two merge into a double root, and the one
-      candidate is u0/|u0|.  Two are sorted by their frame components, each
-      rounded to 12 decimals as ``np.round`` rounds.
+      candidate is y0/|y0|.
     * an abelian algebra, or |tr ad| on w^perp 0.0 or not finite, gives none.
-
-    The normal-form residual decides which candidate, if any, is accepted.
     """
-    K = _pow2_scaled(rows.dot(L.metric).dot(Li.T).ravel().tolist())
+    K = _pow2_scaled(B)
     w, n = _longest(K), _longest(_row_crosses(K))
     nw, nn = math.sqrt(w.dot(w)), math.sqrt(n.dot(n))
-    # t[a] = tr ad of the a-th unit vector, each trace summed as np.trace
-    # sums, in sequence from +0.0
-    c = L.structure_constants.ravel().tolist()
-    t = Li.dot(np.array([0.0 + c[0] + c[4] + c[8], 0.0 + c[9] + c[13] + c[17],
-                         0.0 + c[18] + c[22] + c[26]]))
+    t = np.array(t)
     if nn > 1e-10 * nw * nw:
         tr = t.dot(n)
         if tr == 0.0:
             return []
-        return [(n / (nn if tr < 0.0 else -nn)).dot(Li)]
+        return [n / (nn if tr < 0.0 else -nn)]
     if nw == 0.0:
         return []
     w = w / nw
@@ -243,15 +234,26 @@ def _candidate_reebs(L: MetricLieAlgebra3, Li: np.ndarray, rows: np.ndarray) -> 
     nt = math.sqrt(tp.dot(tp))
     if not 0.0 < nt < math.inf:
         return []
-    d = 2.0 / nt  # |u0|, with u0 = -d tp/|tp|
+    d = 2.0 / nt  # |y0|, with y0 = -d tp/|tp|
     r = math.sqrt(max(1.0 - d * d, 0.0))
     if r <= 1e-7:
-        return [(tp / -nt).dot(Li)]
-    u0 = tp * (-d / nt)
+        return [tp / -nt]
+    y0 = tp * (-d / nt)
     v = _hat(w.tolist()).dot(tp) / nt
-    out = [(u / math.sqrt(u.dot(u))).dot(Li) for u in (u0 + r * v, u0 - r * v)]
-    out.sort(key=lambda u: [round(x * 1e12) / 1e12 for x in u.tolist()])
-    return out
+    return [y / math.sqrt(y.dot(y)) for y in (y0 + r * v, y0 - r * v)]
+
+
+def _orthonormal_brackets(L: MetricLieAlgebra3) -> tuple[np.ndarray, np.ndarray]:
+    """L^-1 of ``L._frame`` as an array, and the rows B of the brackets
+    [f_1, f_2], [f_2, f_0], [f_0, f_1] of its orthonormal frame f_i = L^-T e_i,
+    in f components: f_{i+1} x f_{i+2} = det(L^-1) L e_i, so [f_{i+1}, f_{i+2}]
+    = det(L^-1) sum_m L[m, i] [e_{m+1}, e_{m+2}].  det(L^-1) multiplies L^T
+    first, so that B is not finite where it overflows."""
+    r0, r1, r2 = L._frame[2]
+    Li = np.array(r0 + r1 + r2).reshape(3, 3)
+    Lt = Li.dot(L.metric)
+    K = L.structure_constants.reshape(9, 3).take(_ROWS, axis=0).dot(Lt.T)
+    return Li, (Lt * (r0[0] * r1[1] * r2[2])).dot(K)
 
 
 def _build_structure(
@@ -477,41 +479,38 @@ def detect_structure(
 ) -> AKStructure:
     """Find the almost Kenmotsu 3-h structure of an algebra, in any frame.
 
-    Returns the first of the candidates (``_candidate_reebs``), in their
-    deterministic order, whose ``_normal_form_residual`` is within ``tol``
-    times 1 + |c~|, c~ the constants in the orthonormal frame of the
-    metric pass; nan is never within.  The score reads neither ``conn`` nor
-    ``pack``: only the accepted candidate is built on them, and refused if
-    its structure is not finite.  Where the Reeb field is not unique, as on
-    (1, b, b) algebras, the order decides.  Raises ``NoStructure`` when
-    there is no candidate (no vector orthogonal to [g, g] has nonzero
-    tr ad) or, with the best residual, when none is admissible.
+    Returns the first candidate y of ``_candidate_reebs`` on the orthonormal
+    brackets B and their tr ad whose ``_normal_form_residual``, taken on y
+    as found, is within ``tol`` (1 + |B| sqrt 2); nan is never within.  A
+    pair is sorted by the input-frame components y L^-1, rounded to 12
+    decimals as ``np.round`` rounds: on (1, b, b) algebras this order picks
+    the Reeb field.  Only the accepted candidate is built, on ``conn`` and
+    ``pack``, and refused if not finite.  Raises ``NoStructure`` when B is
+    not finite, when there is no candidate (no vector orthogonal to [g, g]
+    has nonzero tr ad) or, with the best residual, when none is admissible.
     """
-    # L^-1 as an array, and one gather of the bracket rows for both steps
-    r0, r1, r2 = L._frame[2]
-    Li = np.array(r0 + r1 + r2).reshape(3, 3)
-    rows = L.structure_constants.reshape(9, 3).take(_ROWS, axis=0)
-    cands = _candidate_reebs(L, Li, rows[:3])
+    Li, B = _orthonormal_brackets(L)
+    b = B.ravel().tolist()
+    if not all(map(math.isfinite, b)):
+        raise NoStructure("the orthonormal brackets are not finite: the geometry "
+                          "exceeds double precision")
+    # t[a] = tr ad_{f_a} = sum_i c~[a, i, i]
+    cands = _candidate_reebs(b, [b[7] - b[5], b[2] - b[6], b[3] - b[1]])
     if not cands:
         raise NoStructure(
             "no vector orthogonal to [g, g] has nonzero tr ad, so there is no "
             "unit Reeb candidate")
-    # the rows [f_1, f_2], [f_2, f_0] and [f_0, f_1] of the orthonormal frame
-    # f_i = L^-T e_i in f components: f_{i+1} x f_{i+2} = det(L^-1) L e_i, so
-    # [f_{i+1}, f_{i+2}] = det(L^-1) sum_m L[m, i] [e_{m+1}, e_{m+2}]
-    Lt = Li.dot(L.metric)  # L^T, from frame to f components
-    i00, i11, i22 = r0[0], r1[1], r2[2]
-    K = rows[2:].dot(Lt.T)
-    B = (Lt * (i00 * i11 * i22)).dot(K)
+    if len(cands) == 2:
+        cands.sort(key=lambda y: [round(x * 1e12) / 1e12 for x in y.dot(Li).tolist()])
     flat = B.ravel()
     # |c~| counts each bracket twice
     limit = tol * (1.0 + math.sqrt(2.0 * flat.dot(flat)))
-    B = B.tolist()
+    rows = [b[:3], b[3:6], b[6:]]
     best_res = math.inf
-    for u in cands:
-        res = _normal_form_residual(B, Lt.dot(u).tolist())
+    for y in cands:
+        res = _normal_form_residual(rows, y.tolist())
         if res <= limit:
-            ak = _build_structure(L, conn, pack, u, tol)
+            ak = _build_structure(L, conn, pack, y.dot(Li), tol)
             if math.isfinite(ak.lam + ak.f):
                 return ak
             res = math.nan

@@ -80,7 +80,6 @@ class CurvaturePack:
 
     ricci: SymBilinear
     ricci_derivative: Tensor3
-    ricci_operator: np.ndarray
     scalar: float
     algebra: MetricLieAlgebra3
     connection: ConnectionTable
@@ -183,13 +182,13 @@ def _jacobi(riemann: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
-    """Ricci form, its derivative and operator, scalar curvature, Cotton
-    tensors; the Riemann tensor on first read of ``CurvaturePack.riemann``.
+    """Ricci form, its derivative, scalar curvature, Cotton tensors; the
+    Riemann tensor on first read of ``CurvaturePack.riemann``.
 
     The metric must pass the metric rule of ``_metric_frame``, which raises
     ``DegenerateMetric`` or ``SingularMetric`` as ``levi_civita`` does; the
-    Ricci operator g^-1 S and the Cotton dual read ``L``'s one pass.  The
-    Cotton norm is sqrt(x.dot(x)), ``np.linalg.norm``'s own vector form.
+    scalar curvature tr(g^-1 S) and the Cotton dual read ``L``'s one pass.
+    The Cotton norm is sqrt(x.dot(x)), ``np.linalg.norm``'s own vector form.
     """
     ginv, u, _ = L._frame
     c = L.structure_constants
@@ -202,8 +201,8 @@ def curvature(L: MetricLieAlgebra3, conn: ConnectionTable) -> CurvaturePack:
     cotton = _wrap(CottonPack, cotton3=_wrap(Tensor3, components=c3),
                    cotton2=_wrap(SymBilinear, components=c2), norm2=math.sqrt(x.dot(x)))
     return _wrap(CurvaturePack, ricci=_wrap(SymBilinear, components=ricci),
-                 ricci_derivative=_wrap(Tensor3, components=d), ricci_operator=q,
-                 scalar=scalar, algebra=L, connection=conn, cotton=cotton)
+                 ricci_derivative=_wrap(Tensor3, components=d), scalar=scalar,
+                 algebra=L, connection=conn, cotton=cotton)
 
 
 @dataclass(frozen=True)

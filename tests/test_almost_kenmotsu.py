@@ -42,22 +42,39 @@ from cotton3 import almost_kenmotsu, connection_curvature, frame_algebra
 from cotton3.cli import _KENMOTSU_MEMBERS, _SOLVABLE_MEMBERS
 from cotton3.almost_kenmotsu import (
     _build_structure,
-    _candidate_reebs,
     _dphi_residual,
     _fix_sign,
     _h_transport_sides,
     _hat,
+    _orthonormal_brackets,
     _sym_eigvec,
     ricci_closed_form,
 )
 from cotton3.frame_algebra import bracket
 
 
+def scored_candidates(L):
+    """Every candidate y that ``detect_structure`` scores on ``L``, in its
+    order and in the orthonormal frame, as floats: the score is patched to
+    record y and refuse it, so that no candidate is accepted."""
+    seen = []
+
+    def record(B, y):
+        seen.append(y)
+        return math.nan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(almost_kenmotsu, "_normal_form_residual", record)
+        with pytest.raises(NoStructure):
+            detect_structure(L, None, None)
+    return seen
+
+
 def candidates(L):
-    """``_candidate_reebs`` on the L^-1 and bracket rows that detection
-    passes it."""
-    return _candidate_reebs(L, np.array(L._frame[2]),
-                            L.structure_constants[(0, 0, 1), (1, 2, 2)])
+    """Detection's candidates in its order, each moved to the input frame
+    as detection moves the accepted one: u = y L^-1."""
+    Li = np.array(L._frame[2])
+    return [np.array(y).dot(Li) for y in scored_candidates(L)]
 
 
 def detect(L, tol=1e-8):
@@ -95,10 +112,10 @@ class TestDerivedAlgebraCandidates:
                 assert trace @ u < 0.0
 
     def test_tr_ad_too_large_to_square_gives_none(self):
-        # in the orthonormal frame of 1e-300 I, tr ad of the (1, b, b)
-        # constants times 1e10 is about 1e160, and |tr ad|^2 overflows
+        # in the orthonormal frame of 1e-200 I, the (1, b, b) constants
+        # times 1e60 are about 1e160, finite, and |tr ad|^2 overflows
         L = from_kenmotsu_params(1.0, 0.5, 0.5)
-        L = MetricLieAlgebra3(1e10 * L.structure_constants, 1e-300 * np.eye(3))
+        L = MetricLieAlgebra3(1e60 * L.structure_constants, 1e-200 * np.eye(3))
         assert validate(L).is_valid
         with np.errstate(over="ignore"):
             assert candidates(L) == []
@@ -464,6 +481,75 @@ class TestNormalForm:
                 assert f"tolerance {tol * (1.0 + math.sqrt(5.0)):.3e}" in str(exc)
             else:
                 assert detected and abs(ak.lam - 0.5) <= 1e-6
+
+
+class TestOrthonormalSearch:
+    """The Reeb search reads only the orthonormal brackets B, formed once:
+    its candidates and their score are those of the algebra written in that
+    frame, and a geometry whose B leaves the float range is refused."""
+
+    @staticmethod
+    def representative(L):
+        """``L`` written in the orthonormal frame of its metric pass:
+        [f_1, f_2] = B[0], [f_2, f_0] = B[1], [f_0, f_1] = B[2], metric I."""
+        B = _orthonormal_brackets(L)[1]
+        c = np.zeros((3, 3, 3))
+        for row, (j, k) in zip(B, ((1, 2), (2, 0), (0, 1))):
+            c[j, k], c[k, j] = row, -row
+        return MetricLieAlgebra3(c, np.eye(3))
+
+    def test_candidates_are_a_function_of_the_brackets(self):
+        # every scored candidate, equal as a set (a pair is sorted in the
+        # input frame); == lets +0.0 and -0.0 agree, since B I turns a -0.0
+        # entry of B into +0.0
+        rng = np.random.default_rng(391)
+        algebras = []
+        for _ in range(20):
+            b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
+            algebras += [from_kenmotsu_params(float(rng.uniform(0.2, 4.0)), 0.0, 0.0),
+                         from_kenmotsu_params(1.0, b, b),
+                         from_nonunimodular(*map(float, rng.uniform(-3.0, 3.0, 2)))]
+        sizes = set()
+        for L in algebras:
+            L = rotate_algebra(L, random_rotation(rng))
+            L = change_basis(L, np.eye(3) + 0.4 * rng.normal(size=(3, 3)))
+            got = scored_candidates(L)
+            want = scored_candidates(self.representative(L))
+            assert len(got) == len(want)
+            assert set(map(tuple, got)) == set(map(tuple, want))
+            sizes.add(len(got))
+        assert sizes == {1, 2}
+
+    def test_tiny_frames_find_no_wrong_structure(self):
+        # the lam = 2 member relabelled by P = diag(p), p = 10^e (1, 1, r)
+        # and its permutations: det(L^-1) = 1 / (p0 p1 p2) multiplies first
+        # and overflows where the connection has lost the geometry, so B is
+        # not finite there and the geometry is refused rather than detected
+        # with a wrong lam
+        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        found = refused = 0
+        for e in range(-108, -97):
+            for r in 10.0 ** np.arange(0.0, 5.6, 0.5):
+                for p in sorted(set(itertools.permutations((1.0, 1.0, r)))):
+                    M = change_basis(L, np.diag(10.0 ** e * np.array(p)))
+                    try:
+                        with np.errstate(all="ignore"):
+                            _, _, ak = detect(M)
+                    except NoStructure:
+                        refused += 1
+                        continue
+                    found += 1
+                    assert abs(ak.lam - 2.0) <= 1e-6, (e, p)
+        assert found and refused
+
+    @pytest.mark.parametrize("t", [1e-105, 1e-110, 1e-150])
+    def test_brackets_out_of_range_are_refused_by_name(self, t):
+        # det(L^-1) = t^-3 overflows in the frame t I, and the refusal says
+        # that the geometry leaves the float range
+        L = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NoStructure, match="exceeds double precision"):
+                detect(L)
 
 
 class TestAdaptedTable:

@@ -3,12 +3,13 @@ replace.
 
 Detection takes its products with ``ndarray.dot`` and every other step on
 Python floats: the argmax of row norms, the power-of-two scaling, the cross
-products, the traces, the elementwise sums and the pairwise sum of lam^2.
-Each test here keeps the numpy expression a step replaced as its reference
-and compares bits on one corpus: rotated ``random_valid_algebra`` draws,
-the (1, b, b) family (two candidates), the eight verify-paper members (rows
-of exactly equal length), the members in the frames t I at t = 2^+-300 and
-1e+-30, and rotated (lam, 0, 0) up to lam = 1e14.
+products, tr ad off the orthonormal brackets, the elementwise sums and the
+pairwise sum of lam^2.  Each test here keeps the numpy expression a step
+replaced as its reference and compares bits on one corpus: rotated
+``random_valid_algebra`` draws, the (1, b, b) family (two candidates), the
+eight verify-paper members (rows of exactly equal length), the members in
+the frames t I at t = 2^+-300 and 1e+-30, and rotated (lam, 0, 0) up to
+lam = 1e14.
 """
 
 import math
@@ -26,6 +27,7 @@ from cotton3.almost_kenmotsu import (
     _fix_sign,
     _longest,
     _normal_form_residual,
+    _orthonormal_brackets,
     _pow2_scaled,
     _row_crosses,
     _sym_eigvec,
@@ -75,9 +77,10 @@ def layers(L):
 
 
 def frame_inputs(L):
-    """L^-1 and the bracket rows c[0, 1], c[0, 2], c[1, 2], as detection
-    passes them to ``_candidate_reebs``."""
-    return np.array(L._frame[2]), L.structure_constants[(0, 0, 1), (1, 2, 2)]
+    """The orthonormal brackets B as nine floats and their tr ad, as
+    detection passes them to ``_candidate_reebs``."""
+    B = _orthonormal_brackets(L)[1]
+    return B.ravel().tolist(), numpy_tr_ad(B).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +100,23 @@ def numpy_scaled(K):
     return np.ldexp(K, 1 - math.frexp(float(abs(K).max()))[1])
 
 
-def numpy_candidate_reebs(L):
-    c = L.structure_constants
-    Li = np.array(L._frame[2])
-    K = numpy_scaled(c[(0, 0, 1), (1, 2, 2)].dot(L.metric).dot(Li.T))
+def numpy_tr_ad(B):
+    """tr ad_{f_a} = sum_i c~[a, i, i] of the orthonormal brackets B."""
+    return B[(2, 0, 1), (1, 2, 0)] - B[(1, 2, 0), (2, 0, 1)]
+
+
+def numpy_reebs(B):
+    """``_candidate_reebs`` in numpy form: the unit candidates y in the
+    orthonormal frame."""
+    K = numpy_scaled(B)
     w, nw = numpy_longest(K)
     n, nn = numpy_longest(numpy_crosses(K))
-    t = Li.dot(c.trace(axis1=1, axis2=2))
+    t = numpy_tr_ad(B)
     if nn > 1e-10 * nw * nw:
         tr = t.dot(n)
         if tr == 0.0:
             return []
-        return [(n / (nn if tr < 0.0 else -nn)).dot(Li)]
+        return [n / (nn if tr < 0.0 else -nn)]
     if nw == 0.0:
         return []
     w = w / nw
@@ -119,12 +127,22 @@ def numpy_candidate_reebs(L):
     d = 2.0 / nt
     r = math.sqrt(max(1.0 - d * d, 0.0))
     if r <= 1e-7:
-        return [(tp / -nt).dot(Li)]
-    u0 = tp * (-d / nt)
+        return [tp / -nt]
+    y0 = tp * (-d / nt)
     v = numpy_hat(w).dot(tp) / nt
-    out = [(u / math.sqrt(u.dot(u))).dot(Li) for u in (u0 + r * v, u0 - r * v)]
-    out.sort(key=lambda u: [round(x * 1e12) / 1e12 for x in u.tolist()])
-    return out
+    return [y / math.sqrt(y.dot(y)) for y in (y0 + r * v, y0 - r * v)]
+
+
+def numpy_sorted(ys, Li):
+    """A pair in detection's order: by the input-frame components u = y L^-1,
+    each rounded to 12 decimals."""
+    return sorted(ys, key=lambda y: [round(x * 1e12) / 1e12 for x in y.dot(Li).tolist()])
+
+
+def numpy_candidate_reebs(L):
+    """Detection's candidates in its order, in the input frame."""
+    Li, B = _orthonormal_brackets(L)
+    return [y.dot(Li) for y in numpy_sorted(numpy_reebs(B), Li)]
 
 
 def numpy_hat(u):
@@ -186,20 +204,19 @@ def bits(values: dict) -> dict:
 def numpy_detect(L, conn, tol=1e-8):
     """Detection with the numpy candidates and fields: the fields of the
     accepted candidate, or the ``NoStructure`` message."""
-    cands = numpy_candidate_reebs(L)
+    Li, B = _orthonormal_brackets(L)
+    if not np.isfinite(B).all():
+        return "the geometry exceeds double precision"
+    cands = numpy_sorted(numpy_reebs(B), Li)
     if not cands:
         return "no candidate"
-    Li = np.array(L._frame[2])
-    (i00, _, _), (_, i11, _), (_, _, i22) = L._frame[2]
-    Lt = Li.dot(L.metric)
-    B = (Lt * (i00 * i11 * i22)).dot(L.structure_constants.reshape(9, 3)[[5, 6, 1]].dot(Lt.T))
     flat = B.ravel()
     limit = tol * (1.0 + math.sqrt(2.0 * flat.dot(flat)))
     best = math.inf
-    for u in cands:
-        res = _normal_form_residual(B.tolist(), Lt.dot(u).tolist())
+    for y in cands:
+        res = _normal_form_residual(B.tolist(), y.tolist())
         if res <= limit:
-            f = numpy_fields(L, conn, u, tol)
+            f = numpy_fields(L, conn, y.dot(Li), tol)
             if math.isfinite(f["lam"] + f["f"]):
                 return bits(f)
             res = math.nan
@@ -228,9 +245,8 @@ def test_row_norm_steps_equal_numpy_forms():
     # corpus, their cross products and rows of equal length
     rows = []
     for L in CORPUS:
-        Li, R = frame_inputs(L)
-        K = R.dot(L.metric).dot(Li.T)
-        rows += [K, numpy_scaled(K), numpy_crosses(numpy_scaled(K))]
+        B = _orthonormal_brackets(L)[1]
+        rows += [B, numpy_scaled(B), numpy_crosses(numpy_scaled(B))]
     # rows of one length in exact arithmetic, whose einsum norms round
     # apart: the order of the sum decides the longest
     rng = np.random.default_rng(363)
@@ -259,7 +275,7 @@ def test_pow2_scaled_at_the_float_range_ends():
 def test_candidates_equal_numpy_form():
     branches = set()
     for L in CORPUS:
-        got, want = _candidate_reebs(L, *frame_inputs(L)), numpy_candidate_reebs(L)
+        got, want = _candidate_reebs(*frame_inputs(L)), numpy_reebs(_orthonormal_brackets(L)[1])
         assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
         branches.add(len(got))
     assert branches == {1, 2}

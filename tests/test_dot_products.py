@@ -35,17 +35,17 @@ DOT_SHAPES = [
     ((3, 3, 3), (3, 3)),  # _cov_deriv, _dphi_residual, _assemble_system
     ((2, 3, 3), (3, 3)),  # _assemble_system on smaller bases
     ((1, 3, 3), (3, 3)),
-    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, cli; detection: the
-    # bracket rows in the frame, L^T and the score's brackets, and in
-    # _build_structure the self-adjoint parts and phi
+    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, cli; detection: L^T
+    # and the orthonormal brackets, and in _build_structure the self-adjoint
+    # parts and phi
     ((3,), (3, 3, 3, 3)),  # _jacobi
     ((3,), (3, 3, 3)),  # _jacobi, structure_residuals, _build_structure (u gamma, e gamma)
     ((3,), (3, 9)),  # _h_transport_sides, structure_residuals
     ((3, 3), (3, 9)),  # structure_residuals: the adapted connection
-    ((3, 3), (3,)),  # _dphi_residual; _candidate_reebs (tr ad, w x t), L^T u in
-    # the score, _build_structure (eta, phi e)
-    ((3,), (3, 3)),  # structure_residuals, evaluate, _solve; _candidate_reebs (a
-    # candidate back to the frame), _build_structure (e g, nabla_e e and phi_e)
+    ((3, 3), (3,)),  # _dphi_residual; _candidate_reebs (w x t), _build_structure
+    # (eta, phi e)
+    ((3,), (3, 3)),  # structure_residuals, evaluate, _solve; detect_structure (a
+    # candidate to the input frame), _build_structure (e g, nabla_e e and phi_e)
     ((3,), (3,)),  # structure_residuals; _longest, _candidate_reebs (tr ad of n and
     # w), _build_structure (e g e, b and c)
     ((6, 2), (2,)),  # _solve: A z for each ansatz width
@@ -105,8 +105,8 @@ def test_norm_dot_rounds_as_matmul(n):
 
 
 def test_row_slice_operands_round_as_copies():
-    # detection gathers five bracket rows once and multiplies the row
-    # slices [0:3] and [2:5] of that array, each offset into its buffer
+    # a 3x3 operand that is a view offset into a larger buffer, as
+    # structure_residuals' prod[1] is, rounds as its contiguous copy
     rng = np.random.default_rng(2030)
     for _ in range(500):
         rows = _operand(rng, (5, 3), False)

@@ -107,6 +107,8 @@ def test_second_routes_are_gone():
     assert "basis" not in inspect.signature(cotton3.SolitonProblem.build).parameters
     fields = {f.name for f in dataclasses.fields(cotton3.CurvaturePack)}
     assert "algebra" in fields and "metric" not in fields
+    # g^-1 S is read only for the scalar curvature: the pack does not keep it
+    assert "ricci_operator" not in fields
     assert not hasattr(cotton3.ValidityReport, "max_magnitude")
     # validate's cutoffs are fixed: no tolerance override
     assert "tol" not in inspect.signature(cotton3.validate).parameters
@@ -130,6 +132,10 @@ def test_second_routes_are_gone():
     for name in ("_finite_layers", "_member", "_fresh_pack"):
         assert not hasattr(cli, name), name
     assert not hasattr(almost_kenmotsu, "_svd")
+    # the Reeb search reads only the orthonormal brackets and their tr ad,
+    # from the three cyclic bracket rows, gathered once
+    assert list(inspect.signature(almost_kenmotsu._candidate_reebs).parameters) == ["B", "t"]
+    assert len(almost_kenmotsu._ROWS) == 3
 
 
 def test_one_rank_cutoff_and_one_cotton_scale():
