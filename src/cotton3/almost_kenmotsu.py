@@ -29,8 +29,11 @@ eigenvalues +-1 and J = phi, and 3-h is w = 0 unless lam = 0 (the adapted
 frame of Pastore and Saltarelli, "Generalized nullity distributions on
 almost Kenmotsu manifolds", Int. Electron. J. Geom. 4, 2011).  Detection
 finds and scores the candidates on the orthonormal brackets B alone, and
-accepts the first that passes these three conditions;
-``structure_residuals`` checks the full invariant list independently.
+accepts the first that passes these three conditions.  Two functions audit
+a structure independently, each reading only its arguments:
+``check_h_parallel`` evaluates both sides of the identity nabla_xi h =
+-phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi), and
+``structure_residuals`` every other defining identity.
 Detection makes no LAPACK call: e, the unit lam-eigenvector of h, is the
 longest cross product of the rows of h - lam I, and a candidate where that
 product is zero is refused, as a non-finite lam is.
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,15 +77,11 @@ class AKStructure:
     g-orthogonal to xi when h = 0).  ``b`` and ``c`` are the two remaining
     connection constants of the adapted frame:
     nabla_e e = -xi - b phi_e and nabla_{phi_e} e = lam xi + c phi_e.
-    ``f`` abbreviates b^2 + c^2 + 2.  ``connection`` and ``curvature`` are
-    the layers of ``algebra`` the structure was built on.  ``h_sides`` is
-    the read-only pair of 3x3 matrices nabla_xi h and the curvature
-    expression it equals, made from those layers on first read and kept;
-    ``structure_residuals`` and ``check_h_parallel`` on the structure's own
-    layers share it.
+    ``f`` abbreviates b^2 + c^2 + 2.  ``curvature`` is the pack the
+    structure was built on; its ``algebra`` and ``connection`` are the
+    structure's layers.
     """
 
-    algebra: MetricLieAlgebra3
     xi: FrameVector
     eta: np.ndarray
     phi: np.ndarray
@@ -94,17 +92,7 @@ class AKStructure:
     f: float
     adapted_frame: tuple
     kenmotsu: bool
-    connection: ConnectionTable
     curvature: CurvaturePack
-
-    @cached_property
-    def h_sides(self) -> tuple:
-        """``_h_transport_sides`` on the structure's own layers, read-only."""
-        sides = _h_transport_sides(self.xi.components, self.h_op, self.phi,
-                                   self.connection.gamma, self.curvature.riemann)
-        for mat in sides:
-            mat.setflags(write=False)
-        return sides
 
     def __post_init__(self):
         for name in ("eta", "phi", "h_op"):
@@ -248,12 +236,17 @@ def _orthonormal_brackets(L: MetricLieAlgebra3) -> tuple[np.ndarray, np.ndarray]
     [f_1, f_2], [f_2, f_0], [f_0, f_1] of its orthonormal frame f_i = L^-T e_i,
     in f components: f_{i+1} x f_{i+2} = det(L^-1) L e_i, so [f_{i+1}, f_{i+2}]
     = det(L^-1) sum_m L[m, i] [e_{m+1}, e_{m+2}].  det(L^-1) multiplies L^T
-    first, so that B is not finite where it overflows."""
+    first, so that B is not finite where it overflows; where det(L^-1)
+    itself overflows, B is det(L^-1) in every entry, without the products
+    whose inf * 0 would warn."""
     r0, r1, r2 = L._frame[2]
     Li = np.array(r0 + r1 + r2).reshape(3, 3)
+    det = r0[0] * r1[1] * r2[2]
+    if not math.isfinite(det):
+        return Li, np.full((3, 3), det)
     Lt = Li.dot(L.metric)
     K = L.structure_constants.reshape(9, 3).take(_ROWS, axis=0).dot(Lt.T)
-    return Li, (Lt * (r0[0] * r1[1] * r2[2])).dot(K)
+    return Li, (Lt * det).dot(K)
 
 
 def _build_structure(
@@ -322,7 +315,6 @@ def _build_structure(
     xi = _wrap(FrameVector, components=u)
     return _wrap(
         AKStructure,
-        algebra=L,
         xi=xi,
         eta=eta,
         phi=phi,
@@ -337,7 +329,6 @@ def _build_structure(
             _wrap(FrameVector, components=phi_e),
         ),
         kenmotsu=kenmotsu,
-        connection=conn,
         curvature=pack,
     )
 
@@ -355,30 +346,21 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
     return float(np.abs(t).max())
 
 
-def _h_transport_sides(xi, h, phi, gamma: np.ndarray, riemann: np.ndarray):
-    """nabla_xi h from the connection, and the curvature expression
-    -phi - 2h - phi h^2 - phi l (l the Jacobi operator along xi) that it
-    equals on an almost Kenmotsu structure."""
-    n_xi = xi.dot(gamma.reshape(3, 9)).reshape(3, 3).T
-    l = _jacobi(riemann, xi)
-    return n_xi.dot(h) - h.dot(n_xi), -phi - 2.0 * h - phi.dot(h).dot(h) - phi.dot(l)
-
-
 def structure_residuals(
     L: MetricLieAlgebra3,
     conn: ConnectionTable,
     pack: CurvaturePack,
     ak: AKStructure,
 ) -> dict:
-    """Absolute residuals of every defining identity of the structure.
+    """Absolute residuals of the defining identities of the structure, all
+    but nabla_xi h, whose two sides ``check_h_parallel`` evaluates.
 
     All entries vanish (to float precision) on a genuine almost Kenmotsu
-    3-h algebra.  This is the full check, independent of detection's
-    normal-form score, and it evaluates every identity on each call.  The
-    3x3 products are one stacked ``matmul``, and the residual matrices are
-    reduced together, in one pass.  Given the structure's own
-    ``connection`` and ``curvature`` (the same objects), it reads the
-    structure's ``h_sides``; any other layers are evaluated afresh.
+    3-h algebra.  The audit is independent of detection's normal-form
+    score: it reads only ``L``, ``conn`` and the fields of ``ak``, and no
+    Riemann tensor (``pack`` is not read).  The 3x3 products are one
+    stacked ``matmul``, and the residual matrices are reduced together, in
+    one pass.
     """
     g = L.metric
     c = L.structure_constants
@@ -388,39 +370,33 @@ def structure_residuals(
     lam = ak.lam
     # rows xi, e, phi_e; E = F.T has them as columns
     F = np.array([v.components for v in ak.adapted_frame])
-    if conn is ak.connection and pack is ak.curvature:
-        transport_mat, curv_mat = ak.h_sides
-    else:
-        transport_mat, curv_mat = _h_transport_sides(xi, h, phi, gamma, pack.riemann)
     xi_eta = xi[:, None] * eta
     adxi = xi.dot(c.reshape(3, 9)).reshape(3, 3).T
     # phi phi, phi^T g, h phi, phi h, adxi phi, phi adxi, h E, g h
     prod = (np.array([phi, phi.T, h, phi, adxi, phi, h, g])
             @ np.array([phi, g, phi, h, phi, adxi, F.T, h]))
-    # reduced in segments of the flattened stack: the nine matrices 0-8
-    # whole, the three rows of stack[9] one by one, the 27 entries of the
-    # adapted connection (stack[10:], non-Kenmotsu only) as one
-    stack = np.empty((13, 3, 3))
-    segments = [0, 9, 18, 27, 36, 45, 54, 63, 72, 81, 84, 87, 90]
+    # reduced in segments of the flattened stack: the seven matrices 0-6
+    # whole, the three rows of stack[7] one by one, the 27 entries of the
+    # adapted connection (stack[8:], non-Kenmotsu only) as one
+    stack = np.empty((11, 3, 3))
+    segments = [0, 9, 18, 27, 36, 45, 54, 63, 66, 69, 72]
     stack[0] = prod[0] + _EYE - xi_eta
     stack[1] = prod[1].dot(phi) - g + eta[:, None] * eta
     stack[2] = prod[7] - prod[7].T
     stack[3] = prod[2] + prod[3]
     stack[4] = xi.dot(gamma).T - (_EYE - xi_eta - prod[3])
-    stack[5] = transport_mat
-    stack[6] = curv_mat
-    stack[7] = h - 0.5 * (prod[4] - prod[5])
-    stack[8] = c @ eta
+    stack[5] = h - 0.5 * (prod[4] - prod[5])
+    stack[6] = c @ eta
     # rows: h xi, h e - lam e, h phi_e + lam phi_e
-    stack[9] = prod[6].T - F * np.array([[0.0], [lam], [-lam]])
+    stack[7] = prod[6].T - F * np.array([[0.0], [lam], [-lam]])
     if ak.kenmotsu:
-        stack, segments = stack[:10], segments[:-1]
+        stack, segments = stack[:8], segments[:-1]
     else:
         # gamma in the adapted frame: E, E, gamma, then E^-1 = E^T g in the last slot
         ad_gamma = F.dot((F @ gamma @ F.dot(g).T).reshape(3, 9)).reshape(3, 3, 3)
-        stack[10:] = ad_gamma - adapted_connection_table(lam, ak.b, ak.c)
+        stack[8:] = ad_gamma - adapted_connection_table(lam, ak.b, ak.c)
     (phi_square, phi_compat, h_symmetric, h_phi_anticommute, reeb_gradient,
-     h_transport, curvature_identity, h_lie_oracle, d_eta, h_xi, h_e, h_pe,
+     h_lie_oracle, d_eta, h_xi, h_e, h_pe,
      *adapted) = np.maximum.reduceat(np.abs(stack).ravel(), segments).tolist()
     # diagonals of h and h phi, summed in np.trace's order
     hd, hpd = h.ravel().tolist()[::4], prod[2].ravel().tolist()[::4]
@@ -435,8 +411,6 @@ def structure_residuals(
         "h_phi_anticommute": h_phi_anticommute,
         "trace_h_phi": abs(hpd[0] + hpd[1] + hpd[2]),
         "reeb_gradient": reeb_gradient,
-        "h_transport": h_transport,
-        "curvature_identity": curvature_identity,
         "h_lie_oracle": h_lie_oracle,
         "h_eigen": max(h_e, h_pe),
         "d_eta": d_eta,
@@ -543,15 +517,16 @@ def check_h_parallel(
     ak: AKStructure,
     tol: float = DEFAULT_TOL,
 ) -> HParallelCheck:
-    """Verify nabla_xi h = 0 along two independent routes; the curvature
-    route reads ``ak.curvature``, which detection computed from ``conn``.
-    On the structure's own ``connection`` it reads ``ak.h_sides``; any
-    other connection is evaluated afresh."""
-    if conn is ak.connection:
-        transport_mat, curv_mat = ak.h_sides
-    else:
-        transport_mat, curv_mat = _h_transport_sides(
-            ak.xi.components, ak.h_op, ak.phi, conn.gamma, ak.curvature.riemann)
+    """Verify nabla_xi h = 0 along two independent routes, on each call:
+    nabla_xi h from ``conn``, and the curvature expression -phi - 2h -
+    phi h^2 - phi l (l the Jacobi operator along xi, read off the Riemann
+    tensor of ``ak.curvature``) that it equals on every almost Kenmotsu
+    3-manifold.  This is the one place either side is evaluated."""
+    xi, h, phi = ak.xi.components, ak.h_op, ak.phi
+    n_xi = xi.dot(conn.gamma.reshape(3, 9)).reshape(3, 3).T
+    transport_mat = n_xi.dot(h) - h.dot(n_xi)
+    l = _jacobi(ak.curvature.riemann, xi)
+    curv_mat = -phi - 2.0 * h - phi.dot(h).dot(h) - phi.dot(l)
     transport, curv, gap = np.abs(
         np.array([transport_mat, curv_mat, transport_mat - curv_mat])
     ).max(axis=(1, 2)).tolist()
@@ -602,7 +577,7 @@ def xi_eigenvector_analysis(ak: AKStructure, tol: float = DEFAULT_TOL) -> XiEige
     """
     if ak.kenmotsu:
         raise ValueError("analysis applies to non-Kenmotsu structures (lam > 0)")
-    L = ak.algebra
+    L = ak.curvature.algebra
     ricci = ak.curvature.ricci
     xi, e, phi_e = ak.adapted_frame
     s_xi_e = ricci.evaluate(xi, e)

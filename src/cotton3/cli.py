@@ -326,7 +326,7 @@ def cmd_structure(args) -> int:
         "f": _num(ak.f),
         "kenmotsu": ak.kenmotsu,
         "h": _mat(ak.h_op),
-        "max_residual": max(residuals.values()),
+        "max_residual": max(*residuals.values(), hpar.transport, hpar.curvature_side),
         "h_parallel": {"holds": hpar.holds, "residual": hpar.residual},
         "xi_ricci_eigenvector": eig,
     }
@@ -586,7 +586,7 @@ def _verify_checks(tol: float, grid: list) -> list:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
     # adapted connection table of the lambda=2 diagonal family
-    gap = _gap(ak2.connection.gamma, adapted_connection_table(2.0, 0.0, 0.0))
+    gap = _gap(pack2.connection.gamma, adapted_connection_table(2.0, 0.0, 0.0))
     add("connection table, lambda=2", gap <= tol, f"max gap {gap:.3e}")
 
     # jacobi operator along the reeb direction, lambda=2
@@ -673,8 +673,8 @@ def _verify_checks(tol: float, grid: list) -> list:
         f"lambda {aknu.lam:.6g}, reeb ({aknu.xi.components[0]:.3g}, ...)")
 
     # alpha=1 beta=0 is hyperbolic space: h = 0 and S = -2 g
-    akh = members[1.0, 0.0]
-    ricci_gap = _gap(akh.curvature.ricci.components, -2.0 * akh.algebra.metric)
+    akh, packh = members[1.0, 0.0], packs[1.0, 0.0]
+    ricci_gap = _gap(packh.ricci.components, -2.0 * packh.algebra.metric)
     add("hyperbolic detection, alpha=1 beta=0",
         akh.kenmotsu and _gap(np.append(akh.h_op, ricci_gap), 0.0) <= tol,
         f"kenmotsu {akh.kenmotsu}, |S + 2g| {ricci_gap:.3e}")
@@ -694,7 +694,7 @@ def _verify_checks(tol: float, grid: list) -> list:
 
     # conformally flat metrics are flow fixed points
     # only the final state is read: record no other
-    res = flow_run(ak1.algebra, dt=1e-3, steps=50, stride=50)
+    res = flow_run(pack1.algebra, dt=1e-3, steps=50, stride=50)
     drift = _gap(res.final.metric, np.eye(3))
     add("flow fixed point, lambda=1", drift <= tol, f"drift {drift:.3e}")
 

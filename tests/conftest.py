@@ -11,11 +11,21 @@ import numpy as np
 
 from cotton3 import (
     MetricLieAlgebra3,
+    check_h_parallel,
     curvature,
     from_kenmotsu_params,
     from_nonunimodular,
     levi_civita,
+    structure_residuals,
 )
+
+
+def audit(L, conn, pack, ak) -> dict:
+    """The full identity check of a structure: ``structure_residuals``,
+    with the two sides of nabla_xi h that ``check_h_parallel`` evaluates."""
+    chk = check_h_parallel(L, conn, ak)
+    return structure_residuals(L, conn, pack, ak) | {
+        "h_transport": chk.transport, "curvature_identity": chk.curvature_side}
 
 
 def layers(L: MetricLieAlgebra3) -> tuple:

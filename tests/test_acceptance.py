@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import abelian, hyperbolic, layers, random_valid_algebra, su2_round
+from conftest import abelian, audit, hyperbolic, layers, random_valid_algebra, su2_round
 from cotton3 import (
     adapted_connection_table,
     classify_geometry,
@@ -24,7 +24,6 @@ from cotton3 import (
     levi_civita,
     ricci_parallel_check,
     ricci_spectrum,
-    structure_residuals,
     xi_eigenvector_analysis,
 )
 from cotton3.cli import main as cli_main
@@ -221,7 +220,7 @@ def test_criterion_09_structure_detection():
         conn = levi_civita(L)
         pack = curvature(L, conn)
         ak = detect_structure(L, conn, pack)
-        residual = max(structure_residuals(L, conn, pack, ak).values())
+        residual = max(audit(L, conn, pack, ak).values())
         ok = ok and ak.lam > 0 and abs(ak.lam - lam_expect) <= 1e-8
         ok = ok and residual <= 1e-8
         details.append(f"({alpha:g},{beta:g}): lam={ak.lam:.6g}, res={residual:.1e}")

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     abelian,
+    audit,
     change_basis,
     heisenberg,
     milnor,
@@ -44,7 +45,6 @@ from cotton3.almost_kenmotsu import (
     _build_structure,
     _dphi_residual,
     _fix_sign,
-    _h_transport_sides,
     _hat,
     _orthonormal_brackets,
     _sym_eigvec,
@@ -140,7 +140,7 @@ class TestDetection:
             assert abs(ak.b) <= 1e-10 and abs(ak.c) <= 1e-10
             assert np.allclose(ak.xi.components, [1.0, 0.0, 0.0], atol=1e-10)
             assert not ak.kenmotsu
-            assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-8
+            assert max(audit(L, conn, pack, ak).values()) <= 1e-8
 
     @pytest.mark.parametrize("lam", [1e-3, 0.1, 2.0, 1e3, 1e6, 1e8, 1e14, 1e16, 1e30])
     def test_round_trip_rotated_diagonal_family(self, lam):
@@ -174,7 +174,7 @@ class TestDetection:
             assert abs(abs(ak.b) - abs(b)) <= 1e-8
             assert ak.b == pytest.approx(ak.c, abs=1e-8)
             assert ak.f == pytest.approx(2.0 * b * b + 2.0, abs=1e-8)
-            assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-8
+            assert max(audit(L, conn, pack, ak).values()) <= 1e-8
 
     def test_adapted_frame_orthonormal(self):
         for params in ((2.0, 0.0, 0.0), (1.0, 3.0, 3.0)):
@@ -218,7 +218,7 @@ class TestDetection:
             assert np.allclose(
                 akr.xi.components, P.T @ ak0.xi.components, atol=1e-8
             )
-            assert max(structure_residuals(Lr, connr, packr, akr).values()) <= 1e-7
+            assert max(audit(Lr, connr, packr, akr).values()) <= 1e-7
 
     def test_rotation_equivariance_invariants(self):
         rng = np.random.default_rng(32)
@@ -242,7 +242,7 @@ class TestDetection:
             assert ak.lam == pytest.approx(lam, abs=1e-8)
             assert not ak.kenmotsu
             assert np.allclose(ak.xi.components, [-1.0, 0.0, 0.0], atol=1e-8)
-            assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-8
+            assert max(audit(L, conn, pack, ak).values()) <= 1e-8
 
     def test_nonunimodular_random_family(self):
         rng = np.random.default_rng(33)
@@ -253,7 +253,7 @@ class TestDetection:
             lam = math.hypot(1.0 - alpha, beta)
             assert ak.lam == pytest.approx(lam, abs=1e-7)
             assert abs(ak.b) <= 1e-7 and abs(ak.c) <= 1e-7
-            assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-7
+            assert max(audit(L, conn, pack, ak).values()) <= 1e-7
 
     def test_kenmotsu_case(self):
         L = from_nonunimodular(1.0, 0.0)
@@ -264,7 +264,7 @@ class TestDetection:
         assert np.allclose(ak.xi.components, [-1.0, 0.0, 0.0], atol=1e-10)
         E = np.column_stack([v.components for v in ak.adapted_frame])
         assert np.allclose(E.T @ E, np.eye(3), atol=1e-10)
-        assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-10
+        assert max(audit(L, conn, pack, ak).values()) <= 1e-10
 
     def test_no_structure_cases(self):
         for L in (su2_round(), abelian(), heisenberg()):
@@ -282,14 +282,16 @@ class TestDetection:
         with pytest.raises(NoStructure, match="no unit Reeb candidate satisfies"):
             detect_structure(L, conn, pack)
 
-    def test_nan_residual_refuses_the_candidate(self):
-        # under 1e-238 I the candidate's g^-1 M^T g overflows, and its h and
-        # e are nan; max() over the residuals would pass over those nans
-        L = from_kenmotsu_params(2.0, 0.0, 0.0).with_metric(1e-238 * np.eye(3))
-        conn = levi_civita(L)
-        pack = curvature(L, conn)
-        with np.errstate(all="ignore"), pytest.raises(NoStructure):
-            detect_structure(L, conn, pack)
+    def test_tiny_metric_is_refused_as_out_of_range(self):
+        # under s I with s <= 1e-238, det(L^-1) = s^-3/2 overflows: the
+        # orthonormal brackets are not finite, and detection refuses the
+        # geometry by name, without a numpy warning on the way
+        for s in (1e-238, 1e-250):
+            L = from_kenmotsu_params(2.0, 0.0, 0.0).with_metric(s * np.eye(3))
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            with pytest.raises(NoStructure, match="exceeds double precision"):
+                detect_structure(L, conn, pack)
 
     def test_adapted_connection_residual_key(self):
         L = from_kenmotsu_params(1.0, 3.0, 3.0)
@@ -547,9 +549,8 @@ class TestOrthonormalSearch:
         # det(L^-1) = t^-3 overflows in the frame t I, and the refusal says
         # that the geometry leaves the float range
         L = change_basis(from_kenmotsu_params(2.0, 0.0, 0.0), t * np.eye(3))
-        with np.errstate(all="ignore"):
-            with pytest.raises(NoStructure, match="exceeds double precision"):
-                detect(L)
+        with pytest.raises(NoStructure, match="exceeds double precision"):
+            detect(L)
 
 
 class TestAdaptedTable:
@@ -580,6 +581,30 @@ class TestRicciClosedForm:
 
 
 class TestHParallel:
+    def test_sides_match_the_einsum_forms(self):
+        # nabla_xi h from the connection and -phi - 2h - phi h^2 - phi l,
+        # written with einsum as the reference formulas write them; the
+        # residual is the largest of the two sides and their gap, also on a
+        # structure moved onto another algebra's layers, where none vanish
+        import dataclasses
+
+        rng = np.random.default_rng(106)
+        cases = [detect(L) for L in TestResidualReuse.algebras(rng)]
+        L2 = rotate_algebra(from_nonunimodular(0.5, 1.0), random_rotation(rng))
+        conn2, pack2, _ = detect(L2)
+        cases.append((conn2, pack2, dataclasses.replace(cases[0][2], curvature=pack2)))
+        for conn, pack, ak in cases:
+            xi, h, phi = ak.xi.components, ak.h_op, ak.phi
+            n_xi = np.einsum("a,ajk->kj", xi, conn.gamma)
+            jac = np.einsum("ijkl,j,k->li", pack.riemann, xi, xi)
+            transport = n_xi @ h - h @ n_xi
+            curv = -phi - 2.0 * h - phi @ h @ h - phi @ jac
+            sizes = [float(np.max(np.abs(m))) for m in (transport, curv, transport - curv)]
+            chk = check_h_parallel(pack.algebra, conn, ak)
+            assert_matches_reference([chk.transport, chk.curvature_side, chk.residual],
+                                     sizes[:2] + [max(sizes)])
+        assert min(sizes) > 1e-3
+
     def test_holds_across_family(self):
         for params in ((0.5, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 3.0, 3.0)):
             L = from_kenmotsu_params(*params)
@@ -626,7 +651,7 @@ class TestXiEigenvector:
         # the three brackets in one stacked contraction read, bit for bit,
         # as three ``bracket`` calls and one reduction per bracket
         def reference(ak):
-            L, lam = ak.algebra, ak.lam
+            L, lam = ak.curvature.algebra, ak.lam
             xi, e, phi_e = ak.adapted_frame
             ex = bracket(L, e, xi).components - (e.components - lam * phi_e.components)
             ep = bracket(L, e, phi_e).components
@@ -684,17 +709,17 @@ class TestLayerReuse:
         conn = levi_civita(L)
         pack = curvature(L, conn)
         ak = detect_structure(L, conn, pack)
-        assert ak.connection is conn
         assert ak.curvature is pack
+        assert ak.curvature.algebra is L and ak.curvature.connection is conn
 
     def test_h_parallel_matches_fresh_layers(self):
+        import dataclasses
+
         for L in self.algebras(np.random.default_rng(71)):
             conn, _, ak = detect(L)
             fresh = levi_civita(L)
-            res = structure_residuals(L, fresh, curvature(L, fresh), ak)
-            chk = check_h_parallel(L, conn, ak)
-            assert chk.transport == res["h_transport"]
-            assert chk.curvature_side == res["curvature_identity"]
+            moved = dataclasses.replace(ak, curvature=curvature(L, fresh))
+            assert check_h_parallel(L, fresh, moved) == check_h_parallel(L, conn, ak)
 
     def test_xi_eigenvector_matches_fresh_layers(self):
         for L in self.algebras(np.random.default_rng(72)):
@@ -874,9 +899,9 @@ class TestReferenceEquivalence:
                    "phi_e": ak.adapted_frame[2].components}
             for name, value in got.items():
                 assert_matches_reference(value, ref[name])
-            res = structure_residuals(L, conn, pack, ak)
+            res = audit(L, conn, pack, ak)
             ref_res = reference_residuals(L, conn, pack, got | {"kenmotsu": ak.kenmotsu})
-            assert list(res) == list(ref_res)
+            assert sorted(res) == sorted(ref_res)
             for name, value in res.items():
                 assert_matches_reference(value, ref_res[name])
         assert found >= 80
@@ -929,11 +954,10 @@ class TestCandidateList:
 
 
 class TestResidualReuse:
-    """``structure_residuals`` is the full check, independent of detection:
-    it evaluates on every call, and the structure's ``h_sides`` are made
-    from its own layers on first read and shared by ``structure_residuals``
-    and ``check_h_parallel`` on those layers; other layers are evaluated
-    afresh."""
+    """``structure_residuals`` and ``check_h_parallel`` are the full check,
+    independent of detection: each evaluates on every call and reads only
+    its arguments, so equal layers give equal results, and any structure,
+    detected, built by hand or replaced, is audited on its own fields."""
 
     @staticmethod
     def algebras(rng):
@@ -975,31 +999,29 @@ class TestResidualReuse:
         conn2 = levi_civita(L2)
         other = structure_residuals(L2, conn2, curvature(L2, conn2), ak)
         assert max(other.values()) > 1e-3
-        assert max(structure_residuals(L, conn, pack, ak).values()) <= 1e-10
+        assert max(audit(L, conn, pack, ak).values()) <= 1e-10
 
-    def test_hand_built_structure_recomputes(self):
-        L = rotate_algebra(from_nonunimodular(1.5, -0.7),
-                           random_rotation(np.random.default_rng(104)))
-        conn, pack, ak = detect(L)
-        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
-        assert "h_sides" not in vars(bare)
-        assert structure_residuals(L, conn, pack, bare) == structure_residuals(L, conn, pack, ak)
-        with pytest.raises(TypeError):
-            AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)},
-                        h_sides=ak.h_sides)
-
-    def test_replaced_structure_recomputes(self):
-        # a structure derived from a detected one makes its own h_sides,
-        # even on the same layers
+    def test_copies_are_audited_on_their_own_fields(self):
+        # a structure built by hand from a detected one's fields, or copied
+        # by dataclasses.replace, audits as the detected one does; one
+        # replaced with a wrong b and c fails on the adapted connection
         import dataclasses
 
-        L = from_kenmotsu_params(2.0, 0.0, 0.0)
+        L = rotate_algebra(from_kenmotsu_params(1.0, 0.6, 0.6),
+                           random_rotation(np.random.default_rng(107)))
         conn, pack, ak = detect(L)
-        ak.h_sides
-        bad = dataclasses.replace(ak, b=1.0, c=1.0)
-        assert "h_sides" not in vars(bad)
-        assert structure_residuals(L, conn, pack, bad)["adapted_connection"] > 0.1
-        for name in ("residuals", "h_sides"):
+        want, want_chk = audit(L, conn, pack, ak), check_h_parallel(L, conn, ak)
+        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
+        for other in (bare, dataclasses.replace(ak)):
+            assert audit(L, conn, pack, other) == want
+            assert check_h_parallel(L, conn, other) == want_chk
+        # another connection object of the same algebra gives the same check
+        assert check_h_parallel(L, levi_civita(L), ak) == want_chk
+        L2 = from_kenmotsu_params(2.0, 0.0, 0.0)
+        conn2, pack2, ak2 = detect(L2)
+        bad = dataclasses.replace(ak2, b=1.0, c=1.0)
+        assert audit(L2, conn2, pack2, bad)["adapted_connection"] > 0.1
+        for name in ("residuals", "h_sides", "algebra", "connection"):
             with pytest.raises(TypeError):
                 dataclasses.replace(ak, **{name: None})
 
@@ -1014,72 +1036,31 @@ class TestResidualReuse:
             scale = 1.0 + float(np.linalg.norm(fresh.gamma))
             for u in candidates(L):
                 cand = _build_structure(L, fresh, fresh_pack, u, 1e-8)
-                res = structure_residuals(L, fresh, fresh_pack, cand)
+                res = audit(L, fresh, fresh_pack, cand)
                 if max(res.values()) <= 1e-8 * scale:
                     break
             else:
                 pytest.fail("no admissible candidate on fresh layers")
             assert np.array_equal(ak.xi.components, u)
-            got = structure_residuals(L, conn, pack, ak)
+            got = audit(L, conn, pack, ak)
             assert got == res
             assert max(got.values()) <= 1e-8 * scale
 
-    @staticmethod
-    def fresh_h_parallel(ak):
-        # the two matrices evaluated afresh, outside the structure
-        transport, curv = _h_transport_sides(ak.xi.components, ak.h_op, ak.phi,
-                                             ak.connection.gamma, ak.curvature.riemann)
-        gap = transport - curv
-        return (float(np.max(np.abs(transport))), float(np.max(np.abs(curv))),
-                float(np.max(np.abs(gap))))
+    def test_audit_reads_no_riemann_tensor(self, monkeypatch):
+        # structure_residuals leaves nabla_xi h to check_h_parallel, the
+        # one reader of the Riemann tensor in the audit
+        def refuse(*args):
+            raise AssertionError("the Riemann tensor was read")
 
-    def test_h_parallel_reads_the_scored_sides(self):
-        # check_h_parallel and structure_residuals on the structure's own
-        # layers read its h_sides, made once, read-only; the result is that
-        # of a fresh evaluation
-        for L in self.algebras(np.random.default_rng(106)):
-            conn, pack, ak = detect(L)
-            assert "h_sides" not in vars(ak)
-            transport, curv = sides = ak.h_sides
-            assert ak.h_sides is sides
-            assert not transport.flags.writeable and not curv.flags.writeable
-            transport_max, curv_max, gap = self.fresh_h_parallel(ak)
+        patch_engine(monkeypatch, "_riemann", refuse)
+        for L in self.algebras(np.random.default_rng(108)):
+            conn = levi_civita(L)
+            pack = curvature(L, conn)
+            ak = detect_structure(L, conn, pack)
             res = structure_residuals(L, conn, pack, ak)
-            assert res["h_transport"] == transport_max
-            assert res["curvature_identity"] == curv_max
-            chk = check_h_parallel(L, conn, ak)
-            assert chk.transport == transport_max
-            assert chk.curvature_side == curv_max
-            assert chk.residual == max(transport_max, curv_max, gap)
-            # another connection object of the same algebra is evaluated afresh
-            assert check_h_parallel(L, levi_civita(L), ak) == chk
-
-    def test_hand_built_and_replaced_structures_recompute_h_sides(self, monkeypatch):
-        import dataclasses
-
-        L = rotate_algebra(from_kenmotsu_params(1.0, 0.6, 0.6),
-                           random_rotation(np.random.default_rng(107)))
-        conn, pack, ak = detect(L)
-        want_res = structure_residuals(L, conn, pack, ak)
-        want = check_h_parallel(L, conn, ak)
-        bare = AKStructure(**{f.name: getattr(ak, f.name) for f in fields(AKStructure)})
-        replaced = dataclasses.replace(ak)
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return _h_transport_sides(*args)
-
-        monkeypatch.setattr(almost_kenmotsu, "_h_transport_sides", counting)
-        assert check_h_parallel(L, conn, ak) == want
-        assert structure_residuals(L, conn, pack, ak) == want_res
-        assert calls == []
-        # each other structure makes its own pair once, for both readers
-        for other in (bare, replaced):
-            assert "h_sides" not in vars(other)
-            assert check_h_parallel(L, conn, other) == want
-            assert structure_residuals(L, conn, pack, other) == want_res
-        assert len(calls) == 2
+            assert max(res.values()) <= 1e-8 * (1.0 + float(np.linalg.norm(conn.gamma)))
+            assert not {"h_transport", "curvature_identity"} & set(res)
+            assert "riemann" not in vars(pack)
 
 
 class TestScalarEigenvector:
@@ -1151,10 +1132,9 @@ class TestWrappedFields:
             assert not v.components.flags.writeable
         for name in ("eta", "phi", "h_op"):
             assert not getattr(built, name).flags.writeable
-        # h_sides is made on first read, read-only, and kept
-        sides = built.h_sides
-        assert built.h_sides is sides
-        assert all(not m.flags.writeable for m in sides)
+        # the built structure carries no state beyond its fields: the
+        # nabla_xi h sides come from check_h_parallel, on each call alike
+        assert check_h_parallel(L, conn, built) == check_h_parallel(L, conn, ak)
 
 
 class TestDetectionCallCounts:

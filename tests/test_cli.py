@@ -156,6 +156,17 @@ class TestStructure:
         assert "kenmotsu (h = 0): yes" in out
         assert "xi is a ricci eigenvector" not in out
 
+    def test_h_parallel_sides_are_evaluated_once(self, geom, capsys, monkeypatch):
+        # both sides of nabla_xi h are made in check_h_parallel alone: one
+        # run builds one Riemann tensor and one Jacobi operator along xi
+        counts = count_calls(monkeypatch, ("_riemann", "_jacobi", "structure_residuals",
+                                           "check_h_parallel"))
+        rc = main(["structure", geom(skew_frame_kenmotsu()), "--format", "machine"])
+        capsys.readouterr()
+        assert rc == 0
+        assert counts == {"_riemann": 1, "_jacobi": 1, "structure_residuals": 1,
+                          "check_h_parallel": 1}
+
     def test_no_structure_is_an_error(self, geom, capsys):
         rc = main(["structure", geom(SU2_BRACKETS)])
         captured = capsys.readouterr()

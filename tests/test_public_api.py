@@ -138,6 +138,26 @@ def test_second_routes_are_gone():
     assert len(almost_kenmotsu._ROWS) == 3
 
 
+def test_a_structure_is_its_fields_and_its_pack():
+    # the structure reaches its algebra and connection through its pack,
+    # keeps no copy of them and no cached nabla_xi h sides; the audit
+    # leaves those sides to check_h_parallel
+    names = [f.name for f in dataclasses.fields(cotton3.AKStructure)]
+    assert names == ["xi", "eta", "phi", "h_op", "lam", "b", "c", "f", "adapted_frame",
+                     "kenmotsu", "curvature"]
+    L = cotton3.from_kenmotsu_params(1.0, 3.0, 3.0)
+    conn = cotton3.levi_civita(L)
+    pack = cotton3.curvature(L, conn)
+    ak = cotton3.detect_structure(L, conn, pack)
+    for name in ("h_sides", "algebra", "connection"):
+        assert not hasattr(ak, name), name
+    assert set(cotton3.structure_residuals(L, conn, pack, ak)) == {
+        "xi_unit", "phi_square", "phi_compat", "h_xi", "h_trace", "h_symmetric",
+        "h_phi_anticommute", "trace_h_phi", "reeb_gradient", "h_lie_oracle", "h_eigen",
+        "d_eta", "d_phi", "adapted_connection"}
+    assert not hasattr(almost_kenmotsu, "_h_transport_sides")
+
+
 def test_one_rank_cutoff_and_one_cotton_scale():
     # the soliton solve decides at one rank cutoff, and its verdict scale is
     # the pack's Cotton norm: no lstsq cutoff and no second scale helper

@@ -487,7 +487,7 @@ def reference_assemble(L, conn, cotton2, basis):
 
 
 def reference_survey(ak, tol=1e-8):
-    L, conn = ak.algebra, ak.connection
+    L, conn = ak.curvature.algebra, ak.curvature.connection
     cotton2 = cotton_pack(L, conn, ak.curvature).cotton2
     c_scale = 1.0 + float(np.linalg.norm(cotton2.components))
     xi, e, phi_e = ak.adapted_frame
@@ -555,7 +555,7 @@ class TestSurveyReference:
         L = rotate_algebra(from_kenmotsu_params(2.0, 0.0, 0.0),
                            random_rotation(np.random.default_rng(112)))
         _, _, ak = detect(L)
-        cotton2 = cotton_pack(ak.algebra, ak.connection, ak.curvature).cotton2
+        cotton2 = cotton_pack(ak.curvature.algebra, ak.curvature.connection, ak.curvature).cotton2
         c_scale = 1.0 + float(np.linalg.norm(cotton2.components))
         assert c_scale > 2.0
         for name, sol in soliton_existence_survey(ak).items():
