@@ -17,6 +17,17 @@ Every LAPACK call of the package goes through ``_svd``, ``_eigvalsh`` and
 ``_slogdet``, which call numpy's gufuncs (numpy 2 names) directly; the
 soliton solve reads its rank, minimum-norm solution and null space off one
 ``_svd``.
+
+The admission rules of ``validate`` take no product, so after one
+``tolist`` of c and of g they run on Python floats, each deciding and
+reporting bit for bit as the whole-array numpy form it replaced: the
+finiteness test as ``np.isfinite`` with the entries in ``np.argwhere``'s
+order, max|c| and max|g| as ``np.abs(.).max()``, the antisymmetry
+magnitudes as ``np.abs(c + c.transpose(1, 0, 2))`` and the metric
+asymmetry as ``np.abs(g - g.T)``, their indices in ``np.argwhere``'s order
+and their magnitudes ``np.float64`` as that array's elements are.  The
+metric rule (``_metric_frame``) and the Jacobi sum (``_cyclic_sum``) are
+float passes too.
 """
 
 from __future__ import annotations
@@ -276,72 +287,95 @@ class ValidityReport:
         return not self.violations
 
 
+# the indices (i, j, k), i <= j, of validate's antisymmetry magnitudes, in
+# np.argwhere's (C) order
+_ANTI_INDICES = tuple((i, j, k) for i in range(3) for j in range(i, 3) for k in range(3))
+
+
+def _cyclic_sum(x) -> float:
+    """max_k |J_k|, J = [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1], on
+    the 27 floats ``x`` of c in C order: J_k sums c[0, 1, n] c[n, 2, k] +
+    c[1, 2, n] c[n, 0, k] + c[2, 0, n] c[n, 1, k] over n in turn, from 0."""
+    (c000, c001, c002, c010, c011, c012, c020, c021, c022,
+     c100, c101, c102, c110, c111, c112, c120, c121, c122,
+     c200, c201, c202, c210, c211, c212, c220, c221, c222) = x
+    s0 = (0.0 + c010 * c020 + c120 * c000 + c200 * c010 + c011 * c120 + c121 * c100
+          + c201 * c110 + c012 * c220 + c122 * c200 + c202 * c210)
+    s1 = (0.0 + c010 * c021 + c120 * c001 + c200 * c011 + c011 * c121 + c121 * c101
+          + c201 * c111 + c012 * c221 + c122 * c201 + c202 * c211)
+    s2 = (0.0 + c010 * c022 + c120 * c002 + c200 * c012 + c011 * c122 + c121 * c102
+          + c201 * c112 + c012 * c222 + c122 * c202 + c202 * c212)
+    return max(abs(s0), abs(s1), abs(s2))
+
+
 def validate(L: MetricLieAlgebra3) -> ValidityReport:
     """Check antisymmetry, the Jacobi identity and metric admissibility.
 
     Non-finite entries, and constants whose cube overflows, are reported
     alone.  With m = max|c|, the cutoffs are 1e-12 (1 + m) for
     antisymmetry, 1e-12 m^2 for the cyclic Jacobi sum at (0, 1, 2) (the one
-    triple of distinct indices, evaluated once on floats; the sum is
-    quadratic in c, so the rule is scale-free) and 1e-12 (1 + max|g|) for
-    metric asymmetry.  ``metric_not_positive`` is reported exactly when the
-    metric pass ``L._frame``, which ``levi_civita`` reuses, refuses g; only
-    then is its magnitude, g's smallest ``_eigvalsh`` eigenvalue, computed.
+    triple of distinct indices, ``_cyclic_sum``; the sum is quadratic in c,
+    so the rule is scale-free) and 1e-12 (1 + max|g|) for metric asymmetry.
+    ``metric_not_positive`` is reported exactly when the metric pass
+    ``L._frame``, which ``levi_civita`` reuses, refuses g; only then is its
+    magnitude, g's smallest ``_eigvalsh`` eigenvalue, computed.
+
+    Every other rule is decided on the floats of one ``tolist`` of c and of
+    g, bit for bit as the numpy form the module docstring names for it; a
+    float subtraction that overflows gives inf, as ``g - g.T`` does, without
+    numpy's warning.
     """
-    c, g = L.structure_constants, L.metric
-    m = float(np.abs(c).max())
-    scale = 1.0 + m
-    gscale = 1.0 + float(np.abs(g).max())
-    if not (math.isfinite(scale) and math.isfinite(gscale)):
+    x = L.structure_constants.ravel().tolist()
+    y = L.metric.ravel().tolist()
+    if not all(map(math.isfinite, x + y)):
         return ValidityReport(tuple(
-            Violation("non_finite", (name, *map(int, idx)), float(arr[tuple(idx)]))
-            for name, arr in (("structure_constants", c), ("metric", g))
-            for idx in np.argwhere(~np.isfinite(arr))
+            [Violation("non_finite", ("structure_constants", n // 9, n // 3 % 3, n % 3), v)
+             for n, v in enumerate(x) if not math.isfinite(v)]
+            + [Violation("non_finite", ("metric", n // 3, n % 3), v)
+               for n, v in enumerate(y) if not math.isfinite(v)]
         ))
+    m = max(map(abs, x))
+    scale = 1.0 + m
     cube = scale * scale * scale  # saturates at inf where ** would raise
     if not math.isfinite(cube):
         return ValidityReport((Violation("overflow", (), scale),))
     anti_tol = 1e-12 * scale
     violations = []
 
-    anti = np.abs(c + c.transpose(1, 0, 2))
-    if anti.max() > anti_tol:
-        # anti is symmetric in its first two slots: report each pair once
-        for i, j, k in np.argwhere(anti > anti_tol).tolist():
-            if i <= j:
-                violations.append(Violation("antisymmetry", (i, j, k), anti[i, j, k]))
+    (c000, c001, c002, c010, c011, c012, c020, c021, c022,
+     c100, c101, c102, c110, c111, c112, c120, c121, c122,
+     c200, c201, c202, c210, c211, c212, c220, c221, c222) = x
+    anti = (abs(c000 + c000), abs(c001 + c001), abs(c002 + c002),
+            abs(c010 + c100), abs(c011 + c101), abs(c012 + c102),
+            abs(c020 + c200), abs(c021 + c201), abs(c022 + c202),
+            abs(c110 + c110), abs(c111 + c111), abs(c112 + c112),
+            abs(c120 + c210), abs(c121 + c211), abs(c122 + c212),
+            abs(c220 + c220), abs(c221 + c221), abs(c222 + c222))
+    if max(anti) > anti_tol:
+        for idx, mag in zip(_ANTI_INDICES, anti):
+            if mag > anti_tol:
+                violations.append(Violation("antisymmetry", idx, np.float64(mag)))
 
-    # [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1], summed over n in
-    # turn.  Below m = 2^-400 its products would underflow, so it is taken on
-    # c scaled exactly by 2^-k into [1, 2), and its magnitude scaled back.
+    # below m = 2^-400 the cyclic sum's products would underflow, so it is
+    # taken on c scaled exactly by 2^-k into [1, 2), and its magnitude
+    # scaled back
     k = math.frexp(m)[1] - 1 if 0.0 < m < 2.0**-400 else 0
-    x = (np.ldexp(c, -k) if k else c).tolist()
-    s0 = s1 = s2 = 0.0
-    for n, ((v0, v1, v2), (w0, w1, w2), (u0, u1, u2)) in enumerate(x):
-        a, b, d = x[0][1][n], x[1][2][n], x[2][0][n]
-        s0 = s0 + a * u0 + b * v0 + d * w0
-        s1 = s1 + a * u1 + b * v1 + d * w1
-        s2 = s2 + a * u2 + b * v2 + d * w2
-    mag = max(abs(s0), abs(s1), abs(s2))
+    mag = _cyclic_sum([math.ldexp(v, -k) for v in x] if k else x)
     mk = math.ldexp(m, -k)
     if mag > 1e-12 * mk * mk:
         violations.append(Violation("jacobi", (0, 1, 2), math.ldexp(mag, 2 * k)))
 
-    gsym_tol = 1e-12 * gscale
-    if gscale > 8.9e307:
-        # g - g^T may overflow past half the largest float: an inf asymmetry
-        with np.errstate(over="ignore"):
-            gasym = np.abs(g - g.T)
-    else:
-        gasym = np.abs(g - g.T)
-    if gasym.max() > gsym_tol:
-        for i, j in np.argwhere(gasym > gsym_tol).tolist():
-            if i < j:
-                violations.append(Violation("metric_asymmetric", (i, j), gasym[i, j]))
+    _, g01, g02, g10, _, g12, g20, g21, _ = y
+    gsym_tol = 1e-12 * (1.0 + max(map(abs, y)))
+    asym = (abs(g01 - g10), abs(g02 - g20), abs(g12 - g21))
+    if max(asym) > gsym_tol:
+        for idx, mag in zip(((0, 1), (0, 2), (1, 2)), asym):
+            if mag > gsym_tol:
+                violations.append(Violation("metric_asymmetric", idx, np.float64(mag)))
     try:
         L._frame
     except (DegenerateMetric, SingularMetric):
-        violations.append(Violation("metric_not_positive", (), float(_eigvalsh(g)[0])))
+        violations.append(Violation("metric_not_positive", (), float(_eigvalsh(L.metric)[0])))
 
     return ValidityReport(tuple(violations))
 

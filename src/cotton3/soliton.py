@@ -15,6 +15,20 @@ of the stacked matrix.
 Because C is trace free, V = 0 forces sigma = 0 and C = 0: a soliton with
 vanishing potential exists only on conformally flat algebras, and such
 solutions are called trivial.
+
+The solve, which ``solve``, ``soliton_existence_survey`` and the CLI's
+frame solutions share, keeps its products on numpy: the one ``_svd``,
+``k @ U[:, :n]``, the division by the singular values, the product with
+V^T, the residual ``A.dot(z) - k``, ``r.dot(r)`` and the potential's
+``coefficients.dot(coefficients)``, each of which rounds as BLAS rounds
+(with fused multiply-adds on most builds).  The steps between them run on
+Python floats, bit for bit as the numpy forms they replaced: the rank
+counts the floats of ``s.tolist()`` above the cutoff, as ``(s > cut).sum()``
+does; at full rank the products take s and V^T whole, the operands their
+``[:rank]`` slices would pass; sigma and the potential come from one
+``z.tolist()``, as ``float(z[-1])`` and the sum of coefficient times field
+from 0; the norms of the family rows' potential parts are summed in
+``np.add.reduce``'s order; the solution is built as ``_wrap`` builds it.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack
-from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd, _wrap
+from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd
 
 UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -181,55 +195,67 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     minimum-norm solution z runs along exactly those directions of V^T and
     the remaining rows span the null space, so z has no component along the
     family the solution reports.  Vector norms are taken as sqrt(r.dot(r)),
-    ``np.linalg.norm``'s own vector form; the norms of the family rows'
-    potential parts, read only when the solution is feasible, are summed on
-    floats in ``np.add.reduce``'s order.  The potential is summed on the
-    floats of the coefficients and the basis, from 0 as ``sum`` starts, and
-    the solution holds the arrays built here without a copy.
+    ``np.linalg.norm``'s own vector form.
+
+    The products stay on numpy and the steps between them run on floats,
+    as the module docstring lists; the norms of the family rows' potential
+    parts are read only when the solution is feasible and its potential
+    vanishes.  The solution and its potential hold the arrays built here,
+    frozen in place, without a copy.
     """
     U, s, Vt = _svd(A)
     sv = s.tolist()
     cut = 1e-10 * max(sv[0], 1e-300)
-    rank = sum(x > cut for x in sv)
+    rank = 0
+    for x in sv:
+        if x > cut:
+            rank += 1
     # .dot on this column slice of U rounds differently from @
-    z = ((k @ U[:, :s.size])[:rank] / s[:rank]).dot(Vt[:rank])
+    y, W = k @ U[:, :len(sv)], Vt
+    if rank < len(Vt):
+        y, s, W = y[:rank], s[:rank], Vt[:rank]
+    z = (y / s).dot(W)
     r = A.dot(z) - k
     residual = math.sqrt(r.dot(r))
     family = Vt[rank:]
-    family_dim = family.shape[0]
 
     coeffs = z[:-1]
-    sigma = float(z[-1])
-    v = [0.0, 0.0, 0.0]
-    for c, b in zip(coeffs.tolist(), basis):
-        v = [x + c * y for x, y in zip(v, b.components.tolist())]
+    *zc, sigma = z.tolist()
+    v0 = v1 = v2 = 0.0
+    for c, b in zip(zc, basis):
+        p0, p1, p2 = b.components.tolist()
+        v0, v1, v2 = v0 + c * p0, v1 + c * p1, v2 + c * p2
 
     feasible = residual <= tol * c_scale
     if not feasible:
         kind = INFEASIBLE
+    elif math.sqrt(coeffs.dot(coeffs)) <= 1e-8 and not any(
+            math.sqrt(sum(x * x for x in row[:-1])) > 1e-10 for row in family.tolist()):
+        kind = TRIVIAL_ONLY
+    elif abs(sigma) <= tol * c_scale:
+        kind = STEADY
+    elif sigma > 0:
+        kind = SHRINKING
     else:
-        v_moves = any(math.sqrt(sum(x * x for x in row[:-1])) > 1e-10
-                      for row in family.tolist())
-        if math.sqrt(coeffs.dot(coeffs)) <= 1e-8 and not v_moves:
-            kind = TRIVIAL_ONLY
-        elif abs(sigma) <= tol * c_scale:
-            kind = STEADY
-        elif sigma > 0:
-            kind = SHRINKING
-        else:
-            kind = EXPANDING
-    return _wrap(
-        SolitonSolution,
+        kind = EXPANDING
+    potential = np.array((v0, v1, v2))
+    for a in (potential, coeffs, family):
+        a.setflags(write=False)
+    vec = object.__new__(FrameVector)
+    vec.__dict__["components"] = potential
+    sol = object.__new__(SolitonSolution)
+    sol.__dict__.update(
         classification=kind,
-        v=_wrap(FrameVector, components=np.array(v)),
+        v=vec,
         coefficients=coeffs,
         sigma=sigma,
         residual=residual,
-        family_dim=family_dim,
+        family_dim=len(family),
         family_basis=family,
         rank=rank,
         feasible=feasible,
     )
+    return sol
 
 
 # columns of the (xi, e, phi_e) system, with sigma last, used by each ansatz

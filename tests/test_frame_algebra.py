@@ -311,6 +311,37 @@ class TestValidateReference:
         assert max(len(reference_violations(L)) for L in cases) > 10
 
 
+def reference_non_finite(L):
+    """validate's non-finite report in its whole-array form: every entry that
+    ``np.isfinite`` rejects, constants then metric, in ``np.argwhere``'s order."""
+    return [("non_finite", (name, *map(int, idx)), float(arr[tuple(idx)]))
+            for name, arr in (("structure_constants", L.structure_constants),
+                              ("metric", L.metric))
+            for idx in np.argwhere(~np.isfinite(arr))]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_matches_array_form(bad):
+    # the value alone at each of the 36 positions, so a nan is the first
+    # entry only at c[0, 0, 0] (a bare max over the floats passes over every
+    # other), and with a second non-finite entry later in c or in g
+    L = random_valid_algebra(np.random.default_rng(15), rotated=True, with_metric=True)
+    for pos in range(36):
+        for extra in (None, (pos + 13) % 36):
+            flat = np.concatenate([L.structure_constants.ravel(), L.metric.ravel()])
+            flat[pos] = bad
+            if extra is not None and extra != pos:
+                flat[extra] = math.inf
+            M = MetricLieAlgebra3(flat[:27].reshape(3, 3, 3), flat[27:].reshape(3, 3))
+            got = [(v.kind, v.indices, v.magnitude) for v in validate(M).violations]
+            want = reference_non_finite(M)
+            assert len(want) == (1 if extra in (None, pos) else 2)
+            # repr tells nan from nan, which == does not
+            assert repr(got) == repr(want)
+            assert all(type(i) is int for _, idx, _ in got for i in idx[1:])
+            assert all(type(m) is float for *_, m in got)
+
+
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
