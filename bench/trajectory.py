@@ -15,8 +15,9 @@ as a subprocess, under the interpreter running this script, for each run:
   (``correct``, ``attempted``, ``failed``) kept;
 * one traced run (``--trace 1``) per workload, at seed 1, whose per-layer
   values are copied as printed;
-* the environment (python, numpy and its BLAS, CPU count, the BLAS thread
-  pin) and the source figures below.
+* the environment (python, numpy and its BLAS, CPU count, and the BLAS
+  thread pin, read from ``perfbench/run.py``'s ``worker_env``) and the
+  source figures below.
 
 ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.  The file is
 written with sorted keys.  ``--compare`` prints, per workload and end-to-end
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -54,8 +56,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cotton3"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-# the thread pin the benchmark's workers run under, set for run.py too
-BLAS_PIN = {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
 RUN_TIMEOUT_S = 900
 
 
@@ -92,7 +92,6 @@ def source_figures() -> dict:
                    if isinstance(n, ast.Constant) and type(n.value) is float
                    and n.value and not 1e-5 < abs(n.value) < 1e5]
         modules[path.name] = {
-            "bytes": path.stat().st_size,
             "lines": text.count("\n"),
             "factorization_call_sites": {
                 fn: _count_calls(lines, fn, word=True) for fn in ("_svd", "_eigvalsh", "_slogdet")},
@@ -120,14 +119,12 @@ def source_figures() -> dict:
 
 
 def print_source(fig: dict) -> None:
-    """The source figures as lines, the first block in ``wc -l``'s layout
-    (its count width is that of the files' total size)."""
+    """The source figures as lines."""
     modules = fig["modules"]
-    width = len(str(sum(m["bytes"] for m in modules.values())))
     print(f"src/cotton3 lines: {fig['src_lines']}")
     for name, m in modules.items():
-        print(f"{m['lines']:>{width}} src/cotton3/{name}")
-    print(f"{fig['src_lines']:>{width}} total")
+        print(f"{m['lines']:>6} src/cotton3/{name}")
+    print(f"{fig['src_lines']:>6} total")
     print("__all__ names:", fig["all_names"])
     print("defaulted public parameters:", fig["defaulted_public_parameters"])
     print("public dataclass fields:", ", ".join(
@@ -145,6 +142,15 @@ def print_source(fig: dict) -> None:
               f"{m['cutoff_literals']}; DEFAULT_TOL reads: {m['default_tol_reads']}")
 
 
+def blas_pin() -> dict:
+    """The BLAS thread variables of the benchmark's workers, as
+    ``perfbench/run.py``'s ``worker_env`` sets them."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return {k: v for k, v in sorted(run.worker_env().items()) if k.endswith("_NUM_THREADS")}
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -155,7 +161,7 @@ def environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "blas_pin": BLAS_PIN,
+        "blas_pin": blas_pin(),
     }
 
 
@@ -163,8 +169,8 @@ def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last stdout line of one benchmark run, a JSON object."""
     cmd = [sys.executable, *SPEC["command"][1:], "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, env={**os.environ, **BLAS_PIN}, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])

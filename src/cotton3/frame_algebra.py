@@ -287,9 +287,10 @@ class ValidityReport:
         return not self.violations
 
 
-# the indices (i, j, k), i <= j, of validate's antisymmetry magnitudes, in
-# np.argwhere's (C) order
-_ANTI_INDICES = tuple((i, j, k) for i in range(3) for j in range(i, 3) for k in range(3))
+# each antisymmetry magnitude |c[i, j, k] + c[j, i, k]|, i <= j, as its
+# indices and the flat positions of its two terms, in np.argwhere's (C) order
+_ANTI = tuple(((i, j, k), 9 * i + 3 * j + k, 9 * j + 3 * i + k)
+              for i in range(3) for j in range(i, 3) for k in range(3))
 
 
 def _cyclic_sum(x) -> float:
@@ -342,19 +343,10 @@ def validate(L: MetricLieAlgebra3) -> ValidityReport:
     anti_tol = 1e-12 * scale
     violations = []
 
-    (c000, c001, c002, c010, c011, c012, c020, c021, c022,
-     c100, c101, c102, c110, c111, c112, c120, c121, c122,
-     c200, c201, c202, c210, c211, c212, c220, c221, c222) = x
-    anti = (abs(c000 + c000), abs(c001 + c001), abs(c002 + c002),
-            abs(c010 + c100), abs(c011 + c101), abs(c012 + c102),
-            abs(c020 + c200), abs(c021 + c201), abs(c022 + c202),
-            abs(c110 + c110), abs(c111 + c111), abs(c112 + c112),
-            abs(c120 + c210), abs(c121 + c211), abs(c122 + c212),
-            abs(c220 + c220), abs(c221 + c221), abs(c222 + c222))
-    if max(anti) > anti_tol:
-        for idx, mag in zip(_ANTI_INDICES, anti):
-            if mag > anti_tol:
-                violations.append(Violation("antisymmetry", idx, np.float64(mag)))
+    for idx, a, b in _ANTI:
+        mag = abs(x[a] + x[b])
+        if mag > anti_tol:
+            violations.append(Violation("antisymmetry", idx, np.float64(mag)))
 
     # below m = 2^-400 the cyclic sum's products would underflow, so it is
     # taken on c scaled exactly by 2^-k into [1, 2), and its magnitude

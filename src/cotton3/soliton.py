@@ -24,11 +24,10 @@ V^T, the residual ``A.dot(z) - k``, ``r.dot(r)`` and the potential's
 (with fused multiply-adds on most builds).  The steps between them run on
 Python floats, bit for bit as the numpy forms they replaced: the rank
 counts the floats of ``s.tolist()`` above the cutoff, as ``(s > cut).sum()``
-does; at full rank the products take s and V^T whole, the operands their
-``[:rank]`` slices would pass; sigma and the potential come from one
-``z.tolist()``, as ``float(z[-1])`` and the sum of coefficient times field
-from 0; the norms of the family rows' potential parts are summed in
-``np.add.reduce``'s order; the solution is built as ``_wrap`` builds it.
+does; sigma and the potential come from one ``z.tolist()``, as
+``float(z[-1])`` and the sum of coefficient times field from 0; the norms
+of the family rows' potential parts are summed in ``np.add.reduce``'s
+order.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection_curvature import ConnectionTable, CurvaturePack
-from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd
+from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd, _wrap
 
 UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -200,24 +199,18 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
     The products stay on numpy and the steps between them run on floats,
     as the module docstring lists; the norms of the family rows' potential
     parts are read only when the solution is feasible and its potential
-    vanishes.  The solution and its potential hold the arrays built here,
-    frozen in place, without a copy.
+    vanishes.  The solution holds the arrays built here without a copy.
     """
     U, s, Vt = _svd(A)
     sv = s.tolist()
     cut = 1e-10 * max(sv[0], 1e-300)
-    rank = 0
-    for x in sv:
-        if x > cut:
-            rank += 1
+    rank = sum(x > cut for x in sv)
     # .dot on this column slice of U rounds differently from @
-    y, W = k @ U[:, :len(sv)], Vt
-    if rank < len(Vt):
-        y, s, W = y[:rank], s[:rank], Vt[:rank]
-    z = (y / s).dot(W)
+    z = ((k @ U[:, :s.size])[:rank] / s[:rank]).dot(Vt[:rank])
     r = A.dot(z) - k
     residual = math.sqrt(r.dot(r))
     family = Vt[rank:]
+    family_dim = family.shape[0]
 
     coeffs = z[:-1]
     *zc, sigma = z.tolist()
@@ -238,24 +231,18 @@ def _solve(A, k, basis, c_scale: float, tol: float) -> SolitonSolution:
         kind = SHRINKING
     else:
         kind = EXPANDING
-    potential = np.array((v0, v1, v2))
-    for a in (potential, coeffs, family):
-        a.setflags(write=False)
-    vec = object.__new__(FrameVector)
-    vec.__dict__["components"] = potential
-    sol = object.__new__(SolitonSolution)
-    sol.__dict__.update(
+    return _wrap(
+        SolitonSolution,
         classification=kind,
-        v=vec,
+        v=_wrap(FrameVector, components=np.array((v0, v1, v2))),
         coefficients=coeffs,
         sigma=sigma,
         residual=residual,
-        family_dim=len(family),
+        family_dim=family_dim,
         family_basis=family,
         rank=rank,
         feasible=feasible,
     )
-    return sol
 
 
 # columns of the (xi, e, phi_e) system, with sigma last, used by each ansatz

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "bench" / "trajectory.py"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 MODULE_KEYS = {
-    "bytes", "lines", "factorization_call_sites", "metric_frame_call_sites", "matmul_sites",
+    "lines", "factorization_call_sites", "metric_frame_call_sites", "matmul_sites",
     "dot_sites", "einsum_sites", "os_environ_reads", "cutoff_literal_count",
     "cutoff_literals", "default_tol_reads",
 }
