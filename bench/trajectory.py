@@ -21,9 +21,11 @@ as a subprocess, under the interpreter running this script, for each run:
 
 ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.  The file is
 written with sorted keys.  ``--compare`` prints, per workload and end-to-end
-metric, both medians with their quartiles, the ratio B/A, and whether the
+metric, both medians with their quartiles, the ratio B/A, whether the
 difference of the medians exceeds the interquartile range of both sides, the
-spread a gain must beat.
+spread a gain must beat, and whether B's median is worse than A's by more
+than the metric's ``BENCHMARK.json`` bound, a share of A's median: the rule
+that refuses a change.
 
 ``--source`` prints the source figures: the src line count, in total and
 per module, the size of ``__all__``, the defaulted parameters of the public
@@ -224,9 +226,11 @@ def trajectory(workloads: list, repeats: int, seconds: float) -> dict:
 
 def compare(a: dict, b: dict) -> None:
     """Per workload and end-to-end metric: A and B as median [q1, q3], B/A,
-    and whether |B - A| exceeds both sides' interquartile range."""
+    whether |B - A| exceeds both sides' interquartile range, and whether B
+    is worse than A by more than the metric's bound times A's median."""
+    bounds = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
     print(f"{'workload':<17} {'metric':<12} {'A median [q1, q3]':<32} "
-          f"{'B median [q1, q3]':<32} {'B/A':>7}  beyond both IQRs")
+          f"{'B median [q1, q3]':<32} {'B/A':>7}  {'beyond both IQRs':<16}  past bound")
     for w, wa in a["workloads"].items():
         wb = b["workloads"].get(w)
         if wb is None:
@@ -235,11 +239,13 @@ def compare(a: dict, b: dict) -> None:
             mb = wb["end_to_end"][name]
             diff = mb["median"] - ma["median"]
             beyond = all(abs(diff) > m["q3"] - m["q1"] for m in (ma, mb))
-            better = diff > 0 if ma["better"] == "higher" else diff < 0
-            verdict = ("yes, " + ("better" if better else "worse")) if beyond else "no"
+            worse_by = -diff if ma["better"] == "higher" else diff
+            verdict = ("yes, " + ("worse" if worse_by > 0 else "better")) if beyond else "no"
+            past = "yes" if worse_by > bounds[name] * ma["median"] else "no"
             ratio = mb["median"] / ma["median"] if ma["median"] else float("nan")
             cells = [f"{m['median']:.6g} [{m['q1']:.6g}, {m['q3']:.6g}]" for m in (ma, mb)]
-            print(f"{w:<17} {name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f}  {verdict}")
+            print(f"{w:<17} {name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f}  "
+                  f"{verdict:<16}  {past}")
         print(f"{w:<17} {'correct':<12} {str(wa['correct']):<32} {str(wb['correct']):<32}")
 
 

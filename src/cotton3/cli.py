@@ -645,8 +645,7 @@ def _verify_checks(tol: float, grid: list) -> list:
     if ok:
         d = sol.family_basis[0]
         witness = lie_derivative_metric(
-            pack1.algebra, pack1.connection, FrameVector((0.0, 1.0, 1.0))
-        ).components
+            pack1.algebra, FrameVector((0.0, 1.0, 1.0))).components
         gap = _gap(np.append(witness, [d[-1], abs(d[0]) - abs(d[1])]), 0.0)
         ok = gap <= tol and np.sign(d[0]) == np.sign(d[1])
     add("orthogonal soliton, lambda=1", ok,

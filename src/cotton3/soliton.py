@@ -6,11 +6,12 @@ constant sigma when
     (Lie_V g) + C - sigma g = 0,
 
 with C the (0,2) Cotton tensor.  For V invariant (constant frame
-coefficients) the Lie derivative is linear in the coefficients, so over a
-chosen ansatz space the equation is a linear least-squares system in the
-coefficients and sigma.  The system stacks the six upper-triangle
-components of the symmetric equation; a solution family is the null space
-of the stacked matrix.
+coefficients) the Lie derivative reads only the brackets and the metric,
+(Lie_V g)(X, Y) = -g([V, X], Y) - g(X, [V, Y]), and is linear in the
+coefficients, so over a chosen ansatz space the equation is a linear
+least-squares system in the coefficients and sigma.  The system stacks the
+six upper-triangle components of the symmetric equation; a solution family
+is the null space of the stacked matrix.
 
 Because C is trace free, V = 0 forces sigma = 0 and C = 0: a soliton with
 vanishing potential exists only on conformally flat algebras, and such
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection_curvature import ConnectionTable, CurvaturePack
+from .connection_curvature import CurvaturePack
 from .frame_algebra import FrameVector, MetricLieAlgebra3, SymBilinear, _svd, _wrap
 
 UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -58,27 +59,21 @@ _LOWER_FLAT = np.array([3 * j + i for i, j in UPPER])
 _FRAME = tuple(FrameVector(row) for row in np.eye(3))
 
 
-def _lie_blocks(g: np.ndarray, gamma: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """B_n = (V_n gamma) g, B_n[i, j] = g(nabla_{e_i} V_n, e_j), for each
-    row V_n of ``V``, so that Lie_{V_n} g = B_n + B_n^T; computed one field
-    at a time, so a block does not depend on the fields stacked with it."""
-    # gamma_by_field[a, (i, k)] = gamma[i, a, k]
-    gamma_by_field = gamma.transpose(1, 0, 2).reshape(3, 9)
-    return (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(g)
+def _lie_blocks(c: np.ndarray, g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """B_n = -ad_{V_n} g, B_n[i, j] = -g([V_n, e_i], e_j), for each row V_n
+    of ``V``, with ad_V[i, k] = sum_a v_a c[a, i, k], so that
+    Lie_{V_n} g = B_n + B_n^T; computed one field at a time, so a block does
+    not depend on the fields stacked with it."""
+    return -((V[:, None, :] @ c.reshape(3, 9)).reshape(-1, 3, 3).dot(g))
 
 
-def lie_derivative_metric(
-    L: MetricLieAlgebra3, conn: ConnectionTable, v: FrameVector
-) -> SymBilinear:
-    """Lie derivative of the metric along an invariant field.
-
-    (Lie_V g)(X, Y) = g(nabla_X V, Y) + g(X, nabla_Y V) for the
-    Levi-Civita connection; with constant coefficients v_a the derivative
-    of V along e_i is v_a nabla_{e_i} e_a.  This is the solve's column
-    formula: its upper triangle is bitwise the column of ``v`` in the
+def lie_derivative_metric(L: MetricLieAlgebra3, v: FrameVector) -> SymBilinear:
+    """Lie derivative of the metric along an invariant field,
+    (Lie_V g)(X, Y) = -g([V, X], Y) - g(X, [V, Y]).  This is the solve's
+    column formula: its upper triangle is bitwise the column of ``v`` in the
     stacked system.
     """
-    B = _lie_blocks(L.metric, conn.gamma, v.components[None])[0]
+    B = _lie_blocks(L.structure_constants, L.metric, v.components[None])[0]
     return SymBilinear(B + B.T)
 
 
@@ -86,11 +81,11 @@ def lie_derivative_metric(
 class SolitonProblem:
     """The soliton equation of one geometry restricted to one ansatz space.
 
-    ``curvature`` is the geometry's ``CurvaturePack``, which holds the
-    metric (on its ``algebra``), the connection and the Cotton tensor the
-    equation reads.  ``basis`` spans the space of candidate potentials V, a
-    tuple of ``FrameVector``; the unknowns are the coefficients of V in that
-    basis together with sigma.
+    ``curvature`` is the geometry's ``CurvaturePack``; the equation reads
+    its ``algebra`` (brackets and metric) and its Cotton tensor.  ``basis``
+    spans the space of candidate potentials V, a tuple of ``FrameVector``;
+    the unknowns are the coefficients of V in that basis together with
+    sigma.
     """
 
     curvature: CurvaturePack
@@ -122,7 +117,7 @@ def _assemble_system(problem: SolitonProblem):
     g = pack.algebra.metric
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
     n = V.shape[0]
-    B = _lie_blocks(g, pack.connection.gamma, V).reshape(n, 9)
+    B = _lie_blocks(pack.algebra.structure_constants, g, V).reshape(n, 9)
     A = np.empty((6, n + 1))
     # the upper triangle of B + B^T, one column per field
     A[:, :n] = (B.take(_UPPER_FLAT, axis=1) + B.take(_LOWER_FLAT, axis=1)).T
@@ -136,7 +131,7 @@ def soliton_residual(
 ) -> SymBilinear:
     """Left-hand side Lie_V g + C - sigma g for an explicit candidate."""
     pack = problem.curvature
-    lie = lie_derivative_metric(pack.algebra, pack.connection, v).components
+    lie = lie_derivative_metric(pack.algebra, v).components
     return SymBilinear(lie + pack.cotton.cotton2.components - sigma * pack.algebra.metric)
 
 

@@ -30,6 +30,7 @@ from cotton3 import (
     soliton_existence_survey,
 )
 from cotton3 import frame_algebra, soliton
+from cotton3.connection_curvature import ConnectionTable
 from cotton3.frame_algebra import bracket
 from cotton3.soliton import (
     SolitonProblem,
@@ -62,10 +63,9 @@ class TestLieDerivative:
         basis = np.eye(3)
         for _ in range(100):
             L = random_valid_algebra(rng, with_metric=bool(rng.integers(2)))
-            conn = levi_civita(L)
             v = rng.normal(size=3)
             vf = FrameVector(v)
-            got = lie_derivative_metric(L, conn, vf).components
+            got = lie_derivative_metric(L, vf).components
             want = np.zeros((3, 3))
             for i in range(3):
                 for j in range(3):
@@ -79,8 +79,7 @@ class TestLieDerivative:
 
     def test_frozen_reeb_derivative(self):
         L = from_kenmotsu_params(1.0, 0.0, 0.0)
-        conn = levi_civita(L)
-        lie = lie_derivative_metric(L, conn, FrameVector([1.0, 0.0, 0.0])).components
+        lie = lie_derivative_metric(L, FrameVector([1.0, 0.0, 0.0])).components
         assert np.allclose(
             lie, [[0.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]], atol=1e-12
         )
@@ -91,10 +90,9 @@ class TestLieDerivative:
         # collinear ansatz away from the Cotton-flat case.
         for lam in (0.5, 2.0, 3.0):
             L = from_kenmotsu_params(lam, 0.0, 0.0)
-            conn = levi_civita(L)
             for v1 in (1.0, -0.3, 1.7):
                 lie = lie_derivative_metric(
-                    L, conn, FrameVector([v1, 0.0, 0.0])
+                    L, FrameVector([v1, 0.0, 0.0])
                 ).components
                 assert lie[1, 2] == pytest.approx(-2.0 * lam * v1, abs=1e-12)
                 assert lie[1, 1] == pytest.approx(2.0 * v1, abs=1e-12)
@@ -114,8 +112,96 @@ class TestLieDerivative:
             _, conn, pack = layers(L)
             A, _ = _assemble_system(SolitonProblem.build(L, conn, pack))
             for i, e_i in enumerate(np.eye(3)):
-                lie = lie_derivative_metric(L, conn, FrameVector(e_i)).components
+                lie = lie_derivative_metric(L, FrameVector(e_i)).components
                 assert vec_upper(lie).tobytes() == A[:, i].tobytes()
+
+
+def sweep_inputs(seed):
+    """The benchmark's curvature_sweep inputs of ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return wl._sweep_inputs(seed)
+
+
+def connection_lie_blocks(L, conn, V):
+    """The Lie derivative through the Levi-Civita connection, as the solve
+    formed it before it read the brackets: B_n = (V_n gamma) g,
+    B_n[i, j] = g(nabla_{e_i} V_n, e_j), and Lie_{V_n} g = B_n + B_n^T."""
+    gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
+    return (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3).dot(L.metric)
+
+
+def assert_matches_connection_route(L, conn, V):
+    """``lie_derivative_metric`` of each row of ``V`` and the system's
+    columns agree with the connection route within 1e-12 (1 + max|ref|)."""
+    B = connection_lie_blocks(L, conn, V)
+    A, _ = _assemble_system(SolitonProblem(curvature(L, conn), tuple(map(FrameVector, V))))
+    for n, v in enumerate(V):
+        ref = B[n] + B[n].T
+        bound = 1e-12 * (1 + np.max(np.abs(ref)))
+        assert np.max(np.abs(lie_derivative_metric(L, FrameVector(v)).components - ref)) <= bound
+        assert np.max(np.abs(A[:, n] - vec_upper(ref))) <= bound
+
+
+class TestConnectionRoute:
+    def test_random_algebras_under_spd_metrics(self):
+        rng = np.random.default_rng(57)
+        for _ in range(100):
+            L = random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+            assert_matches_connection_route(L, levi_civita(L), rng.normal(size=(4, 3)))
+
+    def test_sweep_inputs(self):
+        for inp in sweep_inputs(1):
+            L = MetricLieAlgebra3(inp["constants"], inp["metric"])
+            assert_matches_connection_route(L, levi_civita(L), np.eye(3))
+
+
+def blind(pack):
+    """``pack`` with its connection replaced by zeros."""
+    return dataclasses.replace(pack, connection=ConnectionTable(np.zeros((3, 3, 3))))
+
+
+def assert_same_solution(got, want):
+    assert got.classification == want.classification
+    assert got.v.components.tobytes() == want.v.components.tobytes()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.sigma.hex() == want.sigma.hex()
+    assert got.residual.hex() == want.residual.hex()
+    assert got.family_basis.tobytes() == want.family_basis.tobytes()
+    assert (got.rank, got.family_dim, got.feasible) == (want.rank, want.family_dim, want.feasible)
+
+
+class TestReadsNoConnection:
+    # a zero connection in the pack changes no bit of the solve, the
+    # survey, the residual or the Lie derivative: they read the brackets
+    def test_zero_connection_changes_nothing(self):
+        rng = np.random.default_rng(58)
+        structures = [from_kenmotsu_params(2.0, 0.0, 0.0),
+                      rotate_algebra(from_kenmotsu_params(1.0, 1.5, 1.5), random_rotation(rng))]
+        algebras = [random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+                    for _ in range(20)]
+        for L in structures + algebras:
+            _, conn, pack = layers(L)
+            basis = tuple(FrameVector(b) for b in rng.normal(size=(3, 3)))
+            for problem in (SolitonProblem.build(L, conn, pack), SolitonProblem(pack, basis)):
+                blind_problem = SolitonProblem(blind(pack), problem.basis)
+                want = solve(problem)
+                assert_same_solution(solve(blind_problem), want)
+                for v, sigma in ((want.v, want.sigma), (problem.basis[0], 0.5)):
+                    got = soliton_residual(blind_problem, v, sigma).components
+                    assert got.tobytes() == soliton_residual(problem, v, sigma).components.tobytes()
+                    got = lie_derivative_metric(blind_problem.curvature.algebra, v).components
+                    assert got.tobytes() == lie_derivative_metric(L, v).components.tobytes()
+        for L in structures:
+            _, _, ak = detect(L)
+            survey = soliton_existence_survey(ak)
+            blind_survey = soliton_existence_survey(
+                dataclasses.replace(ak, curvature=blind(ak.curvature)))
+            assert list(blind_survey) == list(survey)
+            for name, sol in survey.items():
+                assert_same_solution(blind_survey[name], sol)
 
 
 class TestAssembly:
@@ -308,7 +394,7 @@ class TestOrthogonalAnsatz:
         # Witness potential e + phi_e is a genuine isometry direction.
         e, phi_e = ak.adapted_frame[1], ak.adapted_frame[2]
         witness = FrameVector(e.components + phi_e.components)
-        assert np.max(np.abs(lie_derivative_metric(L, conn, witness).components)) == 0.0
+        assert np.max(np.abs(lie_derivative_metric(L, witness).components)) == 0.0
 
 
 class TestGeneralAnsatz:
@@ -405,7 +491,7 @@ class TestFrameSolutions:
 def reference_solve(problem, tol=1e-8):
     pack = problem.curvature
     L, conn = pack.algebra, pack.connection
-    cols = [vec_upper(lie_derivative_metric(L, conn, b).components) for b in problem.basis]
+    cols = [vec_upper(lie_derivative_metric(L, b).components) for b in problem.basis]
     A = np.column_stack(cols + [-vec_upper(L.metric)])
     k = -vec_upper(pack.cotton.cotton2.components)
     z, *_ = np.linalg.lstsq(A, k, rcond=None)
@@ -574,11 +660,10 @@ class TestSurveyReference:
 
 def column_stack_solve(problem):
     pack = problem.curvature
-    L, conn = pack.algebra, pack.connection
+    L = pack.algebra
     rows, cols = np.array(UPPER).T
     V = np.array([b.components for b in problem.basis]).reshape(-1, 3)
-    gamma_by_field = conn.gamma.transpose(1, 0, 2).reshape(3, 9)
-    B = (V[:, None, :] @ gamma_by_field).reshape(-1, 3, 3) @ L.metric
+    B = -((V[:, None, :] @ L.structure_constants.reshape(3, 9)).reshape(-1, 3, 3) @ L.metric)
     lie = B + B.transpose(0, 2, 1)
     A = np.column_stack([lie[:, rows, cols].T, -L.metric[rows, cols]])
     k = -pack.cotton.cotton2.components[rows, cols]

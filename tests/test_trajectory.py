@@ -1,5 +1,5 @@
 """bench/trajectory.py: a short run writes the trajectory schema, and
-``--compare`` applies the interquartile rule."""
+``--compare`` applies the interquartile rule and the bound."""
 
 import copy
 import json
@@ -82,10 +82,13 @@ def test_compare_needs_a_difference_beyond_both_spreads(short_run, tmp_path, cap
         [line] = [ln for ln in capsys.readouterr().out.splitlines() if " ops_per_s " in ln]
         return line.split(maxsplit=1)[1]
 
-    # a gap of 11 beats the spread of A (10) and of B
-    assert verdict(dict(median=111.0, q1=110.0, q3=112.0)).endswith("1.1100  yes, better")
-    assert verdict(dict(median=89.0, q1=88.0, q3=90.0)).endswith("0.8900  yes, worse")
+    # a gap of 11 beats the spread of A (10) and of B, within the bound (15)
+    assert verdict(dict(median=111.0, q1=110.0, q3=112.0)).endswith(
+        "1.1100  yes, better       no")
+    assert verdict(dict(median=89.0, q1=88.0, q3=90.0)).endswith("0.8900  yes, worse        no")
     # within A's spread
-    assert verdict(dict(median=108.0, q1=107.0, q3=109.0)).endswith("1.0800  no")
+    assert verdict(dict(median=108.0, q1=107.0, q3=109.0)).endswith("1.0800  no                no")
     # beyond A's spread, within B's
-    assert verdict(dict(median=111.0, q1=100.0, q3=120.0)).endswith("1.1100  no")
+    assert verdict(dict(median=111.0, q1=100.0, q3=120.0)).endswith("1.1100  no                no")
+    # ops_per_s is worse by more than its bound, 0.15 of A's median
+    assert verdict(dict(median=84.0, q1=83.0, q3=85.0)).endswith("0.8400  yes, worse        yes")
