@@ -4,6 +4,7 @@ Run from anywhere; the checkout measured is the one this file sits in::
 
     python bench/trajectory.py --out BENCH_<n>.json [--repeats 5] [--seconds S] [--workload W ...]
     python bench/trajectory.py --compare A.json B.json
+    python bench/trajectory.py --ab PARENT_DIR [--pairs 10] --workload W [--seed 11] [--seconds S]
     python bench/trajectory.py --source
 
 A run reads ``BENCHMARK.json`` and calls its command (``perfbench/run.py``)
@@ -26,6 +27,16 @@ difference of the medians exceeds the interquartile range of both sides, the
 spread a gain must beat, and whether B's median is worse than A's by more
 than the metric's ``BENCHMARK.json`` bound, a share of A's median: the rule
 that refuses a change.
+
+``--ab PARENT_DIR`` measures a change against its parent on one machine at
+one time: ``--pairs`` pairs of untraced runs of one workload at one seed, one
+run of each pair from PARENT_DIR's checkout (A) and one from this one (B),
+the side that runs first alternating from pair to pair.  It prints each
+pair's ``ops_per_s`` and ``op_p50_ms`` side by side, flagging a pair where
+the two move in opposite directions (a stall inside one run moves
+``ops_per_s``, ops over the summed op time, and not the median), then per
+end-to-end metric both sides' median [q1, q3], B/A, the pairs B wins and
+ties, and whether the medians differ by more than A's interquartile range.
 
 ``--source`` prints the source figures: the src line count, in total and
 per module, the size of ``__all__``, the defaulted parameters of the public
@@ -167,14 +178,17 @@ def environment() -> dict:
     }
 
 
-def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The last stdout line of one benchmark run, a JSON object."""
+def run_benchmark(workload: str, seed: int, seconds: float, trace: int,
+                  root: Path = ROOT) -> dict:
+    """The last stdout line of one benchmark run in the checkout ``root``, a
+    JSON object."""
     cmd = [sys.executable, *SPEC["command"][1:], "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr.strip()}")
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -249,22 +263,88 @@ def compare(a: dict, b: dict) -> None:
         print(f"{w:<17} {'correct':<12} {str(wa['correct']):<32} {str(wb['correct']):<32}")
 
 
+def ab_pairs(parent: Path, pairs: int, workload: str, seed: int, seconds: float) -> list:
+    """``pairs`` interleaved runs of ``workload`` at ``seed`` in the checkout
+    ``parent`` (A) and in this one (B), A first in even pairs: per pair the
+    side that ran first and each side's verdict and end-to-end values."""
+    out = []
+    for n in range(pairs):
+        order = "AB" if n % 2 == 0 else "BA"
+        pair = {"first": order[0]}
+        for side in order:
+            run = run_benchmark(workload, seed, seconds, trace=0,
+                                root=parent if side == "A" else ROOT)
+            pair[side] = {"correct": run["correct"],
+                          "metrics": {name: m["value"] for name, m in run["metrics"].items()}}
+        a, b = (pair[side]["metrics"]["ops_per_s"] for side in "AB")
+        print(f"{workload} pair {n + 1}/{pairs}: ops_per_s A {a:.6g} B {b:.6g}", file=sys.stderr)
+        out.append(pair)
+    return out
+
+
+def _gain(m: dict, a: float, b: float) -> float:
+    """How much better B's value is than A's, positive where B is better."""
+    return b - a if m["better"] == "higher" else a - b
+
+
+def ab_report(pairs: list) -> None:
+    """The pairs of ``ab_pairs`` side by side, then per end-to-end metric A
+    and B as median [q1, q3], B/A, B's wins and ties out of the pairs, and
+    whether B's median differs from A's by more than A's interquartile range."""
+    spec = {m["name"]: m for m in SPEC["end_to_end"]}
+    print(f"{'pair':>4} {'first':<5} {'A ops_per_s':>12} {'B ops_per_s':>12} "
+          f"{'A op_p50_ms':>12} {'B op_p50_ms':>12}  disagree")
+    for n, pair in enumerate(pairs, 1):
+        a, b = pair["A"]["metrics"], pair["B"]["metrics"]
+        moves = [_gain(spec[k], a[k], b[k]) for k in ("ops_per_s", "op_p50_ms")]
+        disagree = "yes" if moves[0] * moves[1] < 0 else ""
+        print(f"{n:>4} {pair['first']:<5} {a['ops_per_s']:>12.6g} {b['ops_per_s']:>12.6g} "
+              f"{a['op_p50_ms']:>12.6g} {b['op_p50_ms']:>12.6g}  {disagree}".rstrip())
+    print(f"{'metric':<12} {'A median [q1, q3]':<32} {'B median [q1, q3]':<32} {'B/A':>7}  "
+          f"{'B wins':>6}  {'ties':>4}  beyond A's IQR")
+    for m in SPEC["end_to_end"]:
+        name = m["name"]
+        a, b = ([pair[side]["metrics"][name] for pair in pairs] for side in "AB")
+        qa, qb = quartiles(a), quartiles(b)
+        gains = [_gain(m, x, y) for x, y in zip(a, b)]
+        wins, ties = sum(g > 0 for g in gains), sum(g == 0 for g in gains)
+        gap = _gain(m, qa["median"], qb["median"])
+        verdict = ("yes, " + ("better" if gap > 0 else "worse")
+                   if abs(gap) > qa["q3"] - qa["q1"] else "no")
+        ratio = qb["median"] / qa["median"] if qa["median"] else float("nan")
+        cells = [f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]" for q in (qa, qb)]
+        print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f}  "
+              f"{f'{wins}/{len(pairs)}':>6}  {ties:>4}  {verdict}")
+    correct = [all(pair[side]["correct"] for pair in pairs) for side in "AB"]
+    print(f"{'correct':<12} {str(correct[0]):<32} {str(correct[1]):<32}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", type=Path, help="write the trajectory of this checkout here")
     mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     mode.add_argument("--source", action="store_true", help="print the source figures")
+    mode.add_argument("--ab", type=Path, metavar="PARENT_DIR",
+                      help="interleaved pairs against the checkout PARENT_DIR")
     names = [w["name"] for w in SPEC["workloads"]]
     ap.add_argument("--workload", action="append", choices=names,
                     help="a workload to run (repeatable; default: every workload)")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10, help="--ab pairs")
+    ap.add_argument("--seed", type=int, default=11, help="--ab seed")
     ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     args = ap.parse_args(argv)
     if args.source:
         print_source(source_figures())
     elif args.compare:
         compare(*(json.loads(p.read_text()) for p in args.compare))
+    elif args.ab:
+        if args.pairs < 1:
+            ap.error("--pairs must be at least 1")
+        if len(args.workload or ()) != 1:
+            ap.error("--ab needs exactly one --workload")
+        ab_report(ab_pairs(args.ab, args.pairs, args.workload[0], args.seed, args.seconds))
     else:
         if args.repeats < 1:
             ap.error("--repeats must be at least 1")

@@ -341,7 +341,8 @@ def _dphi_residual(L: MetricLieAlgebra3, xi: np.ndarray, phi: np.ndarray) -> flo
     """
     Phi = L.metric.dot(phi)
     eta = L.metric.dot(xi)
-    t = L.structure_constants.dot(Phi) + 2.0 * eta[:, None, None] * Phi
+    t = L.structure_constants.reshape(9, 3).dot(Phi).reshape(3, 3, 3)
+    t = t + 2.0 * eta[:, None, None] * Phi
     t = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
     return float(np.abs(t).max())
 

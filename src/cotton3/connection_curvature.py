@@ -16,9 +16,12 @@ Index conventions: ``gamma[i, j, k]`` is the ``e_k`` component of
 The private helpers work on plain arrays and contract through constant
 index maps built at import: the Koszul array is one product of the flat
 ``g([e_i, e_j], e_l)`` with a 27x27 map, and Ricci is contracted straight
-from the connection, without the Riemann tensor.  ``_chain`` is the one
-Ricci -> nabla S -> Cotton sequence, run by ``curvature`` once per geometry
-and by ``cotton2_array`` once per flow stage; ``levi_civita``,
+from the connection, without the Riemann tensor.  ``_chain`` is the
+Ricci -> nabla S -> Cotton sequence of ``curvature``, run once per
+geometry; a flow stage (``cotton2_array``) needs only the (0,2) dual and
+gathers its nine entries straight off p = gamma S through ``_CURL``,
+without forming nabla S or the (0,3) tensor.  Both routes hand the nine
+entries to the one ``_cotton2`` and give the same bits.  ``levi_civita``,
 ``curvature`` and ``ricci_spectrum`` (through ``CurvaturePack.algebra``)
 share the algebra's one metric pass, ``L._frame`` (the metric rule of
 ``frame_algebra``).  The Riemann tensor is built only when
@@ -28,8 +31,10 @@ connection.
 Products call ``ndarray.dot`` rather than the ``@`` operator: on 1-D and
 2-D operands it hands the pair straight to BLAS, which on 3x3 operands
 costs under half of the matmul ufunc's dispatch, and it rounds the same,
-bitwise (``tests/test_dot_products.py``).  Stacked products, and the few
-whose ``.dot`` form contracts other axes or rounds differently, keep ``@``.
+bitwise (``tests/test_dot_products.py``).  A product of an (n, 3, 3) array
+with a 3x3 one is taken as the 2-D (3n, 3) product, reshaped, which rounds
+as the N-D one and costs less.  Stacked products, and the few whose
+``.dot`` form contracts other axes or rounds differently, keep ``@``.
 """
 
 from __future__ import annotations
@@ -141,19 +146,31 @@ def _ricci(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def _cov_deriv(gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(nabla_{e_i} S)(e_j, e_k) of a symmetric frame-constant form ``s``."""
-    p = gamma.dot(s)
+    """(nabla_{e_i} S)(e_j, e_k) of a symmetric frame-constant form ``s``:
+    -(p[i, j, k] + p[i, k, j]) with p = gamma s."""
+    p = gamma.reshape(9, 3).dot(s).reshape(3, 3, 3)
     return -(p + p.transpose(0, 2, 1))
 
 
-# flat index of c3[a, b, i] at [i, p] for the skew pairs (a, b) = (1, 2), (2, 0), (0, 1)
-_DUAL = _IDX[[1, 2, 0], [2, 0, 1]].T
+# the skew pairs (a, b) = (1, 2), (2, 0), (0, 1) of the dual
+_A, _B = [1, 2, 0], [2, 0, 1]
+# flat index of c3[a, b, i] at [i, pair]
+_DUAL = _IDX[_A, _B].T
+# the same entries off p = gamma S as y - x, c3[a, b, i] =
+# (p[b, a, i] + p[b, i, a]) - (p[a, b, i] + p[a, i, b]): _CURL[t] holds term t
+# of (y, x), each at [i, pair], copied contiguous for a faster gather.
+# _chain's d[a, b, i] - d[b, a, i] is (-x) - (-y), which is y - x exactly,
+# signed zeros included (a nan may carry the other sign bit, which IEEE 754
+# leaves uninterpreted)
+_CURL = np.array([[_IDX[_B, _A], _IDX[_A, _B]],
+                  [_IDX[_B, :, _A], _IDX[_A, :, _B]]]).transpose(0, 1, 3, 2).copy()
 
 
-def _cotton2(c3: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Dual of ``c3`` under the metric g with u = g / sqrt(det g)."""
-    # row i is (C_12i, C_20i, C_01i): eps sums each skew pair twice, cancelling the 1/2
-    out = c3.reshape(27)[_DUAL].dot(u)
+def _cotton2(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Dual of the Cotton tensor under the metric g with u = g / sqrt(det g),
+    from its nine entries ``x``, row i (C_12i, C_20i, C_01i)."""
+    # eps sums each skew pair twice, cancelling the 1/2
+    out = x.dot(u)
     return 0.5 * (out + out.T)
 
 
@@ -164,7 +181,7 @@ def _chain(c: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> tuple:
     ricci = _ricci(c, gamma)
     d = _cov_deriv(gamma, ricci)
     c3 = d - d.transpose(1, 0, 2)
-    return ricci, d, c3, _cotton2(c3, u)
+    return ricci, d, c3, _cotton2(c3.reshape(27)[_DUAL], u)
 
 
 def levi_civita(L: MetricLieAlgebra3) -> ConnectionTable:

@@ -20,28 +20,37 @@ free, and scales as t^(-1/2) C under g -> t g.
 
 ``curvature`` evaluates both once per geometry, as ``CurvaturePack.cotton``,
 the dual reading g / sqrt(det g) off the algebra's metric pass; ``cotton_pack``
-returns the pack's evaluation, built by its caller, and ``cotton2_array`` runs
-the same ``_chain`` on plain arrays.
+returns the pack's evaluation, built by its caller.  ``cotton2_array``, the
+flow's evaluation on plain arrays, computes only the dual, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack, _chain, _gamma
+from .connection_curvature import ConnectionTable, CottonPack, CurvaturePack
+from .connection_curvature import _CURL, _cotton2, _gamma, _ricci
 from .frame_algebra import MetricLieAlgebra3, SymBilinear, _metric_frame
 
 
 def cotton2_array(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(0,2) Cotton tensor of constants ``c`` under metric ``g``, for the
-    flow's per-stage evaluations: ``_chain``, the sequence of ``curvature``.
+    flow's per-stage evaluations, bitwise the dual ``curvature`` gives.
+
+    The connection and Ricci are ``curvature``'s; the nine skew entries
+    C_abi of the dual are then gathered from p = gamma S as
+    (p[b, a, i] + p[b, i, a]) - (p[a, b, i] + p[a, i, b]) through ``_CURL``,
+    so nabla S and the (0,3) tensor are never formed.
 
     g^-1 and g / sqrt(det g) come from one pass of the metric rule,
     ``_metric_frame``: ``DegenerateMetric`` at a Cholesky pivot that is not
     positive, ``SingularMetric`` past its condition or inverse rule.
     """
     ginv, u, _ = _metric_frame(g)
-    return _chain(c, _gamma(c, g, ginv), u)[3]
+    gamma = _gamma(c, g, ginv)
+    terms = gamma.reshape(9, 3).dot(_ricci(c, gamma)).reshape(27)[_CURL]
+    yx = terms[0] + terms[1]
+    return _cotton2(yx[0] - yx[1], u)
 
 
 def cotton_pack(

@@ -11,9 +11,11 @@ Integration is classical fourth-order Runge-Kutta.  Only the initial
 metric is symmetrized: C(g) is exactly symmetric, and the stage metrics,
 the Runge-Kutta sum and the rescaling act entrywise, so every later metric
 is exactly symmetric too.  Each stage and each new state evaluates C(g) as
-``cotton2_array(c, g)``, ``curvature``'s Cotton chain on plain arrays,
-under the library's one metric rule: a single scalar Cholesky pass over g
-gives the positive-cone and singularity checks, g^-1 and g / sqrt(det g).
+``cotton2_array(c, g)`` on plain arrays, bitwise ``curvature``'s (0,2)
+Cotton tensor: the same connection and Ricci form, then the dual read
+straight off gamma S.  The library's one metric rule checks g: a single
+scalar Cholesky pass over g gives the positive-cone and singularity checks,
+g^-1 and g / sqrt(det g).
 A metric that fails the rule ends the run, naming the stage or step.
 
 C(g) is a deterministic function of the bytes of g, so a stage whose

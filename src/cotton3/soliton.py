@@ -64,7 +64,7 @@ def _lie_blocks(c: np.ndarray, g: np.ndarray, V: np.ndarray) -> np.ndarray:
     of ``V``, with ad_V[i, k] = sum_a v_a c[a, i, k], so that
     Lie_{V_n} g = B_n + B_n^T; computed one field at a time, so a block does
     not depend on the fields stacked with it."""
-    return -((V[:, None, :] @ c.reshape(3, 9)).reshape(-1, 3, 3).dot(g))
+    return -((V[:, None, :] @ c.reshape(3, 9)).reshape(-1, 3).dot(g).reshape(-1, 3, 3))
 
 
 def lie_derivative_metric(L: MetricLieAlgebra3, v: FrameVector) -> SymBilinear:

@@ -27,10 +27,12 @@ from cotton3 import (
     detect_structure,
     flow_run,
     from_kenmotsu_params,
+    from_nonunimodular,
     levi_civita,
     ricci_spectrum,
 )
-from cotton3.connection_curvature import _cotton2, _cov_deriv
+from cotton3.cli import _KENMOTSU_MEMBERS, _SOLVABLE_MEMBERS
+from cotton3.connection_curvature import _DUAL, _cotton2, _cov_deriv
 from cotton3.cotton import cotton2_array
 from cotton3.cotton_flow import _state
 from cotton3.frame_algebra import _metric_frame
@@ -132,7 +134,7 @@ class TestInvariants:
             u = _metric_frame(L.metric)[1]
             for c3 in (cotton_pack(*layers(L)).cotton3.components, rng.normal(size=(3, 3, 3))):
                 out = np.stack((c3[1, 2], c3[2, 0], c3[0, 1]), axis=1) @ u
-                assert np.array_equal(_cotton2(c3, u), 0.5 * (out + out.T))
+                assert np.array_equal(_cotton2(c3.reshape(27)[_DUAL], u), 0.5 * (out + out.T))
 
     def test_singular_metric_rejected(self):
         L = abelian()
@@ -384,7 +386,7 @@ class TestReferenceEquivalence:
 def composed_pack(L, conn, pack):
     d = _cov_deriv(conn.gamma, pack.ricci.components)
     c3 = d - d.transpose(1, 0, 2)
-    c2 = _cotton2(c3, _metric_frame(L.metric)[1])
+    c2 = _cotton2(c3.reshape(27)[_DUAL], _metric_frame(L.metric)[1])
     return c3, c2, float(np.linalg.norm(c2))
 
 
@@ -402,6 +404,31 @@ class TestPackComposition:
                 assert cp.norm2 == norm2
                 assert not cp.cotton3.components.flags.writeable
                 assert not cp.cotton2.components.flags.writeable
+
+
+class TestFlowKernel:
+    def test_flow_kernel_equals_pack_bytewise(self):
+        # the flow stage reads the dual's nine entries straight off
+        # p = gamma S; curvature forms nabla S and c3 from the same p first:
+        # the same bytes, also at metrics and constants scaled by 2^+-300
+        rng = np.random.default_rng(2041)
+        draws = [random_valid_algebra(rng, rotated=True).with_metric(random_spd(rng))
+                 for _ in range(200)]
+        cases = list(draws)
+        for t in (2.0 ** 300, 2.0 ** -300):
+            cases += [L.with_metric(t * L.metric) for L in draws]
+            cases += [type(L)(t * L.structure_constants, L.metric) for L in draws]
+        cases += [from_kenmotsu_params(*p) for p in _KENMOTSU_MEMBERS]
+        cases += [from_nonunimodular(*p) for p in _SOLVABLE_MEMBERS]
+        assert len(cases) == 1008
+        for L in cases:
+            # at constants times 2^300 the entries of C reach 2^900, finite,
+            # and the pack's norm, sqrt(x.x), overflows
+            with np.errstate(over="ignore"):
+                want = curvature(L, levi_civita(L)).cotton.cotton2.components
+            assert np.isfinite(want).all()
+            got = cotton2_array(L.structure_constants, L.metric)
+            assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

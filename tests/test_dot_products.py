@@ -26,16 +26,19 @@ from cotton3.frame_algebra import _metric_frame
 
 # (shape of a, shape of b) of every product the engine takes with .dot
 DOT_SHAPES = [
-    ((9, 3), (3, 3)),  # _koszul, _gamma
+    ((9, 3), (3, 3)),  # _koszul, _gamma, _cov_deriv, cotton2_array, _dphi_residual,
+    # _lie_blocks on three fields
     ((27,), (27, 27)),  # _koszul
     ((9, 3), (3, 9)),  # _riemann: bracket term
     ((27,), (27, 3)),  # _ricci: the trace t
     ((9, 3), (3,)),  # _ricci
     ((3, 9), (9, 3)),  # _ricci
-    ((3, 3, 3), (3, 3)),  # _cov_deriv, _dphi_residual, _assemble_system
-    ((2, 3, 3), (3, 3)),  # _assemble_system on smaller bases
+    ((3, 3, 3), (3, 3)),  # the N-D forms of the (9, 3), (6, 3) and (3, 3) products
+    ((2, 3, 3), (3, 3)),  # (test_nd_products_round_as_2d_reshapes)
     ((1, 3, 3), (3, 3)),
-    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, cli; detection: L^T
+    ((6, 3), (3, 3)),  # _lie_blocks on two fields
+    ((3, 3), (3, 3)),  # _cotton2, curvature, ricci_spectrum, cli, _lie_blocks on one
+    # field; detection: L^T
     # and the orthonormal brackets, and in _build_structure the self-adjoint
     # parts and phi
     ((3,), (3, 3, 3, 3)),  # _jacobi
@@ -94,6 +97,19 @@ def test_dot_rounds_as_matmul(shapes):
             got, want = a.dot(b), a @ b
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (sa, sb, fa, fb)
+
+
+@pytest.mark.parametrize("n", [3, 2, 1])
+def test_nd_products_round_as_2d_reshapes(n):
+    # _cov_deriv, _dphi_residual and _lie_blocks take the product of an
+    # (n, 3, 3) array with a 3x3 one as the (3n, 3) product, reshaped: the
+    # bits of the N-D product
+    rng = np.random.default_rng(2040 + n)
+    for fb in (False, True):
+        for _ in range(500):
+            a, b = _operand(rng, (n, 3, 3), False), _operand(rng, (3, 3), fb)
+            got = a.reshape(3 * n, 3).dot(b).reshape(n, 3, 3)
+            assert got.tobytes() == a.dot(b).tobytes(), (n, fb)
 
 
 @pytest.mark.parametrize("n", NORM_LENGTHS)

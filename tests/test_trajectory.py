@@ -1,5 +1,6 @@
-"""bench/trajectory.py: a short run writes the trajectory schema, and
-``--compare`` applies the interquartile rule and the bound."""
+"""bench/trajectory.py: a short run writes the trajectory schema,
+``--compare`` applies the interquartile rule and the bound, and ``--ab``'s
+report counts wins against the parent's interquartile range."""
 
 import copy
 import json
@@ -92,3 +93,49 @@ def test_compare_needs_a_difference_beyond_both_spreads(short_run, tmp_path, cap
     assert verdict(dict(median=111.0, q1=100.0, q3=120.0)).endswith("1.1100  no                no")
     # ops_per_s is worse by more than its bound, 0.15 of A's median
     assert verdict(dict(median=84.0, q1=83.0, q3=85.0)).endswith("0.8400  yes, worse        yes")
+
+
+def _pair(first, a_ops, b_ops, a_p50, b_p50):
+    """One hand-made ``--ab`` pair: the given ops_per_s and op_p50_ms, every
+    other end-to-end metric equal on both sides."""
+    rest = {"op_tail_ms": 0.1, "ok_frac": 1.0, "peak_rss_mb": 38.0, "setup_s": 0.08}
+    return {"first": first,
+            "A": {"correct": True, "metrics": {"ops_per_s": a_ops, "op_p50_ms": a_p50, **rest}},
+            "B": {"correct": True, "metrics": {"ops_per_s": b_ops, "op_p50_ms": b_p50, **rest}}}
+
+
+def test_ab_report_counts_wins_and_flags_a_stall(capsys):
+    sys.path.insert(0, str(SCRIPT.parent))
+    try:
+        import trajectory
+    finally:
+        sys.path.remove(str(SCRIPT.parent))
+    # B faster in nine pairs; in pair 4 a stall in B's run costs it
+    # ops_per_s although its p50 still wins
+    pairs = [_pair("AB"[n % 2], 100.0 + n % 3, 110.0 + n % 3, 0.090, 0.082) for n in range(10)]
+    pairs[3] = _pair("B", 101.0, 95.0, 0.090, 0.082)
+    trajectory.ab_report(pairs)
+    out = capsys.readouterr().out.splitlines()
+    rows = out[1:11]
+    assert [row.split()[:2] for row in rows] == [[str(n), "AB"[(n - 1) % 2]] for n in range(1, 11)]
+    assert [row.endswith("yes") for row in rows] == [n == 3 for n in range(10)]
+    lines = {line.split()[0]: line for line in out[11:]}
+    # wins, ties, and the gap of the medians (10) against A's IQR (2)
+    assert lines["ops_per_s"].endswith("9/10     0  yes, better")
+    assert lines["op_p50_ms"].endswith("10/10     0  yes, better")
+    assert lines["ok_frac"].endswith("0/10    10  no")
+    assert lines["correct"].split()[1:] == ["True", "True"]
+
+    # a gap of the medians within A's IQR is no verdict, however many wins
+    pairs = [_pair("AB"[n % 2], 100.0 + 4 * (n % 3), 101.0 + 4 * (n % 3), 0.09, 0.09)
+             for n in range(10)]
+    trajectory.ab_report(pairs)
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[11:]}
+    assert lines["ops_per_s"].endswith("10/10     0  no")
+    assert lines["op_p50_ms"].endswith("0/10    10  no")
+    # a worse B beyond A's IQR
+    pairs = [_pair("AB"[n % 2], 100.0, 90.0, 0.08, 0.09) for n in range(10)]
+    trajectory.ab_report(pairs)
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[11:]}
+    assert lines["ops_per_s"].endswith("0/10     0  yes, worse")
+    assert lines["op_p50_ms"].endswith("0/10     0  yes, worse")
